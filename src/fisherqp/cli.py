@@ -80,7 +80,6 @@ from .thermal import (
     HeatField,
     coherence_suite,
     gibbs_formula_check,
-    heat_equation_evolve,
     heat_from_density,
     thermal_fisher_report,
     thermalized_qp,
@@ -266,8 +265,12 @@ def _cmd_evolve(payload, args, out_dir: Path) -> list[IdentityCheck]:
 
     dt = float(_require(payload, "dt", command))
     steps = int(_require(payload, "steps", command))
-    traj = evolve(state, V, dt, steps)
     index = int(payload.get("check_index", steps // 2))
+    dump = payload.get("dump", False)
+    # the checks need the centered window; an index outside the trajectory
+    # keeps what exists and is refused by the checks themselves
+    window = [k for k in (index - 1, index, index + 1) if 0 <= k <= steps]
+    traj = evolve(state, V, dt, steps, keep=None if dump else window)
 
     checks = [
         make_residual_check("continuity", continuity_residual(traj, index), 1e-3 * ts),
@@ -280,7 +283,7 @@ def _cmd_evolve(payload, args, out_dir: Path) -> list[IdentityCheck]:
             note="centered entropy rate vs -integral(S'P')/m",
         )
     )
-    if payload.get("dump", False):
+    if dump:
         dump_trajectory(traj, out_dir / "trajectory")
     return checks
 
@@ -446,17 +449,19 @@ def _cmd_thermal(payload, args, out_dir: Path) -> list[IdentityCheck]:
             )
         )
     else:
-        suite = coherence_suite(hf, constants, evolve_horizon=t_final, evolve_dt=dt)
+        # the middle step of the heat flow the suite evolves, with its
+        # neighbours for the centered time derivative
+        mid = (int(round(t_final / dt)) + 1) // 2
+        suite = coherence_suite(hf, constants, evolve_horizon=t_final, evolve_dt=dt,
+                                keep=(mid - 1, mid, mid + 1))
         for item in suite.items:
             checks.append(make_residual_check(item.name, item.residual,
                                               item.tolerance * ts))
-        heat_traj = heat_equation_evolve(hf, t_final, dt)
-        mid = len(heat_traj) // 2
-        thq = thermalized_qp(heat_traj, mid)
+        thq = thermalized_qp(suite.heat, mid)
         qt_scale = (
             constants.hbar**2 / (4.0 * constants.mass)
             * float(np.max(np.abs(second_derivative_values(
-                heat_traj.fields[mid].q_tilde().values, grid.dx
+                suite.heat.field(mid).q_tilde().values, grid.dx
             ))))
         )
         # weight by the coupled density: the held walls grow a diffusive

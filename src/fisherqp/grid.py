@@ -7,6 +7,11 @@ with one-sided second-order endpoint stencils).  The schemes are kept at
 second order on purpose: their error is dominated by grid resolution,
 which keeps every identity check interpretable.
 
+The time steppers share two helpers from here: ``tridiagonal_solver``
+factors their constant Crank-Nicolson matrix once and returns a solve for
+each step, and ``steps_to_keep`` validates which steps a streamed run
+stores.
+
 Fields are immutable after construction and all operations are pure, so
 values can be shared freely across threads.
 """
@@ -14,7 +19,10 @@ values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
+
 import numpy as np
+from scipy.linalg.lapack import get_lapack_funcs
 
 
 def _readonly(values: np.ndarray) -> np.ndarray:
@@ -128,3 +136,36 @@ def derivative(f: ScalarField) -> ScalarField:
 
 def second_derivative(f: ScalarField) -> ScalarField:
     return f.with_values(second_derivative_values(f.values, f.grid.dx))
+
+
+def tridiagonal_solver(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
+    """Factor a tridiagonal matrix once; return ``solve(rhs) -> x``.
+
+    LAPACK ``?gttrf`` factors the matrix with partial pivoting and each
+    ``solve`` is one ``?gttrs`` back substitution.  This is the elimination
+    ``?gtsv`` (``solve_banded`` with one band each side) performs, split in
+    two, so the solutions are bit-identical to solving from scratch at a
+    fraction of the cost.  ``solve`` may overwrite ``rhs``.
+    """
+    arrays = [np.asarray_chkfinite(a) for a in (lower, diag, upper)]
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), arrays)
+    *factors, info = gttrf(*arrays)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        return gttrs(*factors, rhs, overwrite_b=True)[0]
+
+    return solve
+
+
+def steps_to_keep(keep: Iterable[int] | None, steps: int) -> set[int]:
+    """The step indices a run over ``steps`` steps stores: all of 0..steps
+    when ``keep`` is None, else ``keep``, which must lie in that range."""
+    if keep is None:
+        return set(range(steps + 1))
+    out = {int(k) for k in keep}
+    bad = sorted(k for k in out if not 0 <= k <= steps)
+    if bad:
+        raise ValueError(f"kept steps {bad} outside 0..{steps}")
+    return out

@@ -9,14 +9,20 @@ walls:
 with D2 the 3-point second difference on interior points.  The update is
 a Cayley transform of a symmetric real matrix, so it preserves the
 discrete l2 norm to roundoff, is unconditionally stable, and is exactly
-time-reversible (stepping with -dt undoes a step).
+time-reversible (stepping with -dt undoes a step).  The left-hand matrix
+is constant, so it is factored once (``grid.tridiagonal_solver``) and
+every step is one back substitution.
 
-Phase extraction along a trajectory unwraps in x on the support and then
-aligns each step against the previous one at the density peak, so that
-the global phase drift (and hence dS/dt) is well defined.  Dirichlet
-walls stand in for an unbounded domain; a boundary-contact guard raises
-instead of silently corrupting identity checks once the packet reaches
-the walls.
+Trajectories stream: the stepper keeps psi only at the requested steps,
+and reduces what every step must contribute (the wall guard, the norm,
+the phase at the density peak) as it goes.  Only kept steps are split
+into a Madelung state.  Their phase is unwrapped in x on the support and
+aligned in time against the phase at the density peak, carried across
+skipped steps by the per-step increment arg(psi_k conj(psi_{k-1})); the
+global phase drift (and hence dS/dt) is thereby well defined, and a kept
+state's S is the same whichever other steps are kept.  Dirichlet walls
+stand in for an unbounded domain; a boundary-contact guard raises instead
+of silently corrupting identity checks once the packet reaches the walls.
 
 Residual normalization: each residual is reported relative to the
 magnitude of its leading term plus a floor of one twentieth of the
@@ -29,32 +35,65 @@ density weight used for all log-derivative fields (see ``functionals``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import BoundaryContact
 from .functionals import differential_entropy, fisher_information, quantum_potential
-from .grid import Grid, ScalarField, derivative_values, quadrature_values
-from .states import Density, MadelungState, PhysicalConstants, density_from_samples
+from .grid import (
+    Grid,
+    ScalarField,
+    derivative_values,
+    quadrature_values,
+    steps_to_keep,
+    tridiagonal_solver,
+)
+from .states import (
+    Density,
+    MadelungState,
+    PhysicalConstants,
+    density_from_samples,
+    phase_on_support,
+)
 
 BOUNDARY_THRESHOLD = 1e-10   # relative |psi|^2 at the first interior points
 RESIDUAL_FLOOR = 0.05        # scale floor entering residual denominators
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Uniform-in-time sequence of Madelung states under a fixed potential.
+class Propagation:
+    """Raw Crank-Nicolson output of ``propagate_wavefunction``.
 
-    ``psis`` holds the raw complex wavefunction samples per step; the
-    Madelung split in ``states`` is derived from them (and is lossy in
-    the sub-floor tails, where the phase is extended rather than read
-    off roundoff-level amplitudes).
+    ``psis`` holds psi at the ``kept`` steps only.  ``norms`` and
+    ``peak_phase`` have one entry per step k = 0..steps: the quadrature of
+    |psi_k|^2, and arg(psi_k) at the density peak, continued in time
+    (no 2 pi jumps) from the initial phase.
+    """
+
+    kept: tuple[int, ...]
+    psis: list[np.ndarray]
+    norms: np.ndarray
+    peak_phase: np.ndarray
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """Uniform-in-time Crank-Nicolson trajectory under a fixed potential.
+
+    ``times`` covers every step k = 0..steps, and ``norms`` gives the
+    quadrature of the raw |psi_k|^2 at each of them.  Only the ``kept``
+    steps are stored: ``psis`` holds their raw complex wavefunction and
+    ``states`` their Madelung split (lossy in the sub-floor tails, where
+    the phase is extended rather than read off roundoff-level
+    amplitudes).  ``psi(k)`` and ``state(k)`` look a step up by index.
     """
 
     times: np.ndarray
+    kept: tuple[int, ...]
     states: list[MadelungState]
     psis: list[np.ndarray]
+    norms: np.ndarray
     potential: ScalarField
     constants: PhysicalConstants
 
@@ -67,7 +106,19 @@ class Trajectory:
         return self.potential.grid
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.times)
+
+    def _position(self, step: int) -> int:
+        try:
+            return self.kept.index(step)
+        except ValueError:
+            raise ValueError(f"step {step} was not kept") from None
+
+    def psi(self, step: int) -> np.ndarray:
+        return self.psis[self._position(step)]
+
+    def state(self, step: int) -> MadelungState:
+        return self.states[self._position(step)]
 
 
 def _hamiltonian_diagonals(grid: Grid, V: np.ndarray, constants: PhysicalConstants):
@@ -87,35 +138,14 @@ def _apply_h(psi: np.ndarray, main: np.ndarray, off: np.ndarray) -> np.ndarray:
     return out
 
 
-def _extract_phase(
-    psi: np.ndarray, density: Density, constants: PhysicalConstants,
-    previous: np.ndarray | None,
-) -> np.ndarray:
-    """Unwrapped phase * hbar, time-aligned against the previous step."""
-    mask = density.support_mask
-    idx = np.flatnonzero(mask)
-    theta = np.unwrap(np.angle(psi[idx]))
-    anchor = int(np.argmax(density.values[idx]))
-    if previous is not None:
-        prev_theta = previous[idx[anchor]] / constants.hbar
-        k = np.round((prev_theta - theta[anchor]) / (2.0 * np.pi))
-        theta += 2.0 * np.pi * k
-    s = np.empty(len(psi))
-    s[idx] = constants.hbar * theta
-    s[: idx[0]] = s[idx[0]]
-    s[idx[-1] + 1 :] = s[idx[-1]]
-    return s
-
-
-def _state_from_psi(
-    psi: np.ndarray, grid: Grid, constants: PhysicalConstants,
-    previous_phase: np.ndarray | None,
-) -> MadelungState:
-    density = density_from_samples(
-        ScalarField(grid, np.abs(psi) ** 2), truncation_check=False
-    )
-    s = _extract_phase(psi, density, constants, previous_phase)
-    return MadelungState(density, ScalarField(grid, s), constants)
+def _phase_along(psi: np.ndarray, i: int, j: int) -> float:
+    """arg(psi[j]) - arg(psi[i]), unwrapped along the points in between."""
+    if i == j:
+        return 0.0
+    lo, hi = min(i, j), max(i, j)
+    seg = psi[lo : hi + 1]
+    change = float(np.sum(np.angle(seg[1:] * np.conj(seg[:-1]))))
+    return change if j >= i else -change
 
 
 def propagate_wavefunction(
@@ -125,49 +155,90 @@ def propagate_wavefunction(
     constants: PhysicalConstants,
     dt: float,
     steps: int,
-) -> list[np.ndarray]:
-    """Raw Crank-Nicolson stepping; returns all steps+1 snapshots.
+    keep: Iterable[int] | None = None,
+    phase0: np.ndarray | None = None,
+) -> Propagation:
+    """Raw Crank-Nicolson stepping over ``steps`` steps.
+
+    Keeps psi at the step indices in ``keep`` (every step when None) and
+    records every step's norm and peak phase (see ``Propagation``).  The
+    peak phase starts from ``phase0`` (radians, a field on the grid) at
+    the initial density peak, or from arg(psi0) there when None.
 
     Exactly norm-preserving and exactly invertible by stepping with -dt.
-    Raises BoundaryContact when the relative density at a first-interior
-    point exceeds 1e-10 (the packet has reached the wall).
+    Raises BoundaryContact, checked at every step, when the relative
+    density at a first-interior point exceeds 1e-10 (the packet has
+    reached the wall).
     """
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    psi = np.asarray(psi0, dtype=complex).copy()
+    keep_set = steps_to_keep(keep, steps)
+    psi = np.asarray_chkfinite(psi0).astype(complex)
     psi[0] = psi[-1] = 0.0
 
-    main, off = _hamiltonian_diagonals(grid, V.values, constants)
+    # complex copies of the diagonals spare every step a real-to-complex
+    # cast; the products are the same
+    main, off = (
+        d.astype(complex) for d in _hamiltonian_diagonals(grid, V.values, constants)
+    )
     z = 1j * dt / (2.0 * constants.hbar)
-    # Banded matrix for A = 1 + z H restricted to interior points.
-    m = grid.n - 2
-    ab = np.zeros((3, m), dtype=complex)
-    ab[0, 1:] = z * off[1:-1]
-    ab[1, :] = 1.0 + z * main[1:-1]
-    ab[2, :-1] = z * off[1:-1]
+    # A = 1 + z H restricted to interior points, factored once.
+    solve = tridiagonal_solver(z * off[1:-1], 1.0 + z * main[1:-1], z * off[1:-1])
 
-    psis = [psi.copy()]
-    for _ in range(steps):
-        hpsi = _apply_h(psi, main, off)
-        rhs = (psi - z * hpsi)[1:-1]
-        nxt = np.zeros_like(psi)
-        nxt[1:-1] = solve_banded((1, 1), ab, rhs)
-        psi = nxt
-        edge = max(abs(psi[1]) ** 2, abs(psi[-2]) ** 2)
-        if edge > BOUNDARY_THRESHOLD * float(np.max(np.abs(psi) ** 2)):
+    # trapezoid rule for the norm; the walls are pinned to 0, so it is a sum
+    norms = np.empty(steps + 1)
+    peak_phase = np.empty(steps + 1)
+    p = np.abs(psi) ** 2
+    peak = int(np.argmax(p))
+    norms[0] = p.sum() * grid.dx
+    peak_phase[0] = np.angle(psi[peak]) if phase0 is None else phase0[peak]
+    kept = [0] if 0 in keep_set else []
+    psis = [psi] if kept else []
+    for k in range(1, steps + 1):
+        # rhs = psi - z H psi on the interior, computed in place
+        rhs = _apply_h(psi, main, off)[1:-1]
+        rhs *= z
+        np.subtract(psi[1:-1], rhs, out=rhs)
+        nxt = np.empty_like(psi)
+        nxt[0] = nxt[-1] = 0.0
+        nxt[1:-1] = solve(rhs)
+        p = np.abs(nxt) ** 2
+        edge = max(p[1], p[-2])
+        new_peak = int(np.argmax(p))
+        if edge > BOUNDARY_THRESHOLD * p[new_peak]:
             raise BoundaryContact(
                 f"wave packet reached the wall (relative edge density {edge:.3e})"
             )
-        psis.append(psi.copy())
-    return psis
+        norms[k] = p.sum() * grid.dx
+        # move along x to the new peak on the old state, then forward in time
+        peak_phase[k] = (
+            peak_phase[k - 1]
+            + _phase_along(psi, peak, new_peak)
+            + np.angle(nxt[new_peak] * np.conj(psi[new_peak]))
+        )
+        psi, peak = nxt, new_peak
+        if k in keep_set:
+            kept.append(k)
+            psis.append(psi)
+    return Propagation(tuple(kept), psis, norms, peak_phase)
 
 
 def evolve(
-    initial: MadelungState, V: ScalarField, dt: float, steps: int
+    initial: MadelungState,
+    V: ScalarField,
+    dt: float,
+    steps: int,
+    keep: Iterable[int] | None = None,
 ) -> Trajectory:
     """Propagate a state with Crank-Nicolson for ``steps`` steps of size dt.
+
+    Only the step indices in ``keep`` (every step when None) are stored
+    and split into Madelung states; the wall guard and the norm still
+    cover every step.  Each kept phase is aligned in time through the
+    carried peak phase, starting from the initial state's phase, so it
+    does not depend on which other steps are kept.
 
     Accuracy guard: |dt| should not exceed dx for the second-order
     truncation errors in space and time to stay balanced; stability is
@@ -182,41 +253,46 @@ def evolve(
     psi[0] = psi[-1] = 0.0
     norm = np.sqrt(quadrature_values(np.abs(psi) ** 2, grid.dx))
     psi /= norm
-    psis = propagate_wavefunction(psi, grid, V, constants, dt, steps)
+    run = propagate_wavefunction(
+        psi, grid, V, constants, dt, steps, keep,
+        phase0=initial.phase.values / constants.hbar,
+    )
 
-    states: list[MadelungState] = []
-    prev_phase: np.ndarray | None = initial.phase.values
-    for snapshot in psis:
-        state = _state_from_psi(snapshot, grid, constants, prev_phase)
-        prev_phase = state.phase.values
-        states.append(state)
+    states = []
+    for k, snapshot in zip(run.kept, run.psis):
+        density = density_from_samples(
+            ScalarField(grid, np.abs(snapshot) ** 2), truncation_check=False
+        )
+        s = phase_on_support(snapshot, density, constants.hbar, run.peak_phase[k])
+        states.append(MadelungState(density, ScalarField(grid, s), constants))
 
     times = np.arange(steps + 1) * dt
     return Trajectory(
-        times=times, states=states, psis=psis, potential=V, constants=constants
+        times=times, kept=run.kept, states=states, psis=run.psis,
+        norms=run.norms, potential=V, constants=constants,
     )
 
 
-def norm_drift(traj: Trajectory) -> float:
-    """Largest relative deviation of quadrature(|psi|^2) from 1."""
-    worst = 0.0
-    for state in traj.states:
-        worst = max(worst, abs(state.density.mass_check() - 1.0))
-    return worst
+def norm_drift(traj: Trajectory | Propagation) -> float:
+    """Largest deviation of quadrature(|psi_k|^2) from 1 over every step,
+    read off the raw wavefunction (not the renormalized densities)."""
+    return float(np.max(np.abs(traj.norms - 1.0)))
 
 
 def energy_expectation(traj: Trajectory, index: int) -> float:
     """<H> via the same discrete Hamiltonian the stepper uses."""
     grid = traj.grid
     main, off = _hamiltonian_diagonals(grid, traj.potential.values, traj.constants)
-    psi = traj.psis[index]
+    psi = traj.psi(index)
     hpsi = _apply_h(psi, main, off)
     return float(np.real(quadrature_values((np.conj(psi) * hpsi).real, grid.dx)))
 
 
-def _interior_index(traj: Trajectory, index: int) -> None:
+def _window(traj: Trajectory, index: int) -> tuple[MadelungState, ...]:
+    """States at index - 1, index, index + 1 (the centered-difference stencil)."""
     if not 1 <= index <= len(traj) - 2:
         raise ValueError(f"index {index} must be interior (1..{len(traj) - 2})")
+    return tuple(traj.state(index + k) for k in (-1, 0, 1))
 
 
 def probability_current(traj: Trajectory, index: int) -> np.ndarray:
@@ -226,7 +302,7 @@ def probability_current(traj: Trajectory, index: int) -> np.ndarray:
     P S'/m, but it does not inherit the roundoff floor of the phase
     extraction (relevant for stationary states, where J ~ 0).
     """
-    psi = traj.psis[index]
+    psi = traj.psi(index)
     dx = traj.grid.dx
     dpsi = derivative_values(psi.real, dx) + 1j * derivative_values(psi.imag, dx)
     c = traj.constants
@@ -239,10 +315,9 @@ def continuity_residual(traj: Trajectory, index: int) -> float:
     Time derivative by centered difference at an interior index; the
     denominator carries the scale floor described in the module docstring.
     """
-    _interior_index(traj, index)
+    before, now, after = _window(traj, index)
     dt = traj.dt
     dx = traj.grid.dx
-    before, now, after = (traj.states[index + k] for k in (-1, 0, 1))
 
     dpdt = (after.density.values - before.density.values) / (2.0 * dt)
     div = derivative_values(probability_current(traj, index), dx)
@@ -257,10 +332,9 @@ def continuity_residual(traj: Trajectory, index: int) -> float:
 
 def hj_residual(traj: Trajectory, index: int) -> float:
     """Density-weighted residual of dS/dt + (S')^2/2m + V + Q = 0."""
-    _interior_index(traj, index)
+    before, now, after = _window(traj, index)
     dt = traj.dt
     m = traj.constants.mass
-    before, now, after = (traj.states[index + k] for k in (-1, 0, 1))
 
     dsdt = (after.phase.values - before.phase.values) / (2.0 * dt)
     grad_s = now.momentum_field()
@@ -285,11 +359,10 @@ def entropy_rate_check(
     is -integral(S' P') for the rho variant and -(1/m) of that for the
     plain-P variant.
     """
-    _interior_index(traj, index)
+    before, now, after = _window(traj, index)
     dt = traj.dt
     dx = traj.grid.dx
     m = traj.constants.mass
-    before, now, after = (traj.states[index + k] for k in (-1, 0, 1))
 
     h_plus = differential_entropy(after.density, use_rho=use_rho, mass=m)
     h_minus = differential_entropy(before.density, use_rho=use_rho, mass=m)

@@ -136,10 +136,10 @@ def load_heat_field_json(path) -> HeatField:
 
 
 def dump_trajectory(traj: Trajectory, out_dir) -> Path:
-    """Write per-step state CSVs plus a manifest; returns the directory."""
+    """Write one state CSV per kept step plus a manifest; returns the directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for k, state in enumerate(traj.states):
+    for k, state in zip(traj.kept, traj.states):
         with open(out / f"step_{k:05d}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "P", "S"])

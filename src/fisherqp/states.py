@@ -202,15 +202,34 @@ def madelung_from_wavefunction(
         raise ZeroMass("empty support")
     if not np.all(mask[idx[0] : idx[-1] + 1]):
         raise NodeOnSupport("|psi|^2 dips below the support floor inside the support")
+    s = phase_on_support(psi, density, constants.hbar)
+    return MadelungState(density, ScalarField(re.grid, s), constants)
 
-    phase = np.unwrap(np.angle(psi[mask]))
-    anchor = (idx[-1] - idx[0]) // 2  # center of the (contiguous) support
-    phase -= phase[anchor]
-    s = np.empty(re.grid.n)
-    s[mask] = constants.hbar * phase
+
+def phase_on_support(
+    psi: np.ndarray, density: Density, hbar: float, peak_phase: float | None = None
+) -> np.ndarray:
+    """S = hbar * arg(psi), unwrapped along x over the support mask and
+    extended constantly off it.
+
+    The global constant is fixed in one of two ways.  Without
+    ``peak_phase`` S is pinned to 0 at the center of the (contiguous)
+    support.  With it, S is shifted by the multiple of 2 pi hbar that
+    brings arg(psi) at the density peak closest to ``peak_phase``
+    (radians), which aligns successive states of a trajectory in time.
+    """
+    idx = np.flatnonzero(density.support_mask)
+    theta = np.unwrap(np.angle(psi[idx]))
+    if peak_phase is None:
+        theta -= theta[(idx[-1] - idx[0]) // 2]
+    else:
+        peak = int(np.argmax(density.values[idx]))
+        theta += 2.0 * np.pi * np.round((peak_phase - theta[peak]) / (2.0 * np.pi))
+    s = np.empty(len(psi))
+    s[idx] = hbar * theta
     s[: idx[0]] = s[idx[0]]
     s[idx[-1] + 1 :] = s[idx[-1]]
-    return MadelungState(density, ScalarField(re.grid, s), constants)
+    return s
 
 
 @dataclass(frozen=True)

@@ -24,15 +24,22 @@ Conventions
   (quadratic heat fields legitimately grow uniformly in the interior, so
   a change-based wall guard would misfire; the guard watches curvature
   arriving at the walls instead).
+* Fick and heat flows share one implicit stepper: Crank-Nicolson on a
+  constant tridiagonal matrix, factored once per run
+  (``grid.tridiagonal_solver``).  Flows stream step by step: the wall
+  guards run on every step, a heat trajectory keeps only the requested
+  steps, and the coherence suite steps Fick and heat in lockstep,
+  reducing the coupling deviation as it goes instead of holding both
+  trajectories.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import BoundaryContact, DecoupledInputs
 from .functionals import fisher_information, fluctuation_report, quantum_potential, weighted_max_dev
@@ -42,6 +49,8 @@ from .grid import (
     derivative_values,
     quadrature_values,
     second_derivative_values,
+    steps_to_keep,
+    tridiagonal_solver,
 )
 from .states import (
     Density,
@@ -76,9 +85,14 @@ class HeatField:
 
 @dataclass(frozen=True)
 class HeatTrajectory:
-    """Heat field snapshots at uniform time steps."""
+    """Heat field snapshots at uniform time steps.
+
+    ``times`` covers every step; ``fields`` holds the ``kept`` steps only,
+    and ``field(k)`` looks a step up by index.
+    """
 
     times: np.ndarray
+    kept: tuple[int, ...]
     fields: list[HeatField]
     diffusivity: float
 
@@ -87,7 +101,13 @@ class HeatTrajectory:
         return float(self.times[1] - self.times[0])
 
     def __len__(self) -> int:
-        return len(self.fields)
+        return len(self.times)
+
+    def field(self, step: int) -> HeatField:
+        try:
+            return self.fields[self.kept.index(step)]
+        except ValueError:
+            raise ValueError(f"step {step} was not kept") from None
 
 
 def heat_from_density(density: Density, constants: PhysicalConstants) -> HeatField:
@@ -153,23 +173,27 @@ def require_coupling(
 # ---------------------------------------------------------------------------
 
 
-def _cn_step_matrixfree(u: np.ndarray, c: float) -> np.ndarray:
-    """One Crank-Nicolson heat step with endpoint values held fixed.
+def _cn_stepper(n: int, c: float):
+    """Crank-Nicolson heat step with endpoint values held fixed.
 
     c = D*dt/(2*dx^2).  Solves (1+2c) u+ - c (u+_l + u+_r) = rhs on the
-    interior with the fixed ends folded into the right-hand side.
+    interior with the fixed ends folded into the right-hand side; the
+    constant matrix is factored once, here.
     """
-    n = len(u)
-    rhs = (1.0 - 2.0 * c) * u[1:-1] + c * (u[2:] + u[:-2])
-    rhs[0] += c * u[0]
-    rhs[-1] += c * u[-1]
-    ab = np.zeros((3, n - 2))
-    ab[0, 1:] = -c
-    ab[1, :] = 1.0 + 2.0 * c
-    ab[2, :-1] = -c
-    out = u.copy()
-    out[1:-1] = solve_banded((1, 1), ab, rhs)
-    return out
+    m = n - 2
+    solve = tridiagonal_solver(
+        np.full(m - 1, -c), np.full(m, 1.0 + 2.0 * c), np.full(m - 1, -c)
+    )
+
+    def step(u: np.ndarray) -> np.ndarray:
+        rhs = (1.0 - 2.0 * c) * u[1:-1] + c * (u[2:] + u[:-2])
+        rhs[0] += c * u[0]
+        rhs[-1] += c * u[-1]
+        out = u.copy()
+        out[1:-1] = solve(rhs)
+        return out
+
+    return step
 
 
 def _explicit_step(u: np.ndarray, nu: float) -> np.ndarray:
@@ -178,28 +202,33 @@ def _explicit_step(u: np.ndarray, nu: float) -> np.ndarray:
     return out
 
 
-def _diffuse(values: np.ndarray, dx: float, D: float, t_final: float, dt: float,
-             scheme: str) -> list[np.ndarray]:
+def _step_count(t_final: float, dt: float) -> int:
     if dt <= 0 or t_final <= 0:
         raise ValueError("t_final and dt must be positive")
     steps = int(round(t_final / dt))
     if abs(steps * dt - t_final) > 1e-9 * t_final:
         raise ValueError("t_final must be an integer multiple of dt")
+    return steps
+
+
+def _diffuse(values: np.ndarray, dx: float, D: float, t_final: float, dt: float,
+             scheme: str) -> Iterator[np.ndarray]:
+    """Yield the diffusing field at every step 0..steps, each a fresh array."""
+    steps = _step_count(t_final, dt)
     nu = D * dt / (dx * dx)
     if scheme == "explicit":
         if nu > 0.45:
             raise ValueError(f"explicit scheme unstable: D*dt/dx^2 = {nu:.3f} > 0.45")
         step = lambda u: _explicit_step(u, nu)
     elif scheme == "implicit":
-        step = lambda u: _cn_step_matrixfree(u, 0.5 * nu)
+        step = _cn_stepper(len(values), 0.5 * nu)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    out = [values.copy()]
-    u = values.copy()
+    u = np.array(values, dtype=float)
+    yield u
     for _ in range(steps):
         u = step(u)
-        out.append(u.copy())
-    return out
+        yield u
 
 
 @dataclass(frozen=True)
@@ -212,6 +241,16 @@ class FickTrajectory:
     mass_drift: float
 
 
+def _fick_arrays(P0: Density, D: float, t_final: float, dt: float,
+                 scheme: str) -> Iterator[np.ndarray]:
+    """Raw Fick samples at every step, wall-guarded."""
+    for arr in _diffuse(P0.values, P0.grid.dx, D, t_final, dt, scheme):
+        peak = float(np.max(arr))
+        if max(arr[1], arr[-2]) > FICK_BOUNDARY_THRESHOLD * peak:
+            raise BoundaryContact("diffusing density reached the wall")
+        yield arr
+
+
 def fick_diffuse(
     P0: Density, D: float, t_final: float, dt: float, scheme: str = "implicit"
 ) -> FickTrajectory:
@@ -221,57 +260,58 @@ def fick_diffuse(
     aborts with BoundaryContact once a first-interior value exceeds
     1e-10 of the current peak.
     """
-    snapshots = _diffuse(
-        np.array(P0.values), P0.grid.dx, D, t_final, dt, scheme
-    )
     densities = []
     drift = 0.0
-    for arr in snapshots:
-        peak = float(np.max(arr))
-        if max(arr[1], arr[-2]) > FICK_BOUNDARY_THRESHOLD * peak:
-            raise BoundaryContact("diffusing density reached the wall")
+    for arr in _fick_arrays(P0, D, t_final, dt, scheme):
         drift = max(drift, abs(quadrature_values(arr, P0.grid.dx) - 1.0))
         densities.append(
             density_from_samples(ScalarField(P0.grid, arr), truncation_check=False)
         )
-    steps = len(snapshots) - 1
+    steps = len(densities) - 1
     times = np.arange(steps + 1) * dt
     return FickTrajectory(times=times, densities=densities, diffusivity=D,
                           mass_drift=drift)
+
+
+def _heat_arrays(hf0: HeatField, t_final: float, dt: float,
+                 scheme: str) -> Iterator[np.ndarray]:
+    """Heat-equation samples at every step, wall-guarded (see
+    ``heat_equation_evolve``)."""
+    dx = hf0.grid.dx
+    arrays = _diffuse(hf0.Q_heat.values, dx, hf0.constants.diffusivity,
+                      t_final, dt, scheme)
+    for k, arr in enumerate(arrays):
+        lap = second_derivative_values(arr, dx)
+        edge = max(abs(lap[1]), abs(lap[-2]))
+        if k == 0:
+            edge_scale = edge
+            interior_scale = float(np.max(np.abs(lap)))
+            # below this, curvature is indistinguishable from second-difference roundoff
+            noise_floor = 1e-10 * max(1.0, float(np.max(np.abs(arr)))) / (dx * dx)
+        if interior_scale > noise_floor and edge > max(
+            10.0 * edge_scale, 1e-6 * interior_scale
+        ):
+            raise BoundaryContact("heat-field curvature reached the wall")
+        yield arr
 
 
 def heat_equation_evolve(
     hf0: HeatField, t_final: float, dt: float, scheme: str = "implicit"
 ) -> HeatTrajectory:
     """Evolve a heat field under the classical heat equation
-    d2Q/dx2 - (1/D) dQ/dt = 0 with D = hbar/2m.
+    d2Q/dx2 - (1/D) dQ/dt = 0 with D = hbar/2m; every step is kept.
 
     The wall guard fires when curvature at the first interior points
     grows well beyond its initial value (a spreading bump arriving at the
     wall); uniform interior growth of quadratic fields is legitimate and
     does not trip it.
     """
-    D = hf0.constants.diffusivity
-    dx = hf0.grid.dx
-    snapshots = _diffuse(np.array(hf0.Q_heat.values), dx, D, t_final, dt, scheme)
-
-    lap0 = second_derivative_values(snapshots[0], dx)
-    edge_scale = max(abs(lap0[1]), abs(lap0[-2]))
-    interior_scale = float(np.max(np.abs(lap0)))
-    # below this, curvature is indistinguishable from second-difference roundoff
-    noise_floor = 1e-10 * max(1.0, float(np.max(np.abs(snapshots[0])))) / (dx * dx)
-    fields = []
-    for arr in snapshots:
-        lap = second_derivative_values(arr, dx)
-        edge = max(abs(lap[1]), abs(lap[-2]))
-        if interior_scale > noise_floor and edge > max(
-            10.0 * edge_scale, 1e-6 * interior_scale
-        ):
-            raise BoundaryContact("heat-field curvature reached the wall")
-        fields.append(HeatField(ScalarField(hf0.grid, arr), hf0.constants))
-    steps = len(snapshots) - 1
-    times = np.arange(steps + 1) * dt
-    return HeatTrajectory(times=times, fields=fields, diffusivity=D)
+    fields = [HeatField(ScalarField(hf0.grid, arr), hf0.constants)
+              for arr in _heat_arrays(hf0, t_final, dt, scheme)]
+    steps = len(fields) - 1
+    return HeatTrajectory(times=np.arange(steps + 1) * dt,
+                          kept=tuple(range(steps + 1)), fields=fields,
+                          diffusivity=hf0.constants.diffusivity)
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +355,10 @@ def thermalized_qp(
     else:
         if not 1 <= index <= len(source) - 2:
             raise ValueError("index must be interior to the trajectory")
-        hf = source.fields[index]
+        hf = source.field(index)
         dt = source.dt
-        after = source.fields[index + 1].q_tilde().values
-        before = source.fields[index - 1].q_tilde().values
+        after = source.field(index + 1).q_tilde().values
+        before = source.field(index - 1).q_tilde().values
         dqt_dt = (after - before) / (2.0 * dt)
     c = constants or hf.constants
     qt = hf.q_tilde().values
@@ -409,21 +449,22 @@ def heat_chain_residual(traj: HeatTrajectory, index: int) -> float:
     """
     if not 1 <= index <= len(traj) - 2:
         raise ValueError("index must be interior to the trajectory")
-    c = traj.fields[0].constants
+    first = traj.field(0)
+    c = first.constants
     dt = traj.dt
-    q0 = traj.fields[0].Q_heat.values
+    q0 = first.Q_heat.values
     w0 = np.exp(-c.alpha_th * (q0 - np.min(q0)))
-    chat = 1.0 / quadrature_values(w0, traj.fields[0].grid.dx)
+    chat = 1.0 / quadrature_values(w0, first.grid.dx)
     shift = np.min(q0)
 
     def ratio_law(k: int) -> np.ndarray:
-        q = traj.fields[k].Q_heat.values
+        q = traj.field(k).Q_heat.values
         return chat * np.exp(-c.alpha_th * (q - shift))
 
     p_before, p_now, p_after = (ratio_law(index + k) for k in (-1, 0, 1))
     dpdt = (p_after - p_before) / (2.0 * dt)
-    q_before = traj.fields[index - 1].Q_heat.values
-    q_after = traj.fields[index + 1].Q_heat.values
+    q_before = traj.field(index - 1).Q_heat.values
+    q_after = traj.field(index + 1).Q_heat.values
     dqdt = (q_after - q_before) / (2.0 * dt)
     rhs = -p_now * c.alpha_th * dqdt
 
@@ -432,8 +473,37 @@ def heat_chain_residual(traj: HeatTrajectory, index: int) -> float:
     return num / den
 
 
+def _coupled_run(
+    density0: Density, hf0: HeatField, constants: PhysicalConstants,
+    t_final: float, dt: float, keep: Iterable[int] = (),
+) -> tuple[float, HeatTrajectory]:
+    """Step P by Fick and Q by the heat equation in lockstep.
+
+    Returns the worst weighted deviation of P(t) from
+    c_hat(t) exp(-alpha Q(t)) over every step, and the heat trajectory at
+    the ``keep`` steps plus the last one.
+    """
+    steps = _step_count(t_final, dt)
+    keep_set = steps_to_keep(keep, steps) | {steps}
+    grid = hf0.grid
+    fick = _fick_arrays(density0, constants.diffusivity, t_final, dt, "implicit")
+    heat = _heat_arrays(hf0, t_final, dt, "implicit")
+    worst = 0.0
+    kept, fields = [], []
+    for k, (p, q) in enumerate(zip(fick, heat)):
+        dens = density_from_samples(ScalarField(grid, p), truncation_check=False)
+        hf = HeatField(ScalarField(grid, q), hf0.constants)
+        worst = max(worst, coupling_deviation(dens, hf, constants))
+        if k in keep_set:
+            kept.append(k)
+            fields.append(hf)
+    times = np.arange(steps + 1) * dt
+    return worst, HeatTrajectory(times=times, kept=tuple(kept), fields=fields,
+                                 diffusivity=hf0.constants.diffusivity)
+
+
 def coupled_evolution_deviation(
-    density0: Density, t_final: float, dt: float
+    density0: Density, constants: PhysicalConstants, t_final: float, dt: float
 ) -> float:
     """Evolve P by Fick and its heat field by the heat equation; return the
     worst weighted deviation of P(t) from c_hat(t) exp(-alpha Q(t)).
@@ -442,15 +512,8 @@ def coupled_evolution_deviation(
     transports an extra (grad Q)^2 term), so this decays with the horizon;
     it quantifies how long the coupled picture survives.
     """
-    constants = PhysicalConstants()
     hf0 = heat_from_density(density0, constants)
-    D = constants.diffusivity
-    fick = fick_diffuse(density0, D, t_final, dt)
-    heat = heat_equation_evolve(hf0, t_final, dt)
-    worst = 0.0
-    for dens, hf in zip(fick.densities, heat.fields):
-        worst = max(worst, coupling_deviation(dens, hf, constants))
-    return worst
+    return _coupled_run(density0, hf0, constants, t_final, dt)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +534,11 @@ class CoherenceItem:
 
 @dataclass(frozen=True)
 class CoherenceReport:
+    """Coherence items plus the heat flow the ratio-law check evolved, at
+    the steps the caller asked to keep and the last step."""
+
     items: list[CoherenceItem]
+    heat: HeatTrajectory
 
     @property
     def all_passed(self) -> bool:
@@ -489,6 +556,7 @@ def coherence_suite(
     constants: PhysicalConstants,
     evolve_horizon: float = 0.004,
     evolve_dt: float = 1e-3,
+    keep: Iterable[int] = (),
 ) -> CoherenceReport:
     """Run the five-point coherence check between the thermal and
     probabilistic pictures, plus the Gibbs-side companion.
@@ -500,6 +568,9 @@ def coherence_suite(
        grad(P)/P = -beta grad(Q),
     4. delta_E_kin = (hbar^2/8m)(grad P/P)^2 = (1/8 m omega^2)(grad Q)^2,
     5. log P affine in -beta Q with slope 1.
+
+    Check 1 steps Fick and heat in lockstep; the heat flow at the ``keep``
+    steps comes back in the report, so callers need not evolve it again.
     """
     if not constants.is_thermal_equilibrium:
         raise ValueError("coherence suite assumes hbar*omega = k*T")
@@ -512,12 +583,7 @@ def coherence_suite(
     items: list[CoherenceItem] = []
 
     # 1: evolve-and-compare (Fick for P, heat equation for Q).
-    fick = fick_diffuse(density, constants.diffusivity, evolve_horizon, evolve_dt)
-    heat = heat_equation_evolve(hf, evolve_horizon, evolve_dt)
-    dev1 = max(
-        coupling_deviation(d, h, constants)
-        for d, h in zip(fick.densities, heat.fields)
-    )
+    dev1, heat = _coupled_run(density, hf, constants, evolve_horizon, evolve_dt, keep)
     items.append(CoherenceItem("ratio-law-evolution", dev1, 1e-3))
 
     # 2: DeltaQ = 2 omega Delta(deltaS), a definition-chain identity.
@@ -562,7 +628,7 @@ def coherence_suite(
     dev6 = abs(report.route_b - report.fisher_direct) / abs(report.fisher_direct)
     items.append(CoherenceItem("thermal-equals-gibbs-fisher", dev6, 1e-8))
 
-    return CoherenceReport(items=items)
+    return CoherenceReport(items=items, heat=heat)
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,46 @@ def test_evolve_command(tmp_path):
     assert (out / "trajectory" / "manifest.json").exists()
 
 
+def test_evolve_window_reports_like_full_run(tmp_path):
+    # without dump only the check window is kept; the checks must not notice
+    spec = {
+        "grid": {"xmin": -10.0, "xmax": 10.0, "n": 1281},
+        "initial": {"kind": "gaussian", "sigma": 1.0, "momentum": 1.0},
+        "potential": {"kind": "harmonic", "strength": 0.5},
+        "dt": 1.0 / 512,
+        "steps": 128,
+        "check_index": 100,
+    }
+    checks = []
+    for dump in (False, True):
+        out = tmp_path / f"out{dump}"
+        inp = write_json(tmp_path / f"in{dump}.json", {**spec, "dump": dump})
+        assert main(["evolve", "--input", inp, "--out", str(out)]) == 0
+        checks.append(read_report(out)["checks"])
+    assert checks[0] == checks[1]
+
+
+@pytest.mark.parametrize("index", [0, 64, 99999])
+def test_evolve_out_of_range_check_index_exits_2(tmp_path, capsys, index):
+    inp = write_json(
+        tmp_path / "in.json",
+        {
+            "grid": {"xmin": -10.0, "xmax": 10.0, "n": 513},
+            "initial": {"kind": "gaussian", "sigma": 1.0},
+            "potential": {"kind": "free"},
+            "dt": 1.0 / 1024,
+            "steps": 64,
+            "check_index": index,
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["evolve", "--input", inp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"schema error: index {index} must be interior (1..63)\n"
+    )
+    assert not (out / "report.json").exists()
+
+
 def test_thermal_command(tmp_path):
     inp = write_json(
         tmp_path / "in.json",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from fisherqp import (
     BoundaryContact,
@@ -109,7 +109,7 @@ def test_time_reversal():
     state = MadelungState(gaussian_density(g), g.zeros(), C)
     traj = evolve(state, g.zeros(), 1.0 / 512, 128)
     back = propagate_wavefunction(traj.psis[-1], g, g.zeros(), C, -1.0 / 512, 128)
-    assert np.max(np.abs(back[-1] - traj.psis[0])) <= 1e-8
+    assert np.max(np.abs(back.psis[-1] - traj.psis[0])) <= 1e-8
 
 
 def test_boundary_contact():
@@ -205,3 +205,128 @@ def test_osmotic_entropy_rate(standard_normal):
     assert ref == pytest.approx(0.5 * fisher_information(standard_normal), rel=1e-12)
     assert rate == pytest.approx(ref, rel=1e-6)
     assert rate >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# factor-once stepping and streaming trajectories
+# ---------------------------------------------------------------------------
+
+
+def banded_reference(psi0, g, V, dt, steps):
+    """Crank-Nicolson as a from-scratch banded solve every step: the
+    reference the factored stepper must reproduce bit for bit."""
+    kin = C.hbar**2 / (2.0 * C.mass * g.dx**2)
+    main = 2.0 * kin + V.values
+    off = -kin * np.ones(g.n - 1)
+    z = 1j * dt / (2.0 * C.hbar)
+    ab = np.zeros((3, g.n - 2), dtype=complex)
+    ab[0, 1:] = z * off[1:-1]
+    ab[1, :] = 1.0 + z * main[1:-1]
+    ab[2, :-1] = z * off[1:-1]
+    psi = np.asarray(psi0, dtype=complex).copy()
+    psi[0] = psi[-1] = 0.0
+    out = [psi]
+    for _ in range(steps):
+        hpsi = main * psi
+        hpsi[:-1] += off * psi[1:]
+        hpsi[1:] += off * psi[:-1]
+        nxt = np.zeros_like(psi)
+        nxt[1:-1] = solve_banded((1, 1), ab, (psi - z * hpsi)[1:-1])
+        psi = nxt
+        out.append(psi)
+    return out
+
+
+def chained_phases(initial, traj):
+    """S of every step aligned against the whole previous phase field at
+    the density peak, step by step: the alignment a streamed trajectory
+    must reproduce without holding the previous steps."""
+    previous = initial.phase.values
+    out = []
+    for psi, state in zip(traj.psis, traj.states):
+        idx = np.flatnonzero(state.density.support_mask)
+        theta = np.unwrap(np.angle(psi[idx]))
+        anchor = int(np.argmax(state.density.values[idx]))
+        theta += 2.0 * np.pi * np.round(
+            (previous[idx[anchor]] / C.hbar - theta[anchor]) / (2.0 * np.pi)
+        )
+        s = np.empty(len(psi))
+        s[idx] = C.hbar * theta
+        s[: idx[0]] = s[idx[0]]
+        s[idx[-1] + 1 :] = s[idx[-1]]
+        out.append(s)
+        previous = s
+    return out
+
+
+def test_factored_stepper_matches_solve_banded():
+    g = Grid(-10.0, 10.0, 2561)
+    state = MadelungState(gaussian_density(g), ScalarField(g, 1.5 * g.x), C)
+    V = g.from_function(lambda x: 0.5 * x**2)
+    run = propagate_wavefunction(state.wavefunction(), g, V, C, 1.0 / 512, 64)
+    ref = banded_reference(state.wavefunction(), g, V, 1.0 / 512, 64)
+    assert run.kept == tuple(range(65))
+    assert all(np.array_equal(a, b) for a, b in zip(run.psis, ref))
+
+
+def test_windowed_evolve_matches_full_past_phase_wrap():
+    # the stationary phase -E0 t passes -pi at t = 2 pi, long before the window
+    g = Grid(-8.0, 8.0, 1025)
+    state, V = discrete_ho_ground_state(g)
+    dt, steps, mid = 1.0 / 64, 512, 450
+    full = evolve(state, V, dt, steps)
+    window = evolve(state, V, dt, steps, keep=(mid - 1, mid, mid + 1))
+    assert window.kept == (mid - 1, mid, mid + 1)
+    assert len(window) == len(full) == steps + 1
+    assert np.array_equal(window.norms, full.norms)
+    for k in window.kept:
+        assert np.array_equal(window.state(k).phase.values, full.state(k).phase.values)
+        assert np.array_equal(window.psi(k), full.psi(k))
+    assert window.state(mid).phase.values[g.n // 2] < -np.pi  # 2 pi offset carried
+    assert continuity_residual(window, mid) == continuity_residual(full, mid)
+    assert hj_residual(window, mid) == hj_residual(full, mid)
+    assert entropy_rate_check(window, mid) == entropy_rate_check(full, mid)
+    ref = chained_phases(state, full)
+    assert all(np.array_equal(s.phase.values, r) for s, r in zip(full.states, ref))
+
+
+def test_windowed_phase_follows_a_moving_peak():
+    # momentum 4: the peak moves one grid point per step and the phase
+    # between its first and last position is 8 rad; the offset V = 20
+    # turns the peak phase (8 - 20) t past -pi by t = 0.26
+    g = Grid(-10.0, 10.0, 2561)
+    state = MadelungState(gaussian_density(g), ScalarField(g, 4.0 * g.x), C)
+    V = ScalarField(g, np.full(g.n, 20.0))
+    full = evolve(state, V, 1.0 / 512, 256)
+    ref = chained_phases(state, full)
+    assert all(np.array_equal(s.phase.values, r) for s, r in zip(full.states, ref))
+    for mid in (37, 128, 255):
+        window = evolve(state, V, 1.0 / 512, 256, keep=(mid - 1, mid, mid + 1))
+        for k in window.kept:
+            assert np.array_equal(window.state(k).phase.values, ref[k])
+
+
+def test_window_refuses_steps_it_did_not_keep():
+    g = Grid(-10.0, 10.0, 513)
+    state = MadelungState(gaussian_density(g), g.zeros(), C)
+    traj = evolve(state, g.zeros(), 1.0 / 512, 32, keep=(15, 16, 17))
+    assert len(traj.states) == 3
+    with pytest.raises(ValueError, match="not kept"):
+        continuity_residual(traj, 20)
+    with pytest.raises(ValueError, match="interior"):
+        continuity_residual(traj, 32)
+    with pytest.raises(ValueError):
+        evolve(state, g.zeros(), 1.0 / 512, 32, keep=(33,))
+
+
+def test_norm_drift_reads_the_raw_norm():
+    # densities are renormalized, the raw psi is not: psi scaled by 1.01
+    # carries 1.01^2 - 1 = 0.0201 at every step
+    g = Grid(-10.0, 10.0, 2561)
+    traj = evolve(MadelungState(gaussian_density(g), g.zeros(), C), g.zeros(),
+                  1.0 / 512, 32)
+    assert norm_drift(traj) <= 1e-12
+    run = propagate_wavefunction(1.01 * traj.psis[0], g, g.zeros(), C, 1.0 / 512, 32,
+                                 keep=())
+    assert run.psis == [] and len(run.norms) == 33
+    assert norm_drift(run) == pytest.approx(0.0201, rel=1e-9)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from fisherqp import (
     DecoupledInputs,
@@ -320,7 +321,7 @@ def test_heat_chain_residual():
 def test_coupled_evolution_short_horizon():
     g = wide_grid()
     d = gaussian_density(g, sigma=2.0)
-    assert coupled_evolution_deviation(d, 0.01, 1e-3) <= 2e-3
+    assert coupled_evolution_deviation(d, C, 0.01, 1e-3) <= 2e-3
 
 
 def test_coupling_deviation_detects_mismatch(grid):
@@ -376,3 +377,67 @@ def test_gibbs_formulas(k, gamma):
     assert chk.qp_maxdev <= 1e-6
     assert chk.fisher_direct == pytest.approx(gamma * k, rel=1e-6)
     assert chk.fisher_energy_route == pytest.approx(gamma * k, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# factor-once stepping and streamed flows
+# ---------------------------------------------------------------------------
+
+
+def test_factored_heat_stepper_matches_solve_banded():
+    g = Grid(-12.0, 12.0, 2049)
+    hf = HeatField(ScalarField(g, np.exp(-g.x**2 / 2)), C)
+    dt, steps = 1e-3, 64
+    traj = heat_equation_evolve(hf, steps * dt, dt)
+    # reference: the fixed-end Crank-Nicolson step as a from-scratch banded solve
+    c = 0.5 * C.diffusivity * dt / g.dx**2
+    ab = np.zeros((3, g.n - 2))
+    ab[0, 1:] = -c
+    ab[1, :] = 1.0 + 2.0 * c
+    ab[2, :-1] = -c
+    u = hf.Q_heat.values.copy()
+    ref = [u]
+    for _ in range(steps):
+        rhs = (1.0 - 2.0 * c) * u[1:-1] + c * (u[2:] + u[:-2])
+        rhs[0] += c * u[0]
+        rhs[-1] += c * u[-1]
+        u = u.copy()
+        u[1:-1] = solve_banded((1, 1), ab, rhs)
+        ref.append(u)
+    assert traj.kept == tuple(range(steps + 1))
+    assert all(np.array_equal(f.Q_heat.values, r) for f, r in zip(traj.fields, ref))
+
+
+def test_coupled_deviation_uses_caller_constants():
+    # hbar*omega = k*T = 2 with D = hbar/2m = 1/4: the lockstep reduction
+    # must equal the materialized flows under the same constants
+    c = PhysicalConstants(mass=2.0, omega=2.0, temperature=2.0,
+                          require_thermal_equality=True)
+    g = wide_grid()
+    d = gaussian_density(g, sigma=2.0)
+    dev = coupled_evolution_deviation(d, c, 0.01, 1e-3)
+    fick = fick_diffuse(d, c.diffusivity, 0.01, 1e-3)
+    heat = heat_equation_evolve(heat_from_density(d, c), 0.01, 1e-3)
+    ref = max(coupling_deviation(p, h, c) for p, h in zip(fick.densities, heat.fields))
+    assert dev == ref
+    assert dev != coupled_evolution_deviation(d, C, 0.01, 1e-3)
+
+
+def test_coherence_lockstep_matches_materialized_flows():
+    c = PhysicalConstants(mass=2.0, omega=2.0, temperature=2.0)
+    g = wide_grid()
+    hf = HeatField(ScalarField(g, g.x**2 / 4), c)
+    report = coherence_suite(hf, c, evolve_horizon=0.01, evolve_dt=1e-3, keep=(4, 5, 6))
+    density, _ = density_from_heat(hf.Q_heat, c.alpha_th, truncation_check=False)
+    fick = fick_diffuse(density, c.diffusivity, 0.01, 1e-3)
+    heat = heat_equation_evolve(hf, 0.01, 1e-3)
+    ref = max(coupling_deviation(p, h, c) for p, h in zip(fick.densities, heat.fields))
+    assert report.item("ratio-law-evolution").residual == ref
+    assert report.heat.kept == (4, 5, 6, 10) and len(report.heat) == len(heat) == 11
+    for k in report.heat.kept:
+        assert np.array_equal(report.heat.field(k).Q_heat.values,
+                              heat.field(k).Q_heat.values)
+    assert np.array_equal(thermalized_qp(report.heat, 5).values,
+                          thermalized_qp(heat, 5).values)
+    with pytest.raises(ValueError, match="not kept"):
+        thermalized_qp(report.heat, 2)
