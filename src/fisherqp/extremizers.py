@@ -20,6 +20,15 @@ operator with Dirichlet walls and alpha_norm = 8 * (ground eigenvalue).
 Contracting the stationarity condition with p gives the useful scalar
 identity FI = alpha_norm + sum_i lambda_i <A_i>.
 
+The ground state is found in O(n) by inverse iteration whose every shift
+is certified to lie below the ground eigenvalue e0: an LDL^T factorization
+of T - sigma I (LAPACK ``?pttrf``) succeeds exactly when sigma < e0, and
+below e0 the nearest eigenvalue is e0, so the iteration cannot settle on
+an excited state however small the gap.  One more factorization certifies
+that the converged Rayleigh quotient is e0 itself, and a Sturm count
+(``?stebz`` with no bisection) of the eigenvalues just above it decides
+whether the ground state is degenerate.
+
 The log-derivative substitution v = (log psi)' turns the stationarity
 condition into the Riccati form v' + v^2 + G/4 = 0 with
 G = alpha_norm + sum_i lambda_i A_i; ``riccati_check`` measures that
@@ -31,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import DegenerateGround, EdgeLocalized, InfeasibleTarget, NonDecaying
 from .functionals import (
@@ -56,6 +64,8 @@ from .states import (
 EDGE_BUFFER = 5          # grid points counted as "at the wall"
 EDGE_MASS_TOL = 1e-7     # ground-state mass allowed in the buffer
 DEGENERACY_TOL = 1e-10   # relative gap below which the ground state is ambiguous
+RESIDUAL_TOL = 4.0       # stop at ||T v - rho v|| <= RESIDUAL_TOL * eps * ||T||
+MAX_ITERATIONS = 100     # inverse-iteration guard; 5-8 are typical
 
 
 @dataclass(frozen=True)
@@ -171,27 +181,107 @@ def effective_potential(spec: ConstraintSpec, grid: Grid) -> ScalarField:
     return ScalarField(grid, u / 8.0)
 
 
+def _ground_state(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarray, int]:
+    """Lowest eigenpair of the symmetric tridiagonal T = (diag, off) in O(n).
+
+    Inverse iteration from the all-ones vector (it overlaps the positive
+    ground state).  Each shift sigma is certified below e0 by its own
+    ``?pttrf`` factorization, the one ``?pttrs`` then solves with.  Sigma
+    starts at the Gershgorin lower bound and moves up to rho - r (rho the
+    Rayleigh quotient, r = ||T v - rho v||); a shift that fails to factor
+    is halved back toward the last good one.  Iteration stops at
+    r <= RESIDUAL_TOL * eps * ||T||.
+
+    Returns (e0, v, count): v has unit 2-norm and e0 = rho, certified by one
+    more factorization to lie within slack = max(r, 4 eps ||T||) above the
+    true ground eigenvalue.  ``count`` is the number of eigenvalues in
+    (rho - slack, rho + max(DEGENERACY_TOL |rho|, 4 eps ||T||)], from one
+    ``?stebz`` Sturm count whose tolerance exceeds the window, so it never
+    bisects.  Reductions use ``np.sum(a * b)``, not ``np.dot``, which wakes
+    BLAS threads that spin for no gain.
+    """
+    # scipy.linalg takes most of the package's import time; load it on first solve
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    pttrf, pttrs, stebz = get_lapack_funcs(("pttrf", "pttrs", "stebz"), (diag,))
+    radius = np.zeros_like(diag)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    lower = float(np.min(diag - radius))
+    floor = np.finfo(float).eps * max(abs(lower), abs(float(np.max(diag + radius))))
+
+    def factor(sigma: float):
+        d, e, info = pttrf(diag - sigma, off, overwrite_d=True)
+        return (d, e) if info == 0 else None
+
+    sigma = lower - floor
+    factors = factor(sigma)
+    v = np.ones_like(diag)
+    tv = radius  # reused as the T v work array
+    for _ in range(MAX_ITERATIONS):
+        w = pttrs(*factors, v, overwrite_b=True)[0]
+        v = w / np.sqrt(np.sum(w * w))
+        np.multiply(diag, v, out=tv)
+        tv[:-1] += off * v[1:]
+        tv[1:] += off * v[:-1]
+        rho = float(np.sum(v * tv))
+        tv -= rho * v
+        r = float(np.sqrt(np.sum(tv * tv)))
+        if r <= RESIDUAL_TOL * floor:
+            break
+        target = rho - r
+        while target - sigma > floor:
+            trial = factor(target)
+            if trial is not None:
+                sigma, factors = target, trial
+                break
+            target = 0.5 * (sigma + target)
+    else:
+        raise np.linalg.LinAlgError(
+            f"inverse iteration left residual {r:.3e} after {MAX_ITERATIONS} steps"
+        )
+    slack = max(r, 4.0 * floor)
+    if factor(rho - slack) is None:
+        raise np.linalg.LinAlgError(
+            f"Rayleigh quotient {rho!r} is not the ground eigenvalue"
+        )
+    width = max(DEGENERACY_TOL * abs(rho), 4.0 * floor)
+    # range 1 counts the eigenvalues in (vl, vu]
+    count = stebz(
+        diag, off, 1, rho - slack, rho + width, 0, 0, 2.0 * (slack + width), "E"
+    )[0]
+    return rho, v, int(count)
+
+
 def epi_solve(spec: ConstraintSpec, grid: Grid) -> EPIResult:
     """Ground state of -(1/2) d2/dx2 - U with Dirichlet walls.
+
+    The interior of the grid carries the symmetric tridiagonal operator;
+    its ground state comes from certified-shift inverse iteration (see
+    the module docstring), so the grid needs at least two interior points.
 
     Raises EdgeLocalized when the ground state carries more than
     EDGE_MASS_TOL of probability within EDGE_BUFFER points of a wall
     (the continuum problem is unbound, e.g. positive multiplier on x^2)
-    and DegenerateGround when the two lowest eigenvalues coincide to
-    DEGENERACY_TOL relative.
+    and DegenerateGround when a second eigenvalue lies within
+    DEGENERACY_TOL relative (or a few eps * ||T|| absolute, whichever is
+    larger) above the ground eigenvalue.
     """
     if spec.multipliers is None:
         raise ValueError("only multiplier-specified problems are solvable directly")
+    if grid.n < 4:
+        raise ValueError(
+            f"epi_solve needs at least 2 interior grid points (n >= 4), got n={grid.n}"
+        )
     u = effective_potential(spec, grid)
     dx = grid.dx
     kin = 1.0 / (2.0 * dx * dx)
     diag = 2.0 * kin - u.values[1:-1]
     off = -kin * np.ones(grid.n - 3)
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
-    e0, e1 = float(vals[0]), float(vals[1])
+    e0, v, count = _ground_state(diag, off)
 
     psi = np.zeros(grid.n)
-    psi[1:-1] = vecs[:, 0]
+    psi[1:-1] = v
     if psi[np.argmax(np.abs(psi))] < 0:
         psi = -psi
     norm = np.sqrt(quadrature_values(psi**2, dx))
@@ -207,9 +297,11 @@ def epi_solve(spec: ConstraintSpec, grid: Grid) -> EPIResult:
             f"ground state carries {buffer_mass:.3e} probability within "
             f"{EDGE_BUFFER} points of a wall"
         )
-    gap = (e1 - e0) / max(abs(e0), abs(e1), 1e-300)
-    if gap < DEGENERACY_TOL:
-        raise DegenerateGround(f"lowest eigenvalues differ by {gap:.3e} relative")
+    if count >= 2:
+        raise DegenerateGround(
+            f"{count} eigenvalues within {DEGENERACY_TOL:.0e} relative of the ground "
+            f"eigenvalue {e0!r}"
+        )
 
     density = density_from_samples(ScalarField(grid, p), truncation_check=False)
     return EPIResult(

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 
 def _readonly(values: np.ndarray) -> np.ndarray:
@@ -147,6 +146,9 @@ def tridiagonal_solver(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
     two, so the solutions are bit-identical to solving from scratch at a
     fraction of the cost.  ``solve`` may overwrite ``rhs``.
     """
+    # scipy.linalg takes most of the package's import time; load it on first solve
+    from scipy.linalg.lapack import get_lapack_funcs
+
     arrays = [np.asarray_chkfinite(a) for a in (lower, diag, upper)]
     gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), arrays)
     *factors, info = gttrf(*arrays)

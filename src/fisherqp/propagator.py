@@ -130,10 +130,13 @@ def _hamiltonian_diagonals(grid: Grid, V: np.ndarray, constants: PhysicalConstan
     return main, off
 
 
-def _apply_h(psi: np.ndarray, main: np.ndarray, off: np.ndarray) -> np.ndarray:
-    out = main * psi
-    out[:-1] += off * psi[1:]
-    out[1:] += off * psi[:-1]
+def _apply_h(psi: np.ndarray, main: np.ndarray, off: np.ndarray,
+             out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+    """H psi; written into ``out`` (length n) and ``work`` (n - 1) when given."""
+    out = np.multiply(main, psi, out=out)
+    work = np.multiply(off, psi[1:], out=work)
+    out[:-1] += work
+    out[1:] += np.multiply(off, psi[:-1], out=work)
     out[0] = out[-1] = 0.0  # Dirichlet: walls pinned
     return out
 
@@ -196,15 +199,21 @@ def propagate_wavefunction(
     peak_phase[0] = np.angle(psi[peak]) if phase0 is None else phase0[peak]
     kept = [0] if 0 in keep_set else []
     psis = [psi] if kept else []
+    # Steps reuse these buffers (and a state buffer no kept step holds):
+    # fresh n-length temporaries every step can make the allocator return
+    # and re-fault their pages every step.
+    hpsi = np.empty_like(psi)
+    work = np.empty_like(off)
+    spare = np.empty_like(psi)
     for k in range(1, steps + 1):
         # rhs = psi - z H psi on the interior, computed in place
-        rhs = _apply_h(psi, main, off)[1:-1]
+        rhs = _apply_h(psi, main, off, hpsi, work)[1:-1]
         rhs *= z
         np.subtract(psi[1:-1], rhs, out=rhs)
-        nxt = np.empty_like(psi)
+        nxt = np.empty_like(psi) if k in keep_set else spare
         nxt[0] = nxt[-1] = 0.0
         nxt[1:-1] = solve(rhs)
-        p = np.abs(nxt) ** 2
+        np.square(np.abs(nxt, out=p), out=p)
         edge = max(p[1], p[-2])
         new_peak = int(np.argmax(p))
         if edge > BOUNDARY_THRESHOLD * p[new_peak]:
@@ -218,6 +227,8 @@ def propagate_wavefunction(
             + _phase_along(psi, peak, new_peak)
             + np.angle(nxt[new_peak] * np.conj(psi[new_peak]))
         )
+        if nxt is spare:
+            spare = np.empty_like(psi) if k - 1 in keep_set else psi
         psi, peak = nxt, new_peak
         if k in keep_set:
             kept.append(k)

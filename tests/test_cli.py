@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fisherqp
 from fisherqp.cli import main
 from fisherqp.reports import CHECKS
 
@@ -119,6 +124,53 @@ def test_epi_solver_failure_exits_3(tmp_path):
     report = read_report(out)
     assert report["error"]["type"] == "EdgeLocalized"
     assert report["overall_pass"] is False
+
+
+TINY_GRID = {"xmin": -1.0, "xmax": 1.0, "n": 3}  # one interior point
+
+
+def test_epi_single_interior_point_exits_2(tmp_path, capsys):
+    inp = write_json(
+        tmp_path / "in.json",
+        {"grid": TINY_GRID, "constraints": [{"kind": "monomial", "lambda": -4.0}]},
+    )
+    assert main(["epi", "--input", inp, "--out", str(tmp_path / "out")]) == 2
+    assert "interior grid points" in capsys.readouterr().err
+
+
+def test_sweep_single_interior_point_exits_2(tmp_path, capsys):
+    inp = write_json(
+        tmp_path / "in.json",
+        {"grid": TINY_GRID, "constraint": {"kind": "monomial"},
+         "lambdas": [-1.0, -2.0, -4.0]},
+    )
+    assert main(["sweep", "--input", inp, "--out", str(tmp_path / "out")]) == 2
+    assert "interior grid points" in capsys.readouterr().err
+
+
+def test_nan_multiplier_exits_2(tmp_path):
+    epi_in = write_json(
+        tmp_path / "epi.json",
+        {"grid": GRID, "constraints": [{"kind": "monomial", "lambda": float("nan")}]},
+    )
+    sweep_in = write_json(
+        tmp_path / "sweep.json",
+        {"grid": GRID, "constraint": {"kind": "monomial"},
+         "lambdas": [-1.0, float("nan"), -4.0]},
+    )
+    assert main(["epi", "--input", epi_in, "--out", str(tmp_path / "a")]) == 2
+    assert main(["sweep", "--input", sweep_in, "--out", str(tmp_path / "b")]) == 2
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg dominates import time; only the LAPACK solvers load it
+    src = str(Path(fisherqp.__file__).resolve().parents[1])
+    code = "import sys, fisherqp.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_maxent_command(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from fisherqp import (
     ConstraintSpec,
@@ -151,6 +152,63 @@ def test_epi_degenerate_double_well(grid):
     spec = ConstraintSpec(A_fields=[a], multipliers=[-50.0])
     with pytest.raises(DegenerateGround):
         epi_solve(spec, grid)
+
+
+def reference_ground(a, lam, grid):
+    """Two lowest eigenvalues and the ground state of the EPI operator from
+    LAPACK bisection and inverse iteration (``dstebz``/``dstein``), with
+    psi sign-fixed and normalized as ``epi_solve`` does."""
+    kin = 1.0 / (2.0 * grid.dx * grid.dx)
+    diag = 2.0 * kin - (lam * a.values)[1:-1] / 8.0
+    off = np.full(grid.n - 3, -kin)
+    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
+    psi = np.zeros(grid.n)
+    psi[1:-1] = vecs[:, 0]
+    psi *= np.sign(psi[np.argmax(np.abs(psi))])
+    return vals, psi / np.sqrt(quadrature_values(psi**2, grid.dx))
+
+
+@pytest.mark.parametrize("lam", [-1.0, -8.0, -64.0])
+def test_epi_matches_reference_fine_grid(lam):
+    g = Grid(-12.0, 12.0, 65537)
+    a = x_squared(g)
+    res = epi_solve(ConstraintSpec(A_fields=[a], multipliers=[lam]), g)
+    vals, psi = reference_ground(a, lam, g)
+    assert res.eigenvalue == pytest.approx(vals[0], rel=1e-8)
+    assert np.max(np.abs(res.psi.values - psi)) <= 1e-9
+
+
+@pytest.mark.parametrize("tau", [1e-2, 1e-4, 1e-6])
+@pytest.mark.parametrize("lam", [-8.0, -16.0, -30.0])
+def test_epi_tilted_double_well_ground_state(lam, tau):
+    # the tilt splits the two wells' levels by far less than the excitation
+    # inside a well; a solver that settles on the first excited state (the
+    # other well) reports e1 and a psi that differs at O(1)
+    g = Grid(-8.0, 8.0, 4097)
+    a = g.from_function(lambda x: (x * x - 4.0) ** 2 + tau * x)
+    res = epi_solve(ConstraintSpec(A_fields=[a], multipliers=[lam]), g)
+    vals, psi = reference_ground(a, lam, g)
+    assert res.eigenvalue == pytest.approx(vals[0], rel=1e-10)
+    assert np.all(res.psi.values >= 0.0)
+    assert np.max(np.abs(res.psi.values - psi)) <= 1e-3 * np.max(psi)
+
+
+def test_epi_degeneracy_boundary(grid):
+    # symmetric double well: the tunnelling gap is 1.2e-9 relative at
+    # lambda = -20 (resolved) and 7.2e-11 at lambda = -25 (below DEGENERACY_TOL)
+    a = grid.from_function(lambda x: (x * x - 4.0) ** 2)
+    res = epi_solve(ConstraintSpec(A_fields=[a], multipliers=[-20.0]), grid)
+    vals, psi = reference_ground(a, -20.0, grid)
+    assert (vals[1] - vals[0]) / vals[1] == pytest.approx(1.2e-9, rel=0.1)
+    assert res.eigenvalue == pytest.approx(vals[0], rel=1e-10)
+    with pytest.raises(DegenerateGround):
+        epi_solve(ConstraintSpec(A_fields=[a], multipliers=[-25.0]), grid)
+
+
+def test_epi_refuses_single_interior_point():
+    g = Grid(-1.0, 1.0, 3)
+    with pytest.raises(ValueError, match="interior"):
+        epi_solve(ConstraintSpec(A_fields=[x_squared(g)], multipliers=[-4.0]), g)
 
 
 def test_epi_eigenvalue_second_order_convergence():
