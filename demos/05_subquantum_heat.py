@@ -44,8 +44,8 @@ print(f"  route A  (formal)                 = {rep.route_a:.10f}"
 print("\ncoherence suite (ratio law, heat-action link, fluctuation chain,")
 print("kinetic excess, Gibbs slope, Fisher equivalence):")
 for item in coherence_suite(hf, constants).items:
-    print(f"  {item.name:28s} residual {item.residual:.2e}"
-          f"  tol {item.tolerance:.0e}  {'ok' if item.passed else 'FAIL'}")
+    print(f"  {item.name:28s} residual {item.lhs:.2e}"
+          f"  tol {item.tol:.0e}  {'ok' if item.passed else 'FAIL'}")
 
 # Diffusion side: density under Fick's law, heat bump under the heat
 # equation; both spread their variance by 2 D t.

@@ -12,7 +12,7 @@ The package is organized bottom-up:
 ``extremizers``  MaxEnt and the Fisher-extremization eigensolver
 ``legendre``     multiplier sweeps and Legendre-structure verification
 ``thermal``      heat fields, diffusion, thermal Fisher, coherence suite
-``reports``      check registry and report records
+``reports``      check table and report records
 ``serialization`` CSV/JSON file formats
 ``cli``          batch front end
 """
@@ -85,7 +85,6 @@ from .thermal import (
     gibbs_formula_check,
     heat_equation_evolve,
     heat_from_density,
-    thermal_fisher,
     thermal_fisher_report,
     thermalized_qp,
     vanishing_qp_residual,

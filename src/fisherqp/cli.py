@@ -13,8 +13,10 @@ list-checks         print every registered check name with its tag
 
 Each command reads ``--input`` (JSON), writes ``report.json`` and any
 CSV artifacts under ``--out``, and exits 0 when every check passed,
-2 on a malformed input, and 3 when a solver raised or a check failed.
-Reports are byte-deterministic; timestamps go to ``meta.json``.
+2 on a malformed input, and 3 when a solver (or LAPACK) raised or a check
+failed.  Every check is judged against its tolerance in
+``reports.CHECKS`` times ``--tol-scale`` (positive and finite).  Reports
+are byte-deterministic; timestamps go to ``meta.json``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -70,6 +74,7 @@ from .serialization import (
     save_sweep_csv,
 )
 from .states import (
+    Density,
     MadelungState,
     PhysicalConstants,
     density_from_heat,
@@ -170,6 +175,20 @@ def _build_density(spec: dict, grid: Grid, truncation_check: bool, command: str)
 # ---------------------------------------------------------------------------
 
 
+def _thermal_fisher_checks(
+    density: Density, hf: HeatField, constants: PhysicalConstants
+) -> list[IdentityCheck]:
+    """The route-B thermal Fisher check and the flagged discrepancy ledger."""
+    tf = thermal_fisher_report(density, hf, constants)
+    return [
+        make_check("thermal-fisher-route-b", tf.route_b, tf.fisher_direct),
+        *flagged_discrepancy_checks(
+            mean_quantum_potential(density, constants), tf.fisher_direct,
+            constants.hbar, constants.mass, tf.route_a, tf.route_b,
+        ),
+    ]
+
+
 def _cmd_verify_identities(payload, args, out_dir: Path) -> list[IdentityCheck]:
     command = "verify-identities"
     grid = _grid_from_input(payload, args, command)
@@ -178,7 +197,6 @@ def _cmd_verify_identities(payload, args, out_dir: Path) -> list[IdentityCheck]:
         _require(payload, "density", command), grid, not args.no_truncation_check,
         command,
     )
-    ts = args.tol_scale
     checks: list[IdentityCheck] = []
 
     fi = fisher_information(density)
@@ -189,34 +207,21 @@ def _cmd_verify_identities(payload, args, out_dir: Path) -> list[IdentityCheck]:
         weighted_max_dev(q_forms[f].values, q_ref, density)
         for f in (QPForm.GRAD, QPForm.FLUCT, QPForm.OSMOTIC)
     )
-    checks.append(make_residual_check("qp-four-forms", worst / scale, 1e-5 * ts))
+    checks.append(make_residual_check("qp-four-forms", worst / scale))
 
     mean_qp = mean_quantum_potential(density, constants)
     target = constants.hbar**2 / (8.0 * constants.mass) * fi
-    checks.append(make_check("mean-QP-equals-FI", mean_qp, target, 1e-6 * ts))
+    checks.append(make_check("mean-QP-equals-FI", mean_qp, target))
 
     rep = fluctuation_report(density, constants)
-    checks.append(
-        make_check("fluctuation-mean-zero", rep.mean, 0.0, 1e-8 * ts, relative=False)
-    )
+    checks.append(make_check("fluctuation-mean-zero", rep.mean, 0.0))
     checks.append(
         make_check(
-            "fluctuation-second-moment",
-            rep.second_moment,
-            constants.hbar**2 / 4.0 * fi,
-            1e-6 * ts,
+            "fluctuation-second-moment", rep.second_moment, constants.hbar**2 / 4.0 * fi
         )
-    )
-
-    hf = heat_from_density(density, constants)
-    tf = thermal_fisher_report(density, hf, constants)
-    checks.append(
-        make_check("thermal-fisher-route-b", tf.route_b, tf.fisher_direct, 1e-8 * ts)
     )
     checks.extend(
-        flagged_discrepancy_checks(
-            mean_qp, fi, constants.hbar, constants.mass, tf.route_a, tf.route_b
-        )
+        _thermal_fisher_checks(density, heat_from_density(density, constants), constants)
     )
 
     density_spec = payload["density"]
@@ -224,14 +229,9 @@ def _cmd_verify_identities(payload, args, out_dir: Path) -> list[IdentityCheck]:
         energy = _build_constraint_field(density_spec["energy"], grid, command)
         gamma = float(density_spec.get("gamma", 1.0))
         gc = gibbs_formula_check(energy, gamma, constants)
-        checks.append(make_residual_check("gibbs-qp-formula", gc.qp_maxdev, 1e-6 * ts))
+        checks.append(make_residual_check("gibbs-qp-formula", gc.qp_maxdev))
         checks.append(
-            make_check(
-                "gibbs-fisher-formula",
-                gc.fisher_direct,
-                gc.fisher_energy_route,
-                1e-6 * ts,
-            )
+            make_check("gibbs-fisher-formula", gc.fisher_direct, gc.fisher_energy_route)
         )
     save_field_csv(density.field, out_dir / "density.csv")
     return checks
@@ -241,7 +241,6 @@ def _cmd_evolve(payload, args, out_dir: Path) -> list[IdentityCheck]:
     command = "evolve"
     grid = _grid_from_input(payload, args, command)
     constants = _constants_from_input(payload)
-    ts = args.tol_scale
 
     init_spec = _require(payload, "initial", command)
     density = _build_density(init_spec, grid, not args.no_truncation_check, command)
@@ -273,15 +272,12 @@ def _cmd_evolve(payload, args, out_dir: Path) -> list[IdentityCheck]:
     traj = evolve(state, V, dt, steps, keep=None if dump else window)
 
     checks = [
-        make_residual_check("continuity", continuity_residual(traj, index), 1e-3 * ts),
-        make_residual_check("modified-hj", hj_residual(traj, index), 1e-3 * ts),
+        make_residual_check("continuity", continuity_residual(traj, index)),
+        make_residual_check("modified-hj", hj_residual(traj, index)),
     ]
     lhs, rhs = entropy_rate_check(traj, index)
     checks.append(
-        make_check(
-            "entropy-rate", lhs, rhs, 1e-3 * ts,
-            note="centered entropy rate vs -integral(S'P')/m",
-        )
+        make_check("entropy-rate", lhs, rhs, note="centered entropy rate vs -integral(S'P')/m")
     )
     if dump:
         dump_trajectory(traj, out_dir / "trajectory")
@@ -302,7 +298,6 @@ def _cmd_epi(payload, args, out_dir: Path) -> list[IdentityCheck]:
     command = "epi"
     grid = _grid_from_input(payload, args, command)
     constants = _constants_from_input(payload)
-    ts = args.tol_scale
     spec = _constraints_from_input(payload, grid, command)
     result = epi_solve(spec, grid)
 
@@ -315,28 +310,23 @@ def _cmd_epi(payload, args, out_dir: Path) -> list[IdentityCheck]:
             "epi-ground-state",
             result.fisher_I,
             result.alpha_norm + mean_terms,
-            1e-4 * ts,
             note="contraction identity FI = alpha_norm + sum lambda <A>",
         ),
-        make_residual_check("epi-stationarity", stationarity_residual(result), 1e-4 * ts),
-        make_residual_check("riccati", riccati_check(result), 1e-3 * ts),
+        make_residual_check("epi-stationarity", stationarity_residual(result)),
+        make_residual_check("riccati", riccati_check(result)),
         make_check(
             "mean-QP-equals-FI",
             mean_quantum_potential(result.p_I, constants),
             constants.hbar**2 / (8.0 * constants.mass) * result.fisher_I,
-            1e-5 * ts,
+            tol=1e-5,
             note="discretization-limited on eigensolver output",
         ),
     ]
     if len(result.multipliers) == 1:
         qc = epi_quantum_potential_check(result, constants)
         scale = float(np.max(np.abs(quantum_potential(result.p_I, constants).values)))
-        checks.append(
-            make_residual_check(
-                "epi-qp-affine", qc.maxdev / (scale + 1e-300), 1e-4 * ts
-            )
-        )
-        checks.append(make_check("epi-mean-qp", qc.mean_lhs, qc.mean_rhs, 1e-6 * ts))
+        checks.append(make_residual_check("epi-qp-affine", qc.maxdev / (scale + 1e-300)))
+        checks.append(make_check("epi-mean-qp", qc.mean_lhs, qc.mean_rhs))
 
     result_payload = {
         "alpha_norm": result.alpha_norm,
@@ -354,7 +344,6 @@ def _cmd_epi(payload, args, out_dir: Path) -> list[IdentityCheck]:
 def _cmd_maxent(payload, args, out_dir: Path) -> list[IdentityCheck]:
     command = "maxent"
     grid = _grid_from_input(payload, args, command)
-    ts = args.tol_scale
     a_field = _build_constraint_field(
         _require(payload, "constraint", command), grid, command
     )
@@ -364,7 +353,7 @@ def _cmd_maxent(payload, args, out_dir: Path) -> list[IdentityCheck]:
     )
     attained = quadrature_values(density.values * a_field.values, grid.dx)
     checks = [
-        make_check("maxent-multiplier", attained, target, 1e-8 * ts, relative=False,
+        make_check("maxent-multiplier", attained, target,
                    note=f"alpha_gibbs={alpha!r}, Z={z!r}")
     ]
     with open(out_dir / "maxent_result.json", "w") as fh:
@@ -377,7 +366,6 @@ def _cmd_maxent(payload, args, out_dir: Path) -> list[IdentityCheck]:
 def _cmd_sweep(payload, args, out_dir: Path) -> list[IdentityCheck]:
     command = "sweep"
     grid = _grid_from_input(payload, args, command)
-    ts = args.tol_scale
     a_field = _build_constraint_field(
         _require(payload, "constraint", command), grid, command
     )
@@ -387,12 +375,12 @@ def _cmd_sweep(payload, args, out_dir: Path) -> list[IdentityCheck]:
     save_sweep_csv(table, out_dir / "sweep.csv")
 
     checks = [
-        make_residual_check("fisher-euler", verify_euler(table), 1e-2 * ts),
+        make_residual_check("fisher-euler", verify_euler(table)),
     ]
     report = verify_legendre(table)
     checks.append(
         make_residual_check(
-            "legendre-relations", report.max_residual(), 2e-2 * ts,
+            "legendre-relations", report.max_residual(),
             note=(
                 f"dLambda/dlam {report.dLambda_dlam_vs_negmeanA:.3e}, "
                 f"dI/d<A> {report.dI_dmeanA_vs_lambda:.3e}, "
@@ -407,7 +395,6 @@ def _cmd_thermal(payload, args, out_dir: Path) -> list[IdentityCheck]:
     command = "thermal"
     grid = _grid_from_input(payload, args, command)
     constants = _constants_from_input(payload)
-    ts = args.tol_scale
 
     heat_spec = _require(payload, "heat", command)
     kind = heat_spec.get("kind")
@@ -443,9 +430,7 @@ def _cmd_thermal(payload, args, out_dir: Path) -> list[IdentityCheck]:
         ))) + 1e-300
         checks.append(
             make_residual_check(
-                "vanishing-qp-family",
-                float(np.max(np.abs(res.values[2:-2]))) / lap_scale,
-                1e-6 * ts,
+                "vanishing-qp-family", float(np.max(np.abs(res.values[2:-2]))) / lap_scale
             )
         )
     else:
@@ -454,9 +439,7 @@ def _cmd_thermal(payload, args, out_dir: Path) -> list[IdentityCheck]:
         mid = (int(round(t_final / dt)) + 1) // 2
         suite = coherence_suite(hf, constants, evolve_horizon=t_final, evolve_dt=dt,
                                 keep=(mid - 1, mid, mid + 1))
-        for item in suite.items:
-            checks.append(make_residual_check(item.name, item.residual,
-                                              item.tolerance * ts))
+        checks.extend(suite.items)
         thq = thermalized_qp(suite.heat, mid)
         qt_scale = (
             constants.hbar**2 / (4.0 * constants.mass)
@@ -472,21 +455,10 @@ def _cmd_thermal(payload, args, out_dir: Path) -> list[IdentityCheck]:
                 "thermalized-qp-vanishes",
                 float(np.max(weight[2:-2] * np.abs(thq.values[2:-2])))
                 / (qt_scale + 1e-300),
-                1e-3 * ts,
             )
         )
 
-    tf = thermal_fisher_report(density, hf, constants)
-    checks.append(
-        make_check("thermal-fisher-route-b", tf.route_b, tf.fisher_direct, 1e-8 * ts)
-    )
-    fi = fisher_information(density)
-    mean_qp = mean_quantum_potential(density, constants)
-    checks.extend(
-        flagged_discrepancy_checks(
-            mean_qp, fi, constants.hbar, constants.mass, tf.route_a, tf.route_b
-        )
-    )
+    checks.extend(_thermal_fisher_checks(density, hf, constants))
     return checks
 
 
@@ -543,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--xmin", type=float, default=None, help="override grid xmin")
     common.add_argument("--xmax", type=float, default=None, help="override grid xmax")
     common.add_argument("--tol-scale", type=float, default=1.0, dest="tol_scale",
-                        help="multiply every check tolerance by this factor")
+                        help="multiply every check tolerance by this positive factor")
     common.add_argument("--no-truncation-check", action="store_true",
                         dest="no_truncation_check",
                         help="allow densities that do not decay at the walls")
@@ -559,6 +531,10 @@ def main(argv=None) -> int:
     if args.command == "list-checks":
         print(list_checks())
         return 0
+    if not (math.isfinite(args.tol_scale) and args.tol_scale > 0.0):
+        print(f"--tol-scale must be positive and finite, not {args.tol_scale!r}",
+              file=sys.stderr)
+        return 2
 
     input_path = Path(args.input)
     out_dir = Path(args.out)
@@ -577,19 +553,21 @@ def main(argv=None) -> int:
         return 2
 
     out_dir.mkdir(parents=True, exist_ok=True)
+    # LinAlgError subclasses ValueError: numerical failures are caught first
     try:
         checks = COMMANDS[args.command](payload, args, out_dir)
-    except (SchemaError, KeyError, TypeError, ValueError) as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return 2
-    except FisherQPError as exc:
+    except (FisherQPError, np.linalg.LinAlgError) as exc:
         _write_report(
             out_dir, args.command, digest, [],
             error={"type": type(exc).__name__, "message": str(exc)},
         )
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except (SchemaError, KeyError, TypeError, ValueError) as exc:
+        print(f"schema error: {exc}", file=sys.stderr)
+        return 2
 
+    checks = [replace(c, tol=c.tol * args.tol_scale) for c in checks]
     overall = _write_report(out_dir, args.command, digest, checks)
     return 0 if overall else 3
 

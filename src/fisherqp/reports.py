@@ -1,10 +1,13 @@
-"""Identity-check bookkeeping: the registry of named checks, the JSON
-record format for a single check, and the flagged-discrepancy entries.
+"""Identity-check bookkeeping: the table of named checks, the JSON record
+format for a single check, and the flagged-discrepancy entries.
 
-Every check that can appear in a report is registered here with a stable
-name and the equation tag it verifies ("plumbing" for artifact-level
-checks with no equation behind them).  Conventions that circulate in
-both signs or normalizations are *flagged* rather than asserted:
+``CHECKS`` is the one check table: every check some command reports is
+registered with a stable name, the equation tag it verifies, its
+tolerance, and whether its verdict reads the relative or the absolute
+error.  Records take their tolerance from the table (the CLI multiplies
+it by ``--tol-scale`` afterwards); ``list-checks`` prints the table.
+Conventions that circulate in both signs or normalizations are *flagged*
+rather than asserted:
 
 * the sign of integral(P Q) relative to Fisher information (the
   amplitude definition of Q fixes +hbar^2/8m; the opposite sign also
@@ -18,58 +21,65 @@ their presence in a report is itself part of the acceptance surface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 
 @dataclass(frozen=True)
 class CheckDef:
+    """A registered check: its verdict passes when the relative error (or,
+    with ``relative=False``, the absolute error) is at most ``tol``.
+    Residual checks record one residual as both errors."""
+
     name: str
     paper_eq: str
     description: str
+    tol: float
+    relative: bool = True
 
 
 CHECKS: tuple[CheckDef, ...] = (
-    CheckDef("qp-four-forms", "eq2.2", "four quantum-potential routes agree pointwise"),
-    CheckDef("mean-QP-equals-FI", "eq2.4", "integral(P Q) = (hbar^2/8m) FI"),
-    CheckDef("fluctuation-mean-zero", "eq2.8", "<delta_p> vanishes for decayed densities"),
-    CheckDef("fluctuation-second-moment", "eq2.8", "<delta_p^2> = (hbar^2/4) FI"),
-    CheckDef("entropy-rate", "eq2.7", "d(entropy)/dt = -integral(S' P')"),
-    CheckDef("osmotic-entropy-rate", "eq2F", "osmotic state produces entropy at (hbar/2m) FI"),
-    CheckDef("maxent-multiplier", "eq2.10", "MaxEnt solution is exp(-alpha A)/Z hitting the target"),
-    CheckDef("continuity", "eq2.1", "dP/dt + div(P S'/m) = 0 along trajectories"),
-    CheckDef("modified-hj", "eq3.7", "dS/dt + (S')^2/2m + V + Q = 0 along trajectories"),
-    CheckDef("heat-action-link", "eq3.1", "DeltaQ_heat = 2 omega Delta(deltaS)"),
-    CheckDef("fluctuation-chain", "eq3.3", "delta_p = grad(deltaS) = -(hbar/2) grad(P)/P"),
-    CheckDef("kinetic-excess", "eq3.4", "delta_E_kin two ways through P and Q_heat"),
-    CheckDef("action-density", "eq3.5", "action integrand via (P,S) equals |psi| form"),
-    CheckDef("madelung-gradient-identity", "eq3F", "|psi'/psi|^2 = (P'/2P)^2 + (S'/hbar)^2"),
-    CheckDef("osmotic-qp-rebuild", "eq3.8", "quantum potential rebuilt from osmotic fields"),
-    CheckDef("fick-current", "eq3K", "diffusion current J = -D grad(P)"),
-    CheckDef("heat-kernel-variance", "eq3L", "variance grows by 2 D t under diffusion"),
-    CheckDef("thermalized-qp-vanishes", "eq3.12", "thermalized Q vanishes on heat-equation flows"),
-    CheckDef("gibbs-form-slope", "eq3.14", "log P affine in -beta Q_heat with unit slope"),
-    CheckDef("thermal-fisher-route-b", "eq3.18", "beta^2 integral(P (grad Q)^2) equals FI"),
-    CheckDef("ratio-law-evolution", "eq3C", "P(t)/P(0) tracks exp(-beta DeltaQ) under coupled flows"),
-    CheckDef("heat-chain", "eq3R", "dP/dt = -(P/hbar omega) dQ/dt on the ratio-law density"),
-    CheckDef("vanishing-qp-family", "eq3P", "log-affine heat fields solve the vanishing-Q condition"),
-    CheckDef("heat-equation-residual", "eq3S", "evolved heat fields satisfy the heat equation"),
-    CheckDef("orthogonality-plane-wave", "eq3**", "fluctuations uncorrelated with plane-wave momentum"),
-    CheckDef("epi-ground-state", "eq5.7", "Fisher extremization reduces to the ground eigenpair"),
-    CheckDef("epi-stationarity", "eq5.4", "Euler-Lagrange residual of the extremal density"),
-    CheckDef("riccati", "eq5G", "v' + v^2 + G/4 = 0 for v = (log psi)'"),
-    CheckDef("fisher-euler", "eq5.11", "dI/dlambda = lambda d<A>/dlambda along sweeps"),
-    CheckDef("legendre-relations", "eq5.14", "Legendre transform relations along sweeps"),
-    CheckDef("epi-qp-affine", "eq5.19", "Q of the extremal density is affine in A"),
-    CheckDef("epi-mean-qp", "eq5.20", "integral(p_I Q) through the constraint average"),
-    CheckDef("gibbs-qp-formula", "eq5.23", "Q of a Gibbs density via energy derivatives"),
-    CheckDef("gibbs-fisher-formula", "eq5.24", "FI of a Gibbs density via <(E')^2>"),
-    CheckDef("thermal-equals-gibbs-fisher", "eq5.24", "thermal route-B FI equals the Gibbs-form FI"),
-    CheckDef("flag-mean-qp-sign", "eq3.16", "FLAG: sign convention of integral(P Q) vs FI"),
-    CheckDef("flag-thermal-route-factor", "eq3.17", "FLAG: route A vs route B thermal Fisher"),
-    CheckDef("flag-qp-bracket-sign", "eq4.5", "FLAG: bracket-form sign of Q vs the amplitude form"),
-    CheckDef("flag-epi-qp-coefficient", "eq5.18", "FLAG: normalization of the Q-A link coefficient"),
-    CheckDef("csv-roundtrip", "plumbing", "field CSV serialization round trip"),
-    CheckDef("state-json-roundtrip", "plumbing", "state JSON serialization round trip"),
+    CheckDef("qp-four-forms", "eq2.2", "four quantum-potential routes agree pointwise", 1e-5),
+    CheckDef("mean-QP-equals-FI", "eq2.4", "integral(P Q) = (hbar^2/8m) FI", 1e-6),
+    CheckDef("fluctuation-mean-zero", "eq2.8", "<delta_p> vanishes for decayed densities",
+             1e-8, relative=False),
+    CheckDef("fluctuation-second-moment", "eq2.8", "<delta_p^2> = (hbar^2/4) FI", 1e-6),
+    CheckDef("entropy-rate", "eq2.7", "d(entropy)/dt = -integral(S' P')", 1e-3),
+    CheckDef("maxent-multiplier", "eq2.10",
+             "MaxEnt solution is exp(-alpha A)/Z hitting the target", 1e-8, relative=False),
+    CheckDef("continuity", "eq2.1", "dP/dt + div(P S'/m) = 0 along trajectories", 1e-3),
+    CheckDef("modified-hj", "eq3.7", "dS/dt + (S')^2/2m + V + Q = 0 along trajectories", 1e-3),
+    CheckDef("heat-action-link", "eq3.1", "DeltaQ_heat = 2 omega Delta(deltaS)", 1e-12),
+    CheckDef("fluctuation-chain", "eq3.3", "delta_p = grad(deltaS) = -(hbar/2) grad(P)/P", 1e-6),
+    CheckDef("kinetic-excess", "eq3.4", "delta_E_kin two ways through P and Q_heat", 1e-10),
+    CheckDef("thermalized-qp-vanishes", "eq3.12",
+             "thermalized Q vanishes on heat-equation flows", 1e-3),
+    CheckDef("gibbs-form-slope", "eq3.14", "log P affine in -beta Q_heat with unit slope", 1e-9),
+    CheckDef("thermal-fisher-route-b", "eq3.18", "beta^2 integral(P (grad Q)^2) equals FI", 1e-8),
+    CheckDef("ratio-law-evolution", "eq3C",
+             "P(t)/P(0) tracks exp(-beta DeltaQ) under coupled flows", 1e-3),
+    CheckDef("vanishing-qp-family", "eq3P",
+             "log-affine heat fields solve the vanishing-Q condition", 1e-6),
+    CheckDef("epi-ground-state", "eq5.7",
+             "Fisher extremization reduces to the ground eigenpair", 1e-4),
+    CheckDef("epi-stationarity", "eq5.4", "Euler-Lagrange residual of the extremal density", 1e-4),
+    CheckDef("riccati", "eq5G", "v' + v^2 + G/4 = 0 for v = (log psi)'", 1e-3),
+    CheckDef("fisher-euler", "eq5.11", "dI/dlambda = lambda d<A>/dlambda along sweeps", 1e-2),
+    CheckDef("legendre-relations", "eq5.14", "Legendre transform relations along sweeps", 2e-2),
+    CheckDef("epi-qp-affine", "eq5.19", "Q of the extremal density is affine in A", 1e-4),
+    CheckDef("epi-mean-qp", "eq5.20", "integral(p_I Q) through the constraint average", 1e-6),
+    CheckDef("gibbs-qp-formula", "eq5.23", "Q of a Gibbs density via energy derivatives", 1e-6),
+    CheckDef("gibbs-fisher-formula", "eq5.24", "FI of a Gibbs density via <(E')^2>", 1e-6),
+    CheckDef("thermal-equals-gibbs-fisher", "eq5.24",
+             "thermal route-B FI equals the Gibbs-form FI", 1e-8),
+    CheckDef("flag-mean-qp-sign", "eq3.16",
+             "FLAG: sign convention of integral(P Q) vs FI", math.inf),
+    CheckDef("flag-thermal-route-factor", "eq3.17",
+             "FLAG: route A vs route B thermal Fisher", math.inf),
+    CheckDef("flag-qp-bracket-sign", "eq4.5",
+             "FLAG: bracket-form sign of Q vs the amplitude form", math.inf),
+    CheckDef("flag-epi-qp-coefficient", "eq5.18",
+             "FLAG: normalization of the Q-A link coefficient", math.inf),
 )
 
 _BY_NAME = {c.name: c for c in CHECKS}
@@ -95,13 +105,19 @@ class IdentityCheck:
     abs_err: float
     rel_err: float
     tol: float
-    passed: bool
     flagged: bool = False
     note: str = ""
 
+    @property
+    def passed(self) -> bool:
+        """The error the table names (relative or absolute) against ``tol``;
+        flagged entries always pass."""
+        err = self.rel_err if check_def(self.name).relative else self.abs_err
+        return bool(err <= self.tol) or self.flagged
+
     def to_dict(self) -> dict:
         d = asdict(self)
-        d["pass"] = d.pop("passed")
+        d["pass"] = self.passed
         return d
 
 
@@ -109,16 +125,15 @@ def make_check(
     name: str,
     lhs: float,
     rhs: float,
-    tol: float,
-    relative: bool = True,
+    tol: float | None = None,
     flagged: bool = False,
     note: str = "",
 ) -> IdentityCheck:
-    """Build a check record; the verdict compares the chosen error to tol."""
+    """Build a check record judged against the registered tolerance, or
+    against ``tol`` where a caller overrides it."""
     cdef = check_def(name)
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / max(abs(lhs), abs(rhs), 1e-300)
-    err = rel_err if relative else abs_err
     return IdentityCheck(
         name=name,
         paper_eq=cdef.paper_eq,
@@ -126,16 +141,13 @@ def make_check(
         rhs=float(rhs),
         abs_err=float(abs_err),
         rel_err=float(rel_err),
-        tol=float(tol),
-        passed=bool(err <= tol) or flagged,
+        tol=float(cdef.tol if tol is None else tol),
         flagged=flagged,
         note=note,
     )
 
 
-def make_residual_check(
-    name: str, residual: float, tol: float, note: str = ""
-) -> IdentityCheck:
+def make_residual_check(name: str, residual: float, note: str = "") -> IdentityCheck:
     """Checks expressed as a single residual rather than an lhs/rhs pair."""
     cdef = check_def(name)
     return IdentityCheck(
@@ -145,8 +157,7 @@ def make_residual_check(
         rhs=0.0,
         abs_err=float(abs(residual)),
         rel_err=float(abs(residual)),
-        tol=float(tol),
-        passed=bool(abs(residual) <= tol),
+        tol=float(cdef.tol),
         note=note,
     )
 
@@ -167,7 +178,6 @@ def flagged_discrepancy_checks(
             "flag-mean-qp-sign",
             mean_qp,
             -implemented,
-            tol=float("inf"),
             flagged=True,
             note=(
                 "implemented integral(P Q) = +(hbar^2/8m) FI; the opposite-sign "
@@ -178,7 +188,6 @@ def flagged_discrepancy_checks(
             "flag-thermal-route-factor",
             route_a,
             route_b,
-            tol=float("inf"),
             flagged=True,
             note=(
                 "formal route A and exact route B disagree on static coupled "
@@ -190,7 +199,6 @@ def flagged_discrepancy_checks(
             "flag-qp-bracket-sign",
             1.0,
             -1.0,
-            tol=float("inf"),
             flagged=True,
             note=(
                 "the bracket rewritings of Q are implemented with the sign "
@@ -201,7 +209,6 @@ def flagged_discrepancy_checks(
             "flag-epi-qp-coefficient",
             0.5,
             1.0,
-            tol=float("inf"),
             flagged=True,
             note=(
                 "the Q-A link of the extremal density carries hbar^2/8m, not "

@@ -1,12 +1,9 @@
-"""File formats: field CSV, state JSON, trajectory dumps, sweep CSV.
+"""File formats: field CSV, trajectory dumps, sweep CSV.
 
 * ScalarField CSV: header ``x,value``, one row per grid point, floats
   written with 17 significant digits (lossless for float64).
-* State JSON: ``{"grid": {"xmin", "xmax", "n"}, "P": [...], "S": [...],
-  "constants": {...}}`` with ``S`` optional.
 * Trajectory dump: one CSV per step plus ``manifest.json`` carrying dt,
-  steps, the constants, and the potential.
-* Heat fields reuse the state layout with the field named ``Q_heat``.
+  steps, the constants, the grid and the potential.
 * Sweep CSV: ``lambda,I,meanA,Lambda,alpha_norm,status``; failed rows
   keep their multiplier and error name with empty value columns.
 """
@@ -22,8 +19,7 @@ import numpy as np
 from .grid import Grid, ScalarField
 from .legendre import SweepTable
 from .propagator import Trajectory
-from .states import Density, PhysicalConstants, density_from_samples
-from .thermal import HeatField
+from .states import PhysicalConstants
 
 
 def _fmt(v: float) -> str:
@@ -79,60 +75,6 @@ def grid_to_dict(grid: Grid) -> dict:
 
 def grid_from_dict(data: dict) -> Grid:
     return Grid(xmin=float(data["xmin"]), xmax=float(data["xmax"]), n=int(data["n"]))
-
-
-def save_state_json(
-    path,
-    density: Density,
-    phase: ScalarField | None = None,
-    constants: PhysicalConstants | None = None,
-) -> None:
-    payload: dict = {
-        "grid": grid_to_dict(density.grid),
-        "P": [float(v) for v in density.values],
-    }
-    if phase is not None:
-        payload["S"] = [float(v) for v in phase.values]
-    if constants is not None:
-        payload["constants"] = constants_to_dict(constants)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-
-
-def load_state_json(path, truncation_check: bool = True):
-    """Returns (Density, phase or None, PhysicalConstants)."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    grid = grid_from_dict(payload["grid"])
-    density = density_from_samples(
-        ScalarField(grid, np.array(payload["P"], dtype=float)),
-        truncation_check=truncation_check,
-    )
-    phase = None
-    if "S" in payload:
-        phase = ScalarField(grid, np.array(payload["S"], dtype=float))
-    constants = constants_from_dict(payload.get("constants", {}))
-    return density, phase, constants
-
-
-def save_heat_field_json(path, hf: HeatField) -> None:
-    payload = {
-        "grid": grid_to_dict(hf.grid),
-        "Q_heat": [float(v) for v in hf.Q_heat.values],
-        "constants": constants_to_dict(hf.constants),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-
-
-def load_heat_field_json(path) -> HeatField:
-    with open(path) as fh:
-        payload = json.load(fh)
-    grid = grid_from_dict(payload["grid"])
-    constants = constants_from_dict(payload.get("constants", {}))
-    return HeatField(
-        ScalarField(grid, np.array(payload["Q_heat"], dtype=float)), constants
-    )
 
 
 def dump_trajectory(traj: Trajectory, out_dir) -> Path:

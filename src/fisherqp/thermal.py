@@ -31,6 +31,8 @@ Conventions
   steps, and the coherence suite steps Fick and heat in lockstep,
   reducing the coupling deviation as it goes instead of holding both
   trajectories.
+* The coherence suite reports ``reports.IdentityCheck`` records judged
+  against the tolerances of the check table, ``reports.CHECKS``.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .grid import (
     steps_to_keep,
     tridiagonal_solver,
 )
+from .reports import IdentityCheck, make_residual_check
 from .states import (
     Density,
     PhysicalConstants,
@@ -389,22 +392,6 @@ class ThermalFisherResult:
     ratio_a_over_b: float
 
 
-def thermal_fisher(
-    density: Density,
-    hf: HeatField,
-    constants: PhysicalConstants,
-    route: str = "B",
-    dQ_dt: ScalarField | None = None,
-) -> float:
-    """Single-route thermal Fisher information (see ThermalFisherResult)."""
-    report = thermal_fisher_report(density, hf, constants, dQ_dt)
-    if route.upper() == "B":
-        return report.route_b
-    if route.upper() == "A":
-        return report.route_a
-    raise ValueError(f"unknown route {route!r}")
-
-
 def thermal_fisher_report(
     density: Density,
     hf: HeatField,
@@ -522,29 +509,18 @@ def coupled_evolution_deviation(
 
 
 @dataclass(frozen=True)
-class CoherenceItem:
-    name: str
-    residual: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tolerance
-
-
-@dataclass(frozen=True)
 class CoherenceReport:
-    """Coherence items plus the heat flow the ratio-law check evolved, at
+    """Coherence checks plus the heat flow the ratio-law check evolved, at
     the steps the caller asked to keep and the last step."""
 
-    items: list[CoherenceItem]
+    items: list[IdentityCheck]
     heat: HeatTrajectory
 
     @property
     def all_passed(self) -> bool:
         return all(item.passed for item in self.items)
 
-    def item(self, name: str) -> CoherenceItem:
+    def item(self, name: str) -> IdentityCheck:
         for it in self.items:
             if it.name == name:
                 return it
@@ -569,8 +545,10 @@ def coherence_suite(
     4. delta_E_kin = (hbar^2/8m)(grad P/P)^2 = (1/8 m omega^2)(grad Q)^2,
     5. log P affine in -beta Q with slope 1.
 
-    Check 1 steps Fick and heat in lockstep; the heat flow at the ``keep``
-    steps comes back in the report, so callers need not evolve it again.
+    Each item is a residual check judged against its registered
+    tolerance.  Check 1 steps Fick and heat in lockstep; the heat flow at
+    the ``keep`` steps comes back in the report, so callers need not evolve
+    it again.
     """
     if not constants.is_thermal_equilibrium:
         raise ValueError("coherence suite assumes hbar*omega = k*T")
@@ -580,11 +558,11 @@ def coherence_suite(
     mask = density.support_mask
     dx = density.grid.dx
     beta = constants.beta
-    items: list[CoherenceItem] = []
+    items: list[IdentityCheck] = []
 
     # 1: evolve-and-compare (Fick for P, heat equation for Q).
     dev1, heat = _coupled_run(density, hf, constants, evolve_horizon, evolve_dt, keep)
-    items.append(CoherenceItem("ratio-law-evolution", dev1, 1e-3))
+    items.append(make_residual_check("ratio-law-evolution", dev1))
 
     # 2: DeltaQ = 2 omega Delta(deltaS), a definition-chain identity.
     ds0 = delta_s_from_heat(hf).values
@@ -592,7 +570,7 @@ def coherence_suite(
     delta_q = heat.fields[-1].Q_heat.values - hf.Q_heat.values
     dev2 = float(np.max(np.abs(delta_q - 2.0 * constants.omega * (ds1 - ds0))))
     scale2 = float(np.max(np.abs(delta_q))) + 1e-300
-    items.append(CoherenceItem("heat-action-link", dev2 / scale2, 1e-12))
+    items.append(make_residual_check("heat-action-link", dev2 / scale2))
 
     # 3: fluctuation chain through the coupling.
     rep = fluctuation_report(density, constants)
@@ -604,7 +582,7 @@ def coherence_suite(
         grad_log, np.where(mask, -beta * grad_q_field, 0.0), density
     )
     scale3 = float(np.max(np.abs(rep.delta_p.values))) + 1e-300
-    items.append(CoherenceItem("fluctuation-chain", max(dev3a, dev3b) / scale3, 1e-6))
+    items.append(make_residual_check("fluctuation-chain", max(dev3a, dev3b) / scale3))
 
     # 4: kinetic excess two ways (exact algebra under the coupling).
     hbar, m, omega = constants.hbar, constants.mass, constants.omega
@@ -613,20 +591,19 @@ def coherence_suite(
     rhs4 = (1.0 / (8.0 * m * omega**2)) * grad_q_coupled**2
     scale4 = float(np.max(lhs4)) + 1e-300
     items.append(
-        CoherenceItem("kinetic-excess", weighted_max_dev(lhs4, rhs4, density) / scale4,
-                      1e-10)
+        make_residual_check("kinetic-excess", weighted_max_dev(lhs4, rhs4, density) / scale4)
     )
 
     # 5: log P affine in -beta Q with unit slope.
     logp = np.log(p[mask])
     target = -beta * hf.Q_heat.values[mask]
     slope = float(np.polyfit(target, logp, 1)[0])
-    items.append(CoherenceItem("gibbs-form-slope", abs(slope - 1.0), 1e-9))
+    items.append(make_residual_check("gibbs-form-slope", abs(slope - 1.0)))
 
     # Gibbs-side companion: route-B Fisher equals the Gibbs-form Fisher.
     report = thermal_fisher_report(density, hf, constants)
     dev6 = abs(report.route_b - report.fisher_direct) / abs(report.fisher_direct)
-    items.append(CoherenceItem("thermal-equals-gibbs-fisher", dev6, 1e-8))
+    items.append(make_residual_check("thermal-equals-gibbs-fisher", dev6))
 
     return CoherenceReport(items=items, heat=heat)
 
@@ -644,12 +621,6 @@ class GibbsFormulaCheck:
     qp_maxdev: float
     fisher_direct: float
     fisher_energy_route: float
-
-    @property
-    def fisher_rel_err(self) -> float:
-        return abs(self.fisher_direct - self.fisher_energy_route) / abs(
-            self.fisher_energy_route
-        )
 
 
 def gibbs_formula_check(

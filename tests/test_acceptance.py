@@ -43,7 +43,7 @@ from fisherqp import (
 )
 from fisherqp.functionals import weighted_max_dev
 from fisherqp.grid import ScalarField, second_derivative_values
-from fisherqp.reports import CHECKS, flagged_discrepancy_checks
+from fisherqp.reports import flagged_discrepancy_checks
 from fisherqp.thermal import HeatField
 
 from conftest import gaussian_density, mixture_density
@@ -332,42 +332,3 @@ def test_criterion_11_discrepancy_ledger():
     verdict(11, "discrepancy-ledger", ok,
             f"entries {sorted(names)}; sign ratio {sign_ratio:+.6f}, "
             f"thermal route ratio {route_ratio:+.6f}")
-
-
-def test_registry_covered_by_acceptance_surface():
-    """Every registered check is exercised by the acceptance criteria or the
-    CLI surface tested alongside them; the listed count equals the registry."""
-    covered = {
-        # criteria 1-3
-        "qp-four-forms", "mean-QP-equals-FI", "fluctuation-mean-zero",
-        "fluctuation-second-moment",
-        # criterion 4
-        "epi-ground-state", "epi-stationarity", "riccati", "epi-qp-affine",
-        "epi-mean-qp",
-        # criterion 5
-        "fisher-euler", "legendre-relations",
-        # criterion 6
-        "maxent-multiplier",
-        # criterion 7
-        "gibbs-qp-formula", "gibbs-fisher-formula",
-        # criterion 8
-        "continuity", "modified-hj", "entropy-rate", "action-density",
-        "madelung-gradient-identity", "orthogonality-plane-wave",
-        # criterion 9
-        "osmotic-entropy-rate",
-        # criterion 10
-        "heat-kernel-variance", "heat-equation-residual",
-        "thermalized-qp-vanishes", "thermal-fisher-route-b",
-        "vanishing-qp-family", "ratio-law-evolution", "heat-action-link",
-        "fluctuation-chain", "kinetic-excess", "gibbs-form-slope",
-        "thermal-equals-gibbs-fisher", "heat-chain", "fick-current",
-        "osmotic-qp-rebuild",
-        # criterion 11
-        "flag-mean-qp-sign", "flag-thermal-route-factor",
-        "flag-qp-bracket-sign", "flag-epi-qp-coefficient",
-        # artifact plumbing exercised by the serialization tests
-        "csv-roundtrip", "state-json-roundtrip",
-    }
-    registry = {c.name for c in CHECKS}
-    assert covered == registry
-    print(f"ACCEPTANCE registry: {len(registry)} checks, all covered")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fisherqp
+from fisherqp import extremizers
 from fisherqp.cli import main
 from fisherqp.reports import CHECKS
 
@@ -109,6 +110,34 @@ def test_epi_command(tmp_path):
     result = json.loads((out / "epi_result.json").read_text())
     assert result["alpha_norm"] == pytest.approx(4.0, abs=1e-3)
     assert (out / "p_I.csv").exists() and (out / "psi.csv").exists()
+
+
+def test_lapack_failure_exits_3_with_report(tmp_path, monkeypatch):
+    # LinAlgError subclasses ValueError but is a numerical failure, not a
+    # malformed input
+    monkeypatch.setattr(extremizers, "MAX_ITERATIONS", 1)
+    inp = write_json(
+        tmp_path / "in.json",
+        {"grid": GRID, "constraints": [{"kind": "monomial", "power": 2, "lambda": -4.0}]},
+    )
+    out = tmp_path / "out"
+    assert main(["epi", "--input", inp, "--out", str(out)]) == 3
+    report = read_report(out)
+    assert report["error"]["type"] == "LinAlgError"
+    assert report["checks"] == [] and report["overall_pass"] is False
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf", "-inf"])
+def test_bad_tol_scale_exits_2(tmp_path, capsys, scale):
+    inp = write_json(
+        tmp_path / "in.json",
+        {"grid": GRID, "density": {"kind": "gaussian", "sigma": 1.0}},
+    )
+    out = tmp_path / "out"
+    assert main(["verify-identities", "--input", inp, "--out", str(out),
+                 f"--tol-scale={scale}"]) == 2
+    assert "--tol-scale must be positive and finite" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_epi_solver_failure_exits_3(tmp_path):
@@ -326,3 +355,51 @@ def test_list_checks(capsys):
     assert "eq2.4 mean-QP-equals-FI" in lines
     assert "eq5.11 fisher-euler" in lines
     assert len(lines) == len(CHECKS)
+
+
+# Small inputs for every command form; together their reports carry every
+# registered check (their verdicts are not the subject here).
+COVERAGE_GRID = {"xmin": -8.0, "xmax": 8.0, "n": 1025}
+COVERAGE_FIXTURES = {
+    "vi-gaussian": ("verify-identities",
+                    {"grid": COVERAGE_GRID, "density": {"kind": "gaussian"}}),
+    "vi-gibbs": ("verify-identities",
+                 {"grid": COVERAGE_GRID,
+                  "density": {"kind": "gibbs", "gamma": 1.0,
+                              "energy": {"kind": "monomial", "power": 2, "coeff": 0.5}}}),
+    "evolve": ("evolve",
+               {"grid": {"xmin": -10.0, "xmax": 10.0, "n": 513},
+                "initial": {"kind": "gaussian"}, "potential": {"kind": "free"},
+                "dt": 1.0 / 1024, "steps": 16}),
+    "epi": ("epi",
+            {"grid": COVERAGE_GRID,
+             "constraints": [{"kind": "monomial", "power": 2, "lambda": -4.0}]}),
+    "maxent": ("maxent",
+               {"grid": COVERAGE_GRID, "constraint": {"kind": "monomial", "power": 2},
+                "target": 1.0}),
+    "sweep": ("sweep",
+              {"grid": COVERAGE_GRID, "constraint": {"kind": "monomial", "power": 2},
+               "lambdas": [-1.0, -1.5, -2.0, -3.0, -4.0, -6.0, -8.0]}),
+    "thermal-quadratic": ("thermal",
+                          {"grid": {"xmin": -16.0, "xmax": 16.0, "n": 1025},
+                           "heat": {"kind": "quadratic", "coeff": 0.125}}),
+    "thermal-log-affine": ("thermal",
+                           {"grid": COVERAGE_GRID,
+                            "heat": {"kind": "log-affine", "a": 4.0, "b": 0.2}}),
+}
+# the one call-site override of a registered tolerance
+TOL_OVERRIDES = {("epi", "mean-QP-equals-FI"): 1e-5}
+
+
+def test_registry_equals_reported_checks(tmp_path):
+    table = {c.name: c.tol for c in CHECKS}
+    reported = set()
+    for label, (command, payload) in COVERAGE_FIXTURES.items():
+        out = tmp_path / label
+        main([command, "--input", write_json(tmp_path / f"{label}.json", payload),
+              "--out", str(out)])
+        for check in read_report(out)["checks"]:
+            name = check["name"]
+            reported.add(name)
+            assert check["tol"] == TOL_OVERRIDES.get((command, name), table[name]), name
+    assert reported == set(table)

@@ -4,15 +4,12 @@ import numpy as np
 
 from fisherqp import (
     Grid,
-    HeatField,
     MadelungState,
     PhysicalConstants,
     evolve,
-    heat_from_density,
     sweep,
 )
 from fisherqp import serialization as ser
-from fisherqp.grid import ScalarField
 
 from conftest import gaussian_density
 
@@ -30,39 +27,6 @@ def test_field_csv_roundtrip(tmp_path):
     assert np.array_equal(back.values, f.values)  # 17 digits round-trips float64
     header = path.read_text().splitlines()[0]
     assert header == "x,value"
-
-
-def test_state_json_roundtrip(tmp_path):
-    g = Grid(-8.0, 8.0, 1025)
-    d = gaussian_density(g)
-    phase = ScalarField(g, 0.3 * g.x)
-    path = tmp_path / "state.json"
-    ser.save_state_json(path, d, phase=phase, constants=C)
-    d2, phase2, c2 = ser.load_state_json(path)
-    assert np.max(np.abs(d2.values - d.values)) <= 1e-15
-    assert np.array_equal(phase2.values, phase.values)
-    assert c2 == C
-
-
-def test_state_json_phase_optional(tmp_path):
-    g = Grid(-8.0, 8.0, 257)
-    d = gaussian_density(g)
-    path = tmp_path / "bare.json"
-    ser.save_state_json(path, d)
-    d2, phase2, c2 = ser.load_state_json(path)
-    assert phase2 is None
-    assert c2 == PhysicalConstants()
-
-
-def test_heat_field_json_roundtrip(tmp_path):
-    g = Grid(-8.0, 8.0, 513)
-    hf = heat_from_density(gaussian_density(g), C)
-    path = tmp_path / "heat.json"
-    ser.save_heat_field_json(path, hf)
-    back = ser.load_heat_field_json(path)
-    assert np.array_equal(back.Q_heat.values, hf.Q_heat.values)
-    payload = json.loads(path.read_text())
-    assert "Q_heat" in payload
 
 
 def test_trajectory_dump(tmp_path):
