@@ -86,6 +86,7 @@ from .thermal import (
     coherence_suite,
     gibbs_formula_check,
     heat_from_density,
+    step_count,
     thermal_fisher_report,
     thermalized_qp,
     vanishing_qp_residual,
@@ -417,6 +418,9 @@ def _cmd_thermal(payload, args, out_dir: Path) -> list[IdentityCheck]:
     dt = float(payload.get("dt", 1e-3))
     if t_final < 2.0 * dt:
         raise SchemaError("thermal: t_final must cover at least two steps")
+    # the static log-affine checks never step; a heat flow's step count is
+    # validated before anything is computed
+    steps = None if kind == "log-affine" else step_count(t_final, dt)
 
     checks: list[IdentityCheck] = []
     density, _ = density_from_heat(hf.Q_heat, constants.alpha_th,
@@ -436,7 +440,7 @@ def _cmd_thermal(payload, args, out_dir: Path) -> list[IdentityCheck]:
     else:
         # the middle step of the heat flow the suite evolves, with its
         # neighbours for the centered time derivative
-        mid = (int(round(t_final / dt)) + 1) // 2
+        mid = (steps + 1) // 2
         suite = coherence_suite(hf, constants, evolve_horizon=t_final, evolve_dt=dt,
                                 keep=(mid - 1, mid, mid + 1))
         checks.extend(suite.items)

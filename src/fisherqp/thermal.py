@@ -24,13 +24,17 @@ Conventions
   (quadratic heat fields legitimately grow uniformly in the interior, so
   a change-based wall guard would misfire; the guard watches curvature
   arriving at the walls instead).
-* Fick and heat flows share one implicit stepper: Crank-Nicolson on a
-  constant tridiagonal matrix, factored once per run
-  (``grid.tridiagonal_solver``).  Flows stream step by step: the wall
-  guards run on every step, a heat trajectory keeps only the requested
-  steps, and the coherence suite steps Fick and heat in lockstep,
-  reducing the coupling deviation as it goes instead of holding both
-  trajectories.
+* Fick and heat flows share one stepper: Crank-Nicolson on a constant
+  tridiagonal matrix, factored once per run (``grid.tridiagonal_solver``),
+  stepping between two work buffers.  Flows stream step by step and the
+  wall guards run on every step; the heat guard takes its scales from the
+  full curvature of the initial field and then reads only the curvature
+  at the two first interior points.
+* The coherence suite steps Fick and heat in lockstep and reduces the
+  coupling deviation on the raw arrays, with the validation and the
+  arithmetic of ``density_from_samples`` and ``coupling_deviation``: no
+  per-step objects, heat fields only at the kept steps, and a result
+  equal bit for bit to the same reduction over the materialized flows.
 * The coherence suite reports ``reports.IdentityCheck`` records judged
   against the tolerances of the check table, ``reports.CHECKS``.
 """
@@ -43,7 +47,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import BoundaryContact, DecoupledInputs
+from .errors import BoundaryContact, DecoupledInputs, NegativeDensity, ZeroMass
 from .functionals import fisher_information, fluctuation_report, quantum_potential, weighted_max_dev
 from .grid import (
     Grid,
@@ -56,6 +60,8 @@ from .grid import (
 )
 from .reports import IdentityCheck, make_residual_check
 from .states import (
+    NEGATIVE_NOISE,
+    SUPPORT_FLOOR,
     Density,
     PhysicalConstants,
     density_from_heat,
@@ -176,61 +182,119 @@ def require_coupling(
 # ---------------------------------------------------------------------------
 
 
-def _cn_stepper(n: int, c: float):
-    """Crank-Nicolson heat step with endpoint values held fixed.
+def step_count(t_final: float, dt: float) -> int:
+    """Number of steps of size dt that cover t_final exactly.
 
-    c = D*dt/(2*dx^2).  Solves (1+2c) u+ - c (u+_l + u+_r) = rhs on the
-    interior with the fixed ends folded into the right-hand side; the
-    constant matrix is factored once, here.
+    Raises ValueError unless both are positive, their ratio is finite and
+    t_final is an integer multiple of dt.
     """
-    m = n - 2
-    solve = tridiagonal_solver(
-        np.full(m - 1, -c), np.full(m, 1.0 + 2.0 * c), np.full(m - 1, -c)
-    )
-
-    def step(u: np.ndarray) -> np.ndarray:
-        rhs = (1.0 - 2.0 * c) * u[1:-1] + c * (u[2:] + u[:-2])
-        rhs[0] += c * u[0]
-        rhs[-1] += c * u[-1]
-        out = u.copy()
-        out[1:-1] = solve(rhs)
-        return out
-
-    return step
-
-
-def _explicit_step(u: np.ndarray, nu: float) -> np.ndarray:
-    out = u.copy()
-    out[1:-1] = u[1:-1] + nu * (u[2:] - 2.0 * u[1:-1] + u[:-2])
-    return out
-
-
-def _step_count(t_final: float, dt: float) -> int:
-    if dt <= 0 or t_final <= 0:
+    if not (dt > 0 and t_final > 0):
         raise ValueError("t_final and dt must be positive")
-    steps = int(round(t_final / dt))
+    ratio = t_final / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"t_final/dt = {ratio} is not a finite step count")
+    steps = int(round(ratio))
     if abs(steps * dt - t_final) > 1e-9 * t_final:
         raise ValueError("t_final must be an integer multiple of dt")
     return steps
 
 
-def _diffuse(values: np.ndarray, dx: float, D: float, t_final: float, dt: float,
-             scheme: str) -> Iterator[np.ndarray]:
-    """Yield the diffusing field at every step 0..steps, each a fresh array."""
-    steps = _step_count(t_final, dt)
+def _stepper(n: int, dx: float, D: float, dt: float, scheme: str):
+    """One step of dU/dt = D d2U/dx2 with the end values held fixed.
+
+    Returns ``step(u, out)``, which writes the next field into ``out``, an
+    array distinct from ``u`` that already holds the end values.  The
+    implicit scheme is Crank-Nicolson with c = D*dt/(2*dx^2): it solves
+    (1+2c) u+ - c (u+_l + u+_r) = rhs on the interior with the fixed ends
+    folded into the right-hand side, on a constant matrix factored once,
+    here.
+    """
     nu = D * dt / (dx * dx)
     if scheme == "explicit":
         if nu > 0.45:
             raise ValueError(f"explicit scheme unstable: D*dt/dx^2 = {nu:.3f} > 0.45")
-        step = lambda u: _explicit_step(u, nu)
-    elif scheme == "implicit":
-        step = _cn_stepper(len(values), 0.5 * nu)
-    else:
+
+        def step(u: np.ndarray, out: np.ndarray) -> None:
+            out[1:-1] = u[1:-1] + nu * (u[2:] - 2.0 * u[1:-1] + u[:-2])
+
+        return step
+    if scheme != "implicit":
         raise ValueError(f"unknown scheme {scheme!r}")
+    c = 0.5 * nu
+    m = n - 2
+    solve = tridiagonal_solver(
+        np.full(m - 1, -c), np.full(m, 1.0 + 2.0 * c), np.full(m - 1, -c)
+    )
+    work = np.empty(m)
+
+    def step(u: np.ndarray, out: np.ndarray) -> None:
+        # rhs = (1 - 2c) u + c (u_r + u_l), built in the interior of out
+        rhs = out[1:-1]
+        np.multiply(1.0 - 2.0 * c, u[1:-1], out=rhs)
+        np.multiply(c, np.add(u[2:], u[:-2], out=work), out=work)
+        rhs += work
+        rhs[0] += c * u[0]
+        rhs[-1] += c * u[-1]
+        solve(rhs)
+
+    return step
+
+
+def _fick_guard(p0: np.ndarray, dx: float):
+    """Wall guard of a Fick flow: BoundaryContact once a first-interior
+    value exceeds 1e-10 of the current peak."""
+
+    def guard(p: np.ndarray) -> None:
+        peak = float(p.max())
+        if max(p[1], p[-2]) > FICK_BOUNDARY_THRESHOLD * peak:
+            raise BoundaryContact("diffusing density reached the wall")
+
+    return guard
+
+
+def _heat_guard(q0: np.ndarray, dx: float):
+    """Wall guard of a heat flow started from q0 (see
+    ``heat_equation_evolve``).
+
+    The scales come from the full second derivative of q0; each step
+    then reads only the curvature at the two first interior points, from
+    the same 3-point stencil.
+    """
+    lap = second_derivative_values(q0, dx)
+    edge_scale = max(abs(lap[1]), abs(lap[-2]))
+    interior_scale = float(np.max(np.abs(lap)))
+    # below this, curvature is indistinguishable from second-difference roundoff
+    noise_floor = 1e-10 * max(1.0, float(np.max(np.abs(q0)))) / (dx * dx)
+    limit = max(10.0 * edge_scale, 1e-6 * interior_scale)
+    inv = 1.0 / (dx * dx)
+
+    def guard(q: np.ndarray) -> None:
+        edge = max(abs(((q[2] - q[1]) - (q[1] - q[0])) * inv),
+                   abs(((q[-1] - q[-2]) - (q[-2] - q[-3])) * inv))
+        if interior_scale > noise_floor and edge > limit:
+            raise BoundaryContact("heat-field curvature reached the wall")
+
+    return guard
+
+
+def _diffuse(values: np.ndarray, dx: float, D: float, steps: int, dt: float,
+             scheme: str, wall) -> Iterator[np.ndarray]:
+    """Yield the diffusing field at every step 0..steps, each one checked
+    by the guard that ``wall(values, dx)`` returns.
+
+    The field lives in two work buffers: a yielded array is overwritten
+    when the step after next is computed, so callers copy what they keep.
+    """
+    step = _stepper(len(values), dx, D, dt, scheme)
     u = np.array(values, dtype=float)
+    spare = u.copy()
+    guard = wall(u, dx)
+    guard(u)
     yield u
     for _ in range(steps):
-        u = step(u)
+        step(u, spare)
+        u, spare = spare, u
+        guard(u)
         yield u
 
 
@@ -244,16 +308,6 @@ class FickTrajectory:
     mass_drift: float
 
 
-def _fick_arrays(P0: Density, D: float, t_final: float, dt: float,
-                 scheme: str) -> Iterator[np.ndarray]:
-    """Raw Fick samples at every step, wall-guarded."""
-    for arr in _diffuse(P0.values, P0.grid.dx, D, t_final, dt, scheme):
-        peak = float(np.max(arr))
-        if max(arr[1], arr[-2]) > FICK_BOUNDARY_THRESHOLD * peak:
-            raise BoundaryContact("diffusing density reached the wall")
-        yield arr
-
-
 def fick_diffuse(
     P0: Density, D: float, t_final: float, dt: float, scheme: str = "implicit"
 ) -> FickTrajectory:
@@ -263,39 +317,17 @@ def fick_diffuse(
     aborts with BoundaryContact once a first-interior value exceeds
     1e-10 of the current peak.
     """
+    steps = step_count(t_final, dt)
     densities = []
     drift = 0.0
-    for arr in _fick_arrays(P0, D, t_final, dt, scheme):
+    for arr in _diffuse(P0.values, P0.grid.dx, D, steps, dt, scheme, _fick_guard):
         drift = max(drift, abs(quadrature_values(arr, P0.grid.dx) - 1.0))
         densities.append(
             density_from_samples(ScalarField(P0.grid, arr), truncation_check=False)
         )
-    steps = len(densities) - 1
     times = np.arange(steps + 1) * dt
     return FickTrajectory(times=times, densities=densities, diffusivity=D,
                           mass_drift=drift)
-
-
-def _heat_arrays(hf0: HeatField, t_final: float, dt: float,
-                 scheme: str) -> Iterator[np.ndarray]:
-    """Heat-equation samples at every step, wall-guarded (see
-    ``heat_equation_evolve``)."""
-    dx = hf0.grid.dx
-    arrays = _diffuse(hf0.Q_heat.values, dx, hf0.constants.diffusivity,
-                      t_final, dt, scheme)
-    for k, arr in enumerate(arrays):
-        lap = second_derivative_values(arr, dx)
-        edge = max(abs(lap[1]), abs(lap[-2]))
-        if k == 0:
-            edge_scale = edge
-            interior_scale = float(np.max(np.abs(lap)))
-            # below this, curvature is indistinguishable from second-difference roundoff
-            noise_floor = 1e-10 * max(1.0, float(np.max(np.abs(arr)))) / (dx * dx)
-        if interior_scale > noise_floor and edge > max(
-            10.0 * edge_scale, 1e-6 * interior_scale
-        ):
-            raise BoundaryContact("heat-field curvature reached the wall")
-        yield arr
 
 
 def heat_equation_evolve(
@@ -309,9 +341,10 @@ def heat_equation_evolve(
     wall); uniform interior growth of quadratic fields is legitimate and
     does not trip it.
     """
-    fields = [HeatField(ScalarField(hf0.grid, arr), hf0.constants)
-              for arr in _heat_arrays(hf0, t_final, dt, scheme)]
-    steps = len(fields) - 1
+    steps = step_count(t_final, dt)
+    flow = _diffuse(hf0.Q_heat.values, hf0.grid.dx, hf0.constants.diffusivity,
+                    steps, dt, scheme, _heat_guard)
+    fields = [HeatField(ScalarField(hf0.grid, arr), hf0.constants) for arr in flow]
     return HeatTrajectory(times=np.arange(steps + 1) * dt,
                           kept=tuple(range(steps + 1)), fields=fields,
                           diffusivity=hf0.constants.diffusivity)
@@ -469,21 +502,61 @@ def _coupled_run(
     Returns the worst weighted deviation of P(t) from
     c_hat(t) exp(-alpha Q(t)) over every step, and the heat trajectory at
     the ``keep`` steps plus the last one.
+
+    Each step reduces on the raw arrays with the floating-point
+    operations, and the checks, of
+    ``coupling_deviation(density_from_samples(P), HeatField(Q))``, so the
+    result equals that reduction over the materialized flows bit for bit.
     """
-    steps = _step_count(t_final, dt)
+    steps = step_count(t_final, dt)
     keep_set = steps_to_keep(keep, steps) | {steps}
     grid = hf0.grid
-    fick = _fick_arrays(density0, constants.diffusivity, t_final, dt, "implicit")
-    heat = _heat_arrays(hf0, t_final, dt, "implicit")
+    dx = grid.dx
+    fick = _diffuse(density0.values, density0.grid.dx, constants.diffusivity,
+                    steps, dt, "implicit", _fick_guard)
+    heat = _diffuse(hf0.Q_heat.values, dx, hf0.constants.diffusivity,
+                    steps, dt, "implicit", _heat_guard)
+    neg_alpha = -constants.alpha_th
+    p, w, work = np.empty(grid.n), np.empty(grid.n), np.empty(grid.n)
     worst = 0.0
     kept, fields = [], []
-    for k, (p, q) in enumerate(zip(fick, heat)):
-        dens = density_from_samples(ScalarField(grid, p), truncation_check=False)
-        hf = HeatField(ScalarField(grid, q), hf0.constants)
-        worst = max(worst, coupling_deviation(dens, hf, constants))
+    for k, (raw, q) in enumerate(zip(fick, heat)):
+        # P = density_from_samples(raw): finite, above the noise floor,
+        # clipped at 0, positive mass, normalized
+        lo, hi = raw.min(), raw.max()
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("field values must be finite")
+        if lo < NEGATIVE_NOISE:
+            raise NegativeDensity(f"min sample {lo} below noise floor")
+        if lo <= 0.0:
+            raw = np.clip(raw, 0.0, None, out=p)
+        total = quadrature_values(raw, dx)
+        if total <= 0.0:
+            raise ZeroMass(f"density integrates to {total}")
+        np.divide(raw, total, out=p)
+        peak = float(hi / total)  # = max(P): dividing by total > 0 keeps the order
+        if not math.isfinite(peak):
+            raise ValueError("field values must be finite")
+        # HeatField(Q): finite
+        qlo = q.min()
+        if not (math.isfinite(qlo) and math.isfinite(q.max())):
+            raise ValueError("field values must be finite")
+        # coupling_deviation: the induced density c_hat exp(-alpha Q) ...
+        np.subtract(q, qlo, out=work)
+        work *= neg_alpha
+        np.exp(work, out=w)
+        w /= quadrature_values(w, dx)
+        # ... against P in the weighted sup norm over P's support
+        np.subtract(p, w, out=work)
+        np.abs(work, out=work)
+        work *= np.divide(p, peak, out=w)
+        # work >= 0, so its max over the support equals the max of the
+        # support-masked array that weighted_max_dev reduces
+        dev = float(work.max(where=p > SUPPORT_FLOOR * peak, initial=0.0))
+        worst = max(worst, dev / peak)
         if k in keep_set:
             kept.append(k)
-            fields.append(hf)
+            fields.append(HeatField(ScalarField(grid, q), hf0.constants))
     times = np.arange(steps + 1) * dt
     return worst, HeatTrajectory(times=times, kept=tuple(kept), fields=fields,
                                  diffusivity=hf0.constants.diffusivity)

@@ -319,6 +319,23 @@ def test_thermal_log_affine(tmp_path):
     assert byname["vanishing-qp-family"]["pass"] is True
 
 
+@pytest.mark.parametrize("timing", [
+    {"dt": 0},
+    {"t_final": "inf"},
+    {"t_final": 1e300, "dt": 1e-300},
+    {"t_final": float("nan")},
+])
+def test_thermal_bad_step_count_exits_2(tmp_path, capsys, timing):
+    inp = write_json(
+        tmp_path / "in.json",
+        {"grid": GRID, "heat": {"kind": "quadratic", "coeff": 0.125}, **timing},
+    )
+    out = tmp_path / "out"
+    assert main(["thermal", "--input", inp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("schema error: t_final")
+    assert not (out / "report.json").exists()
+
+
 def test_failed_check_exits_3(tmp_path):
     inp = write_json(
         tmp_path / "in.json",

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 from fisherqp import (
+    BoundaryContact,
     DecoupledInputs,
     Grid,
     HeatField,
@@ -439,3 +441,111 @@ def test_coherence_lockstep_matches_materialized_flows():
                           thermalized_qp(heat, 5).values)
     with pytest.raises(ValueError, match="not kept"):
         thermalized_qp(report.heat, 2)
+
+
+# ---------------------------------------------------------------------------
+# lockstep guards and validation against the materialized flows
+# ---------------------------------------------------------------------------
+
+
+def heat_contact_step(hf, dt, steps):
+    """First step at which the heat wall guard, evaluated on the full second
+    derivative of a from-scratch banded Crank-Nicolson flow, trips."""
+    g, D = hf.grid, hf.constants.diffusivity
+    c = 0.5 * D * dt / g.dx**2
+    ab = np.zeros((3, g.n - 2))
+    ab[0, 1:] = -c
+    ab[1, :] = 1.0 + 2.0 * c
+    ab[2, :-1] = -c
+    u = hf.Q_heat.values.copy()
+    lap = second_derivative_values(u, g.dx)
+    edge_scale = max(abs(lap[1]), abs(lap[-2]))
+    interior_scale = float(np.max(np.abs(lap)))
+    noise_floor = 1e-10 * max(1.0, float(np.max(np.abs(u)))) / g.dx**2
+    for k in range(steps + 1):
+        lap = second_derivative_values(u, g.dx)
+        edge = max(abs(lap[1]), abs(lap[-2]))
+        if interior_scale > noise_floor and edge > max(10.0 * edge_scale,
+                                                       1e-6 * interior_scale):
+            return k
+        rhs = (1.0 - 2.0 * c) * u[1:-1] + c * (u[2:] + u[:-2])
+        rhs[0] += c * u[0]
+        rhs[-1] += c * u[-1]
+        u = u.copy()
+        u[1:-1] = solve_banded((1, 1), ab, rhs)
+    return None
+
+
+def test_lockstep_flows_keep_their_own_diffusivity():
+    # Fick steps with the suite's constants (D = 1/4), heat with the heat
+    # field's (D = 1/2): two factorizations, each equal to its own flow
+    c = PhysicalConstants(mass=2.0, omega=2.0, temperature=2.0)
+    g = Grid(-8.0, 8.0, 1025)
+    hf = HeatField(ScalarField(g, g.x**2), C)
+    report = coherence_suite(hf, c, evolve_horizon=0.01, evolve_dt=1e-3)
+    density, _ = density_from_heat(hf.Q_heat, c.alpha_th, truncation_check=False)
+    fick = fick_diffuse(density, c.diffusivity, 0.01, 1e-3)
+    heat = heat_equation_evolve(hf, 0.01, 1e-3)
+    ref = max(coupling_deviation(p, h, c) for p, h in zip(fick.densities, heat.fields))
+    assert report.item("ratio-law-evolution").lhs == ref
+    assert np.array_equal(report.heat.field(10).Q_heat.values, heat.field(10).Q_heat.values)
+
+
+def test_fick_contact_same_step_in_lockstep():
+    g = Grid(-4.0, 4.0, 129)
+    hf = HeatField(ScalarField(g, 2.0 * g.x**2), C)
+    density, _ = density_from_heat(hf.Q_heat, C.alpha_th, truncation_check=False)
+    dt, k = 1e-2, 9
+    fick_diffuse(density, C.diffusivity, (k - 1) * dt, dt)
+    coherence_suite(hf, C, evolve_horizon=(k - 1) * dt, evolve_dt=dt)
+    with pytest.raises(BoundaryContact, match="diffusing density reached the wall"):
+        fick_diffuse(density, C.diffusivity, k * dt, dt)
+    with pytest.raises(BoundaryContact, match="diffusing density reached the wall"):
+        coherence_suite(hf, C, evolve_horizon=k * dt, evolve_dt=dt)
+
+
+def test_heat_contact_after_step_zero_same_step_as_full_guard():
+    # a narrow bump next to the right wall: its curvature arrives there at
+    # step 19, well after step 0
+    g = Grid(-8.0, 8.0, 513)
+    hf = HeatField(ScalarField(g, g.x**2 / 2 + 10.0 * np.exp(-((g.x - 7.5) / 0.1) ** 2)), C)
+    dt = 1e-3
+    k = heat_contact_step(hf, dt, 40)
+    assert k == 19
+    heat_equation_evolve(hf, (k - 1) * dt, dt)
+    coherence_suite(hf, C, evolve_horizon=(k - 1) * dt, evolve_dt=dt)
+    with pytest.raises(BoundaryContact, match="heat-field curvature reached the wall"):
+        heat_equation_evolve(hf, k * dt, dt)
+    with pytest.raises(BoundaryContact, match="heat-field curvature reached the wall"):
+        coherence_suite(hf, C, evolve_horizon=k * dt, evolve_dt=dt)
+
+
+def test_overflowing_heat_flow_raises_like_materialized_flow():
+    # finite input whose first heat step overflows to a non-finite field
+    g = Grid(-8.0, 8.0, 257)
+    hf = HeatField(ScalarField(g, 2.5e306 * g.x**2), C)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="field values must be finite"):
+            heat_equation_evolve(hf, 4e-3, 1e-3)
+        with pytest.raises(ValueError, match="field values must be finite"):
+            coherence_suite(hf, C, evolve_horizon=4e-3, evolve_dt=1e-3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.sampled_from([129, 257, 513, 1025]),
+    steps=st.integers(1, 20),
+    dt=st.sampled_from([1e-4, 5e-4, 1e-3]),
+    weight=st.floats(0.05, 1.0),
+    centers=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    widths=st.tuples(st.floats(0.3, 0.8), st.floats(0.3, 0.8)),
+)
+def test_lockstep_deviation_equals_materialized_flows(n, steps, dt, weight, centers, widths):
+    g = Grid(-8.0, 8.0, n)
+    raw = sum(a * np.exp(-((g.x - c) ** 2) / (2.0 * s**2))
+              for a, c, s in zip((1.0, weight), centers, widths))
+    d = density_from_samples(g.field(raw))
+    fick = fick_diffuse(d, C.diffusivity, steps * dt, dt)
+    heat = heat_equation_evolve(heat_from_density(d, C), steps * dt, dt)
+    ref = max(coupling_deviation(p, h, C) for p, h in zip(fick.densities, heat.fields))
+    assert coupled_evolution_deviation(d, C, steps * dt, dt) == ref
