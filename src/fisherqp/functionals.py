@@ -64,9 +64,20 @@ def masked_quadrature(values: np.ndarray, mask: np.ndarray, dx: float) -> float:
 def weighted_max_dev(a: np.ndarray, b: np.ndarray, density: Density) -> float:
     """Density-weighted sup norm of (a - b) over the support mask."""
     p = density.values
-    w = p / float(np.max(p))
-    diff = np.where(density.support_mask, w * np.abs(a - b), 0.0)
-    return float(np.max(diff))
+    return weighted_sup(np.subtract(a, b, dtype=float), p, float(np.max(p)),
+                        density.support_mask)
+
+
+def weighted_sup(diff: np.ndarray, p: np.ndarray, peak: float, mask: np.ndarray,
+                 scratch: np.ndarray | None = None) -> float:
+    """max over ``mask`` of (p/peak) |diff|, 0 on an empty mask.
+
+    The array-level core of ``weighted_max_dev``: ``diff`` is overwritten,
+    and ``scratch``, when given, receives p/peak.
+    """
+    np.abs(diff, out=diff)
+    diff *= np.divide(p, peak, out=scratch)
+    return float(diff.max(where=mask, initial=0.0))
 
 
 def fisher_information(density: Density) -> float:

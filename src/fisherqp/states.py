@@ -21,6 +21,7 @@ Conventions fixed here and used everywhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 import numpy as np
 
@@ -120,18 +121,42 @@ def _endpoint_decayed(values: np.ndarray) -> bool:
     return max(values[0], values[-1]) <= SUPPORT_FLOOR * peak
 
 
-def _build_density(values: np.ndarray, grid: Grid, truncation_check: bool) -> Density:
-    total = quadrature_values(values, grid.dx)
+def normalize_samples(values: np.ndarray, dx: float, out: np.ndarray) -> float:
+    """Normalize raw density samples into ``out``; return max(P).
+
+    The array-level core of ``density_from_samples``, which time steppers
+    call on their work buffers.  Non-finite samples raise ValueError,
+    samples below ``NEGATIVE_NOISE`` raise NegativeDensity (the remaining
+    negative noise is clamped to 0), zero mass raises ZeroMass and a
+    normalized density that overflows raises ValueError, in that order.
+    """
+    lo, hi = values.min(), values.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("field values must be finite")
+    if lo < NEGATIVE_NOISE:
+        raise NegativeDensity(f"min sample {lo} below noise floor")
+    if lo <= 0.0:
+        values = np.clip(values, 0.0, None, out=out)
+    total = quadrature_values(values, dx)
     if total <= 0.0:
         raise ZeroMass(f"density integrates to {total}")
-    p = values / total
+    np.divide(values, total, out=out)
+    # dividing by total > 0 keeps the order, so this is max(out) exactly
+    peak = float(hi / total)
+    if not math.isfinite(peak):
+        raise ValueError("field values must be finite")
+    return peak
+
+
+def _build_density(values: np.ndarray, grid: Grid, truncation_check: bool) -> Density:
+    p = np.empty(grid.n)
+    peak = normalize_samples(values, grid.dx, p)
     if truncation_check and not _endpoint_decayed(p):
         raise TruncationError(
             "density does not decay at the grid endpoints; enlarge the domain "
             "or disable the truncation check"
         )
-    mask = p > SUPPORT_FLOOR * float(np.max(p))
-    return Density(ScalarField(grid, p), mask)
+    return Density(ScalarField(grid, p), p > SUPPORT_FLOOR * peak)
 
 
 def density_from_samples(raw: ScalarField, truncation_check: bool = True) -> Density:
@@ -140,11 +165,7 @@ def density_from_samples(raw: ScalarField, truncation_check: bool = True) -> Den
     Values in [-1e-14, 0) are treated as roundoff noise and clamped to 0;
     anything more negative raises NegativeDensity.
     """
-    v = np.array(raw.values, dtype=float)
-    if np.any(v < NEGATIVE_NOISE):
-        raise NegativeDensity(f"min sample {v.min()} below noise floor")
-    np.clip(v, 0.0, None, out=v)
-    return _build_density(v, raw.grid, truncation_check)
+    return _build_density(raw.values, raw.grid, truncation_check)
 
 
 def gibbs_density(

@@ -31,10 +31,11 @@ Conventions
   full curvature of the initial field and then reads only the curvature
   at the two first interior points.
 * The coherence suite steps Fick and heat in lockstep and reduces the
-  coupling deviation on the raw arrays, with the validation and the
-  arithmetic of ``density_from_samples`` and ``coupling_deviation``: no
-  per-step objects, heat fields only at the kept steps, and a result
-  equal bit for bit to the same reduction over the materialized flows.
+  coupling deviation on the raw arrays, through the array-level cores
+  that ``density_from_samples`` and ``coupling_deviation`` call
+  (``states.normalize_samples``, ``_coupling_deviation``): no per-step
+  objects, heat fields only at the kept steps, and a result equal bit for
+  bit to the same reduction over the materialized flows.
 * The coherence suite reports ``reports.IdentityCheck`` records judged
   against the tolerances of the check table, ``reports.CHECKS``.
 """
@@ -47,8 +48,14 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import BoundaryContact, DecoupledInputs, NegativeDensity, ZeroMass
-from .functionals import fisher_information, fluctuation_report, quantum_potential, weighted_max_dev
+from .errors import BoundaryContact, DecoupledInputs
+from .functionals import (
+    fisher_information,
+    fluctuation_report,
+    quantum_potential,
+    weighted_max_dev,
+    weighted_sup,
+)
 from .grid import (
     Grid,
     ScalarField,
@@ -60,13 +67,13 @@ from .grid import (
 )
 from .reports import IdentityCheck, make_residual_check
 from .states import (
-    NEGATIVE_NOISE,
     SUPPORT_FLOOR,
     Density,
     PhysicalConstants,
     density_from_heat,
     density_from_samples,
     gibbs_density,
+    normalize_samples,
 )
 
 FICK_BOUNDARY_THRESHOLD = 1e-10  # relative density at first interior points
@@ -161,10 +168,30 @@ def coupling_deviation(
     density: Density, hf: HeatField, constants: PhysicalConstants
 ) -> float:
     """Weighted max deviation of P from c_hat * exp(-alpha_th Q_heat)."""
-    q = hf.Q_heat.values
-    w = np.exp(-constants.alpha_th * (q - np.min(q)))
-    w /= quadrature_values(w, hf.grid.dx)
-    return weighted_max_dev(density.values, w, density) / float(np.max(density.values))
+    p = density.values
+    return _coupling_deviation(
+        p, float(np.max(p)), density.support_mask, hf.Q_heat.values,
+        constants.alpha_th, hf.grid.dx, np.empty(len(p)), np.empty(len(p)),
+    )
+
+
+def _coupling_deviation(
+    p: np.ndarray, peak: float, mask: np.ndarray, q: np.ndarray, alpha: float,
+    dx: float, w: np.ndarray, work: np.ndarray,
+) -> float:
+    """``coupling_deviation`` on raw arrays, with ``w`` and ``work`` as
+    scratch; a non-finite q raises the ValueError a HeatField would."""
+    qmin = q.min()
+    if not (math.isfinite(qmin) and math.isfinite(q.max())):
+        raise ValueError("field values must be finite")
+    # the induced density c_hat exp(-alpha Q) ...
+    np.subtract(q, qmin, out=work)
+    work *= -alpha
+    np.exp(work, out=w)
+    w /= quadrature_values(w, dx)
+    # ... against P in the weighted sup norm over P's support
+    np.subtract(p, w, out=work)
+    return weighted_sup(work, p, peak, mask, scratch=w) / peak
 
 
 def require_coupling(
@@ -235,21 +262,16 @@ def _stepper(n: int, dx: float, D: float, dt: float, scheme: str):
         rhs += work
         rhs[0] += c * u[0]
         rhs[-1] += c * u[-1]
-        solve(rhs)
+        out[1:-1] = solve(rhs)
 
     return step
 
 
-def _fick_guard(p0: np.ndarray, dx: float):
+def _fick_guard(p: np.ndarray) -> None:
     """Wall guard of a Fick flow: BoundaryContact once a first-interior
     value exceeds 1e-10 of the current peak."""
-
-    def guard(p: np.ndarray) -> None:
-        peak = float(p.max())
-        if max(p[1], p[-2]) > FICK_BOUNDARY_THRESHOLD * peak:
-            raise BoundaryContact("diffusing density reached the wall")
-
-    return guard
+    if max(p[1], p[-2]) > FICK_BOUNDARY_THRESHOLD * float(p.max()):
+        raise BoundaryContact("diffusing density reached the wall")
 
 
 def _heat_guard(q0: np.ndarray, dx: float):
@@ -278,9 +300,9 @@ def _heat_guard(q0: np.ndarray, dx: float):
 
 
 def _diffuse(values: np.ndarray, dx: float, D: float, steps: int, dt: float,
-             scheme: str, wall) -> Iterator[np.ndarray]:
+             scheme: str, guard) -> Iterator[np.ndarray]:
     """Yield the diffusing field at every step 0..steps, each one checked
-    by the guard that ``wall(values, dx)`` returns.
+    by ``guard``.
 
     The field lives in two work buffers: a yielded array is overwritten
     when the step after next is computed, so callers copy what they keep.
@@ -288,7 +310,6 @@ def _diffuse(values: np.ndarray, dx: float, D: float, steps: int, dt: float,
     step = _stepper(len(values), dx, D, dt, scheme)
     u = np.array(values, dtype=float)
     spare = u.copy()
-    guard = wall(u, dx)
     guard(u)
     yield u
     for _ in range(steps):
@@ -342,8 +363,9 @@ def heat_equation_evolve(
     does not trip it.
     """
     steps = step_count(t_final, dt)
-    flow = _diffuse(hf0.Q_heat.values, hf0.grid.dx, hf0.constants.diffusivity,
-                    steps, dt, scheme, _heat_guard)
+    q0, dx = hf0.Q_heat.values, hf0.grid.dx
+    flow = _diffuse(q0, dx, hf0.constants.diffusivity, steps, dt, scheme,
+                    _heat_guard(q0, dx))
     fields = [HeatField(ScalarField(hf0.grid, arr), hf0.constants) for arr in flow]
     return HeatTrajectory(times=np.arange(steps + 1) * dt,
                           kept=tuple(range(steps + 1)), fields=fields,
@@ -503,57 +525,28 @@ def _coupled_run(
     c_hat(t) exp(-alpha Q(t)) over every step, and the heat trajectory at
     the ``keep`` steps plus the last one.
 
-    Each step reduces on the raw arrays with the floating-point
-    operations, and the checks, of
-    ``coupling_deviation(density_from_samples(P), HeatField(Q))``, so the
-    result equals that reduction over the materialized flows bit for bit.
+    Each step reduces on the raw arrays through the cores of
+    ``density_from_samples`` and ``coupling_deviation``, so it raises what
+    they raise and equals their reduction over the materialized flows.
     """
     steps = step_count(t_final, dt)
     keep_set = steps_to_keep(keep, steps) | {steps}
     grid = hf0.grid
     dx = grid.dx
-    fick = _diffuse(density0.values, density0.grid.dx, constants.diffusivity,
-                    steps, dt, "implicit", _fick_guard)
-    heat = _diffuse(hf0.Q_heat.values, dx, hf0.constants.diffusivity,
-                    steps, dt, "implicit", _heat_guard)
-    neg_alpha = -constants.alpha_th
+    q0 = hf0.Q_heat.values
+    fick = _diffuse(density0.values, dx, constants.diffusivity, steps, dt,
+                    "implicit", _fick_guard)
+    heat = _diffuse(q0, dx, hf0.constants.diffusivity, steps, dt, "implicit",
+                    _heat_guard(q0, dx))
     p, w, work = np.empty(grid.n), np.empty(grid.n), np.empty(grid.n)
+    support = np.empty(grid.n, dtype=bool)
     worst = 0.0
     kept, fields = [], []
     for k, (raw, q) in enumerate(zip(fick, heat)):
-        # P = density_from_samples(raw): finite, above the noise floor,
-        # clipped at 0, positive mass, normalized
-        lo, hi = raw.min(), raw.max()
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("field values must be finite")
-        if lo < NEGATIVE_NOISE:
-            raise NegativeDensity(f"min sample {lo} below noise floor")
-        if lo <= 0.0:
-            raw = np.clip(raw, 0.0, None, out=p)
-        total = quadrature_values(raw, dx)
-        if total <= 0.0:
-            raise ZeroMass(f"density integrates to {total}")
-        np.divide(raw, total, out=p)
-        peak = float(hi / total)  # = max(P): dividing by total > 0 keeps the order
-        if not math.isfinite(peak):
-            raise ValueError("field values must be finite")
-        # HeatField(Q): finite
-        qlo = q.min()
-        if not (math.isfinite(qlo) and math.isfinite(q.max())):
-            raise ValueError("field values must be finite")
-        # coupling_deviation: the induced density c_hat exp(-alpha Q) ...
-        np.subtract(q, qlo, out=work)
-        work *= neg_alpha
-        np.exp(work, out=w)
-        w /= quadrature_values(w, dx)
-        # ... against P in the weighted sup norm over P's support
-        np.subtract(p, w, out=work)
-        np.abs(work, out=work)
-        work *= np.divide(p, peak, out=w)
-        # work >= 0, so its max over the support equals the max of the
-        # support-masked array that weighted_max_dev reduces
-        dev = float(work.max(where=p > SUPPORT_FLOOR * peak, initial=0.0))
-        worst = max(worst, dev / peak)
+        peak = normalize_samples(raw, dx, p)
+        np.greater(p, SUPPORT_FLOOR * peak, out=support)
+        dev = _coupling_deviation(p, peak, support, q, constants.alpha_th, dx, w, work)
+        worst = max(worst, dev)
         if k in keep_set:
             kept.append(k)
             fields.append(HeatField(ScalarField(grid, q), hf0.constants))

@@ -17,7 +17,7 @@ from fisherqp import (
     osmotic_fields,
     quantum_potential,
 )
-from fisherqp.functionals import weighted_max_dev
+from fisherqp.functionals import weighted_max_dev, weighted_sup
 from fisherqp.grid import ScalarField
 
 from conftest import gaussian_density, mixture_density
@@ -108,6 +108,17 @@ def test_quantum_potential_four_forms_single_gaussian(standard_normal, natural):
     for form in (QPForm.GRAD, QPForm.FLUCT, QPForm.OSMOTIC):
         q = quantum_potential(standard_normal, natural, form).values
         assert weighted_max_dev(q, ref, standard_normal) <= 1e-6 * scale
+
+
+def test_weighted_max_dev_is_the_masked_weighted_sup(grid):
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        d = mixture_density(grid, rng)
+        a, b = rng.standard_normal((2, grid.n))
+        p = d.values
+        ref = np.max(np.where(d.support_mask, p / np.max(p) * np.abs(a - b), 0.0))
+        assert weighted_max_dev(a, b, d) == float(ref)
+    assert weighted_sup(a - b, p, float(np.max(p)), np.zeros(grid.n, dtype=bool)) == 0.0
 
 
 def test_quantum_potential_four_forms_random_mixtures(natural):

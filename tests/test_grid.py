@@ -3,7 +3,7 @@ import pytest
 from scipy.special import erf
 
 from fisherqp import Grid, quadrature, derivative, second_derivative
-from fisherqp.grid import ScalarField, quadrature_values
+from fisherqp.grid import ScalarField
 
 
 def test_grid_basics():
@@ -49,17 +49,6 @@ def test_trapezoid_normal_pdf():
 def test_trapezoid_zero_field():
     g = Grid(-1.0, 1.0, 33)
     assert quadrature(g.zeros()) == 0.0
-
-
-def test_quadrature_values_equals_numpy_trapezoid():
-    # same terms, same summation order: equal bit for bit, at every magnitude
-    rng = np.random.default_rng(11)
-    for _ in range(500):
-        m = int(rng.integers(2, 9000))
-        v = rng.standard_normal(m) * 10.0 ** rng.integers(-300, 300)
-        dx = float(10.0 ** rng.uniform(-6.0, 2.0))
-        assert quadrature_values(v, dx) == float(np.trapezoid(v, dx=dx))
-    assert quadrature_values(np.arange(7), 0.5) == float(np.trapezoid(np.arange(7), dx=0.5))
 
 
 def test_quadrature_linearity():

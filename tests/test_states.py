@@ -16,6 +16,7 @@ from fisherqp import (
     quadrature,
 )
 from fisherqp.grid import ScalarField, derivative_values
+from fisherqp.states import normalize_samples
 
 from conftest import gaussian_density
 
@@ -67,6 +68,34 @@ def test_density_rejects_real_negatives(grid):
 def test_density_zero_mass(grid):
     with pytest.raises(ZeroMass):
         density_from_samples(grid.zeros())
+
+
+def test_normalize_samples_is_the_core_of_density_from_samples(grid):
+    raw = np.exp(-grid.x**2 / 2)
+    raw[5] = -5e-15
+    out = np.empty(grid.n)
+    peak = normalize_samples(raw, grid.dx, out)
+    d = density_from_samples(ScalarField(grid, raw))
+    assert np.array_equal(out, d.values)
+    assert peak == float(np.max(d.values))
+    assert np.array_equal(d.support_mask, d.values > 1e-12 * peak)
+    assert raw[5] == -5e-15  # the samples are left as they were
+
+
+def test_normalize_samples_check_order(grid):
+    out = np.empty(grid.n)
+    # non-finite before negative, negative before zero mass
+    raw = np.zeros(grid.n)
+    raw[5] = -1e-10
+    raw[9] = np.inf
+    with pytest.raises(ValueError, match="field values must be finite"):
+        normalize_samples(raw, grid.dx, out)
+    raw[9] = 0.0
+    with pytest.raises(NegativeDensity, match="min sample -1e-10"):
+        normalize_samples(raw, grid.dx, out)
+    raw[5] = -5e-15
+    with pytest.raises(ZeroMass):
+        normalize_samples(raw, grid.dx, out)
 
 
 def test_density_truncation_check():
