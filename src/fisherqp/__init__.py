@@ -23,6 +23,7 @@ from .errors import (
     BoundaryContact,
     DecoupledInputs,
     DegenerateGround,
+    DegenerateSupport,
     EdgeLocalized,
     FisherQPError,
     InfeasibleTarget,

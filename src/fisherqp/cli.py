@@ -93,8 +93,22 @@ from .thermal import (
 )
 
 
+# Work a run may ask for, refused up front: grid points times steps over
+# every flow a run steps, and the bytes of the complex states a dumped
+# trajectory keeps.
+WORK_BUDGET = 1e10      # point-steps
+DUMP_BUDGET = 2**30     # bytes
+
+
 class SchemaError(Exception):
     """Input file does not match the expected layout."""
+
+
+def _require_within(command: str, estimate: str, value: int, budget: float,
+                    unit: str) -> None:
+    if value > budget:
+        raise SchemaError(f"{command}: {estimate} = {value:.3g} {unit} exceeds "
+                          f"the budget of {budget:.3g} {unit}")
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +256,13 @@ def _cmd_evolve(payload, args, out_dir: Path) -> list[IdentityCheck]:
     command = "evolve"
     grid = _grid_from_input(payload, args, command)
     constants = _constants_from_input(payload)
+    dt = float(_require(payload, "dt", command))
+    steps = int(_require(payload, "steps", command))
+    dump = payload.get("dump", False)
+    _require_within(command, "n*steps", grid.n * steps, WORK_BUDGET, "point-steps")
+    if dump:
+        _require_within(command, "the dump's n*(steps+1)*16", grid.n * (steps + 1) * 16,
+                        DUMP_BUDGET, "B")
 
     init_spec = _require(payload, "initial", command)
     density = _build_density(init_spec, grid, not args.no_truncation_check, command)
@@ -263,10 +284,7 @@ def _cmd_evolve(payload, args, out_dir: Path) -> list[IdentityCheck]:
     else:
         raise SchemaError(f"evolve: unknown potential kind {kind!r}")
 
-    dt = float(_require(payload, "dt", command))
-    steps = int(_require(payload, "steps", command))
     index = int(payload.get("check_index", steps // 2))
-    dump = payload.get("dump", False)
     # the checks need the centered window; an index outside the trajectory
     # keeps what exists and is refused by the checks themselves
     window = [k for k in (index - 1, index, index + 1) if 0 <= k <= steps]
@@ -421,6 +439,9 @@ def _cmd_thermal(payload, args, out_dir: Path) -> list[IdentityCheck]:
     # the static log-affine checks never step; a heat flow's step count is
     # validated before anything is computed
     steps = None if kind == "log-affine" else step_count(t_final, dt)
+    if steps is not None:
+        _require_within(command, "2*n*steps", 2 * grid.n * steps, WORK_BUDGET,
+                        "point-steps")
 
     checks: list[IdentityCheck] = []
     density, _ = density_from_heat(hf.Q_heat, constants.alpha_th,

@@ -64,5 +64,9 @@ class NonMonotoneMeanA(FisherQPError):
     so the Legendre inversion is ill-posed."""
 
 
+class DegenerateSupport(FisherQPError):
+    """A density's support has too few points for a check that fits it."""
+
+
 class DecoupledInputs(FisherQPError):
     """A density / heat-field pair does not satisfy P = c*exp(-alpha*Q)."""

@@ -7,10 +7,9 @@ with one-sided second-order endpoint stencils).  The schemes are kept at
 second order on purpose: their error is dominated by grid resolution,
 which keeps every identity check interpretable.
 
-The time steppers share two helpers from here: ``tridiagonal_solver``
-factors their constant Crank-Nicolson matrix once and returns a solve for
-each step, and ``steps_to_keep`` validates which steps a streamed run
-stores.
+The time steppers share two helpers from here: ``crank_nicolson_step``
+factors their constant Crank-Nicolson matrix once and returns the step,
+and ``steps_to_keep`` validates which steps a streamed run stores.
 
 Fields are immutable after construction and all operations are pure, so
 values can be shared freely across threads.
@@ -137,28 +136,50 @@ def second_derivative(f: ScalarField) -> ScalarField:
     return f.with_values(second_derivative_values(f.values, f.grid.dx))
 
 
-def tridiagonal_solver(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
-    """Factor a tridiagonal matrix once; return ``solve(rhs) -> x``.
+def crank_nicolson_step(diag: np.ndarray, off: float | complex):
+    """Factor a Crank-Nicolson matrix once; return its step ``step(u, out)``.
 
-    LAPACK ``?gttrf`` factors the matrix with partial pivoting and each
-    ``solve`` is one ``?gttrs`` back substitution.  This is the elimination
-    ``?gtsv`` (``solve_banded`` with one band each side) performs, split in
-    two, so the solutions are bit-identical to solving from scratch at a
-    fraction of the cost.  ``solve`` may overwrite ``rhs``.
+    ``diag`` and ``off`` give A = I + zH on the interior points: the
+    diagonal, and the constant off-diagonal that also couples the first
+    and last interior points to the end values, which stay fixed.  The
+    step solves A u+ = (2I - A) u + f, with f = -2 off (u[0], 0, ..., 0,
+    u[-1]) the folded ends, as u+ = (A/2)^-1 (u + f/2) - u: one copy, one
+    back substitution and one subtraction.  Halving is exact, so the
+    factors of A/2 are exact multiples of those of A.
+
+    A real A must be symmetric positive definite: ``?pttrf`` factors it,
+    raising LinAlgError when it is not, and ``?pttrs`` solves.  A complex
+    A is factored with partial pivoting by ``?gttrf`` and solved by
+    ``?gttrs``.  ``step`` writes the interior of ``out``, an array
+    distinct from ``u`` whose end values the caller sets.
     """
     # scipy.linalg takes most of the package's import time; load it on first solve
     from scipy.linalg.lapack import get_lapack_funcs
 
-    arrays = [np.asarray_chkfinite(a) for a in (lower, diag, upper)]
-    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), arrays)
-    *factors, info = gttrf(*arrays)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
+    half_diag = 0.5 * np.asarray_chkfinite(diag)
+    half_off = np.full(len(half_diag) - 1, 0.5 * off, dtype=half_diag.dtype)
+    if np.iscomplexobj(half_diag):
+        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (half_diag,))
+        *factors, info = gttrf(half_off, half_diag, half_off)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        back_substitute = gttrs
+    else:
+        pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (half_diag,))
+        *factors, info = pttrf(half_diag, half_off)
+        if info > 0:
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+        back_substitute = pttrs
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        return gttrs(*factors, rhs, overwrite_b=True)[0]
+    def step(u: np.ndarray, out: np.ndarray) -> None:
+        rhs = out[1:-1]
+        np.copyto(rhs, u[1:-1])
+        rhs[0] -= off * u[0]
+        rhs[-1] -= off * u[-1]
+        x = back_substitute(*factors, rhs, overwrite_b=True)[0]
+        np.subtract(x, u[1:-1], out=rhs)
 
-    return solve
+    return step
 
 
 def steps_to_keep(keep: Iterable[int] | None, steps: int) -> set[int]:

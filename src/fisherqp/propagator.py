@@ -9,9 +9,11 @@ walls:
 with D2 the 3-point second difference on interior points.  The update is
 a Cayley transform of a symmetric real matrix, so it preserves the
 discrete l2 norm to roundoff, is unconditionally stable, and is exactly
-time-reversible (stepping with -dt undoes a step).  The left-hand matrix
-is constant, so it is factored once (``grid.tridiagonal_solver``) and
-every step is one back substitution.
+time-reversible (stepping with -dt undoes a step).  With A = 1 + i dt H /
+2 hbar on the interior, the step is psi^{n+1} = 2 A^{-1} psi^n - psi^n:
+A/2 is factored once (``grid.crank_nicolson_step``), and every step is
+one copy of psi, one back substitution and one subtraction, with no
+right-hand side to build.
 
 Trajectories stream: the stepper keeps psi only at the requested steps,
 and reduces what every step must contribute (the wall guard, the norm,
@@ -40,14 +42,14 @@ from typing import Iterable
 import numpy as np
 
 from .errors import BoundaryContact
-from .functionals import differential_entropy, fisher_information, quantum_potential
+from .functionals import differential_entropy, quantum_potential
 from .grid import (
     Grid,
     ScalarField,
+    crank_nicolson_step,
     derivative_values,
     quadrature_values,
     steps_to_keep,
-    tridiagonal_solver,
 )
 from .states import (
     Density,
@@ -122,21 +124,18 @@ class Trajectory:
 
 
 def _hamiltonian_diagonals(grid: Grid, V: np.ndarray, constants: PhysicalConstants):
-    """Main and off diagonal of H on the full grid (Dirichlet walls)."""
+    """Main diagonal of H on the full grid (Dirichlet walls) and its
+    constant off-diagonal."""
     dx = grid.dx
     kin = constants.hbar**2 / (2.0 * constants.mass * dx * dx)
-    main = 2.0 * kin + V
-    off = -kin * np.ones(grid.n - 1)
-    return main, off
+    return 2.0 * kin + V, -kin
 
 
-def _apply_h(psi: np.ndarray, main: np.ndarray, off: np.ndarray,
-             out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
-    """H psi; written into ``out`` (length n) and ``work`` (n - 1) when given."""
-    out = np.multiply(main, psi, out=out)
-    work = np.multiply(off, psi[1:], out=work)
-    out[:-1] += work
-    out[1:] += np.multiply(off, psi[:-1], out=work)
+def _apply_h(psi: np.ndarray, main: np.ndarray, off: float) -> np.ndarray:
+    """H psi."""
+    out = main * psi
+    out[:-1] += off * psi[1:]
+    out[1:] += off * psi[:-1]
     out[0] = out[-1] = 0.0  # Dirichlet: walls pinned
     return out
 
@@ -181,14 +180,11 @@ def propagate_wavefunction(
     psi = np.asarray_chkfinite(psi0).astype(complex)
     psi[0] = psi[-1] = 0.0
 
-    # complex copies of the diagonals spare every step a real-to-complex
-    # cast; the products are the same
-    main, off = (
-        d.astype(complex) for d in _hamiltonian_diagonals(grid, V.values, constants)
-    )
+    main, off = _hamiltonian_diagonals(grid, V.values, constants)
     z = 1j * dt / (2.0 * constants.hbar)
-    # A = 1 + z H restricted to interior points, factored once.
-    solve = tridiagonal_solver(z * off[1:-1], 1.0 + z * main[1:-1], z * off[1:-1])
+    # A = 1 + z H on the interior points; the walls are 0, so the folded
+    # end values vanish
+    step = crank_nicolson_step(1.0 + z * main[1:-1], z * off)
 
     # trapezoid rule for the norm; the walls are pinned to 0, so it is a sum
     norms = np.empty(steps + 1)
@@ -199,20 +195,14 @@ def propagate_wavefunction(
     peak_phase[0] = np.angle(psi[peak]) if phase0 is None else phase0[peak]
     kept = [0] if 0 in keep_set else []
     psis = [psi] if kept else []
-    # Steps reuse these buffers (and a state buffer no kept step holds):
-    # fresh n-length temporaries every step can make the allocator return
-    # and re-fault their pages every step.
-    hpsi = np.empty_like(psi)
-    work = np.empty_like(off)
+    # Steps reuse a state buffer that no kept step holds: a fresh n-length
+    # array every step can make the allocator return and re-fault its
+    # pages every step.
     spare = np.empty_like(psi)
     for k in range(1, steps + 1):
-        # rhs = psi - z H psi on the interior, computed in place
-        rhs = _apply_h(psi, main, off, hpsi, work)[1:-1]
-        rhs *= z
-        np.subtract(psi[1:-1], rhs, out=rhs)
         nxt = np.empty_like(psi) if k in keep_set else spare
         nxt[0] = nxt[-1] = 0.0
-        nxt[1:-1] = solve(rhs)
+        step(psi, nxt)
         np.square(np.abs(nxt, out=p), out=p)
         edge = max(p[1], p[-2])
         new_peak = int(np.argmax(p))
@@ -407,8 +397,3 @@ def osmotic_entropy_rate(density: Density, constants: PhysicalConstants) -> floa
     dp = derivative_values(density.values, g.dx)
     integrand = np.where(density.support_mask, grad_s * dp, 0.0)
     return -quadrature_values(integrand, g.dx)
-
-
-def osmotic_rate_reference(density: Density, constants: PhysicalConstants) -> float:
-    """(hbar/2m) * FI, the closed-form value of ``osmotic_entropy_rate``."""
-    return constants.hbar / (2.0 * constants.mass) * fisher_information(density)

@@ -17,16 +17,16 @@ Conventions
   stencil noise.  The raw field-gradient route is reported where the
   distinction matters.
 * c_hat is a per-time normalization constant, refit at every step of a
-  coupled evolution; the chain identity dP/dt = -(P/hbar omega) dQ/dt is
-  checked on the ratio-law density (c_hat frozen at t=0), since refitting
-  is exactly the freedom that identity does not have.
+  coupled evolution.
 * Heat evolution holds the endpoint values of the initial field fixed
   (quadratic heat fields legitimately grow uniformly in the interior, so
   a change-based wall guard would misfire; the guard watches curvature
   arriving at the walls instead).
-* Fick and heat flows share one stepper: Crank-Nicolson on a constant
-  tridiagonal matrix, factored once per run (``grid.tridiagonal_solver``),
-  stepping between two work buffers.  Flows stream step by step and the
+* Fick and heat flows share one stepper: Crank-Nicolson with the end
+  values folded into the step, u+ = 2 A^-1 (u + f/2) - u, on a constant
+  symmetric positive definite tridiagonal A whose half is factored once
+  per run (``grid.crank_nicolson_step``, ``?pttrf``/``?pttrs``), stepping
+  between two work buffers.  Flows stream step by step and the
   wall guards run on every step; the heat guard takes its scales from the
   full curvature of the initial field and then reads only the curvature
   at the two first interior points.
@@ -48,7 +48,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import BoundaryContact, DecoupledInputs
+from .errors import BoundaryContact, DecoupledInputs, DegenerateSupport
 from .functionals import (
     fisher_information,
     fluctuation_report,
@@ -59,11 +59,11 @@ from .functionals import (
 from .grid import (
     Grid,
     ScalarField,
+    crank_nicolson_step,
     derivative_values,
     quadrature_values,
     second_derivative_values,
     steps_to_keep,
-    tridiagonal_solver,
 )
 from .reports import IdentityCheck, make_residual_check
 from .states import (
@@ -231,10 +231,9 @@ def _stepper(n: int, dx: float, D: float, dt: float, scheme: str):
 
     Returns ``step(u, out)``, which writes the next field into ``out``, an
     array distinct from ``u`` that already holds the end values.  The
-    implicit scheme is Crank-Nicolson with c = D*dt/(2*dx^2): it solves
-    (1+2c) u+ - c (u+_l + u+_r) = rhs on the interior with the fixed ends
-    folded into the right-hand side, on a constant matrix factored once,
-    here.
+    implicit scheme is Crank-Nicolson with c = D*dt/(2*dx^2) on the matrix
+    A = tridiag(-c, 1+2c, -c), factored once, here
+    (``grid.crank_nicolson_step``).
     """
     nu = D * dt / (dx * dx)
     if scheme == "explicit":
@@ -248,23 +247,7 @@ def _stepper(n: int, dx: float, D: float, dt: float, scheme: str):
     if scheme != "implicit":
         raise ValueError(f"unknown scheme {scheme!r}")
     c = 0.5 * nu
-    m = n - 2
-    solve = tridiagonal_solver(
-        np.full(m - 1, -c), np.full(m, 1.0 + 2.0 * c), np.full(m - 1, -c)
-    )
-    work = np.empty(m)
-
-    def step(u: np.ndarray, out: np.ndarray) -> None:
-        # rhs = (1 - 2c) u + c (u_r + u_l), built in the interior of out
-        rhs = out[1:-1]
-        np.multiply(1.0 - 2.0 * c, u[1:-1], out=rhs)
-        np.multiply(c, np.add(u[2:], u[:-2], out=work), out=work)
-        rhs += work
-        rhs[0] += c * u[0]
-        rhs[-1] += c * u[-1]
-        out[1:-1] = solve(rhs)
-
-    return step
+    return crank_nicolson_step(np.full(n - 2, 1.0 + 2.0 * c), -c)
 
 
 def _fick_guard(p: np.ndarray) -> None:
@@ -479,40 +462,8 @@ def thermal_fisher_report(
 
 
 # ---------------------------------------------------------------------------
-# chain identity and coupled-evolution consistency
+# coupled-evolution consistency
 # ---------------------------------------------------------------------------
-
-
-def heat_chain_residual(traj: HeatTrajectory, index: int) -> float:
-    """Residual of dP/dt = -(P/hbar omega) dQ/dt on the ratio-law density.
-
-    P(t) = c_hat(0) exp(-alpha Q(t)) with the normalization frozen at
-    t = 0; centered time differences on both sides.
-    """
-    if not 1 <= index <= len(traj) - 2:
-        raise ValueError("index must be interior to the trajectory")
-    first = traj.field(0)
-    c = first.constants
-    dt = traj.dt
-    q0 = first.Q_heat.values
-    w0 = np.exp(-c.alpha_th * (q0 - np.min(q0)))
-    chat = 1.0 / quadrature_values(w0, first.grid.dx)
-    shift = np.min(q0)
-
-    def ratio_law(k: int) -> np.ndarray:
-        q = traj.field(k).Q_heat.values
-        return chat * np.exp(-c.alpha_th * (q - shift))
-
-    p_before, p_now, p_after = (ratio_law(index + k) for k in (-1, 0, 1))
-    dpdt = (p_after - p_before) / (2.0 * dt)
-    q_before = traj.field(index - 1).Q_heat.values
-    q_after = traj.field(index + 1).Q_heat.values
-    dqdt = (q_after - q_before) / (2.0 * dt)
-    rhs = -p_now * c.alpha_th * dqdt
-
-    num = float(np.max(np.abs(dpdt - rhs)))
-    den = float(np.max(np.abs(dpdt))) + 1e-2 * float(np.max(np.abs(rhs))) + 1e-300
-    return num / den
 
 
 def _coupled_run(
@@ -661,6 +612,12 @@ def coherence_suite(
     )
 
     # 5: log P affine in -beta Q with unit slope.
+    support = int(np.count_nonzero(mask))
+    if support < 2:
+        raise DegenerateSupport(
+            f"gibbs-form-slope needs a support of at least 2 points to fit a "
+            f"slope; the coupled density's support has {support}"
+        )
     logp = np.log(p[mask])
     target = -beta * hf.Q_heat.values[mask]
     slope = float(np.polyfit(target, logp, 1)[0])

@@ -38,3 +38,19 @@ def mixture_density(grid, rng, n_components=None):
 @pytest.fixture
 def standard_normal(grid):
     return gaussian_density(grid)
+
+
+def cn_backward_error(ab, x_next, b):
+    """Normwise backward error of x_next as a solution of A x = b,
+
+        eta = |A x_next - b|_inf / (|A|_inf |x_next|_inf + |b|_inf),
+
+    with A tridiagonal in ``solve_banded``'s (1, 1) storage ``ab``."""
+    residual = ab[1] * x_next - b
+    residual[:-1] += ab[0, 1:] * x_next[1:]
+    residual[1:] += ab[2, :-1] * x_next[:-1]
+    row_sums = np.abs(ab[1])
+    row_sums[:-1] += np.abs(ab[0, 1:])
+    row_sums[1:] += np.abs(ab[2, :-1])
+    norm = np.max(row_sums) * np.max(np.abs(x_next)) + np.max(np.abs(b))
+    return float(np.max(np.abs(residual)) / norm)

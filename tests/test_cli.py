@@ -336,6 +336,55 @@ def test_thermal_bad_step_count_exits_2(tmp_path, capsys, timing):
     assert not (out / "report.json").exists()
 
 
+def test_thermal_over_work_budget_exits_2(tmp_path, capsys):
+    # 4e9 steps on n = 257: refused before anything is computed
+    inp = write_json(
+        tmp_path / "in.json",
+        {"grid": {"xmin": -8.0, "xmax": 8.0, "n": 257},
+         "heat": {"kind": "quadratic", "coeff": 0.125}, "t_final": 0.004, "dt": 1e-12},
+    )
+    out = tmp_path / "out"
+    assert main(["thermal", "--input", inp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "schema error: thermal: 2*n*steps = 2.06e+12 point-steps "
+        "exceeds the budget of 1e+10 point-steps\n"
+    )
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("steps,dump,estimate", [
+    (5120, True, "the dump's n*(steps+1)*16 = 1.34e+09 B exceeds the budget of 1.07e+09 B"),
+    (10**6, False, "n*steps = 1.64e+10 point-steps exceeds the budget of 1e+10 point-steps"),
+])
+def test_evolve_over_budget_exits_2(tmp_path, capsys, steps, dump, estimate):
+    inp = write_json(
+        tmp_path / "in.json",
+        {"grid": {"xmin": -8.0, "xmax": 8.0, "n": 16385},
+         "initial": {"kind": "gaussian", "sigma": 1.0}, "potential": {"kind": "free"},
+         "dt": 1.0 / 1024, "steps": steps, "dump": dump},
+    )
+    out = tmp_path / "out"
+    assert main(["evolve", "--input", inp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"schema error: evolve: {estimate}\n"
+    assert not (out / "report.json").exists()
+
+
+def test_thermal_one_point_support_exits_3(tmp_path, capfd):
+    # Q = 1e306 x^2 leaves one grid point on the coupled density's support:
+    # the slope fit is refused by name before LAPACK sees it
+    inp = write_json(
+        tmp_path / "in.json",
+        {"grid": {"xmin": -8.0, "xmax": 8.0, "n": 257},
+         "heat": {"kind": "quadratic", "coeff": 1e306}},
+    )
+    out = tmp_path / "out"
+    assert main(["thermal", "--input", inp, "--out", str(out)]) == 3
+    assert read_report(out)["error"]["type"] == "DegenerateSupport"
+    err = capfd.readouterr().err
+    assert err.startswith("numerical failure: DegenerateSupport: gibbs-form-slope")
+    assert err.count("\n") == 1  # no LAPACK or numpy message
+
+
 def test_failed_check_exits_3(tmp_path):
     inp = write_json(
         tmp_path / "in.json",

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import erf
 
 from fisherqp import Grid, quadrature, derivative, second_derivative
-from fisherqp.grid import ScalarField
+from fisherqp.grid import ScalarField, crank_nicolson_step
 
 
 def test_grid_basics():
@@ -105,3 +105,9 @@ def test_integration_by_parts_with_decayed_boundaries():
     rhs = quadrature(g.field(derivative(f).values * h.values))
     bound = 1e-6 * np.max(np.abs(f.values)) * np.max(np.abs(h.values))
     assert abs(lhs + rhs) <= bound
+
+
+def test_crank_nicolson_step_refuses_indefinite_real_matrix():
+    # symmetric with eigenvalues -1.22, 1 and 1.22
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        crank_nicolson_step(np.array([1.0, -1.0, 1.0]), 0.5)
