@@ -28,14 +28,13 @@ from .errors import (
     FisherQPError,
     InfeasibleTarget,
     NegativeDensity,
-    NodeOnSupport,
     NonDecaying,
     NonMonotoneMeanA,
     TooFewPoints,
     TruncationError,
     ZeroMass,
 )
-from .grid import Grid, ScalarField, derivative, quadrature, second_derivative
+from .grid import Grid, ScalarField, quadrature
 from .states import (
     Density,
     MadelungState,
@@ -43,17 +42,14 @@ from .states import (
     density_from_heat,
     density_from_samples,
     gibbs_density,
-    madelung_from_wavefunction,
 )
 from .functionals import (
     FluctuationReport,
     QPForm,
-    action_density_check,
     differential_entropy,
     fisher_information,
     fluctuation_report,
     mean_quantum_potential,
-    orthogonality_defect,
     osmotic_fields,
     quantum_potential,
 )

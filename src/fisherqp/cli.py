@@ -93,9 +93,11 @@ from .thermal import (
 )
 
 
-# Work a run may ask for, refused up front: grid points times steps over
-# every flow a run steps, and the bytes of the complex states a dumped
-# trajectory keeps.
+# Work a run may ask for, refused up front: grid points, grid points times
+# steps over every flow a run steps, and the bytes a dumped trajectory
+# writes (at most 76 per point and step: three 24-character .17g fields,
+# two commas and the CSV line end).
+MAX_POINTS = 2**22
 WORK_BUDGET = 1e10      # point-steps
 DUMP_BUDGET = 2**30     # bytes
 
@@ -122,6 +124,16 @@ def _require(payload: dict, key: str, command: str):
     return payload[key]
 
 
+def _integer(value, key: str, command: str) -> int:
+    """``value`` as an int: an integral number, never truncated; a bool is
+    refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise SchemaError(f"{command}: {key} must be an integer, not {value!r}")
+
+
 def _grid_from_input(payload: dict, args, command: str) -> Grid:
     spec = dict(_require(payload, "grid", command))
     if args.n is not None:
@@ -130,6 +142,8 @@ def _grid_from_input(payload: dict, args, command: str) -> Grid:
         spec["xmin"] = args.xmin
     if args.xmax is not None:
         spec["xmax"] = args.xmax
+    spec["n"] = _integer(_require(spec, "n", command), "n", command)
+    _require_within(command, "n", spec["n"], MAX_POINTS, "points")
     try:
         return grid_from_dict(spec)
     except (KeyError, ValueError) as exc:
@@ -143,7 +157,7 @@ def _constants_from_input(payload: dict) -> PhysicalConstants:
 def _build_constraint_field(spec: dict, grid: Grid, command: str) -> ScalarField:
     kind = spec.get("kind")
     if kind == "monomial":
-        power = int(spec.get("power", 2))
+        power = _integer(spec.get("power", 2), "power", command)
         coeff = float(spec.get("coeff", 1.0))
         return ScalarField(grid, coeff * grid.x**power)
     if kind == "tabulated":
@@ -257,11 +271,11 @@ def _cmd_evolve(payload, args, out_dir: Path) -> list[IdentityCheck]:
     grid = _grid_from_input(payload, args, command)
     constants = _constants_from_input(payload)
     dt = float(_require(payload, "dt", command))
-    steps = int(_require(payload, "steps", command))
+    steps = _integer(_require(payload, "steps", command), "steps", command)
     dump = payload.get("dump", False)
     _require_within(command, "n*steps", grid.n * steps, WORK_BUDGET, "point-steps")
     if dump:
-        _require_within(command, "the dump's n*(steps+1)*16", grid.n * (steps + 1) * 16,
+        _require_within(command, "the dump's n*(steps+1)*76", grid.n * (steps + 1) * 76,
                         DUMP_BUDGET, "B")
 
     init_spec = _require(payload, "initial", command)
@@ -284,7 +298,7 @@ def _cmd_evolve(payload, args, out_dir: Path) -> list[IdentityCheck]:
     else:
         raise SchemaError(f"evolve: unknown potential kind {kind!r}")
 
-    index = int(payload.get("check_index", steps // 2))
+    index = _integer(payload.get("check_index", steps // 2), "check_index", command)
     # the checks need the centered window; an index outside the trajectory
     # keeps what exists and is refused by the checks themselves
     window = [k for k in (index - 1, index, index + 1) if 0 <= k <= steps]
@@ -389,8 +403,7 @@ def _cmd_sweep(payload, args, out_dir: Path) -> list[IdentityCheck]:
         _require(payload, "constraint", command), grid, command
     )
     lambdas = [float(v) for v in _require(payload, "lambdas", command)]
-    table = run_sweep(a_field, lambdas, grid,
-                      A_descriptor=json.dumps(payload["constraint"], sort_keys=True))
+    table = run_sweep(a_field, lambdas, grid)
     save_sweep_csv(table, out_dir / "sweep.csv")
 
     checks = [

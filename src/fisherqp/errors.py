@@ -26,14 +26,6 @@ class TruncationError(FisherQPError):
     """
 
 
-class NodeOnSupport(FisherQPError):
-    """|psi|^2 dips below the support floor strictly inside the support.
-
-    Phase unwrapping is undefined across a node, so Madelung splitting
-    refuses such wavefunctions.
-    """
-
-
 class BoundaryContact(FisherQPError):
     """An evolving field has reached the grid walls."""
 

@@ -70,17 +70,13 @@ MAX_ITERATIONS = 100     # inverse-iteration guard; 5-8 are typical
 
 @dataclass(frozen=True)
 class ConstraintSpec:
-    """Constraint functions with either multipliers or targets (not both)."""
+    """Constraint functions with their multipliers."""
 
     A_fields: list[ScalarField]
-    multipliers: list[float] | None = None
-    targets: list[float] | None = None
+    multipliers: list[float]
 
     def __post_init__(self):
-        if (self.multipliers is None) == (self.targets is None):
-            raise ValueError("exactly one of multipliers/targets must be given")
-        given = self.multipliers if self.multipliers is not None else self.targets
-        if len(given) != len(self.A_fields):
+        if len(self.multipliers) != len(self.A_fields):
             raise ValueError("constraint arrays must have matching lengths")
 
 
@@ -106,7 +102,6 @@ def maxent_solve(
     A: ScalarField,
     target: float,
     truncation_check: bool = True,
-    tol: float = 1e-10,
 ) -> tuple[Density, float, float]:
     """Solve the single-constraint MaxEnt problem.
 
@@ -152,7 +147,7 @@ def maxent_solve(
         if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
             break
     alpha = 0.5 * (lo + hi)
-    if abs(mean_a(alpha) - target) > max(tol, 1e-8 * max(1.0, abs(target))):
+    if abs(mean_a(alpha) - target) > 1e-8 * max(1.0, abs(target)):
         raise InfeasibleTarget(
             f"bisection stalled: <A>({alpha}) = {mean_a(alpha)} vs target {target}"
         )
@@ -171,8 +166,6 @@ def maxent_solve(
 
 def effective_potential(spec: ConstraintSpec, grid: Grid) -> ScalarField:
     """U = (1/8) sum_i lambda_i A_i on the given grid."""
-    if spec.multipliers is None:
-        raise ValueError("effective potential needs multipliers")
     u = np.zeros(grid.n)
     for lam, a in zip(spec.multipliers, spec.A_fields):
         if a.grid != grid:
@@ -267,8 +260,6 @@ def epi_solve(spec: ConstraintSpec, grid: Grid) -> EPIResult:
     DEGENERACY_TOL relative (or a few eps * ||T|| absolute, whichever is
     larger) above the ground eigenvalue.
     """
-    if spec.multipliers is None:
-        raise ValueError("only multiplier-specified problems are solvable directly")
     if grid.n < 4:
         raise ValueError(
             f"epi_solve needs at least 2 interior grid points (n >= 4), got n={grid.n}"
@@ -409,23 +400,3 @@ def epi_quantum_potential_check(
         gauge_constant=gauge,
         nominal_slope_ratio=coeff * lam / nominal_slope,
     )
-
-
-def constrained_objective(p_values: np.ndarray, spec: ConstraintSpec, grid: Grid) -> float:
-    """Solver-consistent discrete objective FI[p] - sum_i lambda_i <A_i>.
-
-    Fisher information is evaluated in the forward-difference amplitude
-    form 4 * sum dx ((psi_{j+1}-psi_j)/dx)^2, the quadratic form whose
-    stationary point is exactly the discrete ground state; moments use
-    flat sums.  Used by the extremality probe.
-    """
-    if spec.multipliers is None:
-        raise ValueError("objective needs multipliers")
-    dx = grid.dx
-    psi = np.sqrt(np.clip(p_values, 0.0, None))
-    fi = 4.0 * float(np.sum((np.diff(psi) / dx) ** 2)) * dx
-    moments = sum(
-        lam * float(np.sum(a.values * p_values)) * dx
-        for lam, a in zip(spec.multipliers, spec.A_fields)
-    )
-    return fi - moments

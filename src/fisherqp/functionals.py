@@ -1,6 +1,6 @@
 """Static functionals and pointwise fields: Fisher information, entropy,
 the quantum potential in four equivalent forms, momentum-fluctuation
-moments, osmotic fields, and the action-density identity.
+moments and osmotic fields.
 
 Sign conventions
 ----------------
@@ -33,7 +33,6 @@ statement about P-weighted integrands.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,7 @@ from .grid import (
     quadrature_values,
     second_derivative_values,
 )
-from .states import Density, MadelungState, PhysicalConstants
+from .states import Density, PhysicalConstants
 
 
 class QPForm(enum.Enum):
@@ -90,22 +89,13 @@ def fisher_information(density: Density) -> float:
     return quadrature_values(integrand, density.grid.dx)
 
 
-def differential_entropy(
-    density: Density, use_rho: bool = False, mass: float = 1.0
-) -> float:
-    """-integral(P log P), or the rho = mass*P variant.
-
-    The two variants differ by a constant: with H = -integral(P log P),
-    the rho version equals mass*H - mass*log(mass).
-    """
+def differential_entropy(density: Density) -> float:
+    """-integral(P log P)."""
     p = density.values
     mask = density.support_mask
     integrand = np.zeros_like(p)
     integrand[mask] = p[mask] * np.log(p[mask])
-    h = -quadrature_values(integrand, density.grid.dx)
-    if use_rho:
-        return mass * h - mass * math.log(mass)
-    return h
+    return -quadrature_values(integrand, density.grid.dx)
 
 
 def quantum_potential(
@@ -205,70 +195,3 @@ def osmotic_fields(
     k_u = -0.5 * w
     g = density.grid
     return ScalarField(g, u), ScalarField(g, -u), ScalarField(g, k_u)
-
-
-def orthogonality_defect(state: MadelungState) -> float:
-    """integral(P * S' * delta_p).
-
-    Vanishes whenever S' is constant on the support (the fluctuation is
-    orthogonal to any plane-wave momentum); a position-dependent S' makes
-    it generically nonzero, so the vanishing is conditional, not an
-    identity.
-    """
-    rep = fluctuation_report(state.density, state.constants)
-    grad_s = state.momentum_field()
-    p = state.density.values
-    return masked_quadrature(
-        p * grad_s * rep.delta_p.values,
-        state.density.support_mask,
-        state.grid.dx,
-    )
-
-
-@dataclass(frozen=True)
-class ActionDensityCheck:
-    """Two routes to the spatial action integrand plus the pointwise
-    gradient identity |psi'/psi|^2 = (P'/2P)^2 + (S'/hbar)^2."""
-
-    lhs: float
-    rhs: float
-    gradient_identity_maxdev: float
-
-
-def action_density_check(
-    state: MadelungState, V: ScalarField, S_t: ScalarField
-) -> ActionDensityCheck:
-    """Evaluate the action integrand two ways.
-
-    lhs integrates P * [S_t + (S')^2/2m + (hbar P' / 2P)^2 / 2m + V];
-    rhs integrates |psi|^2 (S_t + V) + (hbar^2/2m) |psi'|^2 with psi
-    reconstructed from the state.  The two agree up to quadrature and
-    stencil error, and the pointwise gradient identity that links them
-    is reported in the density-weighted sup norm.
-    """
-    d = state.density
-    p = d.values
-    mask = d.support_mask
-    dx = d.grid.dx
-    hbar, m = state.constants.hbar, state.constants.mass
-
-    grad_s = state.momentum_field()
-    w = d.grad_log()
-    lhs_integrand = p * (
-        S_t.values + grad_s**2 / (2.0 * m) + (hbar * w / 2.0) ** 2 / (2.0 * m) + V.values
-    )
-    lhs = masked_quadrature(lhs_integrand, mask, dx)
-
-    psi = state.wavefunction()
-    dpsi = derivative_values(psi.real, dx) + 1j * derivative_values(psi.imag, dx)
-    rhs_integrand = p * (S_t.values + V.values) + (hbar**2 / (2.0 * m)) * np.abs(dpsi) ** 2
-    rhs = masked_quadrature(rhs_integrand, mask, dx)
-
-    lhs_sq = np.zeros_like(p)
-    rhs_sq = np.zeros_like(p)
-    lhs_sq[mask] = np.abs(dpsi[mask]) ** 2 / p[mask]
-    rhs_sq[mask] = (w[mask] / 2.0) ** 2 + (grad_s[mask] / hbar) ** 2
-    scale = float(np.max(rhs_sq)) or 1.0
-    maxdev = weighted_max_dev(lhs_sq, rhs_sq, d) / scale
-
-    return ActionDensityCheck(lhs=lhs, rhs=rhs, gradient_identity_maxdev=maxdev)

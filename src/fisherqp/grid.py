@@ -2,10 +2,10 @@
 
 Everything else in the package is built on the three primitives here:
 ``quadrature`` (composite trapezoid, exact for affine integrands),
-``derivative`` and ``second_derivative`` (second-order central stencils
-with one-sided second-order endpoint stencils).  The schemes are kept at
-second order on purpose: their error is dominated by grid resolution,
-which keeps every identity check interpretable.
+``derivative_values`` and ``second_derivative_values`` (second-order
+central stencils, one-sided second-order stencils at the ends).  The
+schemes are kept at second order on purpose: their error is dominated
+by grid resolution, which keeps every identity check interpretable.
 
 The time steppers share two helpers from here: ``crank_nicolson_step``
 factors their constant Crank-Nicolson matrix once and returns the step,
@@ -85,9 +85,6 @@ class ScalarField:
     def x(self) -> np.ndarray:
         return self.grid.x
 
-    def with_values(self, values) -> "ScalarField":
-        return ScalarField(self.grid, values)
-
 
 def quadrature(f: ScalarField) -> float:
     """Composite trapezoid approximation of the integral of f over the grid."""
@@ -126,14 +123,6 @@ def second_derivative_values(values: np.ndarray, dx: float) -> np.ndarray:
     out[0] = (-5.0 * (v[1] - v[0]) + 4.0 * (v[2] - v[0]) - (v[3] - v[0])) * inv
     out[-1] = (-5.0 * (v[-2] - v[-1]) + 4.0 * (v[-3] - v[-1]) - (v[-4] - v[-1])) * inv
     return out
-
-
-def derivative(f: ScalarField) -> ScalarField:
-    return f.with_values(derivative_values(f.values, f.grid.dx))
-
-
-def second_derivative(f: ScalarField) -> ScalarField:
-    return f.with_values(second_derivative_values(f.values, f.grid.dx))
 
 
 def crank_nicolson_step(diag: np.ndarray, off: float | complex):

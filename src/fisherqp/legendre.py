@@ -55,7 +55,6 @@ class SweepTable:
 
     records: list[ThermoRecord]
     failures: list[tuple[float, str]]
-    A_descriptor: str = ""
 
     def lambdas(self) -> np.ndarray:
         return np.array([r.lam for r in self.records])
@@ -64,12 +63,7 @@ class SweepTable:
         return np.array([getattr(r, name) for r in self.records])
 
 
-def sweep(
-    A: ScalarField,
-    lambdas,
-    grid: Grid,
-    A_descriptor: str = "",
-) -> SweepTable:
+def sweep(A: ScalarField, lambdas, grid: Grid) -> SweepTable:
     """Solve the single-constraint Fisher extremization for each multiplier."""
     lambdas = np.asarray(lambdas, dtype=float)
     if len(np.unique(lambdas)) != len(lambdas):
@@ -84,7 +78,7 @@ def sweep(
             failures.append((float(lam), type(exc).__name__))
             continue
         records.append(_record(lam, result, A))
-    return SweepTable(records=records, failures=failures, A_descriptor=A_descriptor)
+    return SweepTable(records=records, failures=failures)
 
 
 def _record(lam: float, result: EPIResult, A: ScalarField) -> ThermoRecord:

@@ -351,31 +351,26 @@ def hj_residual(traj: Trajectory, index: int) -> float:
     return num / den
 
 
-def entropy_rate_check(
-    traj: Trajectory, index: int, use_rho: bool = False
-) -> tuple[float, float]:
+def entropy_rate_check(traj: Trajectory, index: int) -> tuple[float, float]:
     """(lhs, rhs) of the entropy production identity.
 
     lhs is the centered time difference of the differential entropy; rhs
-    is -integral(S' P') for the rho variant and -(1/m) of that for the
-    plain-P variant.
+    is -(1/m) integral(S' P').
     """
     before, now, after = _window(traj, index)
     dt = traj.dt
     dx = traj.grid.dx
     m = traj.constants.mass
 
-    h_plus = differential_entropy(after.density, use_rho=use_rho, mass=m)
-    h_minus = differential_entropy(before.density, use_rho=use_rho, mass=m)
+    h_plus = differential_entropy(after.density)
+    h_minus = differential_entropy(before.density)
     lhs = (h_plus - h_minus) / (2.0 * dt)
 
     grad_s = now.momentum_field()
     dp = derivative_values(now.density.values, dx)
     mask = now.density.support_mask
     integrand = np.where(mask, grad_s * dp, 0.0)
-    rhs = -quadrature_values(integrand, dx)
-    if not use_rho:
-        rhs /= m
+    rhs = -quadrature_values(integrand, dx) / m
     return lhs, rhs
 
 
@@ -383,9 +378,9 @@ def osmotic_entropy_rate(density: Density, constants: PhysicalConstants) -> floa
     """Entropy production rate of the synthetic osmotic state.
 
     Builds S with S' = -(hbar/2m) P'/P by cumulative integration and
-    evaluates rhs = -integral(S' P') directly (rho variant).  Equals
-    +(hbar/2m) * FI, hence is nonnegative: pure diffusion only ever
-    produces entropy.
+    evaluates -integral(S' P') directly, without the 1/m of
+    ``entropy_rate_check``.  Equals +(hbar/2m) * FI, hence is nonnegative:
+    pure diffusion only ever produces entropy.
     """
     g = density.grid
     w = density.grad_log()

@@ -70,8 +70,6 @@ CHECKS: tuple[CheckDef, ...] = (
     CheckDef("epi-mean-qp", "eq5.20", "integral(p_I Q) through the constraint average", 1e-6),
     CheckDef("gibbs-qp-formula", "eq5.23", "Q of a Gibbs density via energy derivatives", 1e-6),
     CheckDef("gibbs-fisher-formula", "eq5.24", "FI of a Gibbs density via <(E')^2>", 1e-6),
-    CheckDef("thermal-equals-gibbs-fisher", "eq5.24",
-             "thermal route-B FI equals the Gibbs-form FI", 1e-8),
     CheckDef("flag-mean-qp-sign", "eq3.16",
              "FLAG: sign convention of integral(P Q) vs FI", math.inf),
     CheckDef("flag-thermal-route-factor", "eq3.17",

@@ -14,8 +14,6 @@ import csv
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .grid import Grid, ScalarField
 from .legendre import SweepTable
 from .propagator import Trajectory
@@ -32,21 +30,6 @@ def save_field_csv(field: ScalarField, path) -> None:
         writer.writerow(["x", "value"])
         for x, v in zip(field.grid.x, field.values):
             writer.writerow([_fmt(x), _fmt(v)])
-
-
-def load_field_csv(path) -> ScalarField:
-    xs: list[float] = []
-    vals: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["x", "value"]:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        for row in reader:
-            xs.append(float(row[0]))
-            vals.append(float(row[1]))
-    grid = Grid(xmin=xs[0], xmax=xs[-1], n=len(xs))
-    return ScalarField(grid, np.array(vals))
 
 
 def constants_to_dict(constants: PhysicalConstants) -> dict:

@@ -9,7 +9,7 @@ Conventions fixed here and used everywhere else:
   endpoint values must stay below ``1e-12 * max(P)`` unless the caller
   disables the check explicitly.
 * The phase S of a Madelung state is defined up to a global constant;
-  standalone constructors pin S = 0 at the center of the support.
+  split trajectory states fix it against the phase at the density peak.
 * The letter alpha is overloaded in the underlying formalism.  Here it is
   always split into ``alpha_norm`` (normalization multiplier of the
   Fisher extremization), ``alpha_th`` (= 1/(hbar*omega)), and
@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 import numpy as np
 
-from .errors import NegativeDensity, NodeOnSupport, TruncationError, ZeroMass
+from .errors import NegativeDensity, TruncationError, ZeroMass
 from .grid import Grid, ScalarField, derivative_values, quadrature, quadrature_values
 
 SUPPORT_FLOOR = 1e-12       # mask threshold, relative to max(P)
@@ -37,7 +37,7 @@ class PhysicalConstants:
     """hbar, mass, angular frequency, Boltzmann constant and temperature.
 
     Derived quantities: beta = 1/(k*T), alpha_th = 1/(hbar*omega) and the
-    diffusivity D = hbar/(2*mass).  ``require_thermal_equality`` enforces
+    diffusivity D = hbar/(2*mass).  ``is_thermal_equilibrium`` tests
     hbar*omega = k*T (to 1e-12 relative), the condition under which the
     thermal and quantum unit systems coincide.
     """
@@ -47,17 +47,11 @@ class PhysicalConstants:
     omega: float = 1.0
     boltzmann_k: float = 1.0
     temperature: float = 1.0
-    require_thermal_equality: bool = False
 
     def __post_init__(self):
         for name in ("hbar", "mass", "omega", "boltzmann_k", "temperature"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.require_thermal_equality and not self.is_thermal_equilibrium:
-            raise ValueError(
-                "thermal equality requested but hbar*omega != k*T "
-                f"({self.hbar * self.omega} vs {self.boltzmann_k * self.temperature})"
-            )
 
     @property
     def beta(self) -> float:
@@ -198,54 +192,20 @@ def density_from_heat(
     return density, 1.0 / z
 
 
-def madelung_from_wavefunction(
-    re: ScalarField,
-    im: ScalarField,
-    constants: PhysicalConstants,
-    truncation_check: bool = True,
-) -> "MadelungState":
-    """Split complex wavefunction samples into density and phase.
-
-    P = |psi|^2 normalized; S = hbar * unwrapped arg(psi) on the support,
-    pinned to S = 0 at the center of the support and extended constantly
-    off it.  A below-floor dip strictly inside the support is a node and
-    raises NodeOnSupport.
-    """
-    if re.grid != im.grid:
-        raise ValueError("real and imaginary parts must share a grid")
-    psi = re.values + 1j * im.values
-    density = density_from_samples(
-        ScalarField(re.grid, np.abs(psi) ** 2), truncation_check
-    )
-    mask = density.support_mask
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        raise ZeroMass("empty support")
-    if not np.all(mask[idx[0] : idx[-1] + 1]):
-        raise NodeOnSupport("|psi|^2 dips below the support floor inside the support")
-    s = phase_on_support(psi, density, constants.hbar)
-    return MadelungState(density, ScalarField(re.grid, s), constants)
-
-
 def phase_on_support(
-    psi: np.ndarray, density: Density, hbar: float, peak_phase: float | None = None
+    psi: np.ndarray, density: Density, hbar: float, peak_phase: float
 ) -> np.ndarray:
     """S = hbar * arg(psi), unwrapped along x over the support mask and
     extended constantly off it.
 
-    The global constant is fixed in one of two ways.  Without
-    ``peak_phase`` S is pinned to 0 at the center of the (contiguous)
-    support.  With it, S is shifted by the multiple of 2 pi hbar that
-    brings arg(psi) at the density peak closest to ``peak_phase``
+    The global constant is fixed by shifting S by the multiple of 2 pi hbar
+    that brings arg(psi) at the density peak closest to ``peak_phase``
     (radians), which aligns successive states of a trajectory in time.
     """
     idx = np.flatnonzero(density.support_mask)
     theta = np.unwrap(np.angle(psi[idx]))
-    if peak_phase is None:
-        theta -= theta[(idx[-1] - idx[0]) // 2]
-    else:
-        peak = int(np.argmax(density.values[idx]))
-        theta += 2.0 * np.pi * np.round((peak_phase - theta[peak]) / (2.0 * np.pi))
+    peak = int(np.argmax(density.values[idx]))
+    theta += 2.0 * np.pi * np.round((peak_phase - theta[peak]) / (2.0 * np.pi))
     s = np.empty(len(psi))
     s[idx] = hbar * theta
     s[: idx[0]] = s[idx[0]]

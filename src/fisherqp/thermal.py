@@ -226,27 +226,16 @@ def step_count(t_final: float, dt: float) -> int:
     return steps
 
 
-def _stepper(n: int, dx: float, D: float, dt: float, scheme: str):
-    """One step of dU/dt = D d2U/dx2 with the end values held fixed.
+def _stepper(n: int, dx: float, D: float, dt: float):
+    """One Crank-Nicolson step of dU/dt = D d2U/dx2 with the end values
+    held fixed.
 
     Returns ``step(u, out)``, which writes the next field into ``out``, an
-    array distinct from ``u`` that already holds the end values.  The
-    implicit scheme is Crank-Nicolson with c = D*dt/(2*dx^2) on the matrix
-    A = tridiag(-c, 1+2c, -c), factored once, here
-    (``grid.crank_nicolson_step``).
+    array distinct from ``u`` that already holds the end values.  With
+    c = D*dt/(2*dx^2) the matrix A = tridiag(-c, 1+2c, -c) is factored
+    once, here (``grid.crank_nicolson_step``).
     """
-    nu = D * dt / (dx * dx)
-    if scheme == "explicit":
-        if nu > 0.45:
-            raise ValueError(f"explicit scheme unstable: D*dt/dx^2 = {nu:.3f} > 0.45")
-
-        def step(u: np.ndarray, out: np.ndarray) -> None:
-            out[1:-1] = u[1:-1] + nu * (u[2:] - 2.0 * u[1:-1] + u[:-2])
-
-        return step
-    if scheme != "implicit":
-        raise ValueError(f"unknown scheme {scheme!r}")
-    c = 0.5 * nu
+    c = 0.5 * (D * dt / (dx * dx))
     return crank_nicolson_step(np.full(n - 2, 1.0 + 2.0 * c), -c)
 
 
@@ -283,14 +272,14 @@ def _heat_guard(q0: np.ndarray, dx: float):
 
 
 def _diffuse(values: np.ndarray, dx: float, D: float, steps: int, dt: float,
-             scheme: str, guard) -> Iterator[np.ndarray]:
+             guard) -> Iterator[np.ndarray]:
     """Yield the diffusing field at every step 0..steps, each one checked
     by ``guard``.
 
     The field lives in two work buffers: a yielded array is overwritten
     when the step after next is computed, so callers copy what they keep.
     """
-    step = _stepper(len(values), dx, D, dt, scheme)
+    step = _stepper(len(values), dx, D, dt)
     u = np.array(values, dtype=float)
     spare = u.copy()
     guard(u)
@@ -312,9 +301,7 @@ class FickTrajectory:
     mass_drift: float
 
 
-def fick_diffuse(
-    P0: Density, D: float, t_final: float, dt: float, scheme: str = "implicit"
-) -> FickTrajectory:
+def fick_diffuse(P0: Density, D: float, t_final: float, dt: float) -> FickTrajectory:
     """Evolve a density under dP/dt = D d2P/dx2.
 
     Endpoint values are held at their (decayed) initial values; the run
@@ -324,7 +311,7 @@ def fick_diffuse(
     steps = step_count(t_final, dt)
     densities = []
     drift = 0.0
-    for arr in _diffuse(P0.values, P0.grid.dx, D, steps, dt, scheme, _fick_guard):
+    for arr in _diffuse(P0.values, P0.grid.dx, D, steps, dt, _fick_guard):
         drift = max(drift, abs(quadrature_values(arr, P0.grid.dx) - 1.0))
         densities.append(
             density_from_samples(ScalarField(P0.grid, arr), truncation_check=False)
@@ -334,9 +321,7 @@ def fick_diffuse(
                           mass_drift=drift)
 
 
-def heat_equation_evolve(
-    hf0: HeatField, t_final: float, dt: float, scheme: str = "implicit"
-) -> HeatTrajectory:
+def heat_equation_evolve(hf0: HeatField, t_final: float, dt: float) -> HeatTrajectory:
     """Evolve a heat field under the classical heat equation
     d2Q/dx2 - (1/D) dQ/dt = 0 with D = hbar/2m; every step is kept.
 
@@ -347,8 +332,7 @@ def heat_equation_evolve(
     """
     steps = step_count(t_final, dt)
     q0, dx = hf0.Q_heat.values, hf0.grid.dx
-    flow = _diffuse(q0, dx, hf0.constants.diffusivity, steps, dt, scheme,
-                    _heat_guard(q0, dx))
+    flow = _diffuse(q0, dx, hf0.constants.diffusivity, steps, dt, _heat_guard(q0, dx))
     fields = [HeatField(ScalarField(hf0.grid, arr), hf0.constants) for arr in flow]
     return HeatTrajectory(times=np.arange(steps + 1) * dt,
                           kept=tuple(range(steps + 1)), fields=fields,
@@ -377,10 +361,7 @@ def vanishing_qp_residual(hf: HeatField) -> ScalarField:
     return ScalarField(hf.grid, res)
 
 
-def thermalized_qp(
-    source: HeatTrajectory | HeatField, index: int = 0,
-    constants: PhysicalConstants | None = None,
-) -> ScalarField:
+def thermalized_qp(source: HeatTrajectory | HeatField, index: int = 0) -> ScalarField:
     """Quantum potential expressed through heat flow:
 
         Q = (hbar^2/4m) [ d2Q_tilde/dx2 - (1/D) dQ_tilde/dt ].
@@ -401,7 +382,7 @@ def thermalized_qp(
         after = source.field(index + 1).q_tilde().values
         before = source.field(index - 1).q_tilde().values
         dqt_dt = (after - before) / (2.0 * dt)
-    c = constants or hf.constants
+    c = hf.constants
     qt = hf.q_tilde().values
     lap = second_derivative_values(qt, hf.grid.dx)
     out = (c.hbar**2 / (4.0 * c.mass)) * (lap - dqt_dt / c.diffusivity)
@@ -419,9 +400,10 @@ class ThermalFisherResult:
 
     route_b (beta^2 integral P (grad Q)^2) reproduces the direct Fisher
     information exactly under the coupling.  route_a
-    (-2 alpha integral P [lap Q - (2m/hbar) dQ/dt]) does not: the two
-    formal expressions disagree by more than a sign on static coupled
-    pairs, so the ratio is reported and flagged instead of asserted.
+    (-2 alpha integral P [lap Q - (2m/hbar) dQ/dt], here with dQ/dt = 0)
+    does not: the two formal expressions disagree by more than a sign on
+    static coupled pairs, so the ratio is reported and flagged instead of
+    asserted.
     """
 
     route_b: float
@@ -431,10 +413,7 @@ class ThermalFisherResult:
 
 
 def thermal_fisher_report(
-    density: Density,
-    hf: HeatField,
-    constants: PhysicalConstants,
-    dQ_dt: ScalarField | None = None,
+    density: Density, hf: HeatField, constants: PhysicalConstants
 ) -> ThermalFisherResult:
     require_coupling(density, hf, constants)
     p = density.values
@@ -449,9 +428,7 @@ def thermal_fisher_report(
     )
 
     lap_q = second_derivative_values(hf.Q_heat.values, dx)
-    dqdt = dQ_dt.values if dQ_dt is not None else np.zeros_like(p)
-    integrand = p * (lap_q - (2.0 * constants.mass / constants.hbar) * dqdt)
-    route_a = -2.0 * alpha * quadrature_values(np.where(mask, integrand, 0.0), dx)
+    route_a = -2.0 * alpha * quadrature_values(np.where(mask, p * lap_q, 0.0), dx)
 
     fisher = fisher_information(density)
     ratio = route_a / route_b if route_b != 0.0 else math.inf
@@ -485,10 +462,8 @@ def _coupled_run(
     grid = hf0.grid
     dx = grid.dx
     q0 = hf0.Q_heat.values
-    fick = _diffuse(density0.values, dx, constants.diffusivity, steps, dt,
-                    "implicit", _fick_guard)
-    heat = _diffuse(q0, dx, hf0.constants.diffusivity, steps, dt, "implicit",
-                    _heat_guard(q0, dx))
+    fick = _diffuse(density0.values, dx, constants.diffusivity, steps, dt, _fick_guard)
+    heat = _diffuse(q0, dx, hf0.constants.diffusivity, steps, dt, _heat_guard(q0, dx))
     p, w, work = np.empty(grid.n), np.empty(grid.n), np.empty(grid.n)
     support = np.empty(grid.n, dtype=bool)
     worst = 0.0
@@ -504,20 +479,6 @@ def _coupled_run(
     times = np.arange(steps + 1) * dt
     return worst, HeatTrajectory(times=times, kept=tuple(kept), fields=fields,
                                  diffusivity=hf0.constants.diffusivity)
-
-
-def coupled_evolution_deviation(
-    density0: Density, constants: PhysicalConstants, t_final: float, dt: float
-) -> float:
-    """Evolve P by Fick and its heat field by the heat equation; return the
-    worst weighted deviation of P(t) from c_hat(t) exp(-alpha Q(t)).
-
-    The two evolutions are consistent only to leading order (the coupling
-    transports an extra (grad Q)^2 term), so this decays with the horizon;
-    it quantifies how long the coupled picture survives.
-    """
-    hf0 = heat_from_density(density0, constants)
-    return _coupled_run(density0, hf0, constants, t_final, dt)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +513,7 @@ def coherence_suite(
     keep: Iterable[int] = (),
 ) -> CoherenceReport:
     """Run the five-point coherence check between the thermal and
-    probabilistic pictures, plus the Gibbs-side companion.
+    probabilistic pictures.
 
     1. ratio law P(t)/P(0) = exp(-beta DeltaQ) against an independently
        Fick-evolved density (short horizon),
@@ -622,11 +583,6 @@ def coherence_suite(
     target = -beta * hf.Q_heat.values[mask]
     slope = float(np.polyfit(target, logp, 1)[0])
     items.append(make_residual_check("gibbs-form-slope", abs(slope - 1.0)))
-
-    # Gibbs-side companion: route-B Fisher equals the Gibbs-form Fisher.
-    report = thermal_fisher_report(density, hf, constants)
-    dev6 = abs(report.route_b - report.fisher_direct) / abs(report.fisher_direct)
-    items.append(make_residual_check("thermal-equals-gibbs-fisher", dev6))
 
     return CoherenceReport(items=items, heat=heat)
 

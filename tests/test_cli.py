@@ -353,7 +353,9 @@ def test_thermal_over_work_budget_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("steps,dump,estimate", [
-    (5120, True, "the dump's n*(steps+1)*16 = 1.34e+09 B exceeds the budget of 1.07e+09 B"),
+    (5120, True, "the dump's n*(steps+1)*76 = 6.38e+09 B exceeds the budget of 1.07e+09 B"),
+    # 0.54 GB at 16 B per point and step, but 2.55 GB of CSV
+    (2047, True, "the dump's n*(steps+1)*76 = 2.55e+09 B exceeds the budget of 1.07e+09 B"),
     (10**6, False, "n*steps = 1.64e+10 point-steps exceeds the budget of 1e+10 point-steps"),
 ])
 def test_evolve_over_budget_exits_2(tmp_path, capsys, steps, dump, estimate):
@@ -366,6 +368,51 @@ def test_evolve_over_budget_exits_2(tmp_path, capsys, steps, dump, estimate):
     out = tmp_path / "out"
     assert main(["evolve", "--input", inp, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"schema error: evolve: {estimate}\n"
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("payload_n,flag_n", [(10**13, None), (4097, "10000000000000")])
+def test_grid_over_max_points_exits_2(tmp_path, capsys, payload_n, flag_n):
+    # refused before any array is allocated: no MemoryError, no report
+    inp = write_json(
+        tmp_path / "in.json",
+        {"grid": {**GRID, "n": payload_n}, "density": {"kind": "gaussian"}},
+    )
+    out = tmp_path / "out"
+    flag = ["--n", flag_n] if flag_n else []
+    assert main(["verify-identities", "--input", inp, "--out", str(out), *flag]) == 2
+    assert capsys.readouterr().err == (
+        "schema error: verify-identities: n = 1e+13 points exceeds the budget of "
+        "4.19e+06 points\n"
+    )
+    assert not (out / "report.json").exists()
+
+
+SMALL_EVOLVE = {"grid": {"xmin": -10.0, "xmax": 10.0, "n": 257},
+                "initial": {"kind": "gaussian"}, "potential": {"kind": "free"},
+                "dt": 1.0 / 1024, "steps": 8}
+SMALL_MAXENT = {"grid": GRID, "target": 1.0}
+
+
+@pytest.mark.parametrize("command,payload,key,value", [
+    ("evolve", {**SMALL_EVOLVE, "steps": 8.7}, "steps", 8.7),
+    ("evolve", {**SMALL_EVOLVE, "check_index": 4.5}, "check_index", 4.5),
+    ("evolve", {**SMALL_EVOLVE, "check_index": True}, "check_index", True),
+    ("verify-identities", {"grid": {**GRID, "n": 4097.5}, "density": {"kind": "gaussian"}},
+     "n", 4097.5),
+    ("maxent", {**SMALL_MAXENT, "constraint": {"kind": "monomial", "power": 2.5}},
+     "power", 2.5),
+    ("maxent", {**SMALL_MAXENT, "constraint": {"kind": "monomial", "power": True}},
+     "power", True),
+])
+def test_non_integral_integer_exits_2(tmp_path, capsys, command, payload, key, value):
+    # refused, not truncated: int() would run 8 steps for 8.7
+    inp = write_json(tmp_path / "in.json", payload)
+    out = tmp_path / "out"
+    assert main([command, "--input", inp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"schema error: {command}: {key} must be an integer, not {value!r}\n"
+    )
     assert not (out / "report.json").exists()
 
 

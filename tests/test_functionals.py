@@ -6,18 +6,16 @@ from fisherqp import (
     MadelungState,
     PhysicalConstants,
     QPForm,
-    action_density_check,
     density_from_samples,
     differential_entropy,
     fisher_information,
     fluctuation_report,
     gibbs_density,
     mean_quantum_potential,
-    orthogonality_defect,
     osmotic_fields,
     quantum_potential,
 )
-from fisherqp.functionals import weighted_max_dev, weighted_sup
+from fisherqp.functionals import masked_quadrature, weighted_max_dev, weighted_sup
 from fisherqp.grid import ScalarField
 
 from conftest import gaussian_density, mixture_density
@@ -76,12 +74,6 @@ def test_entropy_uniform_is_zero():
     g = Grid(0.0, 1.0, 1001)
     d = density_from_samples(g.field(np.ones(g.n)), truncation_check=False)
     assert differential_entropy(d) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_entropy_mass_variant(standard_normal):
-    h = differential_entropy(standard_normal)
-    h_rho = differential_entropy(standard_normal, use_rho=True, mass=2.0)
-    assert h_rho == pytest.approx(2.0 * h - 2.0 * np.log(2.0), abs=1e-6)
 
 
 def test_entropy_shift_under_scaling():
@@ -202,6 +194,13 @@ def test_osmotic_fields_uniform_interior():
     assert np.max(np.abs(k_u.values)) == 0.0
 
 
+def orthogonality_defect(state):
+    """integral(P * S' * delta_p): zero when S' is constant on the support."""
+    rep = fluctuation_report(state.density, state.constants)
+    p = state.density.values * state.momentum_field() * rep.delta_p.values
+    return masked_quadrature(p, state.density.support_mask, state.grid.dx)
+
+
 def test_orthogonality_defect(standard_normal, natural, grid):
     plane = MadelungState(
         standard_normal, ScalarField(grid, 1.7 * grid.x), natural
@@ -212,46 +211,3 @@ def test_orthogonality_defect(standard_normal, natural, grid):
     quad = MadelungState(standard_normal, ScalarField(grid, grid.x**2 / 2), natural)
     # integral(x * P') by parts = -1, so the defect is +hbar/2
     assert orthogonality_defect(quad) == pytest.approx(0.5, abs=1e-8)
-
-
-def _ho_ground_state(n=16385):
-    g = Grid(-8.0, 8.0, n)
-    d = density_from_samples(g.from_function(lambda x: np.exp(-(x**2))))
-    return g, d
-
-
-def test_action_density_stationary_ground_state(natural):
-    g, d = _ho_ground_state()
-    state = MadelungState(d, g.zeros(), natural)
-    V = g.from_function(lambda x: 0.5 * x**2)
-    S_t = ScalarField(g, np.full(g.n, -0.5))
-    chk = action_density_check(state, V, S_t)
-    assert abs(chk.lhs - chk.rhs) <= 1e-6
-    assert abs(chk.lhs) <= 1e-6 and abs(chk.rhs) <= 1e-6
-
-
-def test_action_density_real_wavefunction(natural):
-    g, d = _ho_ground_state()
-    state = MadelungState(d, g.zeros(), natural)
-    chk = action_density_check(state, g.zeros(), g.zeros())
-    want = mean_quantum_potential(d, natural)
-    assert chk.lhs == pytest.approx(want, rel=1e-6)
-    assert chk.rhs == pytest.approx(want, rel=1e-6)
-
-
-def test_gradient_identity_tight(natural):
-    g, d = _ho_ground_state(32769)
-    state = MadelungState(d, g.zeros(), natural)
-    chk = action_density_check(state, g.zeros(), g.zeros())
-    assert chk.gradient_identity_maxdev <= 1e-8
-
-
-def test_gradient_identity_flat_interior(natural):
-    # near-constant amplitude with a plane-wave phase: the phase term
-    # carries the whole identity
-    g = Grid(-8.0, 8.0, 4097)
-    taper = 0.5 * (1 + np.tanh(2.0 * (6.0 - np.abs(g.x))))
-    d = density_from_samples(g.field(taper + 1e-13), truncation_check=False)
-    state = MadelungState(d, ScalarField(g, 2.0 * g.x), natural)
-    chk = action_density_check(state, g.zeros(), g.zeros())
-    assert chk.gradient_identity_maxdev <= 1e-4

@@ -5,18 +5,16 @@ from fisherqp import (
     Grid,
     MadelungState,
     NegativeDensity,
-    NodeOnSupport,
     PhysicalConstants,
     TruncationError,
     ZeroMass,
     density_from_heat,
     density_from_samples,
     gibbs_density,
-    madelung_from_wavefunction,
     quadrature,
 )
 from fisherqp.grid import ScalarField, derivative_values
-from fisherqp.states import normalize_samples
+from fisherqp.states import normalize_samples, phase_on_support
 
 from conftest import gaussian_density
 
@@ -31,9 +29,8 @@ def test_constants_derived_quantities():
 
 
 def test_constants_thermal_equality_flag():
-    with pytest.raises(ValueError):
-        PhysicalConstants(omega=2.0, require_thermal_equality=True)
-    PhysicalConstants(omega=2.0, temperature=2.0, require_thermal_equality=True)
+    assert not PhysicalConstants(omega=2.0).is_thermal_equilibrium
+    assert PhysicalConstants(omega=2.0, temperature=2.0).is_thermal_equilibrium
 
 
 @pytest.mark.parametrize("field", ["hbar", "mass", "omega", "boltzmann_k", "temperature"])
@@ -147,10 +144,19 @@ def test_density_from_heat_matches_gibbs(grid):
     assert chat == pytest.approx(np.exp(3.5) / np.sqrt(2 * np.pi), rel=1e-9)
 
 
+def madelung_split(re, im, constants):
+    """The Madelung state of psi = re + i im, split as ``evolve`` splits a
+    kept step, with arg(psi) at the density peak aligned to 0."""
+    psi = re.values + 1j * im.values
+    density = density_from_samples(ScalarField(re.grid, np.abs(psi) ** 2))
+    s = phase_on_support(psi, density, constants.hbar, 0.0)
+    return MadelungState(density, ScalarField(re.grid, s), constants)
+
+
 def test_madelung_construction(grid, natural):
     re = ScalarField(grid, np.exp(-grid.x**2 / 4) * np.cos(grid.x))
     im = ScalarField(grid, np.exp(-grid.x**2 / 4) * np.sin(grid.x))
-    state = madelung_from_wavefunction(re, im, natural)
+    state = madelung_split(re, im, natural)
     closed = np.exp(-grid.x**2 / 2) / np.sqrt(2 * np.pi)
     assert np.max(np.abs(state.density.values - closed)) <= 1e-9
     mask = state.density.support_mask
@@ -161,25 +167,18 @@ def test_madelung_construction(grid, natural):
 
 def test_madelung_real_positive_has_zero_phase(grid, natural):
     re = ScalarField(grid, np.exp(-grid.x**2 / 4))
-    state = madelung_from_wavefunction(re, grid.zeros(), natural)
+    state = madelung_split(re, grid.zeros(), natural)
     assert np.all(state.phase.values == 0.0)
 
 
 def test_madelung_roundtrip(grid, natural):
     re = ScalarField(grid, np.exp(-grid.x**2 / 4) * np.cos(2 * grid.x))
     im = ScalarField(grid, np.exp(-grid.x**2 / 4) * np.sin(2 * grid.x))
-    state = madelung_from_wavefunction(re, im, natural)
+    state = madelung_split(re, im, natural)
     psi_in = re.values + 1j * im.values
     psi_in = psi_in / np.sqrt(quadrature(ScalarField(grid, np.abs(psi_in) ** 2)))
     mask = state.density.support_mask
     assert np.max(np.abs(state.wavefunction() - psi_in)[mask]) <= 1e-9
-
-
-def test_madelung_node_detection(grid, natural):
-    # first excited oscillator state: decayed tails, node at the origin
-    vals = grid.x * np.exp(-grid.x**2 / 2)
-    with pytest.raises(NodeOnSupport):
-        madelung_from_wavefunction(ScalarField(grid, vals), grid.zeros(), natural)
 
 
 def test_state_requires_matching_grids(grid, natural):
