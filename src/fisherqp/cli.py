@@ -134,6 +134,24 @@ def _integer(value, key: str, command: str) -> int:
     raise SchemaError(f"{command}: {key} must be an integer, not {value!r}")
 
 
+def _multiplier(value, field: ScalarField, command: str) -> float:
+    """``value`` as a finite multiplier lambda whose term lambda * A of the
+    effective potential is finite on the grid; a bool or a string is
+    refused."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            lam = float(value)
+        except OverflowError:  # an integer beyond the float range
+            lam = math.inf
+        if math.isfinite(lam):
+            with np.errstate(over="ignore"):
+                if np.all(np.isfinite(lam * field.values)):
+                    return lam
+            raise SchemaError(f"{command}: lambda = {lam!r} overflows the effective "
+                              f"potential lambda*A")
+    raise SchemaError(f"{command}: lambda must be a finite number, not {value!r}")
+
+
 def _grid_from_input(payload: dict, args, command: str) -> Grid:
     spec = dict(_require(payload, "grid", command))
     if args.n is not None:
@@ -323,7 +341,8 @@ def _constraints_from_input(payload, grid, command) -> ConstraintSpec:
     lams = []
     for entry in entries:
         fields.append(_build_constraint_field(entry, grid, command))
-        lams.append(float(_require(entry, "lambda", command)))
+        lam = _require(entry, "lambda", command)
+        lams.append(_multiplier(lam, fields[-1], command))
     return ConstraintSpec(A_fields=fields, multipliers=lams)
 
 
@@ -402,7 +421,10 @@ def _cmd_sweep(payload, args, out_dir: Path) -> list[IdentityCheck]:
     a_field = _build_constraint_field(
         _require(payload, "constraint", command), grid, command
     )
-    lambdas = [float(v) for v in _require(payload, "lambdas", command)]
+    lambdas = _require(payload, "lambdas", command)
+    if not isinstance(lambdas, list):
+        raise SchemaError(f"{command}: lambdas must be a list, not {lambdas!r}")
+    lambdas = [_multiplier(v, a_field, command) for v in lambdas]
     table = run_sweep(a_field, lambdas, grid)
     save_sweep_csv(table, out_dir / "sweep.csv")
 

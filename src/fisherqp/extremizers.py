@@ -24,10 +24,18 @@ The ground state is found in O(n) by inverse iteration whose every shift
 is certified to lie below the ground eigenvalue e0: an LDL^T factorization
 of T - sigma I (LAPACK ``?pttrf``) succeeds exactly when sigma < e0, and
 below e0 the nearest eigenvalue is e0, so the iteration cannot settle on
-an excited state however small the gap.  One more factorization certifies
-that the converged Rayleigh quotient is e0 itself, and a Sturm count
-(``?stebz`` with no bisection) of the eigenvalues just above it decides
-whether the ground state is degenerate.
+an excited state however small the gap.  Any start vector that overlaps
+the ground state will do: T has negative off-diagonals, so its ground
+state is strictly positive (Perron-Frobenius) and so overlaps every
+nonnegative nonzero vector.  A sweep therefore starts each multiplier
+from its neighbour's ground state, which saves iterations.
+One more factorization certifies that the converged Rayleigh quotient is
+e0 itself.  Whether the ground state is degenerate is read from the
+inertia of the LDL^T recurrence of T - sI just above it (Sylvester's law:
+its negative pivots count the eigenvalues below s): ``?pttrf`` stops at
+the first pivot that is not positive, and a second ``?pttrf`` continues
+the recurrence past it, so the count needs no work arrays beyond the
+shifted diagonal every factorization takes.
 
 The log-derivative substitution v = (log psi)' turns the stationarity
 condition into the Riccati form v' + v^2 + G/4 = 0 with
@@ -174,11 +182,43 @@ def effective_potential(spec: ConstraintSpec, grid: Grid) -> ScalarField:
     return ScalarField(grid, u / 8.0)
 
 
-def _ground_state(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarray, int]:
+def _count_below(diag: np.ndarray, off: np.ndarray, s: float) -> int:
+    """Eigenvalues of the symmetric tridiagonal T = (diag, off) at or below
+    s, counted as 0, 1 or 2 (meaning at least 2).
+
+    The count is the number of negative pivots of the LDL^T recurrence
+    d_1 = a_1, d_(i+1) = a_(i+1) - e_i^2 / d_i of T - sI.  ``?pttrf`` runs
+    it and stops at the first pivot d_k <= 0 (``info`` = k); a pivot of
+    magnitude below ``?stebz``'s pivmin counts as -pivmin, so a zero pivot
+    is negative.  The trailing block is then seeded with -e_k^2 / d_k and
+    factored by one more ``?pttrf``: it factors exactly when no second
+    pivot is negative.
+    """
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    (pttrf,) = get_lapack_funcs(("pttrf",), (diag,))
+    d, _, k = pttrf(diag - s, off, overwrite_d=True)
+    if k == 0:
+        return 0
+    if k == len(diag):
+        return 1
+    pivmin = np.finfo(float).tiny * max(1.0, float(off.max()) ** 2,
+                                        float(off.min()) ** 2)
+    tail = diag[k:] - s
+    tail[0] -= off[k - 1] ** 2 / min(float(d[k - 1]), -pivmin)
+    if len(tail) == 1:  # ?pttrf wants a nonempty off-diagonal
+        return 1 if tail[0] > 0.0 else 2
+    return 1 if pttrf(tail, off[k:], overwrite_d=True)[2] == 0 else 2
+
+
+def _ground_state(
+    diag: np.ndarray, off: np.ndarray, start: np.ndarray | None
+) -> tuple[float, np.ndarray, int]:
     """Lowest eigenpair of the symmetric tridiagonal T = (diag, off) in O(n).
 
-    Inverse iteration from the all-ones vector (it overlaps the positive
-    ground state).  Each shift sigma is certified below e0 by its own
+    Inverse iteration from ``start`` (None: all ones), which must overlap
+    the ground state (any nonnegative nonzero vector does, see the module
+    docstring); it is not modified.  Each shift sigma is certified below e0 by its own
     ``?pttrf`` factorization, the one ``?pttrs`` then solves with.  Sigma
     starts at the Gershgorin lower bound and moves up to rho - r (rho the
     Rayleigh quotient, r = ||T v - rho v||); a shift that fails to factor
@@ -187,16 +227,16 @@ def _ground_state(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarray,
 
     Returns (e0, v, count): v has unit 2-norm and e0 = rho, certified by one
     more factorization to lie within slack = max(r, 4 eps ||T||) above the
-    true ground eigenvalue.  ``count`` is the number of eigenvalues in
-    (rho - slack, rho + max(DEGENERACY_TOL |rho|, 4 eps ||T||)], from one
-    ``?stebz`` Sturm count whose tolerance exceeds the window, so it never
-    bisects.  Reductions use ``np.sum(a * b)``, not ``np.dot``, which wakes
-    BLAS threads that spin for no gain.
+    true ground eigenvalue.  ``count`` is ``_count_below`` at
+    rho + max(DEGENERACY_TOL |rho|, 4 eps ||T||): 2 means at least two
+    eigenvalues within that window of the ground eigenvalue.  Reductions
+    use ``np.sum(a * b)``, not ``np.dot``, which wakes BLAS threads that
+    spin for no gain.
     """
     # scipy.linalg takes most of the package's import time; load it on first solve
     from scipy.linalg.lapack import get_lapack_funcs
 
-    pttrf, pttrs, stebz = get_lapack_funcs(("pttrf", "pttrs", "stebz"), (diag,))
+    pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (diag,))
     radius = np.zeros_like(diag)
     radius[:-1] += np.abs(off)
     radius[1:] += np.abs(off)
@@ -209,7 +249,8 @@ def _ground_state(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarray,
 
     sigma = lower - floor
     factors = factor(sigma)
-    v = np.ones_like(diag)
+    # ?pttrs overwrites v: never hand it the caller's array
+    v = np.ones_like(diag) if start is None else np.array(start, dtype=float)
     tv = radius  # reused as the T v work array
     for _ in range(MAX_ITERATIONS):
         w = pttrs(*factors, v, overwrite_b=True)[0]
@@ -239,19 +280,20 @@ def _ground_state(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarray,
             f"Rayleigh quotient {rho!r} is not the ground eigenvalue"
         )
     width = max(DEGENERACY_TOL * abs(rho), 4.0 * floor)
-    # range 1 counts the eigenvalues in (vl, vu]
-    count = stebz(
-        diag, off, 1, rho - slack, rho + width, 0, 0, 2.0 * (slack + width), "E"
-    )[0]
-    return rho, v, int(count)
+    return rho, v, _count_below(diag, off, rho + width)
 
 
-def epi_solve(spec: ConstraintSpec, grid: Grid) -> EPIResult:
+def epi_solve(
+    spec: ConstraintSpec, grid: Grid, *, start: np.ndarray | None = None
+) -> EPIResult:
     """Ground state of -(1/2) d2/dx2 - U with Dirichlet walls.
 
     The interior of the grid carries the symmetric tridiagonal operator;
     its ground state comes from certified-shift inverse iteration (see
     the module docstring), so the grid needs at least two interior points.
+    ``start`` (n - 2 interior values, nonnegative and not all zero; default
+    all ones) starts the iteration, e.g. a nearby multiplier's psi[1:-1].
+    The result depends on it only at the convergence tolerance.
 
     Raises EdgeLocalized when the ground state carries more than
     EDGE_MASS_TOL of probability within EDGE_BUFFER points of a wall
@@ -269,7 +311,7 @@ def epi_solve(spec: ConstraintSpec, grid: Grid) -> EPIResult:
     kin = 1.0 / (2.0 * dx * dx)
     diag = 2.0 * kin - u.values[1:-1]
     off = -kin * np.ones(grid.n - 3)
-    e0, v, count = _ground_state(diag, off)
+    e0, v, count = _ground_state(diag, off, start)
 
     psi = np.zeros(grid.n)
     psi[1:-1] = v
@@ -290,8 +332,8 @@ def epi_solve(spec: ConstraintSpec, grid: Grid) -> EPIResult:
         )
     if count >= 2:
         raise DegenerateGround(
-            f"{count} eigenvalues within {DEGENERACY_TOL:.0e} relative of the ground "
-            f"eigenvalue {e0!r}"
+            f"at least {count} eigenvalues within {DEGENERACY_TOL:.0e} relative of the "
+            f"ground eigenvalue {e0!r}"
         )
 
     density = density_from_samples(ScalarField(grid, p), truncation_check=False)

@@ -191,6 +191,46 @@ def test_nan_multiplier_exits_2(tmp_path):
     assert main(["sweep", "--input", sweep_in, "--out", str(tmp_path / "b")]) == 2
 
 
+SMALL_SWEEP = {"grid": {"xmin": -8.0, "xmax": 8.0, "n": 257},
+               "constraint": {"kind": "monomial", "power": 2}}
+
+
+def small_epi(lam):
+    return {"grid": SMALL_SWEEP["grid"],
+            "constraints": [{"kind": "monomial", "power": 2, "lambda": lam}]}
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+@pytest.mark.parametrize("command,payload,message", [
+    ("sweep", {**SMALL_SWEEP, "lambdas": [True, -2.0, -3.0]},
+     "lambda must be a finite number, not True"),
+    ("sweep", {**SMALL_SWEEP, "lambdas": ["-1", -2.0, -3.0]},
+     "lambda must be a finite number, not '-1'"),
+    ("sweep", {**SMALL_SWEEP, "lambdas": [-1.0, float("nan"), -4.0]},
+     "lambda must be a finite number, not nan"),
+    ("sweep", {**SMALL_SWEEP, "lambdas": [-1.0, -float("inf"), -4.0]},
+     "lambda must be a finite number, not -inf"),
+    ("sweep", {**SMALL_SWEEP, "lambdas": [-1.0, -2.0, -(10**400)]},
+     f"lambda must be a finite number, not {-(10**400)!r}"),
+    ("sweep", {**SMALL_SWEEP, "lambdas": 5}, "lambdas must be a list, not 5"),
+    ("sweep", {**SMALL_SWEEP, "lambdas": [-1e308, -2.0, -3.0]},
+     "lambda = -1e+308 overflows the effective potential lambda*A"),
+    ("epi", small_epi(True), "lambda must be a finite number, not True"),
+    ("epi", small_epi("-4"), "lambda must be a finite number, not '-4'"),
+    ("epi", small_epi(float("inf")), "lambda must be a finite number, not inf"),
+    ("epi", small_epi(-1e308),
+     "lambda = -1e+308 overflows the effective potential lambda*A"),
+], ids=["sweep-bool", "sweep-str", "sweep-nan", "sweep-neginf", "sweep-bigint",
+        "sweep-scalar", "sweep-overflow", "epi-bool", "epi-str", "epi-inf",
+        "epi-overflow"])
+def test_bad_multiplier_exits_2(tmp_path, capsys, command, payload, message):
+    inp = write_json(tmp_path / "in.json", payload)
+    out = tmp_path / "out"
+    assert main([command, "--input", inp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"schema error: {command}: {message}\n"
+    assert not (out / "report.json").exists()
+
+
 def test_cli_import_leaves_scipy_linalg_unloaded():
     # scipy.linalg dominates import time; only the LAPACK solvers load it
     src = str(Path(fisherqp.__file__).resolve().parents[1])
@@ -357,7 +397,7 @@ def test_thermal_over_work_budget_exits_2(tmp_path, capsys):
     # 0.54 GB at 16 B per point and step, but 2.55 GB of CSV
     (2047, True, "the dump's n*(steps+1)*76 = 2.55e+09 B exceeds the budget of 1.07e+09 B"),
     (10**6, False, "n*steps = 1.64e+10 point-steps exceeds the budget of 1e+10 point-steps"),
-])
+], ids=["dump-5120", "dump-2047", "work-1e6"])
 def test_evolve_over_budget_exits_2(tmp_path, capsys, steps, dump, estimate):
     inp = write_json(
         tmp_path / "in.json",

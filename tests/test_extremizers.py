@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg.lapack import dpttrf
 
 from fisherqp import (
     ConstraintSpec,
@@ -20,6 +21,7 @@ from fisherqp import (
     riccati_check,
     stationarity_residual,
 )
+from fisherqp.extremizers import _count_below
 from fisherqp.grid import ScalarField, quadrature_values
 
 C = PhysicalConstants()
@@ -202,6 +204,54 @@ def test_epi_degeneracy_boundary(grid):
     assert res.eigenvalue == pytest.approx(vals[0], rel=1e-10)
     with pytest.raises(DegenerateGround):
         epi_solve(ConstraintSpec(A_fields=[a], multipliers=[-25.0]), grid)
+
+
+def test_epi_far_start_matches_reference():
+    # started from the lambda = -64 ground state, far narrower than the target
+    g = Grid(-12.0, 12.0, 65537)
+    a = x_squared(g)
+    far = epi_solve(ConstraintSpec(A_fields=[a], multipliers=[-64.0]), g)
+    res = epi_solve(ConstraintSpec(A_fields=[a], multipliers=[-1.0]), g,
+                    start=far.psi.values[1:-1])
+    vals, psi = reference_ground(a, -1.0, g)
+    assert res.eigenvalue == pytest.approx(vals[0], rel=1e-8)
+    assert np.max(np.abs(res.psi.values - psi)) <= 1e-9
+
+
+def reference_count(diag, off, s):
+    """min(2, eigenvalues at or below s) from the full spectrum."""
+    return min(2, int(np.sum(eigvalsh_tridiagonal(diag, off) <= s)))
+
+
+def test_count_below_matches_reference_count():
+    rng = np.random.default_rng(20081)
+    for _ in range(200):
+        n = int(rng.integers(4, 65))
+        diag = rng.normal(size=n)
+        off = rng.normal(size=n - 1)
+        ev = eigvalsh_tridiagonal(diag, off)
+        nudge = 1e-8 * np.max(np.abs(ev))
+        shifts = [ev[0] - 1.0, 0.5 * (ev[0] + ev[1]), 0.5 * (ev[1] + ev[2]),
+                  ev[0] + nudge, ev[1] + nudge, ev[2] + nudge]
+        for s in shifts:
+            assert _count_below(diag, off, s) == reference_count(diag, off, s)
+
+
+@pytest.mark.parametrize("diag,off,info,zero,count", [
+    ([2.0, 2.0, 2.0, 2.0, 2.0, -5.0], [0.1] * 5, 6, False, 1),   # only the last fails
+    ([2.0, 2.0, 2.0, 2.0, -5.0, 3.0], [0.1] * 5, 5, False, 1),   # one-point tail
+    ([2.0, 2.0, 2.0, 2.0, -5.0, -5.0], [0.1] * 5, 5, False, 2),
+    ([1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.5], 2, True, 1),
+    ([1.0, 1.0, 1.0, -5.0], [1.0, 1.0, 0.5], 2, True, 2),
+], ids=["last-pivot", "tail-1-pos", "tail-1-neg", "zero-pivot", "zero-then-neg"])
+def test_count_below_edge_pivots(diag, off, info, zero, count):
+    # at s = 0: where ?pttrf stops, whether that pivot is exactly zero, the count
+    diag, off = np.array(diag), np.array(off)
+    d, _, first_fail = dpttrf(diag, off)
+    assert first_fail == info
+    assert (d[info - 1] == 0.0) == zero
+    assert reference_count(diag, off, 0.0) == count
+    assert _count_below(diag, off, 0.0) == count
 
 
 def test_epi_refuses_single_interior_point():

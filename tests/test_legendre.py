@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from fisherqp import (
+    ConstraintSpec,
     Grid,
     NonMonotoneMeanA,
     TooFewPoints,
+    epi_solve,
     sweep,
     verify_euler,
     verify_legendre,
 )
+from fisherqp.grid import quadrature_values
 from fisherqp.legendre import SweepTable, ThermoRecord
 
 BASE_LAMBDAS = [-1.0, -2.0, -4.0, -8.0]
@@ -55,6 +58,20 @@ def test_sweep_sorted_and_deterministic(base_table):
     again = sweep(g.from_function(lambda x: x * x), BASE_LAMBDAS, g)
     for a, b in zip(base_table.records, again.records):
         assert (a.lam, a.I, a.meanA, a.Lambda_pot) == (b.lam, b.I, b.meanA, b.Lambda_pot)
+
+
+def test_warm_sweep_matches_cold_solves():
+    # each lambda starts from its neighbour's psi; a cold solve starts from ones
+    g = Grid(-12.0, 12.0, 16385)
+    a = g.from_function(lambda x: x * x)
+    table = sweep(a, list(-np.geomspace(1.0, 64.0, 13)), g)
+    assert len(table.records) == 13
+    for rec in table.records:
+        cold = epi_solve(ConstraintSpec(A_fields=[a], multipliers=[rec.lam]), g)
+        mean_a = quadrature_values(cold.p_I.values * a.values, g.dx)
+        assert rec.I == pytest.approx(cold.fisher_I, rel=5e-10, abs=0.0)
+        assert rec.meanA == pytest.approx(mean_a, rel=5e-10, abs=0.0)
+        assert rec.alpha_norm == pytest.approx(cold.alpha_norm, rel=5e-10, abs=0.0)
 
 
 def test_legendre_potential_definition(base_table):
