@@ -100,6 +100,9 @@ from .thermal import (
 MAX_POINTS = 2**22
 WORK_BUDGET = 1e10      # point-steps
 DUMP_BUDGET = 2**30     # bytes
+# The EPI ground-state solver squares vectors of the order of its
+# operator's norm, so that norm must stay below sqrt(float max) ~ 1.3e154.
+MAX_OPERATOR_NORM = 1e154
 
 
 class SchemaError(Exception):
@@ -150,6 +153,21 @@ def _multiplier(value, field: ScalarField, command: str) -> float:
             raise SchemaError(f"{command}: lambda = {lam!r} overflows the effective "
                               f"potential lambda*A")
     raise SchemaError(f"{command}: lambda must be a finite number, not {value!r}")
+
+
+def _require_operator_in_range(lo: float, hi: float, lams: list[float],
+                               grid: Grid, command: str) -> None:
+    """Refuse multipliers whose EPI operator -(1/2) D2 - (1/8) sum_i
+    lambda_i A_i has a norm max|diagonal| + 2|off-diagonal| above
+    MAX_OPERATOR_NORM; ``lo`` and ``hi`` are the extremes, in either
+    order, of sum_i lambda_i A_i on the interior points."""
+    kin = 1.0 / (2.0 * grid.dx * grid.dx)
+    norm = max(abs(2.0 * kin - lo / 8.0), abs(2.0 * kin - hi / 8.0)) + 2.0 * kin
+    if not norm <= MAX_OPERATOR_NORM:
+        raise SchemaError(
+            f"{command}: multipliers {lams!r} give an EPI operator of norm "
+            f"{norm:.3g}, above {MAX_OPERATOR_NORM:.0e}; its square overflows"
+        )
 
 
 def _grid_from_input(payload: dict, args, command: str) -> Grid:
@@ -343,6 +361,14 @@ def _constraints_from_input(payload, grid, command) -> ConstraintSpec:
         fields.append(_build_constraint_field(entry, grid, command))
         lam = _require(entry, "lambda", command)
         lams.append(_multiplier(lam, fields[-1], command))
+    # the same sum extremizers.effective_potential forms
+    total = np.zeros(grid.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lam, a in zip(lams, fields):
+            total += lam * a.values
+    if not np.all(np.isfinite(total)):
+        raise SchemaError(f"{command}: the sum of the lambda*A terms overflows")
+    _require_operator_in_range(total[1:-1].min(), total[1:-1].max(), lams, grid, command)
     return ConstraintSpec(A_fields=fields, multipliers=lams)
 
 
@@ -425,6 +451,11 @@ def _cmd_sweep(payload, args, out_dir: Path) -> list[IdentityCheck]:
     if not isinstance(lambdas, list):
         raise SchemaError(f"{command}: lambdas must be a list, not {lambdas!r}")
     lambdas = [_multiplier(v, a_field, command) for v in lambdas]
+    # the operator's norm is convex in lambda: the extreme multipliers bound it
+    inner = a_field.values[1:-1]
+    for lam in (min(lambdas), max(lambdas)) if lambdas else ():
+        _require_operator_in_range(lam * inner.min(), lam * inner.max(), [lam],
+                                   grid, command)
     table = run_sweep(a_field, lambdas, grid)
     save_sweep_csv(table, out_dir / "sweep.csv")
 

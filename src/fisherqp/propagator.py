@@ -12,8 +12,13 @@ discrete l2 norm to roundoff, is unconditionally stable, and is exactly
 time-reversible (stepping with -dt undoes a step).  With A = 1 + i dt H /
 2 hbar on the interior, the step is psi^{n+1} = 2 A^{-1} psi^n - psi^n:
 A/2 is factored once (``grid.crank_nicolson_step``), and every step is
-one copy of psi, one back substitution and one subtraction, with no
-right-hand side to build.
+one copy of psi, one solve and one subtraction, with no right-hand side
+to build.  The solve eliminates the even-indexed points level by level
+in whole-array operations (odd-even reduction) and runs ``?gttrs`` only
+on what remains, fewer than 1024 points for a potential the grid
+resolves.  It needs no pivoting: the Hermitian part of A is the identity
+for any real potential and either sign of dt, so no elimination divides
+by a pivot of real part below 1/2.
 
 Trajectories stream: the stepper keeps psi only at the requested steps,
 and reduces what every step must contribute (the wall guard, the norm,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fisherqp import Grid, PhysicalConstants, density_from_samples
+from fisherqp.grid import _odd_even_levels
 
 
 @pytest.fixture
@@ -54,3 +55,11 @@ def cn_backward_error(ab, x_next, b):
     row_sums[1:] += np.abs(ab[2, :-1])
     norm = np.max(row_sums) * np.max(np.abs(x_next)) + np.max(np.abs(b))
     return float(np.max(np.abs(residual)) / norm)
+
+
+def reduction_depth(diag, off):
+    """Odd-even reduction levels ``crank_nicolson_step`` takes ahead of
+    ?gttrs for the complex A with diagonal ``diag`` and off-diagonal ``off``
+    (a scalar or the off-diagonal array)."""
+    off = np.broadcast_to(off, (len(diag) - 1,))
+    return len(_odd_even_levels(0.5 * diag, 0.5 * off)[0])

@@ -220,9 +220,18 @@ def small_epi(lam):
     ("epi", small_epi(float("inf")), "lambda must be a finite number, not inf"),
     ("epi", small_epi(-1e308),
      "lambda = -1e+308 overflows the effective potential lambda*A"),
+    ("sweep", {**SMALL_SWEEP, "lambdas": [-1e300, -2.0, -3.0, -4.0]},
+     "multipliers [-1e+300] give an EPI operator of norm 7.88e+300, above 1e+154; "
+     "its square overflows"),
+    ("epi", small_epi(-1e300),
+     "multipliers [-1e+300] give an EPI operator of norm 7.88e+300, above 1e+154; "
+     "its square overflows"),
+    ("epi", {**small_epi(-1e306),
+             "constraints": [{"kind": "monomial", "power": 2, "lambda": -1e306}] * 3},
+     "the sum of the lambda*A terms overflows"),
 ], ids=["sweep-bool", "sweep-str", "sweep-nan", "sweep-neginf", "sweep-bigint",
         "sweep-scalar", "sweep-overflow", "epi-bool", "epi-str", "epi-inf",
-        "epi-overflow"])
+        "epi-overflow", "sweep-operator-norm", "epi-operator-norm", "epi-sum-overflow"])
 def test_bad_multiplier_exits_2(tmp_path, capsys, command, payload, message):
     inp = write_json(tmp_path / "in.json", payload)
     out = tmp_path / "out"

@@ -4,11 +4,14 @@ from scipy.special import erf
 
 from fisherqp import Grid, quadrature
 from fisherqp.grid import (
+    REDUCTION_FLOOR,
     ScalarField,
     crank_nicolson_step,
     derivative_values,
     second_derivative_values,
 )
+
+from conftest import cn_backward_error, reduction_depth
 
 
 def test_grid_basics():
@@ -116,3 +119,89 @@ def test_crank_nicolson_step_refuses_indefinite_real_matrix():
     # symmetric with eigenvalues -1.22, 1 and 1.22
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
         crank_nicolson_step(np.array([1.0, -1.0, 1.0]), 0.5)
+
+
+def schroedinger_matrix(m, dt, potential):
+    """A = I + i dt H / 2 on m interior points of [-8, 8] (hbar = mass = 1),
+    as ``crank_nicolson_step`` takes it: diagonal and off-diagonal."""
+    x = np.linspace(-8.0, 8.0, m + 2)
+    kin = 1.0 / (2.0 * (x[1] - x[0]) ** 2)
+    z = 0.5j * dt
+    return 1.0 + z * (2.0 * kin + potential(x[1:-1])), -z * kin
+
+
+def step_backward_errors(diag, off, seeds=(0, 1, 2)):
+    """Normwise backward error of one step from each of a few random
+    states, end values included, against A u+ = (2I - A) u + f."""
+    m = len(diag)
+    ab = np.zeros((3, m), dtype=complex)
+    ab[0, 1:] = ab[2, :-1] = off
+    ab[1] = diag
+    step = crank_nicolson_step(diag, off)
+    errors = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=m + 2) + 1j * rng.normal(size=m + 2)
+        out = np.empty_like(u)
+        out[0], out[-1] = u[0], u[-1]
+        step(u, out)
+        rhs = (2.0 - diag) * u[1:-1] - off * (u[2:] + u[:-2])
+        rhs[0] -= off * u[0]
+        rhs[-1] -= off * u[-1]
+        errors.append(cn_backward_error(ab, out[1:-1], rhs))
+    return errors
+
+
+def harmonic(x):
+    return 0.5 * x**2
+
+
+def deep_well(x):
+    return -200.0 * np.exp(-(x**2))
+
+
+@pytest.mark.parametrize(
+    "m, dt, potential, depth",
+    [
+        (4095, 1.0 / 1024, harmonic, 2),        # odd at every level
+        (4096, 1.0 / 1024, harmonic, 3),        # even at every level
+        (6142, 1.0 / 1024, harmonic, 3),        # even, then odd
+        (4095, 1.0 / 1024, deep_well, 2),
+        (4096, -1.0 / 1024, harmonic, 3),       # time reversed
+        (REDUCTION_FLOOR - 1, 1.0 / 1024, harmonic, 0),
+    ],
+    ids=["odd", "even", "mixed-parity", "deep-well", "negative-dt", "below-floor"],
+)
+def test_complex_step_backward_error(m, dt, potential, depth):
+    diag, off = schroedinger_matrix(m, dt, potential)
+    assert reduction_depth(diag, off) == depth
+    if potential is deep_well:
+        assert np.any(np.abs(diag) < 2.0 * abs(off))  # rows not diagonally dominant
+    assert max(step_backward_errors(diag, off)) <= 4 * np.finfo(float).eps
+
+
+def test_complex_step_refuses_levels_with_large_couplings():
+    # a well that cancels the kinetic diagonal at the centre, which the grid
+    # does not resolve: eliminating there would multiply by ~3e5, so no
+    # level is taken and ?gttrf pivots
+    def cancelling(x):
+        return -1.0 / (x[1] - x[0]) ** 2 * np.exp(-(x**2))
+
+    diag, off = schroedinger_matrix(16383, 1.0, cancelling)
+    assert reduction_depth(diag, off) == 0
+    assert max(step_backward_errors(diag, off)) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+def test_complex_step_zero_pivot():
+    m = 2 * REDUCTION_FLOOR - 1
+    # an odd-sized symmetric tridiagonal with zero diagonal is singular,
+    # and every pivot the first level would eliminate is zero
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        crank_nicolson_step(np.zeros(m, dtype=complex), 1j)
+    # one zero eliminated pivot in a regular matrix: no level divides by
+    # it, and ?gttrf pivots past it
+    diag = np.full(m, 1.0 + 5.0j)
+    diag[10] = 0.0
+    assert reduction_depth(diag, 1j) == 0
+    assert max(step_backward_errors(diag, 1j)) <= 4 * np.finfo(float).eps

@@ -20,7 +20,7 @@ from fisherqp import (
 from fisherqp.grid import ScalarField
 from fisherqp.propagator import propagate_wavefunction
 
-from conftest import cn_backward_error, gaussian_density
+from conftest import cn_backward_error, gaussian_density, reduction_depth
 
 C = PhysicalConstants()
 
@@ -120,6 +120,9 @@ def test_time_reversal():
     traj = evolve(state, g.zeros(), 1.0 / 512, 128)
     back = propagate_wavefunction(traj.psis[-1], g, g.zeros(), C, -1.0 / 512, 128)
     assert np.max(np.abs(back.psis[-1] - traj.psis[0])) <= 1e-8
+    for dt in (1.0 / 512, -1.0 / 512):
+        ab, _ = cn_system(g, g.zeros(), dt)
+        assert reduction_depth(ab[1], ab[0, 1:]) == 2
 
 
 def test_boundary_contact():
@@ -272,6 +275,7 @@ def test_factored_stepper_matches_solve_banded():
     V = g.from_function(lambda x: 0.5 * x**2)
     run = propagate_wavefunction(state.wavefunction(), g, V, C, 1.0 / 512, 64)
     ab, explicit = cn_system(g, V, 1.0 / 512)
+    assert reduction_depth(ab[1], ab[0, 1:]) == 2
     assert run.kept == tuple(range(65))
     for psi, nxt in zip(run.psis, run.psis[1:]):
         assert nxt[0] == nxt[-1] == 0.0
