@@ -369,13 +369,14 @@ def riccati_check(result: EPIResult, exclude_boundary: int = 0) -> float:
     ``exclude_boundary`` drops that many grid points at each end of the
     support before taking the max: for hard-wall (box-like) ground states
     v diverges at the walls and the identity only holds away from them.
+    A support of fewer than 3 points raises DegenerateSupport.
     """
     d = result.p_I
     mask = d.support_mask.copy()
     dx = d.grid.dx
     psi = result.psi.values
     # differentiate log(psi) on the contiguous masked block only
-    idx = np.flatnonzero(mask)
+    idx = d.support_indices(3, "riccati")
     block = slice(idx[0], idx[-1] + 1)
     log_psi = np.log(np.maximum(psi[block], 1e-300))
     v = np.zeros_like(psi)

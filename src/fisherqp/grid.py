@@ -7,20 +7,21 @@ central stencils, one-sided second-order stencils at the ends).  The
 schemes are kept at second order on purpose: their error is dominated
 by grid resolution, which keeps every identity check interpretable.
 
-The time steppers share two helpers from here: ``crank_nicolson_step``
-factors their constant Crank-Nicolson matrix once and returns the step,
-and ``steps_to_keep`` validates which steps a streamed run stores.
+The time steppers share two helpers from here: ``crank_nicolson_flow``
+factors their constant Crank-Nicolson matrix once and streams the field
+step by step through two work buffers, and ``steps_to_keep`` validates
+which steps a streamed run stores.
 
 Fields are immutable after construction and all operations on them are
-pure, so values can be shared freely across threads.  A complex step from
-``crank_nicolson_step`` reuses its own work buffers: run it in one thread
-at a time.
+pure, so values can be shared freely across threads.  A complex flow from
+``crank_nicolson_flow`` reuses its solver's work buffers: run it in one
+thread at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -137,23 +138,47 @@ REDUCTION_FLOOR = 1024
 MAX_COUPLING = 1.0
 
 
-def crank_nicolson_step(diag: np.ndarray, off: float | complex):
-    """Factor a Crank-Nicolson matrix once; return its step ``step(u, out)``.
+def crank_nicolson_flow(u0: np.ndarray, diag: np.ndarray, off: float | complex,
+                        steps: int) -> Iterator[np.ndarray]:
+    """Yield u at steps 0..steps of the Crank-Nicolson flow from ``u0``.
 
     ``diag`` and ``off`` give A = I + zH on the interior points: the
     diagonal, and the constant off-diagonal that also couples the first
-    and last interior points to the end values, which stay fixed.  The
-    step solves A u+ = (2I - A) u + f, with f = -2 off (u[0], 0, ..., 0,
-    u[-1]) the folded ends, as u+ = (A/2)^-1 (u + f/2) - u: one copy, one
-    solve and one subtraction.  Halving is exact, so the factors of A/2
-    are exact multiples of those of A.
+    and last interior points to the end values, which stay those of
+    ``u0``.  The first ``next()`` factors A/2 (``_half_solver``); each
+    step then solves A u+ = (2I - A) u + f, with f = -2 off (u[0], 0, ...,
+    0, u[-1]) the folded ends, as u+ = (A/2)^-1 (u + f/2) - u: one copy,
+    one solve and one subtraction.
+
+    ``u0`` is copied, never written.  The flow steps between two work
+    buffers: a yielded array stays intact until the step after next is
+    computed, so callers copy what they keep.
+    """
+    solve = _half_solver(diag, off)
+    u = np.array(u0, dtype=np.result_type(u0, diag))
+    # a generator keeps its locals for the whole run: drop the inputs
+    del u0, diag
+    nxt = u.copy()
+    yield u
+    for _ in range(steps):
+        rhs = nxt[1:-1]
+        np.copyto(rhs, u[1:-1])
+        rhs[0] -= off * u[0]
+        rhs[-1] -= off * u[-1]
+        np.subtract(solve(rhs), u[1:-1], out=rhs)
+        u, nxt = nxt, u
+        yield u
+
+
+def _half_solver(diag: np.ndarray, off: float | complex):
+    """Factor A/2 of the tridiagonal A = (diag, off) once; return
+    ``solve(rhs)``, which overwrites ``rhs`` with (A/2)^-1 rhs.  Halving is
+    exact, so the factors of A/2 are exact multiples of those of A.
 
     A real A must be symmetric positive definite: ``?pttrf`` factors it,
     raising LinAlgError when it is not, and ``?pttrs`` solves.  A complex
-    A is solved by odd-even reduction ahead of ``?gttrf``/``?gttrs``
-    (``_odd_even_solver``), in work buffers: run that ``step`` in one
-    thread at a time.  ``step`` writes the interior of ``out``, an array
-    distinct from ``u`` whose end values the caller sets.
+    A goes through odd-even reduction ahead of ``?gttrf``/``?gttrs``
+    (``_odd_even_solver``).
     """
     # scipy.linalg takes most of the package's import time; load it on first solve
     from scipy.linalg.lapack import get_lapack_funcs
@@ -161,24 +186,16 @@ def crank_nicolson_step(diag: np.ndarray, off: float | complex):
     half_diag = 0.5 * np.asarray_chkfinite(diag)
     half_off = np.full(len(half_diag) - 1, 0.5 * off, dtype=half_diag.dtype)
     if np.iscomplexobj(half_diag):
-        solve = _odd_even_solver(half_diag, half_off)
-    else:
-        pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (half_diag,))
-        *factors, info = pttrf(half_diag, half_off)
-        if info > 0:
-            raise np.linalg.LinAlgError("matrix is not positive definite")
+        return _odd_even_solver(half_diag, half_off)
+    pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (half_diag,))
+    *factors, info = pttrf(half_diag, half_off)
+    if info > 0:
+        raise np.linalg.LinAlgError("matrix is not positive definite")
 
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            return pttrs(*factors, rhs, overwrite_b=True)[0]
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        return pttrs(*factors, rhs, overwrite_b=True)[0]
 
-    def step(u: np.ndarray, out: np.ndarray) -> None:
-        rhs = out[1:-1]
-        np.copyto(rhs, u[1:-1])
-        rhs[0] -= off * u[0]
-        rhs[-1] -= off * u[-1]
-        np.subtract(solve(rhs), u[1:-1], out=rhs)
-
-    return step
+    return solve
 
 
 def _odd_even_solver(diag: np.ndarray, off: np.ndarray):

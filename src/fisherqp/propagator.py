@@ -11,7 +11,7 @@ a Cayley transform of a symmetric real matrix, so it preserves the
 discrete l2 norm to roundoff, is unconditionally stable, and is exactly
 time-reversible (stepping with -dt undoes a step).  With A = 1 + i dt H /
 2 hbar on the interior, the step is psi^{n+1} = 2 A^{-1} psi^n - psi^n:
-A/2 is factored once (``grid.crank_nicolson_step``), and every step is
+A/2 is factored once (``grid.crank_nicolson_flow``), and every step is
 one copy of psi, one solve and one subtraction, with no right-hand side
 to build.  The solve eliminates the even-indexed points level by level
 in whole-array operations (odd-even reduction) and runs ``?gttrs`` only
@@ -20,16 +20,17 @@ resolves.  It needs no pivoting: the Hermitian part of A is the identity
 for any real potential and either sign of dt, so no elimination divides
 by a pivot of real part below 1/2.
 
-Trajectories stream: the stepper keeps psi only at the requested steps,
-and reduces what every step must contribute (the wall guard, the norm,
-the phase at the density peak) as it goes.  Only kept steps are split
-into a Madelung state.  Their phase is unwrapped in x on the support and
-aligned in time against the phase at the density peak, carried across
-skipped steps by the per-step increment arg(psi_k conj(psi_{k-1})); the
-global phase drift (and hence dS/dt) is thereby well defined, and a kept
-state's S is the same whichever other steps are kept.  Dirichlet walls
-stand in for an unbounded domain; a boundary-contact guard raises instead
-of silently corrupting identity checks once the packet reaches the walls.
+Trajectories stream: the stepper iterates the flow, copies psi only at
+the requested steps, and reduces what every step must contribute (the
+wall guard, the norm, the phase at the density peak) as it goes.  Only
+kept steps are split into a Madelung state.  Their phase is unwrapped in
+x on the support and aligned in time against the phase at the density
+peak, carried across skipped steps by the per-step increment
+arg(psi_k conj(psi_{k-1})); the global phase drift (and hence dS/dt) is
+thereby well defined, and a kept state's S is the same whichever other
+steps are kept.  Dirichlet walls stand in for an unbounded domain; a
+boundary-contact guard raises instead of silently corrupting identity
+checks once the packet reaches the walls.
 
 Residual normalization: each residual is reported relative to the
 magnitude of its leading term plus a floor of one twentieth of the
@@ -51,7 +52,7 @@ from .functionals import differential_entropy, quantum_potential
 from .grid import (
     Grid,
     ScalarField,
-    crank_nicolson_step,
+    crank_nicolson_flow,
     derivative_values,
     quadrature_values,
     steps_to_keep,
@@ -189,7 +190,9 @@ def propagate_wavefunction(
     z = 1j * dt / (2.0 * constants.hbar)
     # A = 1 + z H on the interior points; the walls are 0, so the folded
     # end values vanish
-    step = crank_nicolson_step(1.0 + z * main[1:-1], z * off)
+    flow = crank_nicolson_flow(psi, 1.0 + z * main[1:-1], z * off, steps)
+    del psi  # the flow copies it; holding it too would keep a third state buffer
+    psi = next(flow)  # factors A/2
 
     # trapezoid rule for the norm; the walls are pinned to 0, so it is a sum
     norms = np.empty(steps + 1)
@@ -199,15 +202,8 @@ def propagate_wavefunction(
     norms[0] = p.sum() * grid.dx
     peak_phase[0] = np.angle(psi[peak]) if phase0 is None else phase0[peak]
     kept = [0] if 0 in keep_set else []
-    psis = [psi] if kept else []
-    # Steps reuse a state buffer that no kept step holds: a fresh n-length
-    # array every step can make the allocator return and re-fault its
-    # pages every step.
-    spare = np.empty_like(psi)
-    for k in range(1, steps + 1):
-        nxt = np.empty_like(psi) if k in keep_set else spare
-        nxt[0] = nxt[-1] = 0.0
-        step(psi, nxt)
+    psis = [psi.copy()] if kept else []
+    for k, nxt in enumerate(flow, start=1):
         np.square(np.abs(nxt, out=p), out=p)
         edge = max(p[1], p[-2])
         new_peak = int(np.argmax(p))
@@ -222,12 +218,10 @@ def propagate_wavefunction(
             + _phase_along(psi, peak, new_peak)
             + np.angle(nxt[new_peak] * np.conj(psi[new_peak]))
         )
-        if nxt is spare:
-            spare = np.empty_like(psi) if k - 1 in keep_set else psi
         psi, peak = nxt, new_peak
         if k in keep_set:
             kept.append(k)
-            psis.append(psi)
+            psis.append(psi.copy())
     return Propagation(tuple(kept), psis, norms, peak_phase)
 
 

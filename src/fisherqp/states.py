@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 import numpy as np
 
-from .errors import NegativeDensity, TruncationError, ZeroMass
+from .errors import DegenerateSupport, NegativeDensity, TruncationError, ZeroMass
 from .grid import Grid, ScalarField, derivative_values, quadrature, quadrature_values
 
 SUPPORT_FLOOR = 1e-12       # mask threshold, relative to max(P)
@@ -108,6 +108,17 @@ class Density:
 
     def mass_check(self) -> float:
         return quadrature(self.field)
+
+    def support_indices(self, need: int, check: str) -> np.ndarray:
+        """Indices of the support mask; DegenerateSupport, naming ``check``,
+        when it holds fewer than ``need`` points."""
+        idx = np.flatnonzero(self.support_mask)
+        if len(idx) < need:
+            raise DegenerateSupport(
+                f"{check} needs a support of at least {need} points; "
+                f"the density's support has {len(idx)}"
+            )
+        return idx
 
 
 def _endpoint_decayed(values: np.ndarray) -> bool:

@@ -22,14 +22,14 @@ Conventions
   (quadratic heat fields legitimately grow uniformly in the interior, so
   a change-based wall guard would misfire; the guard watches curvature
   arriving at the walls instead).
-* Fick and heat flows share one stepper: Crank-Nicolson with the end
-  values folded into the step, u+ = 2 A^-1 (u + f/2) - u, on a constant
-  symmetric positive definite tridiagonal A whose half is factored once
-  per run (``grid.crank_nicolson_step``, ``?pttrf``/``?pttrs``), stepping
-  between two work buffers.  Flows stream step by step and the
-  wall guards run on every step; the heat guard takes its scales from the
-  full curvature of the initial field and then reads only the curvature
-  at the two first interior points.
+* Fick and heat flows share one stepper: the Crank-Nicolson flow with
+  the end values folded into the step, u+ = 2 A^-1 (u + f/2) - u, on a
+  constant symmetric positive definite tridiagonal A whose half is
+  factored once per run (``grid.crank_nicolson_flow``,
+  ``?pttrf``/``?pttrs``), stepping between two work buffers.  Flows
+  stream step by step and the wall guards run on every step; the heat
+  guard takes its scales from the full curvature of the initial field
+  and then reads only the curvature at the two first interior points.
 * The coherence suite steps Fick and heat in lockstep and reduces the
   coupling deviation on the raw arrays, through the array-level cores
   that ``density_from_samples`` and ``coupling_deviation`` call
@@ -48,7 +48,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import BoundaryContact, DecoupledInputs, DegenerateSupport
+from .errors import BoundaryContact, DecoupledInputs
 from .functionals import (
     fisher_information,
     fluctuation_report,
@@ -59,7 +59,7 @@ from .functionals import (
 from .grid import (
     Grid,
     ScalarField,
-    crank_nicolson_step,
+    crank_nicolson_flow,
     derivative_values,
     quadrature_values,
     second_derivative_values,
@@ -132,15 +132,15 @@ def heat_from_density(density: Density, constants: PhysicalConstants) -> HeatFie
     The gauge is pinned by Q_heat = 0 at the support center.  Off the
     support the field continues linearly with the edge slope, so the
     induced density keeps decaying there and the reconstruction
-    ``density_from_heat`` round-trips.
+    ``density_from_heat`` round-trips.  A support of fewer than 3 points
+    raises DegenerateSupport.
     """
     p = density.values
-    mask = density.support_mask
     x = density.grid.x
     dx = density.grid.dx
-    idx = np.flatnonzero(mask)
+    idx = density.support_indices(3, "heat_from_density")
     center = idx[0] + (idx[-1] - idx[0]) // 2
-    if not mask[center]:
+    if not density.support_mask[center]:
         center = idx[np.argmax(p[idx])]
     q = np.empty_like(p)
     block = slice(idx[0], idx[-1] + 1)
@@ -226,19 +226,6 @@ def step_count(t_final: float, dt: float) -> int:
     return steps
 
 
-def _stepper(n: int, dx: float, D: float, dt: float):
-    """One Crank-Nicolson step of dU/dt = D d2U/dx2 with the end values
-    held fixed.
-
-    Returns ``step(u, out)``, which writes the next field into ``out``, an
-    array distinct from ``u`` that already holds the end values.  With
-    c = D*dt/(2*dx^2) the matrix A = tridiag(-c, 1+2c, -c) is factored
-    once, here (``grid.crank_nicolson_step``).
-    """
-    c = 0.5 * (D * dt / (dx * dx))
-    return crank_nicolson_step(np.full(n - 2, 1.0 + 2.0 * c), -c)
-
-
 def _fick_guard(p: np.ndarray) -> None:
     """Wall guard of a Fick flow: BoundaryContact once a first-interior
     value exceeds 1e-10 of the current peak."""
@@ -273,20 +260,12 @@ def _heat_guard(q0: np.ndarray, dx: float):
 
 def _diffuse(values: np.ndarray, dx: float, D: float, steps: int, dt: float,
              guard) -> Iterator[np.ndarray]:
-    """Yield the diffusing field at every step 0..steps, each one checked
-    by ``guard``.
-
-    The field lives in two work buffers: a yielded array is overwritten
-    when the step after next is computed, so callers copy what they keep.
-    """
-    step = _stepper(len(values), dx, D, dt)
-    u = np.array(values, dtype=float)
-    spare = u.copy()
-    guard(u)
-    yield u
-    for _ in range(steps):
-        step(u, spare)
-        u, spare = spare, u
+    """The Crank-Nicolson flow (``grid.crank_nicolson_flow``) of
+    dU/dt = D d2U/dx2 with the end values held fixed, every step checked
+    by ``guard``: A = tridiag(-c, 1+2c, -c) with c = D*dt/(2*dx^2)."""
+    c = 0.5 * (D * dt / (dx * dx))
+    for u in crank_nicolson_flow(values, np.full(len(values) - 2, 1.0 + 2.0 * c), -c,
+                                 steps):
         guard(u)
         yield u
 
@@ -573,12 +552,7 @@ def coherence_suite(
     )
 
     # 5: log P affine in -beta Q with unit slope.
-    support = int(np.count_nonzero(mask))
-    if support < 2:
-        raise DegenerateSupport(
-            f"gibbs-form-slope needs a support of at least 2 points to fit a "
-            f"slope; the coupled density's support has {support}"
-        )
+    density.support_indices(2, "gibbs-form-slope")
     logp = np.log(p[mask])
     target = -beta * hf.Q_heat.values[mask]
     slope = float(np.polyfit(target, logp, 1)[0])

@@ -58,7 +58,7 @@ def cn_backward_error(ab, x_next, b):
 
 
 def reduction_depth(diag, off):
-    """Odd-even reduction levels ``crank_nicolson_step`` takes ahead of
+    """Odd-even reduction levels ``crank_nicolson_flow`` takes ahead of
     ?gttrs for the complex A with diagonal ``diag`` and off-diagonal ``off``
     (a scalar or the off-diagonal array)."""
     off = np.broadcast_to(off, (len(diag) - 1,))

@@ -1,18 +1,23 @@
 """Every public function and class of the package has a caller in the
-package or the demos: an API that only tests call is dead weight."""
+package or the demos: an API that only tests call is dead weight.  Every
+private function and class, and every UPPERCASE constant, is read
+somewhere in the package: a helper nothing calls is dead code."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for p in (ROOT / "src" / "fisherqp").glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted((ROOT / "src" / "fisherqp").glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _referenced_names(tree: ast.AST) -> set[str]:
+    """Names a module reads, calls or imports; assignment targets do not count."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -21,17 +26,47 @@ def _referenced_names(tree: ast.AST) -> set[str]:
     return names
 
 
+def _parse(paths) -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+
+
+def _constants(node: ast.stmt) -> list[str]:
+    """UPPERCASE names a module-level assignment binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for t in targets
+            if isinstance(t, ast.Name) and t.id.isupper()]
+
+
 def test_every_public_definition_has_a_caller():
-    trees = {path: ast.parse(path.read_text(), filename=str(path))
-             for path in MODULES + DEMOS}
+    trees = _parse(MODULES + DEMOS)
     referenced = set().union(*(_referenced_names(t) for t in trees.values()))
-    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     unused = sorted(
         f"{path.stem}.{node.name}"
         for path in MODULES
         for node in trees[path].body
-        if isinstance(node, definitions)
+        if isinstance(node, DEFINITIONS)
         and not node.name.startswith("_")
         and node.name not in referenced
     )
     assert not unused, f"no module or demo references {', '.join(unused)}"
+
+
+def test_every_private_definition_and_constant_is_read_in_the_package():
+    trees = _parse(PACKAGE)
+    referenced = set().union(*(_referenced_names(t) for t in trees.values()))
+    unused = sorted(
+        f"{path.stem}.{name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        for name in (
+            [node.name] if isinstance(node, DEFINITIONS) and node.name.startswith("_")
+            else _constants(node)
+        )
+        if name not in referenced
+    )
+    assert not unused, f"no module of the package reads {', '.join(unused)}"

@@ -481,6 +481,40 @@ def test_thermal_one_point_support_exits_3(tmp_path, capfd):
     assert err.count("\n") == 1  # no LAPACK or numpy message
 
 
+def spike(width):
+    grid = SMALL_SWEEP["grid"]
+    values = [0.0] * grid["n"]
+    values[128 : 128 + width] = [1.0] * width
+    return {"grid": grid, "density": {"kind": "samples", "values": values}}
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        # the ground state collapses onto one grid point
+        ("epi", small_epi(-1e152),
+         "riccati needs a support of at least 3 points; the density's support has 1"),
+        ("verify-identities", spike(1),
+         "heat_from_density needs a support of at least 3 points; "
+         "the density's support has 1"),
+        ("verify-identities", spike(2),
+         "heat_from_density needs a support of at least 3 points; "
+         "the density's support has 2"),
+    ],
+    ids=["epi-deep-well", "one-point-spike", "two-point-spike"],
+)
+def test_support_too_small_to_differentiate_exits_3(tmp_path, capsys, command,
+                                                    payload, message):
+    inp = write_json(tmp_path / "in.json", payload)
+    out = tmp_path / "out"
+    assert main([command, "--input", inp, "--out", str(out)]) == 3
+    report = read_report(out)
+    assert report["error"] == {"type": "DegenerateSupport", "message": message}
+    assert report["overall_pass"] is False
+    assert capsys.readouterr().err == f"numerical failure: DegenerateSupport: {message}\n"
+
+
 def test_failed_check_exits_3(tmp_path):
     inp = write_json(
         tmp_path / "in.json",

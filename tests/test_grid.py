@@ -6,7 +6,7 @@ from fisherqp import Grid, quadrature
 from fisherqp.grid import (
     REDUCTION_FLOOR,
     ScalarField,
-    crank_nicolson_step,
+    crank_nicolson_flow,
     derivative_values,
     second_derivative_values,
 )
@@ -115,19 +115,65 @@ def test_integration_by_parts_with_decayed_boundaries():
     assert abs(lhs + rhs) <= bound
 
 
-def test_crank_nicolson_step_refuses_indefinite_real_matrix():
+def test_crank_nicolson_flow_refuses_indefinite_real_matrix():
     # symmetric with eigenvalues -1.22, 1 and 1.22
+    flow = crank_nicolson_flow(np.zeros(5), np.array([1.0, -1.0, 1.0]), 0.5, 1)
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-        crank_nicolson_step(np.array([1.0, -1.0, 1.0]), 0.5)
+        next(flow)
 
 
 def schroedinger_matrix(m, dt, potential):
     """A = I + i dt H / 2 on m interior points of [-8, 8] (hbar = mass = 1),
-    as ``crank_nicolson_step`` takes it: diagonal and off-diagonal."""
+    as ``crank_nicolson_flow`` takes it: diagonal and off-diagonal."""
     x = np.linspace(-8.0, 8.0, m + 2)
     kin = 1.0 / (2.0 * (x[1] - x[0]) ** 2)
     z = 0.5j * dt
     return 1.0 + z * (2.0 * kin + potential(x[1:-1])), -z * kin
+
+
+def heat_matrix(m, c=0.25):
+    """A = tridiag(-c, 1 + 2c, -c) of a heat flow on m interior points."""
+    return np.full(m, 1.0 + 2.0 * c), -c
+
+
+FLOW_CASES = {
+    "real": (heat_matrix(62), np.linspace(-1.0, 2.0, 64)),
+    "complex": (
+        schroedinger_matrix(REDUCTION_FLOOR + 1, 1.0 / 1024, lambda x: 0.5 * x**2),
+        np.exp(1j * np.linspace(0.0, 3.0, REDUCTION_FLOOR + 3)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FLOW_CASES)
+def test_flow_keeps_the_previous_step_intact(case):
+    (diag, off), u0 = FLOW_CASES[case]
+    flow = crank_nicolson_flow(u0, diag, off, 3)
+    before = next(flow)
+    saved = before.copy()
+    for after in flow:
+        assert after is not before
+        assert np.array_equal(before, saved)
+        before, saved = after, after.copy()
+
+
+@pytest.mark.parametrize("case", FLOW_CASES)
+def test_flow_fixes_end_values_and_yields_every_step(case):
+    (diag, off), u0 = FLOW_CASES[case]
+    count = 0
+    for u in crank_nicolson_flow(u0, diag, off, 5):
+        assert (u[0], u[-1]) == (u0[0], u0[-1])
+        count += 1
+    assert count == 6
+
+
+def test_flow_reads_a_readonly_start_without_writing_it():
+    diag, off = heat_matrix(62)
+    start = Grid(-1.0, 2.0, 64).from_function(lambda x: np.exp(-x * x))
+    saved = start.values.copy()
+    steps = list(crank_nicolson_flow(start.values, diag, off, 4))
+    assert all(u is not start.values for u in steps)
+    assert np.array_equal(start.values, saved)
 
 
 def step_backward_errors(diag, off, seeds=(0, 1, 2)):
@@ -137,14 +183,11 @@ def step_backward_errors(diag, off, seeds=(0, 1, 2)):
     ab = np.zeros((3, m), dtype=complex)
     ab[0, 1:] = ab[2, :-1] = off
     ab[1] = diag
-    step = crank_nicolson_step(diag, off)
     errors = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         u = rng.normal(size=m + 2) + 1j * rng.normal(size=m + 2)
-        out = np.empty_like(u)
-        out[0], out[-1] = u[0], u[-1]
-        step(u, out)
+        _, out = crank_nicolson_flow(u, diag, off, 1)
         rhs = (2.0 - diag) * u[1:-1] - off * (u[2:] + u[:-2])
         rhs[0] -= off * u[0]
         rhs[-1] -= off * u[-1]
@@ -197,8 +240,10 @@ def test_complex_step_zero_pivot():
     m = 2 * REDUCTION_FLOOR - 1
     # an odd-sized symmetric tridiagonal with zero diagonal is singular,
     # and every pivot the first level would eliminate is zero
+    flow = crank_nicolson_flow(np.zeros(m + 2, dtype=complex), np.zeros(m, dtype=complex),
+                               1j, 1)
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        crank_nicolson_step(np.zeros(m, dtype=complex), 1j)
+        next(flow)
     # one zero eliminated pivot in a regular matrix: no level divides by
     # it, and ?gttrf pivots past it
     diag = np.full(m, 1.0 + 5.0j)
