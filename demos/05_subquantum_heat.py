@@ -43,7 +43,7 @@ print(f"  route A  (formal)                 = {rep.route_a:.10f}"
 
 print("\ncoherence suite (ratio law, heat-action link, fluctuation chain,")
 print("kinetic excess, Gibbs slope, Fisher equivalence):")
-for item in coherence_suite(hf, constants).items:
+for item in coherence_suite(hf, constants)[0]:
     print(f"  {item.name:28s} residual {item.lhs:.2e}"
           f"  tol {item.tol:.0e}  {'ok' if item.passed else 'FAIL'}")
 

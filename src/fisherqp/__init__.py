@@ -14,6 +14,7 @@ The package is organized bottom-up:
 ``thermal``      heat fields, diffusion, thermal Fisher, coherence suite
 ``reports``      check table and report records
 ``serialization`` CSV/JSON file formats
+``suites``       each CLI command's identity checks, as a generator
 ``cli``          batch front end
 """
 
@@ -29,6 +30,7 @@ from .errors import (
     InfeasibleTarget,
     NegativeDensity,
     NonDecaying,
+    NonFinite,
     NonMonotoneMeanA,
     TooFewPoints,
     TruncationError,

@@ -11,12 +11,16 @@ sweep               multiplier sweep plus Legendre-structure residuals
 thermal             heat-field suite (diffusion, coherence, flags)
 list-checks         print every registered check name with its tag
 
-Each command reads ``--input`` (JSON), writes ``report.json`` and any
-CSV artifacts under ``--out``, and exits 0 when every check passed,
-2 on a malformed input, and 3 when a solver (or LAPACK) raised or a check
-failed.  Every check is judged against its tolerance in
-``reports.CHECKS`` times ``--tol-scale`` (positive and finite).  Reports
-are byte-deterministic; timestamps go to ``meta.json``.
+Each command is a pair in ``COMMANDS``: a parse stage, the only one that
+raises SchemaError, turns the ``--input`` JSON and the grid flags into
+the validated, budget-checked keyword arguments of a suite (``suites``),
+which yields the checks.  ``report.json`` goes under ``--out``, with the
+suite's artifacts once it completes.  Exit codes: 0 when every check
+passed, 2 on a malformed input (no report), 3 when a check failed or the
+suite raised a FisherQPError or LAPACK's LinAlgError (the report keeps
+the checks yielded before the error).  Every check is judged against its
+tolerance in ``reports.CHECKS`` times ``--tol-scale`` (positive and
+finite).  Reports are byte-deterministic; timestamps go to ``meta.json``.
 """
 
 from __future__ import annotations
@@ -34,63 +38,15 @@ import numpy as np
 
 from . import __version__
 from .errors import FisherQPError
-from .extremizers import (
-    ConstraintSpec,
-    epi_quantum_potential_check,
-    epi_solve,
-    maxent_solve,
-    riccati_check,
-    stationarity_residual,
-)
-from .functionals import (
-    QPForm,
-    fisher_information,
-    fluctuation_report,
-    mean_quantum_potential,
-    quantum_potential,
-    weighted_max_dev,
-)
-from .grid import (
-    Grid,
-    ScalarField,
-    quadrature_values,
-    second_derivative_values,
-)
-from .legendre import sweep as run_sweep
-from .legendre import verify_euler, verify_legendre
-from .propagator import continuity_residual, entropy_rate_check, evolve, hj_residual
-from .reports import (
-    IdentityCheck,
-    flagged_discrepancy_checks,
-    list_checks,
-    make_check,
-    make_residual_check,
-)
-from .serialization import (
-    constants_from_dict,
-    dump_trajectory,
-    grid_from_dict,
-    save_field_csv,
-    save_sweep_csv,
-)
-from .states import (
-    Density,
-    MadelungState,
-    PhysicalConstants,
-    density_from_heat,
-    density_from_samples,
-    gibbs_density,
-)
-from .thermal import (
-    HeatField,
-    coherence_suite,
-    gibbs_formula_check,
-    heat_from_density,
-    step_count,
-    thermal_fisher_report,
-    thermalized_qp,
-    vanishing_qp_residual,
-)
+from .extremizers import ConstraintSpec
+from .grid import Grid, ScalarField
+from .reports import IdentityCheck, list_checks
+from .serialization import constants_from_dict, grid_from_dict, save_json
+from .states import (MadelungState, PhysicalConstants, density_from_heat,
+                     density_from_samples, gibbs_density)
+from .suites import (epi_suite, evolve_suite, identities_suite, maxent_suite, sweep_suite,
+                     thermal_suite)
+from .thermal import HeatField, step_count
 
 
 # Work a run may ask for, refused up front: grid points, grid points times
@@ -180,10 +136,12 @@ def _grid_from_input(payload: dict, args, command: str) -> Grid:
         spec["xmax"] = args.xmax
     spec["n"] = _integer(_require(spec, "n", command), "n", command)
     _require_within(command, "n", spec["n"], MAX_POINTS, "points")
-    try:
-        return grid_from_dict(spec)
-    except (KeyError, ValueError) as exc:
-        raise SchemaError(f"{command}: bad grid spec ({exc})") from exc
+    grid = grid_from_dict(spec)
+    # second differences need 4 points, and ?gttrf, which the Schroedinger
+    # step calls, 3 interior ones
+    if grid.n < 5:
+        raise SchemaError(f"{command}: n = {grid.n} leaves fewer than 3 interior grid points")
+    return grid
 
 
 def _constants_from_input(payload: dict) -> PhysicalConstants:
@@ -226,9 +184,7 @@ def _build_density(spec: dict, grid: Grid, truncation_check: bool, command: str)
             raise SchemaError(f"{command}: sample length != grid n")
         return density_from_samples(ScalarField(grid, values), truncation_check)
     if kind == "gibbs":
-        energy = _build_constraint_field(
-            _require(spec, "energy", command), grid, command
-        )
+        energy = _build_constraint_field(_require(spec, "energy", command), grid, command)
         density, _ = gibbs_density(energy, float(spec.get("gamma", 1.0)),
                                    truncation_check)
         return density
@@ -236,74 +192,38 @@ def _build_density(spec: dict, grid: Grid, truncation_check: bool, command: str)
 
 
 # ---------------------------------------------------------------------------
-# command implementations (each returns a list of IdentityCheck + artifacts)
+# parse stages (each returns the keyword arguments of its command's suite)
 # ---------------------------------------------------------------------------
 
 
-def _thermal_fisher_checks(
-    density: Density, hf: HeatField, constants: PhysicalConstants
-) -> list[IdentityCheck]:
-    """The route-B thermal Fisher check and the flagged discrepancy ledger."""
-    tf = thermal_fisher_report(density, hf, constants)
-    return [
-        make_check("thermal-fisher-route-b", tf.route_b, tf.fisher_direct),
-        *flagged_discrepancy_checks(
-            mean_quantum_potential(density, constants), tf.fisher_direct,
-            constants.hbar, constants.mass, tf.route_a, tf.route_b,
-        ),
-    ]
+def _parses(command: str):
+    """Make ``build(payload, args, command)`` the parse stage of ``command``:
+    a KeyError, TypeError, ValueError or AttributeError becomes SchemaError."""
+    def decorate(build):
+        def parse(payload: dict, args) -> dict:
+            try:
+                return build(payload, args, command)
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise SchemaError(f"{command}: {exc}") from exc
+        return parse
+    return decorate
 
 
-def _cmd_verify_identities(payload, args, out_dir: Path) -> list[IdentityCheck]:
-    command = "verify-identities"
+@_parses("verify-identities")
+def _parse_verify_identities(payload, args, command) -> dict:
     grid = _grid_from_input(payload, args, command)
     constants = _constants_from_input(payload)
-    density = _build_density(
-        _require(payload, "density", command), grid, not args.no_truncation_check,
-        command,
-    )
-    checks: list[IdentityCheck] = []
-
-    fi = fisher_information(density)
-    q_forms = {form: quantum_potential(density, constants, form) for form in QPForm}
-    q_ref = q_forms[QPForm.SQRT].values
-    scale = float(np.max(np.abs(q_ref))) + 1e-300
-    worst = max(
-        weighted_max_dev(q_forms[f].values, q_ref, density)
-        for f in (QPForm.GRAD, QPForm.FLUCT, QPForm.OSMOTIC)
-    )
-    checks.append(make_residual_check("qp-four-forms", worst / scale))
-
-    mean_qp = mean_quantum_potential(density, constants)
-    target = constants.hbar**2 / (8.0 * constants.mass) * fi
-    checks.append(make_check("mean-QP-equals-FI", mean_qp, target))
-
-    rep = fluctuation_report(density, constants)
-    checks.append(make_check("fluctuation-mean-zero", rep.mean, 0.0))
-    checks.append(
-        make_check(
-            "fluctuation-second-moment", rep.second_moment, constants.hbar**2 / 4.0 * fi
-        )
-    )
-    checks.extend(
-        _thermal_fisher_checks(density, heat_from_density(density, constants), constants)
-    )
-
-    density_spec = payload["density"]
-    if density_spec.get("kind") == "gibbs":
-        energy = _build_constraint_field(density_spec["energy"], grid, command)
-        gamma = float(density_spec.get("gamma", 1.0))
-        gc = gibbs_formula_check(energy, gamma, constants)
-        checks.append(make_residual_check("gibbs-qp-formula", gc.qp_maxdev))
-        checks.append(
-            make_check("gibbs-fisher-formula", gc.fisher_direct, gc.fisher_energy_route)
-        )
-    save_field_csv(density.field, out_dir / "density.csv")
-    return checks
+    spec = _require(payload, "density", command)
+    density = _build_density(spec, grid, not args.no_truncation_check, command)
+    gibbs = None
+    if spec.get("kind") == "gibbs":
+        gibbs = (_build_constraint_field(spec["energy"], grid, command),
+                 float(spec.get("gamma", 1.0)))
+    return {"density": density, "constants": constants, "gibbs": gibbs}
 
 
-def _cmd_evolve(payload, args, out_dir: Path) -> list[IdentityCheck]:
-    command = "evolve"
+@_parses("evolve")
+def _parse_evolve(payload, args, command) -> dict:
     grid = _grid_from_input(payload, args, command)
     constants = _constants_from_input(payload)
     dt = float(_require(payload, "dt", command))
@@ -335,22 +255,14 @@ def _cmd_evolve(payload, args, out_dir: Path) -> list[IdentityCheck]:
         raise SchemaError(f"evolve: unknown potential kind {kind!r}")
 
     index = _integer(payload.get("check_index", steps // 2), "check_index", command)
-    # the checks need the centered window; an index outside the trajectory
-    # keeps what exists and is refused by the checks themselves
-    window = [k for k in (index - 1, index, index + 1) if 0 <= k <= steps]
-    traj = evolve(state, V, dt, steps, keep=None if dump else window)
-
-    checks = [
-        make_residual_check("continuity", continuity_residual(traj, index)),
-        make_residual_check("modified-hj", hj_residual(traj, index)),
-    ]
-    lhs, rhs = entropy_rate_check(traj, index)
-    checks.append(
-        make_check("entropy-rate", lhs, rhs, note="centered entropy rate vs -integral(S'P')/m")
-    )
-    if dump:
-        dump_trajectory(traj, out_dir / "trajectory")
-    return checks
+    if not (math.isfinite(dt) and dt != 0.0):
+        raise SchemaError(f"evolve: dt must be finite and nonzero, not {dt!r}")
+    if steps < 2:
+        raise SchemaError(f"evolve: steps = {steps} leaves no interior step to check")
+    if not 1 <= index <= steps - 1:
+        raise SchemaError(f"index {index} must be interior (1..{steps - 1})")
+    return {"state": state, "potential": V, "dt": dt, "steps": steps, "index": index,
+            "dump": dump}
 
 
 def _constraints_from_input(payload, grid, command) -> ConstraintSpec:
@@ -372,112 +284,45 @@ def _constraints_from_input(payload, grid, command) -> ConstraintSpec:
     return ConstraintSpec(A_fields=fields, multipliers=lams)
 
 
-def _cmd_epi(payload, args, out_dir: Path) -> list[IdentityCheck]:
-    command = "epi"
+@_parses("epi")
+def _parse_epi(payload, args, command) -> dict:
     grid = _grid_from_input(payload, args, command)
     constants = _constants_from_input(payload)
-    spec = _constraints_from_input(payload, grid, command)
-    result = epi_solve(spec, grid)
-
-    mean_terms = sum(
-        lam * quadrature_values(result.p_I.values * a.values, grid.dx)
-        for lam, a in zip(result.multipliers, spec.A_fields)
-    )
-    checks = [
-        make_check(
-            "epi-ground-state",
-            result.fisher_I,
-            result.alpha_norm + mean_terms,
-            note="contraction identity FI = alpha_norm + sum lambda <A>",
-        ),
-        make_residual_check("epi-stationarity", stationarity_residual(result)),
-        make_residual_check("riccati", riccati_check(result)),
-        make_check(
-            "mean-QP-equals-FI",
-            mean_quantum_potential(result.p_I, constants),
-            constants.hbar**2 / (8.0 * constants.mass) * result.fisher_I,
-            tol=1e-5,
-            note="discretization-limited on eigensolver output",
-        ),
-    ]
-    if len(result.multipliers) == 1:
-        qc = epi_quantum_potential_check(result, constants)
-        scale = float(np.max(np.abs(quantum_potential(result.p_I, constants).values)))
-        checks.append(make_residual_check("epi-qp-affine", qc.maxdev / (scale + 1e-300)))
-        checks.append(make_check("epi-mean-qp", qc.mean_lhs, qc.mean_rhs))
-
-    result_payload = {
-        "alpha_norm": result.alpha_norm,
-        "eigenvalue": result.eigenvalue,
-        "fisher_information": result.fisher_I,
-        "multipliers": list(result.multipliers),
-    }
-    with open(out_dir / "epi_result.json", "w") as fh:
-        json.dump(result_payload, fh, sort_keys=True, indent=1)
-    save_field_csv(result.p_I.field, out_dir / "p_I.csv")
-    save_field_csv(result.psi, out_dir / "psi.csv")
-    return checks
+    return {"spec": _constraints_from_input(payload, grid, command), "grid": grid,
+            "constants": constants}
 
 
-def _cmd_maxent(payload, args, out_dir: Path) -> list[IdentityCheck]:
-    command = "maxent"
+@_parses("maxent")
+def _parse_maxent(payload, args, command) -> dict:
     grid = _grid_from_input(payload, args, command)
-    a_field = _build_constraint_field(
-        _require(payload, "constraint", command), grid, command
-    )
+    constraint = _build_constraint_field(_require(payload, "constraint", command), grid,
+                                         command)
     target = float(_require(payload, "target", command))
-    density, alpha, z = maxent_solve(
-        a_field, target, truncation_check=not args.no_truncation_check
-    )
-    attained = quadrature_values(density.values * a_field.values, grid.dx)
-    checks = [
-        make_check("maxent-multiplier", attained, target,
-                   note=f"alpha_gibbs={alpha!r}, Z={z!r}")
-    ]
-    with open(out_dir / "maxent_result.json", "w") as fh:
-        json.dump({"alpha_gibbs": alpha, "Z": z, "target": target},
-                  fh, sort_keys=True, indent=1)
-    save_field_csv(density.field, out_dir / "maxent_density.csv")
-    return checks
+    return {"constraint": constraint, "target": target,
+            "truncation_check": not args.no_truncation_check}
 
 
-def _cmd_sweep(payload, args, out_dir: Path) -> list[IdentityCheck]:
-    command = "sweep"
+@_parses("sweep")
+def _parse_sweep(payload, args, command) -> dict:
     grid = _grid_from_input(payload, args, command)
-    a_field = _build_constraint_field(
-        _require(payload, "constraint", command), grid, command
-    )
+    constraint = _build_constraint_field(_require(payload, "constraint", command), grid,
+                                         command)
     lambdas = _require(payload, "lambdas", command)
     if not isinstance(lambdas, list):
         raise SchemaError(f"{command}: lambdas must be a list, not {lambdas!r}")
-    lambdas = [_multiplier(v, a_field, command) for v in lambdas]
+    lambdas = [_multiplier(v, constraint, command) for v in lambdas]
     # the operator's norm is convex in lambda: the extreme multipliers bound it
-    inner = a_field.values[1:-1]
+    inner = constraint.values[1:-1]
     for lam in (min(lambdas), max(lambdas)) if lambdas else ():
         _require_operator_in_range(lam * inner.min(), lam * inner.max(), [lam],
                                    grid, command)
-    table = run_sweep(a_field, lambdas, grid)
-    save_sweep_csv(table, out_dir / "sweep.csv")
-
-    checks = [
-        make_residual_check("fisher-euler", verify_euler(table)),
-    ]
-    report = verify_legendre(table)
-    checks.append(
-        make_residual_check(
-            "legendre-relations", report.max_residual(),
-            note=(
-                f"dLambda/dlam {report.dLambda_dlam_vs_negmeanA:.3e}, "
-                f"dI/d<A> {report.dI_dmeanA_vs_lambda:.3e}, "
-                f"reciprocity {report.reciprocity_d2I:.3e}/{report.reciprocity_d2Lambda:.3e}"
-            ),
-        )
-    )
-    return checks
+    if len(set(lambdas)) != len(lambdas):
+        raise SchemaError("multiplier values must be distinct")
+    return {"constraint": constraint, "lambdas": lambdas}
 
 
-def _cmd_thermal(payload, args, out_dir: Path) -> list[IdentityCheck]:
-    command = "thermal"
+@_parses("thermal")
+def _parse_thermal(payload, args, command) -> dict:
     grid = _grid_from_input(payload, args, command)
     constants = _constants_from_input(payload)
 
@@ -502,64 +347,29 @@ def _cmd_thermal(payload, args, out_dir: Path) -> list[IdentityCheck]:
     dt = float(payload.get("dt", 1e-3))
     if t_final < 2.0 * dt:
         raise SchemaError("thermal: t_final must cover at least two steps")
-    # the static log-affine checks never step; a heat flow's step count is
-    # validated before anything is computed
-    steps = None if kind == "log-affine" else step_count(t_final, dt)
-    if steps is not None:
+    # the static log-affine checks never step; a heat flow is validated
+    # before anything is computed
+    steps = None
+    if kind != "log-affine":
+        try:
+            steps = step_count(t_final, dt)
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from None
         _require_within(command, "2*n*steps", 2 * grid.n * steps, WORK_BUDGET,
                         "point-steps")
-
-    checks: list[IdentityCheck] = []
-    density, _ = density_from_heat(hf.Q_heat, constants.alpha_th,
-                                   truncation_check=False)
-
-    if kind == "log-affine":
-        # non-decaying density: static checks only
-        res = vanishing_qp_residual(hf)
-        lap_scale = float(np.max(np.abs(
-            second_derivative_values(q0, grid.dx)
-        ))) + 1e-300
-        checks.append(
-            make_residual_check(
-                "vanishing-qp-family", float(np.max(np.abs(res.values[2:-2]))) / lap_scale
-            )
-        )
-    else:
-        # the middle step of the heat flow the suite evolves, with its
-        # neighbours for the centered time derivative
-        mid = (steps + 1) // 2
-        suite = coherence_suite(hf, constants, evolve_horizon=t_final, evolve_dt=dt,
-                                keep=(mid - 1, mid, mid + 1))
-        checks.extend(suite.items)
-        thq = thermalized_qp(suite.heat, mid)
-        qt_scale = (
-            constants.hbar**2 / (4.0 * constants.mass)
-            * float(np.max(np.abs(second_derivative_values(
-                suite.heat.field(mid).q_tilde().values, grid.dx
-            ))))
-        )
-        # weight by the coupled density: the held walls grow a diffusive
-        # skin that carries no probability mass
-        weight = density.values / float(np.max(density.values))
-        checks.append(
-            make_residual_check(
-                "thermalized-qp-vanishes",
-                float(np.max(weight[2:-2] * np.abs(thq.values[2:-2])))
-                / (qt_scale + 1e-300),
-            )
-        )
-
-    checks.extend(_thermal_fisher_checks(density, hf, constants))
-    return checks
+        if not constants.is_thermal_equilibrium:
+            raise SchemaError("coherence suite assumes hbar*omega = k*T")
+    density, _ = density_from_heat(hf.Q_heat, constants.alpha_th, truncation_check=False)
+    return {"hf": hf, "density": density, "t_final": t_final, "dt": dt, "steps": steps}
 
 
 COMMANDS = {
-    "verify-identities": _cmd_verify_identities,
-    "evolve": _cmd_evolve,
-    "epi": _cmd_epi,
-    "maxent": _cmd_maxent,
-    "sweep": _cmd_sweep,
-    "thermal": _cmd_thermal,
+    "verify-identities": (_parse_verify_identities, identities_suite),
+    "evolve": (_parse_evolve, evolve_suite),
+    "epi": (_parse_epi, epi_suite),
+    "maxent": (_parse_maxent, maxent_suite),
+    "sweep": (_parse_sweep, sweep_suite),
+    "thermal": (_parse_thermal, thermal_suite),
 }
 
 
@@ -568,8 +378,18 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
-def _write_report(out_dir: Path, command: str, digest: str,
-                  checks: list[IdentityCheck], error: dict | None = None) -> bool:
+def _run(suite, checks: list[IdentityCheck]) -> list:
+    """Append every check ``suite`` yields to ``checks``; return its artifacts."""
+    while True:
+        try:
+            checks.append(next(suite))
+        except StopIteration as done:
+            return done.value
+
+
+def _write_report(out_dir: Path, command: str, digest: str, checks: list[IdentityCheck],
+                  tol_scale: float, error: dict | None = None) -> bool:
+    checks = [replace(c, tol=c.tol * tol_scale) for c in checks]
     overall = error is None and len(checks) > 0 and all(c.passed for c in checks)
     payload = {
         "schema": 1,
@@ -580,14 +400,9 @@ def _write_report(out_dir: Path, command: str, digest: str,
     }
     if error is not None:
         payload["error"] = error
-    with open(out_dir / "report.json", "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-    meta = {
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-        "fisherqp_version": __version__,
-    }
-    with open(out_dir / "meta.json", "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=1)
+    save_json(payload, out_dir / "report.json")
+    save_json({"generated_at": datetime.now(timezone.utc).isoformat(),
+               "fisherqp_version": __version__}, out_dir / "meta.json")
     return overall
 
 
@@ -644,23 +459,23 @@ def main(argv=None) -> int:
         return 2
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    # LinAlgError subclasses ValueError: numerical failures are caught first
+    parse, suite = COMMANDS[args.command]
+    checks: list[IdentityCheck] = []
+    # a suite fails only with FisherQPError or LAPACK's LinAlgError (a
+    # ValueError); anything else is a program fault and keeps its traceback
     try:
-        checks = COMMANDS[args.command](payload, args, out_dir)
-    except (FisherQPError, np.linalg.LinAlgError) as exc:
-        _write_report(
-            out_dir, args.command, digest, [],
-            error={"type": type(exc).__name__, "message": str(exc)},
-        )
-        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except (SchemaError, KeyError, TypeError, ValueError) as exc:
+        artifacts = _run(suite(**parse(payload, args)), checks)
+    except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
-
-    checks = [replace(c, tol=c.tol * args.tol_scale) for c in checks]
-    overall = _write_report(out_dir, args.command, digest, checks)
-    return 0 if overall else 3
+    except (FisherQPError, np.linalg.LinAlgError) as exc:
+        _write_report(out_dir, args.command, digest, checks, args.tol_scale,
+                      error={"type": type(exc).__name__, "message": str(exc)})
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    for write, name, value in artifacts:
+        write(value, out_dir / name)
+    return 0 if _write_report(out_dir, args.command, digest, checks, args.tol_scale) else 3
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,7 +1,8 @@
 """Exception types shared across the toolkit.
 
 Every failure mode that callers are expected to branch on gets its own
-class; anything else surfaces as a plain ValueError.
+class; anything else surfaces as a plain ValueError.  ``NonFinite`` is
+both: a malformed input where handed in, a numerical failure where computed.
 """
 
 
@@ -62,3 +63,7 @@ class DegenerateSupport(FisherQPError):
 
 class DecoupledInputs(FisherQPError):
     """A density / heat-field pair does not satisfy P = c*exp(-alpha*Q)."""
+
+
+class NonFinite(FisherQPError, ValueError):
+    """A field holds an infinity or a NaN."""

@@ -25,6 +25,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .errors import NonFinite
+
 
 def _readonly(values: np.ndarray) -> np.ndarray:
     out = np.asarray(values, dtype=float).copy()
@@ -82,7 +84,7 @@ class ScalarField:
                 f"field length {self.values.shape} does not match grid n={self.grid.n}"
             )
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("field values must be finite")
+            raise NonFinite("field values must be finite")
 
     @property
     def x(self) -> np.ndarray:
@@ -183,7 +185,9 @@ def _half_solver(diag: np.ndarray, off: float | complex):
     # scipy.linalg takes most of the package's import time; load it on first solve
     from scipy.linalg.lapack import get_lapack_funcs
 
-    half_diag = 0.5 * np.asarray_chkfinite(diag)
+    if not (np.all(np.isfinite(diag)) and np.isfinite(off)):
+        raise NonFinite("the Crank-Nicolson matrix has a non-finite entry")
+    half_diag = 0.5 * np.asarray(diag)
     half_off = np.full(len(half_diag) - 1, 0.5 * off, dtype=half_diag.dtype)
     if np.iscomplexobj(half_diag):
         return _odd_even_solver(half_diag, half_off)

@@ -73,8 +73,6 @@ class SweepTable:
 def sweep(A: ScalarField, lambdas, grid: Grid) -> SweepTable:
     """Solve the single-constraint Fisher extremization for each multiplier."""
     lambdas = np.asarray(lambdas, dtype=float)
-    if len(np.unique(lambdas)) != len(lambdas):
-        raise ValueError("multiplier values must be distinct")
     records = []
     failures = []
     start = None

@@ -1,7 +1,8 @@
-"""File formats: field CSV, trajectory dumps, sweep CSV.
+"""File formats: field CSV, JSON, trajectory dumps, sweep CSV.
 
 * ScalarField CSV: header ``x,value``, one row per grid point, floats
   written with 17 significant digits (lossless for float64).
+* JSON: keys sorted, one-space indent, so equal payloads write equal bytes.
 * Trajectory dump: one CSV per step plus ``manifest.json`` carrying dt,
   steps, the constants, the grid and the potential.
 * Sweep CSV: ``lambda,I,meanA,Lambda,alpha_norm,status``; failed rows
@@ -30,6 +31,11 @@ def save_field_csv(field: ScalarField, path) -> None:
         writer.writerow(["x", "value"])
         for x, v in zip(field.grid.x, field.values):
             writer.writerow([_fmt(x), _fmt(v)])
+
+
+def save_json(payload: dict, path) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
 
 
 def constants_to_dict(constants: PhysicalConstants) -> dict:
@@ -80,8 +86,7 @@ def dump_trajectory(traj: Trajectory, out_dir) -> Path:
         "grid": grid_to_dict(traj.grid),
         "V": [float(v) for v in traj.potential.values],
     }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
+    save_json(manifest, out / "manifest.json")
     return out
 
 

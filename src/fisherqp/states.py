@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 import numpy as np
 
-from .errors import DegenerateSupport, NegativeDensity, TruncationError, ZeroMass
+from .errors import DegenerateSupport, NegativeDensity, NonFinite, TruncationError, ZeroMass
 from .grid import Grid, ScalarField, derivative_values, quadrature, quadrature_values
 
 SUPPORT_FLOOR = 1e-12       # mask threshold, relative to max(P)
@@ -130,14 +130,14 @@ def normalize_samples(values: np.ndarray, dx: float, out: np.ndarray) -> float:
     """Normalize raw density samples into ``out``; return max(P).
 
     The array-level core of ``density_from_samples``, which time steppers
-    call on their work buffers.  Non-finite samples raise ValueError,
+    call on their work buffers.  Non-finite samples raise NonFinite,
     samples below ``NEGATIVE_NOISE`` raise NegativeDensity (the remaining
     negative noise is clamped to 0), zero mass raises ZeroMass and a
-    normalized density that overflows raises ValueError, in that order.
+    normalized density that overflows raises NonFinite, in that order.
     """
     lo, hi = values.min(), values.max()
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("field values must be finite")
+        raise NonFinite("field values must be finite")
     if lo < NEGATIVE_NOISE:
         raise NegativeDensity(f"min sample {lo} below noise floor")
     if lo <= 0.0:
@@ -149,7 +149,7 @@ def normalize_samples(values: np.ndarray, dx: float, out: np.ndarray) -> float:
     # dividing by total > 0 keeps the order, so this is max(out) exactly
     peak = float(hi / total)
     if not math.isfinite(peak):
-        raise ValueError("field values must be finite")
+        raise NonFinite("field values must be finite")
     return peak
 
 

@@ -1,0 +1,184 @@
+"""Check suites: the identity checks of each CLI command.
+
+A suite takes the problem ``cli`` parsed (its validated, budget-checked
+keyword arguments) and yields ``reports.IdentityCheck`` records in report
+order.  Its return value lists the artifacts to write once every check is
+in, as ``(write, name, value)`` for ``write(value, out_dir / name)``.  No
+suite takes a path or opens a file, so a suite runs in process as
+``suite(**problem)``.
+"""
+
+from __future__ import annotations
+
+from typing import Generator, Iterator
+
+import numpy as np
+
+from .extremizers import (epi_quantum_potential_check, epi_solve, maxent_solve,
+                          riccati_check, stationarity_residual)
+from .functionals import (QPForm, fisher_information, fluctuation_report,
+                          mean_quantum_potential, quantum_potential, weighted_max_dev)
+from .grid import quadrature_values, second_derivative_values
+from .legendre import sweep, verify_euler, verify_legendre
+from .propagator import continuity_residual, entropy_rate_check, evolve, hj_residual
+from .reports import IdentityCheck, flagged_discrepancy_checks, make_check, make_residual_check
+from .serialization import dump_trajectory, save_field_csv, save_json, save_sweep_csv
+from .thermal import (coherence_suite, gibbs_formula_check, heat_from_density,
+                      thermal_fisher_report, thermalized_qp, vanishing_qp_residual)
+
+Suite = Generator[IdentityCheck, None, list]
+
+
+def _thermal_fisher_checks(density, hf, constants) -> Iterator[IdentityCheck]:
+    """The route-B thermal Fisher check and the flagged discrepancy ledger."""
+    tf = thermal_fisher_report(density, hf, constants)
+    yield make_check("thermal-fisher-route-b", tf.route_b, tf.fisher_direct)
+    yield from flagged_discrepancy_checks(
+        mean_quantum_potential(density, constants), tf.fisher_direct,
+        constants.hbar, constants.mass, tf.route_a, tf.route_b,
+    )
+
+
+def identities_suite(density, constants, gibbs) -> Suite:
+    """verify-identities; ``gibbs`` is (energy, gamma) for a Gibbs density."""
+    fi = fisher_information(density)
+    q_forms = {form: quantum_potential(density, constants, form) for form in QPForm}
+    q_ref = q_forms[QPForm.SQRT].values
+    scale = float(np.max(np.abs(q_ref))) + 1e-300
+    worst = max(
+        weighted_max_dev(q_forms[f].values, q_ref, density)
+        for f in (QPForm.GRAD, QPForm.FLUCT, QPForm.OSMOTIC)
+    )
+    yield make_residual_check("qp-four-forms", worst / scale)
+
+    mean_qp = mean_quantum_potential(density, constants)
+    target = constants.hbar**2 / (8.0 * constants.mass) * fi
+    yield make_check("mean-QP-equals-FI", mean_qp, target)
+
+    rep = fluctuation_report(density, constants)
+    yield make_check("fluctuation-mean-zero", rep.mean, 0.0)
+    yield make_check("fluctuation-second-moment", rep.second_moment,
+                     constants.hbar**2 / 4.0 * fi)
+    yield from _thermal_fisher_checks(density, heat_from_density(density, constants),
+                                      constants)
+    if gibbs is not None:
+        gc = gibbs_formula_check(*gibbs, constants)
+        yield make_residual_check("gibbs-qp-formula", gc.qp_maxdev)
+        yield make_check("gibbs-fisher-formula", gc.fisher_direct, gc.fisher_energy_route)
+    return [(save_field_csv, "density.csv", density.field)]
+
+
+def evolve_suite(state, potential, dt, steps, index, dump) -> Suite:
+    """evolve: the dynamical residuals at the interior step ``index``;
+    only the centered window around it is kept unless ``dump``."""
+    keep = None if dump else (index - 1, index, index + 1)
+    traj = evolve(state, potential, dt, steps, keep)
+    yield make_residual_check("continuity", continuity_residual(traj, index))
+    yield make_residual_check("modified-hj", hj_residual(traj, index))
+    lhs, rhs = entropy_rate_check(traj, index)
+    yield make_check("entropy-rate", lhs, rhs,
+                     note="centered entropy rate vs -integral(S'P')/m")
+    return [(dump_trajectory, "trajectory", traj)] if dump else []
+
+
+def epi_suite(spec, grid, constants) -> Suite:
+    """epi: the extremal density of the constraints ``spec``."""
+    result = epi_solve(spec, grid)
+    mean_terms = sum(
+        lam * quadrature_values(result.p_I.values * a.values, grid.dx)
+        for lam, a in zip(result.multipliers, spec.A_fields)
+    )
+    yield make_check("epi-ground-state", result.fisher_I, result.alpha_norm + mean_terms,
+                     note="contraction identity FI = alpha_norm + sum lambda <A>")
+    yield make_residual_check("epi-stationarity", stationarity_residual(result))
+    yield make_residual_check("riccati", riccati_check(result))
+    yield make_check(
+        "mean-QP-equals-FI",
+        mean_quantum_potential(result.p_I, constants),
+        constants.hbar**2 / (8.0 * constants.mass) * result.fisher_I,
+        tol=1e-5,
+        note="discretization-limited on eigensolver output",
+    )
+    if len(result.multipliers) == 1:
+        qc = epi_quantum_potential_check(result, constants)
+        scale = float(np.max(np.abs(quantum_potential(result.p_I, constants).values)))
+        yield make_residual_check("epi-qp-affine", qc.maxdev / (scale + 1e-300))
+        yield make_check("epi-mean-qp", qc.mean_lhs, qc.mean_rhs)
+    summary = {
+        "alpha_norm": result.alpha_norm,
+        "eigenvalue": result.eigenvalue,
+        "fisher_information": result.fisher_I,
+        "multipliers": list(result.multipliers),
+    }
+    return [(save_json, "epi_result.json", summary),
+            (save_field_csv, "p_I.csv", result.p_I.field),
+            (save_field_csv, "psi.csv", result.psi)]
+
+
+def maxent_suite(constraint, target, truncation_check) -> Suite:
+    """maxent: the entropy extremizer attaining ``target``."""
+    density, alpha, z = maxent_solve(constraint, target, truncation_check)
+    attained = quadrature_values(density.values * constraint.values, constraint.grid.dx)
+    yield make_check("maxent-multiplier", attained, target,
+                     note=f"alpha_gibbs={alpha!r}, Z={z!r}")
+    return [(save_json, "maxent_result.json", {"alpha_gibbs": alpha, "Z": z, "target": target}),
+            (save_field_csv, "maxent_density.csv", density.field)]
+
+
+def sweep_suite(constraint, lambdas) -> Suite:
+    """sweep: Euler and Legendre relations along the multipliers ``lambdas``."""
+    table = sweep(constraint, lambdas, constraint.grid)
+    yield make_residual_check("fisher-euler", verify_euler(table))
+    report = verify_legendre(table)
+    yield make_residual_check(
+        "legendre-relations", report.max_residual(),
+        note=(
+            f"dLambda/dlam {report.dLambda_dlam_vs_negmeanA:.3e}, "
+            f"dI/d<A> {report.dI_dmeanA_vs_lambda:.3e}, "
+            f"reciprocity {report.reciprocity_d2I:.3e}/{report.reciprocity_d2Lambda:.3e}"
+        ),
+    )
+    return [(save_sweep_csv, "sweep.csv", table)]
+
+
+def thermal_suite(hf, density, t_final, dt, steps) -> Suite:
+    """thermal: the heat field ``hf`` and its coupled ``density``; a heat
+    flow of ``steps`` steps of ``dt``, or static checks only when
+    ``steps`` is None."""
+    constants = hf.constants
+    dx = hf.grid.dx
+    if steps is None:
+        # non-decaying density: static checks only
+        res = vanishing_qp_residual(hf)
+        lap_scale = float(np.max(np.abs(
+            second_derivative_values(hf.Q_heat.values, dx)
+        ))) + 1e-300
+        yield make_residual_check("vanishing-qp-family",
+                                  float(np.max(np.abs(res.values[2:-2]))) / lap_scale)
+    else:
+        # the middle step of the heat flow the coherence suite evolves, with
+        # its neighbours for the centered time derivative
+        mid = (steps + 1) // 2
+        coherence = []
+        try:
+            heat = coherence_suite(hf, constants, t_final, dt, keep=(mid - 1, mid, mid + 1),
+                                   into=coherence)[1]
+        finally:
+            # also when it raises: the checks computed before the error
+            yield from coherence
+        thq = thermalized_qp(heat, mid)
+        qt_scale = (
+            constants.hbar**2 / (4.0 * constants.mass)
+            * float(np.max(np.abs(second_derivative_values(
+                heat.field(mid).q_tilde().values, dx
+            ))))
+        )
+        # weight by the coupled density: the held walls grow a diffusive
+        # skin that carries no probability mass
+        weight = density.values / float(np.max(density.values))
+        yield make_residual_check(
+            "thermalized-qp-vanishes",
+            float(np.max(weight[2:-2] * np.abs(thq.values[2:-2]))) / (qt_scale + 1e-300),
+        )
+    yield from _thermal_fisher_checks(density, hf, constants)
+    return []

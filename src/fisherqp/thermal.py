@@ -48,7 +48,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import BoundaryContact, DecoupledInputs
+from .errors import BoundaryContact, DecoupledInputs, NonFinite
 from .functionals import (
     fisher_information,
     fluctuation_report,
@@ -130,8 +130,9 @@ def heat_from_density(density: Density, constants: PhysicalConstants) -> HeatFie
     """Invert the coupling: Q_heat = -(1/alpha_th) log(P/c_hat).
 
     The gauge is pinned by Q_heat = 0 at the support center.  Off the
-    support the field continues linearly with the edge slope, so the
-    induced density keeps decaying there and the reconstruction
+    support each side continues linearly with the steeper of its edge
+    slope (~0 at a flat top) and the slope that takes the induced density
+    below SUPPORT_FLOOR * max(P) within one dx, so the reconstruction
     ``density_from_heat`` round-trips.  A support of fewer than 3 points
     raises DegenerateSupport.
     """
@@ -148,8 +149,11 @@ def heat_from_density(density: Density, constants: PhysicalConstants) -> HeatFie
         constants.alpha_th
     )
     slopes = derivative_values(q[block], dx)
-    q[: idx[0]] = q[idx[0]] + slopes[0] * (x[: idx[0]] - x[idx[0]])
-    q[idx[-1] + 1 :] = q[idx[-1]] + slopes[-1] * (x[idx[-1] + 1 :] - x[idx[-1]])
+    floor = SUPPORT_FLOOR * float(np.max(p))
+    left, right = (math.log(p[i] / floor) / (constants.alpha_th * dx)
+                   for i in (idx[0], idx[-1]))
+    q[: idx[0]] = q[idx[0]] + min(slopes[0], -left) * (x[: idx[0]] - x[idx[0]])
+    q[idx[-1] + 1 :] = q[idx[-1]] + max(slopes[-1], right) * (x[idx[-1] + 1 :] - x[idx[-1]])
     return HeatField(ScalarField(density.grid, q), constants)
 
 
@@ -180,10 +184,10 @@ def _coupling_deviation(
     dx: float, w: np.ndarray, work: np.ndarray,
 ) -> float:
     """``coupling_deviation`` on raw arrays, with ``w`` and ``work`` as
-    scratch; a non-finite q raises the ValueError a HeatField would."""
+    scratch; a non-finite q raises the NonFinite a HeatField would."""
     qmin = q.min()
     if not (math.isfinite(qmin) and math.isfinite(q.max())):
-        raise ValueError("field values must be finite")
+        raise NonFinite("field values must be finite")
     # the induced density c_hat exp(-alpha Q) ...
     np.subtract(q, qmin, out=work)
     work *= -alpha
@@ -465,32 +469,14 @@ def _coupled_run(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoherenceReport:
-    """Coherence checks plus the heat flow the ratio-law check evolved, at
-    the steps the caller asked to keep and the last step."""
-
-    items: list[IdentityCheck]
-    heat: HeatTrajectory
-
-    @property
-    def all_passed(self) -> bool:
-        return all(item.passed for item in self.items)
-
-    def item(self, name: str) -> IdentityCheck:
-        for it in self.items:
-            if it.name == name:
-                return it
-        raise KeyError(name)
-
-
 def coherence_suite(
     hf: HeatField,
     constants: PhysicalConstants,
     evolve_horizon: float = 0.004,
     evolve_dt: float = 1e-3,
     keep: Iterable[int] = (),
-) -> CoherenceReport:
+    into: list[IdentityCheck] | None = None,
+) -> tuple[list[IdentityCheck], HeatTrajectory]:
     """Run the five-point coherence check between the thermal and
     probabilistic pictures.
 
@@ -502,10 +488,11 @@ def coherence_suite(
     4. delta_E_kin = (hbar^2/8m)(grad P/P)^2 = (1/8 m omega^2)(grad Q)^2,
     5. log P affine in -beta Q with slope 1.
 
-    Each item is a residual check judged against its registered
-    tolerance.  Check 1 steps Fick and heat in lockstep; the heat flow at
-    the ``keep`` steps comes back in the report, so callers need not evolve
-    it again.
+    Each item is a residual check judged against its registered tolerance
+    and appended to ``into`` (a new list when None) as it is computed, so
+    a caller keeps those computed before an error.  Returns the checks and
+    the heat flow check 1 steps in lockstep with Fick, at the ``keep``
+    steps and the last one, so callers need not evolve it again.
     """
     if not constants.is_thermal_equilibrium:
         raise ValueError("coherence suite assumes hbar*omega = k*T")
@@ -515,7 +502,7 @@ def coherence_suite(
     mask = density.support_mask
     dx = density.grid.dx
     beta = constants.beta
-    items: list[IdentityCheck] = []
+    items = [] if into is None else into
 
     # 1: evolve-and-compare (Fick for P, heat equation for Q).
     dev1, heat = _coupled_run(density, hf, constants, evolve_horizon, evolve_dt, keep)
@@ -558,7 +545,7 @@ def coherence_suite(
     slope = float(np.polyfit(target, logp, 1)[0])
     items.append(make_residual_check("gibbs-form-slope", abs(slope - 1.0)))
 
-    return CoherenceReport(items=items, heat=heat)
+    return items, heat
 
 
 # ---------------------------------------------------------------------------

@@ -296,13 +296,14 @@ def test_criterion_10_thermal_suite():
     lap_scale = np.max(np.abs(second_derivative_values(qv, g12.dx)))
     family_ok = np.max(np.abs(res.values[2:-2])) <= 1e-6 * lap_scale
 
-    suite = coherence_suite(hf, C)
-    ok = fick_ok and heat_ok and thq_ok and routeb_ok and family_ok and suite.all_passed
+    coherence, _ = coherence_suite(hf, C)
+    coherence_ok = all(i.passed for i in coherence)
+    ok = fick_ok and heat_ok and thq_ok and routeb_ok and family_ok and coherence_ok
     verdict(10, "thermal-suite", ok,
             f"variance {var_fick:.6f}/{var_heat:.6f} (want 2.0); thermalized-QP ok "
             f"{thq_ok}; route-B rel {abs(tf.route_b - tf.fisher_direct) / tf.fisher_direct:.1e}; "
             f"vanishing family ok {family_ok}; coherence items "
-            f"{[i.passed for i in suite.items]}")
+            f"{[i.passed for i in coherence]}")
 
 
 def test_criterion_11_discrepancy_ledger():

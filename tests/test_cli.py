@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import fisherqp
-from fisherqp import extremizers
-from fisherqp.cli import main
+from fisherqp import extremizers, propagator, suites
+from fisherqp.cli import COMMANDS, build_parser, main
 from fisherqp.reports import CHECKS
 
 
@@ -515,6 +515,90 @@ def test_support_too_small_to_differentiate_exits_3(tmp_path, capsys, command,
     assert capsys.readouterr().err == f"numerical failure: DegenerateSupport: {message}\n"
 
 
+THERMAL_ONE_POINT = {"grid": {"xmin": -8.0, "xmax": 8.0, "n": 257},
+                     "heat": {"kind": "quadratic", "coeff": 1e306}}
+
+
+@pytest.mark.parametrize("command, payload, names", [
+    ("verify-identities", spike(1), ["qp-four-forms", "mean-QP-equals-FI",
+                                     "fluctuation-mean-zero", "fluctuation-second-moment"]),
+    ("verify-identities", spike(2), ["qp-four-forms", "mean-QP-equals-FI",
+                                     "fluctuation-mean-zero", "fluctuation-second-moment"]),
+    ("thermal", THERMAL_ONE_POINT, ["ratio-law-evolution", "heat-action-link",
+                                    "fluctuation-chain", "kinetic-excess"]),
+], ids=["one-point-spike", "two-point-spike", "thermal-one-point"])
+def test_failed_run_keeps_the_checks_yielded_before_the_error(tmp_path, command, payload,
+                                                              names):
+    inp = write_json(tmp_path / "in.json", payload)
+    out = tmp_path / "out"
+    assert main([command, "--input", inp, "--out", str(out)]) == 3
+    report = read_report(out)
+    assert report["error"]["type"] == "DegenerateSupport"
+    assert [c["name"] for c in report["checks"]] == names
+    assert report["overall_pass"] is False
+    assert sorted(p.name for p in out.iterdir()) == ["meta.json", "report.json"]
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+@pytest.mark.parametrize("width", [3, 4, 5, 8, 16])
+def test_flat_topped_density_reports_every_check(tmp_path, width):
+    # a compact support: the heat field continues off it steeply enough for
+    # the induced density to decay, so the coupling holds; the jump at the
+    # edges fails the quantum-potential checks, not the run
+    inp = write_json(tmp_path / "in.json", spike(width))
+    out = tmp_path / "out"
+    assert main(["verify-identities", "--input", inp, "--out", str(out)]) == 3
+    report = read_report(out)
+    assert "error" not in report
+    byname = {c["name"]: c for c in report["checks"]}
+    assert len(byname) == 9
+    assert byname["thermal-fisher-route-b"]["pass"] is True
+    assert byname["qp-four-forms"]["pass"] is False
+    assert byname["mean-QP-equals-FI"]["pass"] is False
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("verify-identities", {"grid": GRID, "density": [1]}),
+    ("verify-identities", {"grid": GRID, "density": {"kind": "mixture", "components": [1]}}),
+    ("sweep", {**SMALL_SWEEP, "constraint": [1], "lambdas": [-1.0, -2.0, -3.0]}),
+    ("thermal", {"grid": GRID, "heat": "x"}),
+    ("evolve", {**SMALL_EVOLVE, "potential": [1]}),
+], ids=["density", "mixture-component", "sweep-constraint", "thermal-heat", "evolve-potential"])
+def test_nested_wrong_type_exits_2(tmp_path, capsys, command, payload):
+    inp = write_json(tmp_path / "in.json", payload)
+    out = tmp_path / "out"
+    assert main([command, "--input", inp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"schema error: {command}: ")
+    assert not (out / "report.json").exists()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the input was refused only after the work started")
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("evolve", {**SMALL_EVOLVE, "grid": {"xmin": -8.0, "xmax": 8.0, "n": 16385},
+                "steps": 2000, "check_index": 99999},
+     "index 99999 must be interior (1..1999)"),
+    ("sweep", {**SMALL_SWEEP, "lambdas": [-1.0, -2.0, -1.0]},
+     "multiplier values must be distinct"),
+    ("thermal", {"grid": GRID, "heat": {"kind": "quadratic", "coeff": 0.125},
+                 "constants": {"omega": 3.0}},
+     "coherence suite assumes hbar*omega = k*T"),
+], ids=["evolve-check-index", "sweep-duplicate-lambda", "thermal-not-at-equality"])
+def test_input_errors_are_refused_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                                  payload, message):
+    monkeypatch.setattr(propagator, "crank_nicolson_flow", _refuse)  # the stepper
+    # the first library call of the sweep and thermal suites
+    for name in ("sweep", "coherence_suite"):
+        monkeypatch.setattr(suites, name, _refuse)
+    inp = write_json(tmp_path / "in.json", payload)
+    out = tmp_path / "out"
+    assert main([command, "--input", inp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"schema error: {message}\n"
+    assert not (out / "report.json").exists()
+
+
 def test_failed_check_exits_3(tmp_path):
     inp = write_json(
         tmp_path / "in.json",
@@ -587,15 +671,19 @@ COVERAGE_FIXTURES = {
 TOL_OVERRIDES = {("epi", "mean-QP-equals-FI"): 1e-5}
 
 
-def test_registry_equals_reported_checks(tmp_path):
+def test_registry_equals_reported_checks(tmp_path, monkeypatch):
+    # every suite runs in process on its parsed problem and writes no file
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
     table = {c.name: c.tol for c in CHECKS}
     reported = set()
-    for label, (command, payload) in COVERAGE_FIXTURES.items():
-        out = tmp_path / label
-        main([command, "--input", write_json(tmp_path / f"{label}.json", payload),
-              "--out", str(out)])
-        for check in read_report(out)["checks"]:
-            name = check["name"]
-            reported.add(name)
-            assert check["tol"] == TOL_OVERRIDES.get((command, name), table[name]), name
+    for command, payload in COVERAGE_FIXTURES.values():
+        parse, suite = COMMANDS[command]
+        args = build_parser().parse_args([command, "--input", "-", "--out", "-"])
+        for check in suite(**parse(payload, args)):
+            reported.add(check.name)
+            assert check.tol == TOL_OVERRIDES.get((command, check.name),
+                                                  table[check.name]), check.name
     assert reported == set(table)
+    assert list(cwd.iterdir()) == []

@@ -323,9 +323,9 @@ def test_coherence_suite_all_pass():
     g = wide_grid()
     d = gaussian_density(g, sigma=2.0)
     hf = heat_from_density(d, C)
-    report = coherence_suite(hf, C)
-    assert report.all_passed
-    names = {item.name for item in report.items}
+    checks, _ = coherence_suite(hf, C)
+    assert all(item.passed for item in checks)
+    names = {item.name for item in checks}
     assert names == {
         "ratio-law-evolution",
         "heat-action-link",
@@ -339,8 +339,8 @@ def test_coherence_kinetic_excess_closed_form():
     # Q = x^2 with natural constants: both kinetic-excess forms are x^2/2
     g = wide_grid()
     hf = HeatField(ScalarField(g, g.x**2 / 4), C)
-    report = coherence_suite(hf, C)
-    assert report.item("kinetic-excess").lhs <= 1e-10
+    checks, _ = coherence_suite(hf, C)
+    assert {c.name: c for c in checks}["kinetic-excess"].lhs <= 1e-10
 
 
 def test_coherence_requires_thermal_equality():
@@ -412,20 +412,21 @@ def test_coherence_lockstep_matches_materialized_flows():
     c = PhysicalConstants(mass=2.0, omega=2.0, temperature=2.0)
     g = wide_grid()
     hf = HeatField(ScalarField(g, g.x**2 / 4), c)
-    report = coherence_suite(hf, c, evolve_horizon=0.01, evolve_dt=1e-3, keep=(4, 5, 6))
+    checks, flow = coherence_suite(hf, c, evolve_horizon=0.01, evolve_dt=1e-3,
+                                   keep=(4, 5, 6))
     density, _ = density_from_heat(hf.Q_heat, c.alpha_th, truncation_check=False)
     fick = fick_diffuse(density, c.diffusivity, 0.01, 1e-3)
     heat = heat_equation_evolve(hf, 0.01, 1e-3)
     ref = max(coupling_deviation(p, h, c) for p, h in zip(fick.densities, heat.fields))
-    assert report.item("ratio-law-evolution").lhs == ref
-    assert report.heat.kept == (4, 5, 6, 10) and len(report.heat) == len(heat) == 11
-    for k in report.heat.kept:
-        assert np.array_equal(report.heat.field(k).Q_heat.values,
+    assert {ch.name: ch for ch in checks}["ratio-law-evolution"].lhs == ref
+    assert flow.kept == (4, 5, 6, 10) and len(flow) == len(heat) == 11
+    for k in flow.kept:
+        assert np.array_equal(flow.field(k).Q_heat.values,
                               heat.field(k).Q_heat.values)
-    assert np.array_equal(thermalized_qp(report.heat, 5).values,
+    assert np.array_equal(thermalized_qp(flow, 5).values,
                           thermalized_qp(heat, 5).values)
     with pytest.raises(ValueError, match="not kept"):
-        thermalized_qp(report.heat, 2)
+        thermalized_qp(flow, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +468,13 @@ def test_lockstep_flows_keep_their_own_diffusivity():
     c = PhysicalConstants(mass=2.0, omega=2.0, temperature=2.0)
     g = Grid(-8.0, 8.0, 1025)
     hf = HeatField(ScalarField(g, g.x**2), C)
-    report = coherence_suite(hf, c, evolve_horizon=0.01, evolve_dt=1e-3)
+    checks, flow = coherence_suite(hf, c, evolve_horizon=0.01, evolve_dt=1e-3)
     density, _ = density_from_heat(hf.Q_heat, c.alpha_th, truncation_check=False)
     fick = fick_diffuse(density, c.diffusivity, 0.01, 1e-3)
     heat = heat_equation_evolve(hf, 0.01, 1e-3)
     ref = max(coupling_deviation(p, h, c) for p, h in zip(fick.densities, heat.fields))
-    assert report.item("ratio-law-evolution").lhs == ref
-    assert np.array_equal(report.heat.field(10).Q_heat.values, heat.field(10).Q_heat.values)
+    assert {ch.name: ch for ch in checks}["ratio-law-evolution"].lhs == ref
+    assert np.array_equal(flow.field(10).Q_heat.values, heat.field(10).Q_heat.values)
 
 
 def test_fick_contact_same_step_in_lockstep():
