@@ -36,6 +36,9 @@ its negative pivots count the eigenvalues below s): ``?pttrf`` stops at
 the first pivot that is not positive, and a second ``?pttrf`` continues
 the recurrence past it, so the count needs no work arrays beyond the
 shifted diagonal every factorization takes.
+``?pttrf`` and ``?pttrs`` come from ``grid._lapack``, which loads only
+scipy's compiled LAPACK extension, not the ``scipy.linalg`` package, whose
+import would cost a sweep far more time than its solves.
 
 The log-derivative substitution v = (log psi)' turns the stationarity
 condition into the Riccati form v' + v^2 + G/4 = 0 with
@@ -58,6 +61,7 @@ from .functionals import (
 from .grid import (
     Grid,
     ScalarField,
+    _lapack,
     derivative_values,
     quadrature_values,
 )
@@ -194,9 +198,7 @@ def _count_below(diag: np.ndarray, off: np.ndarray, s: float) -> int:
     factored by one more ``?pttrf``: it factors exactly when no second
     pivot is negative.
     """
-    from scipy.linalg.lapack import get_lapack_funcs
-
-    (pttrf,) = get_lapack_funcs(("pttrf",), (diag,))
+    (pttrf,) = _lapack(("pttrf",), diag.dtype)
     d, _, k = pttrf(diag - s, off, overwrite_d=True)
     if k == 0:
         return 0
@@ -233,10 +235,7 @@ def _ground_state(
     use ``np.sum(a * b)``, not ``np.dot``, which wakes BLAS threads that
     spin for no gain.
     """
-    # scipy.linalg takes most of the package's import time; load it on first solve
-    from scipy.linalg.lapack import get_lapack_funcs
-
-    pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (diag,))
+    pttrf, pttrs = _lapack(("pttrf", "pttrs"), diag.dtype)
     radius = np.zeros_like(diag)
     radius[:-1] += np.abs(off)
     radius[1:] += np.abs(off)

@@ -12,6 +12,12 @@ factors their constant Crank-Nicolson matrix once and streams the field
 step by step through two work buffers, and ``steps_to_keep`` validates
 which steps a streamed run stores.
 
+The LAPACK routines the steppers and the EPI eigensolver call come from
+``_lapack``, which loads scipy's compiled ``_flapack`` extension on the
+first solve and never imports the ``scipy.linalg`` package: that
+package's ``__init__`` costs ~0.3 s per process, far more than most runs
+spend solving.
+
 Fields are immutable after construction and all operations on them are
 pure, so values can be shared freely across threads.  A complex flow from
 ``crank_nicolson_flow`` reuses its solver's work buffers: run it in one
@@ -20,6 +26,10 @@ thread at a time.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -172,6 +182,47 @@ def crank_nicolson_flow(u0: np.ndarray, diag: np.ndarray, off: float | complex,
         yield u
 
 
+_FLAPACK = "scipy.linalg._flapack"
+_PREFIXES = {np.dtype(np.float64): "d", np.dtype(np.complex128): "z"}
+
+
+def _lapack(names: tuple[str, ...], dtype) -> tuple:
+    """The LAPACK routines ``names`` (e.g. ``("pttrf", "pttrs")``) for
+    float64 (``d``) or complex128 (``z``) data: the very wrappers
+    ``scipy.linalg.lapack.get_lapack_funcs`` returns.
+
+    They come from scipy's compiled ``_flapack`` extension: the module
+    ``sys.modules`` holds once anything loaded it, else ``_load_flapack``.
+    """
+    flapack = sys.modules.get(_FLAPACK) or _load_flapack()
+    prefix = _PREFIXES[np.dtype(dtype)]
+    return tuple(getattr(flapack, prefix + name) for name in names)
+
+
+def _load_flapack():
+    """Load ``scipy/linalg/_flapack<suffix>`` as ``scipy.linalg._flapack``
+    without running ``scipy/linalg/__init__``, whose array-API setup pulls
+    in ``numpy.f2py``, ``numpy.testing`` and more; ``import scipy`` itself
+    is cheap.  The module is registered in ``sys.modules``, so a later
+    ``import scipy.linalg`` reuses it.  Without the file, the public package
+    import gives the same module.
+    """
+    import scipy
+
+    for root in scipy.__path__:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[_FLAPACK] = module
+                spec.loader.exec_module(module)
+                return module
+    from scipy.linalg import _flapack
+
+    return _flapack
+
+
 def _half_solver(diag: np.ndarray, off: float | complex):
     """Factor A/2 of the tridiagonal A = (diag, off) once; return
     ``solve(rhs)``, which overwrites ``rhs`` with (A/2)^-1 rhs.  Halving is
@@ -182,16 +233,13 @@ def _half_solver(diag: np.ndarray, off: float | complex):
     A goes through odd-even reduction ahead of ``?gttrf``/``?gttrs``
     (``_odd_even_solver``).
     """
-    # scipy.linalg takes most of the package's import time; load it on first solve
-    from scipy.linalg.lapack import get_lapack_funcs
-
     if not (np.all(np.isfinite(diag)) and np.isfinite(off)):
         raise NonFinite("the Crank-Nicolson matrix has a non-finite entry")
     half_diag = 0.5 * np.asarray(diag)
     half_off = np.full(len(half_diag) - 1, 0.5 * off, dtype=half_diag.dtype)
     if np.iscomplexobj(half_diag):
         return _odd_even_solver(half_diag, half_off)
-    pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (half_diag,))
+    pttrf, pttrs = _lapack(("pttrf", "pttrs"), half_diag.dtype)
     *factors, info = pttrf(half_diag, half_off)
     if info > 0:
         raise np.linalg.LinAlgError("matrix is not positive definite")
@@ -214,10 +262,8 @@ def _odd_even_solver(diag: np.ndarray, off: np.ndarray):
     alone chains one complex division per unknown, each waiting on the
     one before.
     """
-    from scipy.linalg.lapack import get_lapack_funcs
-
     levels, diag, off = _odd_even_levels(diag, off)
-    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (diag,))
+    gttrf, gttrs = _lapack(("gttrf", "gttrs"), diag.dtype)
     *factors, info = gttrf(off, diag, off)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")

@@ -115,9 +115,13 @@ def _centered_derivative(t: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _require_window(table: SweepTable, least: int) -> None:
+    """Refuse a table of fewer than ``least`` records, naming every
+    multiplier a failed solve dropped and the exception that dropped it."""
     if len(table.records) < least:
+        dropped = "".join(f"; lambda = {lam!r} dropped by {err}"
+                          for lam, err in table.failures)
         raise TooFewPoints(
-            f"need at least {least} consecutive records, have {len(table.records)}"
+            f"need at least {least} consecutive records, have {len(table.records)}{dropped}"
         )
 
 

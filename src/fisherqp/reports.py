@@ -160,6 +160,12 @@ def make_residual_check(name: str, residual: float, note: str = "") -> IdentityC
     )
 
 
+def _ratio(num: float, den: float) -> float:
+    """A measured ratio; inf over a zero denominator (a uniform density has
+    FI = 0, and with it both thermal Fisher routes)."""
+    return num / den if den != 0.0 else math.inf
+
+
 def flagged_discrepancy_checks(
     mean_qp: float, fisher: float, hbar: float, mass: float,
     route_a: float, route_b: float,
@@ -179,7 +185,7 @@ def flagged_discrepancy_checks(
             flagged=True,
             note=(
                 "implemented integral(P Q) = +(hbar^2/8m) FI; the opposite-sign "
-                f"convention also circulates (measured ratio {mean_qp / -implemented:+.6f})"
+                f"convention also circulates (measured ratio {_ratio(mean_qp, -implemented):+.6f})"
             ),
         ),
         make_check(
@@ -189,7 +195,7 @@ def flagged_discrepancy_checks(
             flagged=True,
             note=(
                 "formal route A and exact route B disagree on static coupled "
-                f"pairs (measured ratio A/B = {route_a / route_b:+.6f}); "
+                f"pairs (measured ratio A/B = {_ratio(route_a, route_b):+.6f}); "
                 "route B is the asserted one"
             ),
         ),

@@ -40,6 +40,11 @@ class PhysicalConstants:
     diffusivity D = hbar/(2*mass).  ``is_thermal_equilibrium`` tests
     hbar*omega = k*T (to 1e-12 relative), the condition under which the
     thermal and quantum unit systems coincide.
+
+    Every product of constants the package forms (hbar^2, hbar^2/m, hbar/m,
+    omega^2, m*omega^2, hbar*omega, k*T and (k*T)^2), and its reciprocal,
+    must be a normal float: a product that overflows or underflows to 0
+    would make the formulas raise or divide by zero.
     """
 
     hbar: float = 1.0
@@ -50,8 +55,25 @@ class PhysicalConstants:
 
     def __post_init__(self):
         for name in ("hbar", "mass", "omega", "boltzmann_k", "temperature"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # also refuses NaN
                 raise ValueError(f"{name} must be positive")
+        hbar, m, omega = self.hbar, self.mass, self.omega
+        k_t = self.boltzmann_k * self.temperature
+        products = {
+            "hbar^2": hbar * hbar,
+            "hbar^2/m": hbar * hbar / m,
+            "hbar/m": hbar / m,
+            "omega^2": omega * omega,
+            "m*omega^2": m * omega * omega,
+            "hbar*omega": hbar * omega,
+            "k*T": k_t,
+            "(k*T)^2": k_t * k_t,
+        }
+        tiny = np.finfo(float).tiny
+        for name, value in products.items():
+            if not tiny <= value <= 1.0 / tiny:
+                raise ValueError(f"{name} = {value:.3g} overflows or vanishes: it must "
+                                 f"lie in [{tiny:.3g}, {1.0 / tiny:.3g}]")
 
     @property
     def beta(self) -> float:

@@ -65,7 +65,7 @@ from .grid import (
     second_derivative_values,
     steps_to_keep,
 )
-from .reports import IdentityCheck, make_residual_check
+from .reports import IdentityCheck, _ratio, make_residual_check
 from .states import (
     SUPPORT_FLOOR,
     Density,
@@ -414,10 +414,9 @@ def thermal_fisher_report(
     route_a = -2.0 * alpha * quadrature_values(np.where(mask, p * lap_q, 0.0), dx)
 
     fisher = fisher_information(density)
-    ratio = route_a / route_b if route_b != 0.0 else math.inf
     return ThermalFisherResult(
         route_b=route_b, route_a=route_a, fisher_direct=fisher,
-        ratio_a_over_b=ratio,
+        ratio_a_over_b=_ratio(route_a, route_b),
     )
 
 

@@ -240,15 +240,40 @@ def test_bad_multiplier_exits_2(tmp_path, capsys, command, payload, message):
     assert not (out / "report.json").exists()
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg dominates import time; only the LAPACK solvers load it
-    src = str(Path(fisherqp.__file__).resolve().parents[1])
-    code = "import sys, fisherqp.cli; print('scipy.linalg' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, check=True,
+SOLVING_RUNS = {
+    "sweep": {**SMALL_SWEEP, "lambdas": [-1.0, -2.0, -4.0, -8.0, -16.0]},
+    "epi": small_epi(-4.0),
+    "evolve": {"grid": SMALL_SWEEP["grid"], "initial": {"kind": "gaussian", "sigma": 1.0},
+               "potential": {"kind": "harmonic"}, "dt": 1.0 / 64, "steps": 8},
+    "thermal": {"grid": {"xmin": -16.0, "xmax": 16.0, "n": 513},
+                "heat": {"kind": "quadratic", "coeff": 0.125}},
+}
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
+    # the scipy.linalg package dominates import time: importing the CLI
+    # loads no scipy, and a solving run loads only the compiled LAPACK
+    # extension, on its first solve
+    hook = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print('loaded:', *sorted(\n"
+        "    m for m in sys.modules if m.startswith('scipy'))))\n"
     )
-    assert out.stdout.strip() == "False"
+    env = dict(os.environ, PYTHONPATH=str(Path(fisherqp.__file__).resolve().parents[1]))
+
+    def loaded(code, *argv):
+        out = subprocess.run([sys.executable, "-c", hook + code, *argv], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode in (0, 3), out.stderr
+        return set(out.stdout.splitlines()[-1].split()[1:])
+
+    assert loaded("import fisherqp.cli") == set()
+    for command, payload in SOLVING_RUNS.items():
+        inp = write_json(tmp_path / f"{command}.json", payload)
+        modules = loaded("runpy.run_module('fisherqp.cli', run_name='__main__')",
+                         command, "--input", inp, "--out", str(tmp_path / command))
+        assert "scipy.linalg._flapack" in modules and "scipy.linalg" not in modules, command
+        assert (tmp_path / command / "report.json").exists()
 
 
 def test_maxent_command(tmp_path):
@@ -597,6 +622,59 @@ def test_input_errors_are_refused_before_any_work(tmp_path, capsys, monkeypatch,
     assert main([command, "--input", inp, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"schema error: {message}\n"
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["verify-identities", "evolve", "epi"])
+@pytest.mark.parametrize("constants, product", [
+    ({"hbar": 1e300}, "hbar^2 = inf"),
+    ({"hbar": 1e-300}, "hbar^2 = 0"),
+    ({"omega": 1e-300}, "omega^2 = 0"),
+], ids=["hbar-overflows", "hbar-vanishes", "omega-vanishes"])
+def test_constants_whose_products_overflow_or_vanish_exit_2(tmp_path, capsys, command,
+                                                             constants, product):
+    payload = {
+        "verify-identities": {"grid": GRID, "density": {"kind": "gaussian"}},
+        "evolve": SMALL_EVOLVE,
+        "epi": small_epi(-4.0),
+    }[command]
+    inp = write_json(tmp_path / "in.json", {**payload, "constants": constants})
+    out = tmp_path / "out"
+    assert main([command, "--input", inp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"schema error: {command}: {product} overflows or vanishes: it must lie in ["
+    )
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+def test_uniform_density_reports_its_flags(tmp_path):
+    # sigma = 1e10 is flat on the grid: FI = 0, so both measured ratios of
+    # the flag notes have a zero denominator
+    inp = write_json(tmp_path / "in.json", {"grid": SMALL_SWEEP["grid"],
+                                            "density": {"kind": "gaussian", "sigma": 1e10}})
+    out = tmp_path / "out"
+    assert main(["verify-identities", "--no-truncation-check", "--input", inp,
+                 "--out", str(out)]) == 0
+    byname = {c["name"]: c for c in read_report(out)["checks"]}
+    assert byname["mean-QP-equals-FI"]["rhs"] == 0.0
+    assert "(measured ratio +inf)" in byname["flag-mean-qp-sign"]["note"]
+    assert "(measured ratio A/B = +inf)" in byname["flag-thermal-route-factor"]["note"]
+
+
+def test_failed_sweep_names_each_dropped_multiplier(tmp_path):
+    # positive multipliers on x^2 push every ground state onto the walls
+    inp = write_json(tmp_path / "in.json", {**SMALL_SWEEP, "lambdas": [3.0, 1.0, 2.0]})
+    out = tmp_path / "out"
+    assert main(["sweep", "--input", inp, "--out", str(out)]) == 3
+    report = read_report(out)
+    assert report["checks"] == []
+    assert report["error"] == {
+        "type": "TooFewPoints",
+        "message": "need at least 3 consecutive records, have 0"
+                   "; lambda = 1.0 dropped by EdgeLocalized"
+                   "; lambda = 2.0 dropped by EdgeLocalized"
+                   "; lambda = 3.0 dropped by EdgeLocalized",
+    }
 
 
 def test_failed_check_exits_3(tmp_path):

@@ -1,11 +1,22 @@
+import importlib.machinery
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg.lapack
+from scipy.linalg.lapack import get_lapack_funcs
 from scipy.special import erf
 
+import fisherqp
 from fisherqp import Grid, quadrature
 from fisherqp.grid import (
     REDUCTION_FLOOR,
     ScalarField,
+    _lapack,
+    _load_flapack,
     crank_nicolson_flow,
     derivative_values,
     second_derivative_values,
@@ -250,3 +261,69 @@ def test_complex_step_zero_pivot():
     diag[10] = 0.0
     assert reduction_depth(diag, 1j) == 0
     assert max(step_backward_errors(diag, 1j)) <= 4 * np.finfo(float).eps
+
+
+def small_tridiagonal_solve(names, dtype, routines):
+    """Factor and solve a small well-conditioned tridiagonal system with
+    the ``(factor, solve)`` pair ``routines``; returns every output array."""
+    n = 7
+    diag = np.linspace(3.0, 4.0, n)
+    off = np.full(n - 1, 1.0, dtype=dtype)
+    rhs = np.arange(1.0, n + 1.0).astype(dtype)
+    if np.dtype(dtype).kind == "c":
+        off *= 0.6 + 0.8j
+        rhs *= 1.0 - 0.5j
+    factor, solve = routines
+    # Hermitian: ?pttrf takes the real diagonal and the superdiagonal
+    if names == ("pttrf", "pttrs"):
+        *factors, info = factor(diag, off)
+    else:
+        *factors, info = factor(np.conj(off), diag.astype(dtype), off)
+    assert info == 0
+    x, info = solve(*factors, rhs)
+    assert info == 0
+    dense = np.diag(diag.astype(dtype)) + np.diag(off, 1) + np.diag(np.conj(off), -1)
+    assert np.max(np.abs(dense @ x - rhs)) <= 1e-13 * np.max(np.abs(rhs))
+    return [*factors, x]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("names", [("pttrf", "pttrs"), ("gttrf", "gttrs")])
+def test_lapack_returns_scipys_routines(names, dtype):
+    ours = _lapack(names, dtype)
+    theirs = get_lapack_funcs(names, (np.zeros(1, dtype=dtype),))
+    assert all(a is b for a, b in zip(ours, theirs, strict=True))
+    for a, b in zip(small_tridiagonal_solve(names, dtype, ours),
+                    small_tridiagonal_solve(names, dtype, theirs), strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_lapack_falls_back_to_the_package_when_no_extension_file_matches(monkeypatch):
+    module = scipy.linalg.lapack._flapack  # what get_lapack_funcs reads
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".no-such-suffix"])
+    assert _load_flapack() is module
+    (pttrf,) = _lapack(("pttrf",), np.float64)
+    assert pttrf is module.dpttrf
+
+
+def test_lapack_loads_the_extension_without_the_scipy_linalg_package():
+    # in a fresh process: the seam loads scipy.linalg._flapack alone, and a
+    # later import of scipy.linalg hands out the very same routines
+    code = """if True:
+        import sys
+        import numpy as np
+        from fisherqp.grid import _lapack
+        ours = {(n, d): _lapack((n,), d)[0] for n in ("pttrf", "pttrs", "gttrf", "gttrs")
+                for d in (np.float64, np.complex128)}
+        print("scipy.linalg" in sys.modules, "scipy.linalg._flapack" in sys.modules)
+        from scipy.linalg.lapack import get_lapack_funcs
+        print(all(f is get_lapack_funcs((n,), (np.zeros(1, dtype=d),))[0]
+                  for (n, d), f in ours.items()))
+    """
+    src = str(Path(fisherqp.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["False", "True", "True"]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,25 @@ def test_constants_thermal_equality_flag():
 def test_constants_reject_nonpositive(field):
     with pytest.raises(ValueError):
         PhysicalConstants(**{field: 0.0})
+
+
+@pytest.mark.parametrize("constants, product", [
+    ({"hbar": 1e300}, "hbar^2"),
+    ({"hbar": 1e-300}, "hbar^2"),
+    ({"hbar": 1e100, "mass": 1e-250}, "hbar^2/m"),
+    ({"hbar": 3.0, "mass": 1.7e308}, "hbar/m"),
+    ({"omega": 1e-300}, "omega^2"),
+    ({"temperature": 1e300}, "(k*T)^2"),
+    ({"boltzmann_k": 1e-200}, "(k*T)^2"),
+])
+def test_constants_reject_products_that_overflow_or_vanish(constants, product):
+    with pytest.raises(ValueError, match=f"^{re.escape(product)} = "):
+        PhysicalConstants(**constants)
+
+
+def test_constants_reject_nan():
+    with pytest.raises(ValueError, match="hbar must be positive"):
+        PhysicalConstants(hbar=float("nan"))
 
 
 def test_density_normalization_and_mask(grid):
