@@ -31,7 +31,7 @@ state = MadelungState(density, grid.zeros(), constants)
 print("free Gaussian, sigma0 = 1, dt = 1/1024, t in [0, 1]")
 traj = evolve(state, grid.zeros(), 1.0 / 1024, 1024)
 
-p_end = traj.states[-1].density.values
+p_end = traj.density(1024).values
 var = np.trapezoid(p_end * grid.x**2, dx=grid.dx)
 print(f"  norm drift        {norm_drift(traj):.2e}")
 print(f"  sigma^2(t=1)      {var:.8f}   (closed form 1 + (t/2)^2 = 1.25)")

@@ -14,11 +14,12 @@ list-checks         print every registered check name with its tag
 Each command is a pair in ``COMMANDS``: a parse stage, the only one that
 raises SchemaError, turns the ``--input`` JSON and the grid flags into
 the validated, budget-checked keyword arguments of a suite (``suites``),
-which yields the checks.  ``report.json`` goes under ``--out``, with the
-suite's artifacts once it completes.  Exit codes: 0 when every check
-passed, 2 on a malformed input (no report), 3 when a check failed or the
-suite raised a FisherQPError or LAPACK's LinAlgError (the report keeps
-the checks yielded before the error).  Every check is judged against its
+which yields the checks and its artifacts.  Each artifact is written
+under ``--out`` as the suite yields it, and ``report.json`` goes there
+last.  Exit codes: 0 when every check passed, 2 on a malformed input (no
+report), 3 when a check failed or the suite raised a FisherQPError or
+LAPACK's LinAlgError (the report keeps the checks, and ``--out`` the
+artifacts, yielded before the error).  Every check is judged against its
 tolerance in ``reports.CHECKS`` times ``--tol-scale`` (positive and
 finite).  Reports are byte-deterministic; timestamps go to ``meta.json``.
 """
@@ -378,15 +379,6 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
-def _run(suite, checks: list[IdentityCheck]) -> list:
-    """Append every check ``suite`` yields to ``checks``; return its artifacts."""
-    while True:
-        try:
-            checks.append(next(suite))
-        except StopIteration as done:
-            return done.value
-
-
 def _write_report(out_dir: Path, command: str, digest: str, checks: list[IdentityCheck],
                   tol_scale: float, error: dict | None = None) -> bool:
     checks = [replace(c, tol=c.tol * tol_scale) for c in checks]
@@ -464,7 +456,12 @@ def main(argv=None) -> int:
     # a suite fails only with FisherQPError or LAPACK's LinAlgError (a
     # ValueError); anything else is a program fault and keeps its traceback
     try:
-        artifacts = _run(suite(**parse(payload, args)), checks)
+        for item in suite(**parse(payload, args)):
+            if isinstance(item, IdentityCheck):
+                checks.append(item)
+            else:
+                name, write = item
+                write(out_dir / name)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
@@ -473,8 +470,6 @@ def main(argv=None) -> int:
                       error={"type": type(exc).__name__, "message": str(exc)})
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    for write, name, value in artifacts:
-        write(value, out_dir / name)
     return 0 if _write_report(out_dir, args.command, digest, checks, args.tol_scale) else 3
 
 

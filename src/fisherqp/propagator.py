@@ -22,13 +22,16 @@ by a pivot of real part below 1/2.
 
 Trajectories stream: the stepper iterates the flow, copies psi only at
 the requested steps, and reduces what every step must contribute (the
-wall guard, the norm, the phase at the density peak) as it goes.  Only
-kept steps are split into a Madelung state.  Their phase is unwrapped in
-x on the support and aligned in time against the phase at the density
-peak, carried across skipped steps by the per-step increment
-arg(psi_k conj(psi_{k-1})); the global phase drift (and hence dS/dt) is
-thereby well defined, and a kept state's S is the same whichever other
-steps are kept.  Dirichlet walls stand in for an unbounded domain; a
+wall guard and the norm) as it goes.  A trajectory holds psi itself and
+nothing derived from it: the dynamical residuals read the Madelung
+fields straight off the kept psi, with no phase extraction.  The phase
+gradient is the current-velocity form S' = hbar Im(psi* psi')/|psi|^2
+= m J/|psi|^2 (Hall and Reginatto, J. Phys. A 35, 3289, 2002), and the
+phase rate dS/dt = hbar [arg(psi+ psi0*) + arg(psi0 psi-*)] / 2 dt is a
+pointwise centered difference of arg psi, valid while one step turns
+the phase by less than pi.  Neither needs unwrapping or a global phase
+constant, so neither breaks across the near-nodes of interference
+fringes.  Dirichlet walls stand in for an unbounded domain; a
 boundary-contact guard raises instead of silently corrupting identity
 checks once the packet reaches the walls.
 
@@ -57,32 +60,10 @@ from .grid import (
     quadrature_values,
     steps_to_keep,
 )
-from .states import (
-    Density,
-    MadelungState,
-    PhysicalConstants,
-    density_from_samples,
-    phase_on_support,
-)
+from .states import Density, MadelungState, PhysicalConstants, density_from_samples
 
 BOUNDARY_THRESHOLD = 1e-10   # relative |psi|^2 at the first interior points
 RESIDUAL_FLOOR = 0.05        # scale floor entering residual denominators
-
-
-@dataclass(frozen=True)
-class Propagation:
-    """Raw Crank-Nicolson output of ``propagate_wavefunction``.
-
-    ``psis`` holds psi at the ``kept`` steps only.  ``norms`` and
-    ``peak_phase`` have one entry per step k = 0..steps: the quadrature of
-    |psi_k|^2, and arg(psi_k) at the density peak, continued in time
-    (no 2 pi jumps) from the initial phase.
-    """
-
-    kept: tuple[int, ...]
-    psis: list[np.ndarray]
-    norms: np.ndarray
-    peak_phase: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -91,15 +72,13 @@ class Trajectory:
 
     ``times`` covers every step k = 0..steps, and ``norms`` gives the
     quadrature of the raw |psi_k|^2 at each of them.  Only the ``kept``
-    steps are stored: ``psis`` holds their raw complex wavefunction and
-    ``states`` their Madelung split (lossy in the sub-floor tails, where
-    the phase is extended rather than read off roundoff-level
-    amplitudes).  ``psi(k)`` and ``state(k)`` look a step up by index.
+    steps are stored: ``psis`` holds their raw complex wavefunction.
+    ``psi(k)`` looks a step up by index, and ``density(k)`` is its
+    normalized |psi_k|^2.
     """
 
     times: np.ndarray
     kept: tuple[int, ...]
-    states: list[MadelungState]
     psis: list[np.ndarray]
     norms: np.ndarray
     potential: ScalarField
@@ -116,17 +95,16 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    def _position(self, step: int) -> int:
+    def psi(self, step: int) -> np.ndarray:
         try:
-            return self.kept.index(step)
+            return self.psis[self.kept.index(step)]
         except ValueError:
             raise ValueError(f"step {step} was not kept") from None
 
-    def psi(self, step: int) -> np.ndarray:
-        return self.psis[self._position(step)]
-
-    def state(self, step: int) -> MadelungState:
-        return self.states[self._position(step)]
+    def density(self, step: int) -> Density:
+        return density_from_samples(
+            ScalarField(self.grid, np.abs(self.psi(step)) ** 2), truncation_check=False
+        )
 
 
 def _hamiltonian_diagonals(grid: Grid, V: np.ndarray, constants: PhysicalConstants):
@@ -146,16 +124,6 @@ def _apply_h(psi: np.ndarray, main: np.ndarray, off: float) -> np.ndarray:
     return out
 
 
-def _phase_along(psi: np.ndarray, i: int, j: int) -> float:
-    """arg(psi[j]) - arg(psi[i]), unwrapped along the points in between."""
-    if i == j:
-        return 0.0
-    lo, hi = min(i, j), max(i, j)
-    seg = psi[lo : hi + 1]
-    change = float(np.sum(np.angle(seg[1:] * np.conj(seg[:-1]))))
-    return change if j >= i else -change
-
-
 def propagate_wavefunction(
     psi0: np.ndarray,
     grid: Grid,
@@ -164,14 +132,11 @@ def propagate_wavefunction(
     dt: float,
     steps: int,
     keep: Iterable[int] | None = None,
-    phase0: np.ndarray | None = None,
-) -> Propagation:
-    """Raw Crank-Nicolson stepping over ``steps`` steps.
+) -> Trajectory:
+    """Raw Crank-Nicolson stepping of ``psi0`` over ``steps`` steps.
 
     Keeps psi at the step indices in ``keep`` (every step when None) and
-    records every step's norm and peak phase (see ``Propagation``).  The
-    peak phase starts from ``phase0`` (radians, a field on the grid) at
-    the initial density peak, or from arg(psi0) there when None.
+    records every step's norm (see ``Trajectory``).
 
     Exactly norm-preserving and exactly invertible by stepping with -dt.
     Raises BoundaryContact, checked at every step, when the relative
@@ -192,37 +157,24 @@ def propagate_wavefunction(
     # end values vanish
     flow = crank_nicolson_flow(psi, 1.0 + z * main[1:-1], z * off, steps)
     del psi  # the flow copies it; holding it too would keep a third state buffer
-    psi = next(flow)  # factors A/2
 
     # trapezoid rule for the norm; the walls are pinned to 0, so it is a sum
     norms = np.empty(steps + 1)
-    peak_phase = np.empty(steps + 1)
-    p = np.abs(psi) ** 2
-    peak = int(np.argmax(p))
-    norms[0] = p.sum() * grid.dx
-    peak_phase[0] = np.angle(psi[peak]) if phase0 is None else phase0[peak]
-    kept = [0] if 0 in keep_set else []
-    psis = [psi.copy()] if kept else []
-    for k, nxt in enumerate(flow, start=1):
-        np.square(np.abs(nxt, out=p), out=p)
+    p = np.empty(grid.n)
+    kept, psis = [], []
+    for k, psi in enumerate(flow):
+        np.square(np.abs(psi, out=p), out=p)
         edge = max(p[1], p[-2])
-        new_peak = int(np.argmax(p))
-        if edge > BOUNDARY_THRESHOLD * p[new_peak]:
+        if edge > BOUNDARY_THRESHOLD * p.max():
             raise BoundaryContact(
                 f"wave packet reached the wall (relative edge density {edge:.3e})"
             )
         norms[k] = p.sum() * grid.dx
-        # move along x to the new peak on the old state, then forward in time
-        peak_phase[k] = (
-            peak_phase[k - 1]
-            + _phase_along(psi, peak, new_peak)
-            + np.angle(nxt[new_peak] * np.conj(psi[new_peak]))
-        )
-        psi, peak = nxt, new_peak
         if k in keep_set:
             kept.append(k)
             psis.append(psi.copy())
-    return Propagation(tuple(kept), psis, norms, peak_phase)
+    return Trajectory(times=np.arange(steps + 1) * dt, kept=tuple(kept), psis=psis,
+                      norms=norms, potential=V, constants=constants)
 
 
 def evolve(
@@ -234,11 +186,9 @@ def evolve(
 ) -> Trajectory:
     """Propagate a state with Crank-Nicolson for ``steps`` steps of size dt.
 
-    Only the step indices in ``keep`` (every step when None) are stored
-    and split into Madelung states; the wall guard and the norm still
-    cover every step.  Each kept phase is aligned in time through the
-    carried peak phase, starting from the initial state's phase, so it
-    does not depend on which other steps are kept.
+    The initial wavefunction is normalized on the grid; only the step
+    indices in ``keep`` (every step when None) are stored, while the wall
+    guard and the norm still cover every step.
 
     Accuracy guard: |dt| should not exceed dx for the second-order
     truncation errors in space and time to stay balanced; stability is
@@ -247,33 +197,13 @@ def evolve(
     grid = initial.grid
     if V.grid != grid:
         raise ValueError("potential grid mismatch")
-    constants = initial.constants
-
     psi = initial.wavefunction().astype(complex)
     psi[0] = psi[-1] = 0.0
-    norm = np.sqrt(quadrature_values(np.abs(psi) ** 2, grid.dx))
-    psi /= norm
-    run = propagate_wavefunction(
-        psi, grid, V, constants, dt, steps, keep,
-        phase0=initial.phase.values / constants.hbar,
-    )
-
-    states = []
-    for k, snapshot in zip(run.kept, run.psis):
-        density = density_from_samples(
-            ScalarField(grid, np.abs(snapshot) ** 2), truncation_check=False
-        )
-        s = phase_on_support(snapshot, density, constants.hbar, run.peak_phase[k])
-        states.append(MadelungState(density, ScalarField(grid, s), constants))
-
-    times = np.arange(steps + 1) * dt
-    return Trajectory(
-        times=times, kept=run.kept, states=states, psis=run.psis,
-        norms=run.norms, potential=V, constants=constants,
-    )
+    psi /= np.sqrt(quadrature_values(np.abs(psi) ** 2, grid.dx))
+    return propagate_wavefunction(psi, grid, V, initial.constants, dt, steps, keep)
 
 
-def norm_drift(traj: Trajectory | Propagation) -> float:
+def norm_drift(traj: Trajectory) -> float:
     """Largest deviation of quadrature(|psi_k|^2) from 1 over every step,
     read off the raw wavefunction (not the renormalized densities)."""
     return float(np.max(np.abs(traj.norms - 1.0)))
@@ -288,19 +218,18 @@ def energy_expectation(traj: Trajectory, index: int) -> float:
     return float(np.real(quadrature_values((np.conj(psi) * hpsi).real, grid.dx)))
 
 
-def _window(traj: Trajectory, index: int) -> tuple[MadelungState, ...]:
-    """States at index - 1, index, index + 1 (the centered-difference stencil)."""
+def _window(traj: Trajectory, index: int) -> tuple[int, int, int]:
+    """Steps index - 1, index, index + 1 (the centered-difference stencil)."""
     if not 1 <= index <= len(traj) - 2:
         raise ValueError(f"index {index} must be interior (1..{len(traj) - 2})")
-    return tuple(traj.state(index + k) for k in (-1, 0, 1))
+    return index - 1, index, index + 1
 
 
 def probability_current(traj: Trajectory, index: int) -> np.ndarray:
     """J = (hbar/m) Im(psi* psi'), the flux of the continuity equation.
 
-    Computed from the raw wavefunction: algebraically this equals
-    P S'/m, but it does not inherit the roundoff floor of the phase
-    extraction (relevant for stationary states, where J ~ 0).
+    Computed from the raw wavefunction, so it carries no roundoff floor of
+    a phase extraction (relevant for stationary states, where J ~ 0).
     """
     psi = traj.psi(index)
     dx = traj.grid.dx
@@ -309,40 +238,56 @@ def probability_current(traj: Trajectory, index: int) -> np.ndarray:
     return c.hbar / c.mass * np.imag(np.conj(psi) * dpsi)
 
 
+def phase_gradient(traj: Trajectory, index: int) -> np.ndarray:
+    """S' = m J / |psi|^2 = hbar Im(psi* psi')/|psi|^2 on the support of
+    step ``index``, 0 off it."""
+    abs2 = np.abs(traj.psi(index)) ** 2
+    current = traj.constants.mass * probability_current(traj, index)
+    mask = traj.density(index).support_mask
+    return np.divide(current, abs2, out=np.zeros_like(abs2), where=mask)
+
+
+def phase_rate(traj: Trajectory, index: int) -> np.ndarray:
+    """dS/dt = hbar [arg(psi+ psi0*) + arg(psi0 psi-*)] / 2 dt at an
+    interior ``index``: a pointwise centered difference of arg psi, with
+    no unwrapping and no global phase constant; valid while one step
+    turns the phase by less than pi."""
+    before, now, after = (traj.psi(k) for k in _window(traj, index))
+    turn = np.angle(after * np.conj(now)) + np.angle(now * np.conj(before))
+    return traj.constants.hbar * turn / (2.0 * traj.dt)
+
+
 def continuity_residual(traj: Trajectory, index: int) -> float:
     """max |dP/dt + div J| over the mask, relative to max|dP/dt|.
 
     Time derivative by centered difference at an interior index; the
     denominator carries the scale floor described in the module docstring.
     """
-    before, now, after = _window(traj, index)
+    before, now, after = (traj.density(k) for k in _window(traj, index))
     dt = traj.dt
     dx = traj.grid.dx
 
-    dpdt = (after.density.values - before.density.values) / (2.0 * dt)
+    dpdt = (after.values - before.values) / (2.0 * dt)
     div = derivative_values(probability_current(traj, index), dx)
-    mask = now.density.support_mask
+    mask = now.support_mask
 
     num = float(np.max(np.abs(dpdt[mask] + div[mask])))
-    den = float(np.max(np.abs(dpdt[mask]))) + RESIDUAL_FLOOR * float(
-        np.max(now.density.values)
-    )
+    den = float(np.max(np.abs(dpdt[mask]))) + RESIDUAL_FLOOR * float(np.max(now.values))
     return num / den
 
 
 def hj_residual(traj: Trajectory, index: int) -> float:
     """Density-weighted residual of dS/dt + (S')^2/2m + V + Q = 0."""
-    before, now, after = _window(traj, index)
-    dt = traj.dt
+    dsdt = phase_rate(traj, index)
+    now = traj.density(index)
     m = traj.constants.mass
 
-    dsdt = (after.phase.values - before.phase.values) / (2.0 * dt)
-    grad_s = now.momentum_field()
-    q = quantum_potential(now.density, traj.constants).values
+    grad_s = phase_gradient(traj, index)
+    q = quantum_potential(now, traj.constants).values
     r = dsdt + grad_s**2 / (2.0 * m) + traj.potential.values + q
 
-    p = now.density.values
-    mask = now.density.support_mask
+    p = now.values
+    mask = now.support_mask
     weight = p / float(np.max(p))
     num = float(np.max(weight[mask] * np.abs(r[mask])))
     scale = np.abs(traj.potential.values[mask] + q[mask])
@@ -356,19 +301,16 @@ def entropy_rate_check(traj: Trajectory, index: int) -> tuple[float, float]:
     lhs is the centered time difference of the differential entropy; rhs
     is -(1/m) integral(S' P').
     """
-    before, now, after = _window(traj, index)
+    before, now, after = (traj.density(k) for k in _window(traj, index))
     dt = traj.dt
     dx = traj.grid.dx
     m = traj.constants.mass
 
-    h_plus = differential_entropy(after.density)
-    h_minus = differential_entropy(before.density)
-    lhs = (h_plus - h_minus) / (2.0 * dt)
+    lhs = (differential_entropy(after) - differential_entropy(before)) / (2.0 * dt)
 
-    grad_s = now.momentum_field()
-    dp = derivative_values(now.density.values, dx)
-    mask = now.density.support_mask
-    integrand = np.where(mask, grad_s * dp, 0.0)
+    grad_s = phase_gradient(traj, index)
+    dp = derivative_values(now.values, dx)
+    integrand = np.where(now.support_mask, grad_s * dp, 0.0)
     rhs = -quadrature_values(integrand, dx) / m
     return lhs, rhs
 

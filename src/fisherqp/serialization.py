@@ -3,8 +3,10 @@
 * ScalarField CSV: header ``x,value``, one row per grid point, floats
   written with 17 significant digits (lossless for float64).
 * JSON: keys sorted, one-space indent, so equal payloads write equal bytes.
-* Trajectory dump: one CSV per step plus ``manifest.json`` carrying dt,
-  steps, the constants, the grid and the potential.
+* Trajectory dump: one ``x,P,S`` CSV per step plus ``manifest.json``
+  (schema 1) carrying dt, steps, the constants, the grid and the
+  potential.  P is the normalized |psi|^2 and S the Madelung phase read
+  off psi (``phase_on_support``); the dump is the only place S is formed.
 * Sweep CSV: ``lambda,I,meanA,Lambda,alpha_norm,status``; failed rows
   keep their multiplier and error name with empty value columns.
 """
@@ -15,10 +17,12 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .grid import Grid, ScalarField
 from .legendre import SweepTable
 from .propagator import Trajectory
-from .states import PhysicalConstants
+from .states import Density, MadelungState, PhysicalConstants
 
 
 def _fmt(v: float) -> str:
@@ -66,18 +70,51 @@ def grid_from_dict(data: dict) -> Grid:
     return Grid(xmin=float(data["xmin"]), xmax=float(data["xmax"]), n=int(data["n"]))
 
 
-def dump_trajectory(traj: Trajectory, out_dir) -> Path:
-    """Write one state CSV per kept step plus a manifest; returns the directory."""
+def phase_on_support(psi: np.ndarray, density: Density, reference: np.ndarray) -> np.ndarray:
+    """arg(psi) in radians, unwrapped along x over the support mask of
+    ``density`` and extended constantly off it.
+
+    The global constant is fixed by shifting by the multiple of 2 pi that
+    brings arg(psi) at the density peak closest to ``reference`` (a phase
+    field in radians) there.  Against the previous step's phase this
+    aligns successive steps of a trajectory in time, provided one step
+    turns the phase at the peak by less than pi.
+    """
+    idx = np.flatnonzero(density.support_mask)
+    theta = np.unwrap(np.angle(psi[idx]))
+    peak = int(np.argmax(density.values[idx]))
+    theta += 2.0 * np.pi * np.round((reference[idx[peak]] - theta[peak]) / (2.0 * np.pi))
+    out = np.empty(len(psi))
+    out[idx] = theta
+    out[: idx[0]] = theta[0]
+    out[idx[-1] + 1 :] = theta[-1]
+    return out
+
+
+def dump_trajectory(traj: Trajectory, initial: MadelungState, out_dir) -> Path:
+    """Write one ``x,P,S`` CSV per step of ``traj``, which must have kept
+    every step, plus a manifest; returns the directory.
+
+    Each step's S is aligned against the previous step's S at its own
+    density peak, and step 0 against the phase of ``initial``, the state
+    ``traj`` was evolved from.
+    """
+    if traj.kept != tuple(range(len(traj))):
+        raise ValueError("a trajectory dump needs every step; this trajectory kept "
+                         f"{len(traj.kept)} of {len(traj)}")
+    hbar = traj.constants.hbar
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for k, state in zip(traj.kept, traj.states):
+    xs = [_fmt(x) for x in traj.grid.x.tolist()]
+    theta = initial.phase.values / hbar
+    for k, psi in zip(traj.kept, traj.psis):
+        density = traj.density(k)
+        theta = phase_on_support(psi, density, theta)
         with open(out / f"step_{k:05d}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "P", "S"])
-            for x, p, s in zip(
-                traj.grid.x, state.density.values, state.phase.values
-            ):
-                writer.writerow([_fmt(x), _fmt(p), _fmt(s)])
+            writer.writerows(zip(xs, map(_fmt, density.values.tolist()),
+                                 map(_fmt, (hbar * theta).tolist())))
     manifest = {
         "schema": 1,
         "dt": traj.dt,

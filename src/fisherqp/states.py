@@ -8,8 +8,11 @@ Conventions fixed here and used everywhere else:
 * The endpoint-decay (truncation) check stands in for compact support:
   endpoint values must stay below ``1e-12 * max(P)`` unless the caller
   disables the check explicitly.
-* The phase S of a Madelung state is defined up to a global constant;
-  split trajectory states fix it against the phase at the density peak.
+* The phase S of a Madelung state is defined up to a global constant.
+  Nothing reads S off a wavefunction except the trajectory dump
+  (``serialization.phase_on_support``): the dynamical residuals use the
+  phase-free forms S' = hbar Im(psi* psi')/|psi|^2 and the pointwise
+  step-to-step turn of arg psi (``propagator``).
 * The letter alpha is overloaded in the underlying formalism.  Here it is
   always split into ``alpha_norm`` (normalization multiplier of the
   Fisher extremization), ``alpha_th`` (= 1/(hbar*omega)), and
@@ -225,27 +228,6 @@ def density_from_heat(
     return density, 1.0 / z
 
 
-def phase_on_support(
-    psi: np.ndarray, density: Density, hbar: float, peak_phase: float
-) -> np.ndarray:
-    """S = hbar * arg(psi), unwrapped along x over the support mask and
-    extended constantly off it.
-
-    The global constant is fixed by shifting S by the multiple of 2 pi hbar
-    that brings arg(psi) at the density peak closest to ``peak_phase``
-    (radians), which aligns successive states of a trajectory in time.
-    """
-    idx = np.flatnonzero(density.support_mask)
-    theta = np.unwrap(np.angle(psi[idx]))
-    peak = int(np.argmax(density.values[idx]))
-    theta += 2.0 * np.pi * np.round((peak_phase - theta[peak]) / (2.0 * np.pi))
-    s = np.empty(len(psi))
-    s[idx] = hbar * theta
-    s[: idx[0]] = s[idx[0]]
-    s[idx[-1] + 1 :] = s[idx[-1]]
-    return s
-
-
 @dataclass(frozen=True)
 class MadelungState:
     """Amplitude/phase representation psi = sqrt(P) * exp(i S / hbar)."""
@@ -266,7 +248,3 @@ class MadelungState:
         return np.sqrt(self.density.values) * np.exp(
             1j * self.phase.values / self.constants.hbar
         )
-
-    def momentum_field(self) -> np.ndarray:
-        """p = grad(S), finite on the support."""
-        return derivative_values(self.phase.values, self.grid.dx)

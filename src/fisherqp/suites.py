@@ -2,15 +2,17 @@
 
 A suite takes the problem ``cli`` parsed (its validated, budget-checked
 keyword arguments) and yields ``reports.IdentityCheck`` records in report
-order.  Its return value lists the artifacts to write once every check is
-in, as ``(write, name, value)`` for ``write(value, out_dir / name)``.  No
-suite takes a path or opens a file, so a suite runs in process as
-``suite(**problem)``.
+order.  Between them it yields each artifact as soon as it exists, as a
+pair ``(name, write)`` for ``write(out_dir / name)``, so a suite that
+raises later still leaves what it had made.  No suite takes a path or
+opens a file, so a suite runs in process as ``suite(**problem)``.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Iterator
+from functools import partial
+from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -26,7 +28,8 @@ from .serialization import dump_trajectory, save_field_csv, save_json, save_swee
 from .thermal import (coherence_suite, gibbs_formula_check, heat_from_density,
                       thermal_fisher_report, thermalized_qp, vanishing_qp_residual)
 
-Suite = Generator[IdentityCheck, None, list]
+Artifact = tuple[str, Callable[[Path], object]]
+Suite = Iterator[IdentityCheck | Artifact]
 
 
 def _thermal_fisher_checks(density, hf, constants) -> Iterator[IdentityCheck]:
@@ -41,6 +44,7 @@ def _thermal_fisher_checks(density, hf, constants) -> Iterator[IdentityCheck]:
 
 def identities_suite(density, constants, gibbs) -> Suite:
     """verify-identities; ``gibbs`` is (energy, gamma) for a Gibbs density."""
+    yield "density.csv", partial(save_field_csv, density.field)
     fi = fisher_information(density)
     q_forms = {form: quantum_potential(density, constants, form) for form in QPForm}
     q_ref = q_forms[QPForm.SQRT].values
@@ -65,7 +69,6 @@ def identities_suite(density, constants, gibbs) -> Suite:
         gc = gibbs_formula_check(*gibbs, constants)
         yield make_residual_check("gibbs-qp-formula", gc.qp_maxdev)
         yield make_check("gibbs-fisher-formula", gc.fisher_direct, gc.fisher_energy_route)
-    return [(save_field_csv, "density.csv", density.field)]
 
 
 def evolve_suite(state, potential, dt, steps, index, dump) -> Suite:
@@ -73,17 +76,26 @@ def evolve_suite(state, potential, dt, steps, index, dump) -> Suite:
     only the centered window around it is kept unless ``dump``."""
     keep = None if dump else (index - 1, index, index + 1)
     traj = evolve(state, potential, dt, steps, keep)
+    if dump:
+        yield "trajectory", partial(dump_trajectory, traj, state)
     yield make_residual_check("continuity", continuity_residual(traj, index))
     yield make_residual_check("modified-hj", hj_residual(traj, index))
     lhs, rhs = entropy_rate_check(traj, index)
     yield make_check("entropy-rate", lhs, rhs,
                      note="centered entropy rate vs -integral(S'P')/m")
-    return [(dump_trajectory, "trajectory", traj)] if dump else []
 
 
 def epi_suite(spec, grid, constants) -> Suite:
     """epi: the extremal density of the constraints ``spec``."""
     result = epi_solve(spec, grid)
+    yield "epi_result.json", partial(save_json, {
+        "alpha_norm": result.alpha_norm,
+        "eigenvalue": result.eigenvalue,
+        "fisher_information": result.fisher_I,
+        "multipliers": list(result.multipliers),
+    })
+    yield "p_I.csv", partial(save_field_csv, result.p_I.field)
+    yield "psi.csv", partial(save_field_csv, result.psi)
     mean_terms = sum(
         lam * quadrature_values(result.p_I.values * a.values, grid.dx)
         for lam, a in zip(result.multipliers, spec.A_fields)
@@ -104,30 +116,23 @@ def epi_suite(spec, grid, constants) -> Suite:
         scale = float(np.max(np.abs(quantum_potential(result.p_I, constants).values)))
         yield make_residual_check("epi-qp-affine", qc.maxdev / (scale + 1e-300))
         yield make_check("epi-mean-qp", qc.mean_lhs, qc.mean_rhs)
-    summary = {
-        "alpha_norm": result.alpha_norm,
-        "eigenvalue": result.eigenvalue,
-        "fisher_information": result.fisher_I,
-        "multipliers": list(result.multipliers),
-    }
-    return [(save_json, "epi_result.json", summary),
-            (save_field_csv, "p_I.csv", result.p_I.field),
-            (save_field_csv, "psi.csv", result.psi)]
 
 
 def maxent_suite(constraint, target, truncation_check) -> Suite:
     """maxent: the entropy extremizer attaining ``target``."""
     density, alpha, z = maxent_solve(constraint, target, truncation_check)
+    yield "maxent_result.json", partial(save_json,
+                                        {"alpha_gibbs": alpha, "Z": z, "target": target})
+    yield "maxent_density.csv", partial(save_field_csv, density.field)
     attained = quadrature_values(density.values * constraint.values, constraint.grid.dx)
     yield make_check("maxent-multiplier", attained, target,
                      note=f"alpha_gibbs={alpha!r}, Z={z!r}")
-    return [(save_json, "maxent_result.json", {"alpha_gibbs": alpha, "Z": z, "target": target}),
-            (save_field_csv, "maxent_density.csv", density.field)]
 
 
 def sweep_suite(constraint, lambdas) -> Suite:
     """sweep: Euler and Legendre relations along the multipliers ``lambdas``."""
     table = sweep(constraint, lambdas, constraint.grid)
+    yield "sweep.csv", partial(save_sweep_csv, table)
     yield make_residual_check("fisher-euler", verify_euler(table))
     report = verify_legendre(table)
     yield make_residual_check(
@@ -138,7 +143,6 @@ def sweep_suite(constraint, lambdas) -> Suite:
             f"reciprocity {report.reciprocity_d2I:.3e}/{report.reciprocity_d2Lambda:.3e}"
         ),
     )
-    return [(save_sweep_csv, "sweep.csv", table)]
 
 
 def thermal_suite(hf, density, t_final, dt, steps) -> Suite:
@@ -181,4 +185,3 @@ def thermal_suite(hf, density, t_final, dt, steps) -> Suite:
             float(np.max(weight[2:-2] * np.abs(thq.values[2:-2]))) / (qt_scale + 1e-300),
         )
     yield from _thermal_fisher_checks(density, hf, constants)
-    return []

@@ -1,7 +1,8 @@
-"""Every public function and class of the package has a caller in the
-package or the demos: an API that only tests call is dead weight.  Every
-private function and class, and every UPPERCASE constant, is read
-somewhere in the package: a helper nothing calls is dead code."""
+"""Every public function and class of the package, and every public
+method and property of its classes, has a caller in the package or the
+demos: an API that only tests call is dead weight.  Every private
+function and class, and every UPPERCASE constant, is read somewhere in
+the package: a helper nothing calls is dead code."""
 
 import ast
 from pathlib import Path
@@ -50,6 +51,23 @@ def test_every_public_definition_has_a_caller():
         for path in MODULES
         for node in trees[path].body
         if isinstance(node, DEFINITIONS)
+        and not node.name.startswith("_")
+        and node.name not in referenced
+    )
+    assert not unused, f"no module or demo references {', '.join(unused)}"
+
+
+def test_every_public_method_and_property_has_a_caller():
+    # a method is matched by name alone: any attribute of that name counts
+    trees = _parse(MODULES + DEMOS)
+    referenced = set().union(*(_referenced_names(t) for t in trees.values()))
+    unused = sorted(
+        f"{path.stem}.{cls.name}.{node.name}"
+        for path in MODULES
+        for cls in trees[path].body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not node.name.startswith("_")
         and node.name not in referenced
     )

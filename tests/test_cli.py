@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 import fisherqp
 from fisherqp import extremizers, propagator, suites
 from fisherqp.cli import COMMANDS, build_parser, main
-from fisherqp.reports import CHECKS
+from fisherqp.reports import CHECKS, IdentityCheck
 
 
 def write_json(path, payload):
@@ -544,16 +545,18 @@ THERMAL_ONE_POINT = {"grid": {"xmin": -8.0, "xmax": 8.0, "n": 257},
                      "heat": {"kind": "quadratic", "coeff": 1e306}}
 
 
-@pytest.mark.parametrize("command, payload, names", [
+@pytest.mark.parametrize("command, payload, names, artifacts", [
     ("verify-identities", spike(1), ["qp-four-forms", "mean-QP-equals-FI",
-                                     "fluctuation-mean-zero", "fluctuation-second-moment"]),
+                                     "fluctuation-mean-zero", "fluctuation-second-moment"],
+     ["density.csv"]),
     ("verify-identities", spike(2), ["qp-four-forms", "mean-QP-equals-FI",
-                                     "fluctuation-mean-zero", "fluctuation-second-moment"]),
+                                     "fluctuation-mean-zero", "fluctuation-second-moment"],
+     ["density.csv"]),
     ("thermal", THERMAL_ONE_POINT, ["ratio-law-evolution", "heat-action-link",
-                                    "fluctuation-chain", "kinetic-excess"]),
+                                    "fluctuation-chain", "kinetic-excess"], []),
 ], ids=["one-point-spike", "two-point-spike", "thermal-one-point"])
 def test_failed_run_keeps_the_checks_yielded_before_the_error(tmp_path, command, payload,
-                                                              names):
+                                                              names, artifacts):
     inp = write_json(tmp_path / "in.json", payload)
     out = tmp_path / "out"
     assert main([command, "--input", inp, "--out", str(out)]) == 3
@@ -561,7 +564,8 @@ def test_failed_run_keeps_the_checks_yielded_before_the_error(tmp_path, command,
     assert report["error"]["type"] == "DegenerateSupport"
     assert [c["name"] for c in report["checks"]] == names
     assert report["overall_pass"] is False
-    assert sorted(p.name for p in out.iterdir()) == ["meta.json", "report.json"]
+    # and the artifacts yielded before the error
+    assert sorted(p.name for p in out.iterdir()) == artifacts + ["meta.json", "report.json"]
 
 
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
@@ -675,6 +679,26 @@ def test_failed_sweep_names_each_dropped_multiplier(tmp_path):
                    "; lambda = 2.0 dropped by EdgeLocalized"
                    "; lambda = 3.0 dropped by EdgeLocalized",
     }
+    assert sweep_statuses(out) == ["EdgeLocalized"] * 3
+
+
+def sweep_statuses(out):
+    with open(out / "sweep.csv", newline="") as fh:
+        return [row["status"] for row in csv.DictReader(fh)]
+
+
+def test_sweep_failing_legendre_window_keeps_its_table_and_checks(tmp_path):
+    # four records pass fisher-euler; the Legendre relations need five
+    inp = write_json(tmp_path / "in.json",
+                     {"grid": {"xmin": -8.0, "xmax": 8.0, "n": 1025},
+                      "constraint": {"kind": "monomial", "power": 2},
+                      "lambdas": [-1.0, -2.0, -4.0, -8.0]})
+    out = tmp_path / "out"
+    assert main(["sweep", "--input", inp, "--out", str(out)]) == 3
+    report = read_report(out)
+    assert [c["name"] for c in report["checks"]] == ["fisher-euler"]
+    assert report["error"]["type"] == "TooFewPoints"
+    assert sweep_statuses(out) == ["ok"] * 4
 
 
 def test_failed_check_exits_3(tmp_path):
@@ -750,7 +774,8 @@ TOL_OVERRIDES = {("epi", "mean-QP-equals-FI"): 1e-5}
 
 
 def test_registry_equals_reported_checks(tmp_path, monkeypatch):
-    # every suite runs in process on its parsed problem and writes no file
+    # every suite runs in process on its parsed problem and writes no file:
+    # it yields its artifacts as (name, write) pairs for the driver to write
     cwd = tmp_path / "cwd"
     cwd.mkdir()
     monkeypatch.chdir(cwd)
@@ -760,6 +785,10 @@ def test_registry_equals_reported_checks(tmp_path, monkeypatch):
         parse, suite = COMMANDS[command]
         args = build_parser().parse_args([command, "--input", "-", "--out", "-"])
         for check in suite(**parse(payload, args)):
+            if not isinstance(check, IdentityCheck):
+                name, write = check
+                assert isinstance(name, str) and callable(write)
+                continue
             reported.add(check.name)
             assert check.tol == TOL_OVERRIDES.get((command, check.name),
                                                   table[check.name]), check.name

@@ -16,7 +16,7 @@ from fisherqp import (
     quantum_potential,
 )
 from fisherqp.functionals import masked_quadrature, weighted_max_dev, weighted_sup
-from fisherqp.grid import ScalarField
+from fisherqp.grid import ScalarField, derivative_values
 
 from conftest import gaussian_density, mixture_density
 
@@ -197,7 +197,8 @@ def test_osmotic_fields_uniform_interior():
 def orthogonality_defect(state):
     """integral(P * S' * delta_p): zero when S' is constant on the support."""
     rep = fluctuation_report(state.density, state.constants)
-    p = state.density.values * state.momentum_field() * rep.delta_p.values
+    grad_s = derivative_values(state.phase.values, state.grid.dx)
+    p = state.density.values * grad_s * rep.delta_p.values
     return masked_quadrature(p, state.density.support_mask, state.grid.dx)
 
 

@@ -18,7 +18,8 @@ from fisherqp import (
     osmotic_entropy_rate,
 )
 from fisherqp.grid import ScalarField
-from fisherqp.propagator import propagate_wavefunction
+from fisherqp.serialization import dump_trajectory
+from fisherqp.propagator import phase_rate, propagate_wavefunction
 
 from conftest import cn_backward_error, gaussian_density, reduction_depth
 
@@ -83,7 +84,7 @@ def test_ho_ground_state_density_invariant():
 def test_free_gaussian_dispersion():
     traj = free_gaussian_trajectory()
     g = traj.grid
-    P = traj.states[-1].density.values
+    P = traj.density(len(traj) - 1).values
     var = np.trapezoid(P * g.x**2, dx=g.dx) - np.trapezoid(P * g.x, dx=g.dx) ** 2
     assert var == pytest.approx(1.25, abs=1e-4)  # sigma0^2 (1 + (t/2)^2)
 
@@ -96,14 +97,13 @@ def test_potential_shift_is_pure_gauge():
     t1 = evolve(state, V, 1.0 / 2048, 128)
     t2 = evolve(state, Vc, 1.0 / 2048, 128)
     dev = max(
-        np.max(np.abs(a.density.values - b.density.values))
-        for a, b in zip(t1.states, t2.states)
+        np.max(np.abs(t1.density(k).values - t2.density(k).values)) for k in t1.kept
     )
     assert dev <= 1e-9
 
 
 def test_potential_shift_leaves_hj_residual_unchanged():
-    # the extracted phase absorbs -c*t, so the residual is gauge-invariant
+    # the phase rate absorbs -c*t, so the residual is gauge-invariant
     g = Grid(-10.0, 10.0, 2561)
     state = MadelungState(gaussian_density(g), g.zeros(), C)
     V = g.from_function(lambda x: 0.5 * x**2)
@@ -196,11 +196,8 @@ def test_stationary_state_residuals():
 def test_stationary_hj_energy_balance():
     # dS/dt = -E0 while V + Q = E0 pointwise, so the HJ residual is tiny
     traj = stationary_trajectory(steps=32)
-    state = traj.states[16]
-    dsdt = (traj.states[17].phase.values - traj.states[15].phase.values) / (
-        2.0 * traj.dt
-    )
-    mask = state.density.support_mask
+    dsdt = phase_rate(traj, 16)
+    mask = traj.density(16).support_mask
     assert np.allclose(dsdt[mask], -0.5, atol=1e-5)
 
 
@@ -247,14 +244,15 @@ def cn_system(g, V, dt):
 
 def chained_phases(initial, traj):
     """S of every step aligned against the whole previous phase field at
-    the density peak, step by step: the alignment a streamed trajectory
-    must reproduce without holding the previous steps."""
+    the density peak, step by step: the alignment a trajectory dump must
+    reproduce."""
     previous = initial.phase.values
     out = []
-    for psi, state in zip(traj.psis, traj.states):
-        idx = np.flatnonzero(state.density.support_mask)
+    for k, psi in zip(traj.kept, traj.psis):
+        density = traj.density(k)
+        idx = np.flatnonzero(density.support_mask)
         theta = np.unwrap(np.angle(psi[idx]))
-        anchor = int(np.argmax(state.density.values[idx]))
+        anchor = int(np.argmax(density.values[idx]))
         theta += 2.0 * np.pi * np.round(
             (previous[idx[anchor]] / C.hbar - theta[anchor]) / (2.0 * np.pi)
         )
@@ -265,6 +263,13 @@ def chained_phases(initial, traj):
         out.append(s)
         previous = s
     return out
+
+
+def dumped_phases(tmp_path, initial, traj):
+    """The S column of every step file of the trajectory dump."""
+    out = dump_trajectory(traj, initial, tmp_path / "traj")
+    return [np.loadtxt(path, delimiter=",", skiprows=1, usecols=2)
+            for path in sorted(out.glob("step_*.csv"))]
 
 
 def test_factored_stepper_matches_solve_banded():
@@ -282,28 +287,37 @@ def test_factored_stepper_matches_solve_banded():
         assert cn_backward_error(ab, nxt[1:-1], explicit(psi)) <= 4 * np.finfo(float).eps
 
 
-def test_windowed_evolve_matches_full_past_phase_wrap():
-    # the stationary phase -E0 t passes -pi at t = 2 pi, long before the window
+def past_phase_wrap():
+    """The discrete trap ground state, whose stationary phase -E0 t passes
+    -pi at t = 2 pi, long before step 450 of 512 steps of 1/64."""
     g = Grid(-8.0, 8.0, 1025)
     state, V = discrete_ho_ground_state(g)
-    dt, steps, mid = 1.0 / 64, 512, 450
+    return state, V, 1.0 / 64, 512, 450
+
+
+def test_windowed_evolve_matches_full_past_phase_wrap():
+    state, V, dt, steps, mid = past_phase_wrap()
     full = evolve(state, V, dt, steps)
     window = evolve(state, V, dt, steps, keep=(mid - 1, mid, mid + 1))
     assert window.kept == (mid - 1, mid, mid + 1)
     assert len(window) == len(full) == steps + 1
     assert np.array_equal(window.norms, full.norms)
     for k in window.kept:
-        assert np.array_equal(window.state(k).phase.values, full.state(k).phase.values)
         assert np.array_equal(window.psi(k), full.psi(k))
-    assert window.state(mid).phase.values[g.n // 2] < -np.pi  # 2 pi offset carried
     assert continuity_residual(window, mid) == continuity_residual(full, mid)
     assert hj_residual(window, mid) == hj_residual(full, mid)
     assert entropy_rate_check(window, mid) == entropy_rate_check(full, mid)
-    ref = chained_phases(state, full)
-    assert all(np.array_equal(s.phase.values, r) for s, r in zip(full.states, ref))
 
 
-def test_windowed_phase_follows_a_moving_peak():
+def test_dump_aligns_the_phase_past_a_wrap(tmp_path):
+    state, V, dt, steps, mid = past_phase_wrap()
+    full = evolve(state, V, dt, steps)
+    dumped = dumped_phases(tmp_path, state, full)
+    assert all(np.array_equal(s, r) for s, r in zip(dumped, chained_phases(state, full)))
+    assert dumped[mid][full.grid.n // 2] < -np.pi  # 2 pi offset carried
+
+
+def test_dump_follows_a_moving_peak(tmp_path):
     # momentum 4: the peak moves one grid point per step and the phase
     # between its first and last position is 8 rad; the offset V = 20
     # turns the peak phase (8 - 20) t past -pi by t = 0.26
@@ -311,19 +325,39 @@ def test_windowed_phase_follows_a_moving_peak():
     state = MadelungState(gaussian_density(g), ScalarField(g, 4.0 * g.x), C)
     V = ScalarField(g, np.full(g.n, 20.0))
     full = evolve(state, V, 1.0 / 512, 256)
-    ref = chained_phases(state, full)
-    assert all(np.array_equal(s.phase.values, r) for s, r in zip(full.states, ref))
-    for mid in (37, 128, 255):
-        window = evolve(state, V, 1.0 / 512, 256, keep=(mid - 1, mid, mid + 1))
-        for k in window.kept:
-            assert np.array_equal(window.state(k).phase.values, ref[k])
+    dumped = dumped_phases(tmp_path, state, full)
+    assert len(dumped) == 257
+    assert all(np.array_equal(s, r) for s, r in zip(dumped, chained_phases(state, full)))
+
+
+def test_dump_refuses_a_windowed_trajectory(tmp_path):
+    g = Grid(-10.0, 10.0, 513)
+    state = MadelungState(gaussian_density(g), g.zeros(), C)
+    window = evolve(state, g.zeros(), 1.0 / 512, 32, keep=(15, 16, 17))
+    with pytest.raises(ValueError, match="every step"):
+        dump_trajectory(window, state, tmp_path / "traj")
+    assert not (tmp_path / "traj").exists()
+
+
+def test_collision_hj_residual():
+    # two sigma = 1 packets from x = -8 and +8 with momenta +3 and -3 meet
+    # at t = 8/3, where the density forms fringes with near-nodes; S = -3|x|
+    # gives each packet its momentum (they do not overlap at t = 0)
+    g = Grid(-40.0, 40.0, 8193)
+    x = g.x
+    d = density_from_samples(ScalarField(
+        g, np.exp(-((x + 8.0) ** 2) / 2) + np.exp(-((x - 8.0) ** 2) / 2)))
+    state = MadelungState(d, ScalarField(g, -3.0 * np.abs(x)), C)
+    mid = 1365
+    traj = evolve(state, g.zeros(), 1.0 / 512, mid + 1, keep=(mid - 1, mid, mid + 1))
+    assert hj_residual(traj, mid) <= 1e-3
 
 
 def test_window_refuses_steps_it_did_not_keep():
     g = Grid(-10.0, 10.0, 513)
     state = MadelungState(gaussian_density(g), g.zeros(), C)
     traj = evolve(state, g.zeros(), 1.0 / 512, 32, keep=(15, 16, 17))
-    assert len(traj.states) == 3
+    assert len(traj.psis) == 3
     with pytest.raises(ValueError, match="not kept"):
         continuity_residual(traj, 20)
     with pytest.raises(ValueError, match="interior"):

@@ -33,7 +33,7 @@ def test_trajectory_dump(tmp_path):
     g = Grid(-10.0, 10.0, 513)
     state = MadelungState(gaussian_density(g), g.zeros(), C)
     traj = evolve(state, g.zeros(), 1e-3, 8)
-    out = ser.dump_trajectory(traj, tmp_path / "traj")
+    out = ser.dump_trajectory(traj, state, tmp_path / "traj")
     csvs = sorted(out.glob("step_*.csv"))
     assert len(csvs) == 9
     manifest = json.loads((out / "manifest.json").read_text())

@@ -16,7 +16,8 @@ from fisherqp import (
     quadrature,
 )
 from fisherqp.grid import ScalarField, derivative_values
-from fisherqp.states import normalize_samples, phase_on_support
+from fisherqp.serialization import phase_on_support
+from fisherqp.states import normalize_samples
 
 from conftest import gaussian_density
 
@@ -166,11 +167,11 @@ def test_density_from_heat_matches_gibbs(grid):
 
 
 def madelung_split(re, im, constants):
-    """The Madelung state of psi = re + i im, split as ``evolve`` splits a
-    kept step, with arg(psi) at the density peak aligned to 0."""
+    """The Madelung state of psi = re + i im, split as the trajectory dump
+    splits a step, with arg(psi) at the density peak aligned to 0."""
     psi = re.values + 1j * im.values
     density = density_from_samples(ScalarField(re.grid, np.abs(psi) ** 2))
-    s = phase_on_support(psi, density, constants.hbar, 0.0)
+    s = constants.hbar * phase_on_support(psi, density, np.zeros(len(psi)))
     return MadelungState(density, ScalarField(re.grid, s), constants)
 
 
