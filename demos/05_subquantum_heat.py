@@ -1,8 +1,9 @@
 """Heat-field picture: the density as a Gibbs form of an exchanged heat.
 
 Builds the heat field of a Gaussian density (Q_heat = x^2/(2 beta
-sigma^2) up to gauge), diffuses both sides, and runs the coherence
-suite tying the probabilistic and thermal descriptions together.  The
+sigma^2) up to gauge), diffuses both sides, and runs the ``thermal``
+command's check suite tying the probabilistic and thermal descriptions
+together.  The
 two formal routes to a "thermal" Fisher information are compared: route
 B is an algebraic identity under the coupling, route A is not, and the
 measured ratio is reported rather than hidden.
@@ -14,7 +15,6 @@ from fisherqp import (
     Grid,
     HeatField,
     PhysicalConstants,
-    coherence_suite,
     density_from_samples,
     fick_diffuse,
     heat_equation_evolve,
@@ -24,6 +24,7 @@ from fisherqp import (
     vanishing_qp_residual,
 )
 from fisherqp.grid import ScalarField, second_derivative_values
+from fisherqp.suites import thermal_suite
 
 constants = PhysicalConstants()  # thermal equality hbar*omega = k*T holds
 grid = Grid(-16.0, 16.0, 8193)
@@ -39,13 +40,14 @@ print("\nthermal Fisher information:")
 print(f"  route B  beta^2 int(P (grad Q)^2) = {rep.route_b:.10f}")
 print(f"  direct   int((P')^2/P)            = {rep.fisher_direct:.10f}")
 print(f"  route A  (formal)                 = {rep.route_a:.10f}"
-      f"   ratio A/B = {rep.ratio_a_over_b:+.4f}  <- flagged, not asserted")
+      f"   ratio A/B = {rep.route_a / rep.route_b:+.4f}  <- flagged, not asserted")
 
-print("\ncoherence suite (ratio law, heat-action link, fluctuation chain,")
-print("kinetic excess, Gibbs slope, Fisher equivalence):")
-for item in coherence_suite(hf, constants)[0]:
-    print(f"  {item.name:28s} residual {item.lhs:.2e}"
-          f"  tol {item.tol:.0e}  {'ok' if item.passed else 'FAIL'}")
+print("\nthermal suite over 4 steps of 1e-3 (ratio law, heat-action link,")
+print("fluctuation chain, kinetic excess, Gibbs slope, thermalized Q, route B):")
+for item in thermal_suite(hf, density, 0.004, 1e-3):
+    if not item.flagged:
+        print(f"  {item.name:28s} error {item.rel_err:.2e}"
+              f"  tol {item.tol:.0e}  {'ok' if item.passed else 'FAIL'}")
 
 # Diffusion side: density under Fick's law, heat bump under the heat
 # equation; both spread their variance by 2 D t.

@@ -11,7 +11,7 @@ The package is organized bottom-up:
 ``propagator``   Crank-Nicolson Schroedinger evolution and residual checks
 ``extremizers``  MaxEnt and the Fisher-extremization eigensolver
 ``legendre``     multiplier sweeps and Legendre-structure verification
-``thermal``      heat fields, diffusion, thermal Fisher, coherence suite
+``thermal``      heat fields, diffusion, lockstep coupled flows, thermal Fisher
 ``reports``      check table and report records
 ``serialization`` CSV/JSON file formats
 ``suites``       each CLI command's identity checks, as a generator
@@ -78,7 +78,6 @@ from .legendre import SweepTable, ThermoRecord, sweep, verify_euler, verify_lege
 from .thermal import (
     HeatField,
     HeatTrajectory,
-    coherence_suite,
     delta_s_from_heat,
     fick_diffuse,
     gibbs_formula_check,

@@ -11,17 +11,20 @@ sweep               multiplier sweep plus Legendre-structure residuals
 thermal             heat-field suite (diffusion, coherence, flags)
 list-checks         print every registered check name with its tag
 
-Each command is a pair in ``COMMANDS``: a parse stage, the only one that
-raises SchemaError, turns the ``--input`` JSON and the grid flags into
-the validated, budget-checked keyword arguments of a suite (``suites``),
-which yields the checks and its artifacts.  Each artifact is written
-under ``--out`` as the suite yields it, and ``report.json`` goes there
-last.  Exit codes: 0 when every check passed, 2 on a malformed input (no
-report), 3 when a check failed or the suite raised a FisherQPError or
-LAPACK's LinAlgError (the report keeps the checks, and ``--out`` the
-artifacts, yielded before the error).  Every check is judged against its
-tolerance in ``reports.CHECKS`` times ``--tol-scale`` (positive and
-finite).  Reports are byte-deterministic; timestamps go to ``meta.json``.
+Every run takes one path: the ``--input`` file, then ``parse(payload)``,
+then ``suite(**problem)``, then ``report.json`` under ``--out``.  Each
+command is such a pair in ``COMMANDS``: the parse stage, the only one
+that raises SchemaError, turns the input JSON into the validated,
+budget-checked keyword arguments of a suite (``suites``), which yields
+the checks and its artifacts.  Each artifact is written under ``--out``
+as the suite yields it, and ``report.json`` goes there last.  The input
+file alone states the run, and ``inputs_digest`` in the report, its
+sha256, names it.  Exit codes: 0 when every check passed, 2 on a
+malformed input (no report), 3 when a check failed or the suite raised a
+FisherQPError or LAPACK's LinAlgError (the report keeps the checks, and
+``--out`` the artifacts, yielded before the error).  Every check is
+judged against its tolerance in ``reports.CHECKS``.  Reports are
+byte-deterministic; timestamps go to ``meta.json``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -127,14 +129,8 @@ def _require_operator_in_range(lo: float, hi: float, lams: list[float],
         )
 
 
-def _grid_from_input(payload: dict, args, command: str) -> Grid:
+def _grid_from_input(payload: dict, command: str) -> Grid:
     spec = dict(_require(payload, "grid", command))
-    if args.n is not None:
-        spec["n"] = args.n
-    if args.xmin is not None:
-        spec["xmin"] = args.xmin
-    if args.xmax is not None:
-        spec["xmax"] = args.xmax
     spec["n"] = _integer(_require(spec, "n", command), "n", command)
     _require_within(command, "n", spec["n"], MAX_POINTS, "points")
     grid = grid_from_dict(spec)
@@ -163,14 +159,14 @@ def _build_constraint_field(spec: dict, grid: Grid, command: str) -> ScalarField
     raise SchemaError(f"{command}: unknown constraint kind {kind!r}")
 
 
-def _build_density(spec: dict, grid: Grid, truncation_check: bool, command: str):
+def _build_density(spec: dict, grid: Grid, command: str):
     kind = spec.get("kind")
     x = grid.x
     if kind == "gaussian":
         sigma = float(spec.get("sigma", 1.0))
         center = float(spec.get("center", 0.0))
         raw = np.exp(-((x - center) ** 2) / (2.0 * sigma**2))
-        return density_from_samples(ScalarField(grid, raw), truncation_check)
+        return density_from_samples(ScalarField(grid, raw))
     if kind == "mixture":
         raw = np.zeros(grid.n)
         for comp in _require(spec, "components", command):
@@ -178,16 +174,15 @@ def _build_density(spec: dict, grid: Grid, truncation_check: bool, command: str)
                 -((x - float(comp.get("center", 0.0))) ** 2)
                 / (2.0 * float(comp.get("sigma", 1.0)) ** 2)
             )
-        return density_from_samples(ScalarField(grid, raw), truncation_check)
+        return density_from_samples(ScalarField(grid, raw))
     if kind == "samples":
         values = np.asarray(_require(spec, "values", command), dtype=float)
         if len(values) != grid.n:
             raise SchemaError(f"{command}: sample length != grid n")
-        return density_from_samples(ScalarField(grid, values), truncation_check)
+        return density_from_samples(ScalarField(grid, values))
     if kind == "gibbs":
         energy = _build_constraint_field(_require(spec, "energy", command), grid, command)
-        density, _ = gibbs_density(energy, float(spec.get("gamma", 1.0)),
-                                   truncation_check)
+        density, _ = gibbs_density(energy, float(spec.get("gamma", 1.0)))
         return density
     raise SchemaError(f"{command}: unknown density kind {kind!r}")
 
@@ -198,12 +193,12 @@ def _build_density(spec: dict, grid: Grid, truncation_check: bool, command: str)
 
 
 def _parses(command: str):
-    """Make ``build(payload, args, command)`` the parse stage of ``command``:
+    """Make ``build(payload, command)`` the parse stage of ``command``:
     a KeyError, TypeError, ValueError or AttributeError becomes SchemaError."""
     def decorate(build):
-        def parse(payload: dict, args) -> dict:
+        def parse(payload: dict) -> dict:
             try:
-                return build(payload, args, command)
+                return build(payload, command)
             except (KeyError, TypeError, ValueError, AttributeError) as exc:
                 raise SchemaError(f"{command}: {exc}") from exc
         return parse
@@ -211,11 +206,11 @@ def _parses(command: str):
 
 
 @_parses("verify-identities")
-def _parse_verify_identities(payload, args, command) -> dict:
-    grid = _grid_from_input(payload, args, command)
+def _parse_verify_identities(payload, command) -> dict:
+    grid = _grid_from_input(payload, command)
     constants = _constants_from_input(payload)
     spec = _require(payload, "density", command)
-    density = _build_density(spec, grid, not args.no_truncation_check, command)
+    density = _build_density(spec, grid, command)
     gibbs = None
     if spec.get("kind") == "gibbs":
         gibbs = (_build_constraint_field(spec["energy"], grid, command),
@@ -224,19 +219,21 @@ def _parse_verify_identities(payload, args, command) -> dict:
 
 
 @_parses("evolve")
-def _parse_evolve(payload, args, command) -> dict:
-    grid = _grid_from_input(payload, args, command)
+def _parse_evolve(payload, command) -> dict:
+    grid = _grid_from_input(payload, command)
     constants = _constants_from_input(payload)
     dt = float(_require(payload, "dt", command))
     steps = _integer(_require(payload, "steps", command), "steps", command)
     dump = payload.get("dump", False)
+    if not isinstance(dump, bool):
+        raise SchemaError(f"{command}: dump must be true or false, not {dump!r}")
     _require_within(command, "n*steps", grid.n * steps, WORK_BUDGET, "point-steps")
     if dump:
         _require_within(command, "the dump's n*(steps+1)*76", grid.n * (steps + 1) * 76,
                         DUMP_BUDGET, "B")
 
     init_spec = _require(payload, "initial", command)
-    density = _build_density(init_spec, grid, not args.no_truncation_check, command)
+    density = _build_density(init_spec, grid, command)
     momentum = float(init_spec.get("momentum", 0.0))
     phase = ScalarField(grid, constants.hbar * momentum * grid.x)
     state = MadelungState(density, phase, constants)
@@ -286,26 +283,25 @@ def _constraints_from_input(payload, grid, command) -> ConstraintSpec:
 
 
 @_parses("epi")
-def _parse_epi(payload, args, command) -> dict:
-    grid = _grid_from_input(payload, args, command)
+def _parse_epi(payload, command) -> dict:
+    grid = _grid_from_input(payload, command)
     constants = _constants_from_input(payload)
     return {"spec": _constraints_from_input(payload, grid, command), "grid": grid,
             "constants": constants}
 
 
 @_parses("maxent")
-def _parse_maxent(payload, args, command) -> dict:
-    grid = _grid_from_input(payload, args, command)
+def _parse_maxent(payload, command) -> dict:
+    grid = _grid_from_input(payload, command)
     constraint = _build_constraint_field(_require(payload, "constraint", command), grid,
                                          command)
     target = float(_require(payload, "target", command))
-    return {"constraint": constraint, "target": target,
-            "truncation_check": not args.no_truncation_check}
+    return {"constraint": constraint, "target": target}
 
 
 @_parses("sweep")
-def _parse_sweep(payload, args, command) -> dict:
-    grid = _grid_from_input(payload, args, command)
+def _parse_sweep(payload, command) -> dict:
+    grid = _grid_from_input(payload, command)
     constraint = _build_constraint_field(_require(payload, "constraint", command), grid,
                                          command)
     lambdas = _require(payload, "lambdas", command)
@@ -323,8 +319,8 @@ def _parse_sweep(payload, args, command) -> dict:
 
 
 @_parses("thermal")
-def _parse_thermal(payload, args, command) -> dict:
-    grid = _grid_from_input(payload, args, command)
+def _parse_thermal(payload, command) -> dict:
+    grid = _grid_from_input(payload, command)
     constants = _constants_from_input(payload)
 
     heat_spec = _require(payload, "heat", command)
@@ -350,8 +346,9 @@ def _parse_thermal(payload, args, command) -> dict:
         raise SchemaError("thermal: t_final must cover at least two steps")
     # the static log-affine checks never step; a heat flow is validated
     # before anything is computed
-    steps = None
-    if kind != "log-affine":
+    if kind == "log-affine":
+        t_final = None
+    else:
         try:
             steps = step_count(t_final, dt)
         except ValueError as exc:
@@ -359,9 +356,9 @@ def _parse_thermal(payload, args, command) -> dict:
         _require_within(command, "2*n*steps", 2 * grid.n * steps, WORK_BUDGET,
                         "point-steps")
         if not constants.is_thermal_equilibrium:
-            raise SchemaError("coherence suite assumes hbar*omega = k*T")
+            raise SchemaError("thermal: the coherence checks assume hbar*omega = k*T")
     density, _ = density_from_heat(hf.Q_heat, constants.alpha_th, truncation_check=False)
-    return {"hf": hf, "density": density, "t_final": t_final, "dt": dt, "steps": steps}
+    return {"hf": hf, "density": density, "t_final": t_final, "dt": dt}
 
 
 COMMANDS = {
@@ -380,8 +377,7 @@ COMMANDS = {
 
 
 def _write_report(out_dir: Path, command: str, digest: str, checks: list[IdentityCheck],
-                  tol_scale: float, error: dict | None = None) -> bool:
-    checks = [replace(c, tol=c.tol * tol_scale) for c in checks]
+                  error: dict | None = None) -> bool:
     overall = error is None and len(checks) > 0 and all(c.passed for c in checks)
     payload = {
         "schema": 1,
@@ -409,14 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", required=True, help="JSON problem description")
     common.add_argument("--out", required=True, help="output directory")
-    common.add_argument("--n", type=int, default=None, help="override grid points")
-    common.add_argument("--xmin", type=float, default=None, help="override grid xmin")
-    common.add_argument("--xmax", type=float, default=None, help="override grid xmax")
-    common.add_argument("--tol-scale", type=float, default=1.0, dest="tol_scale",
-                        help="multiply every check tolerance by this positive factor")
-    common.add_argument("--no-truncation-check", action="store_true",
-                        dest="no_truncation_check",
-                        help="allow densities that do not decay at the walls")
 
     for name in COMMANDS:
         sub.add_parser(name, parents=[common])
@@ -429,10 +417,6 @@ def main(argv=None) -> int:
     if args.command == "list-checks":
         print(list_checks())
         return 0
-    if not (math.isfinite(args.tol_scale) and args.tol_scale > 0.0):
-        print(f"--tol-scale must be positive and finite, not {args.tol_scale!r}",
-              file=sys.stderr)
-        return 2
 
     input_path = Path(args.input)
     out_dir = Path(args.out)
@@ -456,7 +440,7 @@ def main(argv=None) -> int:
     # a suite fails only with FisherQPError or LAPACK's LinAlgError (a
     # ValueError); anything else is a program fault and keeps its traceback
     try:
-        for item in suite(**parse(payload, args)):
+        for item in suite(**parse(payload)):
             if isinstance(item, IdentityCheck):
                 checks.append(item)
             else:
@@ -466,11 +450,11 @@ def main(argv=None) -> int:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
     except (FisherQPError, np.linalg.LinAlgError) as exc:
-        _write_report(out_dir, args.command, digest, checks, args.tol_scale,
+        _write_report(out_dir, args.command, digest, checks,
                       error={"type": type(exc).__name__, "message": str(exc)})
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    return 0 if _write_report(out_dir, args.command, digest, checks, args.tol_scale) else 3
+    return 0 if _write_report(out_dir, args.command, digest, checks) else 3
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -4,8 +4,8 @@ format for a single check, and the flagged-discrepancy entries.
 ``CHECKS`` is the one check table: every check some command reports is
 registered with a stable name, the equation tag it verifies, its
 tolerance, and whether its verdict reads the relative or the absolute
-error.  Records take their tolerance from the table (the CLI multiplies
-it by ``--tol-scale`` afterwards); ``list-checks`` prints the table.
+error.  Records take their tolerance from the table; ``list-checks``
+prints the table.
 Conventions that circulate in both signs or normalizations are *flagged*
 rather than asserted:
 

@@ -1,11 +1,13 @@
 """Check suites: the identity checks of each CLI command.
 
 A suite takes the problem ``cli`` parsed (its validated, budget-checked
-keyword arguments) and yields ``reports.IdentityCheck`` records in report
-order.  Between them it yields each artifact as soon as it exists, as a
-pair ``(name, write)`` for ``write(out_dir / name)``, so a suite that
-raises later still leaves what it had made.  No suite takes a path or
-opens a file, so a suite runs in process as ``suite(**problem)``.
+keyword arguments) and yields each ``reports.IdentityCheck`` record, in
+report order, as soon as it is computed.  Between them it yields each
+artifact as soon as it exists, as a pair ``(name, write)`` for
+``write(out_dir / name)``, so a suite that raises later still leaves
+what it had made.  No suite takes a path or opens a file, so a command
+runs in process as ``suite(**parse(payload))`` with its pair from
+``cli.COMMANDS``.
 """
 
 from __future__ import annotations
@@ -20,12 +22,13 @@ from .extremizers import (epi_quantum_potential_check, epi_solve, maxent_solve,
                           riccati_check, stationarity_residual)
 from .functionals import (QPForm, fisher_information, fluctuation_report,
                           mean_quantum_potential, quantum_potential, weighted_max_dev)
-from .grid import quadrature_values, second_derivative_values
+from .grid import derivative_values, quadrature_values, second_derivative_values
 from .legendre import sweep, verify_euler, verify_legendre
 from .propagator import continuity_residual, entropy_rate_check, evolve, hj_residual
 from .reports import IdentityCheck, flagged_discrepancy_checks, make_check, make_residual_check
 from .serialization import dump_trajectory, save_field_csv, save_json, save_sweep_csv
-from .thermal import (coherence_suite, gibbs_formula_check, heat_from_density,
+from .thermal import (coupled_grad_heat, coupled_run, delta_s_from_heat,
+                      gibbs_formula_check, heat_from_density, step_count,
                       thermal_fisher_report, thermalized_qp, vanishing_qp_residual)
 
 Artifact = tuple[str, Callable[[Path], object]]
@@ -118,9 +121,9 @@ def epi_suite(spec, grid, constants) -> Suite:
         yield make_check("epi-mean-qp", qc.mean_lhs, qc.mean_rhs)
 
 
-def maxent_suite(constraint, target, truncation_check) -> Suite:
+def maxent_suite(constraint, target) -> Suite:
     """maxent: the entropy extremizer attaining ``target``."""
-    density, alpha, z = maxent_solve(constraint, target, truncation_check)
+    density, alpha, z = maxent_solve(constraint, target)
     yield "maxent_result.json", partial(save_json,
                                         {"alpha_gibbs": alpha, "Z": z, "target": target})
     yield "maxent_density.csv", partial(save_field_csv, density.field)
@@ -145,13 +148,15 @@ def sweep_suite(constraint, lambdas) -> Suite:
     )
 
 
-def thermal_suite(hf, density, t_final, dt, steps) -> Suite:
-    """thermal: the heat field ``hf`` and its coupled ``density``; a heat
-    flow of ``steps`` steps of ``dt``, or static checks only when
-    ``steps`` is None."""
+def thermal_suite(hf, density, t_final, dt) -> Suite:
+    """thermal: the heat field ``hf`` and its coupled ``density``.  The
+    five coherence checks between the thermal and probabilistic pictures
+    and the thermalized quantum potential read a lockstep Fick and heat
+    flow to ``t_final`` in steps of ``dt``; when ``t_final`` is None
+    nothing steps and the vanishing-Q family is checked instead."""
     constants = hf.constants
     dx = hf.grid.dx
-    if steps is None:
+    if t_final is None:
         # non-decaying density: static checks only
         res = vanishing_qp_residual(hf)
         lap_scale = float(np.max(np.abs(
@@ -160,16 +165,50 @@ def thermal_suite(hf, density, t_final, dt, steps) -> Suite:
         yield make_residual_check("vanishing-qp-family",
                                   float(np.max(np.abs(res.values[2:-2]))) / lap_scale)
     else:
-        # the middle step of the heat flow the coherence suite evolves, with
-        # its neighbours for the centered time derivative
-        mid = (steps + 1) // 2
-        coherence = []
-        try:
-            heat = coherence_suite(hf, constants, t_final, dt, keep=(mid - 1, mid, mid + 1),
-                                   into=coherence)[1]
-        finally:
-            # also when it raises: the checks computed before the error
-            yield from coherence
+        p = density.values
+        mask = density.support_mask
+        beta = constants.beta
+        # the middle step of the flow, kept with its neighbours for the
+        # centered time derivative of the thermalized quantum potential
+        mid = (step_count(t_final, dt) + 1) // 2
+        # ratio law P(t)/P(0) = exp(-beta DeltaQ): Fick for P against the
+        # heat equation for Q
+        dev, heat = coupled_run(density, hf, constants, t_final, dt,
+                                keep=(mid - 1, mid, mid + 1))
+        yield make_residual_check("ratio-law-evolution", dev)
+
+        # DeltaQ = 2 omega Delta(deltaS), a definition-chain identity
+        ds0 = delta_s_from_heat(hf).values
+        ds1 = delta_s_from_heat(heat.fields[-1]).values
+        delta_q = heat.fields[-1].Q_heat.values - hf.Q_heat.values
+        dev = float(np.max(np.abs(delta_q - 2.0 * constants.omega * (ds1 - ds0))))
+        scale = float(np.max(np.abs(delta_q))) + 1e-300
+        yield make_residual_check("heat-action-link", dev / scale)
+
+        # delta_p = grad(deltaS) = -(hbar/2) grad(P)/P and
+        # grad(P)/P = -beta grad(Q), through the coupling
+        rep = fluctuation_report(density, constants)
+        dev_s = weighted_max_dev(derivative_values(ds0, dx), rep.delta_p.values, density)
+        grad_log = density.grad_log()
+        grad_q = derivative_values(hf.Q_heat.values, dx)
+        dev_q = weighted_max_dev(grad_log, np.where(mask, -beta * grad_q, 0.0), density)
+        scale = float(np.max(np.abs(rep.delta_p.values))) + 1e-300
+        yield make_residual_check("fluctuation-chain", max(dev_s, dev_q) / scale)
+
+        # delta_E_kin = (hbar^2/8m)(grad P/P)^2 = (1/8 m omega^2)(grad Q)^2,
+        # exact algebra under the coupling
+        hbar, m, omega = constants.hbar, constants.mass, constants.omega
+        lhs = (hbar**2 / (8.0 * m)) * grad_log**2
+        rhs = (1.0 / (8.0 * m * omega**2)) * coupled_grad_heat(density, constants)**2
+        scale = float(np.max(lhs)) + 1e-300
+        yield make_residual_check("kinetic-excess",
+                                  weighted_max_dev(lhs, rhs, density) / scale)
+
+        # log P affine in -beta Q with unit slope
+        density.support_indices(2, "gibbs-form-slope")
+        slope = float(np.polyfit(-beta * hf.Q_heat.values[mask], np.log(p[mask]), 1)[0])
+        yield make_residual_check("gibbs-form-slope", abs(slope - 1.0))
+
         thq = thermalized_qp(heat, mid)
         qt_scale = (
             constants.hbar**2 / (4.0 * constants.mass)

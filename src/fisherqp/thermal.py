@@ -1,7 +1,9 @@
 """Subquantum heat dynamics: the heat field coupled to a density, Fick
 diffusion, the classical heat equation, the thermalized quantum
-potential, thermal Fisher information, and the coherence suite tying the
-thermal and Gibbs pictures together.
+potential, thermal Fisher information, the lockstep run of the coupled
+Fick and heat flows, and the Gibbs-side formulas.  The identity checks
+built from them live in ``suites``; this module imports nothing from
+``reports``.
 
 Conventions
 -----------
@@ -30,14 +32,12 @@ Conventions
   stream step by step and the wall guards run on every step; the heat
   guard takes its scales from the full curvature of the initial field
   and then reads only the curvature at the two first interior points.
-* The coherence suite steps Fick and heat in lockstep and reduces the
+* ``coupled_run`` steps Fick and heat in lockstep and reduces the
   coupling deviation on the raw arrays, through the array-level cores
   that ``density_from_samples`` and ``coupling_deviation`` call
   (``states.normalize_samples``, ``_coupling_deviation``): no per-step
   objects, heat fields only at the kept steps, and a result equal bit for
   bit to the same reduction over the materialized flows.
-* The coherence suite reports ``reports.IdentityCheck`` records judged
-  against the tolerances of the check table, ``reports.CHECKS``.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ import numpy as np
 from .errors import BoundaryContact, DecoupledInputs, NonFinite
 from .functionals import (
     fisher_information,
-    fluctuation_report,
     quantum_potential,
     weighted_max_dev,
     weighted_sup,
@@ -65,12 +64,10 @@ from .grid import (
     second_derivative_values,
     steps_to_keep,
 )
-from .reports import IdentityCheck, _ratio, make_residual_check
 from .states import (
     SUPPORT_FLOOR,
     Density,
     PhysicalConstants,
-    density_from_heat,
     density_from_samples,
     gibbs_density,
     normalize_samples,
@@ -344,27 +341,22 @@ def vanishing_qp_residual(hf: HeatField) -> ScalarField:
     return ScalarField(hf.grid, res)
 
 
-def thermalized_qp(source: HeatTrajectory | HeatField, index: int = 0) -> ScalarField:
-    """Quantum potential expressed through heat flow:
+def thermalized_qp(heat: HeatTrajectory, index: int) -> ScalarField:
+    """Quantum potential expressed through heat flow at the interior step
+    ``index`` (its neighbours kept too):
 
         Q = (hbar^2/4m) [ d2Q_tilde/dx2 - (1/D) dQ_tilde/dt ].
 
-    For a HeatField (static input) the time term is zero.  Along a
-    heat-equation trajectory the two terms cancel and the result is zero
-    up to discretization error: a freely dissipating heat flow carries no
-    quantum potential.
+    Along a heat-equation trajectory the two terms cancel and the result
+    is zero up to discretization error: a freely dissipating heat flow
+    carries no quantum potential.
     """
-    if isinstance(source, HeatField):
-        hf = source
-        dqt_dt = np.zeros(hf.grid.n)
-    else:
-        if not 1 <= index <= len(source) - 2:
-            raise ValueError("index must be interior to the trajectory")
-        hf = source.field(index)
-        dt = source.dt
-        after = source.field(index + 1).q_tilde().values
-        before = source.field(index - 1).q_tilde().values
-        dqt_dt = (after - before) / (2.0 * dt)
+    if not 1 <= index <= len(heat) - 2:
+        raise ValueError("index must be interior to the trajectory")
+    hf = heat.field(index)
+    after = heat.field(index + 1).q_tilde().values
+    before = heat.field(index - 1).q_tilde().values
+    dqt_dt = (after - before) / (2.0 * heat.dt)
     c = hf.constants
     qt = hf.q_tilde().values
     lap = second_derivative_values(qt, hf.grid.dx)
@@ -385,14 +377,13 @@ class ThermalFisherResult:
     information exactly under the coupling.  route_a
     (-2 alpha integral P [lap Q - (2m/hbar) dQ/dt], here with dQ/dt = 0)
     does not: the two formal expressions disagree by more than a sign on
-    static coupled pairs, so the ratio is reported and flagged instead of
-    asserted.
+    static coupled pairs, so their ratio is reported as a flagged entry
+    (``reports.flagged_discrepancy_checks``) instead of asserted.
     """
 
     route_b: float
     route_a: float
     fisher_direct: float
-    ratio_a_over_b: float
 
 
 def thermal_fisher_report(
@@ -414,10 +405,7 @@ def thermal_fisher_report(
     route_a = -2.0 * alpha * quadrature_values(np.where(mask, p * lap_q, 0.0), dx)
 
     fisher = fisher_information(density)
-    return ThermalFisherResult(
-        route_b=route_b, route_a=route_a, fisher_direct=fisher,
-        ratio_a_over_b=_ratio(route_a, route_b),
-    )
+    return ThermalFisherResult(route_b=route_b, route_a=route_a, fisher_direct=fisher)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +413,7 @@ def thermal_fisher_report(
 # ---------------------------------------------------------------------------
 
 
-def _coupled_run(
+def coupled_run(
     density0: Density, hf0: HeatField, constants: PhysicalConstants,
     t_final: float, dt: float, keep: Iterable[int] = (),
 ) -> tuple[float, HeatTrajectory]:
@@ -461,90 +449,6 @@ def _coupled_run(
     times = np.arange(steps + 1) * dt
     return worst, HeatTrajectory(times=times, kept=tuple(kept), fields=fields,
                                  diffusivity=hf0.constants.diffusivity)
-
-
-# ---------------------------------------------------------------------------
-# coherence suite
-# ---------------------------------------------------------------------------
-
-
-def coherence_suite(
-    hf: HeatField,
-    constants: PhysicalConstants,
-    evolve_horizon: float = 0.004,
-    evolve_dt: float = 1e-3,
-    keep: Iterable[int] = (),
-    into: list[IdentityCheck] | None = None,
-) -> tuple[list[IdentityCheck], HeatTrajectory]:
-    """Run the five-point coherence check between the thermal and
-    probabilistic pictures.
-
-    1. ratio law P(t)/P(0) = exp(-beta DeltaQ) against an independently
-       Fick-evolved density (short horizon),
-    2. DeltaQ = 2 omega Delta(deltaS),
-    3. delta_p = grad(deltaS) = -(hbar/2) grad(P)/P and
-       grad(P)/P = -beta grad(Q),
-    4. delta_E_kin = (hbar^2/8m)(grad P/P)^2 = (1/8 m omega^2)(grad Q)^2,
-    5. log P affine in -beta Q with slope 1.
-
-    Each item is a residual check judged against its registered tolerance
-    and appended to ``into`` (a new list when None) as it is computed, so
-    a caller keeps those computed before an error.  Returns the checks and
-    the heat flow check 1 steps in lockstep with Fick, at the ``keep``
-    steps and the last one, so callers need not evolve it again.
-    """
-    if not constants.is_thermal_equilibrium:
-        raise ValueError("coherence suite assumes hbar*omega = k*T")
-    density, _ = density_from_heat(hf.Q_heat, constants.alpha_th,
-                                   truncation_check=False)
-    p = density.values
-    mask = density.support_mask
-    dx = density.grid.dx
-    beta = constants.beta
-    items = [] if into is None else into
-
-    # 1: evolve-and-compare (Fick for P, heat equation for Q).
-    dev1, heat = _coupled_run(density, hf, constants, evolve_horizon, evolve_dt, keep)
-    items.append(make_residual_check("ratio-law-evolution", dev1))
-
-    # 2: DeltaQ = 2 omega Delta(deltaS), a definition-chain identity.
-    ds0 = delta_s_from_heat(hf).values
-    ds1 = delta_s_from_heat(heat.fields[-1]).values
-    delta_q = heat.fields[-1].Q_heat.values - hf.Q_heat.values
-    dev2 = float(np.max(np.abs(delta_q - 2.0 * constants.omega * (ds1 - ds0))))
-    scale2 = float(np.max(np.abs(delta_q))) + 1e-300
-    items.append(make_residual_check("heat-action-link", dev2 / scale2))
-
-    # 3: fluctuation chain through the coupling.
-    rep = fluctuation_report(density, constants)
-    grad_ds = derivative_values(delta_s_from_heat(hf).values, dx)
-    dev3a = weighted_max_dev(grad_ds, rep.delta_p.values, density)
-    grad_log = density.grad_log()
-    grad_q_field = derivative_values(hf.Q_heat.values, dx)
-    dev3b = weighted_max_dev(
-        grad_log, np.where(mask, -beta * grad_q_field, 0.0), density
-    )
-    scale3 = float(np.max(np.abs(rep.delta_p.values))) + 1e-300
-    items.append(make_residual_check("fluctuation-chain", max(dev3a, dev3b) / scale3))
-
-    # 4: kinetic excess two ways (exact algebra under the coupling).
-    hbar, m, omega = constants.hbar, constants.mass, constants.omega
-    lhs4 = (hbar**2 / (8.0 * m)) * grad_log**2
-    grad_q_coupled = coupled_grad_heat(density, constants)
-    rhs4 = (1.0 / (8.0 * m * omega**2)) * grad_q_coupled**2
-    scale4 = float(np.max(lhs4)) + 1e-300
-    items.append(
-        make_residual_check("kinetic-excess", weighted_max_dev(lhs4, rhs4, density) / scale4)
-    )
-
-    # 5: log P affine in -beta Q with unit slope.
-    density.support_indices(2, "gibbs-form-slope")
-    logp = np.log(p[mask])
-    target = -beta * hf.Q_heat.values[mask]
-    slope = float(np.polyfit(target, logp, 1)[0])
-    items.append(make_residual_check("gibbs-form-slope", abs(slope - 1.0)))
-
-    return items, heat
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from fisherqp import (
     MadelungState,
     PhysicalConstants,
     QPForm,
-    coherence_suite,
     continuity_residual,
+    density_from_heat,
     density_from_samples,
     entropy_rate_check,
     epi_solve,
@@ -44,6 +44,7 @@ from fisherqp import (
 from fisherqp.functionals import weighted_max_dev
 from fisherqp.grid import ScalarField, second_derivative_values
 from fisherqp.reports import flagged_discrepancy_checks
+from fisherqp.suites import thermal_suite
 from fisherqp.thermal import HeatField
 
 from conftest import gaussian_density, mixture_density
@@ -296,7 +297,8 @@ def test_criterion_10_thermal_suite():
     lap_scale = np.max(np.abs(second_derivative_values(qv, g12.dx)))
     family_ok = np.max(np.abs(res.values[2:-2])) <= 1e-6 * lap_scale
 
-    coherence, _ = coherence_suite(hf, C)
+    coupled, _ = density_from_heat(hf.Q_heat, C.alpha_th, truncation_check=False)
+    coherence = list(thermal_suite(hf, coupled, 0.004, 1e-3))
     coherence_ok = all(i.passed for i in coherence)
     ok = fick_ok and heat_ok and thq_ok and routeb_ok and family_ok and coherence_ok
     verdict(10, "thermal-suite", ok,

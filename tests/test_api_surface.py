@@ -88,3 +88,33 @@ def test_every_private_definition_and_constant_is_read_in_the_package():
         if name not in referenced
     )
     assert not unused, f"no module of the package reads {', '.join(unused)}"
+
+
+
+LOWER = ("grid", "states", "functionals", "propagator", "extremizers", "legendre",
+         "thermal", "serialization")
+UPPER = ("reports", "suites", "cli")
+
+
+def _imported_modules(tree: ast.AST):
+    """Last component of every module an import names: ``from .reports
+    import x`` gives reports, ``from . import cli`` gives cli."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name.split(".")[-1] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                yield node.module.split(".")[-1]
+            yield from (a.name for a in node.names)
+
+
+def test_library_layers_import_nothing_from_reports_suites_or_cli():
+    # the numerical layers know no check record, suite or command line
+    trees = _parse(ROOT / "src" / "fisherqp" / f"{name}.py" for name in LOWER)
+    upward = sorted(
+        f"{path.stem} imports {module}"
+        for path, tree in trees.items()
+        for module in set(_imported_modules(tree))
+        if module in UPPER
+    )
+    assert not upward, "; ".join(upward)

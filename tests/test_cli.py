@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 import fisherqp
-from fisherqp import extremizers, propagator, suites
-from fisherqp.cli import COMMANDS, build_parser, main
+from fisherqp import (Grid, PhysicalConstants, density_from_samples, extremizers,
+                     propagator, suites)
+from fisherqp.cli import COMMANDS, main
 from fisherqp.reports import CHECKS, IdentityCheck
 
 
@@ -126,19 +128,6 @@ def test_lapack_failure_exits_3_with_report(tmp_path, monkeypatch):
     report = read_report(out)
     assert report["error"]["type"] == "LinAlgError"
     assert report["checks"] == [] and report["overall_pass"] is False
-
-
-@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf", "-inf"])
-def test_bad_tol_scale_exits_2(tmp_path, capsys, scale):
-    inp = write_json(
-        tmp_path / "in.json",
-        {"grid": GRID, "density": {"kind": "gaussian", "sigma": 1.0}},
-    )
-    out = tmp_path / "out"
-    assert main(["verify-identities", "--input", inp, "--out", str(out),
-                 f"--tol-scale={scale}"]) == 2
-    assert "--tol-scale must be positive and finite" in capsys.readouterr().err
-    assert not (out / "report.json").exists()
 
 
 def test_epi_solver_failure_exits_3(tmp_path):
@@ -446,16 +435,14 @@ def test_evolve_over_budget_exits_2(tmp_path, capsys, steps, dump, estimate):
     assert not (out / "report.json").exists()
 
 
-@pytest.mark.parametrize("payload_n,flag_n", [(10**13, None), (4097, "10000000000000")])
-def test_grid_over_max_points_exits_2(tmp_path, capsys, payload_n, flag_n):
+def test_grid_over_max_points_exits_2(tmp_path, capsys):
     # refused before any array is allocated: no MemoryError, no report
     inp = write_json(
         tmp_path / "in.json",
-        {"grid": {**GRID, "n": payload_n}, "density": {"kind": "gaussian"}},
+        {"grid": {**GRID, "n": 10**13}, "density": {"kind": "gaussian"}},
     )
     out = tmp_path / "out"
-    flag = ["--n", flag_n] if flag_n else []
-    assert main(["verify-identities", "--input", inp, "--out", str(out), *flag]) == 2
+    assert main(["verify-identities", "--input", inp, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
         "schema error: verify-identities: n = 1e+13 points exceeds the budget of "
         "4.19e+06 points\n"
@@ -592,13 +579,19 @@ def test_flat_topped_density_reports_every_check(tmp_path, width):
     ("sweep", {**SMALL_SWEEP, "constraint": [1], "lambdas": [-1.0, -2.0, -3.0]}),
     ("thermal", {"grid": GRID, "heat": "x"}),
     ("evolve", {**SMALL_EVOLVE, "potential": [1]}),
-], ids=["density", "mixture-component", "sweep-constraint", "thermal-heat", "evolve-potential"])
+    # only a JSON boolean says whether to dump: "false" is truthy
+    ("evolve", {**SMALL_EVOLVE, "dump": "false"}),
+    ("evolve", {**SMALL_EVOLVE, "dump": 1}),
+    ("evolve", {**SMALL_EVOLVE, "dump": None}),
+], ids=["density", "mixture-component", "sweep-constraint", "thermal-heat", "evolve-potential",
+        "evolve-dump-str", "evolve-dump-int", "evolve-dump-null"])
 def test_nested_wrong_type_exits_2(tmp_path, capsys, command, payload):
     inp = write_json(tmp_path / "in.json", payload)
     out = tmp_path / "out"
     assert main([command, "--input", inp, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"schema error: {command}: ")
     assert not (out / "report.json").exists()
+    assert not (out / "trajectory").exists()
 
 
 def _refuse(*args, **kwargs):
@@ -613,13 +606,13 @@ def _refuse(*args, **kwargs):
      "multiplier values must be distinct"),
     ("thermal", {"grid": GRID, "heat": {"kind": "quadratic", "coeff": 0.125},
                  "constants": {"omega": 3.0}},
-     "coherence suite assumes hbar*omega = k*T"),
+     "thermal: the coherence checks assume hbar*omega = k*T"),
 ], ids=["evolve-check-index", "sweep-duplicate-lambda", "thermal-not-at-equality"])
 def test_input_errors_are_refused_before_any_work(tmp_path, capsys, monkeypatch, command,
                                                   payload, message):
     monkeypatch.setattr(propagator, "crank_nicolson_flow", _refuse)  # the stepper
     # the first library call of the sweep and thermal suites
-    for name in ("sweep", "coherence_suite"):
+    for name in ("sweep", "coupled_run"):
         monkeypatch.setattr(suites, name, _refuse)
     inp = write_json(tmp_path / "in.json", payload)
     out = tmp_path / "out"
@@ -651,18 +644,29 @@ def test_constants_whose_products_overflow_or_vanish_exit_2(tmp_path, capsys, co
 
 
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
-def test_uniform_density_reports_its_flags(tmp_path):
-    # sigma = 1e10 is flat on the grid: FI = 0, so both measured ratios of
-    # the flag notes have a zero denominator
+def test_uniform_density_reports_its_flags():
+    # a uniform density has FI = 0, so both measured ratios of the flag
+    # notes have a zero denominator; the suite still ends with its verdicts
+    grid = Grid(**SMALL_SWEEP["grid"])
+    density = density_from_samples(grid.field(np.ones(grid.n)), truncation_check=False)
+    items = list(suites.identities_suite(density, PhysicalConstants(), None))
+    byname = {c.name: c for c in items if isinstance(c, IdentityCheck)}
+    assert byname["mean-QP-equals-FI"].rhs == 0.0
+    assert "(measured ratio +inf)" in byname["flag-mean-qp-sign"].note
+    assert "(measured ratio A/B = +inf)" in byname["flag-thermal-route-factor"].note
+    assert len(byname) == 9 and all(c.passed for c in byname.values())
+
+
+def test_undecayed_density_exits_3_without_checks(tmp_path):
+    # sigma = 1e10 is flat on the grid: the CLI always applies the
+    # truncation check, so the density is refused before any check
     inp = write_json(tmp_path / "in.json", {"grid": SMALL_SWEEP["grid"],
                                             "density": {"kind": "gaussian", "sigma": 1e10}})
     out = tmp_path / "out"
-    assert main(["verify-identities", "--no-truncation-check", "--input", inp,
-                 "--out", str(out)]) == 0
-    byname = {c["name"]: c for c in read_report(out)["checks"]}
-    assert byname["mean-QP-equals-FI"]["rhs"] == 0.0
-    assert "(measured ratio +inf)" in byname["flag-mean-qp-sign"]["note"]
-    assert "(measured ratio A/B = +inf)" in byname["flag-thermal-route-factor"]["note"]
+    assert main(["verify-identities", "--input", inp, "--out", str(out)]) == 3
+    report = read_report(out)
+    assert report["error"]["type"] == "TruncationError"
+    assert report["checks"] == [] and report["overall_pass"] is False
 
 
 def test_failed_sweep_names_each_dropped_multiplier(tmp_path):
@@ -702,32 +706,29 @@ def test_sweep_failing_legendre_window_keeps_its_table_and_checks(tmp_path):
 
 
 def test_failed_check_exits_3(tmp_path):
+    # at n = 1025 the quadrature error of integral(P Q) exceeds its 1e-6
+    # tolerance: a check fails honestly and the run ends without an error
     inp = write_json(
         tmp_path / "in.json",
-        {"grid": GRID, "density": {"kind": "gaussian", "sigma": 1.0}},
+        {"grid": {**GRID, "n": 1025}, "density": {"kind": "gaussian", "sigma": 1.0}},
     )
     out = tmp_path / "out"
-    code = main([
-        "verify-identities", "--input", inp, "--out", str(out),
-        "--tol-scale", "1e-12",
-    ])
-    assert code == 3
-    assert read_report(out)["overall_pass"] is False
+    assert main(["verify-identities", "--input", inp, "--out", str(out)]) == 3
+    report = read_report(out)
+    assert report["overall_pass"] is False and "error" not in report
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == ["mean-QP-equals-FI"]
+    assert failed[0]["rel_err"] > 10 * failed[0]["tol"]
 
 
-def test_grid_override(tmp_path):
-    inp = write_json(
-        tmp_path / "in.json",
-        {"grid": GRID, "density": {"kind": "gaussian", "sigma": 1.0}},
-    )
-    out = tmp_path / "out"
-    assert main([
-        "verify-identities", "--input", inp, "--out", str(out),
-        "--n", "8193", "--xmin", "-9", "--xmax", "9",
-    ]) == 0
-    density_rows = (out / "density.csv").read_text().splitlines()
-    assert len(density_rows) == 8194
-    assert density_rows[1].startswith("-9,")
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_options_are_input_and_out(capsys, command):
+    # the input file alone states a run: no flag changes what it computes
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    options = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", capsys.readouterr().out))
+    assert options == {"-h", "--help", "--input", "--out"}
 
 
 def test_list_checks(capsys):
@@ -783,8 +784,7 @@ def test_registry_equals_reported_checks(tmp_path, monkeypatch):
     reported = set()
     for command, payload in COVERAGE_FIXTURES.values():
         parse, suite = COMMANDS[command]
-        args = build_parser().parse_args([command, "--input", "-", "--out", "-"])
-        for check in suite(**parse(payload, args)):
+        for check in suite(**parse(payload)):
             if not isinstance(check, IdentityCheck):
                 name, write = check
                 assert isinstance(name, str) and callable(write)

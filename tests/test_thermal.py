@@ -10,12 +10,10 @@ from fisherqp import (
     Grid,
     HeatField,
     PhysicalConstants,
-    coherence_suite,
     delta_s_from_heat,
     density_from_heat,
     density_from_samples,
     fick_diffuse,
-    fisher_information,
     fluctuation_report,
     gibbs_formula_check,
     heat_equation_evolve,
@@ -25,7 +23,8 @@ from fisherqp import (
     vanishing_qp_residual,
 )
 from fisherqp.grid import ScalarField, derivative_values, second_derivative_values
-from fisherqp.thermal import _coupled_run, coupling_deviation
+from fisherqp.suites import thermal_suite
+from fisherqp.thermal import coupled_run, coupling_deviation
 
 from conftest import cn_backward_error, gaussian_density
 
@@ -244,13 +243,6 @@ def test_thermalized_qp_vanishes_on_heat_flow():
     assert np.max(np.abs(field.values[2:-2])) <= 1e-3 * scale
 
 
-def test_thermalized_qp_static_quadratic():
-    g = Grid(-8.0, 8.0, 1025)
-    field = thermalized_qp(HeatField(ScalarField(g, g.x**2), C))
-    assert field.values[g.n // 2] == pytest.approx(0.5, abs=1e-10)
-    assert np.allclose(field.values[2:-2], 0.5, atol=1e-8)
-
-
 def test_thermalized_qp_requires_interior_index():
     g = Grid(-8.0, 8.0, 257)
     hf = HeatField(ScalarField(g, np.exp(-g.x**2)), C)
@@ -283,7 +275,7 @@ def test_thermal_fisher_static_routes_disagree():
     rep = thermal_fisher_report(d, hf, c)
     assert rep.route_b == pytest.approx(1.0, abs=1e-6)
     assert rep.route_a == pytest.approx(-2.0, abs=1e-6)
-    assert rep.ratio_a_over_b == pytest.approx(-2.0, abs=1e-5)
+    assert rep.route_a / rep.route_b == pytest.approx(-2.0, abs=1e-5)
 
 
 def test_thermal_fisher_uniform_is_zero():
@@ -305,10 +297,18 @@ def test_thermal_fisher_rejects_decoupled_inputs(grid):
 # ---------------------------------------------------------------------------
 
 
+def thermal_checks(hf, t_final=0.004, dt=1e-3):
+    """Every check of the ``thermal`` suite on ``hf`` and its coupled
+    density, the five coherence checks first."""
+    density, _ = density_from_heat(hf.Q_heat, hf.constants.alpha_th,
+                                   truncation_check=False)
+    return list(thermal_suite(hf, density, t_final, dt))
+
+
 def test_coupled_evolution_short_horizon():
     g = wide_grid()
     d = gaussian_density(g, sigma=2.0)
-    assert _coupled_run(d, heat_from_density(d, C), C, 0.01, 1e-3)[0] <= 2e-3
+    assert coupled_run(d, heat_from_density(d, C), C, 0.01, 1e-3)[0] <= 2e-3
 
 
 def test_coupling_deviation_detects_mismatch(grid):
@@ -323,31 +323,23 @@ def test_coherence_suite_all_pass():
     g = wide_grid()
     d = gaussian_density(g, sigma=2.0)
     hf = heat_from_density(d, C)
-    checks, _ = coherence_suite(hf, C)
+    checks = thermal_checks(hf)
     assert all(item.passed for item in checks)
-    names = {item.name for item in checks}
-    assert names == {
+    assert [item.name for item in checks[:5]] == [
         "ratio-law-evolution",
         "heat-action-link",
         "fluctuation-chain",
         "kinetic-excess",
         "gibbs-form-slope",
-    }
+    ]
 
 
 def test_coherence_kinetic_excess_closed_form():
     # Q = x^2 with natural constants: both kinetic-excess forms are x^2/2
     g = wide_grid()
     hf = HeatField(ScalarField(g, g.x**2 / 4), C)
-    checks, _ = coherence_suite(hf, C)
+    checks = thermal_checks(hf)
     assert {c.name: c for c in checks}["kinetic-excess"].lhs <= 1e-10
-
-
-def test_coherence_requires_thermal_equality():
-    g = wide_grid()
-    hf = HeatField(ScalarField(g, g.x**2 / 4), PhysicalConstants(omega=3.0))
-    with pytest.raises(ValueError):
-        coherence_suite(hf, PhysicalConstants(omega=3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -400,24 +392,25 @@ def test_coupled_deviation_uses_caller_constants():
     assert c.is_thermal_equilibrium
     g = wide_grid()
     d = gaussian_density(g, sigma=2.0)
-    dev = _coupled_run(d, heat_from_density(d, c), c, 0.01, 1e-3)[0]
+    dev = coupled_run(d, heat_from_density(d, c), c, 0.01, 1e-3)[0]
     fick = fick_diffuse(d, c.diffusivity, 0.01, 1e-3)
     heat = heat_equation_evolve(heat_from_density(d, c), 0.01, 1e-3)
     ref = max(coupling_deviation(p, h, c) for p, h in zip(fick.densities, heat.fields))
     assert dev == ref
-    assert dev != _coupled_run(d, heat_from_density(d, C), C, 0.01, 1e-3)[0]
+    assert dev != coupled_run(d, heat_from_density(d, C), C, 0.01, 1e-3)[0]
 
 
 def test_coherence_lockstep_matches_materialized_flows():
     c = PhysicalConstants(mass=2.0, omega=2.0, temperature=2.0)
     g = wide_grid()
     hf = HeatField(ScalarField(g, g.x**2 / 4), c)
-    checks, flow = coherence_suite(hf, c, evolve_horizon=0.01, evolve_dt=1e-3,
-                                   keep=(4, 5, 6))
     density, _ = density_from_heat(hf.Q_heat, c.alpha_th, truncation_check=False)
+    dev, flow = coupled_run(density, hf, c, 0.01, 1e-3, keep=(4, 5, 6))
     fick = fick_diffuse(density, c.diffusivity, 0.01, 1e-3)
     heat = heat_equation_evolve(hf, 0.01, 1e-3)
     ref = max(coupling_deviation(p, h, c) for p, h in zip(fick.densities, heat.fields))
+    assert dev == ref
+    checks = thermal_checks(hf, 0.01, 1e-3)
     assert {ch.name: ch for ch in checks}["ratio-law-evolution"].lhs == ref
     assert flow.kept == (4, 5, 6, 10) and len(flow) == len(heat) == 11
     for k in flow.kept:
@@ -468,12 +461,12 @@ def test_lockstep_flows_keep_their_own_diffusivity():
     c = PhysicalConstants(mass=2.0, omega=2.0, temperature=2.0)
     g = Grid(-8.0, 8.0, 1025)
     hf = HeatField(ScalarField(g, g.x**2), C)
-    checks, flow = coherence_suite(hf, c, evolve_horizon=0.01, evolve_dt=1e-3)
     density, _ = density_from_heat(hf.Q_heat, c.alpha_th, truncation_check=False)
+    dev, flow = coupled_run(density, hf, c, 0.01, 1e-3)
     fick = fick_diffuse(density, c.diffusivity, 0.01, 1e-3)
     heat = heat_equation_evolve(hf, 0.01, 1e-3)
     ref = max(coupling_deviation(p, h, c) for p, h in zip(fick.densities, heat.fields))
-    assert {ch.name: ch for ch in checks}["ratio-law-evolution"].lhs == ref
+    assert dev == ref
     assert np.array_equal(flow.field(10).Q_heat.values, heat.field(10).Q_heat.values)
 
 
@@ -483,11 +476,11 @@ def test_fick_contact_same_step_in_lockstep():
     density, _ = density_from_heat(hf.Q_heat, C.alpha_th, truncation_check=False)
     dt, k = 1e-2, 9
     fick_diffuse(density, C.diffusivity, (k - 1) * dt, dt)
-    coherence_suite(hf, C, evolve_horizon=(k - 1) * dt, evolve_dt=dt)
+    thermal_checks(hf, (k - 1) * dt, dt)
     with pytest.raises(BoundaryContact, match="diffusing density reached the wall"):
         fick_diffuse(density, C.diffusivity, k * dt, dt)
     with pytest.raises(BoundaryContact, match="diffusing density reached the wall"):
-        coherence_suite(hf, C, evolve_horizon=k * dt, evolve_dt=dt)
+        thermal_checks(hf, k * dt, dt)
 
 
 def test_heat_contact_after_step_zero_same_step_as_full_guard():
@@ -499,11 +492,11 @@ def test_heat_contact_after_step_zero_same_step_as_full_guard():
     k = heat_contact_step(hf, dt, 40)
     assert k == 19
     heat_equation_evolve(hf, (k - 1) * dt, dt)
-    coherence_suite(hf, C, evolve_horizon=(k - 1) * dt, evolve_dt=dt)
+    thermal_checks(hf, (k - 1) * dt, dt)
     with pytest.raises(BoundaryContact, match="heat-field curvature reached the wall"):
         heat_equation_evolve(hf, k * dt, dt)
     with pytest.raises(BoundaryContact, match="heat-field curvature reached the wall"):
-        coherence_suite(hf, C, evolve_horizon=k * dt, evolve_dt=dt)
+        thermal_checks(hf, k * dt, dt)
 
 
 def test_overflowing_heat_flow_raises_like_materialized_flow():
@@ -514,14 +507,14 @@ def test_overflowing_heat_flow_raises_like_materialized_flow():
         with pytest.raises(ValueError, match="field values must be finite"):
             heat_equation_evolve(hf, 4e-3, 1e-3)
         with pytest.raises(ValueError, match="field values must be finite"):
-            coherence_suite(hf, C, evolve_horizon=4e-3, evolve_dt=1e-3)
+            thermal_checks(hf, 4e-3, 1e-3)
 
 
 def test_gibbs_form_slope_refuses_one_point_support():
     g = Grid(-8.0, 8.0, 257)
     hf = HeatField(ScalarField(g, 1e306 * g.x**2), C)
     with pytest.raises(DegenerateSupport, match="support has 1"):
-        coherence_suite(hf, C)
+        thermal_checks(hf)
 
 
 @settings(max_examples=50, deadline=None)
@@ -541,4 +534,4 @@ def test_lockstep_deviation_equals_materialized_flows(n, steps, dt, weight, cent
     fick = fick_diffuse(d, C.diffusivity, steps * dt, dt)
     heat = heat_equation_evolve(heat_from_density(d, C), steps * dt, dt)
     ref = max(coupling_deviation(p, h, C) for p, h in zip(fick.densities, heat.fields))
-    assert _coupled_run(d, heat_from_density(d, C), C, steps * dt, dt)[0] == ref
+    assert coupled_run(d, heat_from_density(d, C), C, steps * dt, dt)[0] == ref
