@@ -15,11 +15,13 @@ from fisherqp import (
     density_from_samples,
     differential_entropy,
     fisher_information,
-    fluctuation_report,
     mean_quantum_potential,
+    momentum_fluctuation,
     osmotic_fields,
     quantum_potential,
 )
+from fisherqp.reports import IdentityCheck
+from fisherqp.suites import identities_suite
 
 constants = PhysicalConstants()  # hbar = m = omega = k = T = 1
 grid = Grid(-8.0, 8.0, 4097)
@@ -45,11 +47,17 @@ for form in QPForm:
 mean_qp = mean_quantum_potential(density, constants)
 print(f"\nintegral(P Q) = {mean_qp:.9f} vs (hbar^2/8m) FI = {fi / 8:.9f}")
 
-rep = fluctuation_report(density, constants)
+# the verify-identities suite forms the two moments of delta_p as checks
+checks = {c.name: c for c in identities_suite(density, constants, None)
+          if isinstance(c, IdentityCheck)}
+mean, second = checks["fluctuation-mean-zero"].lhs, checks["fluctuation-second-moment"].lhs
+delta_p = momentum_fluctuation(density, constants)
 print("\nmomentum fluctuation delta_p = -(hbar/2) P'/P  (here: x/2)")
-print(f"  <delta_p>        {rep.mean:+.2e}      (vanishes for decayed P)")
-print(f"  <delta_p^2>      {rep.second_moment:.9f}  vs (hbar^2/4) FI = {fi / 4:.9f}")
-print(f"  mean excess E    {rep.delta_ekin_mean:.9f}  vs (hbar^2/8m) FI = {fi / 8:.9f}")
+print(f"  delta_p(2)       {delta_p[i2]:+.6f}     (closed form x/2 = 1)")
+print(f"  <delta_p>        {mean:+.2e}      (vanishes for decayed P)")
+print(f"  <delta_p^2>      {second:.9f}  vs (hbar^2/4) FI = {fi / 4:.9f}")
+print(f"  mean excess E    {second / (2 * constants.mass):.9f}"
+      f"  vs (hbar^2/8m) FI = {fi / 8:.9f}")
 
 u, u_bar, k_u = osmotic_fields(density, constants)
 print("\nosmotic fields at x = 2 (closed forms x/2, -x/2, x/2):")

@@ -15,12 +15,13 @@ from fisherqp import (
     ConstraintSpec,
     Grid,
     PhysicalConstants,
-    epi_quantum_potential_check,
     epi_solve,
     maxent_solve,
     riccati_check,
 )
 from fisherqp.extremizers import stationarity_residual
+from fisherqp.reports import IdentityCheck
+from fisherqp.suites import epi_suite
 
 constants = PhysicalConstants()
 grid = Grid(-8.0, 8.0, 4097)
@@ -34,16 +35,19 @@ dev = np.max(np.abs(density.values - np.exp(-grid.x**2 / 2) / np.sqrt(2 * np.pi)
 print(f"  max deviation from the standard normal: {dev:.2e}")
 
 print("\nFisher extremization with multiplier lambda = -4 on x^2")
-result = epi_solve(ConstraintSpec(A_fields=[a_field], multipliers=[-4.0]), grid)
+spec = ConstraintSpec(A_fields=[a_field], multipliers=[-4.0])
+result = epi_solve(spec, grid)
 print(f"  alpha_norm  {result.alpha_norm:.6f}   (closed form 4)")
 print(f"  eigenvalue  {result.eigenvalue:.6f}   (closed form 1/2)")
 print(f"  extreme FI  {result.fisher_I:.6f}   (closed form 2)")
 print(f"  stationarity residual  {stationarity_residual(result):.2e}")
 print(f"  Riccati residual       {riccati_check(result):.2e}")
 
-chk = epi_quantum_potential_check(result, constants)
+# the epi command's suite solves the same problem and forms its checks
+checks = {c.name: c for c in epi_suite(spec, grid, constants) if isinstance(c, IdentityCheck)}
 print("\nthe extremal density pins its own quantum potential:")
-print(f"  Q = (hbar^2/8m)(lambda A + alpha_norm), max deviation {chk.maxdev:.2e}")
-print(f"  mean: integral(p_I Q) = {chk.mean_lhs:.9f} vs {chk.mean_rhs:.9f}")
-print(f"  (the often-quoted hbar^2/4m slope overshoots by 2: "
-      f"measured ratio {chk.nominal_slope_ratio})")
+print(f"  Q = (hbar^2/8m)(lambda A + alpha_norm), max deviation / max |Q| "
+      f"{checks['epi-qp-affine'].lhs:.2e}")
+mean = checks["epi-mean-qp"]
+print(f"  mean: integral(p_I Q) = {mean.lhs:.9f} vs {mean.rhs:.9f}")
+print("  (the often-quoted hbar^2/4m slope overshoots by 2: the slope ratio is 1/2)")

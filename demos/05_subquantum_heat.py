@@ -19,7 +19,6 @@ from fisherqp import (
     fick_diffuse,
     heat_equation_evolve,
     heat_from_density,
-    thermal_fisher_report,
     thermalized_qp,
     vanishing_qp_residual,
 )
@@ -35,16 +34,19 @@ print("heat field of a sigma = 2 Gaussian (gauge: Q_heat(0) = 0)")
 i = int(round((4.0 - grid.xmin) / grid.dx))
 print(f"  Q_heat(4) = {hf.Q_heat.values[i]:.6f}   (closed form x^2/8 = 2)")
 
-rep = thermal_fisher_report(density, hf, constants)
+checks = list(thermal_suite(hf, density, 0.004, 1e-3))
+by_name = {item.name: item for item in checks}
+route_b = by_name["thermal-fisher-route-b"]            # route B vs direct FI
+route_a = by_name["flag-thermal-route-factor"].lhs     # flagged against route B
 print("\nthermal Fisher information:")
-print(f"  route B  beta^2 int(P (grad Q)^2) = {rep.route_b:.10f}")
-print(f"  direct   int((P')^2/P)            = {rep.fisher_direct:.10f}")
-print(f"  route A  (formal)                 = {rep.route_a:.10f}"
-      f"   ratio A/B = {rep.route_a / rep.route_b:+.4f}  <- flagged, not asserted")
+print(f"  route B  beta^2 int(P (grad Q)^2) = {route_b.lhs:.10f}")
+print(f"  direct   int((P')^2/P)            = {route_b.rhs:.10f}")
+print(f"  route A  (formal)                 = {route_a:.10f}"
+      f"   ratio A/B = {route_a / route_b.lhs:+.4f}  <- flagged, not asserted")
 
 print("\nthermal suite over 4 steps of 1e-3 (ratio law, heat-action link,")
 print("fluctuation chain, kinetic excess, Gibbs slope, thermalized Q, route B):")
-for item in thermal_suite(hf, density, 0.004, 1e-3):
+for item in checks:
     if not item.flagged:
         print(f"  {item.name:28s} error {item.rel_err:.2e}"
               f"  tol {item.tol:.0e}  {'ok' if item.passed else 'FAIL'}")

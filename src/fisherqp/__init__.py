@@ -7,14 +7,14 @@ The package is organized bottom-up:
 
 ``grid``         quadrature and finite differences
 ``states``       densities, Madelung states, physical constants
-``functionals``  Fisher information, entropy, quantum potential, fluctuations
+``functionals``  Fisher information, entropy, quantum potential, the delta_p field
 ``propagator``   Crank-Nicolson Schroedinger evolution and residual checks
 ``extremizers``  MaxEnt and the Fisher-extremization eigensolver
 ``legendre``     multiplier sweeps and Legendre-structure verification
-``thermal``      heat fields, diffusion, lockstep coupled flows, thermal Fisher
+``thermal``      heat fields, diffusion, lockstep coupled flows
 ``reports``      check table and report records
 ``serialization`` CSV/JSON file formats
-``suites``       each CLI command's identity checks, as a generator
+``suites``       every identity check, formed and yielded per CLI command
 ``cli``          batch front end
 """
 
@@ -46,12 +46,11 @@ from .states import (
     gibbs_density,
 )
 from .functionals import (
-    FluctuationReport,
     QPForm,
     differential_entropy,
     fisher_information,
-    fluctuation_report,
     mean_quantum_potential,
+    momentum_fluctuation,
     osmotic_fields,
     quantum_potential,
 )
@@ -68,7 +67,6 @@ from .propagator import (
 from .extremizers import (
     ConstraintSpec,
     EPIResult,
-    epi_quantum_potential_check,
     epi_solve,
     maxent_solve,
     riccati_check,
@@ -80,10 +78,8 @@ from .thermal import (
     HeatTrajectory,
     delta_s_from_heat,
     fick_diffuse,
-    gibbs_formula_check,
     heat_equation_evolve,
     heat_from_density,
-    thermal_fisher_report,
     thermalized_qp,
     vanishing_qp_residual,
 )

@@ -9,7 +9,7 @@ epi                 Fisher extremization for given multipliers
 maxent              entropy extremization for a given target
 sweep               multiplier sweep plus Legendre-structure residuals
 thermal             heat-field suite (diffusion, coherence, flags)
-list-checks         print every registered check name with its tag
+list-checks         print every registered check: tag, name, description
 
 Every run takes one path: the ``--input`` file, then ``parse(payload)``,
 then ``suite(**problem)``, then ``report.json`` under ``--out``.  Each
@@ -96,22 +96,27 @@ def _integer(value, key: str, command: str) -> int:
     raise SchemaError(f"{command}: {key} must be an integer, not {value!r}")
 
 
-def _multiplier(value, field: ScalarField, command: str) -> float:
-    """``value`` as a finite multiplier lambda whose term lambda * A of the
-    effective potential is finite on the grid; a bool or a string is
-    refused."""
+def _finite(value, key: str, command: str) -> float:
+    """``value`` as a finite float; a bool or a string is refused."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
-            lam = float(value)
+            number = float(value)
         except OverflowError:  # an integer beyond the float range
-            lam = math.inf
-        if math.isfinite(lam):
-            with np.errstate(over="ignore"):
-                if np.all(np.isfinite(lam * field.values)):
-                    return lam
-            raise SchemaError(f"{command}: lambda = {lam!r} overflows the effective "
-                              f"potential lambda*A")
-    raise SchemaError(f"{command}: lambda must be a finite number, not {value!r}")
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise SchemaError(f"{command}: {key} must be a finite number, not {value!r}")
+
+
+def _multiplier(value, field: ScalarField, command: str) -> float:
+    """``value`` as a finite multiplier lambda whose term lambda * A of the
+    effective potential is finite on the grid."""
+    lam = _finite(value, "lambda", command)
+    with np.errstate(over="ignore"):
+        if np.all(np.isfinite(lam * field.values)):
+            return lam
+    raise SchemaError(f"{command}: lambda = {lam!r} overflows the effective "
+                      f"potential lambda*A")
 
 
 def _require_operator_in_range(lo: float, hi: float, lams: list[float],
@@ -159,19 +164,22 @@ def _build_constraint_field(spec: dict, grid: Grid, command: str) -> ScalarField
     raise SchemaError(f"{command}: unknown constraint kind {kind!r}")
 
 
+def _gibbs_from_input(spec: dict, grid: Grid, command: str) -> tuple[ScalarField, float]:
+    """(energy, gamma) of a ``gibbs`` density exp(-gamma E)/Z."""
+    energy = _build_constraint_field(_require(spec, "energy", command), grid, command)
+    return energy, float(spec.get("gamma", 1.0))
+
+
 def _build_density(spec: dict, grid: Grid, command: str):
     kind = spec.get("kind")
-    x = grid.x
-    if kind == "gaussian":
-        sigma = float(spec.get("sigma", 1.0))
-        center = float(spec.get("center", 0.0))
-        raw = np.exp(-((x - center) ** 2) / (2.0 * sigma**2))
-        return density_from_samples(ScalarField(grid, raw))
-    if kind == "mixture":
+    if kind in ("gaussian", "mixture"):
+        # a gaussian is the one-component mixture of weight 1: 0 + 1.0*v is v
+        components = ([{**spec, "weight": 1.0}] if kind == "gaussian"
+                      else _require(spec, "components", command))
         raw = np.zeros(grid.n)
-        for comp in _require(spec, "components", command):
+        for comp in components:
             raw += float(comp.get("weight", 1.0)) * np.exp(
-                -((x - float(comp.get("center", 0.0))) ** 2)
+                -((grid.x - float(comp.get("center", 0.0))) ** 2)
                 / (2.0 * float(comp.get("sigma", 1.0)) ** 2)
             )
         return density_from_samples(ScalarField(grid, raw))
@@ -181,8 +189,7 @@ def _build_density(spec: dict, grid: Grid, command: str):
             raise SchemaError(f"{command}: sample length != grid n")
         return density_from_samples(ScalarField(grid, values))
     if kind == "gibbs":
-        energy = _build_constraint_field(_require(spec, "energy", command), grid, command)
-        density, _ = gibbs_density(energy, float(spec.get("gamma", 1.0)))
+        density, _ = gibbs_density(*_gibbs_from_input(spec, grid, command))
         return density
     raise SchemaError(f"{command}: unknown density kind {kind!r}")
 
@@ -210,11 +217,12 @@ def _parse_verify_identities(payload, command) -> dict:
     grid = _grid_from_input(payload, command)
     constants = _constants_from_input(payload)
     spec = _require(payload, "density", command)
-    density = _build_density(spec, grid, command)
-    gibbs = None
     if spec.get("kind") == "gibbs":
-        gibbs = (_build_constraint_field(spec["energy"], grid, command),
-                 float(spec.get("gamma", 1.0)))
+        gibbs = _gibbs_from_input(spec, grid, command)
+        density, _ = gibbs_density(*gibbs)
+    else:
+        gibbs = None
+        density = _build_density(spec, grid, command)
     return {"density": density, "constants": constants, "gibbs": gibbs}
 
 
@@ -295,7 +303,7 @@ def _parse_maxent(payload, command) -> dict:
     grid = _grid_from_input(payload, command)
     constraint = _build_constraint_field(_require(payload, "constraint", command), grid,
                                          command)
-    target = float(_require(payload, "target", command))
+    target = _finite(_require(payload, "target", command), "target", command)
     return {"constraint": constraint, "target": target}
 
 

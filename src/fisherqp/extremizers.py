@@ -43,7 +43,8 @@ import would cost a sweep far more time than its solves.
 The log-derivative substitution v = (log psi)' turns the stationarity
 condition into the Riccati form v' + v^2 + G/4 = 0 with
 G = alpha_norm + sum_i lambda_i A_i; ``riccati_check`` measures that
-residual in the density-weighted sup norm.
+residual in the density-weighted sup norm.  The identity checks built on
+these solutions live in ``suites``.
 """
 
 from __future__ import annotations
@@ -53,11 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGround, EdgeLocalized, InfeasibleTarget, NonDecaying
-from .functionals import (
-    fisher_information,
-    quantum_potential,
-    weighted_max_dev,
-)
+from .functionals import fisher_information, weighted_max_dev
 from .grid import (
     Grid,
     ScalarField,
@@ -65,13 +62,7 @@ from .grid import (
     derivative_values,
     quadrature_values,
 )
-from .states import (
-    Density,
-    PhysicalConstants,
-    TruncationError,
-    density_from_samples,
-    gibbs_density,
-)
+from .states import Density, TruncationError, density_from_samples, gibbs_density
 
 EDGE_BUFFER = 5          # grid points counted as "at the wall"
 EDGE_MASS_TOL = 1e-7     # ground-state mass allowed in the buffer
@@ -110,11 +101,7 @@ class EPIResult:
     multipliers: tuple[float, ...]
 
 
-def maxent_solve(
-    A: ScalarField,
-    target: float,
-    truncation_check: bool = True,
-) -> tuple[Density, float, float]:
+def maxent_solve(A: ScalarField, target: float) -> tuple[Density, float, float]:
     """Solve the single-constraint MaxEnt problem.
 
     Returns (density, alpha_gibbs, Z) with density = exp(-alpha_gibbs A)/Z
@@ -166,11 +153,11 @@ def maxent_solve(
 
     try:
         if alpha >= 0:
-            density, z = gibbs_density(A, alpha, truncation_check)
+            density, z = gibbs_density(A, alpha)
         else:
             # gibbs_density wants a nonnegative exponent multiplier
             flipped = ScalarField(A.grid, -A.values)
-            density, z = gibbs_density(flipped, -alpha, truncation_check)
+            density, z = gibbs_density(flipped, -alpha)
     except TruncationError as exc:
         raise NonDecaying(str(exc)) from exc
     return density, float(alpha), float(z)
@@ -362,16 +349,13 @@ def stationarity_residual(result: EPIResult) -> float:
     return weighted_max_dev(r, np.zeros_like(r), d)
 
 
-def riccati_check(result: EPIResult, exclude_boundary: int = 0) -> float:
+def riccati_check(result: EPIResult) -> float:
     """Density-weighted masked max of |v' + v^2 + G/4|, v = (log psi)'.
 
-    ``exclude_boundary`` drops that many grid points at each end of the
-    support before taking the max: for hard-wall (box-like) ground states
-    v diverges at the walls and the identity only holds away from them.
     A support of fewer than 3 points raises DegenerateSupport.
     """
     d = result.p_I
-    mask = d.support_mask.copy()
+    mask = d.support_mask
     dx = d.grid.dx
     psi = result.psi.values
     # differentiate log(psi) on the contiguous masked block only
@@ -383,62 +367,8 @@ def riccati_check(result: EPIResult, exclude_boundary: int = 0) -> float:
     dv = np.zeros_like(psi)
     dv[block] = derivative_values(v[block], dx)
     g = result.alpha_norm + 8.0 * result.effective_potential.values
-    if exclude_boundary > 0:
-        mask[: idx[0] + exclude_boundary] = False
-        mask[idx[-1] + 1 - exclude_boundary :] = False
     r = np.where(mask, dv + v**2 + g / 4.0, 0.0)
     p = d.values
     w = p / float(np.max(p))
     return float(np.max(np.where(mask, w * np.abs(r), 0.0)))
 
-
-@dataclass(frozen=True)
-class QPConstraintCheck:
-    """Comparison of the extremal density's quantum potential against the
-    affine image of the constraint function.
-
-    The normalized stationarity condition pins Q = (hbar^2/8m)
-    (lambda A + alpha_norm); ``gauge_constant`` is that pinned additive
-    term and ``nominal_slope_ratio`` the measured ratio of the true slope
-    to the often-quoted (hbar^2/4m) lambda coefficient (0.5: that
-    normalization overshoots by 2, a flagged discrepancy, see reports).
-    """
-
-    maxdev: float
-    mean_lhs: float
-    mean_rhs: float
-    gauge_constant: float
-    nominal_slope_ratio: float
-
-
-def epi_quantum_potential_check(
-    result: EPIResult, constants: PhysicalConstants
-) -> QPConstraintCheck:
-    """Check Q(p_I) = (hbar^2/8m)(lambda A + alpha_norm) for M = 1."""
-    if len(result.multipliers) != 1:
-        raise ValueError("quantum-potential check requires a single constraint")
-    lam = result.multipliers[0]
-    hbar, m = constants.hbar, constants.mass
-    d = result.p_I
-    a = 8.0 * result.effective_potential.values / lam  # recover A from U
-    q = quantum_potential(d, constants).values
-
-    coeff = hbar**2 / (8.0 * m)
-    gauge = coeff * result.alpha_norm
-    rhs = coeff * lam * a + gauge
-    maxdev = weighted_max_dev(q, np.where(d.support_mask, rhs, 0.0), d)
-
-    p = d.values
-    dx = d.grid.dx
-    mean_lhs = quadrature_values(np.where(d.support_mask, p * q, 0.0), dx)
-    mean_a = quadrature_values(p * a, dx)
-    mean_rhs = coeff * (lam * mean_a + result.alpha_norm)
-
-    nominal_slope = hbar**2 / (4.0 * m) * lam
-    return QPConstraintCheck(
-        maxdev=maxdev,
-        mean_lhs=mean_lhs,
-        mean_rhs=mean_rhs,
-        gauge_constant=gauge,
-        nominal_slope_ratio=coeff * lam / nominal_slope,
-    )

@@ -1,6 +1,7 @@
 """Static functionals and pointwise fields: Fisher information, entropy,
-the quantum potential in four equivalent forms, momentum-fluctuation
-moments and osmotic fields.
+the quantum potential in four equivalent forms, the momentum-fluctuation
+field and osmotic fields.  The identity checks built from them live in
+``suites``.
 
 Sign conventions
 ----------------
@@ -33,7 +34,6 @@ statement about P-weighted integrands.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,38 +147,11 @@ def mean_quantum_potential(density: Density, constants: PhysicalConstants) -> fl
     )
 
 
-@dataclass(frozen=True)
-class FluctuationReport:
-    """Momentum-fluctuation field and its first two P-weighted moments."""
-
-    delta_p: ScalarField
-    mean: float
-    second_moment: float
-    delta_ekin_mean: float
-
-
-def fluctuation_report(
-    density: Density, constants: PhysicalConstants
-) -> FluctuationReport:
-    """delta_p = -(hbar/2) P'/P with mean, second moment and mean kinetic excess.
-
-    The second moment equals (hbar^2/4)*FI and the kinetic excess is
-    second_moment / (2 mass).
-    """
-    hbar, m = constants.hbar, constants.mass
-    w = density.grad_log()
-    dp_field = -(hbar / 2.0) * w
-    mask = density.support_mask
-    dx = density.grid.dx
-    p = density.values
-    mean = masked_quadrature(p * dp_field, mask, dx)
-    second = masked_quadrature(p * dp_field**2, mask, dx)
-    return FluctuationReport(
-        delta_p=ScalarField(density.grid, dp_field),
-        mean=mean,
-        second_moment=second,
-        delta_ekin_mean=second / (2.0 * m),
-    )
+def momentum_fluctuation(density: Density, constants: PhysicalConstants) -> np.ndarray:
+    """delta_p = -(hbar/2) P'/P on the support, 0 elsewhere; its P-weighted
+    mean vanishes for decayed densities and its second moment equals
+    (hbar^2/4)*FI."""
+    return -(constants.hbar / 2.0) * density.grad_log()
 
 
 def osmotic_fields(

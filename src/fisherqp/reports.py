@@ -88,8 +88,8 @@ def check_def(name: str) -> CheckDef:
 
 
 def list_checks() -> str:
-    """Stable listing 'tag name', one check per line."""
-    return "\n".join(f"{c.paper_eq} {c.name}" for c in CHECKS)
+    """Stable listing 'tag name  description', one check per line."""
+    return "\n".join(f"{c.paper_eq} {c.name}  {c.description}" for c in CHECKS)
 
 
 @dataclass

@@ -18,36 +18,61 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .extremizers import (epi_quantum_potential_check, epi_solve, maxent_solve,
-                          riccati_check, stationarity_residual)
-from .functionals import (QPForm, fisher_information, fluctuation_report,
-                          mean_quantum_potential, quantum_potential, weighted_max_dev)
+from .extremizers import epi_solve, maxent_solve, riccati_check, stationarity_residual
+from .functionals import (QPForm, fisher_information, masked_quadrature,
+                          mean_quantum_potential, momentum_fluctuation, quantum_potential,
+                          weighted_max_dev)
 from .grid import derivative_values, quadrature_values, second_derivative_values
 from .legendre import sweep, verify_euler, verify_legendre
 from .propagator import continuity_residual, entropy_rate_check, evolve, hj_residual
 from .reports import IdentityCheck, flagged_discrepancy_checks, make_check, make_residual_check
 from .serialization import dump_trajectory, save_field_csv, save_json, save_sweep_csv
-from .thermal import (coupled_grad_heat, coupled_run, delta_s_from_heat,
-                      gibbs_formula_check, heat_from_density, step_count,
-                      thermal_fisher_report, thermalized_qp, vanishing_qp_residual)
+from .thermal import (coupled_grad_heat, coupled_run, delta_s_from_heat, heat_from_density,
+                      require_coupling, step_count, thermalized_qp, vanishing_qp_residual)
 
 Artifact = tuple[str, Callable[[Path], object]]
 Suite = Iterator[IdentityCheck | Artifact]
 
 
-def _thermal_fisher_checks(density, hf, constants) -> Iterator[IdentityCheck]:
-    """The route-B thermal Fisher check and the flagged discrepancy ledger."""
-    tf = thermal_fisher_report(density, hf, constants)
-    yield make_check("thermal-fisher-route-b", tf.route_b, tf.fisher_direct)
-    yield from flagged_discrepancy_checks(
-        mean_quantum_potential(density, constants), tf.fisher_direct,
-        constants.hbar, constants.mass, tf.route_a, tf.route_b,
-    )
+def _thermal_fisher_checks(density, hf, constants, fi, mean_qp) -> Iterator[IdentityCheck]:
+    """The route-B thermal Fisher check against ``fi`` and the flagged
+    discrepancy ledger.
+
+    Route B, beta^2 integral P (grad Q)^2 with grad Q through the coupled
+    density, reproduces FI exactly under the coupling.  Route A,
+    -2 alpha integral P [lap Q - (2m/hbar) dQ/dt] with dQ/dt = 0, does
+    not: the two formal expressions disagree by more than a sign on
+    static coupled pairs, so their ratio is flagged, not asserted.
+    """
+    require_coupling(density, hf, constants)
+    p = density.values
+    mask = density.support_mask
+    dx = density.grid.dx
+    grad_q = coupled_grad_heat(density, constants)
+    route_b = constants.beta**2 * quadrature_values(np.where(mask, p * grad_q**2, 0.0), dx)
+    lap_q = second_derivative_values(hf.Q_heat.values, dx)
+    route_a = -2.0 * constants.alpha_th * quadrature_values(np.where(mask, p * lap_q, 0.0),
+                                                            dx)
+    yield make_check("thermal-fisher-route-b", route_b, fi)
+    yield from flagged_discrepancy_checks(mean_qp, fi, constants.hbar, constants.mass,
+                                          route_a, route_b)
 
 
 def identities_suite(density, constants, gibbs) -> Suite:
-    """verify-identities; ``gibbs`` is (energy, gamma) for a Gibbs density."""
+    """verify-identities; ``gibbs`` is (energy, gamma) for the Gibbs density
+    exp(-gamma E)/Z, which the Gibbs-side formulas
+
+        Q = (gamma hbar^2 / 8m) [2 E'' - gamma (E')^2]      (pointwise)
+        FI = gamma^2 <(E')^2>_P                              (scalar)
+
+    check against the direct routes.  The sign of the bracket follows the
+    amplitude definition of Q; the printed source form carries the
+    opposite sign and is flagged."""
     yield "density.csv", partial(save_field_csv, density.field)
+    p = density.values
+    mask = density.support_mask
+    dx = density.grid.dx
+    hbar, m = constants.hbar, constants.mass
     fi = fisher_information(density)
     q_forms = {form: quantum_potential(density, constants, form) for form in QPForm}
     q_ref = q_forms[QPForm.SQRT].values
@@ -58,20 +83,26 @@ def identities_suite(density, constants, gibbs) -> Suite:
     )
     yield make_residual_check("qp-four-forms", worst / scale)
 
-    mean_qp = mean_quantum_potential(density, constants)
-    target = constants.hbar**2 / (8.0 * constants.mass) * fi
-    yield make_check("mean-QP-equals-FI", mean_qp, target)
+    mean_qp = masked_quadrature(p * q_ref, mask, dx)
+    yield make_check("mean-QP-equals-FI", mean_qp, hbar**2 / (8.0 * m) * fi)
 
-    rep = fluctuation_report(density, constants)
-    yield make_check("fluctuation-mean-zero", rep.mean, 0.0)
-    yield make_check("fluctuation-second-moment", rep.second_moment,
-                     constants.hbar**2 / 4.0 * fi)
+    delta_p = momentum_fluctuation(density, constants)
+    yield make_check("fluctuation-mean-zero", masked_quadrature(p * delta_p, mask, dx), 0.0)
+    yield make_check("fluctuation-second-moment",
+                     masked_quadrature(p * delta_p**2, mask, dx), hbar**2 / 4.0 * fi)
     yield from _thermal_fisher_checks(density, heat_from_density(density, constants),
-                                      constants)
+                                      constants, fi, mean_qp)
     if gibbs is not None:
-        gc = gibbs_formula_check(*gibbs, constants)
-        yield make_residual_check("gibbs-qp-formula", gc.qp_maxdev)
-        yield make_check("gibbs-fisher-formula", gc.fisher_direct, gc.fisher_energy_route)
+        energy, gamma = gibbs
+        e1 = derivative_values(energy.values, dx)
+        e2 = second_derivative_values(energy.values, dx)
+        q_formula = (gamma * hbar**2 / (8.0 * m)) * (2.0 * e2 - gamma * e1**2)
+        yield make_residual_check(
+            "gibbs-qp-formula",
+            weighted_max_dev(q_ref, np.where(mask, q_formula, 0.0), density) / scale,
+        )
+        yield make_check("gibbs-fisher-formula", fi,
+                         gamma**2 * quadrature_values(np.where(mask, p * e1**2, 0.0), dx))
 
 
 def evolve_suite(state, potential, dt, steps, index, dump) -> Suite:
@@ -107,18 +138,27 @@ def epi_suite(spec, grid, constants) -> Suite:
                      note="contraction identity FI = alpha_norm + sum lambda <A>")
     yield make_residual_check("epi-stationarity", stationarity_residual(result))
     yield make_residual_check("riccati", riccati_check(result))
-    yield make_check(
-        "mean-QP-equals-FI",
-        mean_quantum_potential(result.p_I, constants),
-        constants.hbar**2 / (8.0 * constants.mass) * result.fisher_I,
-        tol=1e-5,
-        note="discretization-limited on eigensolver output",
-    )
+    d = result.p_I
+    p = d.values
+    mask = d.support_mask
+    q = quantum_potential(d, constants).values
+    coeff = constants.hbar**2 / (8.0 * constants.mass)
+    mean_qp = masked_quadrature(p * q, mask, grid.dx)
+    yield make_check("mean-QP-equals-FI", mean_qp, coeff * result.fisher_I, tol=1e-5,
+                     note="discretization-limited on eigensolver output")
     if len(result.multipliers) == 1:
-        qc = epi_quantum_potential_check(result, constants)
-        scale = float(np.max(np.abs(quantum_potential(result.p_I, constants).values)))
-        yield make_residual_check("epi-qp-affine", qc.maxdev / (scale + 1e-300))
-        yield make_check("epi-mean-qp", qc.mean_lhs, qc.mean_rhs)
+        # the stationarity condition pins Q = (hbar^2/8m)(lambda A + alpha_norm);
+        # A is recovered from U, not read from spec: lambda*A/lambda is not
+        # always A to the last bit
+        lam = result.multipliers[0]
+        a = 8.0 * result.effective_potential.values / lam
+        rhs = coeff * lam * a + coeff * result.alpha_norm
+        scale = float(np.max(np.abs(q)))
+        yield make_residual_check("epi-qp-affine",
+                                  weighted_max_dev(q, np.where(mask, rhs, 0.0), d)
+                                  / (scale + 1e-300))
+        yield make_check("epi-mean-qp", mean_qp,
+                         coeff * (lam * quadrature_values(p * a, grid.dx) + result.alpha_norm))
 
 
 def maxent_suite(constraint, target) -> Suite:
@@ -187,12 +227,12 @@ def thermal_suite(hf, density, t_final, dt) -> Suite:
 
         # delta_p = grad(deltaS) = -(hbar/2) grad(P)/P and
         # grad(P)/P = -beta grad(Q), through the coupling
-        rep = fluctuation_report(density, constants)
-        dev_s = weighted_max_dev(derivative_values(ds0, dx), rep.delta_p.values, density)
+        delta_p = momentum_fluctuation(density, constants)
+        dev_s = weighted_max_dev(derivative_values(ds0, dx), delta_p, density)
         grad_log = density.grad_log()
         grad_q = derivative_values(hf.Q_heat.values, dx)
         dev_q = weighted_max_dev(grad_log, np.where(mask, -beta * grad_q, 0.0), density)
-        scale = float(np.max(np.abs(rep.delta_p.values))) + 1e-300
+        scale = float(np.max(np.abs(delta_p))) + 1e-300
         yield make_residual_check("fluctuation-chain", max(dev_s, dev_q) / scale)
 
         # delta_E_kin = (hbar^2/8m)(grad P/P)^2 = (1/8 m omega^2)(grad Q)^2,
@@ -223,4 +263,5 @@ def thermal_suite(hf, density, t_final, dt) -> Suite:
             "thermalized-qp-vanishes",
             float(np.max(weight[2:-2] * np.abs(thq.values[2:-2]))) / (qt_scale + 1e-300),
         )
-    yield from _thermal_fisher_checks(density, hf, constants)
+    yield from _thermal_fisher_checks(density, hf, constants, fisher_information(density),
+                                      mean_quantum_potential(density, constants))

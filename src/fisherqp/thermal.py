@@ -1,9 +1,9 @@
 """Subquantum heat dynamics: the heat field coupled to a density, Fick
 diffusion, the classical heat equation, the thermalized quantum
-potential, thermal Fisher information, the lockstep run of the coupled
-Fick and heat flows, and the Gibbs-side formulas.  The identity checks
-built from them live in ``suites``; this module imports nothing from
-``reports``.
+potential and the lockstep run of the coupled Fick and heat flows.  The
+identity checks built from them, the two thermal routes to Fisher
+information and the Gibbs-side formulas among them, live in ``suites``;
+this module imports nothing from ``reports``.
 
 Conventions
 -----------
@@ -49,12 +49,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import BoundaryContact, DecoupledInputs, NonFinite
-from .functionals import (
-    fisher_information,
-    quantum_potential,
-    weighted_max_dev,
-    weighted_sup,
-)
+from .functionals import weighted_sup
 from .grid import (
     Grid,
     ScalarField,
@@ -69,7 +64,6 @@ from .states import (
     Density,
     PhysicalConstants,
     density_from_samples,
-    gibbs_density,
     normalize_samples,
 )
 
@@ -273,12 +267,11 @@ def _diffuse(values: np.ndarray, dx: float, D: float, steps: int, dt: float,
 
 @dataclass(frozen=True)
 class FickTrajectory:
-    """Densities under Fick diffusion, with the raw mass drift per step."""
+    """Densities under Fick diffusion, one per step."""
 
     times: np.ndarray
     densities: list[Density]
     diffusivity: float
-    mass_drift: float
 
 
 def fick_diffuse(P0: Density, D: float, t_final: float, dt: float) -> FickTrajectory:
@@ -289,16 +282,12 @@ def fick_diffuse(P0: Density, D: float, t_final: float, dt: float) -> FickTrajec
     1e-10 of the current peak.
     """
     steps = step_count(t_final, dt)
-    densities = []
-    drift = 0.0
-    for arr in _diffuse(P0.values, P0.grid.dx, D, steps, dt, _fick_guard):
-        drift = max(drift, abs(quadrature_values(arr, P0.grid.dx) - 1.0))
-        densities.append(
-            density_from_samples(ScalarField(P0.grid, arr), truncation_check=False)
-        )
+    densities = [
+        density_from_samples(ScalarField(P0.grid, arr), truncation_check=False)
+        for arr in _diffuse(P0.values, P0.grid.dx, D, steps, dt, _fick_guard)
+    ]
     times = np.arange(steps + 1) * dt
-    return FickTrajectory(times=times, densities=densities, diffusivity=D,
-                          mass_drift=drift)
+    return FickTrajectory(times=times, densities=densities, diffusivity=D)
 
 
 def heat_equation_evolve(hf0: HeatField, t_final: float, dt: float) -> HeatTrajectory:
@@ -365,50 +354,6 @@ def thermalized_qp(heat: HeatTrajectory, index: int) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# thermal Fisher information
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ThermalFisherResult:
-    """Both formal routes to Fisher information from heat data.
-
-    route_b (beta^2 integral P (grad Q)^2) reproduces the direct Fisher
-    information exactly under the coupling.  route_a
-    (-2 alpha integral P [lap Q - (2m/hbar) dQ/dt], here with dQ/dt = 0)
-    does not: the two formal expressions disagree by more than a sign on
-    static coupled pairs, so their ratio is reported as a flagged entry
-    (``reports.flagged_discrepancy_checks``) instead of asserted.
-    """
-
-    route_b: float
-    route_a: float
-    fisher_direct: float
-
-
-def thermal_fisher_report(
-    density: Density, hf: HeatField, constants: PhysicalConstants
-) -> ThermalFisherResult:
-    require_coupling(density, hf, constants)
-    p = density.values
-    mask = density.support_mask
-    dx = density.grid.dx
-    beta = constants.beta
-    alpha = constants.alpha_th
-
-    grad_q = coupled_grad_heat(density, constants)
-    route_b = beta**2 * quadrature_values(
-        np.where(mask, p * grad_q**2, 0.0), dx
-    )
-
-    lap_q = second_derivative_values(hf.Q_heat.values, dx)
-    route_a = -2.0 * alpha * quadrature_values(np.where(mask, p * lap_q, 0.0), dx)
-
-    fisher = fisher_information(density)
-    return ThermalFisherResult(route_b=route_b, route_a=route_a, fisher_direct=fisher)
-
-
-# ---------------------------------------------------------------------------
 # coupled-evolution consistency
 # ---------------------------------------------------------------------------
 
@@ -450,52 +395,3 @@ def coupled_run(
     return worst, HeatTrajectory(times=times, kept=tuple(kept), fields=fields,
                                  diffusivity=hf0.constants.diffusivity)
 
-
-# ---------------------------------------------------------------------------
-# Gibbs-side formulas
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GibbsFormulaCheck:
-    """Quantum potential and Fisher information of a Gibbs density,
-    evaluated directly and through the energy-derivative formulas."""
-
-    qp_maxdev: float
-    fisher_direct: float
-    fisher_energy_route: float
-
-
-def gibbs_formula_check(
-    E: ScalarField, gamma: float, constants: PhysicalConstants
-) -> GibbsFormulaCheck:
-    """For P = exp(-gamma E)/Z check
-
-        Q = (gamma hbar^2 / 8m) [2 E'' - gamma (E')^2]      (pointwise)
-        FI = gamma^2 <(E')^2>_P                              (scalar)
-
-    The sign of the bracket follows the amplitude definition of Q; the
-    printed source form carries the opposite sign and is recorded as a
-    flagged discrepancy in the report layer.
-    """
-    density, _ = gibbs_density(E, gamma, truncation_check=False)
-    hbar, m = constants.hbar, constants.mass
-    dx = E.grid.dx
-    mask = density.support_mask
-
-    q_direct = quantum_potential(density, constants).values
-    e1 = derivative_values(E.values, dx)
-    e2 = second_derivative_values(E.values, dx)
-    q_formula = (gamma * hbar**2 / (8.0 * m)) * (2.0 * e2 - gamma * e1**2)
-    scale = float(np.max(np.abs(np.where(mask, q_direct, 0.0)))) + 1e-300
-    qp_maxdev = weighted_max_dev(q_direct, np.where(mask, q_formula, 0.0), density) / scale
-
-    fisher_direct = fisher_information(density)
-    fisher_route = gamma**2 * quadrature_values(
-        np.where(mask, density.values * e1**2, 0.0), dx
-    )
-    return GibbsFormulaCheck(
-        qp_maxdev=qp_maxdev,
-        fisher_direct=fisher_direct,
-        fisher_energy_route=fisher_route,
-    )

@@ -3,6 +3,7 @@ import pytest
 
 from fisherqp import Grid, PhysicalConstants, density_from_samples
 from fisherqp.grid import _odd_even_levels
+from fisherqp.reports import IdentityCheck
 
 
 @pytest.fixture
@@ -34,6 +35,11 @@ def mixture_density(grid, rng, n_components=None):
         s = rng.uniform(0.7, 0.9)
         raw += w * np.exp(-((x - c) ** 2) / (2.0 * s**2))
     return density_from_samples(grid.field(raw))
+
+
+def checks_by_name(items):
+    """The checks a suite yields, by name; its artifacts are skipped."""
+    return {c.name: c for c in items if isinstance(c, IdentityCheck)}
 
 
 @pytest.fixture

@@ -24,8 +24,7 @@ from fisherqp import (
     evolve,
     fick_diffuse,
     fisher_information,
-    fluctuation_report,
-    gibbs_formula_check,
+    gibbs_density,
     heat_equation_evolve,
     heat_from_density,
     hj_residual,
@@ -35,7 +34,6 @@ from fisherqp import (
     quantum_potential,
     riccati_check,
     sweep,
-    thermal_fisher_report,
     thermalized_qp,
     vanishing_qp_residual,
     verify_euler,
@@ -43,11 +41,10 @@ from fisherqp import (
 )
 from fisherqp.functionals import weighted_max_dev
 from fisherqp.grid import ScalarField, second_derivative_values
-from fisherqp.reports import flagged_discrepancy_checks
-from fisherqp.suites import thermal_suite
+from fisherqp.suites import identities_suite, thermal_suite
 from fisherqp.thermal import HeatField
 
-from conftest import gaussian_density, mixture_density
+from conftest import checks_by_name, gaussian_density, mixture_density
 
 C = PhysicalConstants()
 
@@ -96,10 +93,10 @@ def test_criterion_03_fluctuation_moments(mixtures):
     g, densities = mixtures
     worst_mean, worst_second = 0.0, 0.0
     for d in densities:
-        rep = fluctuation_report(d, C)
-        worst_mean = max(worst_mean, abs(rep.mean))
-        rhs = fisher_information(d) / 4.0
-        worst_second = max(worst_second, abs(rep.second_moment - rhs) / rhs)
+        checks = checks_by_name(identities_suite(d, C, None))
+        worst_mean = max(worst_mean, abs(checks["fluctuation-mean-zero"].lhs))
+        second = checks["fluctuation-second-moment"]  # rhs (hbar^2/4) FI
+        worst_second = max(worst_second, abs(second.lhs - second.rhs) / second.rhs)
     ok = worst_mean <= 1e-8 and worst_second <= 1e-6
     verdict(3, "fluctuation-moments", ok,
             f"|<dp>| {worst_mean:.3e} <= 1e-8; second-moment rel {worst_second:.3e} <= 1e-6")
@@ -177,16 +174,20 @@ def test_criterion_06_maxent():
 def test_criterion_07_gibbs_formulas():
     g = Grid(-8.0, 8.0, 8193)
     k, gamma = 2.0, 0.5
-    chk = gibbs_formula_check(ScalarField(g, k * g.x**2 / 2), gamma, C)
+    energy = ScalarField(g, k * g.x**2 / 2)
+    density, _ = gibbs_density(energy, gamma)
+    checks = checks_by_name(identities_suite(density, C, (energy, gamma)))
+    fisher = checks["gibbs-fisher-formula"]  # lhs direct, rhs energy route
+    qp_dev = checks["gibbs-qp-formula"].lhs
     ok = (
-        abs(chk.fisher_direct - gamma * k) <= 1e-6
-        and abs(chk.fisher_energy_route - gamma * k) <= 1e-6
-        and chk.qp_maxdev <= 1e-6
+        abs(fisher.lhs - gamma * k) <= 1e-6
+        and abs(fisher.rhs - gamma * k) <= 1e-6
+        and qp_dev <= 1e-6
     )
     verdict(7, "gibbs-formulas", ok,
-            f"FI direct {chk.fisher_direct:.8f}, energy route "
-            f"{chk.fisher_energy_route:.8f} (= gamma*k = {gamma * k}); "
-            f"Q deviation {chk.qp_maxdev:.2e} <= 1e-6")
+            f"FI direct {fisher.lhs:.8f}, energy route "
+            f"{fisher.rhs:.8f} (= gamma*k = {gamma * k}); "
+            f"Q deviation {qp_dev:.2e} <= 1e-6")
 
 
 def _free_gaussian(xmax, n, dtinv, T=1.0):
@@ -289,8 +290,10 @@ def test_criterion_10_thermal_suite():
     weight = wide.values / np.max(wide.values)
     thq_ok = np.max(weight[2:-2] * np.abs(thq.values[2:-2])) <= 1e-3 * scale
 
-    tf = thermal_fisher_report(wide, hf, C)
-    routeb_ok = abs(tf.route_b - tf.fisher_direct) <= 1e-8 * tf.fisher_direct
+    # verify-identities pairs ``wide`` with its heat field ``hf``
+    tf = checks_by_name(identities_suite(wide, C, None))["thermal-fisher-route-b"]
+    route_b_rel = abs(tf.lhs - tf.rhs) / tf.rhs  # lhs route B, rhs FI
+    routeb_ok = route_b_rel <= 1e-8
 
     qv = 2.0 * np.log(4.0 + 0.2 * g12.x)
     res = vanishing_qp_residual(HeatField(ScalarField(g12, qv), C))
@@ -303,19 +306,15 @@ def test_criterion_10_thermal_suite():
     ok = fick_ok and heat_ok and thq_ok and routeb_ok and family_ok and coherence_ok
     verdict(10, "thermal-suite", ok,
             f"variance {var_fick:.6f}/{var_heat:.6f} (want 2.0); thermalized-QP ok "
-            f"{thq_ok}; route-B rel {abs(tf.route_b - tf.fisher_direct) / tf.fisher_direct:.1e}; "
+            f"{thq_ok}; route-B rel {route_b_rel:.1e}; "
             f"vanishing family ok {family_ok}; coherence items "
             f"{[i.passed for i in coherence]}")
 
 
 def test_criterion_11_discrepancy_ledger():
     d = gaussian_density(Grid(-8.0, 8.0, 4097))
-    fi = fisher_information(d)
-    mean_qp = mean_quantum_potential(d, C)
-    hf = heat_from_density(d, C)
-    tf = thermal_fisher_report(d, hf, C)
-    checks = flagged_discrepancy_checks(mean_qp, fi, C.hbar, C.mass,
-                                        tf.route_a, tf.route_b)
+    checks = [c for c in checks_by_name(identities_suite(d, C, None)).values()
+              if c.name.startswith("flag-")]
     names = {c.name for c in checks}
     required = {"flag-mean-qp-sign", "flag-thermal-route-factor"}
     sign_entry = next(c for c in checks if c.name == "flag-mean-qp-sign")

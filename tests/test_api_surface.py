@@ -2,7 +2,9 @@
 method and property of its classes, has a caller in the package or the
 demos: an API that only tests call is dead weight.  Every private
 function and class, and every UPPERCASE constant, is read somewhere in
-the package: a helper nothing calls is dead code."""
+the package: a helper nothing calls is dead code.  Every field of a
+public dataclass is read in the package or the demos: a field only its
+constructor sets is dead data."""
 
 import ast
 from pathlib import Path
@@ -118,3 +120,37 @@ def test_library_layers_import_nothing_from_reports_suites_or_cli():
         if module in UPPER
     )
     assert not upward, "; ".join(upward)
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in cls.decorator_list
+    )
+
+
+def _attributes_read(tree: ast.AST) -> set[str]:
+    """Attribute names a module loads: ``x.field``, not ``x.field = ...``
+    and not a constructor's ``field=`` keyword."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read():
+    # a field only a constructor sets, or only tests read, is dead weight;
+    # a class that serializes itself with asdict(self) reads every field
+    trees = _parse(MODULES + DEMOS)
+    read = set().union(*(_attributes_read(t) for t in trees.values()))
+    unread = sorted(
+        f"{path.stem}.{cls.name}.{node.target.id}"
+        for path in MODULES
+        for cls in trees[path].body
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        and not cls.name.startswith("_")
+        and "asdict" not in _referenced_names(cls)
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        and node.target.id not in read
+    )
+    assert not unread, f"no module or demo reads {', '.join(unread)}"

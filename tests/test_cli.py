@@ -190,6 +190,10 @@ def small_epi(lam):
             "constraints": [{"kind": "monomial", "power": 2, "lambda": lam}]}
 
 
+def small_maxent(target):
+    return {**SMALL_SWEEP, "target": target}
+
+
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
 @pytest.mark.parametrize("command,payload,message", [
     ("sweep", {**SMALL_SWEEP, "lambdas": [True, -2.0, -3.0]},
@@ -219,9 +223,17 @@ def small_epi(lam):
     ("epi", {**small_epi(-1e306),
              "constraints": [{"kind": "monomial", "power": 2, "lambda": -1e306}] * 3},
      "the sum of the lambda*A terms overflows"),
+    ("maxent", small_maxent(float("nan")), "target must be a finite number, not nan"),
+    ("maxent", small_maxent(float("inf")), "target must be a finite number, not inf"),
+    ("maxent", small_maxent(-float("inf")), "target must be a finite number, not -inf"),
+    ("maxent", small_maxent(10**400), f"target must be a finite number, not {10**400!r}"),
+    ("maxent", small_maxent(True), "target must be a finite number, not True"),
+    ("maxent", small_maxent("1.0"), "target must be a finite number, not '1.0'"),
 ], ids=["sweep-bool", "sweep-str", "sweep-nan", "sweep-neginf", "sweep-bigint",
         "sweep-scalar", "sweep-overflow", "epi-bool", "epi-str", "epi-inf",
-        "epi-overflow", "sweep-operator-norm", "epi-operator-norm", "epi-sum-overflow"])
+        "epi-overflow", "sweep-operator-norm", "epi-operator-norm", "epi-sum-overflow",
+        "maxent-nan", "maxent-inf", "maxent-neginf", "maxent-bigint", "maxent-bool",
+        "maxent-str"])
 def test_bad_multiplier_exits_2(tmp_path, capsys, command, payload, message):
     inp = write_json(tmp_path / "in.json", payload)
     out = tmp_path / "out"
@@ -735,8 +747,9 @@ def test_list_checks(capsys):
     assert main(["list-checks"]) == 0
     out = capsys.readouterr().out
     lines = [ln for ln in out.strip().splitlines() if ln]
-    assert "eq2.4 mean-QP-equals-FI" in lines
-    assert "eq5.11 fisher-euler" in lines
+    # each line is 'tag name  description'
+    assert "eq2.4 mean-QP-equals-FI  integral(P Q) = (hbar^2/8m) FI" in lines
+    assert any(ln.startswith("eq5.11 fisher-euler ") for ln in lines)
     assert len(lines) == len(CHECKS)
 
 

@@ -9,16 +9,17 @@ from fisherqp import (
     density_from_samples,
     differential_entropy,
     fisher_information,
-    fluctuation_report,
     gibbs_density,
     mean_quantum_potential,
+    momentum_fluctuation,
     osmotic_fields,
     quantum_potential,
 )
 from fisherqp.functionals import masked_quadrature, weighted_max_dev, weighted_sup
 from fisherqp.grid import ScalarField, derivative_values
+from fisherqp.suites import identities_suite
 
-from conftest import gaussian_density, mixture_density
+from conftest import checks_by_name, gaussian_density, mixture_density
 
 
 def fisher_oracle(sigma: float) -> float:
@@ -155,25 +156,31 @@ def test_mean_qp_equals_fisher_for_mixtures(natural):
 
 
 def test_fluctuation_report_standard_normal(standard_normal, natural, grid):
-    rep = fluctuation_report(standard_normal, natural)
+    delta_p = momentum_fluctuation(standard_normal, natural)
     mask = standard_normal.support_mask
     bulk = mask & (np.abs(grid.x) < 4)
     # stencil error of P'/P grows like x^3; 1e-4 bounds it on |x| < 4
-    assert np.max(np.abs(rep.delta_p.values - grid.x / 2)[bulk]) <= 1e-4
-    assert abs(rep.mean) <= 1e-8
-    assert rep.second_moment == pytest.approx(0.25, rel=1e-6)
-    assert rep.delta_ekin_mean == pytest.approx(0.125, rel=1e-6)
+    assert np.max(np.abs(delta_p - grid.x / 2)[bulk]) <= 1e-4
+    checks = checks_by_name(identities_suite(standard_normal, natural, None))
+    assert abs(checks["fluctuation-mean-zero"].lhs) <= 1e-8
+    second = checks["fluctuation-second-moment"].lhs
+    assert second == pytest.approx(0.25, rel=1e-6)
+    # mean kinetic excess <delta_p^2>/2m
+    assert second / (2.0 * natural.mass) == pytest.approx(0.125, rel=1e-6)
 
 
 def test_fluctuation_mean_exactly_zero_by_symmetry(standard_normal, natural):
-    rep = fluctuation_report(standard_normal, natural)
-    assert abs(rep.mean) <= 1e-12  # odd integrand on a symmetric grid
+    checks = checks_by_name(identities_suite(standard_normal, natural, None))
+    # odd integrand on a symmetric grid
+    assert abs(checks["fluctuation-mean-zero"].lhs) <= 1e-12
 
 
 def test_fluctuation_kinetic_excess_wide():
     g = Grid(-16.0, 16.0, 8193)
-    rep = fluctuation_report(gaussian_density(g, 2.0), PhysicalConstants())
-    assert rep.delta_ekin_mean == pytest.approx(0.03125, rel=1e-5)
+    c = PhysicalConstants()
+    checks = checks_by_name(identities_suite(gaussian_density(g, 2.0), c, None))
+    second = checks["fluctuation-second-moment"].lhs
+    assert second / (2.0 * c.mass) == pytest.approx(0.03125, rel=1e-5)
 
 
 def test_osmotic_fields_standard_normal(standard_normal, natural, grid):
@@ -196,9 +203,9 @@ def test_osmotic_fields_uniform_interior():
 
 def orthogonality_defect(state):
     """integral(P * S' * delta_p): zero when S' is constant on the support."""
-    rep = fluctuation_report(state.density, state.constants)
+    delta_p = momentum_fluctuation(state.density, state.constants)
     grad_s = derivative_values(state.phase.values, state.grid.dx)
-    p = state.density.values * grad_s * rep.delta_p.values
+    p = state.density.values * grad_s * delta_p
     return masked_quadrature(p, state.density.support_mask, state.grid.dx)
 
 

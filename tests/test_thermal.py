@@ -14,19 +14,19 @@ from fisherqp import (
     density_from_heat,
     density_from_samples,
     fick_diffuse,
-    fluctuation_report,
-    gibbs_formula_check,
+    gibbs_density,
     heat_equation_evolve,
     heat_from_density,
-    thermal_fisher_report,
+    momentum_fluctuation,
     thermalized_qp,
     vanishing_qp_residual,
 )
-from fisherqp.grid import ScalarField, derivative_values, second_derivative_values
-from fisherqp.suites import thermal_suite
+from fisherqp.grid import (ScalarField, crank_nicolson_flow, derivative_values,
+                           quadrature_values, second_derivative_values)
+from fisherqp.suites import identities_suite, thermal_suite
 from fisherqp.thermal import coupled_run, coupling_deviation
 
-from conftest import cn_backward_error, gaussian_density
+from conftest import checks_by_name, cn_backward_error, gaussian_density
 
 C = PhysicalConstants()
 
@@ -95,11 +95,11 @@ def test_delta_s_gradient_matches_fluctuation(grid):
     hf = heat_from_density(d, C)
     ds = delta_s_from_heat(hf)
     grad_ds = derivative_values(ds.values, grid.dx)
-    rep = fluctuation_report(d, C)
+    delta_p = momentum_fluctuation(d, C)
     mask = d.support_mask
     w = d.values / d.values.max()
-    scale = np.max(np.abs(rep.delta_p.values))
-    assert np.max((w * np.abs(grad_ds - rep.delta_p.values))[mask]) <= 1e-6 * scale
+    scale = np.max(np.abs(delta_p))
+    assert np.max((w * np.abs(grad_ds - delta_p))[mask]) <= 1e-6 * scale
 
 
 def test_delta_s_thermal_identity(grid):
@@ -114,6 +114,16 @@ def test_delta_s_thermal_identity(grid):
 # ---------------------------------------------------------------------------
 
 
+def fick_mass_drift(d, D, t_final, dt):
+    """Worst |mass - 1| over the raw Crank-Nicolson flow of dP/dt = D P''
+    from ``d``, read before any renormalization."""
+    g = d.grid
+    c = 0.5 * (D * dt / (g.dx * g.dx))
+    flow = crank_nicolson_flow(d.values, np.full(g.n - 2, 1.0 + 2.0 * c), -c,
+                               int(round(t_final / dt)))
+    return max(abs(quadrature_values(u, g.dx) - 1.0) for u in flow)
+
+
 def test_fick_heat_kernel():
     g = Grid(-12.0, 12.0, 6145)
     d = gaussian_density(g)
@@ -121,7 +131,7 @@ def test_fick_heat_kernel():
     P = traj.densities[-1].values
     var = np.trapezoid(P * g.x**2, dx=g.dx)
     assert var == pytest.approx(2.0, abs=1e-3)  # sigma0^2 + 2 D t
-    assert traj.mass_drift <= 1e-9
+    assert fick_mass_drift(d, 0.5, 1.0, 1e-3) <= 1e-9
 
 
 def test_fick_zero_time_is_identity():
@@ -138,7 +148,7 @@ def test_fick_disjoint_bumps_conserve_mass():
     raw = np.exp(-((g.x - 6) ** 2) / 0.5) + np.exp(-((g.x + 6) ** 2) / 0.5)
     d = density_from_samples(g.field(raw))
     traj = fick_diffuse(d, 0.5, 0.5, 1e-3)
-    assert traj.mass_drift <= 1e-9
+    assert fick_mass_drift(d, 0.5, 0.5, 1e-3) <= 1e-9
     for dens in traj.densities[:: len(traj.densities) // 4]:
         assert dens.mass_check() == pytest.approx(1.0, abs=1e-9)
 
@@ -256,13 +266,21 @@ def test_thermalized_qp_requires_interior_index():
 # ---------------------------------------------------------------------------
 
 
+def thermal_fisher_routes(density, hf):
+    """(route B, direct FI, route A) from the static thermal suite's
+    route-B check and its route-A/B flag."""
+    checks = checks_by_name(thermal_suite(hf, density, None, 1e-3))
+    route_b = checks["thermal-fisher-route-b"]
+    return route_b.lhs, route_b.rhs, checks["flag-thermal-route-factor"].lhs
+
+
 def test_thermal_fisher_route_b_equals_fisher():
     g = wide_grid()
     d = gaussian_density(g, sigma=2.0)
     hf = heat_from_density(d, C)
-    rep = thermal_fisher_report(d, hf, C)
-    assert rep.route_b == pytest.approx(rep.fisher_direct, rel=1e-8)
-    assert rep.fisher_direct == pytest.approx(0.25, abs=1e-6)
+    route_b, fisher, _ = thermal_fisher_routes(d, hf)
+    assert route_b == pytest.approx(fisher, rel=1e-8)
+    assert fisher == pytest.approx(0.25, abs=1e-6)
 
 
 def test_thermal_fisher_static_routes_disagree():
@@ -272,24 +290,24 @@ def test_thermal_fisher_static_routes_disagree():
     g = Grid(-8.0, 8.0, 4097)
     hf = HeatField(ScalarField(g, g.x**2), c)
     d, _ = density_from_heat(hf.Q_heat, c.alpha_th)
-    rep = thermal_fisher_report(d, hf, c)
-    assert rep.route_b == pytest.approx(1.0, abs=1e-6)
-    assert rep.route_a == pytest.approx(-2.0, abs=1e-6)
-    assert rep.route_a / rep.route_b == pytest.approx(-2.0, abs=1e-5)
+    route_b, _, route_a = thermal_fisher_routes(d, hf)
+    assert route_b == pytest.approx(1.0, abs=1e-6)
+    assert route_a == pytest.approx(-2.0, abs=1e-6)
+    assert route_a / route_b == pytest.approx(-2.0, abs=1e-5)
 
 
 def test_thermal_fisher_uniform_is_zero():
     g = Grid(0.0, 1.0, 513)
     hf = HeatField(g.field(np.full(g.n, 1.3)), C)
     d, _ = density_from_heat(hf.Q_heat, C.alpha_th, truncation_check=False)
-    assert thermal_fisher_report(d, hf, C).route_b == pytest.approx(0.0, abs=1e-12)
+    assert thermal_fisher_routes(d, hf)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_thermal_fisher_rejects_decoupled_inputs(grid):
     d = gaussian_density(grid)
     hf = HeatField(ScalarField(grid, np.abs(grid.x)), C)  # wrong profile
     with pytest.raises(DecoupledInputs):
-        thermal_fisher_report(d, hf, C)
+        thermal_fisher_routes(d, hf)
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +369,12 @@ def test_coherence_kinetic_excess_closed_form():
 def test_gibbs_formulas(k, gamma):
     g = Grid(-8.0, 8.0, 8193)
     E = ScalarField(g, k * g.x**2 / 2)
-    chk = gibbs_formula_check(E, gamma, C)
-    assert chk.qp_maxdev <= 1e-6
-    assert chk.fisher_direct == pytest.approx(gamma * k, rel=1e-6)
-    assert chk.fisher_energy_route == pytest.approx(gamma * k, rel=1e-6)
+    density, _ = gibbs_density(E, gamma)
+    checks = checks_by_name(identities_suite(density, C, (E, gamma)))
+    assert checks["gibbs-qp-formula"].lhs <= 1e-6
+    fisher = checks["gibbs-fisher-formula"]
+    assert fisher.lhs == pytest.approx(gamma * k, rel=1e-6)  # direct
+    assert fisher.rhs == pytest.approx(gamma * k, rel=1e-6)  # energy route
 
 
 # ---------------------------------------------------------------------------
