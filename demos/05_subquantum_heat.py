@@ -56,7 +56,7 @@ for item in checks:
 g = Grid(-12.0, 12.0, 6145)
 d0 = density_from_samples(g.from_function(lambda x: np.exp(-x * x / 2)))
 fick = fick_diffuse(d0, constants.diffusivity, 1.0, 1e-3)
-var = np.trapezoid(fick.densities[-1].values * g.x**2, dx=g.dx)
+var = np.trapezoid(fick[-1].values * g.x**2, dx=g.dx)
 print(f"\nFick diffusion: sigma^2(1) = {var:.6f}   (1 + 2Dt = {1 + 2 * constants.diffusivity})")
 
 bump = HeatField(ScalarField(g, np.exp(-g.x**2 / 2)), constants)

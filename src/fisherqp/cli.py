@@ -8,7 +8,7 @@ evolve              Schroedinger trajectory plus dynamical residuals
 epi                 Fisher extremization for given multipliers
 maxent              entropy extremization for a given target
 sweep               multiplier sweep plus Legendre-structure residuals
-thermal             heat-field suite (diffusion, coherence, flags)
+thermal             heat-field suite (diffusion, coherence, thermal Fisher routes)
 list-checks         print every registered check: tag, name, description
 
 Every run takes one path: the ``--input`` file, then ``parse(payload)``,
@@ -201,12 +201,13 @@ def _build_density(spec: dict, grid: Grid, command: str):
 
 def _parses(command: str):
     """Make ``build(payload, command)`` the parse stage of ``command``:
-    a KeyError, TypeError, ValueError or AttributeError becomes SchemaError."""
+    a KeyError, TypeError, ValueError, AttributeError or OverflowError (an
+    integer beyond the float range) becomes SchemaError."""
     def decorate(build):
         def parse(payload: dict) -> dict:
             try:
                 return build(payload, command)
-            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
                 raise SchemaError(f"{command}: {exc}") from exc
         return parse
     return decorate

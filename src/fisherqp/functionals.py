@@ -15,10 +15,11 @@ for N(0, sigma^2)) and satisfies
     integral(P * Q) = +(hbar^2 / 8m) * FI,      FI = integral((P')^2 / P).
 
 The three rewritings (gradient, fluctuation, osmotic) are implemented so
-that they agree with this definition.  These bracket forms circulate
-with either overall sign; the report layer records the measured ratio
-against the opposite-sign variant as a flagged discrepancy rather than
-an error (see ``reports``).
+that they agree with this definition, and ``qp-four-forms`` checks them
+against it.  The relation of integral(P Q) to FI also circulates with
+the opposite sign; ``verify-identities`` reports the measured ratio
+against that variant as the flag ``flag-mean-qp-sign`` rather than as an
+error (see ``suites``).
 
 The fluctuation convention is the real one, delta_p = -(hbar/2) P'/P;
 its mean vanishes for decayed densities and its second moment equals

@@ -1,21 +1,15 @@
-"""Identity-check bookkeeping: the table of named checks, the JSON record
-format for a single check, and the flagged-discrepancy entries.
+"""Identity-check bookkeeping: the table of named checks and the JSON
+record format for a single check.
 
 ``CHECKS`` is the one check table: every check some command reports is
 registered with a stable name, the equation tag it verifies, its
 tolerance, and whether its verdict reads the relative or the absolute
 error.  Records take their tolerance from the table; ``list-checks``
-prints the table.
-Conventions that circulate in both signs or normalizations are *flagged*
-rather than asserted:
+prints the table.  The suites form every record (``suites``).
 
-* the sign of integral(P Q) relative to Fisher information (the
-  amplitude definition of Q fixes +hbar^2/8m; the opposite sign also
-  circulates), and
-* the two formal thermal routes to Fisher information, which disagree
-  by more than a sign on static coupled pairs.
-
-Flagged entries carry the measured ratio and pass by being present;
+A check registered with an infinite tolerance is a *flag*: a convention
+that circulates in both signs or normalizations, reported with its
+measured ratio instead of being asserted.  Flags pass by being present;
 their presence in a report is itself part of the acceptance surface.
 """
 
@@ -74,10 +68,6 @@ CHECKS: tuple[CheckDef, ...] = (
              "FLAG: sign convention of integral(P Q) vs FI", math.inf),
     CheckDef("flag-thermal-route-factor", "eq3.17",
              "FLAG: route A vs route B thermal Fisher", math.inf),
-    CheckDef("flag-qp-bracket-sign", "eq4.5",
-             "FLAG: bracket-form sign of Q vs the amplitude form", math.inf),
-    CheckDef("flag-epi-qp-coefficient", "eq5.18",
-             "FLAG: normalization of the Q-A link coefficient", math.inf),
 )
 
 _BY_NAME = {c.name: c for c in CHECKS}
@@ -103,8 +93,12 @@ class IdentityCheck:
     abs_err: float
     rel_err: float
     tol: float
-    flagged: bool = False
     note: str = ""
+
+    @property
+    def flagged(self) -> bool:
+        """A flag: the table registers the check with an infinite tolerance."""
+        return math.isinf(check_def(self.name).tol)
 
     @property
     def passed(self) -> bool:
@@ -115,6 +109,7 @@ class IdentityCheck:
 
     def to_dict(self) -> dict:
         d = asdict(self)
+        d["flagged"] = self.flagged
         d["pass"] = self.passed
         return d
 
@@ -124,7 +119,6 @@ def make_check(
     lhs: float,
     rhs: float,
     tol: float | None = None,
-    flagged: bool = False,
     note: str = "",
 ) -> IdentityCheck:
     """Build a check record judged against the registered tolerance, or
@@ -140,7 +134,6 @@ def make_check(
         abs_err=float(abs_err),
         rel_err=float(rel_err),
         tol=float(cdef.tol if tol is None else tol),
-        flagged=flagged,
         note=note,
     )
 
@@ -158,67 +151,3 @@ def make_residual_check(name: str, residual: float, note: str = "") -> IdentityC
         tol=float(cdef.tol),
         note=note,
     )
-
-
-def _ratio(num: float, den: float) -> float:
-    """A measured ratio; inf over a zero denominator (a uniform density has
-    FI = 0, and with it both thermal Fisher routes)."""
-    return num / den if den != 0.0 else math.inf
-
-
-def flagged_discrepancy_checks(
-    mean_qp: float, fisher: float, hbar: float, mass: float,
-    route_a: float, route_b: float,
-) -> list[IdentityCheck]:
-    """The standing discrepancy ledger, with measured ratios.
-
-    These entries always 'pass': their role is to be present and to carry
-    the measured ratio between the convention implemented here and the
-    printed variant.
-    """
-    implemented = hbar**2 / (8.0 * mass) * fisher
-    checks = [
-        make_check(
-            "flag-mean-qp-sign",
-            mean_qp,
-            -implemented,
-            flagged=True,
-            note=(
-                "implemented integral(P Q) = +(hbar^2/8m) FI; the opposite-sign "
-                f"convention also circulates (measured ratio {_ratio(mean_qp, -implemented):+.6f})"
-            ),
-        ),
-        make_check(
-            "flag-thermal-route-factor",
-            route_a,
-            route_b,
-            flagged=True,
-            note=(
-                "formal route A and exact route B disagree on static coupled "
-                f"pairs (measured ratio A/B = {_ratio(route_a, route_b):+.6f}); "
-                "route B is the asserted one"
-            ),
-        ),
-        make_check(
-            "flag-qp-bracket-sign",
-            1.0,
-            -1.0,
-            flagged=True,
-            note=(
-                "the bracket rewritings of Q are implemented with the sign "
-                "fixed by the amplitude definition (ratio -1 vs the flipped form)"
-            ),
-        ),
-        make_check(
-            "flag-epi-qp-coefficient",
-            0.5,
-            1.0,
-            flagged=True,
-            note=(
-                "the Q-A link of the extremal density carries hbar^2/8m, not "
-                "hbar^2/4m: the doubled normalization overshoots by 2 "
-                "(measured slope ratio 0.5)"
-            ),
-        ),
-    ]
-    return checks

@@ -101,7 +101,6 @@ class HeatTrajectory:
     times: np.ndarray
     kept: tuple[int, ...]
     fields: list[HeatField]
-    diffusivity: float
 
     @property
     def dt(self) -> float:
@@ -265,29 +264,18 @@ def _diffuse(values: np.ndarray, dx: float, D: float, steps: int, dt: float,
         yield u
 
 
-@dataclass(frozen=True)
-class FickTrajectory:
-    """Densities under Fick diffusion, one per step."""
-
-    times: np.ndarray
-    densities: list[Density]
-    diffusivity: float
-
-
-def fick_diffuse(P0: Density, D: float, t_final: float, dt: float) -> FickTrajectory:
-    """Evolve a density under dP/dt = D d2P/dx2.
+def fick_diffuse(P0: Density, D: float, t_final: float, dt: float) -> list[Density]:
+    """Evolve a density under dP/dt = D d2P/dx2; one density per step.
 
     Endpoint values are held at their (decayed) initial values; the run
     aborts with BoundaryContact once a first-interior value exceeds
     1e-10 of the current peak.
     """
     steps = step_count(t_final, dt)
-    densities = [
+    return [
         density_from_samples(ScalarField(P0.grid, arr), truncation_check=False)
         for arr in _diffuse(P0.values, P0.grid.dx, D, steps, dt, _fick_guard)
     ]
-    times = np.arange(steps + 1) * dt
-    return FickTrajectory(times=times, densities=densities, diffusivity=D)
 
 
 def heat_equation_evolve(hf0: HeatField, t_final: float, dt: float) -> HeatTrajectory:
@@ -304,8 +292,7 @@ def heat_equation_evolve(hf0: HeatField, t_final: float, dt: float) -> HeatTraje
     flow = _diffuse(q0, dx, hf0.constants.diffusivity, steps, dt, _heat_guard(q0, dx))
     fields = [HeatField(ScalarField(hf0.grid, arr), hf0.constants) for arr in flow]
     return HeatTrajectory(times=np.arange(steps + 1) * dt,
-                          kept=tuple(range(steps + 1)), fields=fields,
-                          diffusivity=hf0.constants.diffusivity)
+                          kept=tuple(range(steps + 1)), fields=fields)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +379,5 @@ def coupled_run(
             kept.append(k)
             fields.append(HeatField(ScalarField(grid, q), hf0.constants))
     times = np.arange(steps + 1) * dt
-    return worst, HeatTrajectory(times=times, kept=tuple(kept), fields=fields,
-                                 diffusivity=hf0.constants.diffusivity)
+    return worst, HeatTrajectory(times=times, kept=tuple(kept), fields=fields)
 

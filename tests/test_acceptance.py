@@ -267,7 +267,7 @@ def test_criterion_10_thermal_suite():
     D = C.diffusivity
     g12 = Grid(-12.0, 12.0, 6145)
     fick = fick_diffuse(gaussian_density(g12), D, 1.0, 1e-3)
-    p_end = fick.densities[-1].values
+    p_end = fick[-1].values
     var_fick = np.trapezoid(p_end * g12.x**2, dx=g12.dx)
     fick_ok = abs(var_fick - (1.0 + 2 * D)) <= 1e-3
 

@@ -154,3 +154,32 @@ def test_every_dataclass_field_is_read():
         and node.target.id not in read
     )
     assert not unread, f"no module or demo reads {', '.join(unread)}"
+
+
+FACTORIES = ("make_check", "make_residual_check")
+
+
+def _record_calls(tree: ast.AST, inside: str = ""):
+    """(enclosing function, callee) for every call of a check factory or
+    of the ``IdentityCheck`` constructor by name or attribute."""
+    for node in ast.iter_child_nodes(tree):
+        scope = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else inside
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in FACTORIES + ("IdentityCheck",):
+                yield scope, name
+        yield from _record_calls(node, scope)
+
+
+def test_only_suites_form_check_records():
+    # every check is formed in ``suites``; ``reports`` only builds the
+    # record inside its two factories
+    trees = _parse(p for p in MODULES + DEMOS if p.name != "suites.py")
+    formed = sorted(
+        f"{path.stem}.{scope or '<module>'} calls {name}"
+        for path, tree in trees.items()
+        for scope, name in _record_calls(tree)
+        if not (path.name == "reports.py" and scope in FACTORIES and name == "IdentityCheck")
+    )
+    assert not formed, "; ".join(formed)

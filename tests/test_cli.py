@@ -68,6 +68,28 @@ def test_verify_identities_gibbs_density(tmp_path):
     assert {"gibbs-qp-formula", "gibbs-fisher-formula"} <= names
 
 
+def test_verify_identities_off_thermal_equality_skips_the_thermal_pair(tmp_path):
+    # route B is beta^2/alpha_th^2 times FI: with hbar*omega != k*T it is
+    # not an identity, so neither the route-B check nor its flag is formed
+    inp = write_json(
+        tmp_path / "in.json",
+        {
+            "grid": GRID,
+            "density": {
+                "kind": "gibbs",
+                "energy": {"kind": "monomial", "power": 2, "coeff": 0.5},
+                "gamma": 1.0,
+            },
+            "constants": {"hbar": 0.7, "mass": 1.9},
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["verify-identities", "--input", inp, "--out", str(out)]) == 0
+    names = {c["name"] for c in read_report(out)["checks"]}
+    assert {"gibbs-qp-formula", "gibbs-fisher-formula"} <= names
+    assert not names & {"thermal-fisher-route-b", "flag-thermal-route-factor"}
+
+
 def test_report_determinism(tmp_path):
     inp = write_json(
         tmp_path / "in.json",
@@ -544,13 +566,13 @@ THERMAL_ONE_POINT = {"grid": {"xmin": -8.0, "xmax": 8.0, "n": 257},
                      "heat": {"kind": "quadratic", "coeff": 1e306}}
 
 
+VERIFY_BEFORE_THERMAL = ["qp-four-forms", "mean-QP-equals-FI", "flag-mean-qp-sign",
+                         "fluctuation-mean-zero", "fluctuation-second-moment"]
+
+
 @pytest.mark.parametrize("command, payload, names, artifacts", [
-    ("verify-identities", spike(1), ["qp-four-forms", "mean-QP-equals-FI",
-                                     "fluctuation-mean-zero", "fluctuation-second-moment"],
-     ["density.csv"]),
-    ("verify-identities", spike(2), ["qp-four-forms", "mean-QP-equals-FI",
-                                     "fluctuation-mean-zero", "fluctuation-second-moment"],
-     ["density.csv"]),
+    ("verify-identities", spike(1), VERIFY_BEFORE_THERMAL, ["density.csv"]),
+    ("verify-identities", spike(2), VERIFY_BEFORE_THERMAL, ["density.csv"]),
     ("thermal", THERMAL_ONE_POINT, ["ratio-law-evolution", "heat-action-link",
                                     "fluctuation-chain", "kinetic-excess"], []),
 ], ids=["one-point-spike", "two-point-spike", "thermal-one-point"])
@@ -579,7 +601,7 @@ def test_flat_topped_density_reports_every_check(tmp_path, width):
     report = read_report(out)
     assert "error" not in report
     byname = {c["name"]: c for c in report["checks"]}
-    assert len(byname) == 9
+    assert len(byname) == 7
     assert byname["thermal-fisher-route-b"]["pass"] is True
     assert byname["qp-four-forms"]["pass"] is False
     assert byname["mean-QP-equals-FI"]["pass"] is False
@@ -595,8 +617,14 @@ def test_flat_topped_density_reports_every_check(tmp_path, width):
     ("evolve", {**SMALL_EVOLVE, "dump": "false"}),
     ("evolve", {**SMALL_EVOLVE, "dump": 1}),
     ("evolve", {**SMALL_EVOLVE, "dump": None}),
+    # an integer beyond the float range
+    ("verify-identities", {"grid": GRID, "density": {"kind": "gaussian", "sigma": 10**400}}),
+    ("verify-identities", {"grid": GRID, "density": {"kind": "gaussian"},
+                           "constants": {"hbar": 10**400}}),
+    ("thermal", {"grid": GRID, "heat": {"kind": "quadratic", "coeff": 0.125}, "dt": 10**400}),
 ], ids=["density", "mixture-component", "sweep-constraint", "thermal-heat", "evolve-potential",
-        "evolve-dump-str", "evolve-dump-int", "evolve-dump-null"])
+        "evolve-dump-str", "evolve-dump-int", "evolve-dump-null", "sigma-overflows",
+        "hbar-overflows", "thermal-dt-overflows"])
 def test_nested_wrong_type_exits_2(tmp_path, capsys, command, payload):
     inp = write_json(tmp_path / "in.json", payload)
     out = tmp_path / "out"
@@ -666,7 +694,7 @@ def test_uniform_density_reports_its_flags():
     assert byname["mean-QP-equals-FI"].rhs == 0.0
     assert "(measured ratio +inf)" in byname["flag-mean-qp-sign"].note
     assert "(measured ratio A/B = +inf)" in byname["flag-thermal-route-factor"].note
-    assert len(byname) == 9 and all(c.passed for c in byname.values())
+    assert len(byname) == 7 and all(c.passed for c in byname.values())
 
 
 def test_undecayed_density_exits_3_without_checks(tmp_path):

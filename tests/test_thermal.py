@@ -127,8 +127,7 @@ def fick_mass_drift(d, D, t_final, dt):
 def test_fick_heat_kernel():
     g = Grid(-12.0, 12.0, 6145)
     d = gaussian_density(g)
-    traj = fick_diffuse(d, 0.5, 1.0, 1e-3)
-    P = traj.densities[-1].values
+    P = fick_diffuse(d, 0.5, 1.0, 1e-3)[-1].values
     var = np.trapezoid(P * g.x**2, dx=g.dx)
     assert var == pytest.approx(2.0, abs=1e-3)  # sigma0^2 + 2 D t
     assert fick_mass_drift(d, 0.5, 1.0, 1e-3) <= 1e-9
@@ -137,19 +136,19 @@ def test_fick_heat_kernel():
 def test_fick_zero_time_is_identity():
     g = Grid(-12.0, 12.0, 2049)
     d = gaussian_density(g)
-    traj = fick_diffuse(d, 0.5, 1e-3, 1e-3)
+    densities = fick_diffuse(d, 0.5, 1e-3, 1e-3)
     # initial snapshot is re-normalized, hence equal only to roundoff
-    assert np.max(np.abs(traj.densities[0].values - d.values)) <= 1e-14
-    assert len(traj.densities) == 2
+    assert np.max(np.abs(densities[0].values - d.values)) <= 1e-14
+    assert len(densities) == 2
 
 
 def test_fick_disjoint_bumps_conserve_mass():
     g = Grid(-16.0, 16.0, 4097)
     raw = np.exp(-((g.x - 6) ** 2) / 0.5) + np.exp(-((g.x + 6) ** 2) / 0.5)
     d = density_from_samples(g.field(raw))
-    traj = fick_diffuse(d, 0.5, 0.5, 1e-3)
+    densities = fick_diffuse(d, 0.5, 0.5, 1e-3)
     assert fick_mass_drift(d, 0.5, 0.5, 1e-3) <= 1e-9
-    for dens in traj.densities[:: len(traj.densities) // 4]:
+    for dens in densities[:: len(densities) // 4]:
         assert dens.mass_check() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -165,7 +164,7 @@ def test_fick_explicit_matches_implicit():
     for _ in range(steps):
         u[1:-1] += nu * (u[2:] - 2.0 * u[1:-1] + u[:-2])
     exp = density_from_samples(g.field(u), truncation_check=False)
-    dev = np.max(np.abs(imp.densities[-1].values - exp.values))
+    dev = np.max(np.abs(imp[-1].values - exp.values))
     assert dev <= 5e-5  # explicit stepping is first order in time
 
 
@@ -188,7 +187,7 @@ def test_heat_equation_residual_second_order():
             traj.fields[k + 1].Q_heat.values - traj.fields[k - 1].Q_heat.values
         ) / (2 * traj.dt)
         lap = second_derivative_values(traj.fields[k].Q_heat.values, g.dx)
-        return np.max(np.abs(lap - dqdt / traj.diffusivity)[2:-2]) / np.max(
+        return np.max(np.abs(lap - dqdt / C.diffusivity)[2:-2]) / np.max(
             np.abs(lap)
         )
 
@@ -211,7 +210,7 @@ def test_heat_equation_residual():
         traj.fields[k + 1].Q_heat.values - traj.fields[k - 1].Q_heat.values
     ) / (2 * traj.dt)
     lap = second_derivative_values(traj.fields[k].Q_heat.values, g.dx)
-    resid = lap - dqdt / traj.diffusivity
+    resid = lap - dqdt / C.diffusivity
     assert np.max(np.abs(resid[2:-2])) <= 1e-3 * np.max(np.abs(lap))
 
 
@@ -415,7 +414,7 @@ def test_coupled_deviation_uses_caller_constants():
     dev = coupled_run(d, heat_from_density(d, c), c, 0.01, 1e-3)[0]
     fick = fick_diffuse(d, c.diffusivity, 0.01, 1e-3)
     heat = heat_equation_evolve(heat_from_density(d, c), 0.01, 1e-3)
-    ref = max(coupling_deviation(p, h, c) for p, h in zip(fick.densities, heat.fields))
+    ref = max(coupling_deviation(p, h, c) for p, h in zip(fick, heat.fields))
     assert dev == ref
     assert dev != coupled_run(d, heat_from_density(d, C), C, 0.01, 1e-3)[0]
 
@@ -428,7 +427,7 @@ def test_coherence_lockstep_matches_materialized_flows():
     dev, flow = coupled_run(density, hf, c, 0.01, 1e-3, keep=(4, 5, 6))
     fick = fick_diffuse(density, c.diffusivity, 0.01, 1e-3)
     heat = heat_equation_evolve(hf, 0.01, 1e-3)
-    ref = max(coupling_deviation(p, h, c) for p, h in zip(fick.densities, heat.fields))
+    ref = max(coupling_deviation(p, h, c) for p, h in zip(fick, heat.fields))
     assert dev == ref
     checks = thermal_checks(hf, 0.01, 1e-3)
     assert {ch.name: ch for ch in checks}["ratio-law-evolution"].lhs == ref
@@ -485,7 +484,7 @@ def test_lockstep_flows_keep_their_own_diffusivity():
     dev, flow = coupled_run(density, hf, c, 0.01, 1e-3)
     fick = fick_diffuse(density, c.diffusivity, 0.01, 1e-3)
     heat = heat_equation_evolve(hf, 0.01, 1e-3)
-    ref = max(coupling_deviation(p, h, c) for p, h in zip(fick.densities, heat.fields))
+    ref = max(coupling_deviation(p, h, c) for p, h in zip(fick, heat.fields))
     assert dev == ref
     assert np.array_equal(flow.field(10).Q_heat.values, heat.field(10).Q_heat.values)
 
@@ -553,5 +552,5 @@ def test_lockstep_deviation_equals_materialized_flows(n, steps, dt, weight, cent
     d = density_from_samples(g.field(raw))
     fick = fick_diffuse(d, C.diffusivity, steps * dt, dt)
     heat = heat_equation_evolve(heat_from_density(d, C), steps * dt, dt)
-    ref = max(coupling_deviation(p, h, C) for p, h in zip(fick.densities, heat.fields))
+    ref = max(coupling_deviation(p, h, C) for p, h in zip(fick, heat.fields))
     assert coupled_run(d, heat_from_density(d, C), C, steps * dt, dt)[0] == ref
