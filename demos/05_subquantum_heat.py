@@ -1,12 +1,12 @@
 """Heat-field picture: the density as a Gibbs form of an exchanged heat.
 
 Builds the heat field of a Gaussian density (Q_heat = x^2/(2 beta
-sigma^2) up to gauge), diffuses both sides, and runs the ``thermal``
-command's check suite tying the probabilistic and thermal descriptions
-together.  The
-two formal routes to a "thermal" Fisher information are compared: route
-B is an algebraic identity under the coupling, route A is not, and the
-measured ratio is reported rather than hidden.
+sigma^2) up to gauge), runs the ``thermal`` command's check suite tying
+the probabilistic and thermal descriptions together, and diffuses both
+sides in lockstep (Fick for the density, the heat equation for its heat
+field).  The two formal routes to a "thermal" Fisher information are
+compared: route B is an algebraic identity under the coupling, route A
+is not, and the measured ratio is reported rather than hidden.
 """
 
 import numpy as np
@@ -16,14 +16,13 @@ from fisherqp import (
     HeatField,
     PhysicalConstants,
     density_from_samples,
-    fick_diffuse,
-    heat_equation_evolve,
     heat_from_density,
     thermalized_qp,
     vanishing_qp_residual,
 )
 from fisherqp.grid import ScalarField, second_derivative_values
 from fisherqp.suites import thermal_suite
+from fisherqp.thermal import coupled_run
 
 constants = PhysicalConstants()  # thermal equality hbar*omega = k*T holds
 grid = Grid(-16.0, 16.0, 8193)
@@ -51,25 +50,19 @@ for item in checks:
         print(f"  {item.name:28s} error {item.rel_err:.2e}"
               f"  tol {item.tol:.0e}  {'ok' if item.passed else 'FAIL'}")
 
-# Diffusion side: density under Fick's law, heat bump under the heat
-# equation; both spread their variance by 2 D t.
-g = Grid(-12.0, 12.0, 6145)
-d0 = density_from_samples(g.from_function(lambda x: np.exp(-x * x / 2)))
-fick = fick_diffuse(d0, constants.diffusivity, 1.0, 1e-3)
-var = np.trapezoid(fick[-1].values * g.x**2, dx=g.dx)
-print(f"\nFick diffusion: sigma^2(1) = {var:.6f}   (1 + 2Dt = {1 + 2 * constants.diffusivity})")
+# Lockstep flow of the pair over 20 steps of 1e-3: Fick's law for the
+# density, the heat equation for its heat field.  The heat flow carries no
+# thermalized quantum potential where the density lives (the weight drops
+# the skin off the support, where the heat field continues linearly).
+_, heat = coupled_run(density, hf, constants, 0.02, 1e-3, keep=(9, 10, 11))
+thq = thermalized_qp(heat[9], heat[10], heat[11], 1e-3)
+scale = 0.25 * np.max(np.abs(second_derivative_values(heat[10].q_tilde().values, grid.dx)))
+weight = density.values / np.max(density.values)
+print(f"\nthermalized quantum potential at t = 0.01: density-weighted max |Q| / scale = "
+      f"{np.max(weight[2:-2] * np.abs(thq.values[2:-2])) / scale:.2e}  (~ 0)")
 
-bump = HeatField(ScalarField(g, np.exp(-g.x**2 / 2)), constants)
-heat = heat_equation_evolve(bump, 0.02, 1e-3)
-thq = thermalized_qp(heat, len(heat) // 2)
-scale = 0.25 * np.max(np.abs(
-    second_derivative_values(heat.fields[len(heat) // 2].q_tilde().values, g.dx)
-))
-print(f"thermalized quantum potential on the heat flow: "
-      f"max |Q| / scale = {np.max(np.abs(thq.values[2:-2])) / scale:.2e}  (~ 0)")
-
-qv = 2.0 * constants.hbar * constants.omega * np.log(4.0 + 0.2 * g.x)
-res = vanishing_qp_residual(HeatField(ScalarField(g, qv), constants))
-lap = np.max(np.abs(second_derivative_values(qv, g.dx)))
+qv = 2.0 * constants.hbar * constants.omega * np.log(4.0 + 0.2 * grid.x)
+res = vanishing_qp_residual(HeatField(ScalarField(grid, qv), constants))
+lap = np.max(np.abs(second_derivative_values(qv, grid.dx)))
 print(f"vanishing-Q family 2 hw log(a + b x): residual / scale = "
       f"{np.max(np.abs(res.values[2:-2])) / lap:.2e}")

@@ -11,7 +11,7 @@ The package is organized bottom-up:
 ``propagator``   Crank-Nicolson Schroedinger evolution and residual checks
 ``extremizers``  MaxEnt and the Fisher-extremization eigensolver
 ``legendre``     multiplier sweeps and Legendre-structure verification
-``thermal``      heat fields, diffusion, lockstep coupled flows
+``thermal``      heat fields, the lockstep Fick and heat flow
 ``reports``      check table and report records
 ``serialization`` CSV/JSON file formats
 ``suites``       every identity check, formed and yielded per CLI command
@@ -75,10 +75,7 @@ from .extremizers import (
 from .legendre import SweepTable, ThermoRecord, sweep, verify_euler, verify_legendre
 from .thermal import (
     HeatField,
-    HeatTrajectory,
     delta_s_from_heat,
-    fick_diffuse,
-    heat_equation_evolve,
     heat_from_density,
     thermalized_qp,
     vanishing_qp_residual,

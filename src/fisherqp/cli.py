@@ -8,7 +8,7 @@ evolve              Schroedinger trajectory plus dynamical residuals
 epi                 Fisher extremization for given multipliers
 maxent              entropy extremization for a given target
 sweep               multiplier sweep plus Legendre-structure residuals
-thermal             heat-field suite (diffusion, coherence, thermal Fisher routes)
+thermal             heat-field suite (lockstep Fick/heat flow, thermal Fisher routes)
 list-checks         print every registered check: tag, name, description
 
 Every run takes one path: the ``--input`` file, then ``parse(payload)``,
@@ -30,6 +30,7 @@ byte-deterministic; timestamps go to ``meta.json``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -44,7 +45,7 @@ from .errors import FisherQPError
 from .extremizers import ConstraintSpec
 from .grid import Grid, ScalarField
 from .reports import IdentityCheck, list_checks
-from .serialization import constants_from_dict, grid_from_dict, save_json
+from .serialization import save_json
 from .states import (MadelungState, PhysicalConstants, density_from_heat,
                      density_from_samples, gibbs_density)
 from .suites import (epi_suite, evolve_suite, identities_suite, maxent_suite, sweep_suite,
@@ -135,10 +136,12 @@ def _require_operator_in_range(lo: float, hi: float, lams: list[float],
 
 
 def _grid_from_input(payload: dict, command: str) -> Grid:
-    spec = dict(_require(payload, "grid", command))
-    spec["n"] = _integer(_require(spec, "n", command), "n", command)
-    _require_within(command, "n", spec["n"], MAX_POINTS, "points")
-    grid = grid_from_dict(spec)
+    spec = _require(payload, "grid", command)
+    n = _integer(_require(spec, "n", command), "n", command)
+    _require_within(command, "n", n, MAX_POINTS, "points")
+    xmin = _finite(_require(spec, "xmin", command), "xmin", command)
+    xmax = _finite(_require(spec, "xmax", command), "xmax", command)
+    grid = Grid(xmin, xmax, n)
     # second differences need 4 points, and ?gttrf, which the Schroedinger
     # step calls, 3 interior ones
     if grid.n < 5:
@@ -146,15 +149,19 @@ def _grid_from_input(payload: dict, command: str) -> Grid:
     return grid
 
 
-def _constants_from_input(payload: dict) -> PhysicalConstants:
-    return constants_from_dict(payload.get("constants", {}))
+def _constants_from_input(payload: dict, command: str) -> PhysicalConstants:
+    spec = payload.get("constants", {})
+    return PhysicalConstants(**{
+        f.name: _finite(spec.get(f.name, f.default), f.name, command)
+        for f in dataclasses.fields(PhysicalConstants)
+    })
 
 
 def _build_constraint_field(spec: dict, grid: Grid, command: str) -> ScalarField:
     kind = spec.get("kind")
     if kind == "monomial":
         power = _integer(spec.get("power", 2), "power", command)
-        coeff = float(spec.get("coeff", 1.0))
+        coeff = _finite(spec.get("coeff", 1.0), "coeff", command)
         return ScalarField(grid, coeff * grid.x**power)
     if kind == "tabulated":
         data = np.asarray(_require(spec, "data", command), dtype=float)
@@ -167,7 +174,7 @@ def _build_constraint_field(spec: dict, grid: Grid, command: str) -> ScalarField
 def _gibbs_from_input(spec: dict, grid: Grid, command: str) -> tuple[ScalarField, float]:
     """(energy, gamma) of a ``gibbs`` density exp(-gamma E)/Z."""
     energy = _build_constraint_field(_require(spec, "energy", command), grid, command)
-    return energy, float(spec.get("gamma", 1.0))
+    return energy, _finite(spec.get("gamma", 1.0), "gamma", command)
 
 
 def _build_density(spec: dict, grid: Grid, command: str):
@@ -178,10 +185,10 @@ def _build_density(spec: dict, grid: Grid, command: str):
                       else _require(spec, "components", command))
         raw = np.zeros(grid.n)
         for comp in components:
-            raw += float(comp.get("weight", 1.0)) * np.exp(
-                -((grid.x - float(comp.get("center", 0.0))) ** 2)
-                / (2.0 * float(comp.get("sigma", 1.0)) ** 2)
-            )
+            weight = _finite(comp.get("weight", 1.0), "weight", command)
+            center = _finite(comp.get("center", 0.0), "center", command)
+            sigma = _finite(comp.get("sigma", 1.0), "sigma", command)
+            raw += weight * np.exp(-((grid.x - center) ** 2) / (2.0 * sigma ** 2))
         return density_from_samples(ScalarField(grid, raw))
     if kind == "samples":
         values = np.asarray(_require(spec, "values", command), dtype=float)
@@ -216,7 +223,7 @@ def _parses(command: str):
 @_parses("verify-identities")
 def _parse_verify_identities(payload, command) -> dict:
     grid = _grid_from_input(payload, command)
-    constants = _constants_from_input(payload)
+    constants = _constants_from_input(payload, command)
     spec = _require(payload, "density", command)
     if spec.get("kind") == "gibbs":
         gibbs = _gibbs_from_input(spec, grid, command)
@@ -230,8 +237,8 @@ def _parse_verify_identities(payload, command) -> dict:
 @_parses("evolve")
 def _parse_evolve(payload, command) -> dict:
     grid = _grid_from_input(payload, command)
-    constants = _constants_from_input(payload)
-    dt = float(_require(payload, "dt", command))
+    constants = _constants_from_input(payload, command)
+    dt = _finite(_require(payload, "dt", command), "dt", command)
     steps = _integer(_require(payload, "steps", command), "steps", command)
     dump = payload.get("dump", False)
     if not isinstance(dump, bool):
@@ -243,7 +250,7 @@ def _parse_evolve(payload, command) -> dict:
 
     init_spec = _require(payload, "initial", command)
     density = _build_density(init_spec, grid, command)
-    momentum = float(init_spec.get("momentum", 0.0))
+    momentum = _finite(init_spec.get("momentum", 0.0), "momentum", command)
     phase = ScalarField(grid, constants.hbar * momentum * grid.x)
     state = MadelungState(density, phase, constants)
 
@@ -252,7 +259,8 @@ def _parse_evolve(payload, command) -> dict:
     if kind == "free":
         V = grid.zeros()
     elif kind == "harmonic":
-        V = ScalarField(grid, float(pot_spec.get("strength", 0.5)) * grid.x**2)
+        V = ScalarField(grid, _finite(pot_spec.get("strength", 0.5), "strength", command)
+                        * grid.x**2)
     elif kind == "values":
         values = np.asarray(_require(pot_spec, "values", command), dtype=float)
         if len(values) != grid.n:
@@ -262,8 +270,8 @@ def _parse_evolve(payload, command) -> dict:
         raise SchemaError(f"evolve: unknown potential kind {kind!r}")
 
     index = _integer(payload.get("check_index", steps // 2), "check_index", command)
-    if not (math.isfinite(dt) and dt != 0.0):
-        raise SchemaError(f"evolve: dt must be finite and nonzero, not {dt!r}")
+    if dt == 0.0:
+        raise SchemaError("evolve: dt must be nonzero")
     if steps < 2:
         raise SchemaError(f"evolve: steps = {steps} leaves no interior step to check")
     if not 1 <= index <= steps - 1:
@@ -294,7 +302,7 @@ def _constraints_from_input(payload, grid, command) -> ConstraintSpec:
 @_parses("epi")
 def _parse_epi(payload, command) -> dict:
     grid = _grid_from_input(payload, command)
-    constants = _constants_from_input(payload)
+    constants = _constants_from_input(payload, command)
     return {"spec": _constraints_from_input(payload, grid, command), "grid": grid,
             "constants": constants}
 
@@ -330,15 +338,15 @@ def _parse_sweep(payload, command) -> dict:
 @_parses("thermal")
 def _parse_thermal(payload, command) -> dict:
     grid = _grid_from_input(payload, command)
-    constants = _constants_from_input(payload)
+    constants = _constants_from_input(payload, command)
 
     heat_spec = _require(payload, "heat", command)
     kind = heat_spec.get("kind")
     if kind == "quadratic":
-        q0 = float(heat_spec.get("coeff", 0.5)) * grid.x**2
+        q0 = _finite(heat_spec.get("coeff", 0.5), "coeff", command) * grid.x**2
     elif kind == "log-affine":
-        a = float(heat_spec.get("a", 4.0))
-        b = float(heat_spec.get("b", 0.2))
+        a = _finite(heat_spec.get("a", 4.0), "a", command)
+        b = _finite(heat_spec.get("b", 0.2), "b", command)
         if np.min(a + b * grid.x) <= 0:
             raise SchemaError("thermal: log-affine field needs a + b*x > 0 on the grid")
         q0 = 2.0 * constants.hbar * constants.omega * np.log(a + b * grid.x)
@@ -349,8 +357,8 @@ def _parse_thermal(payload, command) -> dict:
     else:
         raise SchemaError(f"thermal: unknown heat kind {kind!r}")
     hf = HeatField(ScalarField(grid, q0), constants)
-    t_final = float(payload.get("t_final", 0.004))
-    dt = float(payload.get("dt", 1e-3))
+    t_final = _finite(payload.get("t_final", 0.004), "t_final", command)
+    dt = _finite(payload.get("dt", 1e-3), "dt", command)
     if t_final < 2.0 * dt:
         raise SchemaError("thermal: t_final must cover at least two steps")
     # the static log-affine checks never step; a heat flow is validated

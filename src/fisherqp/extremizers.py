@@ -355,7 +355,6 @@ def riccati_check(result: EPIResult) -> float:
     A support of fewer than 3 points raises DegenerateSupport.
     """
     d = result.p_I
-    mask = d.support_mask
     dx = d.grid.dx
     psi = result.psi.values
     # differentiate log(psi) on the contiguous masked block only
@@ -367,8 +366,5 @@ def riccati_check(result: EPIResult) -> float:
     dv = np.zeros_like(psi)
     dv[block] = derivative_values(v[block], dx)
     g = result.alpha_norm + 8.0 * result.effective_potential.values
-    r = np.where(mask, dv + v**2 + g / 4.0, 0.0)
-    p = d.values
-    w = p / float(np.max(p))
-    return float(np.max(np.where(mask, w * np.abs(r), 0.0)))
+    return weighted_max_dev(dv + v**2 + g / 4.0, 0.0, d)
 

@@ -51,7 +51,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import BoundaryContact
-from .functionals import differential_entropy, quantum_potential
+from .functionals import differential_entropy, quantum_potential, weighted_max_dev
 from .grid import (
     Grid,
     ScalarField,
@@ -286,13 +286,10 @@ def hj_residual(traj: Trajectory, index: int) -> float:
     q = quantum_potential(now, traj.constants).values
     r = dsdt + grad_s**2 / (2.0 * m) + traj.potential.values + q
 
-    p = now.values
     mask = now.support_mask
-    weight = p / float(np.max(p))
-    num = float(np.max(weight[mask] * np.abs(r[mask])))
     scale = np.abs(traj.potential.values[mask] + q[mask])
     den = float(np.max(np.abs(dsdt[mask]))) + RESIDUAL_FLOOR * float(np.max(scale))
-    return num / den
+    return weighted_max_dev(r, 0.0, now) / den
 
 
 def entropy_rate_check(traj: Trajectory, index: int) -> tuple[float, float]:

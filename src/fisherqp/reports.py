@@ -108,7 +108,10 @@ class IdentityCheck:
         return bool(err <= self.tol) or self.flagged
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        """The JSON record: every field, a non-finite number (a flag's
+        infinite ``tol``) as null, plus ``flagged`` and ``pass``."""
+        d = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+             for k, v in asdict(self).items()}
         d["flagged"] = self.flagged
         d["pass"] = self.passed
         return d

@@ -2,7 +2,9 @@
 
 * ScalarField CSV: header ``x,value``, one row per grid point, floats
   written with 17 significant digits (lossless for float64).
-* JSON: keys sorted, one-space indent, so equal payloads write equal bytes.
+* JSON: keys sorted, one-space indent, so equal payloads write equal
+  bytes; strict RFC 8259, so a NaN or an infinity is refused, never
+  written.
 * Trajectory dump: one ``x,P,S`` CSV per step plus ``manifest.json``
   (schema 1) carrying dt, steps, the constants, the grid and the
   potential.  P is the normalized |psi|^2 and S the Madelung phase read
@@ -15,14 +17,15 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid, ScalarField
+from .grid import ScalarField
 from .legendre import SweepTable
 from .propagator import Trajectory
-from .states import Density, MadelungState, PhysicalConstants
+from .states import Density, MadelungState
 
 
 def _fmt(v: float) -> str:
@@ -39,35 +42,7 @@ def save_field_csv(field: ScalarField, path) -> None:
 
 def save_json(payload: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-
-
-def constants_to_dict(constants: PhysicalConstants) -> dict:
-    return {
-        "hbar": constants.hbar,
-        "mass": constants.mass,
-        "omega": constants.omega,
-        "boltzmann_k": constants.boltzmann_k,
-        "temperature": constants.temperature,
-    }
-
-
-def constants_from_dict(data: dict) -> PhysicalConstants:
-    return PhysicalConstants(
-        hbar=float(data.get("hbar", 1.0)),
-        mass=float(data.get("mass", 1.0)),
-        omega=float(data.get("omega", 1.0)),
-        boltzmann_k=float(data.get("boltzmann_k", 1.0)),
-        temperature=float(data.get("temperature", 1.0)),
-    )
-
-
-def grid_to_dict(grid: Grid) -> dict:
-    return {"xmin": grid.xmin, "xmax": grid.xmax, "n": grid.n}
-
-
-def grid_from_dict(data: dict) -> Grid:
-    return Grid(xmin=float(data["xmin"]), xmax=float(data["xmax"]), n=int(data["n"]))
+        json.dump(payload, fh, sort_keys=True, indent=1, allow_nan=False)
 
 
 def phase_on_support(psi: np.ndarray, density: Density, reference: np.ndarray) -> np.ndarray:
@@ -119,8 +94,8 @@ def dump_trajectory(traj: Trajectory, initial: MadelungState, out_dir) -> Path:
         "schema": 1,
         "dt": traj.dt,
         "steps": len(traj) - 1,
-        "constants": constants_to_dict(traj.constants),
-        "grid": grid_to_dict(traj.grid),
+        "constants": asdict(traj.constants),
+        "grid": asdict(traj.grid),
         "V": [float(v) for v in traj.potential.values],
     }
     save_json(manifest, out / "manifest.json")

@@ -227,7 +227,8 @@ def thermal_suite(hf, density, t_final, dt) -> Suite:
         beta = constants.beta
         # the middle step of the flow, kept with its neighbours for the
         # centered time derivative of the thermalized quantum potential
-        mid = (step_count(t_final, dt) + 1) // 2
+        steps = step_count(t_final, dt)
+        mid = (steps + 1) // 2
         # ratio law P(t)/P(0) = exp(-beta DeltaQ): Fick for P against the
         # heat equation for Q
         dev, heat = coupled_run(density, hf, constants, t_final, dt,
@@ -236,8 +237,8 @@ def thermal_suite(hf, density, t_final, dt) -> Suite:
 
         # DeltaQ = 2 omega Delta(deltaS), a definition-chain identity
         ds0 = delta_s_from_heat(hf).values
-        ds1 = delta_s_from_heat(heat.fields[-1]).values
-        delta_q = heat.fields[-1].Q_heat.values - hf.Q_heat.values
+        ds1 = delta_s_from_heat(heat[steps]).values
+        delta_q = heat[steps].Q_heat.values - hf.Q_heat.values
         dev = float(np.max(np.abs(delta_q - 2.0 * constants.omega * (ds1 - ds0))))
         scale = float(np.max(np.abs(delta_q))) + 1e-300
         yield make_residual_check("heat-action-link", dev / scale)
@@ -266,11 +267,11 @@ def thermal_suite(hf, density, t_final, dt) -> Suite:
         slope = float(np.polyfit(-beta * hf.Q_heat.values[mask], np.log(p[mask]), 1)[0])
         yield make_residual_check("gibbs-form-slope", abs(slope - 1.0))
 
-        thq = thermalized_qp(heat, mid)
+        thq = thermalized_qp(heat[mid - 1], heat[mid], heat[mid + 1], dt)
         qt_scale = (
             constants.hbar**2 / (4.0 * constants.mass)
             * float(np.max(np.abs(second_derivative_values(
-                heat.field(mid).q_tilde().values, dx
+                heat[mid].q_tilde().values, dx
             ))))
         )
         # weight by the coupled density: the held walls grow a diffusive

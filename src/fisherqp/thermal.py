@@ -1,9 +1,10 @@
-"""Subquantum heat dynamics: the heat field coupled to a density, Fick
-diffusion, the classical heat equation, the thermalized quantum
-potential and the lockstep run of the coupled Fick and heat flows.  The
-identity checks built from them, the two thermal routes to Fisher
-information and the Gibbs-side formulas among them, live in ``suites``;
-this module imports nothing from ``reports``.
+"""Subquantum heat dynamics: the heat field coupled to a density, the
+thermalized quantum potential and ``coupled_run``, the one flow: the
+density under Fick's law and its heat field under the classical heat
+equation, stepped in lockstep.  The identity checks built from them, the
+two thermal routes to Fisher information and the Gibbs-side formulas
+among them, live in ``suites``; this module imports nothing from
+``reports``.
 
 Conventions
 -----------
@@ -24,14 +25,15 @@ Conventions
   (quadratic heat fields legitimately grow uniformly in the interior, so
   a change-based wall guard would misfire; the guard watches curvature
   arriving at the walls instead).
-* Fick and heat flows share one stepper: the Crank-Nicolson flow with
-  the end values folded into the step, u+ = 2 A^-1 (u + f/2) - u, on a
-  constant symmetric positive definite tridiagonal A whose half is
-  factored once per run (``grid.crank_nicolson_flow``,
-  ``?pttrf``/``?pttrs``), stepping between two work buffers.  Flows
-  stream step by step and the wall guards run on every step; the heat
-  guard takes its scales from the full curvature of the initial field
-  and then reads only the curvature at the two first interior points.
+* Fick and heat flows share one stepper, ``_diffuse``: the
+  Crank-Nicolson flow with the end values folded into the step,
+  u+ = 2 A^-1 (u + f/2) - u, on a constant symmetric positive definite
+  tridiagonal A whose half is factored once per run
+  (``grid.crank_nicolson_flow``, ``?pttrf``/``?pttrs``), stepping between
+  two work buffers.  Flows stream step by step and the wall guards run
+  on every step; the heat guard takes its scales from the full curvature
+  of the initial field and then reads only the curvature at the two
+  first interior points.
 * ``coupled_run`` steps Fick and heat in lockstep and reduces the
   coupling deviation on the raw arrays, through the array-level cores
   that ``density_from_samples`` and ``coupling_deviation`` call
@@ -59,13 +61,7 @@ from .grid import (
     second_derivative_values,
     steps_to_keep,
 )
-from .states import (
-    SUPPORT_FLOOR,
-    Density,
-    PhysicalConstants,
-    density_from_samples,
-    normalize_samples,
-)
+from .states import SUPPORT_FLOOR, Density, PhysicalConstants, normalize_samples
 
 FICK_BOUNDARY_THRESHOLD = 1e-10  # relative density at first interior points
 COUPLING_TOL = 1e-6              # allowed weighted deviation of P from c*exp(-aQ)
@@ -88,32 +84,6 @@ class HeatField:
 
     def q_tilde(self) -> ScalarField:
         return ScalarField(self.grid, self.constants.alpha_th * self.Q_heat.values)
-
-
-@dataclass(frozen=True)
-class HeatTrajectory:
-    """Heat field snapshots at uniform time steps.
-
-    ``times`` covers every step; ``fields`` holds the ``kept`` steps only,
-    and ``field(k)`` looks a step up by index.
-    """
-
-    times: np.ndarray
-    kept: tuple[int, ...]
-    fields: list[HeatField]
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def field(self, step: int) -> HeatField:
-        try:
-            return self.fields[self.kept.index(step)]
-        except ValueError:
-            raise ValueError(f"step {step} was not kept") from None
 
 
 def heat_from_density(density: Density, constants: PhysicalConstants) -> HeatField:
@@ -228,8 +198,10 @@ def _fick_guard(p: np.ndarray) -> None:
 
 
 def _heat_guard(q0: np.ndarray, dx: float):
-    """Wall guard of a heat flow started from q0 (see
-    ``heat_equation_evolve``).
+    """Wall guard of a heat flow started from q0: BoundaryContact once the
+    curvature at the first interior points grows well beyond its initial
+    value (a spreading bump arriving at the wall).  Uniform interior
+    growth of quadratic fields is legitimate and does not trip it.
 
     The scales come from the full second derivative of q0; each step
     then reads only the curvature at the two first interior points, from
@@ -264,37 +236,6 @@ def _diffuse(values: np.ndarray, dx: float, D: float, steps: int, dt: float,
         yield u
 
 
-def fick_diffuse(P0: Density, D: float, t_final: float, dt: float) -> list[Density]:
-    """Evolve a density under dP/dt = D d2P/dx2; one density per step.
-
-    Endpoint values are held at their (decayed) initial values; the run
-    aborts with BoundaryContact once a first-interior value exceeds
-    1e-10 of the current peak.
-    """
-    steps = step_count(t_final, dt)
-    return [
-        density_from_samples(ScalarField(P0.grid, arr), truncation_check=False)
-        for arr in _diffuse(P0.values, P0.grid.dx, D, steps, dt, _fick_guard)
-    ]
-
-
-def heat_equation_evolve(hf0: HeatField, t_final: float, dt: float) -> HeatTrajectory:
-    """Evolve a heat field under the classical heat equation
-    d2Q/dx2 - (1/D) dQ/dt = 0 with D = hbar/2m; every step is kept.
-
-    The wall guard fires when curvature at the first interior points
-    grows well beyond its initial value (a spreading bump arriving at the
-    wall); uniform interior growth of quadratic fields is legitimate and
-    does not trip it.
-    """
-    steps = step_count(t_final, dt)
-    q0, dx = hf0.Q_heat.values, hf0.grid.dx
-    flow = _diffuse(q0, dx, hf0.constants.diffusivity, steps, dt, _heat_guard(q0, dx))
-    fields = [HeatField(ScalarField(hf0.grid, arr), hf0.constants) for arr in flow]
-    return HeatTrajectory(times=np.arange(steps + 1) * dt,
-                          kept=tuple(range(steps + 1)), fields=fields)
-
-
 # ---------------------------------------------------------------------------
 # pointwise thermal identities
 # ---------------------------------------------------------------------------
@@ -317,27 +258,22 @@ def vanishing_qp_residual(hf: HeatField) -> ScalarField:
     return ScalarField(hf.grid, res)
 
 
-def thermalized_qp(heat: HeatTrajectory, index: int) -> ScalarField:
-    """Quantum potential expressed through heat flow at the interior step
-    ``index`` (its neighbours kept too):
+def thermalized_qp(before: HeatField, now: HeatField, after: HeatField,
+                   dt: float) -> ScalarField:
+    """Quantum potential expressed through heat flow at the step ``now``,
+    with ``before`` and ``after`` the fields one step ``dt`` either side:
 
         Q = (hbar^2/4m) [ d2Q_tilde/dx2 - (1/D) dQ_tilde/dt ].
 
-    Along a heat-equation trajectory the two terms cancel and the result
-    is zero up to discretization error: a freely dissipating heat flow
+    Along a heat-equation flow the two terms cancel and the result is
+    zero up to discretization error: a freely dissipating heat flow
     carries no quantum potential.
     """
-    if not 1 <= index <= len(heat) - 2:
-        raise ValueError("index must be interior to the trajectory")
-    hf = heat.field(index)
-    after = heat.field(index + 1).q_tilde().values
-    before = heat.field(index - 1).q_tilde().values
-    dqt_dt = (after - before) / (2.0 * heat.dt)
-    c = hf.constants
-    qt = hf.q_tilde().values
-    lap = second_derivative_values(qt, hf.grid.dx)
+    dqt_dt = (after.q_tilde().values - before.q_tilde().values) / (2.0 * dt)
+    c = now.constants
+    lap = second_derivative_values(now.q_tilde().values, now.grid.dx)
     out = (c.hbar**2 / (4.0 * c.mass)) * (lap - dqt_dt / c.diffusivity)
-    return ScalarField(hf.grid, out)
+    return ScalarField(now.grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +284,14 @@ def thermalized_qp(heat: HeatTrajectory, index: int) -> ScalarField:
 def coupled_run(
     density0: Density, hf0: HeatField, constants: PhysicalConstants,
     t_final: float, dt: float, keep: Iterable[int] = (),
-) -> tuple[float, HeatTrajectory]:
+) -> tuple[float, dict[int, HeatField]]:
     """Step P by Fick and Q by the heat equation in lockstep.
 
     Returns the worst weighted deviation of P(t) from
-    c_hat(t) exp(-alpha Q(t)) over every step, and the heat trajectory at
-    the ``keep`` steps plus the last one.
+    c_hat(t) exp(-alpha Q(t)) over every step, and the heat field at each
+    of the ``keep`` steps plus the last one, by step.  The Fick flow has
+    the diffusivity of ``constants``, the heat flow that of
+    ``hf0.constants``.
 
     Each step reduces on the raw arrays through the cores of
     ``density_from_samples`` and ``coupling_deviation``, so it raises what
@@ -365,19 +303,16 @@ def coupled_run(
     dx = grid.dx
     q0 = hf0.Q_heat.values
     fick = _diffuse(density0.values, dx, constants.diffusivity, steps, dt, _fick_guard)
-    heat = _diffuse(q0, dx, hf0.constants.diffusivity, steps, dt, _heat_guard(q0, dx))
+    flow = _diffuse(q0, dx, hf0.constants.diffusivity, steps, dt, _heat_guard(q0, dx))
     p, w, work = np.empty(grid.n), np.empty(grid.n), np.empty(grid.n)
     support = np.empty(grid.n, dtype=bool)
     worst = 0.0
-    kept, fields = [], []
-    for k, (raw, q) in enumerate(zip(fick, heat)):
+    heat = {}
+    for k, (raw, q) in enumerate(zip(fick, flow)):
         peak = normalize_samples(raw, dx, p)
         np.greater(p, SUPPORT_FLOOR * peak, out=support)
         dev = _coupling_deviation(p, peak, support, q, constants.alpha_th, dx, w, work)
         worst = max(worst, dev)
         if k in keep_set:
-            kept.append(k)
-            fields.append(HeatField(ScalarField(grid, q), hf0.constants))
-    times = np.arange(steps + 1) * dt
-    return worst, HeatTrajectory(times=times, kept=tuple(kept), fields=fields)
-
+            heat[k] = HeatField(ScalarField(grid, q), hf0.constants)
+    return worst, heat

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fisherqp import Grid, PhysicalConstants, density_from_samples
-from fisherqp.grid import _odd_even_levels
+from fisherqp.grid import _odd_even_levels, crank_nicolson_flow
 from fisherqp.reports import IdentityCheck
 
 
@@ -45,6 +45,15 @@ def checks_by_name(items):
 @pytest.fixture
 def standard_normal(grid):
     return gaussian_density(grid)
+
+
+def diffusion_flow(values, dx, D, steps, dt):
+    """Copies of every step 0..steps of the Crank-Nicolson flow of
+    dU/dt = D d2U/dx2 from ``values`` with the end values held: the grid's
+    ``crank_nicolson_flow`` on A = tridiag(-c, 1+2c, -c), c = D dt / (2 dx^2)."""
+    c = 0.5 * (D * dt / (dx * dx))
+    diag = np.full(len(values) - 2, 1.0 + 2.0 * c)
+    return [u.copy() for u in crank_nicolson_flow(values, diag, -c, steps)]
 
 
 def cn_backward_error(ab, x_next, b):

@@ -22,10 +22,8 @@ from fisherqp import (
     entropy_rate_check,
     epi_solve,
     evolve,
-    fick_diffuse,
     fisher_information,
     gibbs_density,
-    heat_equation_evolve,
     heat_from_density,
     hj_residual,
     maxent_solve,
@@ -42,9 +40,9 @@ from fisherqp import (
 from fisherqp.functionals import weighted_max_dev
 from fisherqp.grid import ScalarField, second_derivative_values
 from fisherqp.suites import identities_suite, thermal_suite
-from fisherqp.thermal import HeatField
+from fisherqp.thermal import HeatField, coupled_run
 
-from conftest import checks_by_name, gaussian_density, mixture_density
+from conftest import checks_by_name, diffusion_flow, gaussian_density, mixture_density
 
 C = PhysicalConstants()
 
@@ -266,14 +264,12 @@ def test_criterion_09_osmotic_entropy_production():
 def test_criterion_10_thermal_suite():
     D = C.diffusivity
     g12 = Grid(-12.0, 12.0, 6145)
-    fick = fick_diffuse(gaussian_density(g12), D, 1.0, 1e-3)
-    p_end = fick[-1].values
+    fick = diffusion_flow(gaussian_density(g12).values, g12.dx, D, 1000, 1e-3)
+    p_end = density_from_samples(g12.field(fick[-1]), truncation_check=False).values
     var_fick = np.trapezoid(p_end * g12.x**2, dx=g12.dx)
     fick_ok = abs(var_fick - (1.0 + 2 * D)) <= 1e-3
 
-    bump = HeatField(ScalarField(g12, np.exp(-g12.x**2 / 2)), C)
-    heat = heat_equation_evolve(bump, 1.0, 1e-3)
-    q_end = heat.fields[-1].Q_heat.values
+    q_end = diffusion_flow(np.exp(-g12.x**2 / 2), g12.dx, D, 1000, 1e-3)[-1]
     var_heat = np.trapezoid(q_end * g12.x**2, dx=g12.dx) / np.trapezoid(
         q_end, dx=g12.dx
     )
@@ -282,10 +278,10 @@ def test_criterion_10_thermal_suite():
     g16 = Grid(-16.0, 16.0, 8193)
     wide = gaussian_density(g16, sigma=2.0)
     hf = heat_from_density(wide, C)
-    short = heat_equation_evolve(hf, 0.004, 1e-3)
-    thq = thermalized_qp(short, 2)
+    _, short = coupled_run(wide, hf, C, 0.004, 1e-3, keep=(1, 2, 3))
+    thq = thermalized_qp(short[1], short[2], short[3], 1e-3)
     scale = 0.25 * np.max(np.abs(
-        second_derivative_values(short.fields[2].q_tilde().values, g16.dx)
+        second_derivative_values(short[2].q_tilde().values, g16.dx)
     ))
     weight = wide.values / np.max(wide.values)
     thq_ok = np.max(weight[2:-2] * np.abs(thq.values[2:-2])) <= 1e-3 * scale

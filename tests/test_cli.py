@@ -21,8 +21,13 @@ def write_json(path, payload):
     return str(path)
 
 
+def _refuse_constant(token):
+    raise ValueError(f"report.json is not strict JSON: it holds {token}")
+
+
 def read_report(out_dir):
-    return json.loads((out_dir / "report.json").read_text())
+    """The report, parsed as strict JSON: NaN and Infinity are refused."""
+    return json.loads((out_dir / "report.json").read_text(), parse_constant=_refuse_constant)
 
 
 GRID = {"xmin": -8.0, "xmax": 8.0, "n": 4097}
@@ -417,20 +422,20 @@ def test_thermal_log_affine(tmp_path):
     assert byname["vanishing-qp-family"]["pass"] is True
 
 
-@pytest.mark.parametrize("timing", [
-    {"dt": 0},
-    {"t_final": "inf"},
-    {"t_final": 1e300, "dt": 1e-300},
-    {"t_final": float("nan")},
-])
-def test_thermal_bad_step_count_exits_2(tmp_path, capsys, timing):
+@pytest.mark.parametrize("timing, message", [
+    ({"dt": 0}, "t_final and dt must be positive"),
+    ({"t_final": "inf"}, "thermal: t_final must be a finite number, not 'inf'"),
+    ({"t_final": 1e300, "dt": 1e-300}, "t_final/dt = inf is not a finite step count"),
+    ({"t_final": float("nan")}, "thermal: t_final must be a finite number, not nan"),
+], ids=["timing0", "timing1", "timing2", "timing3"])
+def test_thermal_bad_step_count_exits_2(tmp_path, capsys, timing, message):
     inp = write_json(
         tmp_path / "in.json",
         {"grid": GRID, "heat": {"kind": "quadratic", "coeff": 0.125}, **timing},
     )
     out = tmp_path / "out"
     assert main(["thermal", "--input", inp, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("schema error: t_final")
+    assert capsys.readouterr().err == f"schema error: {message}\n"
     assert not (out / "report.json").exists()
 
 
@@ -622,9 +627,22 @@ def test_flat_topped_density_reports_every_check(tmp_path, width):
     ("verify-identities", {"grid": GRID, "density": {"kind": "gaussian"},
                            "constants": {"hbar": 10**400}}),
     ("thermal", {"grid": GRID, "heat": {"kind": "quadratic", "coeff": 0.125}, "dt": 10**400}),
+    # a number sent as a string or a bool
+    ("evolve", {**SMALL_EVOLVE, "dt": "0.0009765625"}),
+    ("evolve", {**SMALL_EVOLVE, "initial": {"kind": "gaussian", "momentum": True}}),
+    ("thermal", {"grid": GRID, "heat": {"kind": "quadratic", "coeff": True}}),
+    ("thermal", {"grid": GRID, "heat": {"kind": "log-affine", "a": "4"}}),
+    ("verify-identities", {"grid": GRID, "density": {"kind": "gaussian"},
+                           "constants": {"hbar": "1"}}),
+    ("verify-identities", {"grid": GRID, "density": {"kind": "gaussian", "sigma": True}}),
+    ("verify-identities", {"grid": {**GRID, "xmin": "-8"}, "density": {"kind": "gaussian"}}),
+    ("maxent", {"grid": GRID, "constraint": {"kind": "monomial", "coeff": "1"},
+                "target": 1.0}),
 ], ids=["density", "mixture-component", "sweep-constraint", "thermal-heat", "evolve-potential",
         "evolve-dump-str", "evolve-dump-int", "evolve-dump-null", "sigma-overflows",
-        "hbar-overflows", "thermal-dt-overflows"])
+        "hbar-overflows", "thermal-dt-overflows", "evolve-dt-str", "evolve-momentum-bool",
+        "thermal-coeff-bool", "thermal-a-str", "hbar-str", "sigma-bool", "grid-xmin-str",
+        "maxent-coeff-str"])
 def test_nested_wrong_type_exits_2(tmp_path, capsys, command, payload):
     inp = write_json(tmp_path / "in.json", payload)
     out = tmp_path / "out"
