@@ -10,7 +10,6 @@ import numpy as np
 
 from fisherqp import (
     Grid,
-    MadelungState,
     PhysicalConstants,
     continuity_residual,
     density_from_samples,
@@ -26,10 +25,10 @@ from fisherqp import (
 constants = PhysicalConstants()
 grid = Grid(-8.0, 8.0, 4097)   # dx = 1/256
 density = density_from_samples(grid.from_function(lambda x: np.exp(-x * x / 2)))
-state = MadelungState(density, grid.zeros(), constants)
+psi0 = np.sqrt(density.values)  # zero phase: the packet starts at rest
 
 print("free Gaussian, sigma0 = 1, dt = 1/1024, t in [0, 1]")
-traj = evolve(state, grid.zeros(), 1.0 / 1024, 1024)
+traj = evolve(psi0, grid.zeros(), constants, 1.0 / 1024, 1024)
 
 p_end = traj.density(1024).values
 var = np.trapezoid(p_end * grid.x**2, dx=grid.dx)

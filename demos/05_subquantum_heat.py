@@ -13,7 +13,6 @@ import numpy as np
 
 from fisherqp import (
     Grid,
-    HeatField,
     PhysicalConstants,
     density_from_samples,
     heat_from_density,
@@ -28,12 +27,12 @@ constants = PhysicalConstants()  # thermal equality hbar*omega = k*T holds
 grid = Grid(-16.0, 16.0, 8193)
 density = density_from_samples(grid.from_function(lambda x: np.exp(-x * x / 8)))
 
-hf = heat_from_density(density, constants)
+heat = heat_from_density(density, constants)
 print("heat field of a sigma = 2 Gaussian (gauge: Q_heat(0) = 0)")
 i = int(round((4.0 - grid.xmin) / grid.dx))
-print(f"  Q_heat(4) = {hf.Q_heat.values[i]:.6f}   (closed form x^2/8 = 2)")
+print(f"  Q_heat(4) = {heat.values[i]:.6f}   (closed form x^2/8 = 2)")
 
-checks = list(thermal_suite(hf, density, 0.004, 1e-3))
+checks = list(thermal_suite(heat, density, constants, 0.004, 1e-3))
 by_name = {item.name: item for item in checks}
 route_b = by_name["thermal-fisher-route-b"]            # route B vs direct FI
 route_a = by_name["flag-thermal-route-factor"].lhs     # flagged against route B
@@ -54,15 +53,16 @@ for item in checks:
 # density, the heat equation for its heat field.  The heat flow carries no
 # thermalized quantum potential where the density lives (the weight drops
 # the skin off the support, where the heat field continues linearly).
-_, heat = coupled_run(density, hf, constants, 0.02, 1e-3, keep=(9, 10, 11))
-thq = thermalized_qp(heat[9], heat[10], heat[11], 1e-3)
-scale = 0.25 * np.max(np.abs(second_derivative_values(heat[10].q_tilde().values, grid.dx)))
+_, kept = coupled_run(density, heat, constants, 0.02, 1e-3, keep=(9, 10, 11))
+thq = thermalized_qp(kept[9], kept[10], kept[11], 1e-3, constants)
+scale = 0.25 * np.max(np.abs(second_derivative_values(constants.alpha_th * kept[10].values,
+                                                     grid.dx)))
 weight = density.values / np.max(density.values)
 print(f"\nthermalized quantum potential at t = 0.01: density-weighted max |Q| / scale = "
       f"{np.max(weight[2:-2] * np.abs(thq.values[2:-2])) / scale:.2e}  (~ 0)")
 
 qv = 2.0 * constants.hbar * constants.omega * np.log(4.0 + 0.2 * grid.x)
-res = vanishing_qp_residual(HeatField(ScalarField(grid, qv), constants))
+res = vanishing_qp_residual(ScalarField(grid, qv), constants)
 lap = np.max(np.abs(second_derivative_values(qv, grid.dx)))
 print(f"vanishing-Q family 2 hw log(a + b x): residual / scale = "
       f"{np.max(np.abs(res.values[2:-2])) / lap:.2e}")

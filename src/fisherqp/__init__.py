@@ -6,12 +6,12 @@ structure, and subquantum heat dynamics, all on uniform 1-D grids.
 The package is organized bottom-up:
 
 ``grid``         quadrature and finite differences
-``states``       densities, Madelung states, physical constants
+``states``       densities and physical constants
 ``functionals``  Fisher information, entropy, quantum potential, the delta_p field
-``propagator``   Crank-Nicolson Schroedinger evolution and residual checks
+``propagator``   Crank-Nicolson Schroedinger evolution of psi and residual checks
 ``extremizers``  MaxEnt and the Fisher-extremization eigensolver
 ``legendre``     multiplier sweeps and Legendre-structure verification
-``thermal``      heat fields, the lockstep Fick and heat flow
+``thermal``      heat-field identities, the lockstep Fick and heat flow
 ``reports``      check table and report records
 ``serialization`` CSV/JSON file formats
 ``suites``       every identity check, formed and yielded per CLI command
@@ -39,7 +39,6 @@ from .errors import (
 from .grid import Grid, ScalarField, quadrature
 from .states import (
     Density,
-    MadelungState,
     PhysicalConstants,
     density_from_heat,
     density_from_samples,
@@ -74,7 +73,6 @@ from .extremizers import (
 )
 from .legendre import SweepTable, ThermoRecord, sweep, verify_euler, verify_legendre
 from .thermal import (
-    HeatField,
     delta_s_from_heat,
     heat_from_density,
     thermalized_qp,

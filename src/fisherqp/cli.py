@@ -46,11 +46,10 @@ from .extremizers import ConstraintSpec
 from .grid import Grid, ScalarField
 from .reports import IdentityCheck, list_checks
 from .serialization import save_json
-from .states import (MadelungState, PhysicalConstants, density_from_heat,
-                     density_from_samples, gibbs_density)
+from .states import PhysicalConstants, density_from_heat, density_from_samples, gibbs_density
 from .suites import (epi_suite, evolve_suite, identities_suite, maxent_suite, sweep_suite,
                      thermal_suite)
-from .thermal import HeatField, step_count
+from .thermal import step_count
 
 
 # Work a run may ask for, refused up front: grid points, grid points times
@@ -109,6 +108,17 @@ def _finite(value, key: str, command: str) -> float:
     raise SchemaError(f"{command}: {key} must be a finite number, not {value!r}")
 
 
+def _numbers(spec: dict, key: str, grid: Grid, command: str) -> np.ndarray:
+    """``spec[key]`` as a float array: a list of grid.n finite numbers, none
+    of them a bool, a string, a null or a list."""
+    value = _require(spec, key, command)
+    if isinstance(value, list) and all(type(v) in (int, float) for v in value):
+        array = np.asarray(value, dtype=float)
+        if len(array) == grid.n and np.all(np.isfinite(array)):
+            return array
+    raise SchemaError(f"{command}: {key} must be a list of n = {grid.n} finite numbers")
+
+
 def _multiplier(value, field: ScalarField, command: str) -> float:
     """``value`` as a finite multiplier lambda whose term lambda * A of the
     effective potential is finite on the grid."""
@@ -164,10 +174,7 @@ def _build_constraint_field(spec: dict, grid: Grid, command: str) -> ScalarField
         coeff = _finite(spec.get("coeff", 1.0), "coeff", command)
         return ScalarField(grid, coeff * grid.x**power)
     if kind == "tabulated":
-        data = np.asarray(_require(spec, "data", command), dtype=float)
-        if len(data) != grid.n:
-            raise SchemaError(f"{command}: tabulated data length != grid n")
-        return ScalarField(grid, data)
+        return ScalarField(grid, _numbers(spec, "data", grid, command))
     raise SchemaError(f"{command}: unknown constraint kind {kind!r}")
 
 
@@ -191,10 +198,7 @@ def _build_density(spec: dict, grid: Grid, command: str):
             raw += weight * np.exp(-((grid.x - center) ** 2) / (2.0 * sigma ** 2))
         return density_from_samples(ScalarField(grid, raw))
     if kind == "samples":
-        values = np.asarray(_require(spec, "values", command), dtype=float)
-        if len(values) != grid.n:
-            raise SchemaError(f"{command}: sample length != grid n")
-        return density_from_samples(ScalarField(grid, values))
+        return density_from_samples(ScalarField(grid, _numbers(spec, "values", grid, command)))
     if kind == "gibbs":
         density, _ = gibbs_density(*_gibbs_from_input(spec, grid, command))
         return density
@@ -251,8 +255,12 @@ def _parse_evolve(payload, command) -> dict:
     init_spec = _require(payload, "initial", command)
     density = _build_density(init_spec, grid, command)
     momentum = _finite(init_spec.get("momentum", 0.0), "momentum", command)
-    phase = ScalarField(grid, constants.hbar * momentum * grid.x)
-    state = MadelungState(density, phase, constants)
+    # psi0 = sqrt(P) exp(i S / hbar) with the phase S = hbar k x
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = constants.hbar * momentum * grid.x
+        psi0 = np.sqrt(density.values) * np.exp(1j * phase / constants.hbar)
+    if not np.all(np.isfinite(psi0)):
+        raise SchemaError(f"{command}: momentum = {momentum!r} overflows the phase k*x")
 
     pot_spec = _require(payload, "potential", command)
     kind = pot_spec.get("kind")
@@ -262,10 +270,7 @@ def _parse_evolve(payload, command) -> dict:
         V = ScalarField(grid, _finite(pot_spec.get("strength", 0.5), "strength", command)
                         * grid.x**2)
     elif kind == "values":
-        values = np.asarray(_require(pot_spec, "values", command), dtype=float)
-        if len(values) != grid.n:
-            raise SchemaError("evolve: potential length != grid n")
-        V = ScalarField(grid, values)
+        V = ScalarField(grid, _numbers(pot_spec, "values", grid, command))
     else:
         raise SchemaError(f"evolve: unknown potential kind {kind!r}")
 
@@ -276,8 +281,8 @@ def _parse_evolve(payload, command) -> dict:
         raise SchemaError(f"evolve: steps = {steps} leaves no interior step to check")
     if not 1 <= index <= steps - 1:
         raise SchemaError(f"index {index} must be interior (1..{steps - 1})")
-    return {"state": state, "potential": V, "dt": dt, "steps": steps, "index": index,
-            "dump": dump}
+    return {"psi0": psi0, "potential": V, "constants": constants, "dt": dt, "steps": steps,
+            "index": index, "dump": dump}
 
 
 def _constraints_from_input(payload, grid, command) -> ConstraintSpec:
@@ -340,6 +345,9 @@ def _parse_thermal(payload, command) -> dict:
     grid = _grid_from_input(payload, command)
     constants = _constants_from_input(payload, command)
 
+    # every heat kind reaches the thermal Fisher pair, which holds only here
+    if not constants.is_thermal_equilibrium:
+        raise SchemaError("thermal: the coherence checks assume hbar*omega = k*T")
     heat_spec = _require(payload, "heat", command)
     kind = heat_spec.get("kind")
     if kind == "quadratic":
@@ -351,12 +359,10 @@ def _parse_thermal(payload, command) -> dict:
             raise SchemaError("thermal: log-affine field needs a + b*x > 0 on the grid")
         q0 = 2.0 * constants.hbar * constants.omega * np.log(a + b * grid.x)
     elif kind == "values":
-        q0 = np.asarray(_require(heat_spec, "values", command), dtype=float)
-        if len(q0) != grid.n:
-            raise SchemaError("thermal: heat field length != grid n")
+        q0 = _numbers(heat_spec, "values", grid, command)
     else:
         raise SchemaError(f"thermal: unknown heat kind {kind!r}")
-    hf = HeatField(ScalarField(grid, q0), constants)
+    heat = ScalarField(grid, q0)
     t_final = _finite(payload.get("t_final", 0.004), "t_final", command)
     dt = _finite(payload.get("dt", 1e-3), "dt", command)
     if t_final < 2.0 * dt:
@@ -372,10 +378,9 @@ def _parse_thermal(payload, command) -> dict:
             raise SchemaError(str(exc)) from None
         _require_within(command, "2*n*steps", 2 * grid.n * steps, WORK_BUDGET,
                         "point-steps")
-        if not constants.is_thermal_equilibrium:
-            raise SchemaError("thermal: the coherence checks assume hbar*omega = k*T")
-    density, _ = density_from_heat(hf.Q_heat, constants.alpha_th, truncation_check=False)
-    return {"hf": hf, "density": density, "t_final": t_final, "dt": dt}
+    density, _ = density_from_heat(heat, constants.alpha_th, truncation_check=False)
+    return {"heat": heat, "density": density, "constants": constants, "t_final": t_final,
+            "dt": dt}
 
 
 COMMANDS = {

@@ -20,16 +20,17 @@ resolves.  It needs no pivoting: the Hermitian part of A is the identity
 for any real potential and either sign of dt, so no elimination divides
 by a pivot of real part below 1/2.
 
-Trajectories stream: the stepper iterates the flow, copies psi only at
-the requested steps, and reduces what every step must contribute (the
-wall guard and the norm) as it goes.  A trajectory holds psi itself and
-nothing derived from it: the dynamical residuals read the Madelung
-fields straight off the kept psi, with no phase extraction.  The phase
-gradient is the current-velocity form S' = hbar Im(psi* psi')/|psi|^2
-= m J/|psi|^2 (Hall and Reginatto, J. Phys. A 35, 3289, 2002), and the
-phase rate dS/dt = hbar [arg(psi+ psi0*) + arg(psi0 psi-*)] / 2 dt is a
-pointwise centered difference of arg psi, valid while one step turns
-the phase by less than pi.  Neither needs unwrapping or a global phase
+``evolve`` steps a bare wavefunction, not a (P, S) pair, so it takes any
+psi the grid samples, nodes included.  Trajectories stream: the stepper
+iterates the flow, copies psi only at the requested steps, and reduces
+what every step must contribute (the wall guard and the norm) as it
+goes.  A trajectory holds psi itself and nothing derived from it: the
+dynamical residuals read the Madelung fields straight off the kept psi,
+with no phase extraction.  The phase gradient is the current-velocity
+form S' = hbar Im(psi* psi')/|psi|^2 = m J/|psi|^2 (Hall and Reginatto,
+J. Phys. A 35, 3289, 2002), and the phase rate dS/dt = hbar [arg(psi+
+psi0*) + arg(psi0 psi-*)] / 2 dt is a pointwise centered difference of
+arg psi, valid while one step turns the phase by less than pi.  Neither needs unwrapping or a global phase
 constant, so neither breaks across the near-nodes of interference
 fringes.  Dirichlet walls stand in for an unbounded domain; a
 boundary-contact guard raises instead of silently corrupting identity
@@ -60,7 +61,7 @@ from .grid import (
     quadrature_values,
     steps_to_keep,
 )
-from .states import Density, MadelungState, PhysicalConstants, density_from_samples
+from .states import Density, PhysicalConstants, density_from_samples
 
 BOUNDARY_THRESHOLD = 1e-10   # relative |psi|^2 at the first interior points
 RESIDUAL_FLOOR = 0.05        # scale floor entering residual denominators
@@ -124,16 +125,16 @@ def _apply_h(psi: np.ndarray, main: np.ndarray, off: float) -> np.ndarray:
     return out
 
 
-def propagate_wavefunction(
+def evolve(
     psi0: np.ndarray,
-    grid: Grid,
     V: ScalarField,
     constants: PhysicalConstants,
     dt: float,
     steps: int,
     keep: Iterable[int] | None = None,
 ) -> Trajectory:
-    """Raw Crank-Nicolson stepping of ``psi0`` over ``steps`` steps.
+    """Crank-Nicolson stepping of ``psi0``, set to 0 at the walls and
+    normalized on ``V.grid``, over ``steps`` steps of size dt.
 
     Keeps psi at the step indices in ``keep`` (every step when None) and
     records every step's norm (see ``Trajectory``).
@@ -141,8 +142,12 @@ def propagate_wavefunction(
     Exactly norm-preserving and exactly invertible by stepping with -dt.
     Raises BoundaryContact, checked at every step, when the relative
     density at a first-interior point exceeds 1e-10 (the packet has
-    reached the wall).
+    reached the wall).  |dt| should not exceed dx for the second-order
+    truncation errors in space and time to stay balanced.
     """
+    grid = V.grid
+    if len(psi0) != grid.n:
+        raise ValueError(f"psi0 has {len(psi0)} points; the potential's grid has {grid.n}")
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
     if steps < 1:
@@ -150,6 +155,7 @@ def propagate_wavefunction(
     keep_set = steps_to_keep(keep, steps)
     psi = np.asarray_chkfinite(psi0).astype(complex)
     psi[0] = psi[-1] = 0.0
+    psi /= np.sqrt(quadrature_values(np.abs(psi) ** 2, grid.dx))
 
     main, off = _hamiltonian_diagonals(grid, V.values, constants)
     z = 1j * dt / (2.0 * constants.hbar)
@@ -175,32 +181,6 @@ def propagate_wavefunction(
             psis.append(psi.copy())
     return Trajectory(times=np.arange(steps + 1) * dt, kept=tuple(kept), psis=psis,
                       norms=norms, potential=V, constants=constants)
-
-
-def evolve(
-    initial: MadelungState,
-    V: ScalarField,
-    dt: float,
-    steps: int,
-    keep: Iterable[int] | None = None,
-) -> Trajectory:
-    """Propagate a state with Crank-Nicolson for ``steps`` steps of size dt.
-
-    The initial wavefunction is normalized on the grid; only the step
-    indices in ``keep`` (every step when None) are stored, while the wall
-    guard and the norm still cover every step.
-
-    Accuracy guard: |dt| should not exceed dx for the second-order
-    truncation errors in space and time to stay balanced; stability is
-    unconditional either way.
-    """
-    grid = initial.grid
-    if V.grid != grid:
-        raise ValueError("potential grid mismatch")
-    psi = initial.wavefunction().astype(complex)
-    psi[0] = psi[-1] = 0.0
-    psi /= np.sqrt(quadrature_values(np.abs(psi) ** 2, grid.dx))
-    return propagate_wavefunction(psi, grid, V, initial.constants, dt, steps, keep)
 
 
 def norm_drift(traj: Trajectory) -> float:

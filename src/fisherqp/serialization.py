@@ -9,6 +9,7 @@
   (schema 1) carrying dt, steps, the constants, the grid and the
   potential.  P is the normalized |psi|^2 and S the Madelung phase read
   off psi (``phase_on_support``); the dump is the only place S is formed.
+  S is anchored to 0 at step 0's density peak, then step to step.
 * Sweep CSV: ``lambda,I,meanA,Lambda,alpha_norm,status``; failed rows
   keep their multiplier and error name with empty value columns.
 """
@@ -25,7 +26,7 @@ import numpy as np
 from .grid import ScalarField
 from .legendre import SweepTable
 from .propagator import Trajectory
-from .states import Density, MadelungState
+from .states import Density
 
 
 def _fmt(v: float) -> str:
@@ -66,13 +67,13 @@ def phase_on_support(psi: np.ndarray, density: Density, reference: np.ndarray) -
     return out
 
 
-def dump_trajectory(traj: Trajectory, initial: MadelungState, out_dir) -> Path:
+def dump_trajectory(traj: Trajectory, out_dir) -> Path:
     """Write one ``x,P,S`` CSV per step of ``traj``, which must have kept
     every step, plus a manifest; returns the directory.
 
     Each step's S is aligned against the previous step's S at its own
-    density peak, and step 0 against the phase of ``initial``, the state
-    ``traj`` was evolved from.
+    density peak, and step 0 against 0, so step 0's S at its density peak
+    lies in (-pi hbar, pi hbar].
     """
     if traj.kept != tuple(range(len(traj))):
         raise ValueError("a trajectory dump needs every step; this trajectory kept "
@@ -81,7 +82,7 @@ def dump_trajectory(traj: Trajectory, initial: MadelungState, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     xs = [_fmt(x) for x in traj.grid.x.tolist()]
-    theta = initial.phase.values / hbar
+    theta = np.zeros(traj.grid.n)
     for k, psi in zip(traj.kept, traj.psis):
         density = traj.density(k)
         theta = phase_on_support(psi, density, theta)

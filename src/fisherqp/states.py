@@ -1,4 +1,4 @@
-"""Probability densities, Madelung states, and physical constants.
+"""Probability densities and physical constants.
 
 Conventions fixed here and used everywhere else:
 
@@ -8,8 +8,9 @@ Conventions fixed here and used everywhere else:
 * The endpoint-decay (truncation) check stands in for compact support:
   endpoint values must stay below ``1e-12 * max(P)`` unless the caller
   disables the check explicitly.
-* The phase S of a Madelung state is defined up to a global constant.
-  Nothing reads S off a wavefunction except the trajectory dump
+* The phase S of a Madelung state psi = sqrt(P) exp(i S / hbar) is
+  defined up to a global constant; the Schroedinger flow carries psi
+  itself.  Nothing reads S off a wavefunction except the trajectory dump
   (``serialization.phase_on_support``): the dynamical residuals use the
   phase-free forms S' = hbar Im(psi* psi')/|psi|^2 and the pointwise
   step-to-step turn of arg psi (``propagator``).
@@ -226,25 +227,3 @@ def density_from_heat(
     """
     density, z = gibbs_density(heat, alpha_th, truncation_check)
     return density, 1.0 / z
-
-
-@dataclass(frozen=True)
-class MadelungState:
-    """Amplitude/phase representation psi = sqrt(P) * exp(i S / hbar)."""
-
-    density: Density
-    phase: ScalarField
-    constants: PhysicalConstants
-
-    def __post_init__(self):
-        if self.phase.grid != self.density.grid:
-            raise ValueError("phase and density must share a grid")
-
-    @property
-    def grid(self) -> Grid:
-        return self.density.grid
-
-    def wavefunction(self) -> np.ndarray:
-        return np.sqrt(self.density.values) * np.exp(
-            1j * self.phase.values / self.constants.hbar
-        )

@@ -40,7 +40,7 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den != 0.0 else math.inf
 
 
-def _thermal_fisher_checks(density, hf, constants, fi) -> Iterator[IdentityCheck]:
+def _thermal_fisher_checks(density, heat, constants, fi) -> Iterator[IdentityCheck]:
     """The route-B thermal Fisher check against ``fi`` and the route-A/B flag.
 
     Route B, beta^2 integral P (grad Q)^2 with grad Q through the coupled
@@ -49,13 +49,13 @@ def _thermal_fisher_checks(density, hf, constants, fi) -> Iterator[IdentityCheck
     not: the two formal expressions disagree by more than a sign on
     static coupled pairs, so their ratio is flagged, not asserted.
     """
-    require_coupling(density, hf, constants)
+    require_coupling(density, heat, constants)
     p = density.values
     mask = density.support_mask
     dx = density.grid.dx
     grad_q = coupled_grad_heat(density, constants)
     route_b = constants.beta**2 * quadrature_values(np.where(mask, p * grad_q**2, 0.0), dx)
-    lap_q = second_derivative_values(hf.Q_heat.values, dx)
+    lap_q = second_derivative_values(heat.values, dx)
     route_a = -2.0 * constants.alpha_th * quadrature_values(np.where(mask, p * lap_q, 0.0),
                                                             dx)
     yield make_check("thermal-fisher-route-b", route_b, fi)
@@ -122,13 +122,14 @@ def identities_suite(density, constants, gibbs) -> Suite:
                          gamma**2 * quadrature_values(np.where(mask, p * e1**2, 0.0), dx))
 
 
-def evolve_suite(state, potential, dt, steps, index, dump) -> Suite:
-    """evolve: the dynamical residuals at the interior step ``index``;
-    only the centered window around it is kept unless ``dump``."""
+def evolve_suite(psi0, potential, constants, dt, steps, index, dump) -> Suite:
+    """evolve: the dynamical residuals at the interior step ``index`` of
+    the flow from ``psi0``; only the centered window around it is kept
+    unless ``dump``."""
     keep = None if dump else (index - 1, index, index + 1)
-    traj = evolve(state, potential, dt, steps, keep)
+    traj = evolve(psi0, potential, constants, dt, steps, keep)
     if dump:
-        yield "trajectory", partial(dump_trajectory, traj, state)
+        yield "trajectory", partial(dump_trajectory, traj)
     yield make_residual_check("continuity", continuity_residual(traj, index))
     yield make_residual_check("modified-hj", hj_residual(traj, index))
     lhs, rhs = entropy_rate_check(traj, index)
@@ -205,19 +206,18 @@ def sweep_suite(constraint, lambdas) -> Suite:
     )
 
 
-def thermal_suite(hf, density, t_final, dt) -> Suite:
-    """thermal: the heat field ``hf`` and its coupled ``density``.  The
+def thermal_suite(heat, density, constants, t_final, dt) -> Suite:
+    """thermal: the heat field ``heat`` and its coupled ``density``.  The
     five coherence checks between the thermal and probabilistic pictures
     and the thermalized quantum potential read a lockstep Fick and heat
     flow to ``t_final`` in steps of ``dt``; when ``t_final`` is None
     nothing steps and the vanishing-Q family is checked instead."""
-    constants = hf.constants
-    dx = hf.grid.dx
+    dx = heat.grid.dx
     if t_final is None:
         # non-decaying density: static checks only
-        res = vanishing_qp_residual(hf)
+        res = vanishing_qp_residual(heat, constants)
         lap_scale = float(np.max(np.abs(
-            second_derivative_values(hf.Q_heat.values, dx)
+            second_derivative_values(heat.values, dx)
         ))) + 1e-300
         yield make_residual_check("vanishing-qp-family",
                                   float(np.max(np.abs(res.values[2:-2]))) / lap_scale)
@@ -231,14 +231,14 @@ def thermal_suite(hf, density, t_final, dt) -> Suite:
         mid = (steps + 1) // 2
         # ratio law P(t)/P(0) = exp(-beta DeltaQ): Fick for P against the
         # heat equation for Q
-        dev, heat = coupled_run(density, hf, constants, t_final, dt,
+        dev, kept = coupled_run(density, heat, constants, t_final, dt,
                                 keep=(mid - 1, mid, mid + 1))
         yield make_residual_check("ratio-law-evolution", dev)
 
         # DeltaQ = 2 omega Delta(deltaS), a definition-chain identity
-        ds0 = delta_s_from_heat(hf).values
-        ds1 = delta_s_from_heat(heat[steps]).values
-        delta_q = heat[steps].Q_heat.values - hf.Q_heat.values
+        ds0 = delta_s_from_heat(heat, constants).values
+        ds1 = delta_s_from_heat(kept[steps], constants).values
+        delta_q = kept[steps].values - heat.values
         dev = float(np.max(np.abs(delta_q - 2.0 * constants.omega * (ds1 - ds0))))
         scale = float(np.max(np.abs(delta_q))) + 1e-300
         yield make_residual_check("heat-action-link", dev / scale)
@@ -248,7 +248,7 @@ def thermal_suite(hf, density, t_final, dt) -> Suite:
         delta_p = momentum_fluctuation(density, constants)
         dev_s = weighted_max_dev(derivative_values(ds0, dx), delta_p, density)
         grad_log = density.grad_log()
-        grad_q = derivative_values(hf.Q_heat.values, dx)
+        grad_q = derivative_values(heat.values, dx)
         dev_q = weighted_max_dev(grad_log, np.where(mask, -beta * grad_q, 0.0), density)
         scale = float(np.max(np.abs(delta_p))) + 1e-300
         yield make_residual_check("fluctuation-chain", max(dev_s, dev_q) / scale)
@@ -264,14 +264,14 @@ def thermal_suite(hf, density, t_final, dt) -> Suite:
 
         # log P affine in -beta Q with unit slope
         density.support_indices(2, "gibbs-form-slope")
-        slope = float(np.polyfit(-beta * hf.Q_heat.values[mask], np.log(p[mask]), 1)[0])
+        slope = float(np.polyfit(-beta * heat.values[mask], np.log(p[mask]), 1)[0])
         yield make_residual_check("gibbs-form-slope", abs(slope - 1.0))
 
-        thq = thermalized_qp(heat[mid - 1], heat[mid], heat[mid + 1], dt)
+        thq = thermalized_qp(kept[mid - 1], kept[mid], kept[mid + 1], dt, constants)
         qt_scale = (
             constants.hbar**2 / (4.0 * constants.mass)
             * float(np.max(np.abs(second_derivative_values(
-                heat[mid].q_tilde().values, dx
+                constants.alpha_th * kept[mid].values, dx
             ))))
         )
         # weight by the coupled density: the held walls grow a diffusive
@@ -281,4 +281,4 @@ def thermal_suite(hf, density, t_final, dt) -> Suite:
             "thermalized-qp-vanishes",
             float(np.max(weight[2:-2] * np.abs(thq.values[2:-2]))) / (qt_scale + 1e-300),
         )
-    yield from _thermal_fisher_checks(density, hf, constants, fisher_information(density))
+    yield from _thermal_fisher_checks(density, heat, constants, fisher_information(density))

@@ -13,6 +13,9 @@ Conventions
   under thermal equality hbar*omega = k*T this is the Gibbs form with
   beta = 1/kT.  ``heat_from_density`` pins the gauge Q_heat = 0 at the
   support center.
+* A heat field is a bare ``ScalarField`` in energy units, read with the
+  run's one ``PhysicalConstants``; Q_tilde = alpha_th * Q_heat is formed
+  where it is used.
 * Where an identity is exact algebra under the coupling (thermal Fisher
   route B, the kinetic-excess identity), the heat-field gradient is
   evaluated through the coupled density, grad(Q) = -(1/alpha) grad(P)/P,
@@ -34,7 +37,8 @@ Conventions
   on every step; the heat guard takes its scales from the full curvature
   of the initial field and then reads only the curvature at the two
   first interior points.
-* ``coupled_run`` steps Fick and heat in lockstep and reduces the
+* ``coupled_run`` steps Fick and heat in lockstep, both at the
+  diffusivity D = hbar/2m of the constants, and reduces the
   coupling deviation on the raw arrays, through the array-level cores
   that ``density_from_samples`` and ``coupling_deviation`` call
   (``states.normalize_samples``, ``_coupling_deviation``): no per-step
@@ -45,7 +49,6 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -53,7 +56,6 @@ import numpy as np
 from .errors import BoundaryContact, DecoupledInputs, NonFinite
 from .functionals import weighted_sup
 from .grid import (
-    Grid,
     ScalarField,
     crank_nicolson_flow,
     derivative_values,
@@ -67,26 +69,7 @@ FICK_BOUNDARY_THRESHOLD = 1e-10  # relative density at first interior points
 COUPLING_TOL = 1e-6              # allowed weighted deviation of P from c*exp(-aQ)
 
 
-@dataclass(frozen=True)
-class HeatField:
-    """Heat field Q_heat (energy units) with its constants.
-
-    The dimensionless variant Q_tilde = alpha_th * Q_heat is derived on
-    demand rather than stored.
-    """
-
-    Q_heat: ScalarField
-    constants: PhysicalConstants
-
-    @property
-    def grid(self) -> Grid:
-        return self.Q_heat.grid
-
-    def q_tilde(self) -> ScalarField:
-        return ScalarField(self.grid, self.constants.alpha_th * self.Q_heat.values)
-
-
-def heat_from_density(density: Density, constants: PhysicalConstants) -> HeatField:
+def heat_from_density(density: Density, constants: PhysicalConstants) -> ScalarField:
     """Invert the coupling: Q_heat = -(1/alpha_th) log(P/c_hat).
 
     The gauge is pinned by Q_heat = 0 at the support center.  Off the
@@ -114,12 +97,12 @@ def heat_from_density(density: Density, constants: PhysicalConstants) -> HeatFie
                    for i in (idx[0], idx[-1]))
     q[: idx[0]] = q[idx[0]] + min(slopes[0], -left) * (x[: idx[0]] - x[idx[0]])
     q[idx[-1] + 1 :] = q[idx[-1]] + max(slopes[-1], right) * (x[idx[-1] + 1 :] - x[idx[-1]])
-    return HeatField(ScalarField(density.grid, q), constants)
+    return ScalarField(density.grid, q)
 
 
-def delta_s_from_heat(hf: HeatField) -> ScalarField:
+def delta_s_from_heat(q: ScalarField, constants: PhysicalConstants) -> ScalarField:
     """Action fluctuation delta_S = Q_heat / (2 omega)."""
-    return ScalarField(hf.grid, hf.Q_heat.values / (2.0 * hf.constants.omega))
+    return ScalarField(q.grid, q.values / (2.0 * constants.omega))
 
 
 def coupled_grad_heat(density: Density, constants: PhysicalConstants) -> np.ndarray:
@@ -129,13 +112,13 @@ def coupled_grad_heat(density: Density, constants: PhysicalConstants) -> np.ndar
 
 
 def coupling_deviation(
-    density: Density, hf: HeatField, constants: PhysicalConstants
+    density: Density, q: ScalarField, constants: PhysicalConstants
 ) -> float:
     """Weighted max deviation of P from c_hat * exp(-alpha_th Q_heat)."""
     p = density.values
     return _coupling_deviation(
-        p, float(np.max(p)), density.support_mask, hf.Q_heat.values,
-        constants.alpha_th, hf.grid.dx, np.empty(len(p)), np.empty(len(p)),
+        p, float(np.max(p)), density.support_mask, q.values,
+        constants.alpha_th, q.grid.dx, np.empty(len(p)), np.empty(len(p)),
     )
 
 
@@ -144,7 +127,7 @@ def _coupling_deviation(
     dx: float, w: np.ndarray, work: np.ndarray,
 ) -> float:
     """``coupling_deviation`` on raw arrays, with ``w`` and ``work`` as
-    scratch; a non-finite q raises the NonFinite a HeatField would."""
+    scratch; a non-finite q raises the NonFinite a ScalarField would."""
     qmin = q.min()
     if not (math.isfinite(qmin) and math.isfinite(q.max())):
         raise NonFinite("field values must be finite")
@@ -159,9 +142,9 @@ def _coupling_deviation(
 
 
 def require_coupling(
-    density: Density, hf: HeatField, constants: PhysicalConstants
+    density: Density, q: ScalarField, constants: PhysicalConstants
 ) -> None:
-    dev = coupling_deviation(density, hf, constants)
+    dev = coupling_deviation(density, q, constants)
     if dev > COUPLING_TOL:
         raise DecoupledInputs(
             f"density/heat pair violates P = c*exp(-alpha*Q) by {dev:.3e}"
@@ -241,7 +224,7 @@ def _diffuse(values: np.ndarray, dx: float, D: float, steps: int, dt: float,
 # ---------------------------------------------------------------------------
 
 
-def vanishing_qp_residual(hf: HeatField) -> ScalarField:
+def vanishing_qp_residual(q: ScalarField, constants: PhysicalConstants) -> ScalarField:
     """Residual field of the vanishing-quantum-potential condition
 
         d2Q/dx2 + (1/(2 hbar omega)) (dQ/dx)^2.
@@ -249,17 +232,15 @@ def vanishing_qp_residual(hf: HeatField) -> ScalarField:
     Zero (to stencil error) exactly on the family
     Q = 2 hbar omega log(a + b x).
     """
-    c = hf.constants
-    q = hf.Q_heat.values
-    dx = hf.grid.dx
-    lap = second_derivative_values(q, dx)
-    grad = derivative_values(q, dx)
-    res = lap + grad**2 / (2.0 * c.hbar * c.omega)
-    return ScalarField(hf.grid, res)
+    dx = q.grid.dx
+    lap = second_derivative_values(q.values, dx)
+    grad = derivative_values(q.values, dx)
+    res = lap + grad**2 / (2.0 * constants.hbar * constants.omega)
+    return ScalarField(q.grid, res)
 
 
-def thermalized_qp(before: HeatField, now: HeatField, after: HeatField,
-                   dt: float) -> ScalarField:
+def thermalized_qp(before: ScalarField, now: ScalarField, after: ScalarField,
+                   dt: float, constants: PhysicalConstants) -> ScalarField:
     """Quantum potential expressed through heat flow at the step ``now``,
     with ``before`` and ``after`` the fields one step ``dt`` either side:
 
@@ -269,9 +250,9 @@ def thermalized_qp(before: HeatField, now: HeatField, after: HeatField,
     zero up to discretization error: a freely dissipating heat flow
     carries no quantum potential.
     """
-    dqt_dt = (after.q_tilde().values - before.q_tilde().values) / (2.0 * dt)
-    c = now.constants
-    lap = second_derivative_values(now.q_tilde().values, now.grid.dx)
+    c = constants
+    dqt_dt = (c.alpha_th * after.values - c.alpha_th * before.values) / (2.0 * dt)
+    lap = second_derivative_values(c.alpha_th * now.values, now.grid.dx)
     out = (c.hbar**2 / (4.0 * c.mass)) * (lap - dqt_dt / c.diffusivity)
     return ScalarField(now.grid, out)
 
@@ -282,16 +263,15 @@ def thermalized_qp(before: HeatField, now: HeatField, after: HeatField,
 
 
 def coupled_run(
-    density0: Density, hf0: HeatField, constants: PhysicalConstants,
+    density0: Density, q0: ScalarField, constants: PhysicalConstants,
     t_final: float, dt: float, keep: Iterable[int] = (),
-) -> tuple[float, dict[int, HeatField]]:
-    """Step P by Fick and Q by the heat equation in lockstep.
+) -> tuple[float, dict[int, ScalarField]]:
+    """Step P by Fick and Q by the heat equation in lockstep, both at the
+    diffusivity of ``constants``.
 
     Returns the worst weighted deviation of P(t) from
     c_hat(t) exp(-alpha Q(t)) over every step, and the heat field at each
-    of the ``keep`` steps plus the last one, by step.  The Fick flow has
-    the diffusivity of ``constants``, the heat flow that of
-    ``hf0.constants``.
+    of the ``keep`` steps plus the last one, by step.
 
     Each step reduces on the raw arrays through the cores of
     ``density_from_samples`` and ``coupling_deviation``, so it raises what
@@ -299,11 +279,11 @@ def coupled_run(
     """
     steps = step_count(t_final, dt)
     keep_set = steps_to_keep(keep, steps) | {steps}
-    grid = hf0.grid
+    grid = q0.grid
     dx = grid.dx
-    q0 = hf0.Q_heat.values
-    fick = _diffuse(density0.values, dx, constants.diffusivity, steps, dt, _fick_guard)
-    flow = _diffuse(q0, dx, hf0.constants.diffusivity, steps, dt, _heat_guard(q0, dx))
+    D = constants.diffusivity
+    fick = _diffuse(density0.values, dx, D, steps, dt, _fick_guard)
+    flow = _diffuse(q0.values, dx, D, steps, dt, _heat_guard(q0.values, dx))
     p, w, work = np.empty(grid.n), np.empty(grid.n), np.empty(grid.n)
     support = np.empty(grid.n, dtype=bool)
     worst = 0.0
@@ -314,5 +294,5 @@ def coupled_run(
         dev = _coupling_deviation(p, peak, support, q, constants.alpha_th, dx, w, work)
         worst = max(worst, dev)
         if k in keep_set:
-            heat[k] = HeatField(ScalarField(grid, q), hf0.constants)
+            heat[k] = ScalarField(grid, q)
     return worst, heat

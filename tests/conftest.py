@@ -23,6 +23,12 @@ def gaussian_density(grid, sigma=1.0, center=0.0, truncation_check=True):
     return density_from_samples(raw, truncation_check)
 
 
+def madelung_psi(density, phase=0.0, hbar=1.0):
+    """psi = sqrt(P) exp(i S / hbar) of a density and a phase S (an array
+    on the density's grid, or a constant): the start ``evolve`` takes."""
+    return np.sqrt(density.values) * np.exp(1j * np.asarray(phase) / hbar)
+
+
 def mixture_density(grid, rng, n_components=None):
     """Random Gaussian mixture that decays below the support floor at the
     walls of [-8, 8] and keeps the inter-component dips well above it."""

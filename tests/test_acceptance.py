@@ -13,7 +13,6 @@ from scipy.linalg import eigh_tridiagonal
 from fisherqp import (
     ConstraintSpec,
     Grid,
-    MadelungState,
     PhysicalConstants,
     QPForm,
     continuity_residual,
@@ -40,9 +39,10 @@ from fisherqp import (
 from fisherqp.functionals import weighted_max_dev
 from fisherqp.grid import ScalarField, second_derivative_values
 from fisherqp.suites import identities_suite, thermal_suite
-from fisherqp.thermal import HeatField, coupled_run
+from fisherqp.thermal import coupled_run
 
-from conftest import checks_by_name, diffusion_flow, gaussian_density, mixture_density
+from conftest import (checks_by_name, diffusion_flow, gaussian_density, madelung_psi,
+                      mixture_density)
 
 C = PhysicalConstants()
 
@@ -190,8 +190,8 @@ def test_criterion_07_gibbs_formulas():
 
 def _free_gaussian(xmax, n, dtinv, T=1.0):
     g = Grid(-xmax, xmax, n)
-    state = MadelungState(gaussian_density(g), g.zeros(), C)
-    return evolve(state, g.zeros(), 1.0 / dtinv, int(T * dtinv))
+    return evolve(madelung_psi(gaussian_density(g)), g.zeros(), C, 1.0 / dtinv,
+                  int(T * dtinv))
 
 
 def _stationary(n=4097):
@@ -204,8 +204,7 @@ def _stationary(n=4097):
     psi[1:-1] = np.abs(vecs[:, 0])
     psi /= np.sqrt(np.trapezoid(psi**2, dx=g.dx))
     d = density_from_samples(ScalarField(g, psi**2), truncation_check=False)
-    state = MadelungState(d, g.zeros(), C)
-    return evolve(state, ScalarField(g, V), 1.0 / 1024, 64)
+    return evolve(madelung_psi(d), ScalarField(g, V), C, 1.0 / 1024, 64)
 
 
 def test_criterion_08_dynamics():
@@ -231,8 +230,8 @@ def test_criterion_08_dynamics():
     def coherent_hj(n, dtinv):
         g = Grid(-10.0, 10.0, n)
         d = density_from_samples(g.from_function(lambda x: np.exp(-((x - 1) ** 2))))
-        t = evolve(MadelungState(d, g.zeros(), C),
-                   g.from_function(lambda x: 0.5 * x**2), 1.0 / dtinv, dtinv)
+        t = evolve(madelung_psi(d), g.from_function(lambda x: 0.5 * x**2), C,
+                   1.0 / dtinv, dtinv)
         return hj_residual(t, dtinv // 2)
 
     ratio_hj = coherent_hj(5121, 1024) / coherent_hj(10241, 2048)
@@ -277,27 +276,27 @@ def test_criterion_10_thermal_suite():
 
     g16 = Grid(-16.0, 16.0, 8193)
     wide = gaussian_density(g16, sigma=2.0)
-    hf = heat_from_density(wide, C)
-    _, short = coupled_run(wide, hf, C, 0.004, 1e-3, keep=(1, 2, 3))
-    thq = thermalized_qp(short[1], short[2], short[3], 1e-3)
+    heat = heat_from_density(wide, C)
+    _, short = coupled_run(wide, heat, C, 0.004, 1e-3, keep=(1, 2, 3))
+    thq = thermalized_qp(short[1], short[2], short[3], 1e-3, C)
     scale = 0.25 * np.max(np.abs(
-        second_derivative_values(short[2].q_tilde().values, g16.dx)
+        second_derivative_values(C.alpha_th * short[2].values, g16.dx)
     ))
     weight = wide.values / np.max(wide.values)
     thq_ok = np.max(weight[2:-2] * np.abs(thq.values[2:-2])) <= 1e-3 * scale
 
-    # verify-identities pairs ``wide`` with its heat field ``hf``
+    # verify-identities pairs ``wide`` with its heat field ``heat``
     tf = checks_by_name(identities_suite(wide, C, None))["thermal-fisher-route-b"]
     route_b_rel = abs(tf.lhs - tf.rhs) / tf.rhs  # lhs route B, rhs FI
     routeb_ok = route_b_rel <= 1e-8
 
     qv = 2.0 * np.log(4.0 + 0.2 * g12.x)
-    res = vanishing_qp_residual(HeatField(ScalarField(g12, qv), C))
+    res = vanishing_qp_residual(ScalarField(g12, qv), C)
     lap_scale = np.max(np.abs(second_derivative_values(qv, g12.dx)))
     family_ok = np.max(np.abs(res.values[2:-2])) <= 1e-6 * lap_scale
 
-    coupled, _ = density_from_heat(hf.Q_heat, C.alpha_th, truncation_check=False)
-    coherence = list(thermal_suite(hf, coupled, 0.004, 1e-3))
+    coupled, _ = density_from_heat(heat, C.alpha_th, truncation_check=False)
+    coherence = list(thermal_suite(heat, coupled, C, 0.004, 1e-3))
     coherence_ok = all(i.passed for i in coherence)
     ok = fick_ok and heat_ok and thq_ok and routeb_ok and family_ok and coherence_ok
     verdict(10, "thermal-suite", ok,

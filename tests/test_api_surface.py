@@ -4,7 +4,8 @@ demos: an API that only tests call is dead weight.  Every private
 function and class, and every UPPERCASE constant, is read somewhere in
 the package: a helper nothing calls is dead code.  Every field of a
 public dataclass is read in the package or the demos: a field only its
-constructor sets is dead data."""
+constructor sets is dead data.  Every module-level import of the
+package, the demos and the tests is read in the file that makes it."""
 
 import ast
 from pathlib import Path
@@ -13,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "fisherqp").glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -91,6 +93,27 @@ def test_every_private_definition_and_constant_is_read_in_the_package():
     )
     assert not unused, f"no module of the package reads {', '.join(unused)}"
 
+
+def _imported_names(tree: ast.Module):
+    """(line, name) of every name a module-level import binds; a
+    ``__future__`` import binds none."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((node.lineno, a.asname or a.name) for a in node.names)
+        elif isinstance(node, ast.Import):
+            yield from ((node.lineno, a.asname or a.name.split(".")[0]) for a in node.names)
+
+
+def test_every_module_level_import_is_read():
+    # ``__init__`` imports are its exports; everywhere else an import
+    # nothing reads (annotations included) is a leftover
+    unread = []
+    for path, tree in _parse(MODULES + DEMOS + TESTS).items():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.relative_to(ROOT)}:{line} {name}"
+                   for line, name in _imported_names(tree) if name not in read]
+    assert not unread, f"imported and never read: {', '.join(unread)}"
 
 
 LOWER = ("grid", "states", "functionals", "propagator", "extremizers", "legendre",

@@ -31,6 +31,7 @@ def read_report(out_dir):
 
 
 GRID = {"xmin": -8.0, "xmax": 8.0, "n": 4097}
+SMALL_GRID = {"xmin": -8.0, "xmax": 8.0, "n": 257}
 
 
 def test_verify_identities_pass(tmp_path):
@@ -638,11 +639,23 @@ def test_flat_topped_density_reports_every_check(tmp_path, width):
     ("verify-identities", {"grid": {**GRID, "xmin": "-8"}, "density": {"kind": "gaussian"}}),
     ("maxent", {"grid": GRID, "constraint": {"kind": "monomial", "coeff": "1"},
                 "target": 1.0}),
+    # array inputs of strings or bools
+    ("verify-identities", {"grid": SMALL_GRID, "density": {"kind": "samples",
+                                                           "values": ["1.0"] * 257}}),
+    ("thermal", {"grid": SMALL_GRID, "heat": {"kind": "values", "values": [True] * 257}}),
+    ("maxent", {"grid": SMALL_GRID, "constraint": {"kind": "tabulated", "data": [True] * 257},
+                "target": 1.0}),
+    ("evolve", {**SMALL_EVOLVE, "potential": {"kind": "values", "values": ["0"] * 257}}),
+    # a phase hbar*k*x beyond the float range, formed without a numpy warning
+    ("evolve", {**SMALL_EVOLVE, "initial": {"kind": "gaussian", "momentum": 1e308}}),
+    ("evolve", {**SMALL_EVOLVE, "initial": {"kind": "gaussian", "momentum": 1e308},
+                "constants": {"hbar": 0.1}}),
 ], ids=["density", "mixture-component", "sweep-constraint", "thermal-heat", "evolve-potential",
         "evolve-dump-str", "evolve-dump-int", "evolve-dump-null", "sigma-overflows",
         "hbar-overflows", "thermal-dt-overflows", "evolve-dt-str", "evolve-momentum-bool",
         "thermal-coeff-bool", "thermal-a-str", "hbar-str", "sigma-bool", "grid-xmin-str",
-        "maxent-coeff-str"])
+        "maxent-coeff-str", "samples-str", "thermal-values-bool", "tabulated-bool",
+        "evolve-potential-str", "evolve-momentum-overflows", "evolve-momentum-over-hbar"])
 def test_nested_wrong_type_exits_2(tmp_path, capsys, command, payload):
     inp = write_json(tmp_path / "in.json", payload)
     out = tmp_path / "out"
@@ -665,12 +678,17 @@ def _refuse(*args, **kwargs):
     ("thermal", {"grid": GRID, "heat": {"kind": "quadratic", "coeff": 0.125},
                  "constants": {"omega": 3.0}},
      "thermal: the coherence checks assume hbar*omega = k*T"),
-], ids=["evolve-check-index", "sweep-duplicate-lambda", "thermal-not-at-equality"])
+    ("thermal", {"grid": {"xmin": -8.0, "xmax": 8.0, "n": 1025},
+                 "heat": {"kind": "log-affine", "a": 4, "b": 0.2},
+                 "constants": {"hbar": 0.7, "mass": 1.9}},
+     "thermal: the coherence checks assume hbar*omega = k*T"),
+], ids=["evolve-check-index", "sweep-duplicate-lambda", "thermal-not-at-equality",
+        "thermal-log-affine-not-at-equality"])
 def test_input_errors_are_refused_before_any_work(tmp_path, capsys, monkeypatch, command,
                                                   payload, message):
     monkeypatch.setattr(propagator, "crank_nicolson_flow", _refuse)  # the stepper
-    # the first library call of the sweep and thermal suites
-    for name in ("sweep", "coupled_run"):
+    # the first library call of the sweep suite and of each thermal branch
+    for name in ("sweep", "coupled_run", "vanishing_qp_residual"):
         monkeypatch.setattr(suites, name, _refuse)
     inp = write_json(tmp_path / "in.json", payload)
     out = tmp_path / "out"

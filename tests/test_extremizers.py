@@ -12,10 +12,8 @@ from fisherqp import (
     NonDecaying,
     PhysicalConstants,
     epi_solve,
-    fisher_information,
     gibbs_density,
     maxent_solve,
-    mean_quantum_potential,
     quadrature,
     quantum_potential,
     riccati_check,

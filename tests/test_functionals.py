@@ -3,20 +3,18 @@ import pytest
 
 from fisherqp import (
     Grid,
-    MadelungState,
     PhysicalConstants,
     QPForm,
     density_from_samples,
     differential_entropy,
     fisher_information,
-    gibbs_density,
     mean_quantum_potential,
     momentum_fluctuation,
     osmotic_fields,
     quantum_potential,
 )
 from fisherqp.functionals import masked_quadrature, weighted_max_dev, weighted_sup
-from fisherqp.grid import ScalarField, derivative_values
+from fisherqp.grid import derivative_values
 from fisherqp.suites import identities_suite
 
 from conftest import checks_by_name, gaussian_density, mixture_density
@@ -201,21 +199,18 @@ def test_osmotic_fields_uniform_interior():
     assert np.max(np.abs(k_u.values)) == 0.0
 
 
-def orthogonality_defect(state):
-    """integral(P * S' * delta_p): zero when S' is constant on the support."""
-    delta_p = momentum_fluctuation(state.density, state.constants)
-    grad_s = derivative_values(state.phase.values, state.grid.dx)
-    p = state.density.values * grad_s * delta_p
-    return masked_quadrature(p, state.density.support_mask, state.grid.dx)
+def orthogonality_defect(density, s, constants):
+    """integral(P * S' * delta_p) of the density P and the phase S: zero
+    when S' is constant on the support."""
+    delta_p = momentum_fluctuation(density, constants)
+    grad_s = derivative_values(s, density.grid.dx)
+    p = density.values * grad_s * delta_p
+    return masked_quadrature(p, density.support_mask, density.grid.dx)
 
 
 def test_orthogonality_defect(standard_normal, natural, grid):
-    plane = MadelungState(
-        standard_normal, ScalarField(grid, 1.7 * grid.x), natural
-    )
-    assert abs(orthogonality_defect(plane)) <= 1e-8
-    zero = MadelungState(standard_normal, grid.zeros(), natural)
-    assert orthogonality_defect(zero) == 0.0
-    quad = MadelungState(standard_normal, ScalarField(grid, grid.x**2 / 2), natural)
+    assert abs(orthogonality_defect(standard_normal, 1.7 * grid.x, natural)) <= 1e-8
+    assert orthogonality_defect(standard_normal, np.zeros(grid.n), natural) == 0.0
     # integral(x * P') by parts = -1, so the defect is +hbar/2
-    assert orthogonality_defect(quad) == pytest.approx(0.5, abs=1e-8)
+    assert orthogonality_defect(standard_normal, grid.x**2 / 2, natural) == pytest.approx(
+        0.5, abs=1e-8)

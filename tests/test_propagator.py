@@ -5,7 +5,6 @@ from scipy.linalg import eigh_tridiagonal
 from fisherqp import (
     BoundaryContact,
     Grid,
-    MadelungState,
     PhysicalConstants,
     continuity_residual,
     density_from_samples,
@@ -19,17 +18,17 @@ from fisherqp import (
 )
 from fisherqp.grid import ScalarField
 from fisherqp.serialization import dump_trajectory
-from fisherqp.propagator import phase_rate, propagate_wavefunction
+from fisherqp.propagator import phase_rate
 
-from conftest import cn_backward_error, gaussian_density, reduction_depth
+from conftest import cn_backward_error, gaussian_density, madelung_psi, reduction_depth
 
 C = PhysicalConstants()
 
 
 def free_gaussian_trajectory(xmax=8.0, n=4097, dtinv=1024, T=1.0):
     g = Grid(-xmax, xmax, n)
-    state = MadelungState(gaussian_density(g), g.zeros(), C)
-    return evolve(state, g.zeros(), 1.0 / dtinv, int(T * dtinv))
+    return evolve(madelung_psi(gaussian_density(g)), g.zeros(), C, 1.0 / dtinv,
+                  int(T * dtinv))
 
 
 def discrete_ho_ground_state(g):
@@ -46,13 +45,13 @@ def discrete_ho_ground_state(g):
         psi = -psi
     psi /= np.sqrt(np.trapezoid(psi**2, dx=g.dx))
     d = density_from_samples(ScalarField(g, psi**2), truncation_check=False)
-    return MadelungState(d, g.zeros(), C), ScalarField(g, V)
+    return madelung_psi(d), ScalarField(g, V)
 
 
 def stationary_trajectory(n=4097, dtinv=1024, steps=64):
     g = Grid(-8.0, 8.0, n)
-    state, V = discrete_ho_ground_state(g)
-    return evolve(state, V, 1.0 / dtinv, steps)
+    psi0, V = discrete_ho_ground_state(g)
+    return evolve(psi0, V, C, 1.0 / dtinv, steps)
 
 
 def test_unitarity():
@@ -65,14 +64,12 @@ def test_ho_ground_state_density_invariant():
     g = Grid(-8.0, 8.0, 16385)
     d = density_from_samples(g.from_function(lambda x: np.exp(-(x**2))))
     V = g.from_function(lambda x: 0.5 * x**2)
-    # the wavefunction evolve starts from, stepped in chunks so that no
-    # more than one chunk of states is held at a time
-    psi = np.sqrt(d.values).astype(complex)
-    psi[0] = psi[-1] = 0.0
-    psi /= np.sqrt(np.trapezoid(np.abs(psi) ** 2, dx=g.dx))
+    # stepped in chunks so that no more than one chunk of states is held at
+    # a time, each chunk starting from the last state of the one before
+    psi = madelung_psi(d)
     drift = 0.0
     for _ in range(5 * 1024 // 256):
-        run = propagate_wavefunction(psi, g, V, C, 1.0 / 1024, 256)
+        run = evolve(psi, V, C, 1.0 / 1024, 256)
         for snapshot in run.psis:
             p = density_from_samples(ScalarField(g, np.abs(snapshot) ** 2),
                                      truncation_check=False)
@@ -91,11 +88,11 @@ def test_free_gaussian_dispersion():
 
 def test_potential_shift_is_pure_gauge():
     g = Grid(-10.0, 10.0, 2561)
-    state = MadelungState(gaussian_density(g), g.zeros(), C)
+    psi0 = madelung_psi(gaussian_density(g))
     V = g.from_function(lambda x: 0.5 * x**2)
     Vc = ScalarField(g, V.values + 1.0)
-    t1 = evolve(state, V, 1.0 / 2048, 128)
-    t2 = evolve(state, Vc, 1.0 / 2048, 128)
+    t1 = evolve(psi0, V, C, 1.0 / 2048, 128)
+    t2 = evolve(psi0, Vc, C, 1.0 / 2048, 128)
     dev = max(
         np.max(np.abs(t1.density(k).values - t2.density(k).values)) for k in t1.kept
     )
@@ -105,20 +102,19 @@ def test_potential_shift_is_pure_gauge():
 def test_potential_shift_leaves_hj_residual_unchanged():
     # the phase rate absorbs -c*t, so the residual is gauge-invariant
     g = Grid(-10.0, 10.0, 2561)
-    state = MadelungState(gaussian_density(g), g.zeros(), C)
+    psi0 = madelung_psi(gaussian_density(g))
     V = g.from_function(lambda x: 0.5 * x**2)
     Vc = ScalarField(g, V.values + 1.0)
-    r1 = hj_residual(evolve(state, V, 1.0 / 2048, 128), 64)
-    r2 = hj_residual(evolve(state, Vc, 1.0 / 2048, 128), 64)
+    r1 = hj_residual(evolve(psi0, V, C, 1.0 / 2048, 128), 64)
+    r2 = hj_residual(evolve(psi0, Vc, C, 1.0 / 2048, 128), 64)
     # both sit at the stationary-state noise floor; the shift adds nothing
     assert abs(r2 - r1) <= 1e-8
 
 
 def test_time_reversal():
     g = Grid(-10.0, 10.0, 2561)
-    state = MadelungState(gaussian_density(g), g.zeros(), C)
-    traj = evolve(state, g.zeros(), 1.0 / 512, 128)
-    back = propagate_wavefunction(traj.psis[-1], g, g.zeros(), C, -1.0 / 512, 128)
+    traj = evolve(madelung_psi(gaussian_density(g)), g.zeros(), C, 1.0 / 512, 128)
+    back = evolve(traj.psis[-1], g.zeros(), C, -1.0 / 512, 128)
     assert np.max(np.abs(back.psis[-1] - traj.psis[0])) <= 1e-8
     for dt in (1.0 / 512, -1.0 / 512):
         ab, _ = cn_system(g, g.zeros(), dt)
@@ -130,16 +126,15 @@ def test_boundary_contact():
     d = density_from_samples(
         g.from_function(lambda x: np.exp(-(x**2))), truncation_check=False
     )
-    state = MadelungState(d, ScalarField(g, 3.0 * g.x), C)  # momentum 3
+    psi0 = madelung_psi(d, 3.0 * g.x)  # momentum 3
     with pytest.raises(BoundaryContact):
-        evolve(state, g.zeros(), 1.0 / 512, 512)
+        evolve(psi0, g.zeros(), C, 1.0 / 512, 512)
 
 
 def test_energy_conservation_1000_steps():
     g = Grid(-10.0, 10.0, 2049)
-    state = MadelungState(gaussian_density(g), g.zeros(), C)
     V = g.from_function(lambda x: 0.5 * x**2)
-    traj = evolve(state, V, 1.0 / 1024, 1000)
+    traj = evolve(madelung_psi(gaussian_density(g)), V, C, 1.0 / 1024, 1000)
     e0 = energy_expectation(traj, 0)
     drift = max(
         abs(energy_expectation(traj, k) - e0) for k in (250, 500, 750, 1000)
@@ -177,9 +172,8 @@ def test_hj_convergence_on_coherent_state():
     def run(n, dtinv):
         g = Grid(-10.0, 10.0, n)
         d = density_from_samples(g.from_function(lambda x: np.exp(-((x - 1) ** 2))))
-        state = MadelungState(d, g.zeros(), C)
         V = g.from_function(lambda x: 0.5 * x**2)
-        traj = evolve(state, V, 1.0 / dtinv, dtinv)  # one time unit
+        traj = evolve(madelung_psi(d), V, C, 1.0 / dtinv, dtinv)  # one time unit
         return hj_residual(traj, dtinv // 2)
 
     assert run(5121, 1024) / run(10241, 2048) >= 3.5
@@ -242,11 +236,11 @@ def cn_system(g, V, dt):
     return ab, explicit
 
 
-def chained_phases(initial, traj):
+def chained_phases(traj):
     """S of every step aligned against the whole previous phase field at
-    the density peak, step by step: the alignment a trajectory dump must
-    reproduce."""
-    previous = initial.phase.values
+    the density peak, step by step from 0 before step 0: the alignment a
+    trajectory dump must reproduce."""
+    previous = np.zeros(traj.grid.n)
     out = []
     for k, psi in zip(traj.kept, traj.psis):
         density = traj.density(k)
@@ -265,9 +259,9 @@ def chained_phases(initial, traj):
     return out
 
 
-def dumped_phases(tmp_path, initial, traj):
+def dumped_phases(tmp_path, traj):
     """The S column of every step file of the trajectory dump."""
-    out = dump_trajectory(traj, initial, tmp_path / "traj")
+    out = dump_trajectory(traj, tmp_path / "traj")
     return [np.loadtxt(path, delimiter=",", skiprows=1, usecols=2)
             for path in sorted(out.glob("step_*.csv"))]
 
@@ -276,9 +270,8 @@ def test_factored_stepper_matches_solve_banded():
     # every step solves the reference Crank-Nicolson system to a normwise
     # backward error of at most 4 eps
     g = Grid(-10.0, 10.0, 2561)
-    state = MadelungState(gaussian_density(g), ScalarField(g, 1.5 * g.x), C)
     V = g.from_function(lambda x: 0.5 * x**2)
-    run = propagate_wavefunction(state.wavefunction(), g, V, C, 1.0 / 512, 64)
+    run = evolve(madelung_psi(gaussian_density(g), 1.5 * g.x), V, C, 1.0 / 512, 64)
     ab, explicit = cn_system(g, V, 1.0 / 512)
     assert reduction_depth(ab[1], ab[0, 1:]) == 2
     assert run.kept == tuple(range(65))
@@ -291,14 +284,14 @@ def past_phase_wrap():
     """The discrete trap ground state, whose stationary phase -E0 t passes
     -pi at t = 2 pi, long before step 450 of 512 steps of 1/64."""
     g = Grid(-8.0, 8.0, 1025)
-    state, V = discrete_ho_ground_state(g)
-    return state, V, 1.0 / 64, 512, 450
+    psi0, V = discrete_ho_ground_state(g)
+    return psi0, V, 1.0 / 64, 512, 450
 
 
 def test_windowed_evolve_matches_full_past_phase_wrap():
-    state, V, dt, steps, mid = past_phase_wrap()
-    full = evolve(state, V, dt, steps)
-    window = evolve(state, V, dt, steps, keep=(mid - 1, mid, mid + 1))
+    psi0, V, dt, steps, mid = past_phase_wrap()
+    full = evolve(psi0, V, C, dt, steps)
+    window = evolve(psi0, V, C, dt, steps, keep=(mid - 1, mid, mid + 1))
     assert window.kept == (mid - 1, mid, mid + 1)
     assert len(window) == len(full) == steps + 1
     assert np.array_equal(window.norms, full.norms)
@@ -310,10 +303,10 @@ def test_windowed_evolve_matches_full_past_phase_wrap():
 
 
 def test_dump_aligns_the_phase_past_a_wrap(tmp_path):
-    state, V, dt, steps, mid = past_phase_wrap()
-    full = evolve(state, V, dt, steps)
-    dumped = dumped_phases(tmp_path, state, full)
-    assert all(np.array_equal(s, r) for s, r in zip(dumped, chained_phases(state, full)))
+    psi0, V, dt, steps, mid = past_phase_wrap()
+    full = evolve(psi0, V, C, dt, steps)
+    dumped = dumped_phases(tmp_path, full)
+    assert all(np.array_equal(s, r) for s, r in zip(dumped, chained_phases(full)))
     assert dumped[mid][full.grid.n // 2] < -np.pi  # 2 pi offset carried
 
 
@@ -322,20 +315,32 @@ def test_dump_follows_a_moving_peak(tmp_path):
     # between its first and last position is 8 rad; the offset V = 20
     # turns the peak phase (8 - 20) t past -pi by t = 0.26
     g = Grid(-10.0, 10.0, 2561)
-    state = MadelungState(gaussian_density(g), ScalarField(g, 4.0 * g.x), C)
     V = ScalarField(g, np.full(g.n, 20.0))
-    full = evolve(state, V, 1.0 / 512, 256)
-    dumped = dumped_phases(tmp_path, state, full)
+    full = evolve(madelung_psi(gaussian_density(g), 4.0 * g.x), V, C, 1.0 / 512, 256)
+    dumped = dumped_phases(tmp_path, full)
     assert len(dumped) == 257
-    assert all(np.array_equal(s, r) for s, r in zip(dumped, chained_phases(state, full)))
+    assert all(np.array_equal(s, r) for s, r in zip(dumped, chained_phases(full)))
+
+
+def test_dump_anchors_step_0_at_the_density_peak(tmp_path):
+    # centre 2, momentum 2: the start phase k x reads 4 > pi at the peak,
+    # but the dump anchors step 0 to 0 there, not to the start phase
+    g = Grid(-10.0, 10.0, 2561)
+    d = gaussian_density(g, center=2.0)
+    full = evolve(madelung_psi(d, 2.0 * g.x), g.zeros(), C, 1.0 / 512, 64)
+    dumped = dumped_phases(tmp_path, full)
+    peak = int(np.argmax(d.values))
+    assert 2.0 * g.x[peak] > np.pi
+    assert -np.pi * C.hbar < dumped[0][peak] <= np.pi * C.hbar
+    assert all(np.array_equal(s, r) for s, r in zip(dumped, chained_phases(full)))
 
 
 def test_dump_refuses_a_windowed_trajectory(tmp_path):
     g = Grid(-10.0, 10.0, 513)
-    state = MadelungState(gaussian_density(g), g.zeros(), C)
-    window = evolve(state, g.zeros(), 1.0 / 512, 32, keep=(15, 16, 17))
+    window = evolve(madelung_psi(gaussian_density(g)), g.zeros(), C, 1.0 / 512, 32,
+                    keep=(15, 16, 17))
     with pytest.raises(ValueError, match="every step"):
-        dump_trajectory(window, state, tmp_path / "traj")
+        dump_trajectory(window, tmp_path / "traj")
     assert not (tmp_path / "traj").exists()
 
 
@@ -347,33 +352,38 @@ def test_collision_hj_residual():
     x = g.x
     d = density_from_samples(ScalarField(
         g, np.exp(-((x + 8.0) ** 2) / 2) + np.exp(-((x - 8.0) ** 2) / 2)))
-    state = MadelungState(d, ScalarField(g, -3.0 * np.abs(x)), C)
     mid = 1365
-    traj = evolve(state, g.zeros(), 1.0 / 512, mid + 1, keep=(mid - 1, mid, mid + 1))
+    traj = evolve(madelung_psi(d, -3.0 * np.abs(x)), g.zeros(), C, 1.0 / 512, mid + 1,
+                  keep=(mid - 1, mid, mid + 1))
     assert hj_residual(traj, mid) <= 1e-3
 
 
 def test_window_refuses_steps_it_did_not_keep():
     g = Grid(-10.0, 10.0, 513)
-    state = MadelungState(gaussian_density(g), g.zeros(), C)
-    traj = evolve(state, g.zeros(), 1.0 / 512, 32, keep=(15, 16, 17))
+    psi0 = madelung_psi(gaussian_density(g))
+    traj = evolve(psi0, g.zeros(), C, 1.0 / 512, 32, keep=(15, 16, 17))
     assert len(traj.psis) == 3
     with pytest.raises(ValueError, match="not kept"):
         continuity_residual(traj, 20)
     with pytest.raises(ValueError, match="interior"):
         continuity_residual(traj, 32)
     with pytest.raises(ValueError):
-        evolve(state, g.zeros(), 1.0 / 512, 32, keep=(33,))
+        evolve(psi0, g.zeros(), C, 1.0 / 512, 32, keep=(33,))
 
 
 def test_norm_drift_reads_the_raw_norm():
-    # densities are renormalized, the raw psi is not: psi scaled by 1.01
-    # carries 1.01^2 - 1 = 0.0201 at every step
+    # the norm of every step is recorded even when no step is kept
     g = Grid(-10.0, 10.0, 2561)
-    traj = evolve(MadelungState(gaussian_density(g), g.zeros(), C), g.zeros(),
-                  1.0 / 512, 32)
+    psi0 = madelung_psi(gaussian_density(g))
+    traj = evolve(psi0, g.zeros(), C, 1.0 / 512, 32)
     assert norm_drift(traj) <= 1e-12
-    run = propagate_wavefunction(1.01 * traj.psis[0], g, g.zeros(), C, 1.0 / 512, 32,
-                                 keep=())
+    run = evolve(psi0, g.zeros(), C, 1.0 / 512, 32, keep=())
     assert run.psis == [] and len(run.norms) == 33
-    assert norm_drift(run) == pytest.approx(0.0201, rel=1e-9)
+    assert np.array_equal(run.norms, traj.norms)
+
+
+def test_evolve_refuses_a_start_off_the_potential_grid():
+    g = Grid(-8.0, 8.0, 1025)
+    psi0 = madelung_psi(gaussian_density(Grid(-8.0, 8.0, 513)))
+    with pytest.raises(ValueError, match="513 points"):
+        evolve(psi0, g.zeros(), C, 1.0 / 512, 4)

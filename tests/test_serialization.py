@@ -4,14 +4,13 @@ import numpy as np
 
 from fisherqp import (
     Grid,
-    MadelungState,
     PhysicalConstants,
     evolve,
     sweep,
 )
 from fisherqp import serialization as ser
 
-from conftest import gaussian_density
+from conftest import gaussian_density, madelung_psi
 
 C = PhysicalConstants()
 
@@ -31,9 +30,8 @@ def test_field_csv_roundtrip(tmp_path):
 
 def test_trajectory_dump(tmp_path):
     g = Grid(-10.0, 10.0, 513)
-    state = MadelungState(gaussian_density(g), g.zeros(), C)
-    traj = evolve(state, g.zeros(), 1e-3, 8)
-    out = ser.dump_trajectory(traj, state, tmp_path / "traj")
+    traj = evolve(madelung_psi(gaussian_density(g)), g.zeros(), C, 1e-3, 8)
+    out = ser.dump_trajectory(traj, tmp_path / "traj")
     csvs = sorted(out.glob("step_*.csv"))
     assert len(csvs) == 9
     manifest = json.loads((out / "manifest.json").read_text())

@@ -5,7 +5,6 @@ import pytest
 
 from fisherqp import (
     Grid,
-    MadelungState,
     NegativeDensity,
     PhysicalConstants,
     TruncationError,
@@ -19,7 +18,7 @@ from fisherqp.grid import ScalarField, derivative_values
 from fisherqp.serialization import phase_on_support
 from fisherqp.states import normalize_samples
 
-from conftest import gaussian_density
+from conftest import gaussian_density, madelung_psi
 
 
 def test_constants_derived_quantities():
@@ -167,44 +166,37 @@ def test_density_from_heat_matches_gibbs(grid):
 
 
 def madelung_split(re, im, constants):
-    """The Madelung state of psi = re + i im, split as the trajectory dump
-    splits a step, with arg(psi) at the density peak aligned to 0."""
+    """The density P and phase S of psi = re + i im, split as the
+    trajectory dump splits a step, with arg(psi) at the density peak
+    aligned to 0."""
     psi = re.values + 1j * im.values
     density = density_from_samples(ScalarField(re.grid, np.abs(psi) ** 2))
-    s = constants.hbar * phase_on_support(psi, density, np.zeros(len(psi)))
-    return MadelungState(density, ScalarField(re.grid, s), constants)
+    return density, constants.hbar * phase_on_support(psi, density, np.zeros(len(psi)))
 
 
 def test_madelung_construction(grid, natural):
     re = ScalarField(grid, np.exp(-grid.x**2 / 4) * np.cos(grid.x))
     im = ScalarField(grid, np.exp(-grid.x**2 / 4) * np.sin(grid.x))
-    state = madelung_split(re, im, natural)
+    density, s = madelung_split(re, im, natural)
     closed = np.exp(-grid.x**2 / 2) / np.sqrt(2 * np.pi)
-    assert np.max(np.abs(state.density.values - closed)) <= 1e-9
-    mask = state.density.support_mask
+    assert np.max(np.abs(density.values - closed)) <= 1e-9
+    mask = density.support_mask
     # S = hbar * x + const on the support
-    drift = state.phase.values[mask] - grid.x[mask]
+    drift = s[mask] - grid.x[mask]
     assert drift.max() - drift.min() <= 1e-9
 
 
 def test_madelung_real_positive_has_zero_phase(grid, natural):
     re = ScalarField(grid, np.exp(-grid.x**2 / 4))
-    state = madelung_split(re, grid.zeros(), natural)
-    assert np.all(state.phase.values == 0.0)
+    _, s = madelung_split(re, grid.zeros(), natural)
+    assert np.all(s == 0.0)
 
 
 def test_madelung_roundtrip(grid, natural):
     re = ScalarField(grid, np.exp(-grid.x**2 / 4) * np.cos(2 * grid.x))
     im = ScalarField(grid, np.exp(-grid.x**2 / 4) * np.sin(2 * grid.x))
-    state = madelung_split(re, im, natural)
+    density, s = madelung_split(re, im, natural)
     psi_in = re.values + 1j * im.values
     psi_in = psi_in / np.sqrt(quadrature(ScalarField(grid, np.abs(psi_in) ** 2)))
-    mask = state.density.support_mask
-    assert np.max(np.abs(state.wavefunction() - psi_in)[mask]) <= 1e-9
-
-
-def test_state_requires_matching_grids(grid, natural):
-    d = gaussian_density(grid)
-    other = Grid(-8.0, 8.0, 1025)
-    with pytest.raises(ValueError):
-        MadelungState(d, other.zeros(), natural)
+    mask = density.support_mask
+    assert np.max(np.abs(madelung_psi(density, s, natural.hbar) - psi_in)[mask]) <= 1e-9

@@ -8,7 +8,6 @@ from fisherqp import (
     DecoupledInputs,
     DegenerateSupport,
     Grid,
-    HeatField,
     PhysicalConstants,
     delta_s_from_heat,
     density_from_heat,
@@ -40,16 +39,15 @@ def wide_grid():
 
 def test_heat_from_density_gaussian(grid):
     d = gaussian_density(grid)
-    hf = heat_from_density(d, C)
+    heat = heat_from_density(d, C)
     mask = d.support_mask
-    assert np.max(np.abs(hf.Q_heat.values - grid.x**2 / 2)[mask]) <= 1e-10
-    assert hf.Q_heat.values[grid.n // 2] == 0.0  # gauge pin
+    assert np.max(np.abs(heat.values - grid.x**2 / 2)[mask]) <= 1e-10
+    assert heat.values[grid.n // 2] == 0.0  # gauge pin
 
 
 def test_heat_roundtrip(grid):
     d = gaussian_density(grid)
-    hf = heat_from_density(d, C)
-    back, chat = density_from_heat(hf.Q_heat, C.alpha_th)
+    back, chat = density_from_heat(heat_from_density(d, C), C.alpha_th)
     assert np.max(np.abs(back.values - d.values)) <= 1e-9
     assert chat == pytest.approx(1.0 / np.sqrt(2 * np.pi), rel=1e-9)
 
@@ -57,8 +55,7 @@ def test_heat_roundtrip(grid):
 def test_heat_uniform_interior():
     g = Grid(0.0, 1.0, 257)
     d = density_from_samples(g.field(np.ones(g.n)), truncation_check=False)
-    hf = heat_from_density(d, C)
-    assert np.max(np.abs(hf.Q_heat.values)) <= 1e-12
+    assert np.max(np.abs(heat_from_density(d, C).values)) <= 1e-12
 
 
 def test_heat_gradient_coupling_exact(grid):
@@ -70,11 +67,14 @@ def test_heat_gradient_coupling_exact(grid):
     assert np.max(np.abs(d.grad_log() + C.alpha_th * grad_q)) == 0.0
 
 
-def test_q_tilde_is_scaled_field(grid):
-    d = gaussian_density(grid)
+def test_thermalized_qp_reads_the_dimensionless_field(grid):
+    # Q_tilde = alpha_th Q_heat: at alpha_th = 1/2, and the same hbar, mass
+    # and diffusivity, the thermalized quantum potential of the same fields
+    # is half its value at alpha_th = 1
     c2 = PhysicalConstants(omega=2.0, temperature=2.0)
-    hf = heat_from_density(d, c2)
-    assert np.allclose(hf.q_tilde().values, 0.5 * hf.Q_heat.values)
+    before, now, after = (ScalarField(grid, (1.0 + 0.1 * k) * grid.x**2) for k in range(3))
+    assert np.allclose(thermalized_qp(before, now, after, 1e-3, c2).values,
+                       0.5 * thermalized_qp(before, now, after, 1e-3, C).values)
 
 
 # ---------------------------------------------------------------------------
@@ -83,15 +83,13 @@ def test_q_tilde_is_scaled_field(grid):
 
 
 def test_delta_s_scaling(grid):
-    hf = HeatField(ScalarField(grid, grid.x**2), C)
-    ds = delta_s_from_heat(hf)
+    ds = delta_s_from_heat(ScalarField(grid, grid.x**2), C)
     assert np.allclose(ds.values, grid.x**2 / 2)
 
 
 def test_delta_s_gradient_matches_fluctuation(grid):
     d = gaussian_density(grid)
-    hf = heat_from_density(d, C)
-    ds = delta_s_from_heat(hf)
+    ds = delta_s_from_heat(heat_from_density(d, C), C)
     grad_ds = derivative_values(ds.values, grid.dx)
     delta_p = momentum_fluctuation(d, C)
     mask = d.support_mask
@@ -102,9 +100,9 @@ def test_delta_s_gradient_matches_fluctuation(grid):
 
 def test_delta_s_thermal_identity(grid):
     # (2/hbar) deltaS = beta * Q_heat when hbar*omega = k*T
-    hf = HeatField(ScalarField(grid, grid.x**2), C)
-    ds = delta_s_from_heat(hf)
-    assert np.allclose(2.0 / C.hbar * ds.values, C.beta * hf.Q_heat.values)
+    heat = ScalarField(grid, grid.x**2)
+    ds = delta_s_from_heat(heat, C)
+    assert np.allclose(2.0 / C.hbar * ds.values, C.beta * heat.values)
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +207,20 @@ def test_vanishing_qp_log_affine_family():
     g = Grid(-12.0, 12.0, 6145)
     for a, b in [(4.0, 0.2), (6.0, 0.3), (5.0, -0.25)]:
         q = 2.0 * C.hbar * C.omega * np.log(a + b * g.x)
-        res = vanishing_qp_residual(HeatField(ScalarField(g, q), C))
+        res = vanishing_qp_residual(ScalarField(g, q), C)
         scale = np.max(np.abs(second_derivative_values(q, g.dx)))
         assert np.max(np.abs(res.values[2:-2])) <= 1e-6 * scale
 
 
 def test_vanishing_qp_constant_field():
     g = Grid(-12.0, 12.0, 1025)
-    res = vanishing_qp_residual(HeatField(g.field(np.full(g.n, 3.0)), C))
+    res = vanishing_qp_residual(g.field(np.full(g.n, 3.0)), C)
     assert np.max(np.abs(res.values)) == 0.0
 
 
 def test_vanishing_qp_affine_counterexample():
     g = Grid(-12.0, 12.0, 1025)
-    res = vanishing_qp_residual(HeatField(ScalarField(g, 0.7 * g.x), C))
+    res = vanishing_qp_residual(ScalarField(g, 0.7 * g.x), C)
     want = 0.7**2 / (2.0 * C.hbar * C.omega)
     assert np.allclose(res.values[2:-2], want, atol=1e-10)
 
@@ -230,9 +228,9 @@ def test_vanishing_qp_affine_counterexample():
 def test_thermalized_qp_vanishes_on_heat_flow():
     g = wide_grid()
     flow = diffusion_flow(np.exp(-g.x**2 / 2), g.dx, C.diffusivity, 20, 1e-3)
-    before, now, after = (HeatField(ScalarField(g, q), C) for q in flow[9:12])
-    field = thermalized_qp(before, now, after, 1e-3)
-    scale = 0.25 * np.max(np.abs(second_derivative_values(now.q_tilde().values, g.dx)))
+    before, now, after = (ScalarField(g, q) for q in flow[9:12])
+    field = thermalized_qp(before, now, after, 1e-3, C)
+    scale = 0.25 * np.max(np.abs(second_derivative_values(C.alpha_th * now.values, g.dx)))
     assert np.max(np.abs(field.values[2:-2])) <= 1e-3 * scale
 
 
@@ -241,10 +239,10 @@ def test_thermalized_qp_vanishes_on_heat_flow():
 # ---------------------------------------------------------------------------
 
 
-def thermal_fisher_routes(density, hf):
+def thermal_fisher_routes(density, heat, constants):
     """(route B, direct FI, route A) from the static thermal suite's
     route-B check and its route-A/B flag."""
-    checks = checks_by_name(thermal_suite(hf, density, None, 1e-3))
+    checks = checks_by_name(thermal_suite(heat, density, constants, None, 1e-3))
     route_b = checks["thermal-fisher-route-b"]
     return route_b.lhs, route_b.rhs, checks["flag-thermal-route-factor"].lhs
 
@@ -252,8 +250,7 @@ def thermal_fisher_routes(density, hf):
 def test_thermal_fisher_route_b_equals_fisher():
     g = wide_grid()
     d = gaussian_density(g, sigma=2.0)
-    hf = heat_from_density(d, C)
-    route_b, fisher, _ = thermal_fisher_routes(d, hf)
+    route_b, fisher, _ = thermal_fisher_routes(d, heat_from_density(d, C), C)
     assert route_b == pytest.approx(fisher, rel=1e-8)
     assert fisher == pytest.approx(0.25, abs=1e-6)
 
@@ -263,9 +260,9 @@ def test_thermal_fisher_static_routes_disagree():
     # route B = FI = 1; the mismatch is reported, not asserted away
     c = PhysicalConstants(omega=2.0, temperature=2.0)
     g = Grid(-8.0, 8.0, 4097)
-    hf = HeatField(ScalarField(g, g.x**2), c)
-    d, _ = density_from_heat(hf.Q_heat, c.alpha_th)
-    route_b, _, route_a = thermal_fisher_routes(d, hf)
+    heat = ScalarField(g, g.x**2)
+    d, _ = density_from_heat(heat, c.alpha_th)
+    route_b, _, route_a = thermal_fisher_routes(d, heat, c)
     assert route_b == pytest.approx(1.0, abs=1e-6)
     assert route_a == pytest.approx(-2.0, abs=1e-6)
     assert route_a / route_b == pytest.approx(-2.0, abs=1e-5)
@@ -273,16 +270,16 @@ def test_thermal_fisher_static_routes_disagree():
 
 def test_thermal_fisher_uniform_is_zero():
     g = Grid(0.0, 1.0, 513)
-    hf = HeatField(g.field(np.full(g.n, 1.3)), C)
-    d, _ = density_from_heat(hf.Q_heat, C.alpha_th, truncation_check=False)
-    assert thermal_fisher_routes(d, hf)[0] == pytest.approx(0.0, abs=1e-12)
+    heat = g.field(np.full(g.n, 1.3))
+    d, _ = density_from_heat(heat, C.alpha_th, truncation_check=False)
+    assert thermal_fisher_routes(d, heat, C)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_thermal_fisher_rejects_decoupled_inputs(grid):
     d = gaussian_density(grid)
-    hf = HeatField(ScalarField(grid, np.abs(grid.x)), C)  # wrong profile
+    heat = ScalarField(grid, np.abs(grid.x))  # wrong profile
     with pytest.raises(DecoupledInputs):
-        thermal_fisher_routes(d, hf)
+        thermal_fisher_routes(d, heat, C)
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +287,11 @@ def test_thermal_fisher_rejects_decoupled_inputs(grid):
 # ---------------------------------------------------------------------------
 
 
-def thermal_checks(hf, t_final=0.004, dt=1e-3):
-    """Every check of the ``thermal`` suite on ``hf`` and its coupled
-    density, the five coherence checks first."""
-    density, _ = density_from_heat(hf.Q_heat, hf.constants.alpha_th,
-                                   truncation_check=False)
-    return list(thermal_suite(hf, density, t_final, dt))
+def thermal_checks(heat, constants, t_final=0.004, dt=1e-3):
+    """Every check of the ``thermal`` suite on the heat field ``heat`` and
+    its coupled density, the five coherence checks first."""
+    density, _ = density_from_heat(heat, constants.alpha_th, truncation_check=False)
+    return list(thermal_suite(heat, density, constants, t_final, dt))
 
 
 def test_coupled_evolution_short_horizon():
@@ -306,17 +302,14 @@ def test_coupled_evolution_short_horizon():
 
 def test_coupling_deviation_detects_mismatch(grid):
     d = gaussian_density(grid)
-    hf_good = heat_from_density(d, C)
-    assert coupling_deviation(d, hf_good, C) <= 1e-12
-    hf_bad = HeatField(ScalarField(grid, grid.x**2 / 3), C)
-    assert coupling_deviation(d, hf_bad, C) > 1e-2
+    assert coupling_deviation(d, heat_from_density(d, C), C) <= 1e-12
+    assert coupling_deviation(d, ScalarField(grid, grid.x**2 / 3), C) > 1e-2
 
 
 def test_coherence_suite_all_pass():
     g = wide_grid()
     d = gaussian_density(g, sigma=2.0)
-    hf = heat_from_density(d, C)
-    checks = thermal_checks(hf)
+    checks = thermal_checks(heat_from_density(d, C), C)
     assert all(item.passed for item in checks)
     assert [item.name for item in checks[:5]] == [
         "ratio-law-evolution",
@@ -330,8 +323,7 @@ def test_coherence_suite_all_pass():
 def test_coherence_kinetic_excess_closed_form():
     # Q = x^2 with natural constants: both kinetic-excess forms are x^2/2
     g = wide_grid()
-    hf = HeatField(ScalarField(g, g.x**2 / 4), C)
-    checks = thermal_checks(hf)
+    checks = thermal_checks(ScalarField(g, g.x**2 / 4), C)
     assert {c.name: c for c in checks}["kinetic-excess"].lhs <= 1e-10
 
 
@@ -364,10 +356,10 @@ def test_factored_heat_stepper_matches_solve_banded():
     # loses the fold fails
     g = Grid(-12.0, 12.0, 2049)
     d = gaussian_density(g)
-    hf = heat_from_density(d, C)
-    assert min(abs(hf.Q_heat.values[0]), abs(hf.Q_heat.values[-1])) > 10.0
+    q0 = heat_from_density(d, C)
+    assert min(abs(q0.values[0]), abs(q0.values[-1])) > 10.0
     dt, steps = 1e-3, 64
-    _, heat = coupled_run(d, hf, C, steps * dt, dt, keep=range(steps + 1))
+    _, heat = coupled_run(d, q0, C, steps * dt, dt, keep=range(steps + 1))
     c = 0.5 * C.diffusivity * dt / g.dx**2
     ab = np.zeros((3, g.n - 2))
     ab[0, 1:] = -c
@@ -375,7 +367,7 @@ def test_factored_heat_stepper_matches_solve_banded():
     ab[2, :-1] = -c
     assert sorted(heat) == list(range(steps + 1))
     for k in range(steps):
-        u, u_next = heat[k].Q_heat.values, heat[k + 1].Q_heat.values
+        u, u_next = heat[k].values, heat[k + 1].values
         assert (u_next[0], u_next[-1]) == (u[0], u[-1])
         rhs = (1.0 - 2.0 * c) * u[1:-1] + c * (u[2:] + u[:-2])
         rhs[0] += c * u[0]
@@ -383,16 +375,17 @@ def test_factored_heat_stepper_matches_solve_banded():
         assert cn_backward_error(ab, u_next[1:-1], rhs) <= 4 * np.finfo(float).eps
 
 
-def materialized_run(density, hf, constants, steps, dt):
+def materialized_run(density, q0, constants, steps, dt):
     """(worst coupling deviation, heat flow) of the reference flows: the Fick
-    flow of ``density`` with the diffusivity of ``constants`` and the heat
-    flow of ``hf`` with its own, each step materialized as a Density and a
-    HeatField."""
+    flow of ``density`` and the heat flow of ``q0``, both with the
+    diffusivity of ``constants``, each step materialized as a Density and a
+    ScalarField."""
     g = density.grid
-    fick = diffusion_flow(density.values, g.dx, constants.diffusivity, steps, dt)
-    heat = diffusion_flow(hf.Q_heat.values, g.dx, hf.constants.diffusivity, steps, dt)
+    D = constants.diffusivity
+    fick = diffusion_flow(density.values, g.dx, D, steps, dt)
+    heat = diffusion_flow(q0.values, g.dx, D, steps, dt)
     dev = max(coupling_deviation(density_from_samples(g.field(p), truncation_check=False),
-                                 HeatField(g.field(q), hf.constants), constants)
+                                 g.field(q), constants)
               for p, q in zip(fick, heat))
     return dev, heat
 
@@ -404,30 +397,30 @@ def test_coupled_deviation_uses_caller_constants():
     assert c.is_thermal_equilibrium
     g = wide_grid()
     d = gaussian_density(g, sigma=2.0)
-    hf = heat_from_density(d, c)
-    dev, heat = coupled_run(d, hf, c, 0.01, 1e-3)
-    ref, ref_heat = materialized_run(d, hf, c, 10, 1e-3)
+    q0 = heat_from_density(d, c)
+    dev, heat = coupled_run(d, q0, c, 0.01, 1e-3)
+    ref, ref_heat = materialized_run(d, q0, c, 10, 1e-3)
     assert dev == ref
-    assert np.array_equal(heat[10].Q_heat.values, ref_heat[10])
+    assert np.array_equal(heat[10].values, ref_heat[10])
     assert dev != coupled_run(d, heat_from_density(d, C), C, 0.01, 1e-3)[0]
 
 
 def test_coherence_lockstep_matches_materialized_flows():
     c = PhysicalConstants(mass=2.0, omega=2.0, temperature=2.0)
     g = wide_grid()
-    hf = HeatField(ScalarField(g, g.x**2 / 4), c)
-    density, _ = density_from_heat(hf.Q_heat, c.alpha_th, truncation_check=False)
-    dev, heat = coupled_run(density, hf, c, 0.01, 1e-3, keep=(4, 5, 6))
-    ref, ref_heat = materialized_run(density, hf, c, 10, 1e-3)
+    q0 = ScalarField(g, g.x**2 / 4)
+    density, _ = density_from_heat(q0, c.alpha_th, truncation_check=False)
+    dev, heat = coupled_run(density, q0, c, 0.01, 1e-3, keep=(4, 5, 6))
+    ref, ref_heat = materialized_run(density, q0, c, 10, 1e-3)
     assert dev == ref
-    checks = thermal_checks(hf, 0.01, 1e-3)
+    checks = thermal_checks(q0, c, 0.01, 1e-3)
     assert {ch.name: ch for ch in checks}["ratio-law-evolution"].lhs == ref
     assert sorted(heat) == [4, 5, 6, 10] and len(ref_heat) == 11
     for k in heat:
-        assert np.array_equal(heat[k].Q_heat.values, ref_heat[k])
-    window = [HeatField(g.field(ref_heat[k]), c) for k in (4, 5, 6)]
-    assert np.array_equal(thermalized_qp(heat[4], heat[5], heat[6], 1e-3).values,
-                          thermalized_qp(*window, 1e-3).values)
+        assert np.array_equal(heat[k].values, ref_heat[k])
+    window = [g.field(ref_heat[k]) for k in (4, 5, 6)]
+    assert np.array_equal(thermalized_qp(heat[4], heat[5], heat[6], 1e-3, c).values,
+                          thermalized_qp(*window, 1e-3, c).values)
 
 
 # ---------------------------------------------------------------------------
@@ -435,16 +428,17 @@ def test_coherence_lockstep_matches_materialized_flows():
 # ---------------------------------------------------------------------------
 
 
-def heat_contact_step(hf, dt, steps):
+def heat_contact_step(q0, dt, steps):
     """First step at which the heat wall guard, evaluated on the full second
-    derivative of a from-scratch banded Crank-Nicolson flow, trips."""
-    g, D = hf.grid, hf.constants.diffusivity
+    derivative of a from-scratch banded Crank-Nicolson flow from ``q0``
+    with the diffusivity of ``C``, trips."""
+    g, D = q0.grid, C.diffusivity
     c = 0.5 * D * dt / g.dx**2
     ab = np.zeros((3, g.n - 2))
     ab[0, 1:] = -c
     ab[1, :] = 1.0 + 2.0 * c
     ab[2, :-1] = -c
-    u = hf.Q_heat.values.copy()
+    u = q0.values.copy()
     lap = second_derivative_values(u, g.dx)
     edge_scale = max(abs(lap[1]), abs(lap[-2]))
     interior_scale = float(np.max(np.abs(lap)))
@@ -463,19 +457,6 @@ def heat_contact_step(hf, dt, steps):
     return None
 
 
-def test_lockstep_flows_keep_their_own_diffusivity():
-    # Fick steps with the suite's constants (D = 1/4), heat with the heat
-    # field's (D = 1/2): two factorizations, each equal to its own flow
-    c = PhysicalConstants(mass=2.0, omega=2.0, temperature=2.0)
-    g = Grid(-8.0, 8.0, 1025)
-    hf = HeatField(ScalarField(g, g.x**2), C)
-    density, _ = density_from_heat(hf.Q_heat, c.alpha_th, truncation_check=False)
-    dev, heat = coupled_run(density, hf, c, 0.01, 1e-3)
-    ref, ref_heat = materialized_run(density, hf, c, 10, 1e-3)
-    assert dev == ref
-    assert np.array_equal(heat[10].Q_heat.values, ref_heat[10])
-
-
 def fick_contact_step(density, dt, steps):
     """First step at which a first-interior value of the reference Fick
     flow exceeds 1e-10 of its peak."""
@@ -486,46 +467,45 @@ def fick_contact_step(density, dt, steps):
 
 def test_fick_contact_same_step_in_lockstep():
     g = Grid(-4.0, 4.0, 129)
-    hf = HeatField(ScalarField(g, 2.0 * g.x**2), C)
-    density, _ = density_from_heat(hf.Q_heat, C.alpha_th, truncation_check=False)
+    heat = ScalarField(g, 2.0 * g.x**2)
+    density, _ = density_from_heat(heat, C.alpha_th, truncation_check=False)
     dt = 1e-2
     k = fick_contact_step(density, dt, 20)
     assert k == 9
-    thermal_checks(hf, (k - 1) * dt, dt)
+    thermal_checks(heat, C, (k - 1) * dt, dt)
     with pytest.raises(BoundaryContact, match="diffusing density reached the wall"):
-        thermal_checks(hf, k * dt, dt)
+        thermal_checks(heat, C, k * dt, dt)
 
 
 def test_heat_contact_after_step_zero_same_step_as_full_guard():
     # a narrow bump next to the right wall: its curvature arrives there at
     # step 19, well after step 0
     g = Grid(-8.0, 8.0, 513)
-    hf = HeatField(ScalarField(g, g.x**2 / 2 + 10.0 * np.exp(-((g.x - 7.5) / 0.1) ** 2)), C)
+    heat = ScalarField(g, g.x**2 / 2 + 10.0 * np.exp(-((g.x - 7.5) / 0.1) ** 2))
     dt = 1e-3
-    k = heat_contact_step(hf, dt, 40)
+    k = heat_contact_step(heat, dt, 40)
     assert k == 19
-    thermal_checks(hf, (k - 1) * dt, dt)
+    thermal_checks(heat, C, (k - 1) * dt, dt)
     with pytest.raises(BoundaryContact, match="heat-field curvature reached the wall"):
-        thermal_checks(hf, k * dt, dt)
+        thermal_checks(heat, C, k * dt, dt)
 
 
 def test_overflowing_heat_flow_raises_like_materialized_flow():
     # finite input whose first heat step overflows to a non-finite field
     g = Grid(-8.0, 8.0, 257)
-    hf = HeatField(ScalarField(g, 2.5e306 * g.x**2), C)
+    heat = ScalarField(g, 2.5e306 * g.x**2)
     with np.errstate(over="ignore", invalid="ignore"):
-        flow = diffusion_flow(hf.Q_heat.values, g.dx, C.diffusivity, 4, 1e-3)
+        flow = diffusion_flow(heat.values, g.dx, C.diffusivity, 4, 1e-3)
         with pytest.raises(ValueError, match="field values must be finite"):
-            [HeatField(g.field(q), C) for q in flow]
+            [g.field(q) for q in flow]
         with pytest.raises(ValueError, match="field values must be finite"):
-            thermal_checks(hf, 4e-3, 1e-3)
+            thermal_checks(heat, C, 4e-3, 1e-3)
 
 
 def test_gibbs_form_slope_refuses_one_point_support():
     g = Grid(-8.0, 8.0, 257)
-    hf = HeatField(ScalarField(g, 1e306 * g.x**2), C)
     with pytest.raises(DegenerateSupport, match="support has 1"):
-        thermal_checks(hf)
+        thermal_checks(ScalarField(g, 1e306 * g.x**2), C)
 
 
 @settings(max_examples=50, deadline=None)
@@ -542,8 +522,8 @@ def test_lockstep_deviation_equals_materialized_flows(n, steps, dt, weight, cent
     raw = sum(a * np.exp(-((g.x - c) ** 2) / (2.0 * s**2))
               for a, c, s in zip((1.0, weight), centers, widths))
     d = density_from_samples(g.field(raw))
-    hf = heat_from_density(d, C)
-    dev, heat = coupled_run(d, hf, C, steps * dt, dt, keep=range(steps + 1))
-    ref, ref_heat = materialized_run(d, hf, C, steps, dt)
+    q0 = heat_from_density(d, C)
+    dev, heat = coupled_run(d, q0, C, steps * dt, dt, keep=range(steps + 1))
+    ref, ref_heat = materialized_run(d, q0, C, steps, dt)
     assert dev == ref
-    assert all(np.array_equal(heat[k].Q_heat.values, q) for k, q in enumerate(ref_heat))
+    assert all(np.array_equal(heat[k].values, q) for k, q in enumerate(ref_heat))
