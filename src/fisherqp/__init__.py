@@ -16,7 +16,23 @@ The package is organized bottom-up:
 ``serialization`` CSV/JSON file formats
 ``suites``       every identity check, formed and yielded per CLI command
 ``cli``          batch front end
+
+BLAS threads: no routine the package calls is threaded by OpenBLAS (the
+tridiagonal LAPACK solvers and numpy's elementwise ufuncs run on one
+thread), yet OpenBLAS starts a pool of worker threads when it loads,
+once for numpy and once for scipy's LAPACK extension.  So importing the
+package sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads, unless one
+of the variables OpenBLAS reads (``_THREAD_VARS``) already names a
+thread count: set any of them to choose another.  The variable stays
+set, so scipy's OpenBLAS, loaded on the first solve, reads it too.
 """
+
+import os as _os
+
+# the variables OpenBLAS reads, once, when it loads, in this order
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if not any(_os.environ.get(name) for name in _THREAD_VARS):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 __version__ = "0.1.0"
 

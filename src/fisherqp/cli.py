@@ -20,11 +20,16 @@ the checks and its artifacts.  Each artifact is written under ``--out``
 as the suite yields it, and ``report.json`` goes there last.  The input
 file alone states the run, and ``inputs_digest`` in the report, its
 sha256, names it.  Exit codes: 0 when every check passed, 2 on a
-malformed input (no report), 3 when a check failed or the suite raised a
+malformed input (nothing is written, not even ``--out``, which is made
+only after the parse), 3 when a check failed or the suite raised a
 FisherQPError or LAPACK's LinAlgError (the report keeps the checks, and
 ``--out`` the artifacts, yielded before the error).  Every check is
 judged against its tolerance in ``reports.CHECKS``.  Reports are
-byte-deterministic; timestamps go to ``meta.json``.
+byte-deterministic; what varies from run to run goes to ``meta.json``:
+the timestamp, the numpy and scipy versions (scipy's is null when the run
+loaded none), the OpenBLAS thread variables as the run saw them and the
+wall time of the parse and suite stages (``stage_s``, in seconds; the
+suite's includes writing its artifacts).
 """
 
 from __future__ import annotations
@@ -34,13 +39,15 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import _THREAD_VARS, __version__
 from .errors import FisherQPError
 from .extremizers import ConstraintSpec
 from .grid import Grid, ScalarField
@@ -399,7 +406,7 @@ COMMANDS = {
 
 
 def _write_report(out_dir: Path, command: str, digest: str, checks: list[IdentityCheck],
-                  error: dict | None = None) -> bool:
+                  error: dict | None, stage_s: dict[str, float]) -> bool:
     overall = error is None and len(checks) > 0 and all(c.passed for c in checks)
     payload = {
         "schema": 1,
@@ -411,8 +418,13 @@ def _write_report(out_dir: Path, command: str, digest: str, checks: list[Identit
     if error is not None:
         payload["error"] = error
     save_json(payload, out_dir / "report.json")
+    scipy = sys.modules.get("scipy")  # loaded only by a run that solved
     save_json({"generated_at": datetime.now(timezone.utc).isoformat(),
-               "fisherqp_version": __version__}, out_dir / "meta.json")
+               "fisherqp_version": __version__,
+               "numpy_version": np.__version__,
+               "scipy_version": scipy.__version__ if scipy else None,
+               "blas_thread_env": {name: os.environ.get(name) for name in _THREAD_VARS},
+               "stage_s": stage_s}, out_dir / "meta.json")
     return overall
 
 
@@ -456,27 +468,41 @@ def main(argv=None) -> int:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     parse, suite = COMMANDS[args.command]
     checks: list[IdentityCheck] = []
-    # a suite fails only with FisherQPError or LAPACK's LinAlgError (a
-    # ValueError); anything else is a program fault and keeps its traceback
+    failure = None
+    start = time.perf_counter()
+    # only the parse stage raises SchemaError, and then nothing is written.
+    # A density the parse refuses (a FisherQPError) is reported like a
+    # suite's failure.  A suite fails only with FisherQPError or LAPACK's
+    # LinAlgError (a ValueError); anything else is a program fault and
+    # keeps its traceback.
     try:
-        for item in suite(**parse(payload)):
-            if isinstance(item, IdentityCheck):
-                checks.append(item)
-            else:
-                name, write = item
-                write(out_dir / name)
+        problem = parse(payload)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
-    except (FisherQPError, np.linalg.LinAlgError) as exc:
-        _write_report(out_dir, args.command, digest, checks,
-                      error={"type": type(exc).__name__, "message": str(exc)})
-        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    return 0 if _write_report(out_dir, args.command, digest, checks) else 3
+    except FisherQPError as exc:
+        failure = exc
+    parsed = time.perf_counter()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if failure is None:
+        try:
+            for item in suite(**problem):
+                if isinstance(item, IdentityCheck):
+                    checks.append(item)
+                else:
+                    name, write = item
+                    write(out_dir / name)
+        except (FisherQPError, np.linalg.LinAlgError) as exc:
+            failure = exc
+    stage_s = {"parse": parsed - start, "suite": time.perf_counter() - parsed}
+    error = None if failure is None else {"type": type(failure).__name__,
+                                          "message": str(failure)}
+    passed = _write_report(out_dir, args.command, digest, checks, error, stage_s)
+    if failure is not None:
+        print(f"numerical failure: {type(failure).__name__}: {failure}", file=sys.stderr)
+    return 0 if passed else 3
 
 
 if __name__ == "__main__":  # pragma: no cover

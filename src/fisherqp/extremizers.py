@@ -219,8 +219,9 @@ def _ground_state(
     true ground eigenvalue.  ``count`` is ``_count_below`` at
     rho + max(DEGENERACY_TOL |rho|, 4 eps ||T||): 2 means at least two
     eigenvalues within that window of the ground eigenvalue.  Reductions
-    use ``np.sum(a * b)``, not ``np.dot``, which wakes BLAS threads that
-    spin for no gain.
+    use ``np.sum(a * b)``, not ``np.dot``: numpy sums in its own fixed
+    pairwise order, while a BLAS dot product's order depends on the BLAS
+    build and kernel, so the iterates would too.
     """
     pttrf, pttrs = _lapack(("pttrf", "pttrs"), diag.dtype)
     radius = np.zeros_like(diag)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import fisherqp
 from fisherqp import (Grid, PhysicalConstants, density_from_samples, extremizers,
@@ -304,6 +305,108 @@ def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
                          command, "--input", inp, "--out", str(tmp_path / command))
         assert "scipy.linalg._flapack" in modules and "scipy.linalg" not in modules, command
         assert (tmp_path / command / "report.json").exists()
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def child_env(**threads):
+    """This environment with the package on PYTHONPATH, and of the OpenBLAS
+    thread variables only ``threads``."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(fisherqp.__file__).resolve().parents[1])
+    return {**env, **threads}
+
+
+def run_cli(command, inp, out, env):
+    proc = subprocess.run([sys.executable, "-m", "fisherqp.cli", command, "--input", inp,
+                           "--out", str(out)], env=env, capture_output=True, text=True)
+    assert proc.returncode in (0, 3), proc.stderr
+
+
+@pytest.mark.parametrize("threads, expected", [
+    ({}, ("1", None, None)),
+    ({"OMP_NUM_THREADS": "2"}, (None, None, "2")),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ("2", None, None)),
+    ({"GOTO_NUM_THREADS": "2"}, (None, "2", None)),
+], ids=["none-set", "omp", "openblas", "goto"])
+def test_import_runs_openblas_on_one_thread_unless_a_count_is_set(threads, expected):
+    # OpenBLAS reads the variables once, as it loads with numpy (and with
+    # scipy's LAPACK extension): the package sets one before either loads
+    code = ("import json, os, fisherqp\n"
+            f"print(json.dumps([os.environ.get(k) for k in {THREAD_VARS!r}]))")
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(**threads),
+                         capture_output=True, text=True, check=True)
+    assert tuple(json.loads(out.stdout)) == expected
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts Linux threads")
+def test_a_solving_run_starts_no_blas_thread():
+    # the package first, as the CLI imports it: numpy loaded before it
+    # would start its pool at the default count
+    code = ("import os, fisherqp, numpy as np\n"
+            "from fisherqp.grid import _lapack\n"
+            "_lapack(('pttrf',), np.float64)\n"
+            "print(len(os.listdir('/proc/self/task')))")
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "1"
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the thermal quadratic run reaches np.polyfit (gibbs-form-slope), the
+    # package's one BLAS-backed call
+    for command, files, check in (("thermal", ["report.json"], "gibbs-form-slope"),
+                                  ("sweep", ["report.json", "sweep.csv"], "fisher-euler")):
+        inp = write_json(tmp_path / f"{command}.json", SOLVING_RUNS[command])
+        written = []
+        for count in ("1", "2"):
+            out = tmp_path / f"{command}-{count}"
+            run_cli(command, inp, out, child_env(OPENBLAS_NUM_THREADS=count))
+            written.append({p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name != "meta.json"})
+        assert sorted(written[0]) == files
+        assert f'"name": "{check}"'.encode() in written[0]["report.json"]
+        assert written[0] == written[1], command
+
+
+def test_meta_records_versions_thread_variables_and_stage_times(tmp_path):
+    # verify-identities solves nothing, so it loads no scipy to name
+    runs = [("verify-identities", {"grid": SMALL_GRID, "density": {"kind": "gaussian"}},
+             {}, None, ("1", None, None)),
+            ("sweep", SOLVING_RUNS["sweep"], {"OMP_NUM_THREADS": "2"}, scipy.__version__,
+             (None, None, "2"))]
+    for command, payload, threads, scipy_version, seen in runs:
+        inp = write_json(tmp_path / f"{command}.json", payload)
+        out = tmp_path / command
+        run_cli(command, inp, out, child_env(**threads))
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["fisherqp_version"] == fisherqp.__version__
+        assert meta["numpy_version"] == np.__version__
+        assert meta["scipy_version"] == scipy_version, command
+        assert meta["blas_thread_env"] == dict(zip(THREAD_VARS, seen)), command
+        assert sorted(meta["stage_s"]) == ["parse", "suite"]
+        assert all(v >= 0.0 for v in meta["stage_s"].values())
+
+
+SCHEMA_ERRORS = {
+    "verify-identities": {"grid": SMALL_GRID, "density": {"kind": "nope"}},
+    "evolve": {"grid": SMALL_GRID, "initial": {"kind": "gaussian"},
+               "potential": {"kind": "nope"}, "dt": 0.01, "steps": 8},
+    "epi": {"grid": SMALL_GRID, "constraints": [{"kind": "nope", "lambda": -1.0}]},
+    "maxent": {"grid": SMALL_GRID, "constraint": {"kind": "nope"}, "target": 1.0},
+    "sweep": {"grid": SMALL_GRID, "constraint": {"kind": "nope"}, "lambdas": [-1.0, -2.0]},
+    "thermal": {"grid": SMALL_GRID, "heat": {"kind": "nope"}},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_schema_error_leaves_no_out_directory(tmp_path, capsys, command):
+    inp = write_json(tmp_path / "in.json", SCHEMA_ERRORS[command])
+    out = tmp_path / "out"
+    assert main([command, "--input", inp, "--out", str(out)]) == 2
+    assert "unknown" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_maxent_command(tmp_path):
