@@ -24,14 +24,18 @@ once for numpy and once for scipy's LAPACK extension.  So importing the
 package sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads, unless one
 of the variables OpenBLAS reads (``_THREAD_VARS``) already names a
 thread count: set any of them to choose another.  The variable stays
-set, so scipy's OpenBLAS, loaded on the first solve, reads it too.
+set for the rest of the process, so scipy's OpenBLAS, loaded on the
+first solve, reads it too, and so does any BLAS library the caller
+loads later and every child process the caller starts.
+``_THREADS_DEFAULTED`` records whether the package set it.
 """
 
 import os as _os
 
 # the variables OpenBLAS reads, once, when it loads, in this order
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-if not any(_os.environ.get(name) for name in _THREAD_VARS):
+_THREADS_DEFAULTED = not any(_os.environ.get(name) for name in _THREAD_VARS)
+if _THREADS_DEFAULTED:
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 __version__ = "0.1.0"

@@ -27,9 +27,11 @@ FisherQPError or LAPACK's LinAlgError (the report keeps the checks, and
 judged against its tolerance in ``reports.CHECKS``.  Reports are
 byte-deterministic; what varies from run to run goes to ``meta.json``:
 the timestamp, the numpy and scipy versions (scipy's is null when the run
-loaded none), the OpenBLAS thread variables as the run saw them and the
-wall time of the parse and suite stages (``stage_s``, in seconds; the
-suite's includes writing its artifacts).
+loaded none), the OpenBLAS thread variables as the run saw them, whether
+the package set them (``blas_threads_defaulted``: none was set when it
+was imported) and the wall time of the parse and suite stages
+(``stage_s``, in seconds; the suite's includes writing its artifacts, and
+it is null when the parse raised).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _THREAD_VARS, __version__
+from . import _THREAD_VARS, _THREADS_DEFAULTED, __version__
 from .errors import FisherQPError
 from .extremizers import ConstraintSpec
 from .grid import Grid, ScalarField
@@ -405,8 +407,17 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
+def _stage_s(start: float, parsed: float | None) -> dict[str, float | None]:
+    """Wall seconds of the parse and suite stages; a suite that never
+    started (the parse raised) reads None."""
+    now = time.perf_counter()
+    if parsed is None:
+        return {"parse": now - start, "suite": None}
+    return {"parse": parsed - start, "suite": now - parsed}
+
+
 def _write_report(out_dir: Path, command: str, digest: str, checks: list[IdentityCheck],
-                  error: dict | None, stage_s: dict[str, float]) -> bool:
+                  stage_s: dict[str, float | None], error: dict | None = None) -> bool:
     overall = error is None and len(checks) > 0 and all(c.passed for c in checks)
     payload = {
         "schema": 1,
@@ -424,6 +435,7 @@ def _write_report(out_dir: Path, command: str, digest: str, checks: list[Identit
                "numpy_version": np.__version__,
                "scipy_version": scipy.__version__ if scipy else None,
                "blas_thread_env": {name: os.environ.get(name) for name in _THREAD_VARS},
+               "blas_threads_defaulted": _THREADS_DEFAULTED,
                "stage_s": stage_s}, out_dir / "meta.json")
     return overall
 
@@ -470,39 +482,33 @@ def main(argv=None) -> int:
 
     parse, suite = COMMANDS[args.command]
     checks: list[IdentityCheck] = []
-    failure = None
     start = time.perf_counter()
-    # only the parse stage raises SchemaError, and then nothing is written.
-    # A density the parse refuses (a FisherQPError) is reported like a
-    # suite's failure.  A suite fails only with FisherQPError or LAPACK's
-    # LinAlgError (a ValueError); anything else is a program fault and
-    # keeps its traceback.
+    parsed = None
+    # only the parse raises SchemaError, before --out is made, so a
+    # malformed input writes nothing.  A suite (or a density the parse
+    # refuses) fails only with FisherQPError or LAPACK's LinAlgError (a
+    # ValueError); anything else is a program fault and keeps its traceback
     try:
         problem = parse(payload)
+        parsed = time.perf_counter()
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for item in suite(**problem):
+            if isinstance(item, IdentityCheck):
+                checks.append(item)
+            else:
+                name, write = item
+                write(out_dir / name)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
-    except FisherQPError as exc:
-        failure = exc
-    parsed = time.perf_counter()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if failure is None:
-        try:
-            for item in suite(**problem):
-                if isinstance(item, IdentityCheck):
-                    checks.append(item)
-                else:
-                    name, write = item
-                    write(out_dir / name)
-        except (FisherQPError, np.linalg.LinAlgError) as exc:
-            failure = exc
-    stage_s = {"parse": parsed - start, "suite": time.perf_counter() - parsed}
-    error = None if failure is None else {"type": type(failure).__name__,
-                                          "message": str(failure)}
-    passed = _write_report(out_dir, args.command, digest, checks, error, stage_s)
-    if failure is not None:
-        print(f"numerical failure: {type(failure).__name__}: {failure}", file=sys.stderr)
-    return 0 if passed else 3
+    except (FisherQPError, np.linalg.LinAlgError) as exc:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_report(out_dir, args.command, digest, checks, _stage_s(start, parsed),
+                      error={"type": type(exc).__name__, "message": str(exc)})
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    return 0 if _write_report(out_dir, args.command, digest, checks,
+                              _stage_s(start, parsed)) else 3
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,8 +1,7 @@
 """Uniform 1-D grid, trapezoid quadrature, and finite-difference derivatives.
 
 Everything else in the package is built on the three primitives here:
-``quadrature`` and its array-level core ``quadrature_values`` (composite
-trapezoid, exact for affine integrands),
+``quadrature`` (composite trapezoid, exact for affine integrands),
 ``derivative_values`` and ``second_derivative_values`` (second-order
 central stencils, one-sided second-order stencils at the ends).  The
 schemes are kept at second order on purpose: their error is dominated
@@ -104,26 +103,12 @@ class ScalarField:
 
 def quadrature(f: ScalarField) -> float:
     """Composite trapezoid approximation of the integral of f over the grid."""
-    return quadrature_values(f.values, f.grid.dx)
+    return float(np.trapezoid(f.values, dx=f.grid.dx))
 
 
-def quadrature_values(values: np.ndarray, dx: float,
-                      scratch: np.ndarray | None = None) -> float:
-    """Trapezoid rule on a bare array; the package's one trapezoid.
-
-    The arithmetic is ``np.trapezoid``'s, (dx * (y[1:] + y[:-1]) / 2).sum(),
-    so the result equals it bit for bit.  ``scratch``, when given, is a
-    float array of at least len(values) - 1 entries that receives the
-    summands instead of three temporaries: time steppers pass a work
-    buffer.
-    """
-    y = np.asarray(values)
-    if scratch is None:
-        return float((dx * (y[1:] + y[:-1]) / 2.0).sum())
-    terms = np.add(y[1:], y[:-1], out=scratch[: len(y) - 1])
-    terms *= dx
-    terms /= 2.0
-    return float(terms.sum())
+def quadrature_values(values: np.ndarray, dx: float) -> float:
+    """Trapezoid rule on a bare array; array-level twin of ``quadrature``."""
+    return float(np.trapezoid(values, dx=dx))
 
 
 def derivative_values(values: np.ndarray, dx: float) -> np.ndarray:

@@ -152,17 +152,14 @@ def _endpoint_decayed(values: np.ndarray) -> bool:
     return max(values[0], values[-1]) <= SUPPORT_FLOOR * peak
 
 
-def normalize_samples(values: np.ndarray, dx: float, out: np.ndarray,
-                      scratch: np.ndarray | None = None) -> float:
+def normalize_samples(values: np.ndarray, dx: float, out: np.ndarray) -> float:
     """Normalize raw density samples into ``out``; return max(P).
 
     The array-level core of ``density_from_samples``, which time steppers
-    call on their work buffers; ``scratch``, when given, takes the
-    summands of the quadrature (``quadrature_values``).  Non-finite
-    samples raise NonFinite, samples below ``NEGATIVE_NOISE`` raise
-    NegativeDensity (the remaining negative noise is clamped to 0), zero
-    mass raises ZeroMass and a normalized density that overflows raises
-    NonFinite, in that order.
+    call on their work buffers.  Non-finite samples raise NonFinite,
+    samples below ``NEGATIVE_NOISE`` raise NegativeDensity (the remaining
+    negative noise is clamped to 0), zero mass raises ZeroMass and a
+    normalized density that overflows raises NonFinite, in that order.
     """
     lo, hi = values.min(), values.max()
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -171,7 +168,7 @@ def normalize_samples(values: np.ndarray, dx: float, out: np.ndarray,
         raise NegativeDensity(f"min sample {lo} below noise floor")
     if lo <= 0.0:
         values = np.clip(values, 0.0, None, out=out)
-    total = quadrature_values(values, dx, scratch)
+    total = quadrature_values(values, dx)
     if total <= 0.0:
         raise ZeroMass(f"density integrates to {total}")
     np.divide(values, total, out=out)

@@ -127,8 +127,7 @@ def _coupling_deviation(
     dx: float, w: np.ndarray, work: np.ndarray,
 ) -> float:
     """``coupling_deviation`` on raw arrays, with ``w`` and ``work`` as
-    scratch (``work`` also for the quadrature); a non-finite q raises the
-    NonFinite a ScalarField would."""
+    scratch; a non-finite q raises the NonFinite a ScalarField would."""
     qmin = q.min()
     if not (math.isfinite(qmin) and math.isfinite(q.max())):
         raise NonFinite("field values must be finite")
@@ -136,7 +135,7 @@ def _coupling_deviation(
     np.subtract(q, qmin, out=work)
     work *= -alpha
     np.exp(work, out=w)
-    w /= quadrature_values(w, dx, scratch=work)
+    w /= quadrature_values(w, dx)
     # ... against P in the weighted sup norm over P's support
     np.subtract(p, w, out=work)
     return weighted_sup(work, p, peak, mask, scratch=w) / peak
@@ -290,7 +289,7 @@ def coupled_run(
     worst = 0.0
     heat = {}
     for k, (raw, q) in enumerate(zip(fick, flow)):
-        peak = normalize_samples(raw, dx, p, scratch=w)
+        peak = normalize_samples(raw, dx, p)
         np.greater(p, SUPPORT_FLOOR * peak, out=support)
         dev = _coupling_deviation(p, peak, support, q, constants.alpha_th, dx, w, work)
         worst = max(worst, dev)

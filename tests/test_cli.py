@@ -372,19 +372,23 @@ def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 def test_meta_records_versions_thread_variables_and_stage_times(tmp_path):
     # verify-identities solves nothing, so it loads no scipy to name
+    # an explicit OPENBLAS_NUM_THREADS=1 reads as the caller's, not the default
     runs = [("verify-identities", {"grid": SMALL_GRID, "density": {"kind": "gaussian"}},
-             {}, None, ("1", None, None)),
+             {}, None, ("1", None, None), True),
+            ("verify-identities", {"grid": SMALL_GRID, "density": {"kind": "gaussian"}},
+             {"OPENBLAS_NUM_THREADS": "1"}, None, ("1", None, None), False),
             ("sweep", SOLVING_RUNS["sweep"], {"OMP_NUM_THREADS": "2"}, scipy.__version__,
-             (None, None, "2"))]
-    for command, payload, threads, scipy_version, seen in runs:
+             (None, None, "2"), False)]
+    for i, (command, payload, threads, scipy_version, seen, defaulted) in enumerate(runs):
         inp = write_json(tmp_path / f"{command}.json", payload)
-        out = tmp_path / command
+        out = tmp_path / f"{command}-{i}"
         run_cli(command, inp, out, child_env(**threads))
         meta = json.loads((out / "meta.json").read_text())
         assert meta["fisherqp_version"] == fisherqp.__version__
         assert meta["numpy_version"] == np.__version__
         assert meta["scipy_version"] == scipy_version, command
         assert meta["blas_thread_env"] == dict(zip(THREAD_VARS, seen)), command
+        assert meta["blas_threads_defaulted"] is defaulted, threads
         assert sorted(meta["stage_s"]) == ["parse", "suite"]
         assert all(v >= 0.0 for v in meta["stage_s"].values())
 
@@ -846,6 +850,8 @@ def test_undecayed_density_exits_3_without_checks(tmp_path):
     report = read_report(out)
     assert report["error"]["type"] == "TruncationError"
     assert report["checks"] == [] and report["overall_pass"] is False
+    # the parse refused it, so no suite stage ran
+    assert json.loads((out / "meta.json").read_text())["stage_s"]["suite"] is None
 
 
 def test_failed_sweep_names_each_dropped_multiplier(tmp_path):

@@ -19,7 +19,6 @@ from fisherqp.grid import (
     _load_flapack,
     crank_nicolson_flow,
     derivative_values,
-    quadrature_values,
     second_derivative_values,
 )
 
@@ -81,20 +80,6 @@ def test_quadrature_linearity():
     assert quadrature(combo) == pytest.approx(
         a * quadrature(f) + b * quadrature(h), rel=1e-14
     )
-
-
-@pytest.mark.parametrize("n", [3, 4, 1025, 8193])
-def test_quadrature_values_is_numpys_trapezoid_bit_for_bit(n):
-    # with and without a work buffer, longer than the n - 1 summands
-    rng = np.random.default_rng(n)
-    values = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
-    dx = float(rng.uniform(1e-4, 1.0))
-    scratch = np.full(n + 2, np.nan)
-    expected = np.trapezoid(values, dx=dx)
-    assert quadrature_values(values, dx) == expected
-    assert quadrature_values(values, dx, scratch=scratch) == expected
-    grid = Grid(-1.0, 2.0, n)
-    assert quadrature(grid.field(values)) == np.trapezoid(values, dx=grid.dx)
 
 
 def test_derivative_exact_on_quadratic():
