@@ -5,8 +5,9 @@ sigma^2) up to gauge), runs the ``thermal`` command's check suite tying
 the probabilistic and thermal descriptions together, and diffuses both
 sides in lockstep (Fick for the density, the heat equation for its heat
 field).  The two formal routes to a "thermal" Fisher information are
-compared: route B is an algebraic identity under the coupling, route A
-is not, and the measured ratio is reported rather than hidden.
+compared: route B is an algebraic identity under the coupling and is
+checked, route A is not, and the measured ratio is reported rather than
+hidden.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from fisherqp import (
     thermalized_qp,
     vanishing_qp_residual,
 )
-from fisherqp.grid import ScalarField, second_derivative_values
+from fisherqp.grid import ScalarField, quadrature_values, second_derivative_values
 from fisherqp.suites import thermal_suite
 from fisherqp.thermal import coupled_run
 
@@ -33,21 +34,21 @@ i = int(round((4.0 - grid.xmin) / grid.dx))
 print(f"  Q_heat(4) = {heat.values[i]:.6f}   (closed form x^2/8 = 2)")
 
 checks = list(thermal_suite(heat, density, constants, 0.004, 1e-3))
-by_name = {item.name: item for item in checks}
-route_b = by_name["thermal-fisher-route-b"]            # route B vs direct FI
-route_a = by_name["flag-thermal-route-factor"].lhs     # flagged against route B
+route_b = {item.name: item for item in checks}["thermal-fisher-route-b"]  # vs direct FI
+# route A, -2 alpha int(P lap Q), is not an identity under the coupling
+lap_q = second_derivative_values(heat.values, grid.dx)
+route_a = -2.0 * constants.alpha_th * quadrature_values(density.values * lap_q, grid.dx)
 print("\nthermal Fisher information:")
 print(f"  route B  beta^2 int(P (grad Q)^2) = {route_b.lhs:.10f}")
 print(f"  direct   int((P')^2/P)            = {route_b.rhs:.10f}")
 print(f"  route A  (formal)                 = {route_a:.10f}"
-      f"   ratio A/B = {route_a / route_b.lhs:+.4f}  <- flagged, not asserted")
+      f"   ratio A/B = {route_a / route_b.lhs:+.4f}  <- reported, not asserted")
 
-print("\nthermal suite over 4 steps of 1e-3 (ratio law, heat-action link,")
-print("fluctuation chain, kinetic excess, Gibbs slope, thermalized Q, route B):")
+print("\nthermal suite over 4 steps of 1e-3 (ratio law, fluctuation chain,")
+print("kinetic excess, Gibbs slope, thermalized Q, route B):")
 for item in checks:
-    if not item.flagged:
-        print(f"  {item.name:28s} error {item.rel_err:.2e}"
-              f"  tol {item.tol:.0e}  {'ok' if item.passed else 'FAIL'}")
+    print(f"  {item.name:28s} error {item.rel_err:.2e}"
+          f"  tol {item.tol:.0e}  {'ok' if item.passed else 'FAIL'}")
 
 # Lockstep flow of the pair over 20 steps of 1e-3: Fick's law for the
 # density, the heat equation for its heat field.  The heat flow carries no

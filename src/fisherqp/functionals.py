@@ -17,9 +17,8 @@ for N(0, sigma^2)) and satisfies
 The three rewritings (gradient, fluctuation, osmotic) are implemented so
 that they agree with this definition, and ``qp-four-forms`` checks them
 against it.  The relation of integral(P Q) to FI also circulates with
-the opposite sign; ``verify-identities`` reports the measured ratio
-against that variant as the flag ``flag-mean-qp-sign`` rather than as an
-error (see ``suites``).
+the opposite sign; ``verify-identities`` gives the measured ratio against
+that variant in the note of ``mean-QP-equals-FI`` (see ``suites``).
 
 The fluctuation convention is the real one, delta_p = -(hbar/2) P'/P;
 its mean vanishes for decayed densities and its second moment equals

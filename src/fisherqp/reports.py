@@ -4,13 +4,9 @@ record format for a single check.
 ``CHECKS`` is the one check table: every check some command reports is
 registered with a stable name, the equation tag it verifies, its
 tolerance, and whether its verdict reads the relative or the absolute
-error.  Records take their tolerance from the table; ``list-checks``
-prints the table.  The suites form every record (``suites``).
-
-A check registered with an infinite tolerance is a *flag*: a convention
-that circulates in both signs or normalizations, reported with its
-measured ratio instead of being asserted.  Flags pass by being present;
-their presence in a report is itself part of the acceptance surface.
+error.  Every tolerance is finite and every record takes its tolerance
+from the table; ``list-checks`` prints the table.  The suites form every
+record (``suites``).
 """
 
 from __future__ import annotations
@@ -43,7 +39,6 @@ CHECKS: tuple[CheckDef, ...] = (
              "MaxEnt solution is exp(-alpha A)/Z hitting the target", 1e-8, relative=False),
     CheckDef("continuity", "eq2.1", "dP/dt + div(P S'/m) = 0 along trajectories", 1e-3),
     CheckDef("modified-hj", "eq3.7", "dS/dt + (S')^2/2m + V + Q = 0 along trajectories", 1e-3),
-    CheckDef("heat-action-link", "eq3.1", "DeltaQ_heat = 2 omega Delta(deltaS)", 1e-12),
     CheckDef("fluctuation-chain", "eq3.3", "delta_p = grad(deltaS) = -(hbar/2) grad(P)/P", 1e-6),
     CheckDef("kinetic-excess", "eq3.4", "delta_E_kin two ways through P and Q_heat", 1e-10),
     CheckDef("thermalized-qp-vanishes", "eq3.12",
@@ -61,13 +56,11 @@ CHECKS: tuple[CheckDef, ...] = (
     CheckDef("fisher-euler", "eq5.11", "dI/dlambda = lambda d<A>/dlambda along sweeps", 1e-2),
     CheckDef("legendre-relations", "eq5.14", "Legendre transform relations along sweeps", 2e-2),
     CheckDef("epi-qp-affine", "eq5.19", "Q of the extremal density is affine in A", 1e-4),
+    CheckDef("epi-mean-QP-equals-FI", "eq2.4",
+             "integral(p_I Q) = (hbar^2/8m) FI on eigensolver output", 1e-5),
     CheckDef("epi-mean-qp", "eq5.20", "integral(p_I Q) through the constraint average", 1e-6),
     CheckDef("gibbs-qp-formula", "eq5.23", "Q of a Gibbs density via energy derivatives", 1e-6),
     CheckDef("gibbs-fisher-formula", "eq5.24", "FI of a Gibbs density via <(E')^2>", 1e-6),
-    CheckDef("flag-mean-qp-sign", "eq3.16",
-             "FLAG: sign convention of integral(P Q) vs FI", math.inf),
-    CheckDef("flag-thermal-route-factor", "eq3.17",
-             "FLAG: route A vs route B thermal Fisher", math.inf),
 )
 
 _BY_NAME = {c.name: c for c in CHECKS}
@@ -96,36 +89,22 @@ class IdentityCheck:
     note: str = ""
 
     @property
-    def flagged(self) -> bool:
-        """A flag: the table registers the check with an infinite tolerance."""
-        return math.isinf(check_def(self.name).tol)
-
-    @property
     def passed(self) -> bool:
-        """The error the table names (relative or absolute) against ``tol``;
-        flagged entries always pass."""
+        """The error the table names (relative or absolute) against ``tol``."""
         err = self.rel_err if check_def(self.name).relative else self.abs_err
-        return bool(err <= self.tol) or self.flagged
+        return bool(err <= self.tol)
 
     def to_dict(self) -> dict:
-        """The JSON record: every field, a non-finite number (a flag's
-        infinite ``tol``) as null, plus ``flagged`` and ``pass``."""
+        """The JSON record: every field, a non-finite number (a route
+        that overflowed or gave NaN) as null, plus ``pass``."""
         d = {k: None if isinstance(v, float) and not math.isfinite(v) else v
              for k, v in asdict(self).items()}
-        d["flagged"] = self.flagged
         d["pass"] = self.passed
         return d
 
 
-def make_check(
-    name: str,
-    lhs: float,
-    rhs: float,
-    tol: float | None = None,
-    note: str = "",
-) -> IdentityCheck:
-    """Build a check record judged against the registered tolerance, or
-    against ``tol`` where a caller overrides it."""
+def make_check(name: str, lhs: float, rhs: float, note: str = "") -> IdentityCheck:
+    """Build a check record judged against the registered tolerance."""
     cdef = check_def(name)
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / max(abs(lhs), abs(rhs), 1e-300)
@@ -136,7 +115,7 @@ def make_check(
         rhs=float(rhs),
         abs_err=float(abs_err),
         rel_err=float(rel_err),
-        tol=float(cdef.tol if tol is None else tol),
+        tol=float(cdef.tol),
         note=note,
     )
 

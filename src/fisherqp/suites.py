@@ -41,13 +41,14 @@ def _ratio(num: float, den: float) -> float:
 
 
 def _thermal_fisher_checks(density, heat, constants, fi) -> Iterator[IdentityCheck]:
-    """The route-B thermal Fisher check against ``fi`` and the route-A/B flag.
+    """The route-B thermal Fisher check against ``fi``.
 
     Route B, beta^2 integral P (grad Q)^2 with grad Q through the coupled
     density, reproduces FI exactly under the coupling.  Route A,
     -2 alpha integral P [lap Q - (2m/hbar) dQ/dt] with dQ/dt = 0, does
     not: the two formal expressions disagree by more than a sign on
-    static coupled pairs, so their ratio is flagged, not asserted.
+    static coupled pairs such as a Gaussian's, so route A and the ratio
+    A/B go in the note.
     """
     require_coupling(density, heat, constants)
     p = density.values
@@ -58,11 +59,9 @@ def _thermal_fisher_checks(density, heat, constants, fi) -> Iterator[IdentityChe
     lap_q = second_derivative_values(heat.values, dx)
     route_a = -2.0 * constants.alpha_th * quadrature_values(np.where(mask, p * lap_q, 0.0),
                                                             dx)
-    yield make_check("thermal-fisher-route-b", route_b, fi)
-    yield make_check("flag-thermal-route-factor", route_a, route_b, note=(
-        "formal route A and exact route B disagree on static coupled "
-        f"pairs (measured ratio A/B = {_ratio(route_a, route_b):+.6f}); "
-        "route B is the asserted one"
+    yield make_check("thermal-fisher-route-b", route_b, fi, note=(
+        f"formal route A = {route_a:.17g}, not asserted "
+        f"(measured ratio A/B = {_ratio(route_a, route_b):+.6f})"
     ))
 
 
@@ -74,10 +73,10 @@ def identities_suite(density, constants, gibbs) -> Suite:
         FI = gamma^2 <(E')^2>_P                              (scalar)
 
     check against the direct routes.  The sign of the bracket follows the
-    amplitude definition of Q.  The opposite-sign convention for
-    integral(P Q) is flagged next to ``mean-QP-equals-FI``; the thermal
-    Fisher pair is judged only at the thermal equality hbar*omega = k*T,
-    where route B equals FI."""
+    amplitude definition of Q.  The note of ``mean-QP-equals-FI`` gives
+    the measured ratio against the opposite-sign convention for
+    integral(P Q); the thermal Fisher pair is judged only at the thermal
+    equality hbar*omega = k*T, where route B equals FI."""
     yield "density.csv", partial(save_field_csv, density.field)
     p = density.values
     mask = density.support_mask
@@ -95,10 +94,9 @@ def identities_suite(density, constants, gibbs) -> Suite:
 
     mean_qp = masked_quadrature(p * q_ref, mask, dx)
     implemented = hbar**2 / (8.0 * m) * fi
-    yield make_check("mean-QP-equals-FI", mean_qp, implemented)
-    yield make_check("flag-mean-qp-sign", mean_qp, -implemented, note=(
-        "implemented integral(P Q) = +(hbar^2/8m) FI; the opposite-sign "
-        f"convention also circulates (measured ratio {_ratio(mean_qp, -implemented):+.6f})"
+    yield make_check("mean-QP-equals-FI", mean_qp, implemented, note=(
+        "the opposite-sign convention -(hbar^2/8m) FI also circulates "
+        f"(measured ratio {_ratio(mean_qp, -implemented):+.6f})"
     ))
 
     delta_p = momentum_fluctuation(density, constants)
@@ -162,8 +160,7 @@ def epi_suite(spec, grid, constants) -> Suite:
     q = quantum_potential(d, constants).values
     coeff = constants.hbar**2 / (8.0 * constants.mass)
     mean_qp = masked_quadrature(p * q, mask, grid.dx)
-    yield make_check("mean-QP-equals-FI", mean_qp, coeff * result.fisher_I, tol=1e-5,
-                     note="discretization-limited on eigensolver output")
+    yield make_check("epi-mean-QP-equals-FI", mean_qp, coeff * result.fisher_I)
     if len(result.multipliers) == 1:
         # the stationarity condition pins Q = (hbar^2/8m)(lambda A + alpha_norm);
         # A is recovered from U, not read from spec: lambda*A/lambda is not
@@ -208,7 +205,7 @@ def sweep_suite(constraint, lambdas) -> Suite:
 
 def thermal_suite(heat, density, constants, t_final, dt) -> Suite:
     """thermal: the heat field ``heat`` and its coupled ``density``.  The
-    five coherence checks between the thermal and probabilistic pictures
+    four coherence checks between the thermal and probabilistic pictures
     and the thermalized quantum potential read a lockstep Fick and heat
     flow to ``t_final`` in steps of ``dt``; when ``t_final`` is None
     nothing steps and the vanishing-Q family is checked instead."""
@@ -235,16 +232,9 @@ def thermal_suite(heat, density, constants, t_final, dt) -> Suite:
                                 keep=(mid - 1, mid, mid + 1))
         yield make_residual_check("ratio-law-evolution", dev)
 
-        # DeltaQ = 2 omega Delta(deltaS), a definition-chain identity
-        ds0 = delta_s_from_heat(heat, constants).values
-        ds1 = delta_s_from_heat(kept[steps], constants).values
-        delta_q = kept[steps].values - heat.values
-        dev = float(np.max(np.abs(delta_q - 2.0 * constants.omega * (ds1 - ds0))))
-        scale = float(np.max(np.abs(delta_q))) + 1e-300
-        yield make_residual_check("heat-action-link", dev / scale)
-
         # delta_p = grad(deltaS) = -(hbar/2) grad(P)/P and
         # grad(P)/P = -beta grad(Q), through the coupling
+        ds0 = delta_s_from_heat(heat, constants).values
         delta_p = momentum_fluctuation(density, constants)
         dev_s = weighted_max_dev(derivative_values(ds0, dx), delta_p, density)
         grad_log = density.grad_log()

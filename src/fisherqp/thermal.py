@@ -101,7 +101,11 @@ def heat_from_density(density: Density, constants: PhysicalConstants) -> ScalarF
 
 
 def delta_s_from_heat(q: ScalarField, constants: PhysicalConstants) -> ScalarField:
-    """Action fluctuation delta_S = Q_heat / (2 omega)."""
+    """Action fluctuation delta_S = Q_heat / (2 omega).
+
+    The heat-action link DeltaQ_heat = 2 omega Delta(delta_S) (eq3.1) holds
+    here by definition, so no independent route can check it; the
+    fluctuation chain reads delta_S through its gradient."""
     return ScalarField(q.grid, q.values / (2.0 * constants.omega))
 
 

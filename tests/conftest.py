@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,13 @@ def mixture_density(grid, rng, n_components=None):
 def checks_by_name(items):
     """The checks a suite yields, by name; its artifacts are skipped."""
     return {c.name: c for c in items if isinstance(c, IdentityCheck)}
+
+
+def note_value(check, label):
+    """The number a check's note gives right after ``label``, e.g. the
+    measured ratio that ``mean-QP-equals-FI`` reports against the
+    opposite-sign convention."""
+    return float(re.search(re.escape(label) + r" ([-+.\w]+)", check.note)[1])
 
 
 @pytest.fixture

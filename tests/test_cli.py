@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,7 +15,8 @@ import fisherqp
 from fisherqp import (Grid, PhysicalConstants, density_from_samples, extremizers,
                      propagator, suites)
 from fisherqp.cli import COMMANDS, main
-from fisherqp.reports import CHECKS, IdentityCheck
+from fisherqp.reports import CHECKS, IdentityCheck, make_check
+from fisherqp.serialization import save_json
 
 
 def write_json(path, payload):
@@ -44,15 +46,17 @@ def test_verify_identities_pass(tmp_path):
     assert main(["verify-identities", "--input", inp, "--out", str(out)]) == 0
     report = read_report(out)
     assert report["overall_pass"] is True
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["inputs_digest"].startswith("sha256:")
-    names = {c["name"] for c in report["checks"]}
-    assert {"qp-four-forms", "mean-QP-equals-FI", "fluctuation-mean-zero",
-            "fluctuation-second-moment", "thermal-fisher-route-b"} <= names
-    # the standing discrepancy flags are always present (with ratios)
-    assert {"flag-mean-qp-sign", "flag-thermal-route-factor"} <= names
-    flagged = [c for c in report["checks"] if c["flagged"]]
-    assert all("ratio" in c["note"] for c in flagged[:2])
+    byname = {c["name"]: c for c in report["checks"]}
+    assert list(byname) == ["qp-four-forms", "mean-QP-equals-FI", "fluctuation-mean-zero",
+                            "fluctuation-second-moment", "thermal-fisher-route-b"]
+    for record in report["checks"]:
+        assert set(record) == {"name", "paper_eq", "lhs", "rhs", "abs_err", "rel_err",
+                               "tol", "note", "pass"}
+    # the two standing discrepancies are measured ratios in the notes
+    assert "(measured ratio " in byname["mean-QP-equals-FI"]["note"]
+    assert "(measured ratio A/B = " in byname["thermal-fisher-route-b"]["note"]
     assert (out / "density.csv").exists()
     assert (out / "meta.json").exists()
 
@@ -77,7 +81,7 @@ def test_verify_identities_gibbs_density(tmp_path):
 
 def test_verify_identities_off_thermal_equality_skips_the_thermal_pair(tmp_path):
     # route B is beta^2/alpha_th^2 times FI: with hbar*omega != k*T it is
-    # not an identity, so neither the route-B check nor its flag is formed
+    # not an identity, so the route-B check is not formed
     inp = write_json(
         tmp_path / "in.json",
         {
@@ -94,7 +98,7 @@ def test_verify_identities_off_thermal_equality_skips_the_thermal_pair(tmp_path)
     assert main(["verify-identities", "--input", inp, "--out", str(out)]) == 0
     names = {c["name"] for c in read_report(out)["checks"]}
     assert {"gibbs-qp-formula", "gibbs-fisher-formula"} <= names
-    assert not names & {"thermal-fisher-route-b", "flag-thermal-route-factor"}
+    assert "thermal-fisher-route-b" not in names
 
 
 def test_report_determinism(tmp_path):
@@ -494,7 +498,7 @@ def test_evolve_out_of_range_check_index_exits_2(tmp_path, capsys, index):
     out = tmp_path / "out"
     assert main(["evolve", "--input", inp, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        f"schema error: index {index} must be interior (1..63)\n"
+        f"schema error: evolve: index {index} must be interior (1..63)\n"
     )
     assert not (out / "report.json").exists()
 
@@ -512,7 +516,7 @@ def test_thermal_command(tmp_path):
     names = {c["name"] for c in read_report(out)["checks"]}
     assert "ratio-law-evolution" in names
     assert "thermalized-qp-vanishes" in names
-    assert "flag-thermal-route-factor" in names
+    assert "thermal-fisher-route-b" in names
 
 
 def test_thermal_log_affine(tmp_path):
@@ -532,9 +536,9 @@ def test_thermal_log_affine(tmp_path):
 
 @pytest.mark.parametrize("timing, message", [
     ({"dt": 0}, "t_final and dt must be positive"),
-    ({"t_final": "inf"}, "thermal: t_final must be a finite number, not 'inf'"),
+    ({"t_final": "inf"}, "t_final must be a finite number, not 'inf'"),
     ({"t_final": 1e300, "dt": 1e-300}, "t_final/dt = inf is not a finite step count"),
-    ({"t_final": float("nan")}, "thermal: t_final must be a finite number, not nan"),
+    ({"t_final": float("nan")}, "t_final must be a finite number, not nan"),
 ], ids=["timing0", "timing1", "timing2", "timing3"])
 def test_thermal_bad_step_count_exits_2(tmp_path, capsys, timing, message):
     inp = write_json(
@@ -543,7 +547,7 @@ def test_thermal_bad_step_count_exits_2(tmp_path, capsys, timing, message):
     )
     out = tmp_path / "out"
     assert main(["thermal", "--input", inp, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"schema error: {message}\n"
+    assert capsys.readouterr().err == f"schema error: thermal: {message}\n"
     assert not (out / "report.json").exists()
 
 
@@ -679,15 +683,15 @@ THERMAL_ONE_POINT = {"grid": {"xmin": -8.0, "xmax": 8.0, "n": 257},
                      "heat": {"kind": "quadratic", "coeff": 1e306}}
 
 
-VERIFY_BEFORE_THERMAL = ["qp-four-forms", "mean-QP-equals-FI", "flag-mean-qp-sign",
-                         "fluctuation-mean-zero", "fluctuation-second-moment"]
+VERIFY_BEFORE_THERMAL = ["qp-four-forms", "mean-QP-equals-FI", "fluctuation-mean-zero",
+                         "fluctuation-second-moment"]
 
 
 @pytest.mark.parametrize("command, payload, names, artifacts", [
     ("verify-identities", spike(1), VERIFY_BEFORE_THERMAL, ["density.csv"]),
     ("verify-identities", spike(2), VERIFY_BEFORE_THERMAL, ["density.csv"]),
-    ("thermal", THERMAL_ONE_POINT, ["ratio-law-evolution", "heat-action-link",
-                                    "fluctuation-chain", "kinetic-excess"], []),
+    ("thermal", THERMAL_ONE_POINT, ["ratio-law-evolution", "fluctuation-chain",
+                                    "kinetic-excess"], []),
 ], ids=["one-point-spike", "two-point-spike", "thermal-one-point"])
 def test_failed_run_keeps_the_checks_yielded_before_the_error(tmp_path, command, payload,
                                                               names, artifacts):
@@ -714,7 +718,7 @@ def test_flat_topped_density_reports_every_check(tmp_path, width):
     report = read_report(out)
     assert "error" not in report
     byname = {c["name"]: c for c in report["checks"]}
-    assert len(byname) == 7
+    assert len(byname) == 5
     assert byname["thermal-fisher-route-b"]["pass"] is True
     assert byname["qp-four-forms"]["pass"] is False
     assert byname["mean-QP-equals-FI"]["pass"] is False
@@ -757,12 +761,23 @@ def test_flat_topped_density_reports_every_check(tmp_path, width):
     ("evolve", {**SMALL_EVOLVE, "initial": {"kind": "gaussian", "momentum": 1e308}}),
     ("evolve", {**SMALL_EVOLVE, "initial": {"kind": "gaussian", "momentum": 1e308},
                 "constants": {"hbar": 0.1}}),
+    # a Gaussian, a mixture or a Gibbs energy that is not finite at a grid
+    # point, formed without a numpy warning
+    ("verify-identities", {"grid": SMALL_GRID, "density": {"kind": "gaussian",
+                                                           "sigma": 1e-300}}),
+    ("verify-identities", {"grid": SMALL_GRID,
+                           "density": {"kind": "mixture",
+                                       "components": [{"weight": 1e308}] * 2}}),
+    ("verify-identities", {"grid": SMALL_GRID,
+                           "density": {"kind": "gibbs",
+                                       "energy": {"kind": "monomial", "power": -1}}}),
 ], ids=["density", "mixture-component", "sweep-constraint", "thermal-heat", "evolve-potential",
         "evolve-dump-str", "evolve-dump-int", "evolve-dump-null", "sigma-overflows",
         "hbar-overflows", "thermal-dt-overflows", "evolve-dt-str", "evolve-momentum-bool",
         "thermal-coeff-bool", "thermal-a-str", "hbar-str", "sigma-bool", "grid-xmin-str",
         "maxent-coeff-str", "samples-str", "thermal-values-bool", "tabulated-bool",
-        "evolve-potential-str", "evolve-momentum-overflows", "evolve-momentum-over-hbar"])
+        "evolve-potential-str", "evolve-momentum-overflows", "evolve-momentum-over-hbar",
+        "sigma-vanishes", "mixture-overflows", "gibbs-energy-pole"])
 def test_nested_wrong_type_exits_2(tmp_path, capsys, command, payload):
     inp = write_json(tmp_path / "in.json", payload)
     out = tmp_path / "out"
@@ -784,11 +799,11 @@ def _refuse(*args, **kwargs):
      "multiplier values must be distinct"),
     ("thermal", {"grid": GRID, "heat": {"kind": "quadratic", "coeff": 0.125},
                  "constants": {"omega": 3.0}},
-     "thermal: the coherence checks assume hbar*omega = k*T"),
+     "the coherence checks assume hbar*omega = k*T"),
     ("thermal", {"grid": {"xmin": -8.0, "xmax": 8.0, "n": 1025},
                  "heat": {"kind": "log-affine", "a": 4, "b": 0.2},
                  "constants": {"hbar": 0.7, "mass": 1.9}},
-     "thermal: the coherence checks assume hbar*omega = k*T"),
+     "the coherence checks assume hbar*omega = k*T"),
 ], ids=["evolve-check-index", "sweep-duplicate-lambda", "thermal-not-at-equality",
         "thermal-log-affine-not-at-equality"])
 def test_input_errors_are_refused_before_any_work(tmp_path, capsys, monkeypatch, command,
@@ -800,7 +815,7 @@ def test_input_errors_are_refused_before_any_work(tmp_path, capsys, monkeypatch,
     inp = write_json(tmp_path / "in.json", payload)
     out = tmp_path / "out"
     assert main([command, "--input", inp, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"schema error: {message}\n"
+    assert capsys.readouterr().err == f"schema error: {command}: {message}\n"
     assert not (out / "report.json").exists()
 
 
@@ -828,16 +843,27 @@ def test_constants_whose_products_overflow_or_vanish_exit_2(tmp_path, capsys, co
 
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
 def test_uniform_density_reports_its_flags():
-    # a uniform density has FI = 0, so both measured ratios of the flag
-    # notes have a zero denominator; the suite still ends with its verdicts
+    # a uniform density has FI = 0, so both measured ratios in the notes
+    # have a zero denominator; the suite still ends with its verdicts
     grid = Grid(**SMALL_SWEEP["grid"])
     density = density_from_samples(grid.field(np.ones(grid.n)), truncation_check=False)
     items = list(suites.identities_suite(density, PhysicalConstants(), None))
     byname = {c.name: c for c in items if isinstance(c, IdentityCheck)}
     assert byname["mean-QP-equals-FI"].rhs == 0.0
-    assert "(measured ratio +inf)" in byname["flag-mean-qp-sign"].note
-    assert "(measured ratio A/B = +inf)" in byname["flag-thermal-route-factor"].note
-    assert len(byname) == 7 and all(c.passed for c in byname.values())
+    assert "(measured ratio +inf)" in byname["mean-QP-equals-FI"].note
+    assert "(measured ratio A/B = +inf)" in byname["thermal-fisher-route-b"].note
+    assert len(byname) == 5 and all(c.passed for c in byname.values())
+
+
+def test_non_finite_record_is_written_as_strict_json(tmp_path):
+    # a route that yields NaN still gives a strict-JSON record: its
+    # non-finite numbers are written as null, and its verdict fails
+    save_json(make_check("mean-QP-equals-FI", float("nan"), 1.0).to_dict(),
+              tmp_path / "record.json")
+    record = json.loads((tmp_path / "record.json").read_text(),
+                        parse_constant=_refuse_constant)
+    assert record["lhs"] is record["abs_err"] is record["rel_err"] is None
+    assert record["rhs"] == 1.0 and record["tol"] == 1e-6 and record["pass"] is False
 
 
 def test_undecayed_density_exits_3_without_checks(tmp_path):
@@ -956,8 +982,6 @@ COVERAGE_FIXTURES = {
                            {"grid": COVERAGE_GRID,
                             "heat": {"kind": "log-affine", "a": 4.0, "b": 0.2}}),
 }
-# the one call-site override of a registered tolerance
-TOL_OVERRIDES = {("epi", "mean-QP-equals-FI"): 1e-5}
 
 
 def test_registry_equals_reported_checks(tmp_path, monkeypatch):
@@ -967,6 +991,8 @@ def test_registry_equals_reported_checks(tmp_path, monkeypatch):
     cwd.mkdir()
     monkeypatch.chdir(cwd)
     table = {c.name: c.tol for c in CHECKS}
+    # every registered check is an assertion: no tolerance lets anything pass
+    assert all(math.isfinite(tol) and tol > 0 for tol in table.values())
     reported = set()
     for command, payload in COVERAGE_FIXTURES.values():
         parse, suite = COMMANDS[command]
@@ -976,7 +1002,6 @@ def test_registry_equals_reported_checks(tmp_path, monkeypatch):
                 assert isinstance(name, str) and callable(write)
                 continue
             reported.add(check.name)
-            assert check.tol == TOL_OVERRIDES.get((command, check.name),
-                                                  table[check.name]), check.name
+            assert check.tol == table[check.name], check.name
     assert reported == set(table)
     assert list(cwd.iterdir()) == []

@@ -23,7 +23,8 @@ from fisherqp.grid import (ScalarField, derivative_values, quadrature_values,
 from fisherqp.suites import identities_suite, thermal_suite
 from fisherqp.thermal import coupled_run, coupling_deviation
 
-from conftest import checks_by_name, cn_backward_error, diffusion_flow, gaussian_density
+from conftest import (checks_by_name, cn_backward_error, diffusion_flow, gaussian_density,
+                      note_value)
 
 C = PhysicalConstants()
 
@@ -241,10 +242,10 @@ def test_thermalized_qp_vanishes_on_heat_flow():
 
 def thermal_fisher_routes(density, heat, constants):
     """(route B, direct FI, route A) from the static thermal suite's
-    route-B check and its route-A/B flag."""
-    checks = checks_by_name(thermal_suite(heat, density, constants, None, 1e-3))
-    route_b = checks["thermal-fisher-route-b"]
-    return route_b.lhs, route_b.rhs, checks["flag-thermal-route-factor"].lhs
+    route-B check, whose note gives route A."""
+    route_b = checks_by_name(thermal_suite(heat, density, constants, None, 1e-3))[
+        "thermal-fisher-route-b"]
+    return route_b.lhs, route_b.rhs, note_value(route_b, "route A =")
 
 
 def test_thermal_fisher_route_b_equals_fisher():
@@ -289,7 +290,7 @@ def test_thermal_fisher_rejects_decoupled_inputs(grid):
 
 def thermal_checks(heat, constants, t_final=0.004, dt=1e-3):
     """Every check of the ``thermal`` suite on the heat field ``heat`` and
-    its coupled density, the five coherence checks first."""
+    its coupled density, the four coherence checks first."""
     density, _ = density_from_heat(heat, constants.alpha_th, truncation_check=False)
     return list(thermal_suite(heat, density, constants, t_final, dt))
 
@@ -311,9 +312,8 @@ def test_coherence_suite_all_pass():
     d = gaussian_density(g, sigma=2.0)
     checks = thermal_checks(heat_from_density(d, C), C)
     assert all(item.passed for item in checks)
-    assert [item.name for item in checks[:5]] == [
+    assert [item.name for item in checks[:4]] == [
         "ratio-law-evolution",
-        "heat-action-link",
         "fluctuation-chain",
         "kinetic-excess",
         "gibbs-form-slope",
