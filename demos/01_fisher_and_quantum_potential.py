@@ -20,6 +20,7 @@ from fisherqp import (
     osmotic_fields,
     quantum_potential,
 )
+from fisherqp.grid import quadrature_values
 from fisherqp.reports import IdentityCheck
 from fisherqp.suites import identities_suite
 
@@ -28,7 +29,7 @@ grid = Grid(-8.0, 8.0, 4097)
 density = density_from_samples(grid.from_function(lambda x: np.exp(-x * x / 2)))
 
 print("standard normal on [-8, 8], n = 4097")
-print(f"  mass               {density.mass_check():.12f}")
+print(f"  mass               {quadrature_values(density.values, grid.dx):.12f}")
 
 fi = fisher_information(density)
 print(f"  Fisher information {fi:.9f}   (closed form: 1/sigma^2 = 1)")

@@ -13,29 +13,42 @@ from fisherqp import (
     PhysicalConstants,
     continuity_residual,
     density_from_samples,
-    energy_expectation,
     entropy_rate_check,
     evolve,
     fisher_information,
     hj_residual,
-    norm_drift,
     osmotic_entropy_rate,
 )
+from fisherqp.grid import quadrature_values
 
 constants = PhysicalConstants()
 grid = Grid(-8.0, 8.0, 4097)   # dx = 1/256
 density = density_from_samples(grid.from_function(lambda x: np.exp(-x * x / 2)))
 psi0 = np.sqrt(density.values)  # zero phase: the packet starts at rest
+V = grid.zeros()
+
+
+def energy(psi):
+    """<H> of the discrete Hamiltonian the stepper uses: H = tridiag(-kin,
+    2 kin + V, -kin) with the walls pinned to 0.  Crank-Nicolson is a
+    Cayley transform of H, so it conserves <H> to roundoff."""
+    kin = constants.hbar**2 / (2.0 * constants.mass * grid.dx * grid.dx)
+    h_psi = (2.0 * kin + V.values) * psi
+    h_psi[:-1] -= kin * psi[1:]
+    h_psi[1:] -= kin * psi[:-1]
+    h_psi[0] = h_psi[-1] = 0.0
+    return quadrature_values((np.conj(psi) * h_psi).real, grid.dx)
+
 
 print("free Gaussian, sigma0 = 1, dt = 1/1024, t in [0, 1]")
-traj = evolve(psi0, grid.zeros(), constants, 1.0 / 1024, 1024)
+traj = evolve(psi0, V, constants, 1.0 / 1024, 1024)
 
 p_end = traj.density(1024).values
 var = np.trapezoid(p_end * grid.x**2, dx=grid.dx)
-print(f"  norm drift        {norm_drift(traj):.2e}")
+# traj.norms holds the quadrature of the raw |psi_k|^2 at every step
+print(f"  norm drift        {np.max(np.abs(traj.norms - 1.0)):.2e}")
 print(f"  sigma^2(t=1)      {var:.8f}   (closed form 1 + (t/2)^2 = 1.25)")
-print(f"  energy drift      "
-      f"{abs(energy_expectation(traj, 1024) - energy_expectation(traj, 0)):.2e}")
+print(f"  energy drift      {abs(energy(traj.psi(1024)) - energy(traj.psi(0))):.2e}")
 
 mid = 512
 print("\nresiduals at t = 0.5 (normalized, second order in dx and dt):")

@@ -56,7 +56,7 @@ from .errors import (
     TruncationError,
     ZeroMass,
 )
-from .grid import Grid, ScalarField, quadrature
+from .grid import Grid, ScalarField
 from .states import (
     Density,
     PhysicalConstants,
@@ -76,11 +76,9 @@ from .functionals import (
 from .propagator import (
     Trajectory,
     continuity_residual,
-    energy_expectation,
     entropy_rate_check,
     evolve,
     hj_residual,
-    norm_drift,
     osmotic_entropy_rate,
 )
 from .extremizers import (

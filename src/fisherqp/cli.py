@@ -129,6 +129,14 @@ def _numbers(spec: dict, key: str, grid: Grid) -> np.ndarray:
     raise SchemaError(f"{key} must be a list of n = {grid.n} finite numbers")
 
 
+def _on_grid(values: np.ndarray, what: str) -> np.ndarray:
+    """``values``, formed under ``np.errstate``, when finite at every grid
+    point; else a SchemaError that names ``what``."""
+    if not np.all(np.isfinite(values)):
+        raise SchemaError(f"{what} is non-finite on the grid")
+    return values
+
+
 def _multiplier(value, field: ScalarField) -> float:
     """``value`` as a finite multiplier lambda whose term lambda * A of the
     effective potential is finite on the grid."""
@@ -182,10 +190,8 @@ def _build_constraint_field(spec: dict, grid: Grid) -> ScalarField:
         coeff = _finite(spec.get("coeff", 1.0), "coeff")
         with np.errstate(all="ignore"):
             values = coeff * grid.x**power
-        if not np.all(np.isfinite(values)):
-            raise SchemaError(f"coeff*x**power with coeff = {coeff!r}, power = {power} "
-                              f"is non-finite on the grid")
-        return ScalarField(grid, values)
+        return ScalarField(grid, _on_grid(
+            values, f"coeff*x**power with coeff = {coeff!r}, power = {power}"))
     if kind == "tabulated":
         return ScalarField(grid, _numbers(spec, "data", grid))
     raise SchemaError(f"unknown constraint kind {kind!r}")
@@ -208,7 +214,8 @@ def _build_density(spec: dict, grid: Grid):
             for comp in components:
                 weight = _finite(comp.get("weight", 1.0), "weight")
                 center = _finite(comp.get("center", 0.0), "center")
-                sigma = _finite(comp.get("sigma", 1.0), "sigma")
+                # numpy's power overflows to inf where Python's raises
+                sigma = np.float64(_finite(comp.get("sigma", 1.0), "sigma"))
                 raw += weight * np.exp(-((grid.x - center) ** 2) / (2.0 * sigma ** 2))
         if not np.all(np.isfinite(raw)):
             raise SchemaError(f"the {kind} is non-finite on the grid "
@@ -286,7 +293,10 @@ def _parse_evolve(payload) -> dict:
     if kind == "free":
         V = grid.zeros()
     elif kind == "harmonic":
-        V = ScalarField(grid, _finite(pot_spec.get("strength", 0.5), "strength") * grid.x**2)
+        strength = _finite(pot_spec.get("strength", 0.5), "strength")
+        with np.errstate(over="ignore", invalid="ignore"):
+            V = ScalarField(grid, _on_grid(strength * grid.x**2,
+                                           f"strength*x**2 with strength = {strength!r}"))
     elif kind == "values":
         V = ScalarField(grid, _numbers(pot_spec, "values", grid))
     else:
@@ -365,13 +375,17 @@ def _parse_thermal(payload) -> dict:
     heat_spec = _require(payload, "heat")
     kind = heat_spec.get("kind")
     if kind == "quadratic":
-        q0 = _finite(heat_spec.get("coeff", 0.5), "coeff") * grid.x**2
+        coeff = _finite(heat_spec.get("coeff", 0.5), "coeff")
+        with np.errstate(over="ignore", invalid="ignore"):
+            q0 = _on_grid(coeff * grid.x**2, f"coeff*x**2 with coeff = {coeff!r}")
     elif kind == "log-affine":
         a = _finite(heat_spec.get("a", 4.0), "a")
         b = _finite(heat_spec.get("b", 0.2), "b")
-        if np.min(a + b * grid.x) <= 0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            arg = _on_grid(a + b * grid.x, f"a + b*x with a = {a!r}, b = {b!r}")
+        if np.min(arg) <= 0:
             raise SchemaError("log-affine field needs a + b*x > 0 on the grid")
-        q0 = 2.0 * constants.hbar * constants.omega * np.log(a + b * grid.x)
+        q0 = 2.0 * constants.hbar * constants.omega * np.log(arg)
     elif kind == "values":
         q0 = _numbers(heat_spec, "values", grid)
     else:

@@ -119,13 +119,9 @@ def quantum_potential(
         d2r = second_derivative_values(r, dx)
         out[mask] = -(hbar**2 / (2.0 * m)) * d2r[mask] / r[mask]
     elif form is QPForm.GRAD:
-        dp = derivative_values(p, dx)
+        w = density.grad_log()
         d2p = second_derivative_values(p, dx)
-        w = np.zeros_like(p)
-        lap = np.zeros_like(p)
-        w[mask] = dp[mask] / p[mask]
-        lap[mask] = d2p[mask] / p[mask]
-        out[mask] = (hbar**2 / (4.0 * m)) * (0.5 * w[mask] ** 2 - lap[mask])
+        out[mask] = (hbar**2 / (4.0 * m)) * (0.5 * w[mask] ** 2 - d2p[mask] / p[mask])
     elif form is QPForm.FLUCT:
         w = density.grad_log()
         dw = derivative_values(w, dx)

@@ -1,7 +1,7 @@
 """Uniform 1-D grid, trapezoid quadrature, and finite-difference derivatives.
 
 Everything else in the package is built on the three primitives here:
-``quadrature`` (composite trapezoid, exact for affine integrands),
+``quadrature_values`` (composite trapezoid, exact for affine integrands),
 ``derivative_values`` and ``second_derivative_values`` (second-order
 central stencils, one-sided second-order stencils at the ends).  The
 schemes are kept at second order on purpose: their error is dominated
@@ -66,9 +66,6 @@ class Grid:
     def x(self) -> np.ndarray:
         return np.linspace(self.xmin, self.xmax, self.n)
 
-    def field(self, values) -> "ScalarField":
-        return ScalarField(self, values)
-
     def from_function(self, f) -> "ScalarField":
         return ScalarField(self, f(self.x))
 
@@ -96,18 +93,10 @@ class ScalarField:
         if not np.all(np.isfinite(self.values)):
             raise NonFinite("field values must be finite")
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.grid.x
-
-
-def quadrature(f: ScalarField) -> float:
-    """Composite trapezoid approximation of the integral of f over the grid."""
-    return float(np.trapezoid(f.values, dx=f.grid.dx))
-
 
 def quadrature_values(values: np.ndarray, dx: float) -> float:
-    """Trapezoid rule on a bare array; array-level twin of ``quadrature``."""
+    """Composite trapezoid approximation of the integral of ``values``
+    sampled at spacing ``dx``."""
     return float(np.trapezoid(values, dx=dx))
 
 

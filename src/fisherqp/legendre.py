@@ -63,9 +63,6 @@ class SweepTable:
     records: list[ThermoRecord]
     failures: list[tuple[float, str]]
 
-    def lambdas(self) -> np.ndarray:
-        return np.array([r.lam for r in self.records])
-
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.records])
 
@@ -128,7 +125,7 @@ def _require_window(table: SweepTable, least: int) -> None:
 def _family_derivatives(table: SweepTable):
     """d/dlambda of I, <A>, Lambda at interior records via the chain rule
     through the differencing variable."""
-    lams = table.lambdas()
+    lams = table.column("lam")
     t = _differencing_variable(lams)
     log_space = t is not lams
     # In log space dlambda/dt = lambda exactly; use the exact factor.
@@ -187,7 +184,7 @@ def verify_legendre(table: SweepTable) -> LegendreReport:
     _require_window(table, 5)
     # Second derivatives: difference the first-derivative fields, which
     # live at interior records, against the same variable.
-    lams = table.lambdas()
+    lams = table.column("lam")
     full_t = _differencing_variable(lams)
     log_space = full_t is not lams
     t = full_t[1:-1]

@@ -52,7 +52,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import BoundaryContact
-from .functionals import differential_entropy, quantum_potential, weighted_max_dev
+from .functionals import (differential_entropy, masked_quadrature, quantum_potential,
+                          weighted_max_dev)
 from .grid import (
     Grid,
     ScalarField,
@@ -71,14 +72,14 @@ RESIDUAL_FLOOR = 0.05        # scale floor entering residual denominators
 class Trajectory:
     """Uniform-in-time Crank-Nicolson trajectory under a fixed potential.
 
-    ``times`` covers every step k = 0..steps, and ``norms`` gives the
-    quadrature of the raw |psi_k|^2 at each of them.  Only the ``kept``
-    steps are stored: ``psis`` holds their raw complex wavefunction.
-    ``psi(k)`` looks a step up by index, and ``density(k)`` is its
-    normalized |psi_k|^2.
+    Steps k = 0..steps lie ``dt`` apart, and ``norms`` gives the
+    quadrature of the raw |psi_k|^2 at every one of them.  Only the
+    ``kept`` steps are stored: ``psis`` holds their raw complex
+    wavefunction.  ``psi(k)`` looks a step up by index, and
+    ``density(k)`` is its normalized |psi_k|^2.
     """
 
-    times: np.ndarray
+    dt: float
     kept: tuple[int, ...]
     psis: list[np.ndarray]
     norms: np.ndarray
@@ -86,15 +87,11 @@ class Trajectory:
     constants: PhysicalConstants
 
     @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
     def grid(self) -> Grid:
         return self.potential.grid
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.norms)
 
     def psi(self, step: int) -> np.ndarray:
         try:
@@ -106,23 +103,6 @@ class Trajectory:
         return density_from_samples(
             ScalarField(self.grid, np.abs(self.psi(step)) ** 2), truncation_check=False
         )
-
-
-def _hamiltonian_diagonals(grid: Grid, V: np.ndarray, constants: PhysicalConstants):
-    """Main diagonal of H on the full grid (Dirichlet walls) and its
-    constant off-diagonal."""
-    dx = grid.dx
-    kin = constants.hbar**2 / (2.0 * constants.mass * dx * dx)
-    return 2.0 * kin + V, -kin
-
-
-def _apply_h(psi: np.ndarray, main: np.ndarray, off: float) -> np.ndarray:
-    """H psi."""
-    out = main * psi
-    out[:-1] += off * psi[1:]
-    out[1:] += off * psi[:-1]
-    out[0] = out[-1] = 0.0  # Dirichlet: walls pinned
-    return out
 
 
 def evolve(
@@ -157,11 +137,14 @@ def evolve(
     psi[0] = psi[-1] = 0.0
     psi /= np.sqrt(quadrature_values(np.abs(psi) ** 2, grid.dx))
 
-    main, off = _hamiltonian_diagonals(grid, V.values, constants)
-    z = 1j * dt / (2.0 * constants.hbar)
-    # A = 1 + z H on the interior points; the walls are 0, so the folded
-    # end values vanish
-    flow = crank_nicolson_flow(psi, 1.0 + z * main[1:-1], z * off, steps)
+    # A = 1 + z H on the interior points, with H = tridiag(-kin, 2 kin + V,
+    # -kin); the walls are 0, so the folded end values vanish.  An entry
+    # that overflows is refused, as NonFinite, by the flow's first step
+    kin = constants.hbar**2 / (2.0 * constants.mass * grid.dx * grid.dx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = 1j * dt / (2.0 * constants.hbar)
+        flow = crank_nicolson_flow(psi, 1.0 + z * (2.0 * kin + V.values[1:-1]), z * -kin,
+                                   steps)
     del psi  # the flow copies it; holding it too would keep a third state buffer
 
     # trapezoid rule for the norm; the walls are pinned to 0, so it is a sum
@@ -179,23 +162,8 @@ def evolve(
         if k in keep_set:
             kept.append(k)
             psis.append(psi.copy())
-    return Trajectory(times=np.arange(steps + 1) * dt, kept=tuple(kept), psis=psis,
-                      norms=norms, potential=V, constants=constants)
-
-
-def norm_drift(traj: Trajectory) -> float:
-    """Largest deviation of quadrature(|psi_k|^2) from 1 over every step,
-    read off the raw wavefunction (not the renormalized densities)."""
-    return float(np.max(np.abs(traj.norms - 1.0)))
-
-
-def energy_expectation(traj: Trajectory, index: int) -> float:
-    """<H> via the same discrete Hamiltonian the stepper uses."""
-    grid = traj.grid
-    main, off = _hamiltonian_diagonals(grid, traj.potential.values, traj.constants)
-    psi = traj.psi(index)
-    hpsi = _apply_h(psi, main, off)
-    return float(np.real(quadrature_values((np.conj(psi) * hpsi).real, grid.dx)))
+    return Trajectory(dt=float(dt), kept=tuple(kept), psis=psis, norms=norms, potential=V,
+                      constants=constants)
 
 
 def _window(traj: Trajectory, index: int) -> tuple[int, int, int]:
@@ -287,8 +255,7 @@ def entropy_rate_check(traj: Trajectory, index: int) -> tuple[float, float]:
 
     grad_s = phase_gradient(traj, index)
     dp = derivative_values(now.values, dx)
-    integrand = np.where(now.support_mask, grad_s * dp, 0.0)
-    rhs = -quadrature_values(integrand, dx) / m
+    rhs = -masked_quadrature(grad_s * dp, now.support_mask, dx) / m
     return lhs, rhs
 
 
@@ -308,5 +275,4 @@ def osmotic_entropy_rate(density: Density, constants: PhysicalConstants) -> floa
     )
     grad_s = derivative_values(s, g.dx)
     dp = derivative_values(density.values, g.dx)
-    integrand = np.where(density.support_mask, grad_s * dp, 0.0)
-    return -quadrature_values(integrand, g.dx)
+    return -masked_quadrature(grad_s * dp, density.support_mask, g.dx)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSupport, NegativeDensity, NonFinite, TruncationError, ZeroMass
-from .grid import Grid, ScalarField, derivative_values, quadrature, quadrature_values
+from .grid import Grid, ScalarField, derivative_values, quadrature_values
 
 SUPPORT_FLOOR = 1e-12       # mask threshold, relative to max(P)
 NEGATIVE_NOISE = -1e-14     # tolerated negative noise in raw samples
@@ -120,10 +120,6 @@ class Density:
     def values(self) -> np.ndarray:
         return self.field.values
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.field.grid.x
-
     def grad_log(self) -> np.ndarray:
         """grad(P)/P on the support mask, 0 elsewhere."""
         p = self.values
@@ -131,9 +127,6 @@ class Density:
         d = derivative_values(p, self.grid.dx)
         out[self.support_mask] = d[self.support_mask] / p[self.support_mask]
         return out
-
-    def mass_check(self) -> float:
-        return quadrature(self.field)
 
     def support_indices(self, need: int, check: str) -> np.ndarray:
         """Indices of the support mask; DegenerateSupport, naming ``check``,
@@ -205,13 +198,19 @@ def gibbs_density(
     """Gibbs density P = exp(-gamma*E)/Z; returns (Density, Z).
 
     The exponent is shifted by min(E) internally to avoid overflow; Z is
-    reported in the original gauge.
+    reported in the original gauge.  A gamma whose shifted exponent
+    gamma*E - min(gamma*E) is not finite on the grid raises ValueError.
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    e = E.values
-    shift = float(np.min(gamma * e))
-    w = np.exp(-(gamma * e - shift))
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = gamma * E.values
+        shift = float(np.min(exponent))
+        exponent -= shift
+    if not np.all(np.isfinite(exponent)):
+        raise ValueError(f"gamma = {gamma!r} makes the Gibbs exponent "
+                         f"gamma*E - min(gamma*E) non-finite on the grid")
+    w = np.exp(-exponent)
     z_shifted = quadrature_values(w, E.grid.dx)
     density = _build_density(w, E.grid, truncation_check)
     z = z_shifted * np.exp(-shift)

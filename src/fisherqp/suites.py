@@ -20,8 +20,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .extremizers import epi_solve, maxent_solve, riccati_check, stationarity_residual
-from .functionals import (QPForm, fisher_information, masked_quadrature, momentum_fluctuation,
-                          quantum_potential, weighted_max_dev)
+from .functionals import (QPForm, fisher_information, masked_quadrature, mean_quantum_potential,
+                          momentum_fluctuation, quantum_potential, weighted_max_dev)
 from .grid import derivative_values, quadrature_values, second_derivative_values
 from .legendre import sweep, verify_euler, verify_legendre
 from .propagator import continuity_residual, entropy_rate_check, evolve, hj_residual
@@ -55,10 +55,9 @@ def _thermal_fisher_checks(density, heat, constants, fi) -> Iterator[IdentityChe
     mask = density.support_mask
     dx = density.grid.dx
     grad_q = coupled_grad_heat(density, constants)
-    route_b = constants.beta**2 * quadrature_values(np.where(mask, p * grad_q**2, 0.0), dx)
+    route_b = constants.beta**2 * masked_quadrature(p * grad_q**2, mask, dx)
     lap_q = second_derivative_values(heat.values, dx)
-    route_a = -2.0 * constants.alpha_th * quadrature_values(np.where(mask, p * lap_q, 0.0),
-                                                            dx)
+    route_a = -2.0 * constants.alpha_th * masked_quadrature(p * lap_q, mask, dx)
     yield make_check("thermal-fisher-route-b", route_b, fi, note=(
         f"formal route A = {route_a:.17g}, not asserted "
         f"(measured ratio A/B = {_ratio(route_a, route_b):+.6f})"
@@ -92,7 +91,7 @@ def identities_suite(density, constants, gibbs) -> Suite:
     )
     yield make_residual_check("qp-four-forms", worst / scale)
 
-    mean_qp = masked_quadrature(p * q_ref, mask, dx)
+    mean_qp = mean_quantum_potential(density, constants)
     implemented = hbar**2 / (8.0 * m) * fi
     yield make_check("mean-QP-equals-FI", mean_qp, implemented, note=(
         "the opposite-sign convention -(hbar^2/8m) FI also circulates "
@@ -117,7 +116,7 @@ def identities_suite(density, constants, gibbs) -> Suite:
             weighted_max_dev(q_ref, np.where(mask, q_formula, 0.0), density) / scale,
         )
         yield make_check("gibbs-fisher-formula", fi,
-                         gamma**2 * quadrature_values(np.where(mask, p * e1**2, 0.0), dx))
+                         gamma**2 * masked_quadrature(p * e1**2, mask, dx))
 
 
 def evolve_suite(psi0, potential, constants, dt, steps, index, dump) -> Suite:
@@ -155,13 +154,11 @@ def epi_suite(spec, grid, constants) -> Suite:
     yield make_residual_check("epi-stationarity", stationarity_residual(result))
     yield make_residual_check("riccati", riccati_check(result))
     d = result.p_I
-    p = d.values
-    mask = d.support_mask
-    q = quantum_potential(d, constants).values
     coeff = constants.hbar**2 / (8.0 * constants.mass)
-    mean_qp = masked_quadrature(p * q, mask, grid.dx)
+    mean_qp = mean_quantum_potential(d, constants)
     yield make_check("epi-mean-QP-equals-FI", mean_qp, coeff * result.fisher_I)
     if len(result.multipliers) == 1:
+        q = quantum_potential(d, constants).values
         # the stationarity condition pins Q = (hbar^2/8m)(lambda A + alpha_norm);
         # A is recovered from U, not read from spec: lambda*A/lambda is not
         # always A to the last bit
@@ -170,10 +167,11 @@ def epi_suite(spec, grid, constants) -> Suite:
         rhs = coeff * lam * a + coeff * result.alpha_norm
         scale = float(np.max(np.abs(q)))
         yield make_residual_check("epi-qp-affine",
-                                  weighted_max_dev(q, np.where(mask, rhs, 0.0), d)
+                                  weighted_max_dev(q, np.where(d.support_mask, rhs, 0.0), d)
                                   / (scale + 1e-300))
         yield make_check("epi-mean-qp", mean_qp,
-                         coeff * (lam * quadrature_values(p * a, grid.dx) + result.alpha_norm))
+                         coeff * (lam * quadrature_values(d.values * a, grid.dx)
+                                  + result.alpha_norm))
 
 
 def maxent_suite(constraint, target) -> Suite:

@@ -275,14 +275,14 @@ def coupled_run(
 
     Returns the worst weighted deviation of P(t) from
     c_hat(t) exp(-alpha Q(t)) over every step, and the heat field at each
-    of the ``keep`` steps plus the last one, by step.
+    of the ``keep`` steps, by step.
 
     Each step reduces on the raw arrays through the cores of
     ``density_from_samples`` and ``coupling_deviation``, so it raises what
     they raise and equals their reduction over the materialized flows.
     """
     steps = step_count(t_final, dt)
-    keep_set = steps_to_keep(keep, steps) | {steps}
+    keep_set = steps_to_keep(keep, steps)
     grid = q0.grid
     dx = grid.dx
     D = constants.diffusivity

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from fisherqp import Grid, PhysicalConstants, density_from_samples
+from fisherqp import Grid, PhysicalConstants, ScalarField, density_from_samples
 from fisherqp.grid import _odd_even_levels, crank_nicolson_flow
 from fisherqp.reports import IdentityCheck
 
@@ -42,7 +42,7 @@ def mixture_density(grid, rng, n_components=None):
         c = rng.uniform(-1.0, 1.0)
         s = rng.uniform(0.7, 0.9)
         raw += w * np.exp(-((x - c) ** 2) / (2.0 * s**2))
-    return density_from_samples(grid.field(raw))
+    return density_from_samples(ScalarField(grid, raw))
 
 
 def checks_by_name(items):

@@ -264,7 +264,7 @@ def test_criterion_10_thermal_suite():
     D = C.diffusivity
     g12 = Grid(-12.0, 12.0, 6145)
     fick = diffusion_flow(gaussian_density(g12).values, g12.dx, D, 1000, 1e-3)
-    p_end = density_from_samples(g12.field(fick[-1]), truncation_check=False).values
+    p_end = density_from_samples(ScalarField(g12, fick[-1]), truncation_check=False).values
     var_fick = np.trapezoid(p_end * g12.x**2, dx=g12.dx)
     fick_ok = abs(var_fick - (1.0 + 2 * D)) <= 1e-3
 

@@ -12,7 +12,7 @@ import pytest
 import scipy
 
 import fisherqp
-from fisherqp import (Grid, PhysicalConstants, density_from_samples, extremizers,
+from fisherqp import (Grid, PhysicalConstants, ScalarField, density_from_samples, extremizers,
                      propagator, suites)
 from fisherqp.cli import COMMANDS, main
 from fisherqp.reports import CHECKS, IdentityCheck, make_check
@@ -804,8 +804,19 @@ def _refuse(*args, **kwargs):
                  "heat": {"kind": "log-affine", "a": 4, "b": 0.2},
                  "constants": {"hbar": 0.7, "mass": 1.9}},
      "the coherence checks assume hbar*omega = k*T"),
+    # an array that overflows on the grid, formed without a numpy warning
+    ("evolve", {**SMALL_EVOLVE, "potential": {"kind": "harmonic", "strength": 1e307}},
+     "strength*x**2 with strength = 1e+307 is non-finite on the grid"),
+    ("thermal", {"grid": GRID, "heat": {"kind": "quadratic", "coeff": 1e307}},
+     "coeff*x**2 with coeff = 1e+307 is non-finite on the grid"),
+    ("thermal", {"grid": GRID, "heat": {"kind": "log-affine", "a": 1e308, "b": 1e307}},
+     "a + b*x with a = 1e+308, b = 1e+307 is non-finite on the grid"),
+    ("verify-identities", {"grid": GRID, "density": {
+        "kind": "gibbs", "energy": {"kind": "monomial", "power": 2}, "gamma": 1e307}},
+     "gamma = 1e+307 makes the Gibbs exponent gamma*E - min(gamma*E) non-finite on the grid"),
 ], ids=["evolve-check-index", "sweep-duplicate-lambda", "thermal-not-at-equality",
-        "thermal-log-affine-not-at-equality"])
+        "thermal-log-affine-not-at-equality", "evolve-strength-overflows",
+        "thermal-coeff-overflows", "thermal-log-affine-overflows", "gibbs-gamma-overflows"])
 def test_input_errors_are_refused_before_any_work(tmp_path, capsys, monkeypatch, command,
                                                   payload, message):
     monkeypatch.setattr(propagator, "crank_nicolson_flow", _refuse)  # the stepper
@@ -817,6 +828,34 @@ def test_input_errors_are_refused_before_any_work(tmp_path, capsys, monkeypatch,
     assert main([command, "--input", inp, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"schema error: {command}: {message}\n"
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    ("verify-identities", {"grid": GRID}, "density"),
+    ("evolve", SMALL_EVOLVE, "initial"),
+], ids=["verify-identities", "evolve"])
+def test_a_gaussian_too_wide_to_square_fails_as_a_wide_one(tmp_path, capsys, command, payload,
+                                                           key):
+    # sigma**2 overflows at 1e200: the flat density fails the truncation
+    # check, as at 1e150, not the parse
+    results = []
+    for sigma in (1e150, 1e200):
+        inp = write_json(tmp_path / "in.json",
+                         {**payload, key: {"kind": "gaussian", "sigma": sigma}})
+        code = main([command, "--input", inp, "--out", str(tmp_path / f"out{sigma:g}")])
+        results.append((code, capsys.readouterr().err))
+    assert results[0] == results[1]
+    assert results[0][0] == 3
+    assert results[0][1].startswith("numerical failure: TruncationError: ")
+
+
+def test_a_step_that_overflows_the_crank_nicolson_matrix_exits_3(tmp_path, capsys):
+    inp = write_json(tmp_path / "in.json", {**SMALL_EVOLVE, "dt": 1e308})
+    out = tmp_path / "out"
+    assert main(["evolve", "--input", inp, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == ("numerical failure: NonFinite: "
+                                       "the Crank-Nicolson matrix has a non-finite entry\n")
+    assert read_report(out)["error"]["type"] == "NonFinite"
 
 
 @pytest.mark.parametrize("command", ["verify-identities", "evolve", "epi"])
@@ -846,7 +885,7 @@ def test_uniform_density_reports_its_flags():
     # a uniform density has FI = 0, so both measured ratios in the notes
     # have a zero denominator; the suite still ends with its verdicts
     grid = Grid(**SMALL_SWEEP["grid"])
-    density = density_from_samples(grid.field(np.ones(grid.n)), truncation_check=False)
+    density = density_from_samples(ScalarField(grid, np.ones(grid.n)), truncation_check=False)
     items = list(suites.identities_suite(density, PhysicalConstants(), None))
     byname = {c.name: c for c in items if isinstance(c, IdentityCheck)}
     assert byname["mean-QP-equals-FI"].rhs == 0.0

@@ -14,7 +14,6 @@ from fisherqp import (
     epi_solve,
     gibbs_density,
     maxent_solve,
-    quadrature,
     quantum_potential,
     riccati_check,
     stationarity_residual,
@@ -57,7 +56,7 @@ def test_maxent_infeasible_target(grid):
 def test_maxent_flat_limit(grid):
     # target equal to the uniform mean of A drives alpha to 0
     a = x_squared(grid)
-    uniform_mean = quadrature(a) / (grid.xmax - grid.xmin)
+    uniform_mean = quadrature_values(a.values, grid.dx) / (grid.xmax - grid.xmin)
     with pytest.raises(NonDecaying):
         maxent_solve(a, uniform_mean)
 
@@ -94,7 +93,7 @@ def test_epi_harmonic_closed_form(grid):
     assert res.fisher_I == pytest.approx(2.0, abs=1e-3)
     closed = np.exp(-grid.x**2 / 0.5 / 2) / np.sqrt(2 * np.pi * 0.5)
     assert np.max(np.abs(res.p_I.values - closed)) <= 1e-4
-    assert res.p_I.mass_check() == pytest.approx(1.0, abs=1e-9)
+    assert quadrature_values(res.p_I.values, grid.dx) == pytest.approx(1.0, abs=1e-9)
     assert np.all(res.psi.values >= -1e-12)
 
 

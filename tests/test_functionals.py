@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from fisherqp import (
+    ConstraintSpec,
     Grid,
     PhysicalConstants,
     QPForm,
+    ScalarField,
     density_from_samples,
     differential_entropy,
+    epi_solve,
     fisher_information,
     mean_quantum_potential,
     momentum_fluctuation,
@@ -15,7 +18,7 @@ from fisherqp import (
 )
 from fisherqp.functionals import masked_quadrature, weighted_max_dev, weighted_sup
 from fisherqp.grid import derivative_values
-from fisherqp.suites import identities_suite
+from fisherqp.suites import epi_suite, identities_suite
 
 from conftest import checks_by_name, gaussian_density, mixture_density
 
@@ -71,7 +74,7 @@ def test_entropy_standard_normal(standard_normal):
 
 def test_entropy_uniform_is_zero():
     g = Grid(0.0, 1.0, 1001)
-    d = density_from_samples(g.field(np.ones(g.n)), truncation_check=False)
+    d = density_from_samples(ScalarField(g, np.ones(g.n)), truncation_check=False)
     assert differential_entropy(d) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -153,6 +156,21 @@ def test_mean_qp_equals_fisher_for_mixtures(natural):
         assert lhs == pytest.approx(rhs, rel=1e-6)
 
 
+def test_suites_read_mean_quantum_potential(grid, natural):
+    # integral(P Q) has one statement: each suite's reading is the
+    # function's value to the last bit
+    for density in (gaussian_density(grid), mixture_density(grid, np.random.default_rng(5), 3)):
+        checks = checks_by_name(identities_suite(density, natural, None))
+        assert checks["mean-QP-equals-FI"].lhs == mean_quantum_potential(density, natural)
+    x2 = ScalarField(grid, grid.x**2)
+    x4 = ScalarField(grid, grid.x**4)
+    for spec in (ConstraintSpec(A_fields=[x2], multipliers=[-4.0]),
+                 ConstraintSpec(A_fields=[x2, x4], multipliers=[-4.0, -1.0])):
+        checks = checks_by_name(epi_suite(spec, grid, natural))
+        p_i = epi_solve(spec, grid).p_I
+        assert checks["epi-mean-QP-equals-FI"].lhs == mean_quantum_potential(p_i, natural)
+
+
 def test_fluctuation_report_standard_normal(standard_normal, natural, grid):
     delta_p = momentum_fluctuation(standard_normal, natural)
     mask = standard_normal.support_mask
@@ -193,7 +211,7 @@ def test_osmotic_fields_standard_normal(standard_normal, natural, grid):
 
 def test_osmotic_fields_uniform_interior():
     g = Grid(0.0, 1.0, 257)
-    d = density_from_samples(g.field(np.ones(g.n)), truncation_check=False)
+    d = density_from_samples(ScalarField(g, np.ones(g.n)), truncation_check=False)
     u, u_bar, k_u = osmotic_fields(d, PhysicalConstants())
     assert np.max(np.abs(u.values)) == 0.0
     assert np.max(np.abs(k_u.values)) == 0.0

@@ -5,6 +5,7 @@ from fisherqp import (
     ConstraintSpec,
     Grid,
     NonMonotoneMeanA,
+    ScalarField,
     TooFewPoints,
     epi_solve,
     sweep,
@@ -52,7 +53,7 @@ def test_sweep_closed_forms(base_table):
 
 
 def test_sweep_sorted_and_deterministic(base_table):
-    lams = base_table.lambdas()
+    lams = base_table.column("lam")
     assert np.all(np.diff(lams) > 0)
     g = Grid(-8.0, 8.0, 4097)
     again = sweep(g.from_function(lambda x: x * x), BASE_LAMBDAS, g)
@@ -130,7 +131,7 @@ def test_legendre_too_few_for_reciprocity(base_table):
 
 def test_non_monotone_mean_raises():
     g = Grid(-8.0, 8.0, 2049)
-    flat = g.field(np.full(g.n, 2.0))
+    flat = ScalarField(g, np.full(g.n, 2.0))
     table = sweep(flat, [-1.0, -2.0, -4.0, -8.0, -16.0], g)
     assert len(table.records) == 5
     with pytest.raises(NonMonotoneMeanA):

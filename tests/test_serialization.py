@@ -5,6 +5,7 @@ import numpy as np
 from fisherqp import (
     Grid,
     PhysicalConstants,
+    ScalarField,
     evolve,
     sweep,
 )
@@ -18,7 +19,7 @@ C = PhysicalConstants()
 def test_field_csv_roundtrip(tmp_path):
     g = Grid(-8.0, 8.0, 513)
     rng = np.random.default_rng(5)
-    f = g.field(rng.normal(size=g.n))
+    f = ScalarField(g, rng.normal(size=g.n))
     path = tmp_path / "field.csv"
     ser.save_field_csv(f, path)
     back = np.loadtxt(path, delimiter=",", skiprows=1)

@@ -12,9 +12,8 @@ from fisherqp import (
     density_from_heat,
     density_from_samples,
     gibbs_density,
-    quadrature,
 )
-from fisherqp.grid import ScalarField, derivative_values
+from fisherqp.grid import ScalarField, derivative_values, quadrature_values
 from fisherqp.serialization import phase_on_support
 from fisherqp.states import normalize_samples
 
@@ -62,7 +61,7 @@ def test_constants_reject_nan():
 
 def test_density_normalization_and_mask(grid):
     d = gaussian_density(grid)
-    assert d.mass_check() == pytest.approx(1.0, abs=1e-12)
+    assert quadrature_values(d.values, grid.dx) == pytest.approx(1.0, abs=1e-12)
     closed = np.exp(-grid.x**2 / 2) / np.sqrt(2 * np.pi)
     assert np.max(np.abs(d.values - closed)) <= 1e-9
     assert d.support_mask[grid.n // 2]
@@ -118,7 +117,7 @@ def test_normalize_samples_check_order(grid):
 
 def test_density_truncation_check():
     g = Grid(0.0, 1.0, 101)
-    flat = g.field(np.ones(g.n))
+    flat = ScalarField(g, np.ones(g.n))
     with pytest.raises(TruncationError):
         density_from_samples(flat)
     d = density_from_samples(flat, truncation_check=False)
@@ -142,7 +141,7 @@ def test_gibbs_density_standard_normal(grid):
 
 
 def test_gibbs_constant_energy_truncation(grid):
-    E = grid.field(np.full(grid.n, 2.5))
+    E = ScalarField(grid, np.full(grid.n, 2.5))
     with pytest.raises(TruncationError):
         gibbs_density(E, 1.0)
     d, z = gibbs_density(E, 1.0, truncation_check=False)
@@ -197,6 +196,6 @@ def test_madelung_roundtrip(grid, natural):
     im = ScalarField(grid, np.exp(-grid.x**2 / 4) * np.sin(2 * grid.x))
     density, s = madelung_split(re, im, natural)
     psi_in = re.values + 1j * im.values
-    psi_in = psi_in / np.sqrt(quadrature(ScalarField(grid, np.abs(psi_in) ** 2)))
+    psi_in = psi_in / np.sqrt(quadrature_values(np.abs(psi_in) ** 2, grid.dx))
     mask = density.support_mask
     assert np.max(np.abs(madelung_psi(density, s, natural.hbar) - psi_in)[mask]) <= 1e-9
