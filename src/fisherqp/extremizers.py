@@ -62,7 +62,7 @@ from .grid import (
     derivative_values,
     quadrature_values,
 )
-from .states import Density, TruncationError, density_from_samples, gibbs_density
+from .states import Density, TruncationError, _gibbs, _gibbs_weight, density_from_samples
 
 EDGE_BUFFER = 5          # grid points counted as "at the wall"
 EDGE_MASS_TOL = 1e-7     # ground-state mass allowed in the buffer
@@ -105,9 +105,11 @@ def maxent_solve(A: ScalarField, target: float) -> tuple[Density, float, float]:
     """Solve the single-constraint MaxEnt problem.
 
     Returns (density, alpha_gibbs, Z) with density = exp(-alpha_gibbs A)/Z
-    and quadrature(P * A) = target.  Raises InfeasibleTarget when the
-    target is outside (min A, max A) and NonDecaying when the solution
-    fails the endpoint-decay check.
+    and quadrature(P * A) = target; Z is inf where it overflows.  Raises
+    InfeasibleTarget when the target is outside (min A, max A),
+    NonDecaying when the solution fails the endpoint-decay check, and
+    NonFinite when a multiplier the search tries makes alpha_gibbs*A -
+    min(alpha_gibbs*A) overflow.
     """
     a = A.values
     dx = A.grid.dx
@@ -118,7 +120,7 @@ def maxent_solve(A: ScalarField, target: float) -> tuple[Density, float, float]:
         )
 
     def mean_a(alpha: float) -> float:
-        w = np.exp(-(alpha * a - np.min(alpha * a)))
+        w, _ = _gibbs_weight(alpha, a, "alpha_gibbs", "A")
         return quadrature_values(a * w, dx) / quadrature_values(w, dx)
 
     # <A>(alpha) decreases strictly in alpha; expand the bracket until the
@@ -152,12 +154,7 @@ def maxent_solve(A: ScalarField, target: float) -> tuple[Density, float, float]:
         )
 
     try:
-        if alpha >= 0:
-            density, z = gibbs_density(A, alpha)
-        else:
-            # gibbs_density wants a nonnegative exponent multiplier
-            flipped = ScalarField(A.grid, -A.values)
-            density, z = gibbs_density(flipped, -alpha)
+        density, z = _gibbs(A, alpha, True, "alpha_gibbs", "A")
     except TruncationError as exc:
         raise NonDecaying(str(exc)) from exc
     return density, float(alpha), float(z)

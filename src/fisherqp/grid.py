@@ -20,8 +20,9 @@ spend solving.
 
 Fields are immutable after construction and all operations on them are
 pure, so values can be shared freely across threads.  A complex flow from
-``crank_nicolson_flow`` reuses its solver's work buffers: run it in one
-thread at a time.
+``crank_nicolson_flow`` reuses its solver's work buffers and folds the
+end values into the state a step reads for the span of that step: run it
+in one thread at a time.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def second_derivative_values(values: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-# Odd-even reduction of a complex Crank-Nicolson system (``_odd_even_solver``)
+# Odd-even reduction of a complex Crank-Nicolson system (``_odd_even_step``)
 # stops once fewer than REDUCTION_FLOOR unknowns remain.  Measured per step
 # at m = 16383 (2 vCPU), every level down to a last system of 1023
 # unknowns costs less than the ?gttrs work it removes; one more level costs
@@ -148,25 +149,23 @@ def crank_nicolson_flow(u0: np.ndarray, diag: np.ndarray, off: float | complex,
     and last interior points to the end values, which stay those of
     ``u0``.  The first ``next()`` factors A/2 (``_half_solver``); each
     step then solves A u+ = (2I - A) u + f, with f = -2 off (u[0], 0, ...,
-    0, u[-1]) the folded ends, as u+ = (A/2)^-1 (u + f/2) - u: one copy,
-    one solve and one subtraction.
+    0, u[-1]) the folded ends, as u+ = (A/2)^-1 (u + f/2) - u.  A real
+    step copies u, folds the ends, solves and subtracts; a complex one
+    reads u itself and writes u+ straight into the other work buffer
+    (``_odd_even_step``).
 
     ``u0`` is copied, never written.  The flow steps between two work
-    buffers: a yielded array stays intact until the step after next is
-    computed, so callers copy what they keep.
+    buffers: between calls to ``next()``, a yielded array stays intact
+    until the step after next is computed, so callers copy what they keep.
     """
-    solve = _half_solver(diag, off)
+    step = _half_solver(diag, off)
     u = np.array(u0, dtype=np.result_type(u0, diag))
     # a generator keeps its locals for the whole run: drop the inputs
     del u0, diag
     nxt = u.copy()
     yield u
     for _ in range(steps):
-        rhs = nxt[1:-1]
-        np.copyto(rhs, u[1:-1])
-        rhs[0] -= off * u[0]
-        rhs[-1] -= off * u[-1]
-        np.subtract(solve(rhs), u[1:-1], out=rhs)
+        step(u, nxt)
         u, nxt = nxt, u
         yield u
 
@@ -214,79 +213,131 @@ def _load_flapack():
 
 def _half_solver(diag: np.ndarray, off: float | complex):
     """Factor A/2 of the tridiagonal A = (diag, off) once; return
-    ``solve(rhs)``, which overwrites ``rhs`` with (A/2)^-1 rhs.  Halving is
-    exact, so the factors of A/2 are exact multiples of those of A.
+    ``step(u, out)``, which writes out[1:-1] = (A/2)^-1 (u[1:-1] + f/2) -
+    u[1:-1], f/2 = -off (u[0], 0, ..., 0, u[-1]).  The ends of ``out`` are
+    not written, and ``u`` holds its values again once the step returns.
+    Halving is exact, so the factors of A/2 are exact multiples of those
+    of A.
 
     A real A must be symmetric positive definite: ``?pttrf`` factors it,
     raising LinAlgError when it is not, and ``?pttrs`` solves.  A complex
-    A goes through odd-even reduction ahead of ``?gttrf``/``?gttrs``
-    (``_odd_even_solver``).
+    A goes through odd-even reduction (``_odd_even_levels``,
+    ``_odd_even_step``) ahead of ``?gttrf``/``?gttrs``, which pivot.
     """
     if not (np.all(np.isfinite(diag)) and np.isfinite(off)):
         raise NonFinite("the Crank-Nicolson matrix has a non-finite entry")
     half_diag = 0.5 * np.asarray(diag)
     half_off = np.full(len(half_diag) - 1, 0.5 * off, dtype=half_diag.dtype)
     if np.iscomplexobj(half_diag):
-        return _odd_even_solver(half_diag, half_off)
-    pttrf, pttrs = _lapack(("pttrf", "pttrs"), half_diag.dtype)
-    *factors, info = pttrf(half_diag, half_off)
-    if info > 0:
-        raise np.linalg.LinAlgError("matrix is not positive definite")
+        levels, half_diag, half_off = _odd_even_levels(half_diag, half_off)
+        gttrf, gttrs = _lapack(("gttrf", "gttrs"), half_diag.dtype)
+        *factors, info = gttrf(half_off, half_diag, half_off)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        return pttrs(*factors, rhs, overwrite_b=True)[0]
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            x = gttrs(*factors, rhs, overwrite_b=True)[0]
+            if x is not rhs:  # ?gttrs solves a contiguous right-hand side in place
+                np.copyto(rhs, x)
+            return rhs
 
-    return solve
+        if levels:
+            return _odd_even_step(levels, solve, off)
+    else:
+        pttrf, pttrs = _lapack(("pttrf", "pttrs"), half_diag.dtype)
+        *factors, info = pttrf(half_diag, half_off)
+        if info > 0:
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            return pttrs(*factors, rhs, overwrite_b=True)[0]
+
+    def step(u: np.ndarray, out: np.ndarray) -> None:
+        rhs = out[1:-1]
+        np.copyto(rhs, u[1:-1])
+        rhs[0] -= off * u[0]
+        rhs[-1] -= off * u[-1]
+        np.subtract(solve(rhs), u[1:-1], out=rhs)
+
+    return step
 
 
-def _odd_even_solver(diag: np.ndarray, off: np.ndarray):
-    """Factor the complex symmetric tridiagonal T = (diag, off) once;
-    return ``solve(rhs)``, which overwrites ``rhs`` with T^-1 rhs.
+def _odd_even_step(levels, solve, off: complex):
+    """The Crank-Nicolson step (see ``_half_solver``) of a complex A/2
+    reduced by the odd-even ``levels`` (``_odd_even_levels``) to a last
+    system that ``solve`` solves in place.
 
-    Odd-even reduction (``_odd_even_levels``) ahead of ``?gttrf`` on the
-    last system.  Each level keeps two work buffers of its reduced size.
-    A solve reduces the right-hand side down the levels, runs one
-    ``?gttrs`` on the last system and back-substitutes the eliminated
-    unknowns up the levels, all in whole-array numpy operations; ``?gttrs``
-    alone chains one complex division per unknown, each waiting on the
-    one before.
+    Each level keeps two work buffers of its reduced size, and the views
+    a step reads and writes are built once.  A step reduces the
+    right-hand side down the levels, runs one ``?gttrs`` on the last
+    system and back-substitutes the eliminated unknowns up the levels, all
+    in whole-array numpy operations; ``?gttrs`` alone chains one complex
+    division per unknown, each waiting on the one before.
+
+    The right-hand side b = u[1:-1] + f/2 is not copied out of u: the
+    first level reads u[1:-1] itself, with its two ends folded in place
+    for the span of the step and then restored, and its back substitution
+    writes the solution into ``out``.  Every entry goes through the same
+    numpy operations, in the same order, as when b is copied and folded
+    first, so the result is the same to the bit.
     """
-    levels, diag, off = _odd_even_levels(diag, off)
-    gttrf, gttrs = _lapack(("gttrf", "gttrs"), diag.dtype)
-    *factors, info = gttrf(off, diag, off)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    # per level: the reduced right-hand side, later its solution, and scratch
     buffers = [(np.empty_like(left), np.empty_like(left)) for _, left, _ in levels]
+    systems = [below for below, _ in buffers]
+    # below the first level, each level reads the system above it and its
+    # own two buffers through fixed views: ``down`` holds those of the
+    # forward reduction, ``up`` those of the back substitution, innermost
+    # level first; each tuple lists them in the order the step uses them
+    down, up = [], []
+    for (pivots, left, right), (below, scratch), above in zip(levels[1:], buffers[1:],
+                                                              systems):
+        n = len(right)
+        evens = above[::2]
+        down.append((left, evens[: len(left)], below, above[1::2],
+                     right, above[2::2], scratch[:n], below[:n]))
+        up.append((evens, above[1::2], below, pivots, left, scratch, evens[: len(left)],
+                   right, below[:n], scratch[:n], evens[1:]))
+    up.reverse()
+    (pivots, left, right), (below, scratch) = levels[0], buffers[0]
+    kept, n = len(left), len(right)
+    bottom = systems[-1]
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        systems = [rhs] + [below for below, _ in buffers]
-        # b'_j = b_2j+1 - left_j b_2j - right_j b_2j+2
-        for (pivots, left, right), (below, scratch), above in zip(levels, buffers, systems):
-            n = len(right)
-            np.multiply(left, above[: 2 * len(left) : 2], out=below)
-            np.subtract(above[1::2], below, out=below)
-            np.multiply(right, above[2::2], out=scratch[:n])
+    def step(u: np.ndarray, out: np.ndarray) -> None:
+        b, x = u[1:-1], out[1:-1]
+        first, last = u[1], u[-2]
+        try:
+            u[1] -= off * u[0]
+            u[-2] -= off * u[-1]
+            # b'_j = b_2j+1 - left_j b_2j - right_j b_2j+2
+            np.multiply(left, b[: 2 * kept : 2], out=below)
+            np.subtract(b[1::2], below, out=below)
+            np.multiply(right, b[2::2], out=scratch[:n])
             np.subtract(below[:n], scratch[:n], out=below[:n])
-        last = systems[-1]
-        x = gttrs(*factors, last, overwrite_b=True)[0]
-        if x is not last:  # ?gttrs solves a contiguous right-hand side in place
-            np.copyto(last, x)
-        # x_2j = b_2j / d_2j - left_j x_2j+1 - right_j-1 x_2j-1
-        for (pivots, left, right), (below, scratch), above in zip(
-            reversed(levels), reversed(buffers), reversed(systems[:-1])
-        ):
-            n = len(right)
-            evens = above[::2]
-            above[1::2] = below
-            evens *= pivots
-            np.multiply(left, below, out=scratch)
-            evens[: len(left)] -= scratch
-            np.multiply(right, below[:n], out=scratch[:n])
-            evens[1:] -= scratch[:n]
-        return rhs
+            for lv, evens, bv, odds, rv, nexts, sv, bvn in down:
+                np.multiply(lv, evens, out=bv)
+                np.subtract(odds, bv, out=bv)
+                np.multiply(rv, nexts, out=sv)
+                np.subtract(bvn, sv, out=bvn)
+            solve(bottom)
+            # x_2j = b_2j / d_2j - left_j x_2j+1 - right_j-1 x_2j-1
+            for evens, odds, bv, pv, lv, sv, evl, rv, bvn, svn, evr in up:
+                odds[...] = bv
+                evens *= pv
+                np.multiply(lv, bv, out=sv)
+                evl -= sv
+                np.multiply(rv, bvn, out=svn)
+                evr -= svn
+            evens = x[::2]
+            np.multiply(b[::2], pivots, out=evens)
+        finally:
+            u[1], u[-2] = first, last
+        x[1::2] = below
+        np.multiply(left, below, out=scratch)
+        evens[:kept] -= scratch
+        np.multiply(right, below[:n], out=scratch[:n])
+        evens[1:] -= scratch[:n]
+        np.subtract(x, b, out=x)
 
-    return solve
+    return step
 
 
 def _odd_even_levels(diag: np.ndarray, off: np.ndarray):

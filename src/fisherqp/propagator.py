@@ -12,27 +12,30 @@ discrete l2 norm to roundoff, is unconditionally stable, and is exactly
 time-reversible (stepping with -dt undoes a step).  With A = 1 + i dt H /
 2 hbar on the interior, the step is psi^{n+1} = 2 A^{-1} psi^n - psi^n:
 A/2 is factored once (``grid.crank_nicolson_flow``), and every step is
-one copy of psi, one solve and one subtraction, with no right-hand side
-to build.  The solve eliminates the even-indexed points level by level
-in whole-array operations (odd-even reduction) and runs ``?gttrs`` only
-on what remains, fewer than 1024 points for a potential the grid
-resolves.  It needs no pivoting: the Hermitian part of A is the identity
-for any real potential and either sign of dt, so no elimination divides
-by a pivot of real part below 1/2.
+one solve that reads psi^n in place and one subtraction, with no
+right-hand side to build or copy.  The solve eliminates the even-indexed
+points level by level in whole-array operations (odd-even reduction) and
+runs ``?gttrs`` only on what remains, fewer than 1024 points for a
+potential the grid resolves.  It needs no pivoting: the Hermitian part
+of A is the identity for any real potential and either sign of dt, so no
+elimination divides by a pivot of real part below 1/2.
 
 ``evolve`` steps a bare wavefunction, not a (P, S) pair, so it takes any
 psi the grid samples, nodes included.  Trajectories stream: the stepper
-iterates the flow, copies psi only at the requested steps, and reduces
-what every step must contribute (the wall guard and the norm) as it
-goes.  A trajectory holds psi itself and nothing derived from it: the
-dynamical residuals read the Madelung fields straight off the kept psi,
-with no phase extraction.  The phase gradient is the current-velocity
-form S' = hbar Im(psi* psi')/|psi|^2 = m J/|psi|^2 (Hall and Reginatto,
-J. Phys. A 35, 3289, 2002), and the phase rate dS/dt = hbar [arg(psi+
-psi0*) + arg(psi0 psi-*)] / 2 dt is a pointwise centered difference of
-arg psi, valid while one step turns the phase by less than pi.  Neither needs unwrapping or a global phase
-constant, so neither breaks across the near-nodes of interference
-fringes.  Dirichlet walls stand in for an unbounded domain; a
+iterates the flow, copies psi only at the requested steps, and runs the
+wall guard at every step, on the two first-interior points and one peak
+value unless the edge density comes within half the threshold, when it
+reads all of |psi|^2.  No step computes a norm: the scheme conserves it,
+and a caller that wants it reads it off the kept psi.  A trajectory holds
+psi itself and nothing derived from it: the dynamical residuals read the
+Madelung fields straight off the kept psi, with no phase extraction.  The
+phase gradient is the current-velocity form S' = hbar Im(psi*
+psi')/|psi|^2 = m J/|psi|^2 (Hall and Reginatto, J. Phys. A 35, 3289,
+2002), and the phase rate dS/dt = hbar [arg(psi+ psi0*) + arg(psi0
+psi-*)] / 2 dt is a pointwise centered difference of arg psi, valid while
+one step turns the phase by less than pi.  Neither needs unwrapping or a
+global phase constant, so neither breaks across the near-nodes of
+interference fringes.  Dirichlet walls stand in for an unbounded domain; a
 boundary-contact guard raises instead of silently corrupting identity
 checks once the packet reaches the walls.
 
@@ -72,17 +75,16 @@ RESIDUAL_FLOOR = 0.05        # scale floor entering residual denominators
 class Trajectory:
     """Uniform-in-time Crank-Nicolson trajectory under a fixed potential.
 
-    Steps k = 0..steps lie ``dt`` apart, and ``norms`` gives the
-    quadrature of the raw |psi_k|^2 at every one of them.  Only the
+    Steps k = 0..steps lie ``dt`` apart; ``len()`` counts them.  Only the
     ``kept`` steps are stored: ``psis`` holds their raw complex
     wavefunction.  ``psi(k)`` looks a step up by index, and
     ``density(k)`` is its normalized |psi_k|^2.
     """
 
     dt: float
+    steps: int
     kept: tuple[int, ...]
     psis: list[np.ndarray]
-    norms: np.ndarray
     potential: ScalarField
     constants: PhysicalConstants
 
@@ -91,7 +93,7 @@ class Trajectory:
         return self.potential.grid
 
     def __len__(self) -> int:
-        return len(self.norms)
+        return self.steps + 1
 
     def psi(self, step: int) -> np.ndarray:
         try:
@@ -116,14 +118,14 @@ def evolve(
     """Crank-Nicolson stepping of ``psi0``, set to 0 at the walls and
     normalized on ``V.grid``, over ``steps`` steps of size dt.
 
-    Keeps psi at the step indices in ``keep`` (every step when None) and
-    records every step's norm (see ``Trajectory``).
+    Keeps psi at the step indices in ``keep`` (every step when None; see
+    ``Trajectory``).
 
     Exactly norm-preserving and exactly invertible by stepping with -dt.
-    Raises BoundaryContact, checked at every step, when the relative
-    density at a first-interior point exceeds 1e-10 (the packet has
-    reached the wall).  |dt| should not exceed dx for the second-order
-    truncation errors in space and time to stay balanced.
+    Raises BoundaryContact at the first step where the relative density
+    at a first-interior point exceeds 1e-10 (the packet has reached the
+    wall).  |dt| should not exceed dx for the second-order truncation
+    errors in space and time to stay balanced.
     """
     grid = V.grid
     if len(psi0) != grid.n:
@@ -147,23 +149,35 @@ def evolve(
                                    steps)
     del psi  # the flow copies it; holding it too would keep a third state buffer
 
-    # trapezoid rule for the norm; the walls are pinned to 0, so it is a sum
-    norms = np.empty(steps + 1)
-    p = np.empty(grid.n)
+    # The full wall test reads all of |psi|^2.  A step whose edge density
+    # is at most half the threshold times |psi_j|^2, with j the peak the
+    # last full test found, cannot trip it, since |psi_j|^2 <= max|psi|^2;
+    # the half also covers the ulps by which the scalar and array abs may
+    # differ.  j starts at the wall, where psi is 0, so the first step with
+    # a nonzero edge runs the full test.
+    limit = 0.5 * BOUNDARY_THRESHOLD
+    j = 0
     kept, psis = [], []
     for k, psi in enumerate(flow):
-        np.square(np.abs(psi, out=p), out=p)
-        edge = max(p[1], p[-2])
-        if edge > BOUNDARY_THRESHOLD * p.max():
-            raise BoundaryContact(
-                f"wave packet reached the wall (relative edge density {edge:.3e})"
-            )
-        norms[k] = p.sum() * grid.dx
+        edge = max(abs(psi.item(1)), abs(psi.item(-2)))
+        if not edge * edge <= limit * abs(psi.item(j)) ** 2:
+            j = _wall_test(psi)
         if k in keep_set:
             kept.append(k)
             psis.append(psi.copy())
-    return Trajectory(dt=float(dt), kept=tuple(kept), psis=psis, norms=norms, potential=V,
+    return Trajectory(dt=float(dt), steps=steps, kept=tuple(kept), psis=psis, potential=V,
                       constants=constants)
+
+
+def _wall_test(psi: np.ndarray) -> int:
+    """BoundaryContact when |psi|^2 at a first-interior point exceeds
+    BOUNDARY_THRESHOLD times its peak; else the index of that peak."""
+    p = np.abs(psi) ** 2
+    peak = int(p.argmax())
+    edge = max(p[1], p[-2])
+    if edge > BOUNDARY_THRESHOLD * p[peak]:
+        raise BoundaryContact(f"wave packet reached the wall (relative edge density {edge:.3e})")
+    return peak
 
 
 def _window(traj: Trajectory, index: int) -> tuple[int, int, int]:

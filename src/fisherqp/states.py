@@ -192,29 +192,49 @@ def density_from_samples(raw: ScalarField, truncation_check: bool = True) -> Den
     return _build_density(raw.values, raw.grid, truncation_check)
 
 
+def _gibbs_weight(alpha: float, values: np.ndarray, symbol: str,
+                  field: str) -> tuple[np.ndarray, float]:
+    """(w, shift): the Gibbs weight w = exp(-(alpha*values - shift)),
+    shifted by shift = min(alpha*values) so that it peaks at 1 without
+    overflow, for either sign of alpha.  NonFinite, with alpha written as
+    ``symbol`` and the values as ``field``, when the shifted exponent is
+    not finite on the grid."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = alpha * values
+        shift = float(np.min(exponent))
+        exponent -= shift
+    if not np.all(np.isfinite(exponent)):
+        raise NonFinite(f"{symbol} = {alpha!r} makes the Gibbs exponent "
+                        f"{symbol}*{field} - min({symbol}*{field}) non-finite on the grid")
+    return np.exp(-exponent), shift
+
+
+def _gibbs(E: ScalarField, alpha: float, truncation_check: bool, symbol: str,
+           field: str) -> tuple[Density, float]:
+    """(Density, Z) of exp(-alpha*E)/Z for either sign of alpha; Z is in
+    the original gauge and overflows to inf, without a warning, where
+    alpha*min(E) is below about -709.  Errors as ``_gibbs_weight``."""
+    w, shift = _gibbs_weight(alpha, E.values, symbol, field)
+    z_shifted = quadrature_values(w, E.grid.dx)
+    density = _build_density(w, E.grid, truncation_check)
+    with np.errstate(over="ignore"):
+        z = z_shifted * np.exp(-shift)
+    return density, float(z)
+
+
 def gibbs_density(
     E: ScalarField, gamma: float, truncation_check: bool = True
 ) -> tuple[Density, float]:
     """Gibbs density P = exp(-gamma*E)/Z; returns (Density, Z).
 
     The exponent is shifted by min(E) internally to avoid overflow; Z is
-    reported in the original gauge.  A gamma whose shifted exponent
-    gamma*E - min(gamma*E) is not finite on the grid raises ValueError.
+    reported in the original gauge, inf when it overflows.  A gamma whose
+    shifted exponent gamma*E - min(gamma*E) is not finite on the grid
+    raises NonFinite, a ValueError.
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    with np.errstate(over="ignore", invalid="ignore"):
-        exponent = gamma * E.values
-        shift = float(np.min(exponent))
-        exponent -= shift
-    if not np.all(np.isfinite(exponent)):
-        raise ValueError(f"gamma = {gamma!r} makes the Gibbs exponent "
-                         f"gamma*E - min(gamma*E) non-finite on the grid")
-    w = np.exp(-exponent)
-    z_shifted = quadrature_values(w, E.grid.dx)
-    density = _build_density(w, E.grid, truncation_check)
-    z = z_shifted * np.exp(-shift)
-    return density, float(z)
+    return _gibbs(E, gamma, truncation_check, "gamma", "E")
 
 
 def density_from_heat(
@@ -222,7 +242,9 @@ def density_from_heat(
 ) -> tuple[Density, float]:
     """Density induced by a heat field: P = c_hat * exp(-alpha_th * Q_heat).
 
-    Returns (Density, c_hat) with c_hat fixed by normalization.
+    Returns (Density, c_hat) with c_hat fixed by normalization.  An
+    alpha_th = 1/(hbar*omega) whose shifted exponent alpha_th*Q_heat -
+    min(alpha_th*Q_heat) is not finite on the grid raises NonFinite.
     """
-    density, z = gibbs_density(heat, alpha_th, truncation_check)
+    density, z = _gibbs(heat, alpha_th, truncation_check, "alpha_th", "Q_heat")
     return density, 1.0 / z

@@ -177,8 +177,9 @@ def epi_suite(spec, grid, constants) -> Suite:
 def maxent_suite(constraint, target) -> Suite:
     """maxent: the entropy extremizer attaining ``target``."""
     density, alpha, z = maxent_solve(constraint, target)
-    yield "maxent_result.json", partial(save_json,
-                                        {"alpha_gibbs": alpha, "Z": z, "target": target})
+    # a Z that overflows is written as null, as a check record writes it
+    yield "maxent_result.json", partial(save_json, {
+        "alpha_gibbs": alpha, "Z": z if math.isfinite(z) else None, "target": target})
     yield "maxent_density.csv", partial(save_field_csv, density.field)
     attained = quadrature_values(density.values * constraint.values, constraint.grid.dx)
     yield make_check("maxent-multiplier", attained, target,

@@ -428,6 +428,33 @@ def test_maxent_command(tmp_path):
     assert result["alpha_gibbs"] == pytest.approx(0.5, abs=1e-6)
 
 
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+def test_maxent_writes_a_partition_function_that_overflows_as_null(tmp_path, capsys):
+    # A = x^2 - 2000: Z = exp(1000) * sqrt(2 pi) overflows, alpha_gibbs does not
+    x = Grid(**GRID).x
+    inp = write_json(tmp_path / "in.json", {
+        "grid": GRID, "constraint": {"kind": "tabulated", "data": (x**2 - 2000.0).tolist()},
+        "target": -1999.0})
+    out = tmp_path / "out"
+    assert main(["maxent", "--input", inp, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    result = json.loads((out / "maxent_result.json").read_text(),
+                        parse_constant=_refuse_constant)
+    assert result["Z"] is None
+    assert result["alpha_gibbs"] == pytest.approx(0.5, abs=1e-6)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gibbs_density_whose_partition_function_overflows_runs_clean(tmp_path, capsys):
+    # E = x^2/2 - 1000 at gamma = 1: Z overflows, and the density does not need it
+    x = Grid(**GRID).x
+    inp = write_json(tmp_path / "in.json", {"grid": GRID, "density": {
+        "kind": "gibbs", "energy": {"kind": "tabulated", "data": (x**2 / 2 - 1000.0).tolist()},
+        "gamma": 1.0}})
+    assert main(["verify-identities", "--input", inp, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_sweep_command(tmp_path):
     inp = write_json(
         tmp_path / "in.json",
@@ -814,9 +841,18 @@ def _refuse(*args, **kwargs):
     ("verify-identities", {"grid": GRID, "density": {
         "kind": "gibbs", "energy": {"kind": "monomial", "power": 2}, "gamma": 1e307}},
      "gamma = 1e+307 makes the Gibbs exponent gamma*E - min(gamma*E) non-finite on the grid"),
+    # alpha_th = 1/(hbar*omega) = 1e10 times a heat field of 1e300
+    ("thermal", {"grid": SMALL_GRID,
+                 "heat": {"kind": "values",
+                          "values": np.where(np.abs(Grid(**SMALL_GRID).x) < 1.0, 0.0,
+                                             1e300).tolist()},
+                 "constants": {"hbar": 1e-10, "temperature": 1e-10}},
+     "alpha_th = 10000000000.0 makes the Gibbs exponent alpha_th*Q_heat - "
+     "min(alpha_th*Q_heat) non-finite on the grid"),
 ], ids=["evolve-check-index", "sweep-duplicate-lambda", "thermal-not-at-equality",
         "thermal-log-affine-not-at-equality", "evolve-strength-overflows",
-        "thermal-coeff-overflows", "thermal-log-affine-overflows", "gibbs-gamma-overflows"])
+        "thermal-coeff-overflows", "thermal-log-affine-overflows", "gibbs-gamma-overflows",
+        "thermal-alpha-th-overflows"])
 def test_input_errors_are_refused_before_any_work(tmp_path, capsys, monkeypatch, command,
                                                   payload, message):
     monkeypatch.setattr(propagator, "crank_nicolson_flow", _refuse)  # the stepper

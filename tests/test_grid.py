@@ -17,6 +17,7 @@ from fisherqp.grid import (
     ScalarField,
     _lapack,
     _load_flapack,
+    _odd_even_levels,
     crank_nicolson_flow,
     derivative_values,
     quadrature_values,
@@ -261,6 +262,69 @@ def test_complex_step_zero_pivot():
     diag[10] = 0.0
     assert reduction_depth(diag, 1j) == 0
     assert max(step_backward_errors(diag, 1j)) <= 4 * np.finfo(float).eps
+
+
+def copy_fold_solve_subtract(u, diag, off):
+    """Reference for one complex Crank-Nicolson step: copy the interior of
+    ``u``, fold its ends, solve A/2 by odd-even reduction and ?gttrs on a
+    copy, and subtract the interior of ``u``, level by level in the same
+    numpy operations as the flow's step."""
+    levels, last_diag, last_off = _odd_even_levels(
+        0.5 * diag, np.full(len(diag) - 1, 0.5 * off, dtype=complex))
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (last_diag,))
+    *factors, info = gttrf(last_off, last_diag, last_off)
+    assert info == 0
+    rhs = u[1:-1].copy()
+    rhs[0] -= off * u[0]
+    rhs[-1] -= off * u[-1]
+    systems = [rhs] + [np.empty_like(left) for _, left, _ in levels]
+    for (_, left, right), above, below in zip(levels, systems, systems[1:]):
+        np.multiply(left, above[: 2 * len(left) : 2], out=below)
+        np.subtract(above[1::2], below, out=below)
+        below[: len(right)] -= right * above[2::2]
+    systems[-1][:] = gttrs(*factors, systems[-1])[0]
+    for (pivots, left, right), above, below in zip(
+        reversed(levels), reversed(systems[:-1]), reversed(systems[1:])
+    ):
+        evens = above[::2]
+        above[1::2] = below
+        evens *= pivots
+        evens[: len(left)] -= left * below
+        evens[1:] -= right * below[: len(right)]
+    return rhs - u[1:-1]
+
+
+def cancelling_well(x):
+    return -1.0 / (x[1] - x[0]) ** 2 * np.exp(-(x**2))
+
+
+@pytest.mark.parametrize(
+    "m, dt, potential",
+    [
+        (4095, 1.0 / 1024, harmonic),
+        (4096, 1.0 / 1024, harmonic),
+        (6142, 1.0 / 1024, harmonic),
+        (4095, 1.0 / 1024, deep_well),
+        (4096, -1.0 / 1024, harmonic),
+        (REDUCTION_FLOOR - 1, 1.0 / 1024, harmonic),
+        (16383, 1.0, cancelling_well),
+    ],
+    ids=["odd", "even", "mixed-parity", "deep-well", "negative-dt", "below-floor",
+         "cancelling-well"],
+)
+def test_complex_step_matches_copy_fold_solve_subtract(m, dt, potential):
+    # three steps from random states with nonzero complex ends: every step
+    # equals the reference to the bit, and the state it read is left as it was
+    diag, off = schroedinger_matrix(m, dt, potential)
+    for seed in (0, 1, 2):
+        rng = np.random.default_rng(seed)
+        u0 = rng.normal(size=m + 2) + 1j * rng.normal(size=m + 2)
+        flow = crank_nicolson_flow(u0, diag, off, 3)
+        before = next(flow).copy()
+        for after in flow:
+            assert (after[0], after[-1]) == (u0[0], u0[-1])
+            assert np.array_equal(after[1:-1], copy_fold_solve_subtract(before, diag, off))
+            before = after.copy()
 
 
 def small_tridiagonal_solve(names, dtype, routines):

@@ -14,9 +14,9 @@ from fisherqp import (
     hj_residual,
     osmotic_entropy_rate,
 )
-from fisherqp.grid import ScalarField, quadrature_values
+from fisherqp.grid import ScalarField, crank_nicolson_flow, quadrature_values
 from fisherqp.serialization import dump_trajectory
-from fisherqp.propagator import phase_rate
+from fisherqp.propagator import BOUNDARY_THRESHOLD, phase_rate
 
 from conftest import cn_backward_error, gaussian_density, madelung_psi, reduction_depth
 
@@ -52,9 +52,15 @@ def stationary_trajectory(n=4097, dtinv=1024, steps=64):
     return evolve(psi0, V, C, 1.0 / dtinv, steps)
 
 
+def raw_norms(traj):
+    """The trapezoid quadrature of the raw |psi_k|^2 at every kept step
+    (the walls are 0, so a sum)."""
+    return np.array([np.sum(np.abs(psi) ** 2) * traj.grid.dx for psi in traj.psis])
+
+
 def test_unitarity():
     traj = free_gaussian_trajectory(T=0.25)
-    assert np.max(np.abs(traj.norms - 1.0)) <= 1e-12
+    assert np.max(np.abs(raw_norms(traj) - 1.0)) <= 1e-12
 
 
 def test_ho_ground_state_density_invariant():
@@ -127,6 +133,45 @@ def test_boundary_contact():
     psi0 = madelung_psi(d, 3.0 * g.x)  # momentum 3
     with pytest.raises(BoundaryContact):
         evolve(psi0, g.zeros(), C, 1.0 / 512, 512)
+
+
+def first_wall_contact(psi0, V, dt, steps):
+    """(step, message) of the first step at which the wall test, run on
+    all of |psi|^2 at every step of the same flow ``evolve`` iterates,
+    trips; None when no step does."""
+    g = V.grid
+    psi = np.asarray(psi0).astype(complex)
+    psi[0] = psi[-1] = 0.0
+    psi /= np.sqrt(quadrature_values(np.abs(psi) ** 2, g.dx))
+    kin = C.hbar**2 / (2.0 * C.mass * g.dx * g.dx)
+    z = 1j * dt / (2.0 * C.hbar)
+    flow = crank_nicolson_flow(psi, 1.0 + z * (2.0 * kin + V.values[1:-1]), z * -kin, steps)
+    for k, u in enumerate(flow):
+        p = np.abs(u) ** 2
+        edge = max(p[1], p[-2])
+        if edge > BOUNDARY_THRESHOLD * p.max():
+            return k, f"wave packet reached the wall (relative edge density {edge:.3e})"
+    return None
+
+
+@pytest.mark.parametrize(
+    "center, width, momentum, contact",
+    [(0.0, 1.0, 3.0, 419),   # a moving packet runs into the wall
+     (6.4, 0.1, 0.0, 28)],   # a narrow packet at rest spreads into it
+    ids=["moving", "near-wall"],
+)
+def test_boundary_contact_at_the_step_the_full_test_finds(center, width, momentum, contact):
+    g = Grid(-8.0, 8.0, 2049)
+    d = density_from_samples(
+        g.from_function(lambda x: np.exp(-((x - center) ** 2) / width)), truncation_check=False
+    )
+    psi0 = madelung_psi(d, momentum * g.x)
+    step, message = first_wall_contact(psi0, g.zeros(), 1.0 / 512, 1024)
+    assert step == contact
+    with pytest.raises(BoundaryContact) as raised:
+        evolve(psi0, g.zeros(), C, 1.0 / 512, step, keep=())
+    assert str(raised.value) == message
+    evolve(psi0, g.zeros(), C, 1.0 / 512, step - 1, keep=())
 
 
 def test_energy_conservation_1000_steps():
@@ -301,7 +346,7 @@ def test_windowed_evolve_matches_full_past_phase_wrap():
     window = evolve(psi0, V, C, dt, steps, keep=(mid - 1, mid, mid + 1))
     assert window.kept == (mid - 1, mid, mid + 1)
     assert len(window) == len(full) == steps + 1
-    assert np.array_equal(window.norms, full.norms)
+    assert np.array_equal(raw_norms(window), raw_norms(full)[mid - 1 : mid + 2])
     for k in window.kept:
         assert np.array_equal(window.psi(k), full.psi(k))
     assert continuity_residual(window, mid) == continuity_residual(full, mid)
@@ -379,14 +424,15 @@ def test_window_refuses_steps_it_did_not_keep():
 
 
 def test_norm_drift_reads_the_raw_norm():
-    # the norm of every step is recorded even when no step is kept
+    # a kept step's raw norm does not depend on which other steps are kept
     g = Grid(-10.0, 10.0, 2561)
     psi0 = madelung_psi(gaussian_density(g))
     traj = evolve(psi0, g.zeros(), C, 1.0 / 512, 32)
-    assert np.max(np.abs(traj.norms - 1.0)) <= 1e-12
+    assert np.max(np.abs(raw_norms(traj) - 1.0)) <= 1e-12
+    run = evolve(psi0, g.zeros(), C, 1.0 / 512, 32, keep=(0, 16, 32))
+    assert np.array_equal(raw_norms(run), raw_norms(traj)[[0, 16, 32]])
     run = evolve(psi0, g.zeros(), C, 1.0 / 512, 32, keep=())
-    assert run.psis == [] and len(run.norms) == 33
-    assert np.array_equal(run.norms, traj.norms)
+    assert run.psis == [] and len(run) == 33
 
 
 def test_evolve_refuses_a_start_off_the_potential_grid():
