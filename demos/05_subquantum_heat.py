@@ -1,13 +1,13 @@
 """Heat-field picture: the density as a Gibbs form of an exchanged heat.
 
-Builds the heat field of a Gaussian density (Q_heat = x^2/(2 beta
-sigma^2) up to gauge), runs the ``thermal`` command's check suite tying
-the probabilistic and thermal descriptions together, and diffuses both
-sides in lockstep (Fick for the density, the heat equation for its heat
+Starts, as the ``thermal`` command does, from a heat field, Q_heat =
+x^2/8, and derives its density P = c_hat exp(-alpha_th Q_heat), a
+Gaussian of sigma = 2.  Runs the command's check suite tying the
+probabilistic and thermal descriptions together, and diffuses both sides
+in lockstep (Fick for the density, the heat equation for its heat
 field).  The two formal routes to a "thermal" Fisher information are
-compared: route B is an algebraic identity under the coupling and is
-checked, route A is not, and the measured ratio is reported rather than
-hidden.
+compared: route B is FI rearranged under the coupling, route A is not an
+identity, and the measured ratio is reported rather than hidden.
 """
 
 import numpy as np
@@ -15,8 +15,7 @@ import numpy as np
 from fisherqp import (
     Grid,
     PhysicalConstants,
-    density_from_samples,
-    heat_from_density,
+    density_from_heat,
     thermalized_qp,
     vanishing_qp_residual,
 )
@@ -26,12 +25,13 @@ from fisherqp.thermal import coupled_run
 
 constants = PhysicalConstants()  # thermal equality hbar*omega = k*T holds
 grid = Grid(-16.0, 16.0, 8193)
-density = density_from_samples(grid.from_function(lambda x: np.exp(-x * x / 8)))
+heat = ScalarField(grid, grid.x**2 / 8)
+density, c_hat = density_from_heat(heat, constants.alpha_th)
 
-heat = heat_from_density(density, constants)
-print("heat field of a sigma = 2 Gaussian (gauge: Q_heat(0) = 0)")
-i = int(round((4.0 - grid.xmin) / grid.dx))
-print(f"  Q_heat(4) = {heat.values[i]:.6f}   (closed form x^2/8 = 2)")
+variance = quadrature_values(density.values * grid.x**2, grid.dx)
+print("density of the heat field Q_heat = x^2/8")
+print(f"  variance = {variance:.6f}   (sigma = 2: 4)")
+print(f"  c_hat    = {c_hat:.6f}   (1/sqrt(8 pi) = {1.0 / np.sqrt(8.0 * np.pi):.6f})")
 
 checks = list(thermal_suite(heat, density, constants, 0.004, 1e-3))
 route_b = {item.name: item for item in checks}["thermal-fisher-route-b"]  # vs direct FI
@@ -45,7 +45,7 @@ print(f"  route A  (formal)                 = {route_a:.10f}"
       f"   ratio A/B = {route_a / route_b.lhs:+.4f}  <- reported, not asserted")
 
 print("\nthermal suite over 4 steps of 1e-3 (ratio law, fluctuation chain,")
-print("kinetic excess, Gibbs slope, thermalized Q, route B):")
+print("thermalized Q, route B):")
 for item in checks:
     print(f"  {item.name:28s} error {item.rel_err:.2e}"
           f"  tol {item.tol:.0e}  {'ok' if item.passed else 'FAIL'}")

@@ -42,7 +42,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     BoundaryContact,
-    DecoupledInputs,
     DegenerateGround,
     DegenerateSupport,
     EdgeLocalized,
@@ -92,7 +91,6 @@ from .extremizers import (
 from .legendre import SweepTable, ThermoRecord, sweep, verify_euler, verify_legendre
 from .thermal import (
     delta_s_from_heat,
-    heat_from_density,
     thermalized_qp,
     vanishing_qp_residual,
 )

@@ -8,7 +8,7 @@ evolve              Schroedinger trajectory plus dynamical residuals
 epi                 Fisher extremization for given multipliers
 maxent              entropy extremization for a given target
 sweep               multiplier sweep plus Legendre-structure residuals
-thermal             heat-field suite (lockstep Fick/heat flow, thermal Fisher routes)
+thermal             heat-field suite (lockstep Fick/heat flow, thermal Fisher route)
 list-checks         print every registered check: tag, name, description
 
 Every run takes one path: the ``--input`` file, then ``parse(payload)``,
@@ -204,6 +204,8 @@ def _gibbs_from_input(spec: dict, grid: Grid) -> tuple[ScalarField, float]:
 
 
 def _build_density(spec: dict, grid: Grid):
+    """(density, gibbs) of a density spec; ``gibbs`` is the (energy, gamma)
+    of a ``gibbs`` density exp(-gamma E)/Z, None for every other kind."""
     kind = spec.get("kind")
     if kind in ("gaussian", "mixture"):
         # a gaussian is the one-component mixture of weight 1: 0 + 1.0*v is v
@@ -220,12 +222,13 @@ def _build_density(spec: dict, grid: Grid):
         if not np.all(np.isfinite(raw)):
             raise SchemaError(f"the {kind} is non-finite on the grid "
                               f"(a sigma near 0 or weights beyond the float range)")
-        return density_from_samples(ScalarField(grid, raw))
+        return density_from_samples(ScalarField(grid, raw)), None
     if kind == "samples":
-        return density_from_samples(ScalarField(grid, _numbers(spec, "values", grid)))
+        return density_from_samples(ScalarField(grid, _numbers(spec, "values", grid))), None
     if kind == "gibbs":
-        density, _ = gibbs_density(*_gibbs_from_input(spec, grid))
-        return density
+        gibbs = _gibbs_from_input(spec, grid)
+        density, _ = gibbs_density(*gibbs)
+        return density, gibbs
     raise SchemaError(f"unknown density kind {kind!r}")
 
 
@@ -254,13 +257,7 @@ def _parses(command: str):
 def _parse_verify_identities(payload) -> dict:
     grid = _grid_from_input(payload)
     constants = _constants_from_input(payload)
-    spec = _require(payload, "density")
-    if spec.get("kind") == "gibbs":
-        gibbs = _gibbs_from_input(spec, grid)
-        density, _ = gibbs_density(*gibbs)
-    else:
-        gibbs = None
-        density = _build_density(spec, grid)
+    density, gibbs = _build_density(_require(payload, "density"), grid)
     return {"density": density, "constants": constants, "gibbs": gibbs}
 
 
@@ -279,7 +276,7 @@ def _parse_evolve(payload) -> dict:
                         DUMP_BUDGET, "B")
 
     init_spec = _require(payload, "initial")
-    density = _build_density(init_spec, grid)
+    density, _ = _build_density(init_spec, grid)
     momentum = _finite(init_spec.get("momentum", 0.0), "momentum")
     # psi0 = sqrt(P) exp(i S / hbar) with the phase S = hbar k x
     with np.errstate(over="ignore", invalid="ignore"):

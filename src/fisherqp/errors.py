@@ -58,11 +58,8 @@ class NonMonotoneMeanA(FisherQPError):
 
 
 class DegenerateSupport(FisherQPError):
-    """A density's support has too few points for a check that fits it."""
-
-
-class DecoupledInputs(FisherQPError):
-    """A density / heat-field pair does not satisfy P = c*exp(-alpha*Q)."""
+    """A density's support has too few points for the derivatives its
+    checks take."""
 
 
 class NonFinite(FisherQPError, ValueError):

@@ -145,7 +145,9 @@ def maxent_solve(A: ScalarField, target: float) -> tuple[Density, float, float]:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
+        # relative to the bracket, so a multiplier near 0 is still resolved;
+        # a bracket closing on alpha = 0 ends through the iteration cap
+        if hi - lo <= 1e-15 * max(abs(lo), abs(hi)):
             break
     alpha = 0.5 * (lo + hi)
     if abs(mean_a(alpha) - target) > 1e-8 * max(1.0, abs(target)):

@@ -124,7 +124,8 @@ def _require_window(table: SweepTable, least: int) -> None:
 
 def _family_derivatives(table: SweepTable):
     """d/dlambda of I, <A>, Lambda at interior records via the chain rule
-    through the differencing variable."""
+    through the differencing variable t; returns (lambda, dI, dA, dL,
+    t, dlambda/dt), every array but t at the interior records."""
     lams = table.column("lam")
     t = _differencing_variable(lams)
     log_space = t is not lams
@@ -133,13 +134,13 @@ def _family_derivatives(table: SweepTable):
     dI = _centered_derivative(t, table.column("I")) / dlam_dt
     dA = _centered_derivative(t, table.column("meanA")) / dlam_dt
     dL = _centered_derivative(t, table.column("Lambda_pot")) / dlam_dt
-    return lams[1:-1], dI, dA, dL
+    return lams[1:-1], dI, dA, dL, t, dlam_dt
 
 
 def verify_euler(table: SweepTable) -> float:
     """Max normalized residual of dI/dlambda = lambda d<A>/dlambda."""
     _require_window(table, 3)
-    lam_mid, dI, dA, _ = _family_derivatives(table)
+    lam_mid, dI, dA, *_ = _family_derivatives(table)
     residual = np.abs(dI - lam_mid * dA) / (np.abs(dI) + 1e-300)
     return float(np.max(residual))
 
@@ -175,7 +176,7 @@ def verify_legendre(table: SweepTable) -> LegendreReport:
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise NonMonotoneMeanA("constraint average is not strictly monotone")
 
-    lam_mid, dI, dA, dL = _family_derivatives(table)
+    lam_mid, dI, dA, dL, full_t, full_dlam_dt = _family_derivatives(table)
     mean_mid = mean_a[1:-1]
 
     res_dlambda = np.max(np.abs(dL + mean_mid) / (np.abs(mean_mid) + 1e-300))
@@ -184,12 +185,8 @@ def verify_legendre(table: SweepTable) -> LegendreReport:
     _require_window(table, 5)
     # Second derivatives: difference the first-derivative fields, which
     # live at interior records, against the same variable.
-    lams = table.column("lam")
-    full_t = _differencing_variable(lams)
-    log_space = full_t is not lams
     t = full_t[1:-1]
-    lam_inner = lam_mid[1:-1]
-    dlam_dt = lam_inner if log_space else np.ones_like(lam_inner)
+    dlam_dt = full_dlam_dt[1:-1]
 
     dI_dA_field = dI / dA                       # = dI/d<A> at interior records
     d_dt = _centered_derivative(t, dI_dA_field)

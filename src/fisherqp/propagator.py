@@ -255,22 +255,37 @@ def hj_residual(traj: Trajectory, index: int) -> float:
 
 
 def entropy_rate_check(traj: Trajectory, index: int) -> tuple[float, float]:
-    """(lhs, rhs) of the entropy production identity.
+    """(lhs, rhs) of the entropy production identity dH/dt = -(1/m)
+    integral(S' P') at an interior ``index``.
 
-    lhs is the centered time difference of the differential entropy; rhs
-    is -(1/m) integral(S' P').
+    lhs is the centered time difference of the differential entropy H.
+    rhs is that identity integrated by parts once, -integral(dP/dt (log P
+    + 1)) over the support, with dP/dt = -J' from the current at
+    ``index``: J is smooth and log P only integrably singular at a
+    near-node, where the integrand J P'/P of the S'P' form
+    (``phase_entropy_rate``) changes faster than the grid resolves.  The
+    rhs leans on the continuity equation, which ``continuity_residual``
+    judges.
     """
     before, now, after = (traj.density(k) for k in _window(traj, index))
-    dt = traj.dt
+    lhs = (differential_entropy(after) - differential_entropy(before)) / (2.0 * traj.dt)
+
     dx = traj.grid.dx
-    m = traj.constants.mass
+    mask = now.support_mask
+    log_p = np.zeros(traj.grid.n)
+    log_p[mask] = np.log(now.values[mask])
+    dj = derivative_values(probability_current(traj, index), dx)
+    return lhs, masked_quadrature(dj * (log_p + 1.0), mask, dx)
 
-    lhs = (differential_entropy(after) - differential_entropy(before)) / (2.0 * dt)
 
-    grad_s = phase_gradient(traj, index)
+def phase_entropy_rate(traj: Trajectory, index: int) -> float:
+    """-(1/m) integral(S' P') at ``index``, with S' = m J/|psi|^2: the
+    entropy rate through the phase gradient, which divides J by P."""
+    now = traj.density(index)
+    dx = traj.grid.dx
     dp = derivative_values(now.values, dx)
-    rhs = -masked_quadrature(grad_s * dp, now.support_mask, dx) / m
-    return lhs, rhs
+    return -masked_quadrature(phase_gradient(traj, index) * dp, now.support_mask,
+                              dx) / traj.constants.mass
 
 
 def osmotic_entropy_rate(density: Density, constants: PhysicalConstants) -> float:
@@ -278,7 +293,7 @@ def osmotic_entropy_rate(density: Density, constants: PhysicalConstants) -> floa
 
     Builds S with S' = -(hbar/2m) P'/P by cumulative integration and
     evaluates -integral(S' P') directly, without the 1/m of
-    ``entropy_rate_check``.  Equals +(hbar/2m) * FI, hence is nonnegative:
+    ``phase_entropy_rate``.  Equals +(hbar/2m) * FI, hence is nonnegative:
     pure diffusion only ever produces entropy.
     """
     g = density.grid

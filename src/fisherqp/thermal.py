@@ -2,26 +2,30 @@
 thermalized quantum potential and ``coupled_run``, the one flow: the
 density under Fick's law and its heat field under the classical heat
 equation, stepped in lockstep.  The identity checks built from them, the
-two thermal routes to Fisher information and the Gibbs-side formulas
-among them, live in ``suites``; this module imports nothing from
-``reports``.
+thermal route to Fisher information among them, live in ``suites``;
+this module imports nothing from ``reports``.
 
 Conventions
 -----------
 * The coupling between a density and its heat field is
   P = c_hat * exp(-alpha_th * Q_heat) with alpha_th = 1/(hbar*omega);
   under thermal equality hbar*omega = k*T this is the Gibbs form with
-  beta = 1/kT.  ``heat_from_density`` pins the gauge Q_heat = 0 at the
-  support center.
+  beta = 1/kT.  A run starts from the heat field and derives its density
+  (``states.density_from_heat``), so the pair is coupled by construction.
 * A heat field is a bare ``ScalarField`` in energy units, read with the
   run's one ``PhysicalConstants``; Q_tilde = alpha_th * Q_heat is formed
   where it is used.
-* Where an identity is exact algebra under the coupling (thermal Fisher
-  route B, the kinetic-excess identity), the heat-field gradient is
-  evaluated through the coupled density, grad(Q) = -(1/alpha) grad(P)/P,
-  which realizes the identity discretely instead of burying it under
-  stencil noise.  The raw field-gradient route is reported where the
-  distinction matters.
+* Identities that are exact algebra under the coupling are stated here
+  and not checked: on a coupled pair both sides are one expression
+  rearranged, so no discretization could make them disagree.  They are
+  log P = -beta Q_heat + log c_hat (affine in -beta Q_heat with unit
+  slope), and the kinetic excess
+
+      delta_E_kin = (hbar^2/8m) (grad P / P)^2 = (1/8 m omega^2) (grad Q_heat)^2.
+
+  ``coupled_grad_heat`` evaluates grad Q_heat through the coupled
+  density, -(1/alpha) grad(P)/P, for the thermal Fisher route B, whose
+  note reports the raw field-gradient route A beside it.
 * c_hat is a per-time normalization constant, refit at every step of a
   coupled evolution.
 * Heat evolution holds the endpoint values of the initial field fixed
@@ -38,10 +42,9 @@ Conventions
   of the initial field and then reads only the curvature at the two
   first interior points.
 * ``coupled_run`` steps Fick and heat in lockstep, both at the
-  diffusivity D = hbar/2m of the constants, and reduces the
-  coupling deviation on the raw arrays, through the array-level cores
-  that ``density_from_samples`` and ``coupling_deviation`` call
-  (``states.normalize_samples``, ``_coupling_deviation``): no per-step
+  diffusivity D = hbar/2m of the constants, and reduces the coupling
+  deviation on the raw arrays (``states.normalize_samples``, the core of
+  ``density_from_samples``, and ``_coupling_deviation``): no per-step
   objects, heat fields only at the kept steps, and a result equal bit for
   bit to the same reduction over the materialized flows.
 """
@@ -53,7 +56,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import BoundaryContact, DecoupledInputs, NonFinite
+from .errors import BoundaryContact, NonFinite
 from .functionals import weighted_sup
 from .grid import (
     ScalarField,
@@ -66,38 +69,6 @@ from .grid import (
 from .states import SUPPORT_FLOOR, Density, PhysicalConstants, normalize_samples
 
 FICK_BOUNDARY_THRESHOLD = 1e-10  # relative density at first interior points
-COUPLING_TOL = 1e-6              # allowed weighted deviation of P from c*exp(-aQ)
-
-
-def heat_from_density(density: Density, constants: PhysicalConstants) -> ScalarField:
-    """Invert the coupling: Q_heat = -(1/alpha_th) log(P/c_hat).
-
-    The gauge is pinned by Q_heat = 0 at the support center.  Off the
-    support each side continues linearly with the steeper of its edge
-    slope (~0 at a flat top) and the slope that takes the induced density
-    below SUPPORT_FLOOR * max(P) within one dx, so the reconstruction
-    ``density_from_heat`` round-trips.  A support of fewer than 3 points
-    raises DegenerateSupport.
-    """
-    p = density.values
-    x = density.grid.x
-    dx = density.grid.dx
-    idx = density.support_indices(3, "heat_from_density")
-    center = idx[0] + (idx[-1] - idx[0]) // 2
-    if not density.support_mask[center]:
-        center = idx[np.argmax(p[idx])]
-    q = np.empty_like(p)
-    block = slice(idx[0], idx[-1] + 1)
-    q[block] = -(np.log(np.maximum(p[block], 1e-300)) - math.log(p[center])) / (
-        constants.alpha_th
-    )
-    slopes = derivative_values(q[block], dx)
-    floor = SUPPORT_FLOOR * float(np.max(p))
-    left, right = (math.log(p[i] / floor) / (constants.alpha_th * dx)
-                   for i in (idx[0], idx[-1]))
-    q[: idx[0]] = q[idx[0]] + min(slopes[0], -left) * (x[: idx[0]] - x[idx[0]])
-    q[idx[-1] + 1 :] = q[idx[-1]] + max(slopes[-1], right) * (x[idx[-1] + 1 :] - x[idx[-1]])
-    return ScalarField(density.grid, q)
 
 
 def delta_s_from_heat(q: ScalarField, constants: PhysicalConstants) -> ScalarField:
@@ -115,23 +86,14 @@ def coupled_grad_heat(density: Density, constants: PhysicalConstants) -> np.ndar
     return -density.grad_log() / constants.alpha_th
 
 
-def coupling_deviation(
-    density: Density, q: ScalarField, constants: PhysicalConstants
-) -> float:
-    """Weighted max deviation of P from c_hat * exp(-alpha_th Q_heat)."""
-    p = density.values
-    return _coupling_deviation(
-        p, float(np.max(p)), density.support_mask, q.values,
-        constants.alpha_th, q.grid.dx, np.empty(len(p)), np.empty(len(p)),
-    )
-
-
 def _coupling_deviation(
     p: np.ndarray, peak: float, mask: np.ndarray, q: np.ndarray, alpha: float,
     dx: float, w: np.ndarray, work: np.ndarray,
 ) -> float:
-    """``coupling_deviation`` on raw arrays, with ``w`` and ``work`` as
-    scratch; a non-finite q raises the NonFinite a ScalarField would."""
+    """Weighted max deviation of the density ``p`` (peak ``peak``, support
+    ``mask``) from c_hat * exp(-alpha q), relative to the peak, on raw
+    arrays with ``w`` and ``work`` as scratch; a non-finite q raises the
+    NonFinite a ScalarField would."""
     qmin = q.min()
     if not (math.isfinite(qmin) and math.isfinite(q.max())):
         raise NonFinite("field values must be finite")
@@ -143,16 +105,6 @@ def _coupling_deviation(
     # ... against P in the weighted sup norm over P's support
     np.subtract(p, w, out=work)
     return weighted_sup(work, p, peak, mask, scratch=w) / peak
-
-
-def require_coupling(
-    density: Density, q: ScalarField, constants: PhysicalConstants
-) -> None:
-    dev = coupling_deviation(density, q, constants)
-    if dev > COUPLING_TOL:
-        raise DecoupledInputs(
-            f"density/heat pair violates P = c*exp(-alpha*Q) by {dev:.3e}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +229,10 @@ def coupled_run(
     c_hat(t) exp(-alpha Q(t)) over every step, and the heat field at each
     of the ``keep`` steps, by step.
 
-    Each step reduces on the raw arrays through the cores of
-    ``density_from_samples`` and ``coupling_deviation``, so it raises what
-    they raise and equals their reduction over the materialized flows.
+    Each step reduces on the raw arrays through ``normalize_samples``, the
+    core of ``density_from_samples``, and ``_coupling_deviation``, so it
+    raises what they raise and equals their reduction over the
+    materialized flows.
     """
     steps = step_count(t_final, dt)
     keep_set = steps_to_keep(keep, steps)

@@ -49,14 +49,12 @@ def test_verify_identities_pass(tmp_path):
     assert report["schema"] == 2
     assert report["inputs_digest"].startswith("sha256:")
     byname = {c["name"]: c for c in report["checks"]}
-    assert list(byname) == ["qp-four-forms", "mean-QP-equals-FI", "fluctuation-mean-zero",
-                            "fluctuation-second-moment", "thermal-fisher-route-b"]
+    assert list(byname) == ["qp-four-forms", "mean-QP-equals-FI", "fluctuation-mean-zero"]
     for record in report["checks"]:
         assert set(record) == {"name", "paper_eq", "lhs", "rhs", "abs_err", "rel_err",
                                "tol", "note", "pass"}
-    # the two standing discrepancies are measured ratios in the notes
+    # the standing sign discrepancy is a measured ratio in the note
     assert "(measured ratio " in byname["mean-QP-equals-FI"]["note"]
-    assert "(measured ratio A/B = " in byname["thermal-fisher-route-b"]["note"]
     assert (out / "density.csv").exists()
     assert (out / "meta.json").exists()
 
@@ -80,8 +78,9 @@ def test_verify_identities_gibbs_density(tmp_path):
 
 
 def test_verify_identities_off_thermal_equality_skips_the_thermal_pair(tmp_path):
-    # route B is beta^2/alpha_th^2 times FI: with hbar*omega != k*T it is
-    # not an identity, so the route-B check is not formed
+    # verify-identities forms no thermal pair (the thermal Fisher route is
+    # the thermal command's): with hbar*omega != k*T it reports the checks
+    # of any other constants
     inp = write_json(
         tmp_path / "in.json",
         {
@@ -96,9 +95,9 @@ def test_verify_identities_off_thermal_equality_skips_the_thermal_pair(tmp_path)
     )
     out = tmp_path / "out"
     assert main(["verify-identities", "--input", inp, "--out", str(out)]) == 0
-    names = {c["name"] for c in read_report(out)["checks"]}
-    assert {"gibbs-qp-formula", "gibbs-fisher-formula"} <= names
-    assert "thermal-fisher-route-b" not in names
+    names = [c["name"] for c in read_report(out)["checks"]]
+    assert names == ["qp-four-forms", "mean-QP-equals-FI", "fluctuation-mean-zero",
+                     "gibbs-qp-formula", "gibbs-fisher-formula"]
 
 
 def test_report_determinism(tmp_path):
@@ -358,9 +357,9 @@ def test_a_solving_run_starts_no_blas_thread():
 
 
 def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # the thermal quadratic run reaches np.polyfit (gibbs-form-slope), the
-    # package's one BLAS-backed call
-    for command, files, check in (("thermal", ["report.json"], "gibbs-form-slope"),
+    # the package makes no BLAS-backed call: a thermal run's reductions and
+    # a sweep's LAPACK solves read alike at either thread count
+    for command, files, check in (("thermal", ["report.json"], "thermal-fisher-route-b"),
                                   ("sweep", ["report.json", "sweep.csv"], "fisher-euler")):
         inp = write_json(tmp_path / f"{command}.json", SOLVING_RUNS[command])
         written = []
@@ -426,6 +425,18 @@ def test_maxent_command(tmp_path):
     assert main(["maxent", "--input", inp, "--out", str(out)]) == 0
     result = json.loads((out / "maxent_result.json").read_text())
     assert result["alpha_gibbs"] == pytest.approx(0.5, abs=1e-6)
+
+
+def test_maxent_solves_a_multiplier_near_zero(tmp_path):
+    # A = 1e16 x^2 with target 1e16 needs alpha = 1/(2e16): the bisection's
+    # stop is relative to its bracket, so a multiplier far below 1 is found
+    inp = write_json(tmp_path / "in.json", {
+        "grid": GRID, "constraint": {"kind": "monomial", "power": 2, "coeff": 1e16},
+        "target": 1e16})
+    out = tmp_path / "out"
+    assert main(["maxent", "--input", inp, "--out", str(out)]) == 0
+    result = json.loads((out / "maxent_result.json").read_text())
+    assert result["alpha_gibbs"] == pytest.approx(5e-17, rel=1e-6)
 
 
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
@@ -658,7 +669,7 @@ def test_non_integral_integer_exits_2(tmp_path, capsys, command, payload, key, v
 
 def test_thermal_one_point_support_exits_3(tmp_path, capfd):
     # Q = 1e306 x^2 leaves one grid point on the coupled density's support:
-    # the slope fit is refused by name before LAPACK sees it
+    # the suite refuses it by name
     inp = write_json(
         tmp_path / "in.json",
         {"grid": {"xmin": -8.0, "xmax": 8.0, "n": 257},
@@ -667,9 +678,10 @@ def test_thermal_one_point_support_exits_3(tmp_path, capfd):
     out = tmp_path / "out"
     assert main(["thermal", "--input", inp, "--out", str(out)]) == 3
     assert read_report(out)["error"]["type"] == "DegenerateSupport"
-    err = capfd.readouterr().err
-    assert err.startswith("numerical failure: DegenerateSupport: gibbs-form-slope")
-    assert err.count("\n") == 1  # no LAPACK or numpy message
+    # and no numpy message
+    assert capfd.readouterr().err == ("numerical failure: DegenerateSupport: thermal needs a "
+                                      "support of at least 3 points; the density's support "
+                                      "has 1\n")
 
 
 def spike(width):
@@ -687,10 +699,10 @@ def spike(width):
         ("epi", small_epi(-1e152),
          "riccati needs a support of at least 3 points; the density's support has 1"),
         ("verify-identities", spike(1),
-         "heat_from_density needs a support of at least 3 points; "
+         "verify-identities needs a support of at least 3 points; "
          "the density's support has 1"),
         ("verify-identities", spike(2),
-         "heat_from_density needs a support of at least 3 points; "
+         "verify-identities needs a support of at least 3 points; "
          "the density's support has 2"),
     ],
     ids=["epi-deep-well", "one-point-spike", "two-point-spike"],
@@ -710,15 +722,13 @@ THERMAL_ONE_POINT = {"grid": {"xmin": -8.0, "xmax": 8.0, "n": 257},
                      "heat": {"kind": "quadratic", "coeff": 1e306}}
 
 
-VERIFY_BEFORE_THERMAL = ["qp-four-forms", "mean-QP-equals-FI", "fluctuation-mean-zero",
-                         "fluctuation-second-moment"]
+VERIFY_BEFORE_GUARD = ["qp-four-forms", "mean-QP-equals-FI", "fluctuation-mean-zero"]
 
 
 @pytest.mark.parametrize("command, payload, names, artifacts", [
-    ("verify-identities", spike(1), VERIFY_BEFORE_THERMAL, ["density.csv"]),
-    ("verify-identities", spike(2), VERIFY_BEFORE_THERMAL, ["density.csv"]),
-    ("thermal", THERMAL_ONE_POINT, ["ratio-law-evolution", "fluctuation-chain",
-                                    "kinetic-excess"], []),
+    ("verify-identities", spike(1), VERIFY_BEFORE_GUARD, ["density.csv"]),
+    ("verify-identities", spike(2), VERIFY_BEFORE_GUARD, ["density.csv"]),
+    ("thermal", THERMAL_ONE_POINT, ["ratio-law-evolution", "fluctuation-chain"], []),
 ], ids=["one-point-spike", "two-point-spike", "thermal-one-point"])
 def test_failed_run_keeps_the_checks_yielded_before_the_error(tmp_path, command, payload,
                                                               names, artifacts):
@@ -736,17 +746,15 @@ def test_failed_run_keeps_the_checks_yielded_before_the_error(tmp_path, command,
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
 @pytest.mark.parametrize("width", [3, 4, 5, 8, 16])
 def test_flat_topped_density_reports_every_check(tmp_path, width):
-    # a compact support: the heat field continues off it steeply enough for
-    # the induced density to decay, so the coupling holds; the jump at the
-    # edges fails the quantum-potential checks, not the run
+    # a compact support of at least 3 points: the jump at its edges fails
+    # the quantum-potential checks, not the run
     inp = write_json(tmp_path / "in.json", spike(width))
     out = tmp_path / "out"
     assert main(["verify-identities", "--input", inp, "--out", str(out)]) == 3
     report = read_report(out)
     assert "error" not in report
     byname = {c["name"]: c for c in report["checks"]}
-    assert len(byname) == 5
-    assert byname["thermal-fisher-route-b"]["pass"] is True
+    assert len(byname) == 3
     assert byname["qp-four-forms"]["pass"] is False
     assert byname["mean-QP-equals-FI"]["pass"] is False
 
@@ -918,16 +926,20 @@ def test_constants_whose_products_overflow_or_vanish_exit_2(tmp_path, capsys, co
 
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
 def test_uniform_density_reports_its_flags():
-    # a uniform density has FI = 0, so both measured ratios in the notes
-    # have a zero denominator; the suite still ends with its verdicts
+    # a uniform density has FI = 0, so the measured ratios in the notes of
+    # both suites have a zero denominator; each still ends with its verdicts
     grid = Grid(**SMALL_SWEEP["grid"])
+    heat = ScalarField(grid, np.full(grid.n, 1.3))
     density = density_from_samples(ScalarField(grid, np.ones(grid.n)), truncation_check=False)
     items = list(suites.identities_suite(density, PhysicalConstants(), None))
     byname = {c.name: c for c in items if isinstance(c, IdentityCheck)}
     assert byname["mean-QP-equals-FI"].rhs == 0.0
     assert "(measured ratio +inf)" in byname["mean-QP-equals-FI"].note
-    assert "(measured ratio A/B = +inf)" in byname["thermal-fisher-route-b"].note
-    assert len(byname) == 5 and all(c.passed for c in byname.values())
+    assert len(byname) == 3 and all(c.passed for c in byname.values())
+    thermal = list(suites.thermal_suite(heat, density, PhysicalConstants(), None, 1e-3))
+    assert "(measured ratio A/B = +inf)" in thermal[-1].note
+    assert [c.name for c in thermal] == ["vanishing-qp-family", "thermal-fisher-route-b"]
+    assert all(c.passed for c in thermal)
 
 
 def test_non_finite_record_is_written_as_strict_json(tmp_path):

@@ -125,16 +125,6 @@ def test_time_reversal():
         assert reduction_depth(ab[1], ab[0, 1:]) == 2
 
 
-def test_boundary_contact():
-    g = Grid(-4.0, 4.0, 1025)
-    d = density_from_samples(
-        g.from_function(lambda x: np.exp(-(x**2))), truncation_check=False
-    )
-    psi0 = madelung_psi(d, 3.0 * g.x)  # momentum 3
-    with pytest.raises(BoundaryContact):
-        evolve(psi0, g.zeros(), C, 1.0 / 512, 512)
-
-
 def first_wall_contact(psi0, V, dt, steps):
     """(step, message) of the first step at which the wall test, run on
     all of |psi|^2 at every step of the same flow ``evolve`` iterates,
@@ -152,6 +142,21 @@ def first_wall_contact(psi0, V, dt, steps):
         if edge > BOUNDARY_THRESHOLD * p.max():
             return k, f"wave packet reached the wall (relative edge density {edge:.3e})"
     return None
+
+
+def test_boundary_contact_at_step_zero():
+    # exp(-x^2) on [-4, 4] starts with a relative edge density of 1.2e-7,
+    # above the threshold: the start itself is refused, whatever its momentum
+    g = Grid(-4.0, 4.0, 1025)
+    d = density_from_samples(
+        g.from_function(lambda x: np.exp(-(x**2))), truncation_check=False
+    )
+    psi0 = madelung_psi(d, 3.0 * g.x)  # momentum 3
+    step, message = first_wall_contact(psi0, g.zeros(), 1.0 / 512, 512)
+    assert step == 0
+    with pytest.raises(BoundaryContact) as raised:
+        evolve(psi0, g.zeros(), C, 1.0 / 512, 1)
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize(
@@ -229,6 +234,20 @@ def test_hj_convergence_on_coherent_state():
         return hj_residual(traj, dtinv // 2)
 
     assert run(5121, 1024) / run(10241, 2048) >= 3.5
+
+
+def test_entropy_rate_through_a_collision():
+    # two packets (sigma = 1, centres -/+8, momenta +/-3) collide at
+    # t = 8/3; at step 1365 of dt = 1/512 the fringes have near-nodes where
+    # the S'P' form reads 2.4e-3 off the centered rate, while its by-parts
+    # form reads 9.6e-5, within the entropy-rate tolerance of 1e-3
+    g = Grid(-40.0, 40.0, 8193)
+    psi0 = (np.exp(-((g.x + 8.0) ** 2) / 4.0 + 3j * g.x)
+            + np.exp(-((g.x - 8.0) ** 2) / 4.0 - 3j * g.x))
+    traj = evolve(psi0, g.zeros(), C, 1.0 / 512, 1366, keep=(1364, 1365, 1366))
+    lhs, rhs = entropy_rate_check(traj, 1365)
+    assert lhs == pytest.approx(0.2324862, abs=1e-7)
+    assert abs(rhs - lhs) <= 1e-3 * abs(lhs)
 
 
 def test_stationary_state_residuals():

@@ -5,7 +5,6 @@ from scipy.linalg import solve_banded
 
 from fisherqp import (
     BoundaryContact,
-    DecoupledInputs,
     DegenerateSupport,
     Grid,
     PhysicalConstants,
@@ -13,7 +12,6 @@ from fisherqp import (
     density_from_heat,
     density_from_samples,
     gibbs_density,
-    heat_from_density,
     momentum_fluctuation,
     thermalized_qp,
     vanishing_qp_residual,
@@ -21,7 +19,7 @@ from fisherqp import (
 from fisherqp.grid import (ScalarField, derivative_values, quadrature_values,
                            second_derivative_values)
 from fisherqp.suites import identities_suite, thermal_suite
-from fisherqp.thermal import coupled_run, coupling_deviation
+from fisherqp.thermal import _coupling_deviation, coupled_run
 
 from conftest import (checks_by_name, cn_backward_error, diffusion_flow, gaussian_density,
                       note_value)
@@ -33,30 +31,26 @@ def wide_grid():
     return Grid(-16.0, 16.0, 8193)
 
 
+def coupled_gaussian(grid, sigma=1.0, constants=C):
+    """(heat field, density) of a Gaussian of width ``sigma``, heat first:
+    Q_heat = x^2/(2 alpha_th sigma^2) and its coupled density."""
+    heat = ScalarField(grid, grid.x**2 / (2.0 * constants.alpha_th * sigma**2))
+    density, _ = density_from_heat(heat, constants.alpha_th)
+    return heat, density
+
+
+def coupling_deviation(density, heat, constants):
+    """Weighted max deviation of P from c_hat exp(-alpha_th Q_heat): the
+    reduction ``coupled_run`` makes at every step, on a Density."""
+    p = density.values
+    return _coupling_deviation(p, float(np.max(p)), density.support_mask, heat.values,
+                               constants.alpha_th, heat.grid.dx, np.empty(len(p)),
+                               np.empty(len(p)))
+
+
 # ---------------------------------------------------------------------------
 # heat field construction
 # ---------------------------------------------------------------------------
-
-
-def test_heat_from_density_gaussian(grid):
-    d = gaussian_density(grid)
-    heat = heat_from_density(d, C)
-    mask = d.support_mask
-    assert np.max(np.abs(heat.values - grid.x**2 / 2)[mask]) <= 1e-10
-    assert heat.values[grid.n // 2] == 0.0  # gauge pin
-
-
-def test_heat_roundtrip(grid):
-    d = gaussian_density(grid)
-    back, chat = density_from_heat(heat_from_density(d, C), C.alpha_th)
-    assert np.max(np.abs(back.values - d.values)) <= 1e-9
-    assert chat == pytest.approx(1.0 / np.sqrt(2 * np.pi), rel=1e-9)
-
-
-def test_heat_uniform_interior():
-    g = Grid(0.0, 1.0, 257)
-    d = density_from_samples(ScalarField(g, np.ones(g.n)), truncation_check=False)
-    assert np.max(np.abs(heat_from_density(d, C).values)) <= 1e-12
 
 
 def test_heat_gradient_coupling_exact(grid):
@@ -89,8 +83,8 @@ def test_delta_s_scaling(grid):
 
 
 def test_delta_s_gradient_matches_fluctuation(grid):
-    d = gaussian_density(grid)
-    ds = delta_s_from_heat(heat_from_density(d, C), C)
+    heat, d = coupled_gaussian(grid)
+    ds = delta_s_from_heat(heat, C)
     grad_ds = derivative_values(ds.values, grid.dx)
     delta_p = momentum_fluctuation(d, C)
     mask = d.support_mask
@@ -249,9 +243,8 @@ def thermal_fisher_routes(density, heat, constants):
 
 
 def test_thermal_fisher_route_b_equals_fisher():
-    g = wide_grid()
-    d = gaussian_density(g, sigma=2.0)
-    route_b, fisher, _ = thermal_fisher_routes(d, heat_from_density(d, C), C)
+    heat, d = coupled_gaussian(wide_grid(), sigma=2.0)
+    route_b, fisher, _ = thermal_fisher_routes(d, heat, C)
     assert route_b == pytest.approx(fisher, rel=1e-8)
     assert fisher == pytest.approx(0.25, abs=1e-6)
 
@@ -276,13 +269,6 @@ def test_thermal_fisher_uniform_is_zero():
     assert thermal_fisher_routes(d, heat, C)[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_thermal_fisher_rejects_decoupled_inputs(grid):
-    d = gaussian_density(grid)
-    heat = ScalarField(grid, np.abs(grid.x))  # wrong profile
-    with pytest.raises(DecoupledInputs):
-        thermal_fisher_routes(d, heat, C)
-
-
 # ---------------------------------------------------------------------------
 # chains and coherence
 # ---------------------------------------------------------------------------
@@ -296,35 +282,26 @@ def thermal_checks(heat, constants, t_final=0.004, dt=1e-3):
 
 
 def test_coupled_evolution_short_horizon():
-    g = wide_grid()
-    d = gaussian_density(g, sigma=2.0)
-    assert coupled_run(d, heat_from_density(d, C), C, 0.01, 1e-3)[0] <= 2e-3
+    heat, d = coupled_gaussian(wide_grid(), sigma=2.0)
+    assert coupled_run(d, heat, C, 0.01, 1e-3)[0] <= 2e-3
 
 
 def test_coupling_deviation_detects_mismatch(grid):
-    d = gaussian_density(grid)
-    assert coupling_deviation(d, heat_from_density(d, C), C) <= 1e-12
+    heat, d = coupled_gaussian(grid)
+    assert coupling_deviation(d, heat, C) <= 1e-12
     assert coupling_deviation(d, ScalarField(grid, grid.x**2 / 3), C) > 1e-2
 
 
 def test_coherence_suite_all_pass():
-    g = wide_grid()
-    d = gaussian_density(g, sigma=2.0)
-    checks = thermal_checks(heat_from_density(d, C), C)
+    heat, _ = coupled_gaussian(wide_grid(), sigma=2.0)
+    checks = thermal_checks(heat, C)
     assert all(item.passed for item in checks)
-    assert [item.name for item in checks[:4]] == [
+    assert [item.name for item in checks] == [
         "ratio-law-evolution",
         "fluctuation-chain",
-        "kinetic-excess",
-        "gibbs-form-slope",
+        "thermalized-qp-vanishes",
+        "thermal-fisher-route-b",
     ]
-
-
-def test_coherence_kinetic_excess_closed_form():
-    # Q = x^2 with natural constants: both kinetic-excess forms are x^2/2
-    g = wide_grid()
-    checks = thermal_checks(ScalarField(g, g.x**2 / 4), C)
-    assert {c.name: c for c in checks}["kinetic-excess"].lhs <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +332,7 @@ def test_factored_heat_stepper_matches_solve_banded():
     # the end values of the coupled field are far from 0, so a step that
     # loses the fold fails
     g = Grid(-12.0, 12.0, 2049)
-    d = gaussian_density(g)
-    q0 = heat_from_density(d, C)
+    q0, d = coupled_gaussian(g)
     assert min(abs(q0.values[0]), abs(q0.values[-1])) > 10.0
     dt, steps = 1e-3, 64
     _, heat = coupled_run(d, q0, C, steps * dt, dt, keep=range(steps + 1))
@@ -396,13 +372,12 @@ def test_coupled_deviation_uses_caller_constants():
     c = PhysicalConstants(mass=2.0, omega=2.0, temperature=2.0)
     assert c.is_thermal_equilibrium
     g = wide_grid()
-    d = gaussian_density(g, sigma=2.0)
-    q0 = heat_from_density(d, c)
+    q0, d = coupled_gaussian(g, sigma=2.0, constants=c)
     dev, heat = coupled_run(d, q0, c, 0.01, 1e-3, keep=(10,))
     ref, ref_heat = materialized_run(d, q0, c, 10, 1e-3)
     assert dev == ref
     assert np.array_equal(heat[10].values, ref_heat[10])
-    assert dev != coupled_run(d, heat_from_density(d, C), C, 0.01, 1e-3)[0]
+    assert dev != coupled_run(d, coupled_gaussian(g, sigma=2.0)[0], C, 0.01, 1e-3)[0]
 
 
 def test_coherence_lockstep_matches_materialized_flows():
@@ -502,7 +477,7 @@ def test_overflowing_heat_flow_raises_like_materialized_flow():
             thermal_checks(heat, C, 4e-3, 1e-3)
 
 
-def test_gibbs_form_slope_refuses_one_point_support():
+def test_thermal_refuses_one_point_support():
     g = Grid(-8.0, 8.0, 257)
     with pytest.raises(DegenerateSupport, match="support has 1"):
         thermal_checks(ScalarField(g, 1e306 * g.x**2), C)
@@ -521,8 +496,9 @@ def test_lockstep_deviation_equals_materialized_flows(n, steps, dt, weight, cent
     g = Grid(-8.0, 8.0, n)
     raw = sum(a * np.exp(-((g.x - c) ** 2) / (2.0 * s**2))
               for a, c, s in zip((1.0, weight), centers, widths))
-    d = density_from_samples(ScalarField(g, raw))
-    q0 = heat_from_density(d, C)
+    # the mixture's heat field, -(1/alpha_th) log of the mixture
+    q0 = ScalarField(g, -np.log(raw) / C.alpha_th)
+    d, _ = density_from_heat(q0, C.alpha_th)
     dev, heat = coupled_run(d, q0, C, steps * dt, dt, keep=range(steps + 1))
     ref, ref_heat = materialized_run(d, q0, C, steps, dt)
     assert dev == ref
