@@ -17,6 +17,7 @@ from fisherqp import (
     evolve,
     fisher_information,
     hj_residual,
+    madelung_window,
     osmotic_entropy_rate,
 )
 from fisherqp.grid import quadrature_values
@@ -52,11 +53,11 @@ print(f"  norm drift        {np.max(np.abs(norms - 1.0)):.2e}")
 print(f"  sigma^2(t=1)      {var:.8f}   (closed form 1 + (t/2)^2 = 1.25)")
 print(f"  energy drift      {abs(energy(traj.psi(1024)) - energy(traj.psi(0))):.2e}")
 
-mid = 512
+window = madelung_window(traj, 512)
 print("\nresiduals at t = 0.5 (normalized, second order in dx and dt):")
-print(f"  continuity        {continuity_residual(traj, mid):.2e}")
-print(f"  Hamilton-Jacobi   {hj_residual(traj, mid):.2e}")
-lhs, rhs = entropy_rate_check(traj, mid)
+print(f"  continuity        {continuity_residual(window):.2e}")
+print(f"  Hamilton-Jacobi   {hj_residual(window):.2e}")
+lhs, rhs = entropy_rate_check(window)
 print(f"  entropy rate      d(entropy)/dt = {lhs:.6f} vs -int(dP/dt (log P + 1)) = {rhs:.6f}")
 
 # The synthetic osmotic state: S' = -(hbar/2m) P'/P makes the entropy

@@ -17,11 +17,13 @@ from fisherqp import (
     PhysicalConstants,
     epi_solve,
     maxent_solve,
+    mean_quantum_potential,
+    quantum_potential,
     riccati_check,
 )
 from fisherqp.extremizers import stationarity_residual
-from fisherqp.reports import IdentityCheck
-from fisherqp.suites import epi_suite
+from fisherqp.functionals import weighted_max_dev
+from fisherqp.grid import quadrature_values
 
 constants = PhysicalConstants()
 grid = Grid(-8.0, 8.0, 4097)
@@ -43,11 +45,18 @@ print(f"  extreme FI  {result.fisher_I:.6f}   (closed form 2)")
 print(f"  stationarity residual  {stationarity_residual(result):.2e}")
 print(f"  Riccati residual       {riccati_check(result):.2e}")
 
-# the epi command's suite solves the same problem and forms its checks
-checks = {c.name: c for c in epi_suite(spec, grid, constants) if isinstance(c, IdentityCheck)}
+# the eigen-equation the solver solves pins the quantum potential of the
+# extremal density to the constraint: Q = (hbar^2/8m)(lambda A + alpha_norm)
+p_I = result.p_I
+q = quantum_potential(p_I, constants).values
+coeff = constants.hbar**2 / (8.0 * constants.mass)
+affine = coeff * (-4.0 * a_field.values + result.alpha_norm)
+dev = weighted_max_dev(q, np.where(p_I.support_mask, affine, 0.0), p_I)
 print("\nthe extremal density pins its own quantum potential:")
 print(f"  Q = (hbar^2/8m)(lambda A + alpha_norm), max deviation / max |Q| "
-      f"{checks['epi-qp-affine'].lhs:.2e}")
-mean = checks["epi-mean-qp"]
-print(f"  mean: integral(p_I Q) = {mean.lhs:.9f} vs {mean.rhs:.9f}")
+      f"{dev / np.max(np.abs(q)):.2e}")
+through_a = coeff * (-4.0 * quadrature_values(p_I.values * a_field.values, grid.dx)
+                     + result.alpha_norm)
+print(f"  mean: integral(p_I Q) = {mean_quantum_potential(p_I, constants):.9f} "
+      f"vs {through_a:.9f}")
 print("  (the often-quoted hbar^2/4m slope overshoots by 2: the slope ratio is 1/2)")

@@ -78,6 +78,7 @@ from .propagator import (
     entropy_rate_check,
     evolve,
     hj_residual,
+    madelung_window,
     osmotic_entropy_rate,
 )
 from .extremizers import (

@@ -392,12 +392,12 @@ def _parse_thermal(payload) -> dict:
     dt = _finite(payload.get("dt", 1e-3), "dt")
     if t_final < 2.0 * dt:
         raise SchemaError("t_final must cover at least two steps")
-    # the static log-affine checks never step; a heat flow is validated
-    # before anything is computed
+    # every kind's timing is validated; the static log-affine checks never
+    # step, so only a heat flow is held to the work budget
+    steps = step_count(t_final, dt)
     if kind == "log-affine":
         t_final = None
     else:
-        steps = step_count(t_final, dt)
         _require_within("2*n*steps", 2 * grid.n * steps, WORK_BUDGET, "point-steps")
     density, _ = density_from_heat(heat, constants.alpha_th, truncation_check=False)
     return {"heat": heat, "density": density, "constants": constants, "t_final": t_final,

@@ -27,17 +27,12 @@ wall guard at every step, on the two first-interior points and one peak
 value unless the edge density comes within half the threshold, when it
 reads all of |psi|^2.  No step computes a norm: the scheme conserves it,
 and a caller that wants it reads it off the kept psi.  A trajectory holds
-psi itself and nothing derived from it: the dynamical residuals read the
-Madelung fields straight off the kept psi, with no phase extraction.  The
-phase gradient is the current-velocity form S' = hbar Im(psi*
-psi')/|psi|^2 = m J/|psi|^2 (Hall and Reginatto, J. Phys. A 35, 3289,
-2002), and the phase rate dS/dt = hbar [arg(psi+ psi0*) + arg(psi0
-psi-*)] / 2 dt is a pointwise centered difference of arg psi, valid while
-one step turns the phase by less than pi.  Neither needs unwrapping or a
-global phase constant, so neither breaks across the near-nodes of
-interference fringes.  Dirichlet walls stand in for an unbounded domain; a
-boundary-contact guard raises instead of silently corrupting identity
-checks once the packet reaches the walls.
+psi itself and nothing derived from it: ``madelung_window`` forms the
+Madelung fields of one interior step once, straight off the kept psi
+with no phase extraction, and the dynamical residuals read that window.
+Dirichlet walls stand in for an unbounded domain; a boundary-contact
+guard raises instead of silently corrupting identity checks once the
+packet reaches the walls.
 
 Residual normalization: each residual is reported relative to the
 magnitude of its leading term plus a floor of one twentieth of the
@@ -180,112 +175,114 @@ def _wall_test(psi: np.ndarray) -> int:
     return peak
 
 
-def _window(traj: Trajectory, index: int) -> tuple[int, int, int]:
-    """Steps index - 1, index, index + 1 (the centered-difference stencil)."""
+@dataclass(frozen=True)
+class MadelungWindow:
+    """The Madelung fields of an interior step k, formed once by
+    ``madelung_window``: the normalized densities ``before``, ``now`` and
+    ``after`` at steps k - 1, k and k + 1, and at step k J' (``dj``), S'
+    (``grad_s``, 0 off the support of ``now``) and dS/dt (``dsdt``)."""
+
+    dt: float
+    potential: ScalarField
+    constants: PhysicalConstants
+    before: Density
+    now: Density
+    after: Density
+    dj: np.ndarray
+    grad_s: np.ndarray
+    dsdt: np.ndarray
+
+
+def madelung_window(traj: Trajectory, index: int) -> MadelungWindow:
+    """The Madelung fields at the interior step ``index`` of ``traj``, from
+    the psi kept at its centered-difference stencil.
+
+    J = (hbar/m) Im(psi* psi') is the flux of the continuity equation,
+    computed from the raw wavefunction, so it carries no roundoff floor of
+    a phase extraction (relevant for stationary states, where J ~ 0).
+    S' = m J / |psi|^2 = hbar Im(psi* psi')/|psi|^2 on the support, 0 off
+    it: the current-velocity form (Hall and Reginatto, J. Phys. A 35, 3289,
+    2002).  dS/dt = hbar [arg(psi+ psi0*) + arg(psi0 psi-*)] / 2 dt is a
+    pointwise centered difference of arg psi, valid while one step turns
+    the phase by less than pi.  Neither needs unwrapping or a global phase
+    constant, so neither breaks across the near-nodes of interference
+    fringes.
+    """
     if not 1 <= index <= len(traj) - 2:
         raise ValueError(f"index {index} must be interior (1..{len(traj) - 2})")
-    return index - 1, index, index + 1
-
-
-def probability_current(traj: Trajectory, index: int) -> np.ndarray:
-    """J = (hbar/m) Im(psi* psi'), the flux of the continuity equation.
-
-    Computed from the raw wavefunction, so it carries no roundoff floor of
-    a phase extraction (relevant for stationary states, where J ~ 0).
-    """
-    psi = traj.psi(index)
+    stencil = (index - 1, index, index + 1)
+    before, now, after = (traj.density(k) for k in stencil)
+    psi_before, psi, psi_after = (traj.psi(k) for k in stencil)
     dx = traj.grid.dx
-    dpsi = derivative_values(psi.real, dx) + 1j * derivative_values(psi.imag, dx)
     c = traj.constants
-    return c.hbar / c.mass * np.imag(np.conj(psi) * dpsi)
+    dpsi = derivative_values(psi.real, dx) + 1j * derivative_values(psi.imag, dx)
+    current = c.hbar / c.mass * np.imag(np.conj(psi) * dpsi)
+    abs2 = np.abs(psi) ** 2
+    turn = np.angle(psi_after * np.conj(psi)) + np.angle(psi * np.conj(psi_before))
+    return MadelungWindow(
+        dt=traj.dt, potential=traj.potential, constants=c,
+        before=before, now=now, after=after,
+        dj=derivative_values(current, dx),
+        grad_s=np.divide(c.mass * current, abs2, out=np.zeros_like(abs2),
+                         where=now.support_mask),
+        dsdt=c.hbar * turn / (2.0 * traj.dt),
+    )
 
 
-def phase_gradient(traj: Trajectory, index: int) -> np.ndarray:
-    """S' = m J / |psi|^2 = hbar Im(psi* psi')/|psi|^2 on the support of
-    step ``index``, 0 off it."""
-    abs2 = np.abs(traj.psi(index)) ** 2
-    current = traj.constants.mass * probability_current(traj, index)
-    mask = traj.density(index).support_mask
-    return np.divide(current, abs2, out=np.zeros_like(abs2), where=mask)
-
-
-def phase_rate(traj: Trajectory, index: int) -> np.ndarray:
-    """dS/dt = hbar [arg(psi+ psi0*) + arg(psi0 psi-*)] / 2 dt at an
-    interior ``index``: a pointwise centered difference of arg psi, with
-    no unwrapping and no global phase constant; valid while one step
-    turns the phase by less than pi."""
-    before, now, after = (traj.psi(k) for k in _window(traj, index))
-    turn = np.angle(after * np.conj(now)) + np.angle(now * np.conj(before))
-    return traj.constants.hbar * turn / (2.0 * traj.dt)
-
-
-def continuity_residual(traj: Trajectory, index: int) -> float:
+def continuity_residual(w: MadelungWindow) -> float:
     """max |dP/dt + div J| over the mask, relative to max|dP/dt|.
 
-    Time derivative by centered difference at an interior index; the
-    denominator carries the scale floor described in the module docstring.
+    Time derivative by centered difference; the denominator carries the
+    scale floor described in the module docstring.
     """
-    before, now, after = (traj.density(k) for k in _window(traj, index))
-    dt = traj.dt
-    dx = traj.grid.dx
-
-    dpdt = (after.values - before.values) / (2.0 * dt)
-    div = derivative_values(probability_current(traj, index), dx)
-    mask = now.support_mask
-
-    num = float(np.max(np.abs(dpdt[mask] + div[mask])))
-    den = float(np.max(np.abs(dpdt[mask]))) + RESIDUAL_FLOOR * float(np.max(now.values))
+    dpdt = (w.after.values - w.before.values) / (2.0 * w.dt)
+    mask = w.now.support_mask
+    num = float(np.max(np.abs(dpdt[mask] + w.dj[mask])))
+    den = float(np.max(np.abs(dpdt[mask]))) + RESIDUAL_FLOOR * float(np.max(w.now.values))
     return num / den
 
 
-def hj_residual(traj: Trajectory, index: int) -> float:
+def hj_residual(w: MadelungWindow) -> float:
     """Density-weighted residual of dS/dt + (S')^2/2m + V + Q = 0."""
-    dsdt = phase_rate(traj, index)
-    now = traj.density(index)
-    m = traj.constants.mass
-
-    grad_s = phase_gradient(traj, index)
-    q = quantum_potential(now, traj.constants).values
-    r = dsdt + grad_s**2 / (2.0 * m) + traj.potential.values + q
+    now = w.now
+    v = w.potential.values
+    q = quantum_potential(now, w.constants).values
+    r = w.dsdt + w.grad_s**2 / (2.0 * w.constants.mass) + v + q
 
     mask = now.support_mask
-    scale = np.abs(traj.potential.values[mask] + q[mask])
-    den = float(np.max(np.abs(dsdt[mask]))) + RESIDUAL_FLOOR * float(np.max(scale))
+    scale = np.abs(v[mask] + q[mask])
+    den = float(np.max(np.abs(w.dsdt[mask]))) + RESIDUAL_FLOOR * float(np.max(scale))
     return weighted_max_dev(r, 0.0, now) / den
 
 
-def entropy_rate_check(traj: Trajectory, index: int) -> tuple[float, float]:
+def entropy_rate_check(w: MadelungWindow) -> tuple[float, float]:
     """(lhs, rhs) of the entropy production identity dH/dt = -(1/m)
-    integral(S' P') at an interior ``index``.
+    integral(S' P').
 
     lhs is the centered time difference of the differential entropy H.
     rhs is that identity integrated by parts once, -integral(dP/dt (log P
-    + 1)) over the support, with dP/dt = -J' from the current at
-    ``index``: J is smooth and log P only integrably singular at a
+    + 1)) over the support, with dP/dt = -J' from the current at the
+    middle step: J is smooth and log P only integrably singular at a
     near-node, where the integrand J P'/P of the S'P' form
     (``phase_entropy_rate``) changes faster than the grid resolves.  The
     rhs leans on the continuity equation, which ``continuity_residual``
     judges.
     """
-    before, now, after = (traj.density(k) for k in _window(traj, index))
-    lhs = (differential_entropy(after) - differential_entropy(before)) / (2.0 * traj.dt)
-
-    dx = traj.grid.dx
+    lhs = (differential_entropy(w.after) - differential_entropy(w.before)) / (2.0 * w.dt)
+    now = w.now
     mask = now.support_mask
-    log_p = np.zeros(traj.grid.n)
+    log_p = np.zeros(now.grid.n)
     log_p[mask] = np.log(now.values[mask])
-    dj = derivative_values(probability_current(traj, index), dx)
-    return lhs, masked_quadrature(dj * (log_p + 1.0), mask, dx)
+    return lhs, masked_quadrature(w.dj * (log_p + 1.0), mask, now.grid.dx)
 
 
-def phase_entropy_rate(traj: Trajectory, index: int) -> float:
-    """-(1/m) integral(S' P') at ``index``, with S' = m J/|psi|^2: the
-    entropy rate through the phase gradient, which divides J by P."""
-    now = traj.density(index)
-    dx = traj.grid.dx
+def phase_entropy_rate(w: MadelungWindow) -> float:
+    """-(1/m) integral(S' P') with S' = m J/|psi|^2: the entropy rate
+    through the phase gradient, which divides J by P."""
+    now = w.now
+    dx = now.grid.dx
     dp = derivative_values(now.values, dx)
-    return -masked_quadrature(phase_gradient(traj, index) * dp, now.support_mask,
-                              dx) / traj.constants.mass
+    return -masked_quadrature(w.grad_s * dp, now.support_mask, dx) / w.constants.mass
 
 
 def osmotic_entropy_rate(density: Density, constants: PhysicalConstants) -> float:

@@ -25,7 +25,7 @@ from .functionals import (QPForm, fisher_information, masked_quadrature, mean_qu
 from .grid import derivative_values, quadrature_values, second_derivative_values
 from .legendre import sweep, verify_euler, verify_legendre
 from .propagator import (continuity_residual, entropy_rate_check, evolve, hj_residual,
-                         phase_entropy_rate)
+                         madelung_window, phase_entropy_rate)
 from .reports import IdentityCheck, make_check, make_residual_check
 from .serialization import dump_trajectory, save_field_csv, save_json, save_sweep_csv
 from .thermal import (coupled_grad_heat, coupled_run, delta_s_from_heat, step_count,
@@ -101,10 +101,11 @@ def evolve_suite(psi0, potential, constants, dt, steps, index, dump) -> Suite:
     traj = evolve(psi0, potential, constants, dt, steps, keep)
     if dump:
         yield "trajectory", partial(dump_trajectory, traj)
-    yield make_residual_check("continuity", continuity_residual(traj, index))
-    yield make_residual_check("modified-hj", hj_residual(traj, index))
-    lhs, rhs = entropy_rate_check(traj, index)
-    phase_route = phase_entropy_rate(traj, index)
+    window = madelung_window(traj, index)
+    yield make_residual_check("continuity", continuity_residual(window))
+    yield make_residual_check("modified-hj", hj_residual(window))
+    lhs, rhs = entropy_rate_check(window)
+    phase_route = phase_entropy_rate(window)
     yield make_check("entropy-rate", lhs, rhs, note=(
         "centered entropy rate vs -integral(dP/dt (log P + 1)) with dP/dt = -J', "
         "which leans on the continuity equation (judged by continuity); "
@@ -114,7 +115,15 @@ def evolve_suite(psi0, potential, constants, dt, steps, index, dump) -> Suite:
 
 
 def epi_suite(spec, grid, constants) -> Suite:
-    """epi: the extremal density of the constraints ``spec``."""
+    """epi: the extremal density of the constraints ``spec``.
+
+    The discrete eigen-equation the solver solves makes the quantum
+    potential of p_I affine in the constraints, Q = (hbar^2/8m)(sum
+    lambda A + alpha_norm), pointwise to the solver's own residual stop,
+    and integrating it against p_I gives integral(p_I Q) through the
+    constraint averages.  Both restate the solved equation, so neither is
+    reported: on x^2 they read roundoff (2e-13 to 5e-12 at n = 1025 to
+    4097)."""
     result = epi_solve(spec, grid)
     yield "epi_result.json", partial(save_json, {
         "alpha_norm": result.alpha_norm,
@@ -132,25 +141,8 @@ def epi_suite(spec, grid, constants) -> Suite:
                      note="contraction identity FI = alpha_norm + sum lambda <A>")
     yield make_residual_check("epi-stationarity", stationarity_residual(result))
     yield make_residual_check("riccati", riccati_check(result))
-    d = result.p_I
-    coeff = constants.hbar**2 / (8.0 * constants.mass)
-    mean_qp = mean_quantum_potential(d, constants)
-    yield make_check("epi-mean-QP-equals-FI", mean_qp, coeff * result.fisher_I)
-    if len(result.multipliers) == 1:
-        q = quantum_potential(d, constants).values
-        # the stationarity condition pins Q = (hbar^2/8m)(lambda A + alpha_norm);
-        # A is recovered from U, not read from spec: lambda*A/lambda is not
-        # always A to the last bit
-        lam = result.multipliers[0]
-        a = 8.0 * result.effective_potential.values / lam
-        rhs = coeff * lam * a + coeff * result.alpha_norm
-        scale = float(np.max(np.abs(q)))
-        yield make_residual_check("epi-qp-affine",
-                                  weighted_max_dev(q, np.where(d.support_mask, rhs, 0.0), d)
-                                  / (scale + 1e-300))
-        yield make_check("epi-mean-qp", mean_qp,
-                         coeff * (lam * quadrature_values(d.values * a, grid.dx)
-                                  + result.alpha_norm))
+    yield make_check("epi-mean-QP-equals-FI", mean_quantum_potential(result.p_I, constants),
+                     constants.hbar**2 / (8.0 * constants.mass) * result.fisher_I)
 
 
 def maxent_suite(constraint, target) -> Suite:

@@ -24,6 +24,7 @@ from fisherqp import (
     fisher_information,
     gibbs_density,
     hj_residual,
+    madelung_window,
     maxent_solve,
     mean_quantum_potential,
     momentum_fluctuation,
@@ -213,9 +214,10 @@ def test_criterion_08_dynamics():
     # contract point: dx = 1/256, dt = 1/1024 on [-8, 8]
     traj = _free_gaussian(8.0, 4097, 1024)
     mid = 512
-    r_cont = continuity_residual(traj, mid)
-    r_hj = hj_residual(traj, mid)
-    lhs, rhs = entropy_rate_check(traj, mid)
+    window = madelung_window(traj, mid)
+    r_cont = continuity_residual(window)
+    r_hj = hj_residual(window)
+    lhs, rhs = entropy_rate_check(window)
     r_ent = abs(lhs - rhs) / (abs(lhs) + abs(rhs))
     contract_ok = max(r_cont, r_hj, r_ent) <= 1e-3
 
@@ -223,8 +225,9 @@ def test_criterion_08_dynamics():
     # dominates the wall-seeded noise floor
     coarse = _free_gaussian(10.0, 5121, 1024)
     fine = _free_gaussian(10.0, 10241, 2048)
-    ratio_cont = continuity_residual(coarse, 512) / continuity_residual(fine, 1024)
-    lc, lf = entropy_rate_check(coarse, 512), entropy_rate_check(fine, 1024)
+    w_c, w_f = madelung_window(coarse, 512), madelung_window(fine, 1024)
+    ratio_cont = continuity_residual(w_c) / continuity_residual(w_f)
+    lc, lf = entropy_rate_check(w_c), entropy_rate_check(w_f)
     ratio_ent = (abs(lc[0] - lc[1]) / (abs(lc[0]) + abs(lc[1]))) / (
         abs(lf[0] - lf[1]) / (abs(lf[0]) + abs(lf[1]))
     )
@@ -234,15 +237,16 @@ def test_criterion_08_dynamics():
         d = density_from_samples(g.from_function(lambda x: np.exp(-((x - 1) ** 2))))
         t = evolve(madelung_psi(d), g.from_function(lambda x: 0.5 * x**2), C,
                    1.0 / dtinv, dtinv)
-        return hj_residual(t, dtinv // 2)
+        return hj_residual(madelung_window(t, dtinv // 2))
 
     ratio_hj = coherent_hj(5121, 1024) / coherent_hj(10241, 2048)
     conv_ok = min(ratio_cont, ratio_ent, ratio_hj) >= 3.5
 
     stat = _stationary()
-    s_cont = continuity_residual(stat, 32)
-    s_hj = hj_residual(stat, 32)
-    s_lhs, s_rhs = entropy_rate_check(stat, 32)
+    w_stat = madelung_window(stat, 32)
+    s_cont = continuity_residual(w_stat)
+    s_hj = hj_residual(w_stat)
+    s_lhs, s_rhs = entropy_rate_check(w_stat)
     stat_ok = max(s_cont, s_hj, abs(s_lhs), abs(s_rhs)) <= 1e-7
 
     ok = contract_ok and conv_ok and stat_ok

@@ -100,17 +100,6 @@ def test_verify_identities_off_thermal_equality_skips_the_thermal_pair(tmp_path)
                      "gibbs-qp-formula", "gibbs-fisher-formula"]
 
 
-def test_report_determinism(tmp_path):
-    inp = write_json(
-        tmp_path / "in.json",
-        {"grid": GRID, "density": {"kind": "gaussian", "sigma": 1.0}},
-    )
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    main(["verify-identities", "--input", inp, "--out", str(out1)])
-    main(["verify-identities", "--input", inp, "--out", str(out2)])
-    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
-
-
 def test_malformed_json_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -572,17 +561,27 @@ def test_thermal_log_affine(tmp_path):
     assert byname["vanishing-qp-family"]["pass"] is True
 
 
-@pytest.mark.parametrize("timing, message", [
+BAD_TIMINGS = [
     ({"dt": 0}, "t_final and dt must be positive"),
     ({"t_final": "inf"}, "t_final must be a finite number, not 'inf'"),
     ({"t_final": 1e300, "dt": 1e-300}, "t_final/dt = inf is not a finite step count"),
     ({"t_final": float("nan")}, "t_final must be a finite number, not nan"),
-], ids=["timing0", "timing1", "timing2", "timing3"])
-def test_thermal_bad_step_count_exits_2(tmp_path, capsys, timing, message):
-    inp = write_json(
-        tmp_path / "in.json",
-        {"grid": GRID, "heat": {"kind": "quadratic", "coeff": 0.125}, **timing},
-    )
+    ({"dt": -1}, "t_final and dt must be positive"),
+    ({"dt": 0.0007}, "t_final must be an integer multiple of dt"),
+]
+# (id prefix, heat field); the quadratic cases keep the bare ids timing0, ...
+HEAT_KINDS = [("", {"kind": "quadratic", "coeff": 0.125}),
+              ("log-affine-", {"kind": "log-affine", "a": 4.0, "b": 0.2})]
+
+
+# a static log-affine run never steps, but its timing is validated all the same
+@pytest.mark.parametrize("heat, timing, message", [
+    pytest.param(heat, timing, message, id=f"{prefix}timing{i}")
+    for prefix, heat in HEAT_KINDS
+    for i, (timing, message) in enumerate(BAD_TIMINGS)
+])
+def test_thermal_bad_step_count_exits_2(tmp_path, capsys, heat, timing, message):
+    inp = write_json(tmp_path / "in.json", {"grid": GRID, "heat": heat, **timing})
     out = tmp_path / "out"
     assert main(["thermal", "--input", inp, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"schema error: thermal: {message}\n"
@@ -1069,6 +1068,38 @@ COVERAGE_FIXTURES = {
                            {"grid": COVERAGE_GRID,
                             "heat": {"kind": "log-affine", "a": 4.0, "b": 0.2}}),
 }
+
+
+@pytest.mark.parametrize("form", list(COVERAGE_FIXTURES))
+def test_report_determinism(tmp_path, form):
+    # the report and every artifact are byte-identical across runs; only
+    # meta.json, which holds the timings, may differ
+    command, payload = COVERAGE_FIXTURES[form]
+    inp = write_json(tmp_path / "in.json", payload)
+    codes, runs = [], []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        codes.append(main([command, "--input", inp, "--out", str(out)]))
+        runs.append({path.relative_to(out): path.read_bytes()
+                     for path in sorted(out.rglob("*"))
+                     if path.is_file() and path.name != "meta.json"})
+    assert codes[0] == codes[1] and Path("report.json") in runs[0]
+    assert runs[0] == runs[1]
+
+
+def test_evolve_normalizes_each_window_density_once(monkeypatch):
+    # the checks read one Madelung window: three densities, each formed once
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return density_from_samples(*args, **kwargs)
+
+    monkeypatch.setattr(propagator, "density_from_samples", counted)
+    command, payload = COVERAGE_FIXTURES["evolve"]
+    parse, suite = COMMANDS[command]
+    list(suite(**parse(payload)))
+    assert len(calls) == 3
 
 
 def test_registry_equals_reported_checks(tmp_path, monkeypatch):

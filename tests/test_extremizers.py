@@ -14,15 +14,14 @@ from fisherqp import (
     epi_solve,
     gibbs_density,
     maxent_solve,
+    mean_quantum_potential,
     quantum_potential,
     riccati_check,
     stationarity_residual,
 )
 from fisherqp.extremizers import _count_below
+from fisherqp.functionals import weighted_max_dev
 from fisherqp.grid import ScalarField, quadrature_values
-from fisherqp.suites import epi_suite
-
-from conftest import checks_by_name
 
 C = PhysicalConstants()
 
@@ -278,25 +277,31 @@ def test_constraint_spec_validation(grid):
         ConstraintSpec(A_fields=[x_squared(grid)], multipliers=[1.0, 2.0])
 
 
-def epi_qp_checks(spec, grid):
-    """The epi suite's checks, the solution they read, and the weighted
-    deviation of Q from the affine image of A (epi-qp-affine before its
-    scaling by max |Q|)."""
+def epi_qp_deviation(spec, grid):
+    """The epi solution and the weighted deviation of its quantum potential
+    from (hbar^2/8m)(sum lambda A + alpha_norm), the affine image the
+    eigen-equation pins, with sum lambda A = 8 U read off the solver."""
     res = epi_solve(spec, grid)
-    checks = checks_by_name(epi_suite(spec, grid, C))
-    q_max = np.max(np.abs(quantum_potential(res.p_I, C).values))
-    return checks, res, checks["epi-qp-affine"].lhs * q_max
+    d = res.p_I
+    coeff = C.hbar**2 / (8.0 * C.mass)
+    rhs = coeff * (8.0 * res.effective_potential.values + res.alpha_norm)
+    q = quantum_potential(d, C).values
+    return res, weighted_max_dev(q, np.where(d.support_mask, rhs, 0.0), d)
 
 
 def test_epi_quantum_potential_affine_in_constraint():
     g = Grid(-8.0, 8.0, 8193)
     spec = ConstraintSpec(A_fields=[x_squared(g)], multipliers=[-4.0])
-    checks, res, maxdev = epi_qp_checks(spec, g)
+    res, maxdev = epi_qp_deviation(spec, g)
     q_scale = 0.5 * (1.0 + g.xmax**2)  # max |Q| order for the HO density
     assert maxdev <= 1e-4 * q_scale
-    mean = checks["epi-mean-qp"]
-    assert mean.lhs == pytest.approx(mean.rhs, rel=1e-6)
-    assert mean.lhs == pytest.approx(res.fisher_I / 8.0, rel=1e-6)
+    # integrated against p_I: integral(p_I Q) through the constraint average
+    mean = mean_quantum_potential(res.p_I, C)
+    u = res.effective_potential.values
+    through_a = C.hbar**2 / (8.0 * C.mass) * (8.0 * quadrature_values(res.p_I.values * u, g.dx)
+                                             + res.alpha_norm)
+    assert mean == pytest.approx(through_a, rel=1e-6)
+    assert mean == pytest.approx(res.fisher_I / 8.0, rel=1e-6)
 
 
 def test_epi_qp_check_shift_gauge(grid):
@@ -305,7 +310,7 @@ def test_epi_qp_check_shift_gauge(grid):
     gauge = []
     for a in (grid.x**2, grid.x**2 + 3.0):
         spec = ConstraintSpec(A_fields=[ScalarField(grid, a)], multipliers=[-4.0])
-        _, res, maxdev = epi_qp_checks(spec, grid)
+        res, maxdev = epi_qp_deviation(spec, grid)
         assert maxdev <= 1e-4 * q_scale
         gauge.append(C.hbar**2 / (8.0 * C.mass) * res.alpha_norm)
     # gauge term absorbs (hbar^2/8m) * (-lambda * c) = 1.5

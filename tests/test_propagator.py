@@ -12,11 +12,12 @@ from fisherqp import (
     evolve,
     fisher_information,
     hj_residual,
+    madelung_window,
     osmotic_entropy_rate,
 )
 from fisherqp.grid import ScalarField, crank_nicolson_flow, quadrature_values
 from fisherqp.serialization import dump_trajectory
-from fisherqp.propagator import BOUNDARY_THRESHOLD, phase_rate
+from fisherqp.propagator import BOUNDARY_THRESHOLD
 
 from conftest import cn_backward_error, gaussian_density, madelung_psi, reduction_depth
 
@@ -109,8 +110,8 @@ def test_potential_shift_leaves_hj_residual_unchanged():
     psi0 = madelung_psi(gaussian_density(g))
     V = g.from_function(lambda x: 0.5 * x**2)
     Vc = ScalarField(g, V.values + 1.0)
-    r1 = hj_residual(evolve(psi0, V, C, 1.0 / 2048, 128), 64)
-    r2 = hj_residual(evolve(psi0, Vc, C, 1.0 / 2048, 128), 64)
+    r1 = hj_residual(madelung_window(evolve(psi0, V, C, 1.0 / 2048, 128), 64))
+    r2 = hj_residual(madelung_window(evolve(psi0, Vc, C, 1.0 / 2048, 128), 64))
     # both sit at the stationary-state noise floor; the shift adds nothing
     assert abs(r2 - r1) <= 1e-8
 
@@ -202,10 +203,10 @@ def test_energy_conservation_1000_steps():
 def test_free_gaussian_residuals_at_contract_resolution():
     # dx = 1/256, dt = 1/1024 on [-8, 8]
     traj = free_gaussian_trajectory()
-    mid = 512
-    assert continuity_residual(traj, mid) <= 1e-3
-    assert hj_residual(traj, mid) <= 1e-3
-    lhs, rhs = entropy_rate_check(traj, mid)
+    window = madelung_window(traj, 512)
+    assert continuity_residual(window) <= 1e-3
+    assert hj_residual(window) <= 1e-3
+    lhs, rhs = entropy_rate_check(window)
     assert lhs > 0 and rhs > 0  # spreading packet produces entropy
     assert abs(lhs - rhs) <= 1e-3 * (abs(lhs) + abs(rhs))
 
@@ -215,11 +216,11 @@ def test_residual_second_order_convergence():
     # the wider domain isolates the second-order truncation error
     coarse = free_gaussian_trajectory(xmax=10.0, n=5121, dtinv=1024)
     fine = free_gaussian_trajectory(xmax=10.0, n=10241, dtinv=2048)
-    r_c = continuity_residual(coarse, 512)
-    r_f = continuity_residual(fine, 1024)
-    assert r_c / r_f >= 3.5
-    lc = entropy_rate_check(coarse, 512)
-    lf = entropy_rate_check(fine, 1024)
+    w_c = madelung_window(coarse, 512)
+    w_f = madelung_window(fine, 1024)
+    assert continuity_residual(w_c) / continuity_residual(w_f) >= 3.5
+    lc = entropy_rate_check(w_c)
+    lf = entropy_rate_check(w_f)
     e_c = abs(lc[0] - lc[1]) / (abs(lc[0]) + abs(lc[1]))
     e_f = abs(lf[0] - lf[1]) / (abs(lf[0]) + abs(lf[1]))
     assert e_c / e_f >= 3.5
@@ -231,7 +232,7 @@ def test_hj_convergence_on_coherent_state():
         d = density_from_samples(g.from_function(lambda x: np.exp(-((x - 1) ** 2))))
         V = g.from_function(lambda x: 0.5 * x**2)
         traj = evolve(madelung_psi(d), V, C, 1.0 / dtinv, dtinv)  # one time unit
-        return hj_residual(traj, dtinv // 2)
+        return hj_residual(madelung_window(traj, dtinv // 2))
 
     assert run(5121, 1024) / run(10241, 2048) >= 3.5
 
@@ -245,33 +246,34 @@ def test_entropy_rate_through_a_collision():
     psi0 = (np.exp(-((g.x + 8.0) ** 2) / 4.0 + 3j * g.x)
             + np.exp(-((g.x - 8.0) ** 2) / 4.0 - 3j * g.x))
     traj = evolve(psi0, g.zeros(), C, 1.0 / 512, 1366, keep=(1364, 1365, 1366))
-    lhs, rhs = entropy_rate_check(traj, 1365)
+    lhs, rhs = entropy_rate_check(madelung_window(traj, 1365))
     assert lhs == pytest.approx(0.2324862, abs=1e-7)
     assert abs(rhs - lhs) <= 1e-3 * abs(lhs)
 
 
 def test_stationary_state_residuals():
     traj = stationary_trajectory(steps=32)
-    assert continuity_residual(traj, 16) <= 1e-8
-    assert hj_residual(traj, 16) <= 1e-6
-    lhs, rhs = entropy_rate_check(traj, 16)
+    window = madelung_window(traj, 16)
+    assert continuity_residual(window) <= 1e-8
+    assert hj_residual(window) <= 1e-6
+    lhs, rhs = entropy_rate_check(window)
     assert abs(lhs) <= 1e-8 and abs(rhs) <= 1e-8
 
 
 def test_stationary_hj_energy_balance():
     # dS/dt = -E0 while V + Q = E0 pointwise, so the HJ residual is tiny
     traj = stationary_trajectory(steps=32)
-    dsdt = phase_rate(traj, 16)
-    mask = traj.density(16).support_mask
-    assert np.allclose(dsdt[mask], -0.5, atol=1e-5)
+    window = madelung_window(traj, 16)
+    mask = window.now.support_mask
+    assert np.allclose(window.dsdt[mask], -0.5, atol=1e-5)
 
 
 def test_requires_interior_index():
     traj = free_gaussian_trajectory(T=0.05)
     with pytest.raises(ValueError):
-        continuity_residual(traj, 0)
+        madelung_window(traj, 0)
     with pytest.raises(ValueError):
-        hj_residual(traj, len(traj) - 1)
+        madelung_window(traj, len(traj) - 1)
 
 
 def test_osmotic_entropy_rate(standard_normal):
@@ -368,9 +370,10 @@ def test_windowed_evolve_matches_full_past_phase_wrap():
     assert np.array_equal(raw_norms(window), raw_norms(full)[mid - 1 : mid + 2])
     for k in window.kept:
         assert np.array_equal(window.psi(k), full.psi(k))
-    assert continuity_residual(window, mid) == continuity_residual(full, mid)
-    assert hj_residual(window, mid) == hj_residual(full, mid)
-    assert entropy_rate_check(window, mid) == entropy_rate_check(full, mid)
+    w_window, w_full = madelung_window(window, mid), madelung_window(full, mid)
+    assert continuity_residual(w_window) == continuity_residual(w_full)
+    assert hj_residual(w_window) == hj_residual(w_full)
+    assert entropy_rate_check(w_window) == entropy_rate_check(w_full)
 
 
 def test_dump_aligns_the_phase_past_a_wrap(tmp_path):
@@ -426,7 +429,7 @@ def test_collision_hj_residual():
     mid = 1365
     traj = evolve(madelung_psi(d, -3.0 * np.abs(x)), g.zeros(), C, 1.0 / 512, mid + 1,
                   keep=(mid - 1, mid, mid + 1))
-    assert hj_residual(traj, mid) <= 1e-3
+    assert hj_residual(madelung_window(traj, mid)) <= 1e-3
 
 
 def test_window_refuses_steps_it_did_not_keep():
@@ -435,9 +438,9 @@ def test_window_refuses_steps_it_did_not_keep():
     traj = evolve(psi0, g.zeros(), C, 1.0 / 512, 32, keep=(15, 16, 17))
     assert len(traj.psis) == 3
     with pytest.raises(ValueError, match="not kept"):
-        continuity_residual(traj, 20)
+        madelung_window(traj, 20)
     with pytest.raises(ValueError, match="interior"):
-        continuity_residual(traj, 32)
+        madelung_window(traj, 32)
     with pytest.raises(ValueError):
         evolve(psi0, g.zeros(), C, 1.0 / 512, 32, keep=(33,))
 
