@@ -17,10 +17,10 @@ from fisherqp import (
     evolve,
     fisher_information,
     hj_residual,
-    madelung_window,
     osmotic_entropy_rate,
 )
 from fisherqp.grid import quadrature_values
+from fisherqp.propagator import psi_density
 
 constants = PhysicalConstants()
 grid = Grid(-8.0, 8.0, 4097)   # dx = 1/256
@@ -42,18 +42,25 @@ def energy(psi):
 
 
 print("free Gaussian, sigma0 = 1, dt = 1/1024, t in [0, 1]")
-traj = evolve(psi0, V, constants, 1.0 / 1024, 1024)
-
-p_end = traj.density(1024).values
-var = np.trapezoid(p_end * grid.x**2, dx=grid.dx)
 # the trapezoid quadrature of the raw |psi_k|^2 (the walls are 0, so a
-# sum) at every kept step: here all of them
-norms = np.array([np.sum(np.abs(psi) ** 2) * grid.dx for psi in traj.psis])
-print(f"  norm drift        {np.max(np.abs(norms - 1.0)):.2e}")
-print(f"  sigma^2(t=1)      {var:.8f}   (closed form 1 + (t/2)^2 = 1.25)")
-print(f"  energy drift      {abs(energy(traj.psi(1024)) - energy(traj.psi(0))):.2e}")
+# sum) at every step, and copies of the two end states
+norms, ends = [], {}
 
-window = madelung_window(traj, 512)
+
+def watch(k, psi):
+    norms.append(np.sum(np.abs(psi) ** 2) * grid.dx)
+    if k in (0, 1024):
+        ends[k] = psi.copy()
+
+
+window = evolve(psi0, V, constants, 1.0 / 1024, 1024, 512, each=watch)
+
+p_end = psi_density(ends[1024], grid).values
+var = np.trapezoid(p_end * grid.x**2, dx=grid.dx)
+print(f"  norm drift        {np.max(np.abs(np.array(norms) - 1.0)):.2e}")
+print(f"  sigma^2(t=1)      {var:.8f}   (closed form 1 + (t/2)^2 = 1.25)")
+print(f"  energy drift      {abs(energy(ends[1024]) - energy(ends[0])):.2e}")
+
 print("\nresiduals at t = 0.5 (normalized, second order in dx and dt):")
 print(f"  continuity        {continuity_residual(window):.2e}")
 print(f"  Hamilton-Jacobi   {hj_residual(window):.2e}")

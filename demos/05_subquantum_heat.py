@@ -54,9 +54,10 @@ for item in checks:
 # density, the heat equation for its heat field.  The heat flow carries no
 # thermalized quantum potential where the density lives (the weight drops
 # the skin off the support, where the heat field continues linearly).
-_, kept = coupled_run(density, heat, constants, 0.02, 1e-3, keep=(9, 10, 11))
-thq = thermalized_qp(kept[9], kept[10], kept[11], 1e-3, constants)
-scale = 0.25 * np.max(np.abs(second_derivative_values(constants.alpha_th * kept[10].values,
+# The run returns the heat fields at its middle step, 10, and either side.
+_, (before, now, after) = coupled_run(density, heat, constants, 0.02, 1e-3)
+thq = thermalized_qp(before, now, after, 1e-3, constants)
+scale = 0.25 * np.max(np.abs(second_derivative_values(constants.alpha_th * now.values,
                                                      grid.dx)))
 weight = density.values / np.max(density.values)
 print(f"\nthermalized quantum potential at t = 0.01: density-weighted max |Q| / scale = "

@@ -73,7 +73,6 @@ from .functionals import (
     quantum_potential,
 )
 from .propagator import (
-    Trajectory,
     continuity_residual,
     entropy_rate_check,
     evolve,

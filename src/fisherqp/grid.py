@@ -7,10 +7,9 @@ central stencils, one-sided second-order stencils at the ends).  The
 schemes are kept at second order on purpose: their error is dominated
 by grid resolution, which keeps every identity check interpretable.
 
-The time steppers share two helpers from here: ``crank_nicolson_flow``
+The time steppers share one helper from here: ``crank_nicolson_flow``
 factors their constant Crank-Nicolson matrix once and streams the field
-step by step through two work buffers, and ``steps_to_keep`` validates
-which steps a streamed run stores.
+step by step through two work buffers.
 
 The LAPACK routines the steppers and the EPI eigensolver call come from
 ``_lapack``, which loads scipy's compiled ``_flapack`` extension on the
@@ -32,7 +31,7 @@ import importlib.util
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -384,14 +383,3 @@ def _odd_even_levels(diag: np.ndarray, off: np.ndarray):
             diag, off = reduced, reduced_off
     return levels, diag, off
 
-
-def steps_to_keep(keep: Iterable[int] | None, steps: int) -> set[int]:
-    """The step indices a run over ``steps`` steps stores: all of 0..steps
-    when ``keep`` is None, else ``keep``, which must lie in that range."""
-    if keep is None:
-        return set(range(steps + 1))
-    out = {int(k) for k in keep}
-    bad = sorted(k for k in out if not 0 <= k <= steps)
-    if bad:
-        raise ValueError(f"kept steps {bad} outside 0..{steps}")
-    return out

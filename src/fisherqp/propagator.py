@@ -21,15 +21,16 @@ of A is the identity for any real potential and either sign of dt, so no
 elimination divides by a pivot of real part below 1/2.
 
 ``evolve`` steps a bare wavefunction, not a (P, S) pair, so it takes any
-psi the grid samples, nodes included.  Trajectories stream: the stepper
-iterates the flow, copies psi only at the requested steps, and runs the
-wall guard at every step, on the two first-interior points and one peak
-value unless the edge density comes within half the threshold, when it
-reads all of |psi|^2.  No step computes a norm: the scheme conserves it,
-and a caller that wants it reads it off the kept psi.  A trajectory holds
-psi itself and nothing derived from it: ``madelung_window`` forms the
-Madelung fields of one interior step once, straight off the kept psi
-with no phase extraction, and the dynamical residuals read that window.
+psi the grid samples, nodes included.  It stores no trajectory: it
+iterates the flow, runs the wall guard at every step, on the two
+first-interior points and one peak value unless the edge density comes
+within half the threshold, when it reads all of |psi|^2, hands every
+step to an optional reader, and copies psi only at the three steps
+around its check step.  No step computes a norm: the scheme conserves
+it, and a reader that wants it reads it off psi.  ``madelung_window``
+forms the Madelung fields of the check step once, straight off those
+three psi with no phase extraction, and the dynamical residuals read
+that window.
 Dirichlet walls stand in for an unbounded domain; a boundary-contact
 guard raises instead of silently corrupting identity checks once the
 packet reaches the walls.
@@ -45,7 +46,7 @@ density weight used for all log-derivative fields (see ``functionals``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -58,48 +59,11 @@ from .grid import (
     crank_nicolson_flow,
     derivative_values,
     quadrature_values,
-    steps_to_keep,
 )
 from .states import Density, PhysicalConstants, density_from_samples
 
 BOUNDARY_THRESHOLD = 1e-10   # relative |psi|^2 at the first interior points
 RESIDUAL_FLOOR = 0.05        # scale floor entering residual denominators
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Uniform-in-time Crank-Nicolson trajectory under a fixed potential.
-
-    Steps k = 0..steps lie ``dt`` apart; ``len()`` counts them.  Only the
-    ``kept`` steps are stored: ``psis`` holds their raw complex
-    wavefunction.  ``psi(k)`` looks a step up by index, and
-    ``density(k)`` is its normalized |psi_k|^2.
-    """
-
-    dt: float
-    steps: int
-    kept: tuple[int, ...]
-    psis: list[np.ndarray]
-    potential: ScalarField
-    constants: PhysicalConstants
-
-    @property
-    def grid(self) -> Grid:
-        return self.potential.grid
-
-    def __len__(self) -> int:
-        return self.steps + 1
-
-    def psi(self, step: int) -> np.ndarray:
-        try:
-            return self.psis[self.kept.index(step)]
-        except ValueError:
-            raise ValueError(f"step {step} was not kept") from None
-
-    def density(self, step: int) -> Density:
-        return density_from_samples(
-            ScalarField(self.grid, np.abs(self.psi(step)) ** 2), truncation_check=False
-        )
 
 
 def evolve(
@@ -108,13 +72,16 @@ def evolve(
     constants: PhysicalConstants,
     dt: float,
     steps: int,
-    keep: Iterable[int] | None = None,
-) -> Trajectory:
+    index: int,
+    each: Callable[[int, np.ndarray], object] | None = None,
+) -> MadelungWindow:
     """Crank-Nicolson stepping of ``psi0``, set to 0 at the walls and
-    normalized on ``V.grid``, over ``steps`` steps of size dt.
+    normalized on ``V.grid``, over ``steps`` steps of size dt; returns the
+    Madelung window (``madelung_window``) of the interior step ``index``.
 
-    Keeps psi at the step indices in ``keep`` (every step when None; see
-    ``Trajectory``).
+    Every step k = 0..steps is passed to ``each(k, psi)`` when given, after
+    its wall guard: ``psi`` is the flow's work buffer, valid only for the
+    span of the call, so a reader copies what it keeps.
 
     Exactly norm-preserving and exactly invertible by stepping with -dt.
     Raises BoundaryContact at the first step where the relative density
@@ -127,9 +94,8 @@ def evolve(
         raise ValueError(f"psi0 has {len(psi0)} points; the potential's grid has {grid.n}")
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    keep_set = steps_to_keep(keep, steps)
+    if not 1 <= index <= steps - 1:
+        raise ValueError(f"index {index} must be interior (1..{steps - 1})")
     psi = np.asarray_chkfinite(psi0).astype(complex)
     psi[0] = psi[-1] = 0.0
     psi /= np.sqrt(quadrature_values(np.abs(psi) ** 2, grid.dx))
@@ -152,16 +118,16 @@ def evolve(
     # a nonzero edge runs the full test.
     limit = 0.5 * BOUNDARY_THRESHOLD
     j = 0
-    kept, psis = [], []
+    window = []
     for k, psi in enumerate(flow):
         edge = max(abs(psi.item(1)), abs(psi.item(-2)))
         if not edge * edge <= limit * abs(psi.item(j)) ** 2:
             j = _wall_test(psi)
-        if k in keep_set:
-            kept.append(k)
-            psis.append(psi.copy())
-    return Trajectory(dt=float(dt), steps=steps, kept=tuple(kept), psis=psis, potential=V,
-                      constants=constants)
+        if each is not None:
+            each(k, psi)
+        if index - 1 <= k <= index + 1:
+            window.append(psi.copy())
+    return madelung_window(window, dt, V, constants)
 
 
 def _wall_test(psi: np.ndarray) -> int:
@@ -173,6 +139,11 @@ def _wall_test(psi: np.ndarray) -> int:
     if edge > BOUNDARY_THRESHOLD * p[peak]:
         raise BoundaryContact(f"wave packet reached the wall (relative edge density {edge:.3e})")
     return peak
+
+
+def psi_density(psi: np.ndarray, grid: Grid) -> Density:
+    """The normalized |psi|^2 of a wavefunction ``psi`` sampled on ``grid``."""
+    return density_from_samples(ScalarField(grid, np.abs(psi) ** 2), truncation_check=False)
 
 
 @dataclass(frozen=True)
@@ -193,9 +164,10 @@ class MadelungWindow:
     dsdt: np.ndarray
 
 
-def madelung_window(traj: Trajectory, index: int) -> MadelungWindow:
-    """The Madelung fields at the interior step ``index`` of ``traj``, from
-    the psi kept at its centered-difference stencil.
+def madelung_window(psis: Sequence[np.ndarray], dt: float, potential: ScalarField,
+                    constants: PhysicalConstants) -> MadelungWindow:
+    """The Madelung fields of the middle one of ``psis``, psi at three
+    consecutive steps ``dt`` apart of a flow under ``potential``.
 
     J = (hbar/m) Im(psi* psi') is the flux of the continuity equation,
     computed from the raw wavefunction, so it carries no roundoff floor of
@@ -208,24 +180,22 @@ def madelung_window(traj: Trajectory, index: int) -> MadelungWindow:
     constant, so neither breaks across the near-nodes of interference
     fringes.
     """
-    if not 1 <= index <= len(traj) - 2:
-        raise ValueError(f"index {index} must be interior (1..{len(traj) - 2})")
-    stencil = (index - 1, index, index + 1)
-    before, now, after = (traj.density(k) for k in stencil)
-    psi_before, psi, psi_after = (traj.psi(k) for k in stencil)
-    dx = traj.grid.dx
-    c = traj.constants
+    grid = potential.grid
+    before, now, after = (psi_density(u, grid) for u in psis)
+    psi_before, psi, psi_after = psis
+    dx = grid.dx
+    c = constants
     dpsi = derivative_values(psi.real, dx) + 1j * derivative_values(psi.imag, dx)
     current = c.hbar / c.mass * np.imag(np.conj(psi) * dpsi)
     abs2 = np.abs(psi) ** 2
     turn = np.angle(psi_after * np.conj(psi)) + np.angle(psi * np.conj(psi_before))
     return MadelungWindow(
-        dt=traj.dt, potential=traj.potential, constants=c,
+        dt=dt, potential=potential, constants=c,
         before=before, now=now, after=after,
         dj=derivative_values(current, dx),
         grad_s=np.divide(c.mass * current, abs2, out=np.zeros_like(abs2),
                          where=now.support_mask),
-        dsdt=c.hbar * turn / (2.0 * traj.dt),
+        dsdt=c.hbar * turn / (2.0 * dt),
     )
 
 

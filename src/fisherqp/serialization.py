@@ -20,13 +20,14 @@ import csv
 import json
 from dataclasses import asdict
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .grid import ScalarField
 from .legendre import SweepTable
-from .propagator import Trajectory
-from .states import Density
+from .propagator import psi_density
+from .states import Density, PhysicalConstants
 
 
 def _fmt(v: float) -> str:
@@ -67,37 +68,36 @@ def phase_on_support(psi: np.ndarray, density: Density, reference: np.ndarray) -
     return out
 
 
-def dump_trajectory(traj: Trajectory, out_dir) -> Path:
-    """Write one ``x,P,S`` CSV per step of ``traj``, which must have kept
-    every step, plus a manifest; returns the directory.
+def dump_trajectory(psis: Sequence[np.ndarray], potential: ScalarField,
+                    constants: PhysicalConstants, dt: float, out_dir) -> Path:
+    """Write one ``x,P,S`` CSV per step of ``psis``, psi at every step
+    0..steps of a flow of step ``dt`` under ``potential``, plus a manifest;
+    returns the directory.
 
     Each step's S is aligned against the previous step's S at its own
     density peak, and step 0 against 0, so step 0's S at its density peak
     lies in (-pi hbar, pi hbar].
     """
-    if traj.kept != tuple(range(len(traj))):
-        raise ValueError("a trajectory dump needs every step; this trajectory kept "
-                         f"{len(traj.kept)} of {len(traj)}")
-    hbar = traj.constants.hbar
+    grid = potential.grid
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    xs = [_fmt(x) for x in traj.grid.x.tolist()]
-    theta = np.zeros(traj.grid.n)
-    for k, psi in zip(traj.kept, traj.psis):
-        density = traj.density(k)
+    xs = [_fmt(x) for x in grid.x.tolist()]
+    theta = np.zeros(grid.n)
+    for k, psi in enumerate(psis):
+        density = psi_density(psi, grid)
         theta = phase_on_support(psi, density, theta)
         with open(out / f"step_{k:05d}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "P", "S"])
             writer.writerows(zip(xs, map(_fmt, density.values.tolist()),
-                                 map(_fmt, (hbar * theta).tolist())))
+                                 map(_fmt, (constants.hbar * theta).tolist())))
     manifest = {
         "schema": 1,
-        "dt": traj.dt,
-        "steps": len(traj) - 1,
-        "constants": asdict(traj.constants),
-        "grid": asdict(traj.grid),
-        "V": [float(v) for v in traj.potential.values],
+        "dt": dt,
+        "steps": len(psis) - 1,
+        "constants": asdict(constants),
+        "grid": asdict(grid),
+        "V": [float(v) for v in potential.values],
     }
     save_json(manifest, out / "manifest.json")
     return out

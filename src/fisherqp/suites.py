@@ -25,11 +25,11 @@ from .functionals import (QPForm, fisher_information, masked_quadrature, mean_qu
 from .grid import derivative_values, quadrature_values, second_derivative_values
 from .legendre import sweep, verify_euler, verify_legendre
 from .propagator import (continuity_residual, entropy_rate_check, evolve, hj_residual,
-                         madelung_window, phase_entropy_rate)
+                         phase_entropy_rate)
 from .reports import IdentityCheck, make_check, make_residual_check
 from .serialization import dump_trajectory, save_field_csv, save_json, save_sweep_csv
-from .thermal import (coupled_grad_heat, coupled_run, delta_s_from_heat, step_count,
-                      thermalized_qp, vanishing_qp_residual)
+from .thermal import (coupled_grad_heat, coupled_run, delta_s_from_heat, thermalized_qp,
+                      vanishing_qp_residual)
 
 Artifact = tuple[str, Callable[[Path], object]]
 Suite = Iterator[IdentityCheck | Artifact]
@@ -95,13 +95,12 @@ def identities_suite(density, constants, gibbs) -> Suite:
 
 def evolve_suite(psi0, potential, constants, dt, steps, index, dump) -> Suite:
     """evolve: the dynamical residuals at the interior step ``index`` of
-    the flow from ``psi0``; only the centered window around it is kept
-    unless ``dump``."""
-    keep = None if dump else (index - 1, index, index + 1)
-    traj = evolve(psi0, potential, constants, dt, steps, keep)
+    the flow from ``psi0``; a ``dump`` copies every step as it goes by."""
+    psis = []
+    window = evolve(psi0, potential, constants, dt, steps, index,
+                    each=(lambda k, psi: psis.append(psi.copy())) if dump else None)
     if dump:
-        yield "trajectory", partial(dump_trajectory, traj)
-    window = madelung_window(traj, index)
+        yield "trajectory", partial(dump_trajectory, psis, potential, constants, dt)
     yield make_residual_check("continuity", continuity_residual(window))
     yield make_residual_check("modified-hj", hj_residual(window))
     lhs, rhs = entropy_rate_check(window)
@@ -202,14 +201,10 @@ def thermal_suite(heat, density, constants, t_final, dt) -> Suite:
         yield make_residual_check("vanishing-qp-family",
                                   float(np.max(np.abs(res.values[2:-2]))) / lap_scale)
     else:
-        # the middle step of the flow, kept with its neighbours for the
-        # centered time derivative of the thermalized quantum potential
-        steps = step_count(t_final, dt)
-        mid = (steps + 1) // 2
         # ratio law P(t)/P(0) = exp(-beta DeltaQ): Fick for P against the
-        # heat equation for Q
-        dev, kept = coupled_run(density, heat, constants, t_final, dt,
-                                keep=(mid - 1, mid, mid + 1))
+        # heat equation for Q; the heat fields around the middle step feed
+        # the centered time derivative of the thermalized quantum potential
+        dev, (before, now, after) = coupled_run(density, heat, constants, t_final, dt)
         yield make_residual_check("ratio-law-evolution", dev)
 
         # delta_p = grad(deltaS) = -(hbar/2) grad(P)/P and
@@ -226,11 +221,11 @@ def thermal_suite(heat, density, constants, t_final, dt) -> Suite:
         # the run is refused by name, whatever the verdicts above read
         density.support_indices(3, "thermal")
 
-        thq = thermalized_qp(kept[mid - 1], kept[mid], kept[mid + 1], dt, constants)
+        thq = thermalized_qp(before, now, after, dt, constants)
         qt_scale = (
             constants.hbar**2 / (4.0 * constants.mass)
             * float(np.max(np.abs(second_derivative_values(
-                constants.alpha_th * kept[mid].values, dx
+                constants.alpha_th * now.values, dx
             ))))
         )
         # weight by the coupled density: the held walls grow a diffusive

@@ -45,14 +45,15 @@ Conventions
   diffusivity D = hbar/2m of the constants, and reduces the coupling
   deviation on the raw arrays (``states.normalize_samples``, the core of
   ``density_from_samples``, and ``_coupling_deviation``): no per-step
-  objects, heat fields only at the kept steps, and a result equal bit for
-  bit to the same reduction over the materialized flows.
+  objects, heat fields only at the three steps around the middle one,
+  which the thermalized quantum potential reads, and a result equal bit
+  for bit to the same reduction over the materialized flows.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -64,7 +65,6 @@ from .grid import (
     derivative_values,
     quadrature_values,
     second_derivative_values,
-    steps_to_keep,
 )
 from .states import SUPPORT_FLOOR, Density, PhysicalConstants, normalize_samples
 
@@ -220,14 +220,15 @@ def thermalized_qp(before: ScalarField, now: ScalarField, after: ScalarField,
 
 def coupled_run(
     density0: Density, q0: ScalarField, constants: PhysicalConstants,
-    t_final: float, dt: float, keep: Iterable[int] = (),
-) -> tuple[float, dict[int, ScalarField]]:
+    t_final: float, dt: float,
+) -> tuple[float, tuple[ScalarField, ScalarField, ScalarField]]:
     """Step P by Fick and Q by the heat equation in lockstep, both at the
     diffusivity of ``constants``.
 
     Returns the worst weighted deviation of P(t) from
-    c_hat(t) exp(-alpha Q(t)) over every step, and the heat field at each
-    of the ``keep`` steps, by step.
+    c_hat(t) exp(-alpha Q(t)) over every step, and the heat fields
+    (before, now, after) at the middle step (steps + 1) // 2 and the step
+    on either side.
 
     Each step reduces on the raw arrays through ``normalize_samples``, the
     core of ``density_from_samples``, and ``_coupling_deviation``, so it
@@ -235,7 +236,9 @@ def coupled_run(
     materialized flows.
     """
     steps = step_count(t_final, dt)
-    keep_set = steps_to_keep(keep, steps)
+    if steps < 2:
+        raise ValueError("t_final must cover at least two steps")
+    mid = (steps + 1) // 2
     grid = q0.grid
     dx = grid.dx
     D = constants.diffusivity
@@ -244,12 +247,12 @@ def coupled_run(
     p, w, work = np.empty(grid.n), np.empty(grid.n), np.empty(grid.n)
     support = np.empty(grid.n, dtype=bool)
     worst = 0.0
-    heat = {}
+    window = []
     for k, (raw, q) in enumerate(zip(fick, flow)):
         peak = normalize_samples(raw, dx, p)
         np.greater(p, SUPPORT_FLOOR * peak, out=support)
         dev = _coupling_deviation(p, peak, support, q, constants.alpha_th, dx, w, work)
         worst = max(worst, dev)
-        if k in keep_set:
-            heat[k] = ScalarField(grid, q)
-    return worst, heat
+        if mid - 1 <= k <= mid + 1:
+            window.append(ScalarField(grid, q))
+    return worst, tuple(window)

@@ -24,7 +24,6 @@ from fisherqp import (
     fisher_information,
     gibbs_density,
     hj_residual,
-    madelung_window,
     maxent_solve,
     mean_quantum_potential,
     momentum_fluctuation,
@@ -192,9 +191,11 @@ def test_criterion_07_gibbs_formulas():
 
 
 def _free_gaussian(xmax, n, dtinv, T=1.0):
+    """The Madelung window at the middle step of a free Gaussian's flow to T."""
     g = Grid(-xmax, xmax, n)
-    return evolve(madelung_psi(gaussian_density(g)), g.zeros(), C, 1.0 / dtinv,
-                  int(T * dtinv))
+    steps = int(T * dtinv)
+    return evolve(madelung_psi(gaussian_density(g)), g.zeros(), C, 1.0 / dtinv, steps,
+                  steps // 2)
 
 
 def _stationary(n=4097):
@@ -207,14 +208,12 @@ def _stationary(n=4097):
     psi[1:-1] = np.abs(vecs[:, 0])
     psi /= np.sqrt(np.trapezoid(psi**2, dx=g.dx))
     d = density_from_samples(ScalarField(g, psi**2), truncation_check=False)
-    return evolve(madelung_psi(d), ScalarField(g, V), C, 1.0 / 1024, 64)
+    return evolve(madelung_psi(d), ScalarField(g, V), C, 1.0 / 1024, 64, 32)
 
 
 def test_criterion_08_dynamics():
     # contract point: dx = 1/256, dt = 1/1024 on [-8, 8]
-    traj = _free_gaussian(8.0, 4097, 1024)
-    mid = 512
-    window = madelung_window(traj, mid)
+    window = _free_gaussian(8.0, 4097, 1024)  # at the middle step, 512
     r_cont = continuity_residual(window)
     r_hj = hj_residual(window)
     lhs, rhs = entropy_rate_check(window)
@@ -223,9 +222,7 @@ def test_criterion_08_dynamics():
 
     # second-order convergence, on the wide domain where truncation error
     # dominates the wall-seeded noise floor
-    coarse = _free_gaussian(10.0, 5121, 1024)
-    fine = _free_gaussian(10.0, 10241, 2048)
-    w_c, w_f = madelung_window(coarse, 512), madelung_window(fine, 1024)
+    w_c, w_f = _free_gaussian(10.0, 5121, 1024), _free_gaussian(10.0, 10241, 2048)
     ratio_cont = continuity_residual(w_c) / continuity_residual(w_f)
     lc, lf = entropy_rate_check(w_c), entropy_rate_check(w_f)
     ratio_ent = (abs(lc[0] - lc[1]) / (abs(lc[0]) + abs(lc[1]))) / (
@@ -235,15 +232,13 @@ def test_criterion_08_dynamics():
     def coherent_hj(n, dtinv):
         g = Grid(-10.0, 10.0, n)
         d = density_from_samples(g.from_function(lambda x: np.exp(-((x - 1) ** 2))))
-        t = evolve(madelung_psi(d), g.from_function(lambda x: 0.5 * x**2), C,
-                   1.0 / dtinv, dtinv)
-        return hj_residual(madelung_window(t, dtinv // 2))
+        return hj_residual(evolve(madelung_psi(d), g.from_function(lambda x: 0.5 * x**2), C,
+                                  1.0 / dtinv, dtinv, dtinv // 2))
 
     ratio_hj = coherent_hj(5121, 1024) / coherent_hj(10241, 2048)
     conv_ok = min(ratio_cont, ratio_ent, ratio_hj) >= 3.5
 
-    stat = _stationary()
-    w_stat = madelung_window(stat, 32)
+    w_stat = _stationary()
     s_cont = continuity_residual(w_stat)
     s_hj = hj_residual(w_stat)
     s_lhs, s_rhs = entropy_rate_check(w_stat)
@@ -283,10 +278,10 @@ def test_criterion_10_thermal_suite():
     g16 = Grid(-16.0, 16.0, 8193)
     heat = ScalarField(g16, g16.x**2 / 8)  # the heat field of a sigma = 2 Gaussian
     wide, _ = density_from_heat(heat, C.alpha_th)
-    _, short = coupled_run(wide, heat, C, 0.004, 1e-3, keep=(1, 2, 3))
-    thq = thermalized_qp(short[1], short[2], short[3], 1e-3, C)
+    _, short = coupled_run(wide, heat, C, 0.004, 1e-3)  # steps 1, 2 and 3
+    thq = thermalized_qp(*short, 1e-3, C)
     scale = 0.25 * np.max(np.abs(
-        second_derivative_values(C.alpha_th * short[2].values, g16.dx)
+        second_derivative_values(C.alpha_th * short[1].values, g16.dx)
     ))
     weight = wide.values / np.max(wide.values)
     thq_ok = np.max(weight[2:-2] * np.abs(thq.values[2:-2])) <= 1e-3 * scale

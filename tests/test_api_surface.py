@@ -4,10 +4,14 @@ demos: an API that only tests call is dead weight.  Every private
 function and class, and every UPPERCASE constant, is read somewhere in
 the package: a helper nothing calls is dead code.  Every field of a
 public dataclass is read in the package or the demos: a field only its
-constructor sets is dead data.  Every module-level import of the
-package, the demos and the tests is read in the file that makes it."""
+constructor sets is dead data.  Every parameter with a default of a
+public function or method is set by some call in the package or the
+demos: an option only tests set is dead weight.  Every module-level
+import of the package, the demos and the tests is read in the file that
+makes it."""
 
 import ast
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,6 +96,76 @@ def test_every_private_definition_and_constant_is_read_in_the_package():
         if name not in referenced
     )
     assert not unused, f"no module of the package reads {', '.join(unused)}"
+
+
+# options only tests and bench/inprocess.py set: they drive the CLI in
+# process through main(argv)
+TEST_ONLY_OPTIONS = {"cli.main(argv=)"}
+
+
+def _callee(func: ast.expr) -> str | None:
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _calls(tree: ast.AST):
+    """(callee name, positional arguments, keyword names) of every call;
+    ``partial(f, ...)`` counts as a call of f with the arguments it binds,
+    and a ``*args`` or ``**kwargs`` as setting every parameter."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if _callee(func) == "partial" and args:
+            func, args = args[0], args[1:]
+        spread = (any(isinstance(a, ast.Starred) for a in args)
+                  or any(k.arg is None for k in node.keywords))
+        yield _callee(func), math.inf if spread else len(args), {k.arg for k in node.keywords}
+
+
+def _defaulted(fn: ast.FunctionDef):
+    """(name, position) of every parameter with a default; a keyword-only
+    one has no position."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    yield from ((arg.arg, i) for i, arg in enumerate(positional) if i >= first)
+    yield from ((arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                if d is not None)
+
+
+def _public_functions(tree: ast.Module):
+    """(qualified name, node, bound arguments) of every public function and
+    public method; a method's ``self`` is bound by its call."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node, 0
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
+                    static = any(_callee(d) == "staticmethod" for d in m.decorator_list)
+                    yield f"{node.name}.{m.name}", m, 0 if static else 1
+
+
+def test_every_default_parameter_is_set_by_a_caller():
+    trees = _parse(PACKAGE + DEMOS)
+    calls = {}
+    for tree in trees.values():
+        for name, positional, keywords in _calls(tree):
+            calls.setdefault(name, []).append((positional, keywords))
+    unset = sorted(
+        option
+        for path in MODULES
+        for name, fn, bound in _public_functions(trees[path])
+        for param, i in _defaulted(fn)
+        if (option := f"{path.stem}.{name}({param}=)") not in TEST_ONLY_OPTIONS
+        and not any(param in keywords or (i is not None and positional > i - bound)
+                    for positional, keywords in calls.get(fn.name, ()))
+    )
+    assert not unset, f"no module or demo sets {', '.join(unset)}"
 
 
 def _imported_names(tree: ast.Module):

@@ -1,3 +1,6 @@
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -17,17 +20,28 @@ from fisherqp import (
 )
 from fisherqp.grid import ScalarField, crank_nicolson_flow, quadrature_values
 from fisherqp.serialization import dump_trajectory
-from fisherqp.propagator import BOUNDARY_THRESHOLD
+from fisherqp.propagator import BOUNDARY_THRESHOLD, psi_density
 
 from conftest import cn_backward_error, gaussian_density, madelung_psi, reduction_depth
 
 C = PhysicalConstants()
 
 
-def free_gaussian_trajectory(xmax=8.0, n=4097, dtinv=1024, T=1.0):
+def free_gaussian(xmax=8.0, n=4097, dtinv=1024, T=1.0, each=None):
+    """The Madelung window at the middle step of a free Gaussian's flow to
+    T, each step passed to ``each``."""
     g = Grid(-xmax, xmax, n)
-    return evolve(madelung_psi(gaussian_density(g)), g.zeros(), C, 1.0 / dtinv,
-                  int(T * dtinv))
+    steps = int(T * dtinv)
+    return evolve(madelung_psi(gaussian_density(g)), g.zeros(), C, 1.0 / dtinv, steps,
+                  steps // 2, each)
+
+
+def every_step(run):
+    """(window, copies of psi at every step) of ``run(each)``, an
+    ``evolve`` call that passes each step to ``each``."""
+    psis = []
+    window = run(lambda k, psi: psis.append(psi.copy()))
+    return window, psis
 
 
 def discrete_ho_ground_state(g):
@@ -47,21 +61,22 @@ def discrete_ho_ground_state(g):
     return madelung_psi(d), ScalarField(g, V)
 
 
-def stationary_trajectory(n=4097, dtinv=1024, steps=64):
+def stationary_window(n=4097, dtinv=1024, steps=64):
     g = Grid(-8.0, 8.0, n)
     psi0, V = discrete_ho_ground_state(g)
-    return evolve(psi0, V, C, 1.0 / dtinv, steps)
+    return evolve(psi0, V, C, 1.0 / dtinv, steps, steps // 2)
 
 
-def raw_norms(traj):
-    """The trapezoid quadrature of the raw |psi_k|^2 at every kept step
-    (the walls are 0, so a sum)."""
-    return np.array([np.sum(np.abs(psi) ** 2) * traj.grid.dx for psi in traj.psis])
+def raw_norm(psi, dx):
+    """The trapezoid quadrature of the raw |psi|^2 (the walls are 0, so a
+    sum)."""
+    return np.sum(np.abs(psi) ** 2) * dx
 
 
 def test_unitarity():
-    traj = free_gaussian_trajectory(T=0.25)
-    assert np.max(np.abs(raw_norms(traj) - 1.0)) <= 1e-12
+    norms = []
+    free_gaussian(T=0.25, each=lambda k, psi: norms.append(raw_norm(psi, 16.0 / 4096)))
+    assert np.max(np.abs(np.array(norms) - 1.0)) <= 1e-12
 
 
 def test_ho_ground_state_density_invariant():
@@ -69,24 +84,21 @@ def test_ho_ground_state_density_invariant():
     g = Grid(-8.0, 8.0, 16385)
     d = density_from_samples(g.from_function(lambda x: np.exp(-(x**2))))
     V = g.from_function(lambda x: 0.5 * x**2)
-    # stepped in chunks so that no more than one chunk of states is held at
-    # a time, each chunk starting from the last state of the one before
-    psi = madelung_psi(d)
     drift = 0.0
-    for _ in range(5 * 1024 // 256):
-        run = evolve(psi, V, C, 1.0 / 1024, 256)
-        for snapshot in run.psis:
-            p = density_from_samples(ScalarField(g, np.abs(snapshot) ** 2),
-                                     truncation_check=False)
-            drift = max(drift, np.max(np.abs(p.values - d.values)))
-        psi = run.psis[-1]
+
+    def watch(k, psi):
+        nonlocal drift
+        drift = max(drift, np.max(np.abs(psi_density(psi, g).values - d.values)))
+
+    evolve(madelung_psi(d), V, C, 1.0 / 1024, 5 * 1024, 5 * 512, watch)
     assert drift <= 1e-7
 
 
 def test_free_gaussian_dispersion():
-    traj = free_gaussian_trajectory()
-    g = traj.grid
-    P = traj.density(len(traj) - 1).values
+    g = Grid(-8.0, 8.0, 4097)
+    end = {}
+    free_gaussian(each=lambda k, psi: end.update(psi=psi.copy()))
+    P = psi_density(end["psi"], g).values
     var = np.trapezoid(P * g.x**2, dx=g.dx) - np.trapezoid(P * g.x, dx=g.dx) ** 2
     assert var == pytest.approx(1.25, abs=1e-4)  # sigma0^2 (1 + (t/2)^2)
 
@@ -96,10 +108,11 @@ def test_potential_shift_is_pure_gauge():
     psi0 = madelung_psi(gaussian_density(g))
     V = g.from_function(lambda x: 0.5 * x**2)
     Vc = ScalarField(g, V.values + 1.0)
-    t1 = evolve(psi0, V, C, 1.0 / 2048, 128)
-    t2 = evolve(psi0, Vc, C, 1.0 / 2048, 128)
+    _, t1 = every_step(partial(evolve, psi0, V, C, 1.0 / 2048, 128, 64))
+    _, t2 = every_step(partial(evolve, psi0, Vc, C, 1.0 / 2048, 128, 64))
     dev = max(
-        np.max(np.abs(t1.density(k).values - t2.density(k).values)) for k in t1.kept
+        np.max(np.abs(psi_density(a, g).values - psi_density(b, g).values))
+        for a, b in zip(t1, t2, strict=True)
     )
     assert dev <= 1e-9
 
@@ -110,17 +123,18 @@ def test_potential_shift_leaves_hj_residual_unchanged():
     psi0 = madelung_psi(gaussian_density(g))
     V = g.from_function(lambda x: 0.5 * x**2)
     Vc = ScalarField(g, V.values + 1.0)
-    r1 = hj_residual(madelung_window(evolve(psi0, V, C, 1.0 / 2048, 128), 64))
-    r2 = hj_residual(madelung_window(evolve(psi0, Vc, C, 1.0 / 2048, 128), 64))
+    r1 = hj_residual(evolve(psi0, V, C, 1.0 / 2048, 128, 64))
+    r2 = hj_residual(evolve(psi0, Vc, C, 1.0 / 2048, 128, 64))
     # both sit at the stationary-state noise floor; the shift adds nothing
     assert abs(r2 - r1) <= 1e-8
 
 
 def test_time_reversal():
     g = Grid(-10.0, 10.0, 2561)
-    traj = evolve(madelung_psi(gaussian_density(g)), g.zeros(), C, 1.0 / 512, 128)
-    back = evolve(traj.psis[-1], g.zeros(), C, -1.0 / 512, 128)
-    assert np.max(np.abs(back.psis[-1] - traj.psis[0])) <= 1e-8
+    _, forth = every_step(partial(evolve, madelung_psi(gaussian_density(g)), g.zeros(), C,
+                                  1.0 / 512, 128, 64))
+    _, back = every_step(partial(evolve, forth[-1], g.zeros(), C, -1.0 / 512, 128, 64))
+    assert np.max(np.abs(back[-1] - forth[0])) <= 1e-8
     for dt in (1.0 / 512, -1.0 / 512):
         ab, _ = cn_system(g, g.zeros(), dt)
         assert reduction_depth(ab[1], ab[0, 1:]) == 2
@@ -156,7 +170,7 @@ def test_boundary_contact_at_step_zero():
     step, message = first_wall_contact(psi0, g.zeros(), 1.0 / 512, 512)
     assert step == 0
     with pytest.raises(BoundaryContact) as raised:
-        evolve(psi0, g.zeros(), C, 1.0 / 512, 1)
+        evolve(psi0, g.zeros(), C, 1.0 / 512, 2, 1)
     assert str(raised.value) == message
 
 
@@ -168,42 +182,87 @@ def test_boundary_contact_at_step_zero():
 )
 def test_boundary_contact_at_the_step_the_full_test_finds(center, width, momentum, contact):
     g = Grid(-8.0, 8.0, 2049)
-    d = density_from_samples(
-        g.from_function(lambda x: np.exp(-((x - center) ** 2) / width)), truncation_check=False
-    )
-    psi0 = madelung_psi(d, momentum * g.x)
+    psi0 = wall_packet(g, center, width, momentum)
     step, message = first_wall_contact(psi0, g.zeros(), 1.0 / 512, 1024)
     assert step == contact
     with pytest.raises(BoundaryContact) as raised:
-        evolve(psi0, g.zeros(), C, 1.0 / 512, step, keep=())
+        evolve(psi0, g.zeros(), C, 1.0 / 512, step, 1)
     assert str(raised.value) == message
-    evolve(psi0, g.zeros(), C, 1.0 / 512, step - 1, keep=())
+    evolve(psi0, g.zeros(), C, 1.0 / 512, step - 1, 1)
+
+
+def wall_packet(g, center, width, momentum):
+    """psi0 of a Gaussian packet exp(-(x - center)^2 / width) with the
+    given momentum."""
+    d = density_from_samples(
+        g.from_function(lambda x: np.exp(-((x - center) ** 2) / width)), truncation_check=False
+    )
+    return madelung_psi(d, momentum * g.x)
+
+
+def test_each_sees_every_step_once_in_order():
+    g = Grid(-10.0, 10.0, 513)
+    seen = []
+    evolve(madelung_psi(gaussian_density(g)), g.zeros(), C, 1.0 / 512, 32, 16,
+           lambda k, psi: seen.append(k))
+    assert seen == list(range(33))
+
+
+def test_each_sees_no_step_past_the_wall_contact():
+    # the moving packet reaches the wall at step 419: the guard of that
+    # step raises before its reader call
+    g = Grid(-8.0, 8.0, 2049)
+    seen = []
+    with pytest.raises(BoundaryContact):
+        evolve(wall_packet(g, 0.0, 1.0, 3.0), g.zeros(), C, 1.0 / 512, 1024, 512,
+               lambda k, psi: seen.append(k))
+    assert seen == list(range(419))
+
+
+def traced_peak(steps, psi0, V):
+    """Peak bytes traced by tracemalloc over one ``evolve`` of ``steps``
+    steps from ``psi0``."""
+    tracemalloc.start()
+    try:
+        evolve(psi0, V, C, 1.0 / 1024, steps, steps // 2)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evolve_memory_does_not_grow_with_steps():
+    # a run holds its flow's buffers and the three window copies, whatever
+    # its length: keeping every step of the long run would add ~31 MB
+    g = Grid(-8.0, 8.0, 4097)
+    psi0, V = madelung_psi(gaussian_density(g)), g.zeros()
+    traced_peak(32, psi0, V)  # loads the solver before anything is traced
+    assert traced_peak(512, psi0, V) - traced_peak(32, psi0, V) <= 2**20
 
 
 def test_energy_conservation_1000_steps():
     g = Grid(-10.0, 10.0, 2049)
     V = g.from_function(lambda x: 0.5 * x**2)
-    traj = evolve(madelung_psi(gaussian_density(g)), V, C, 1.0 / 1024, 1000)
     # <H> of the discrete Hamiltonian the stepper inverts, walls pinned
     kin = C.hbar**2 / (2.0 * C.mass * g.dx**2)
+    energies = {}
 
-    def energy(k):
-        psi = traj.psi(k)
-        h_psi = (2.0 * kin + V.values) * psi
-        h_psi[:-1] -= kin * psi[1:]
-        h_psi[1:] -= kin * psi[:-1]
-        h_psi[0] = h_psi[-1] = 0.0
-        return quadrature_values((np.conj(psi) * h_psi).real, g.dx)
+    def energy(k, psi):
+        if k % 250 == 0:
+            h_psi = (2.0 * kin + V.values) * psi
+            h_psi[:-1] -= kin * psi[1:]
+            h_psi[1:] -= kin * psi[:-1]
+            h_psi[0] = h_psi[-1] = 0.0
+            energies[k] = quadrature_values((np.conj(psi) * h_psi).real, g.dx)
 
-    e0 = energy(0)
-    drift = max(abs(energy(k) - e0) for k in (250, 500, 750, 1000))
+    evolve(madelung_psi(gaussian_density(g)), V, C, 1.0 / 1024, 1000, 500, energy)
+    e0 = energies[0]
+    drift = max(abs(energies[k] - e0) for k in (250, 500, 750, 1000))
     assert drift / abs(e0) <= 1e-8
 
 
 def test_free_gaussian_residuals_at_contract_resolution():
     # dx = 1/256, dt = 1/1024 on [-8, 8]
-    traj = free_gaussian_trajectory()
-    window = madelung_window(traj, 512)
+    window = free_gaussian()  # at step 512
     assert continuity_residual(window) <= 1e-3
     assert hj_residual(window) <= 1e-3
     lhs, rhs = entropy_rate_check(window)
@@ -214,10 +273,8 @@ def test_free_gaussian_residuals_at_contract_resolution():
 def test_residual_second_order_convergence():
     # wall-truncation noise of the initial data dominates on [-8, 8];
     # the wider domain isolates the second-order truncation error
-    coarse = free_gaussian_trajectory(xmax=10.0, n=5121, dtinv=1024)
-    fine = free_gaussian_trajectory(xmax=10.0, n=10241, dtinv=2048)
-    w_c = madelung_window(coarse, 512)
-    w_f = madelung_window(fine, 1024)
+    w_c = free_gaussian(xmax=10.0, n=5121, dtinv=1024)
+    w_f = free_gaussian(xmax=10.0, n=10241, dtinv=2048)
     assert continuity_residual(w_c) / continuity_residual(w_f) >= 3.5
     lc = entropy_rate_check(w_c)
     lf = entropy_rate_check(w_f)
@@ -231,8 +288,8 @@ def test_hj_convergence_on_coherent_state():
         g = Grid(-10.0, 10.0, n)
         d = density_from_samples(g.from_function(lambda x: np.exp(-((x - 1) ** 2))))
         V = g.from_function(lambda x: 0.5 * x**2)
-        traj = evolve(madelung_psi(d), V, C, 1.0 / dtinv, dtinv)  # one time unit
-        return hj_residual(madelung_window(traj, dtinv // 2))
+        # one time unit, checked at its middle step
+        return hj_residual(evolve(madelung_psi(d), V, C, 1.0 / dtinv, dtinv, dtinv // 2))
 
     assert run(5121, 1024) / run(10241, 2048) >= 3.5
 
@@ -245,15 +302,13 @@ def test_entropy_rate_through_a_collision():
     g = Grid(-40.0, 40.0, 8193)
     psi0 = (np.exp(-((g.x + 8.0) ** 2) / 4.0 + 3j * g.x)
             + np.exp(-((g.x - 8.0) ** 2) / 4.0 - 3j * g.x))
-    traj = evolve(psi0, g.zeros(), C, 1.0 / 512, 1366, keep=(1364, 1365, 1366))
-    lhs, rhs = entropy_rate_check(madelung_window(traj, 1365))
+    lhs, rhs = entropy_rate_check(evolve(psi0, g.zeros(), C, 1.0 / 512, 1366, 1365))
     assert lhs == pytest.approx(0.2324862, abs=1e-7)
     assert abs(rhs - lhs) <= 1e-3 * abs(lhs)
 
 
 def test_stationary_state_residuals():
-    traj = stationary_trajectory(steps=32)
-    window = madelung_window(traj, 16)
+    window = stationary_window(steps=32)
     assert continuity_residual(window) <= 1e-8
     assert hj_residual(window) <= 1e-6
     lhs, rhs = entropy_rate_check(window)
@@ -262,18 +317,17 @@ def test_stationary_state_residuals():
 
 def test_stationary_hj_energy_balance():
     # dS/dt = -E0 while V + Q = E0 pointwise, so the HJ residual is tiny
-    traj = stationary_trajectory(steps=32)
-    window = madelung_window(traj, 16)
+    window = stationary_window(steps=32)
     mask = window.now.support_mask
     assert np.allclose(window.dsdt[mask], -0.5, atol=1e-5)
 
 
 def test_requires_interior_index():
-    traj = free_gaussian_trajectory(T=0.05)
-    with pytest.raises(ValueError):
-        madelung_window(traj, 0)
-    with pytest.raises(ValueError):
-        madelung_window(traj, len(traj) - 1)
+    g = Grid(-8.0, 8.0, 4097)
+    psi0 = madelung_psi(gaussian_density(g))
+    for index in (0, 51):
+        with pytest.raises(ValueError, match=rf"index {index} must be interior \(1..50\)"):
+            evolve(psi0, g.zeros(), C, 1.0 / 1024, 51, index)
 
 
 def test_osmotic_entropy_rate(standard_normal):
@@ -309,14 +363,14 @@ def cn_system(g, V, dt):
     return ab, explicit
 
 
-def chained_phases(traj):
+def chained_phases(psis, g):
     """S of every step aligned against the whole previous phase field at
     the density peak, step by step from 0 before step 0: the alignment a
     trajectory dump must reproduce."""
-    previous = np.zeros(traj.grid.n)
+    previous = np.zeros(g.n)
     out = []
-    for k, psi in zip(traj.kept, traj.psis):
-        density = traj.density(k)
+    for psi in psis:
+        density = psi_density(psi, g)
         idx = np.flatnonzero(density.support_mask)
         theta = np.unwrap(np.angle(psi[idx]))
         anchor = int(np.argmax(density.values[idx]))
@@ -332,9 +386,9 @@ def chained_phases(traj):
     return out
 
 
-def dumped_phases(tmp_path, traj):
-    """The S column of every step file of the trajectory dump."""
-    out = dump_trajectory(traj, tmp_path / "traj")
+def dumped_phases(tmp_path, psis, V, dt):
+    """The S column of every step file of the trajectory dump of ``psis``."""
+    out = dump_trajectory(psis, V, C, dt, tmp_path / "traj")
     return [np.loadtxt(path, delimiter=",", skiprows=1, usecols=2)
             for path in sorted(out.glob("step_*.csv"))]
 
@@ -344,11 +398,12 @@ def test_factored_stepper_matches_solve_banded():
     # backward error of at most 4 eps
     g = Grid(-10.0, 10.0, 2561)
     V = g.from_function(lambda x: 0.5 * x**2)
-    run = evolve(madelung_psi(gaussian_density(g), 1.5 * g.x), V, C, 1.0 / 512, 64)
+    _, psis = every_step(partial(evolve, madelung_psi(gaussian_density(g), 1.5 * g.x), V, C,
+                                 1.0 / 512, 64, 32))
     ab, explicit = cn_system(g, V, 1.0 / 512)
     assert reduction_depth(ab[1], ab[0, 1:]) == 2
-    assert run.kept == tuple(range(65))
-    for psi, nxt in zip(run.psis, run.psis[1:]):
+    assert len(psis) == 65
+    for psi, nxt in zip(psis, psis[1:]):
         assert nxt[0] == nxt[-1] == 0.0
         assert cn_backward_error(ab, nxt[1:-1], explicit(psi)) <= 4 * np.finfo(float).eps
 
@@ -362,26 +417,29 @@ def past_phase_wrap():
 
 
 def test_windowed_evolve_matches_full_past_phase_wrap():
+    # the window evolve returns is the one madelung_window forms from the
+    # three steps a reader copies, bit for bit, with or without a reader
     psi0, V, dt, steps, mid = past_phase_wrap()
-    full = evolve(psi0, V, C, dt, steps)
-    window = evolve(psi0, V, C, dt, steps, keep=(mid - 1, mid, mid + 1))
-    assert window.kept == (mid - 1, mid, mid + 1)
-    assert len(window) == len(full) == steps + 1
-    assert np.array_equal(raw_norms(window), raw_norms(full)[mid - 1 : mid + 2])
-    for k in window.kept:
-        assert np.array_equal(window.psi(k), full.psi(k))
-    w_window, w_full = madelung_window(window, mid), madelung_window(full, mid)
-    assert continuity_residual(w_window) == continuity_residual(w_full)
-    assert hj_residual(w_window) == hj_residual(w_full)
-    assert entropy_rate_check(w_window) == entropy_rate_check(w_full)
+    read, psis = every_step(partial(evolve, psi0, V, C, dt, steps, mid))
+    alone = evolve(psi0, V, C, dt, steps, mid)
+    assert len(psis) == steps + 1
+    built = madelung_window(psis[mid - 1 : mid + 2], dt, V, C)
+    for w in (read, alone):
+        for name in ("before", "now", "after"):
+            assert np.array_equal(getattr(w, name).values, getattr(built, name).values)
+        for name in ("dj", "grad_s", "dsdt"):
+            assert np.array_equal(getattr(w, name), getattr(built, name))
+        assert continuity_residual(w) == continuity_residual(built)
+        assert hj_residual(w) == hj_residual(built)
+        assert entropy_rate_check(w) == entropy_rate_check(built)
 
 
 def test_dump_aligns_the_phase_past_a_wrap(tmp_path):
     psi0, V, dt, steps, mid = past_phase_wrap()
-    full = evolve(psi0, V, C, dt, steps)
-    dumped = dumped_phases(tmp_path, full)
-    assert all(np.array_equal(s, r) for s, r in zip(dumped, chained_phases(full)))
-    assert dumped[mid][full.grid.n // 2] < -np.pi  # 2 pi offset carried
+    _, psis = every_step(partial(evolve, psi0, V, C, dt, steps, mid))
+    dumped = dumped_phases(tmp_path, psis, V, dt)
+    assert all(np.array_equal(s, r) for s, r in zip(dumped, chained_phases(psis, V.grid)))
+    assert dumped[mid][V.grid.n // 2] < -np.pi  # 2 pi offset carried
 
 
 def test_dump_follows_a_moving_peak(tmp_path):
@@ -390,10 +448,11 @@ def test_dump_follows_a_moving_peak(tmp_path):
     # turns the peak phase (8 - 20) t past -pi by t = 0.26
     g = Grid(-10.0, 10.0, 2561)
     V = ScalarField(g, np.full(g.n, 20.0))
-    full = evolve(madelung_psi(gaussian_density(g), 4.0 * g.x), V, C, 1.0 / 512, 256)
-    dumped = dumped_phases(tmp_path, full)
+    _, psis = every_step(partial(evolve, madelung_psi(gaussian_density(g), 4.0 * g.x), V, C,
+                                 1.0 / 512, 256, 128))
+    dumped = dumped_phases(tmp_path, psis, V, 1.0 / 512)
     assert len(dumped) == 257
-    assert all(np.array_equal(s, r) for s, r in zip(dumped, chained_phases(full)))
+    assert all(np.array_equal(s, r) for s, r in zip(dumped, chained_phases(psis, g)))
 
 
 def test_dump_anchors_step_0_at_the_density_peak(tmp_path):
@@ -401,21 +460,13 @@ def test_dump_anchors_step_0_at_the_density_peak(tmp_path):
     # but the dump anchors step 0 to 0 there, not to the start phase
     g = Grid(-10.0, 10.0, 2561)
     d = gaussian_density(g, center=2.0)
-    full = evolve(madelung_psi(d, 2.0 * g.x), g.zeros(), C, 1.0 / 512, 64)
-    dumped = dumped_phases(tmp_path, full)
+    _, psis = every_step(partial(evolve, madelung_psi(d, 2.0 * g.x), g.zeros(), C,
+                                 1.0 / 512, 64, 32))
+    dumped = dumped_phases(tmp_path, psis, g.zeros(), 1.0 / 512)
     peak = int(np.argmax(d.values))
     assert 2.0 * g.x[peak] > np.pi
     assert -np.pi * C.hbar < dumped[0][peak] <= np.pi * C.hbar
-    assert all(np.array_equal(s, r) for s, r in zip(dumped, chained_phases(full)))
-
-
-def test_dump_refuses_a_windowed_trajectory(tmp_path):
-    g = Grid(-10.0, 10.0, 513)
-    window = evolve(madelung_psi(gaussian_density(g)), g.zeros(), C, 1.0 / 512, 32,
-                    keep=(15, 16, 17))
-    with pytest.raises(ValueError, match="every step"):
-        dump_trajectory(window, tmp_path / "traj")
-    assert not (tmp_path / "traj").exists()
+    assert all(np.array_equal(s, r) for s, r in zip(dumped, chained_phases(psis, g)))
 
 
 def test_collision_hj_residual():
@@ -427,38 +478,22 @@ def test_collision_hj_residual():
     d = density_from_samples(ScalarField(
         g, np.exp(-((x + 8.0) ** 2) / 2) + np.exp(-((x - 8.0) ** 2) / 2)))
     mid = 1365
-    traj = evolve(madelung_psi(d, -3.0 * np.abs(x)), g.zeros(), C, 1.0 / 512, mid + 1,
-                  keep=(mid - 1, mid, mid + 1))
-    assert hj_residual(madelung_window(traj, mid)) <= 1e-3
-
-
-def test_window_refuses_steps_it_did_not_keep():
-    g = Grid(-10.0, 10.0, 513)
-    psi0 = madelung_psi(gaussian_density(g))
-    traj = evolve(psi0, g.zeros(), C, 1.0 / 512, 32, keep=(15, 16, 17))
-    assert len(traj.psis) == 3
-    with pytest.raises(ValueError, match="not kept"):
-        madelung_window(traj, 20)
-    with pytest.raises(ValueError, match="interior"):
-        madelung_window(traj, 32)
-    with pytest.raises(ValueError):
-        evolve(psi0, g.zeros(), C, 1.0 / 512, 32, keep=(33,))
+    window = evolve(madelung_psi(d, -3.0 * np.abs(x)), g.zeros(), C, 1.0 / 512, mid + 1, mid)
+    assert hj_residual(window) <= 1e-3
 
 
 def test_norm_drift_reads_the_raw_norm():
-    # a kept step's raw norm does not depend on which other steps are kept
+    # a reader reads the raw norm off every step, as demo 02 does
     g = Grid(-10.0, 10.0, 2561)
-    psi0 = madelung_psi(gaussian_density(g))
-    traj = evolve(psi0, g.zeros(), C, 1.0 / 512, 32)
-    assert np.max(np.abs(raw_norms(traj) - 1.0)) <= 1e-12
-    run = evolve(psi0, g.zeros(), C, 1.0 / 512, 32, keep=(0, 16, 32))
-    assert np.array_equal(raw_norms(run), raw_norms(traj)[[0, 16, 32]])
-    run = evolve(psi0, g.zeros(), C, 1.0 / 512, 32, keep=())
-    assert run.psis == [] and len(run) == 33
+    norms = []
+    evolve(madelung_psi(gaussian_density(g)), g.zeros(), C, 1.0 / 512, 32, 16,
+           lambda k, psi: norms.append(raw_norm(psi, g.dx)))
+    assert len(norms) == 33
+    assert np.max(np.abs(np.array(norms) - 1.0)) <= 1e-12
 
 
 def test_evolve_refuses_a_start_off_the_potential_grid():
     g = Grid(-8.0, 8.0, 1025)
     psi0 = madelung_psi(gaussian_density(Grid(-8.0, 8.0, 513)))
     with pytest.raises(ValueError, match="513 points"):
-        evolve(psi0, g.zeros(), C, 1.0 / 512, 4)
+        evolve(psi0, g.zeros(), C, 1.0 / 512, 4, 2)

@@ -31,8 +31,10 @@ def test_field_csv_roundtrip(tmp_path):
 
 def test_trajectory_dump(tmp_path):
     g = Grid(-10.0, 10.0, 513)
-    traj = evolve(madelung_psi(gaussian_density(g)), g.zeros(), C, 1e-3, 8)
-    out = ser.dump_trajectory(traj, tmp_path / "traj")
+    psis = []
+    evolve(madelung_psi(gaussian_density(g)), g.zeros(), C, 1e-3, 8, 4,
+           each=lambda k, psi: psis.append(psi.copy()))
+    out = ser.dump_trajectory(psis, g.zeros(), C, 1e-3, tmp_path / "traj")
     csvs = sorted(out.glob("step_*.csv"))
     assert len(csvs) == 9
     manifest = json.loads((out / "manifest.json").read_text())

@@ -19,7 +19,7 @@ from fisherqp import (
 from fisherqp.grid import (ScalarField, derivative_values, quadrature_values,
                            second_derivative_values)
 from fisherqp.suites import identities_suite, thermal_suite
-from fisherqp.thermal import _coupling_deviation, coupled_run
+from fisherqp.thermal import _coupling_deviation, _diffuse, _heat_guard, coupled_run
 
 from conftest import (checks_by_name, cn_backward_error, diffusion_flow, gaussian_density,
                       note_value)
@@ -286,6 +286,13 @@ def test_coupled_evolution_short_horizon():
     assert coupled_run(d, heat, C, 0.01, 1e-3)[0] <= 2e-3
 
 
+def test_coupled_run_needs_two_steps():
+    # the heat window is the middle step and one step either side
+    heat, d = coupled_gaussian(Grid(-8.0, 8.0, 257))
+    with pytest.raises(ValueError, match="at least two steps"):
+        coupled_run(d, heat, C, 1e-3, 1e-3)
+
+
 def test_coupling_deviation_detects_mismatch(grid):
     heat, d = coupled_gaussian(grid)
     assert coupling_deviation(d, heat, C) <= 1e-12
@@ -326,6 +333,14 @@ def test_gibbs_formulas(k, gamma):
 # ---------------------------------------------------------------------------
 
 
+def heat_flow(q0, constants, steps, dt):
+    """Copies of every step of the heat flow ``coupled_run`` runs from
+    ``q0``: its stepper, ``_diffuse``, with its wall guard."""
+    dx = q0.grid.dx
+    return [q.copy() for q in _diffuse(q0.values, dx, constants.diffusivity, steps, dt,
+                                       _heat_guard(q0.values, dx))]
+
+
 def test_factored_heat_stepper_matches_solve_banded():
     # every step of the lockstep heat flow solves the reference fixed-end
     # Crank-Nicolson system to a normwise backward error of at most 4 eps;
@@ -335,15 +350,17 @@ def test_factored_heat_stepper_matches_solve_banded():
     q0, d = coupled_gaussian(g)
     assert min(abs(q0.values[0]), abs(q0.values[-1])) > 10.0
     dt, steps = 1e-3, 64
-    _, heat = coupled_run(d, q0, C, steps * dt, dt, keep=range(steps + 1))
+    heat = heat_flow(q0, C, steps, dt)
+    _, window = coupled_run(d, q0, C, steps * dt, dt)
+    assert all(np.array_equal(w.values, heat[k]) for w, k in zip(window, (31, 32, 33)))
     c = 0.5 * C.diffusivity * dt / g.dx**2
     ab = np.zeros((3, g.n - 2))
     ab[0, 1:] = -c
     ab[1, :] = 1.0 + 2.0 * c
     ab[2, :-1] = -c
-    assert sorted(heat) == list(range(steps + 1))
+    assert len(heat) == steps + 1
     for k in range(steps):
-        u, u_next = heat[k].values, heat[k + 1].values
+        u, u_next = heat[k], heat[k + 1]
         assert (u_next[0], u_next[-1]) == (u[0], u[-1])
         rhs = (1.0 - 2.0 * c) * u[1:-1] + c * (u[2:] + u[:-2])
         rhs[0] += c * u[0]
@@ -373,10 +390,10 @@ def test_coupled_deviation_uses_caller_constants():
     assert c.is_thermal_equilibrium
     g = wide_grid()
     q0, d = coupled_gaussian(g, sigma=2.0, constants=c)
-    dev, heat = coupled_run(d, q0, c, 0.01, 1e-3, keep=(10,))
+    dev, window = coupled_run(d, q0, c, 0.01, 1e-3)
     ref, ref_heat = materialized_run(d, q0, c, 10, 1e-3)
     assert dev == ref
-    assert np.array_equal(heat[10].values, ref_heat[10])
+    assert all(np.array_equal(w.values, ref_heat[k]) for w, k in zip(window, (4, 5, 6)))
     assert dev != coupled_run(d, coupled_gaussian(g, sigma=2.0)[0], C, 0.01, 1e-3)[0]
 
 
@@ -385,17 +402,17 @@ def test_coherence_lockstep_matches_materialized_flows():
     g = wide_grid()
     q0 = ScalarField(g, g.x**2 / 4)
     density, _ = density_from_heat(q0, c.alpha_th, truncation_check=False)
-    dev, heat = coupled_run(density, q0, c, 0.01, 1e-3, keep=(4, 5, 6))
+    dev, window = coupled_run(density, q0, c, 0.01, 1e-3)
     ref, ref_heat = materialized_run(density, q0, c, 10, 1e-3)
     assert dev == ref
     checks = thermal_checks(q0, c, 0.01, 1e-3)
     assert {ch.name: ch for ch in checks}["ratio-law-evolution"].lhs == ref
-    assert sorted(heat) == [4, 5, 6] and len(ref_heat) == 11
-    for k in heat:
-        assert np.array_equal(heat[k].values, ref_heat[k])
-    window = [ScalarField(g, ref_heat[k]) for k in (4, 5, 6)]
-    assert np.array_equal(thermalized_qp(heat[4], heat[5], heat[6], 1e-3, c).values,
-                          thermalized_qp(*window, 1e-3, c).values)
+    assert len(window) == 3 and len(ref_heat) == 11
+    for w, k in zip(window, (4, 5, 6)):
+        assert np.array_equal(w.values, ref_heat[k])
+    ref_window = [ScalarField(g, ref_heat[k]) for k in (4, 5, 6)]
+    assert np.array_equal(thermalized_qp(*window, 1e-3, c).values,
+                          thermalized_qp(*ref_window, 1e-3, c).values)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +503,7 @@ def test_thermal_refuses_one_point_support():
 @settings(max_examples=50, deadline=None)
 @given(
     n=st.sampled_from([129, 257, 513, 1025]),
-    steps=st.integers(1, 20),
+    steps=st.integers(2, 20),
     dt=st.sampled_from([1e-4, 5e-4, 1e-3]),
     weight=st.floats(0.05, 1.0),
     centers=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
@@ -499,7 +516,11 @@ def test_lockstep_deviation_equals_materialized_flows(n, steps, dt, weight, cent
     # the mixture's heat field, -(1/alpha_th) log of the mixture
     q0 = ScalarField(g, -np.log(raw) / C.alpha_th)
     d, _ = density_from_heat(q0, C.alpha_th)
-    dev, heat = coupled_run(d, q0, C, steps * dt, dt, keep=range(steps + 1))
+    dev, window = coupled_run(d, q0, C, steps * dt, dt)
     ref, ref_heat = materialized_run(d, q0, C, steps, dt)
     assert dev == ref
-    assert all(np.array_equal(heat[k].values, q) for k, q in enumerate(ref_heat))
+    assert all(np.array_equal(q, r) for q, r in zip(heat_flow(q0, C, steps, dt), ref_heat,
+                                                     strict=True))
+    mid = (steps + 1) // 2
+    assert all(np.array_equal(w.values, r) for w, r in zip(window, ref_heat[mid - 1 : mid + 2],
+                                                           strict=True))
