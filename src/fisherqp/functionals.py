@@ -67,15 +67,13 @@ def weighted_max_dev(a: np.ndarray, b: np.ndarray, density: Density) -> float:
                         density.support_mask)
 
 
-def weighted_sup(diff: np.ndarray, p: np.ndarray, peak: float, mask: np.ndarray,
-                 scratch: np.ndarray | None = None) -> float:
+def weighted_sup(diff: np.ndarray, p: np.ndarray, peak: float, mask: np.ndarray) -> float:
     """max over ``mask`` of (p/peak) |diff|, 0 on an empty mask.
 
-    The array-level core of ``weighted_max_dev``: ``diff`` is overwritten,
-    and ``scratch``, when given, receives p/peak.
+    The array-level core of ``weighted_max_dev``: ``diff`` is overwritten.
     """
     np.abs(diff, out=diff)
-    diff *= np.divide(p, peak, out=scratch)
+    diff *= p / peak
     return float(diff.max(where=mask, initial=0.0))
 
 

@@ -32,15 +32,16 @@ Conventions
   (quadratic heat fields legitimately grow uniformly in the interior, so
   a change-based wall guard would misfire; the guard watches curvature
   arriving at the walls instead).
-* Fick and heat flows share one stepper, ``_diffuse``: the
-  Crank-Nicolson flow with the end values folded into the step,
-  u+ = 2 A^-1 (u + f/2) - u, on a constant symmetric positive definite
-  tridiagonal A whose half is factored once per run
-  (``grid.crank_nicolson_flow``, ``?pttrf``/``?pttrs``), stepping between
-  two work buffers.  Flows stream step by step and the wall guards run
-  on every step; the heat guard takes its scales from the full curvature
-  of the initial field and then reads only the curvature at the two
-  first interior points.
+* Fick and heat flows are two Crank-Nicolson flows
+  (``grid.crank_nicolson_flow``) of dU/dt = D d2U/dx2 on one constant
+  symmetric positive definite tridiagonal A = tridiag(-c, 1+2c, -c),
+  c = D dt/(2 dx^2), with the end values folded into the step,
+  u+ = 2 A^-1 (u + f/2) - u.  Each flow factors A/2 once per run
+  (``?pttrf``) and makes one ``?pttrs`` solve per step, stepping between
+  two work buffers.  Flows stream step by step and ``coupled_run`` runs
+  both wall guards on every step; the heat guard takes its scales from
+  the full curvature of the initial field and then reads only the
+  curvature at the two first interior points.
 * ``coupled_run`` steps Fick and heat in lockstep, both at the
   diffusivity D = hbar/2m of the constants, and reduces the coupling
   deviation on the raw arrays (``states.normalize_samples``, the core of
@@ -48,17 +49,26 @@ Conventions
   objects, heat fields only at the three steps around the middle one,
   which the thermalized quantum potential reads, and a result equal bit
   for bit to the same reduction over the materialized flows.
+* The coupling deviation of a density P (peak P_max) from its heat
+  field is max over P's support of (P/P_max) |P - e/T| / P_max, with
+  e = exp(-alpha_th (Q_heat - min Q_heat)) and T its trapezoid integral.
+  ``_coupling_deviation`` forms e/T and P/P_max as products with the
+  scalar reciprocals 1/T and 1/P_max, so it divides no array.  Nothing in
+  it overflows on any grid the flow can step: e <= 1 is 1 at the minimum
+  of Q_heat, whose trapezoid weight is at least dx/2, so 1/T <= 2/dx and
+  e/T <= 2/dx; a normalized density has P <= P_max <= 2/dx, so
+  |P - e/T| <= 2/dx and P/P_max <= 1; and 1/P_max <= (n-1) dx.  With dx^2
+  a normal float (``grid.Grid``), all of these lie far inside the float
+  range.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 import numpy as np
 
 from .errors import BoundaryContact, NonFinite
-from .functionals import weighted_sup
 from .grid import (
     ScalarField,
     crank_nicolson_flow,
@@ -88,23 +98,30 @@ def coupled_grad_heat(density: Density, constants: PhysicalConstants) -> np.ndar
 
 def _coupling_deviation(
     p: np.ndarray, peak: float, mask: np.ndarray, q: np.ndarray, alpha: float,
-    dx: float, w: np.ndarray, work: np.ndarray,
+    dx: float, e: np.ndarray, work: np.ndarray,
 ) -> float:
     """Weighted max deviation of the density ``p`` (peak ``peak``, support
     ``mask``) from c_hat * exp(-alpha q), relative to the peak, on raw
-    arrays with ``w`` and ``work`` as scratch; a non-finite q raises the
-    NonFinite a ScalarField would."""
+    arrays with ``e`` and ``work`` as scratch; a non-finite q raises the
+    NonFinite a ScalarField would.
+
+    The deviation and its bounds are stated in the module docstring; it
+    multiplies by the reciprocals of T and of the peak, and divides no
+    array.
+    """
     qmin = q.min()
     if not (math.isfinite(qmin) and math.isfinite(q.max())):
         raise NonFinite("field values must be finite")
     # the induced density c_hat exp(-alpha Q) ...
     np.subtract(q, qmin, out=work)
     work *= -alpha
-    np.exp(work, out=w)
-    w /= quadrature_values(w, dx)
+    np.exp(work, out=e)
+    e *= 1.0 / quadrature_values(e, dx)
     # ... against P in the weighted sup norm over P's support
-    np.subtract(p, w, out=work)
-    return weighted_sup(work, p, peak, mask, scratch=w) / peak
+    np.subtract(p, e, out=work)
+    np.abs(work, out=work)
+    work *= np.multiply(p, 1.0 / peak, out=e)
+    return float(work.max(where=mask, initial=0.0)) / peak
 
 
 # ---------------------------------------------------------------------------
@@ -161,18 +178,6 @@ def _heat_guard(q0: np.ndarray, dx: float):
             raise BoundaryContact("heat-field curvature reached the wall")
 
     return guard
-
-
-def _diffuse(values: np.ndarray, dx: float, D: float, steps: int, dt: float,
-             guard) -> Iterator[np.ndarray]:
-    """The Crank-Nicolson flow (``grid.crank_nicolson_flow``) of
-    dU/dt = D d2U/dx2 with the end values held fixed, every step checked
-    by ``guard``: A = tridiag(-c, 1+2c, -c) with c = D*dt/(2*dx^2)."""
-    c = 0.5 * (D * dt / (dx * dx))
-    for u in crank_nicolson_flow(values, np.full(len(values) - 2, 1.0 + 2.0 * c), -c,
-                                 steps):
-        guard(u)
-        yield u
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +246,23 @@ def coupled_run(
     mid = (steps + 1) // 2
     grid = q0.grid
     dx = grid.dx
-    D = constants.diffusivity
-    fick = _diffuse(density0.values, dx, D, steps, dt, _fick_guard)
-    flow = _diffuse(q0.values, dx, D, steps, dt, _heat_guard(q0.values, dx))
-    p, w, work = np.empty(grid.n), np.empty(grid.n), np.empty(grid.n)
+    # A = tridiag(-c, 1+2c, -c) of the module docstring
+    c = 0.5 * (constants.diffusivity * dt / (dx * dx))
+    diag = np.full(grid.n - 2, 1.0 + 2.0 * c)
+    fick = crank_nicolson_flow(density0.values, diag, -c, steps)
+    flow = crank_nicolson_flow(q0.values, diag, -c, steps)
+    heat_guard = _heat_guard(q0.values, dx)
+    p, e, work = np.empty(grid.n), np.empty(grid.n), np.empty(grid.n)
     support = np.empty(grid.n, dtype=bool)
     worst = 0.0
     window = []
-    for k, (raw, q) in enumerate(zip(fick, flow)):
+    for k, raw in enumerate(fick):
+        _fick_guard(raw)
+        q = next(flow)
+        heat_guard(q)
         peak = normalize_samples(raw, dx, p)
         np.greater(p, SUPPORT_FLOOR * peak, out=support)
-        dev = _coupling_deviation(p, peak, support, q, constants.alpha_th, dx, w, work)
+        dev = _coupling_deviation(p, peak, support, q, constants.alpha_th, dx, e, work)
         worst = max(worst, dev)
         if mid - 1 <= k <= mid + 1:
             window.append(ScalarField(grid, q))

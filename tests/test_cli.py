@@ -273,6 +273,29 @@ SOLVING_RUNS = {
 }
 
 
+# dx = 1e-160/256: dx^2 underflows to 0, which the stencils and the
+# operators divide by
+UNDERFLOWING_GRID = {"xmin": 0.0, "xmax": 1e-160, "n": 257}
+TINY_PACKET = {"kind": "gaussian", "center": 5e-161, "sigma": 6.25e-162}
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("verify-identities", {"density": TINY_PACKET}),
+    ("evolve", {**SOLVING_RUNS["evolve"], "initial": TINY_PACKET}),
+    ("epi", SOLVING_RUNS["epi"]),
+    ("sweep", SOLVING_RUNS["sweep"]),
+    ("thermal", SOLVING_RUNS["thermal"]),
+])
+def test_underflowing_grid_spacing_exits_2(tmp_path, capsys, command, payload):
+    inp = write_json(tmp_path / "in.json", {**payload, "grid": UNDERFLOWING_GRID})
+    out = tmp_path / "out"
+    assert main([command, "--input", inp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"schema error: {command}: dx^2 = 0 overflows or vanishes: "
+        f"it must lie in [2.23e-308, 4.49e+307]\n")
+    assert not out.exists()
+
+
 def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
     # the scipy.linalg package dominates import time: importing the CLI
     # loads no scipy, and a solving run loads only the compiled LAPACK

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg.lapack
+from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import get_lapack_funcs
 from scipy.special import erf
 
@@ -40,6 +41,15 @@ def test_grid_rejects_bad_parameters(bad):
         Grid(*bad)
 
 
+def test_grid_refuses_dx_squared_off_the_normal_range():
+    # dx^2 and 1/dx^2 must be normal floats: 2^-1022 <= dx^2 <= 2^1022
+    for dx in (2.0**-511, 2.0**511):
+        assert Grid(0.0, 2.0 * dx, 3).dx == dx
+    for dx in (np.nextafter(2.0**-511, 0.0), np.nextafter(2.0**511, np.inf), 1e-160):
+        with pytest.raises(ValueError, match=r"dx\^2 = .* overflows or vanishes"):
+            Grid(0.0, 2.0 * dx, 3)
+
+
 def test_field_length_and_finiteness():
     g = Grid(0.0, 1.0, 11)
     with pytest.raises(ValueError):
@@ -65,6 +75,27 @@ def test_trapezoid_normal_pdf():
     f = np.exp(-g.x * g.x / 2) / np.sqrt(2 * np.pi)
     exact = erf(8.0 / np.sqrt(2.0))  # mass actually inside [-8, 8]
     assert quadrature_values(f, g.dx) == pytest.approx(exact, abs=1e-9)
+
+
+def bits(x):
+    return np.float64(x).view(np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 4097),
+    dx=st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-150, 150)),
+    scale=st.integers(-300, 100),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quadrature_equals_numpy_trapezoid_to_the_bit(n, dx, scale, seed):
+    # zeros, negatives and subnormals mixed into normal values of either sign
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=n) * 10.0**scale
+    kind = rng.integers(0, 4, size=n)
+    v[kind == 0] = 0.0
+    v[kind == 1] = rng.normal(size=np.count_nonzero(kind == 1)) * 1e-310
+    assert bits(quadrature_values(v, dx)) == bits(np.trapezoid(v, dx=dx))
 
 
 def test_trapezoid_zero_field():

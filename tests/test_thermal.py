@@ -19,7 +19,7 @@ from fisherqp import (
 from fisherqp.grid import (ScalarField, derivative_values, quadrature_values,
                            second_derivative_values)
 from fisherqp.suites import identities_suite, thermal_suite
-from fisherqp.thermal import _coupling_deviation, _diffuse, _heat_guard, coupled_run
+from fisherqp.thermal import _coupling_deviation, _heat_guard, coupled_run
 
 from conftest import (checks_by_name, cn_backward_error, diffusion_flow, gaussian_density,
                       note_value)
@@ -335,10 +335,13 @@ def test_gibbs_formulas(k, gamma):
 
 def heat_flow(q0, constants, steps, dt):
     """Copies of every step of the heat flow ``coupled_run`` runs from
-    ``q0``: its stepper, ``_diffuse``, with its wall guard."""
+    ``q0``, each checked by its wall guard."""
     dx = q0.grid.dx
-    return [q.copy() for q in _diffuse(q0.values, dx, constants.diffusivity, steps, dt,
-                                       _heat_guard(q0.values, dx))]
+    flow = diffusion_flow(q0.values, dx, constants.diffusivity, steps, dt)
+    guard = _heat_guard(q0.values, dx)
+    for q in flow:
+        guard(q)
+    return flow
 
 
 def test_factored_heat_stepper_matches_solve_banded():
@@ -500,8 +503,8 @@ def test_thermal_refuses_one_point_support():
         thermal_checks(ScalarField(g, 1e306 * g.x**2), C)
 
 
-@settings(max_examples=50, deadline=None)
-@given(
+# coupled two-Gaussian mixtures; every n - 1 is a power of two, so dx is one
+MIXTURES = dict(
     n=st.sampled_from([129, 257, 513, 1025]),
     steps=st.integers(2, 20),
     dt=st.sampled_from([1e-4, 5e-4, 1e-3]),
@@ -509,12 +512,21 @@ def test_thermal_refuses_one_point_support():
     centers=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
     widths=st.tuples(st.floats(0.3, 0.8), st.floats(0.3, 0.8)),
 )
-def test_lockstep_deviation_equals_materialized_flows(n, steps, dt, weight, centers, widths):
-    g = Grid(-8.0, 8.0, n)
+
+
+def mixture_heat(g, weight, centers, widths):
+    """The heat field of a two-Gaussian mixture, -(1/alpha_th) log of the
+    mixture."""
     raw = sum(a * np.exp(-((g.x - c) ** 2) / (2.0 * s**2))
               for a, c, s in zip((1.0, weight), centers, widths))
-    # the mixture's heat field, -(1/alpha_th) log of the mixture
-    q0 = ScalarField(g, -np.log(raw) / C.alpha_th)
+    return ScalarField(g, -np.log(raw) / C.alpha_th)
+
+
+@settings(max_examples=50, deadline=None)
+@given(**MIXTURES)
+def test_lockstep_deviation_equals_materialized_flows(n, steps, dt, weight, centers, widths):
+    g = Grid(-8.0, 8.0, n)
+    q0 = mixture_heat(g, weight, centers, widths)
     d, _ = density_from_heat(q0, C.alpha_th)
     dev, window = coupled_run(d, q0, C, steps * dt, dt)
     ref, ref_heat = materialized_run(d, q0, C, steps, dt)
@@ -524,3 +536,49 @@ def test_lockstep_deviation_equals_materialized_flows(n, steps, dt, weight, cent
     mid = (steps + 1) // 2
     assert all(np.array_equal(w.values, r) for w, r in zip(window, ref_heat[mid - 1 : mid + 2],
                                                            strict=True))
+
+
+def divided_deviation(p, mask, q, dx):
+    """max over ``mask`` of (p/peak) |p - e/T| / peak, e = exp(-alpha_th
+    (q - min q)) and T its integral: the coupling deviation with its two
+    divisions."""
+    peak = float(np.max(p))
+    e = np.exp(-C.alpha_th * (q - q.min()))
+    return float(np.max((p / peak * np.abs(p - e / quadrature_values(e, dx)))[mask],
+                        initial=0.0)) / peak
+
+
+@settings(max_examples=50, deadline=None)
+@given(**MIXTURES)
+def test_division_free_deviation_equals_the_divided_form(n, steps, dt, weight, centers,
+                                                         widths):
+    # per step the two forms may differ by roundoff relative to the peak
+    # (up to 0.99 eps measured over 300 drawn runs), which is all of a
+    # deviation at roundoff level, as at step 0; the worst over the run,
+    # the reported value, agrees to 1e-13
+    eps = np.finfo(float).eps
+    g = Grid(-8.0, 8.0, n)
+    q0 = mixture_heat(g, weight, centers, widths)
+    d, _ = density_from_heat(q0, C.alpha_th)
+    fick = diffusion_flow(d.values, g.dx, C.diffusivity, steps, dt)
+    heat = diffusion_flow(q0.values, g.dx, C.diffusivity, steps, dt)
+    devs, divided = [], []
+    for u, q in zip(fick, heat, strict=True):
+        p = density_from_samples(ScalarField(g, u), truncation_check=False)
+        devs.append(coupling_deviation(p, ScalarField(g, q), C))
+        divided.append(divided_deviation(p.values, p.support_mask, q, g.dx))
+        assert devs[-1] == pytest.approx(divided[-1], rel=1e-13, abs=4 * eps)
+    assert max(devs) == pytest.approx(max(divided), rel=1e-13)
+    dev = devs[-1]
+    # the last step again on the grid of the smallest dx, 2^-511, scaled by
+    # a power of two: every product stays a normal float
+    scale = 2.0**-511 / g.dx
+    tiny = Grid(-8.0 * scale, 8.0 * scale, n)
+    assert tiny.dx == 2.0**-511
+    p_tiny = p.values / scale
+    dev_tiny = _coupling_deviation(p_tiny, float(np.max(p_tiny)), p.support_mask, q,
+                                   C.alpha_th, tiny.dx, np.empty(n), np.empty(n))
+    assert np.isfinite(dev_tiny)
+    assert dev_tiny == pytest.approx(dev, rel=1e-13)
+    assert dev_tiny == pytest.approx(divided_deviation(p_tiny, p.support_mask, q, tiny.dx),
+                                     rel=1e-13, abs=4 * eps)
