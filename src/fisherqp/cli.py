@@ -64,9 +64,9 @@ from .thermal import step_count
 
 
 # Work a run may ask for, refused up front: grid points, grid points times
-# steps over every flow a run steps, and the bytes a dumped trajectory
-# writes (at most 76 per point and step: three 24-character .17g fields,
-# two commas and the CSV line end).
+# steps over every flow a run steps, and the bytes of a dumped trajectory,
+# 16 per point and step (complex128): the size of its file and of the
+# array the run holds to write it.
 MAX_POINTS = 2**22
 WORK_BUDGET = 1e10      # point-steps
 DUMP_BUDGET = 2**30     # bytes
@@ -272,7 +272,7 @@ def _parse_evolve(payload) -> dict:
         raise SchemaError(f"dump must be true or false, not {dump!r}")
     _require_within("n*steps", grid.n * steps, WORK_BUDGET, "point-steps")
     if dump:
-        _require_within("the dump's n*(steps+1)*76", grid.n * (steps + 1) * 76,
+        _require_within("the dump's n*(steps+1)*16", grid.n * (steps + 1) * 16,
                         DUMP_BUDGET, "B")
 
     init_spec = _require(payload, "initial")

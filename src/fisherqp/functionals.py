@@ -61,20 +61,13 @@ def masked_quadrature(values: np.ndarray, mask: np.ndarray, dx: float) -> float:
 
 
 def weighted_max_dev(a: np.ndarray, b: np.ndarray, density: Density) -> float:
-    """Density-weighted sup norm of (a - b) over the support mask."""
+    """Density-weighted sup norm of (a - b) over the support mask, 0 on an
+    empty mask."""
     p = density.values
-    return weighted_sup(np.subtract(a, b, dtype=float), p, float(np.max(p)),
-                        density.support_mask)
-
-
-def weighted_sup(diff: np.ndarray, p: np.ndarray, peak: float, mask: np.ndarray) -> float:
-    """max over ``mask`` of (p/peak) |diff|, 0 on an empty mask.
-
-    The array-level core of ``weighted_max_dev``: ``diff`` is overwritten.
-    """
+    diff = np.subtract(a, b, dtype=float)
     np.abs(diff, out=diff)
-    diff *= p / peak
-    return float(diff.max(where=mask, initial=0.0))
+    diff *= p / float(np.max(p))
+    return float(diff.max(where=density.support_mask, initial=0.0))
 
 
 def fisher_information(density: Density) -> float:

@@ -25,12 +25,12 @@ psi the grid samples, nodes included.  It stores no trajectory: it
 iterates the flow, runs the wall guard at every step, on the two
 first-interior points and one peak value unless the edge density comes
 within half the threshold, when it reads all of |psi|^2, hands every
-step to an optional reader, and copies psi only at the three steps
-around its check step.  No step computes a norm: the scheme conserves
-it, and a reader that wants it reads it off psi.  ``madelung_window``
-forms the Madelung fields of the check step once, straight off those
-three psi with no phase extraction, and the dynamical residuals read
-that window.
+step to an optional reader (the trajectory dump is one: it copies every
+step), and copies psi only at the three steps around its check step.
+No step computes a norm: the scheme conserves it, and a reader that
+wants it reads it off psi.  ``madelung_window`` forms the Madelung
+fields of the check step once, straight off those three psi with no
+phase extraction, and the dynamical residuals read that window.
 Dirichlet walls stand in for an unbounded domain; a boundary-contact
 guard raises instead of silently corrupting identity checks once the
 packet reaches the walls.
@@ -176,9 +176,9 @@ def madelung_window(psis: Sequence[np.ndarray], dt: float, potential: ScalarFiel
     it: the current-velocity form (Hall and Reginatto, J. Phys. A 35, 3289,
     2002).  dS/dt = hbar [arg(psi+ psi0*) + arg(psi0 psi-*)] / 2 dt is a
     pointwise centered difference of arg psi, valid while one step turns
-    the phase by less than pi.  Neither needs unwrapping or a global phase
-    constant, so neither breaks across the near-nodes of interference
-    fringes.
+    the phase by less than pi.  Neither needs a phase continuous along x
+    or a global phase constant, so neither breaks across the near-nodes of
+    interference fringes.
     """
     grid = potential.grid
     before, now, after = (psi_density(u, grid) for u in psis)

@@ -10,10 +10,10 @@ Conventions fixed here and used everywhere else:
   disables the check explicitly.
 * The phase S of a Madelung state psi = sqrt(P) exp(i S / hbar) is
   defined up to a global constant; the Schroedinger flow carries psi
-  itself.  Nothing reads S off a wavefunction except the trajectory dump
-  (``serialization.phase_on_support``): the dynamical residuals use the
-  phase-free forms S' = hbar Im(psi* psi')/|psi|^2 and the pointwise
-  step-to-step turn of arg psi (``propagator``).
+  itself, and so does the trajectory dump.  Nothing reads S off a
+  wavefunction: the dynamical residuals use the phase-free forms
+  S' = hbar Im(psi* psi')/|psi|^2 and the pointwise step-to-step turn of
+  arg psi (``propagator``).
 * The letter alpha is overloaded in the underlying formalism.  Here it is
   always split into ``alpha_norm`` (normalization multiplier of the
   Fisher extremization), ``alpha_th`` (= 1/(hbar*omega)), and

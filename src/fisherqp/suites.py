@@ -95,10 +95,11 @@ def identities_suite(density, constants, gibbs) -> Suite:
 
 def evolve_suite(psi0, potential, constants, dt, steps, index, dump) -> Suite:
     """evolve: the dynamical residuals at the interior step ``index`` of
-    the flow from ``psi0``; a ``dump`` copies every step as it goes by."""
-    psis = []
+    the flow from ``psi0``; a ``dump`` copies every step k into row k of
+    one array as it goes by."""
+    psis = np.empty((steps + 1, len(psi0)), dtype=complex) if dump else None
     window = evolve(psi0, potential, constants, dt, steps, index,
-                    each=(lambda k, psi: psis.append(psi.copy())) if dump else None)
+                    each=psis.__setitem__ if dump else None)
     if dump:
         yield "trajectory", partial(dump_trajectory, psis, potential, constants, dt)
     yield make_residual_check("continuity", continuity_residual(window))

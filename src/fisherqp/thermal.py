@@ -146,13 +146,6 @@ def step_count(t_final: float, dt: float) -> int:
     return steps
 
 
-def _fick_guard(p: np.ndarray) -> None:
-    """Wall guard of a Fick flow: BoundaryContact once a first-interior
-    value exceeds 1e-10 of the current peak."""
-    if max(p[1], p[-2]) > FICK_BOUNDARY_THRESHOLD * float(p.max()):
-        raise BoundaryContact("diffusing density reached the wall")
-
-
 def _heat_guard(q0: np.ndarray, dx: float):
     """Wall guard of a heat flow started from q0: BoundaryContact once the
     curvature at the first interior points grows well beyond its initial
@@ -238,7 +231,9 @@ def coupled_run(
     Each step reduces on the raw arrays through ``normalize_samples``, the
     core of ``density_from_samples``, and ``_coupling_deviation``, so it
     raises what they raise and equals their reduction over the
-    materialized flows.
+    materialized flows.  The Fick wall guard reads the normalized step
+    against the peak ``normalize_samples`` returns, so it runs after the
+    normalization and ahead of the heat guard.
     """
     steps = step_count(t_final, dt)
     if steps < 2:
@@ -257,10 +252,12 @@ def coupled_run(
     worst = 0.0
     window = []
     for k, raw in enumerate(fick):
-        _fick_guard(raw)
+        peak = normalize_samples(raw, dx, p)
+        # the Fick wall guard: a first-interior value above 1e-10 of the peak
+        if max(p[1], p[-2]) > FICK_BOUNDARY_THRESHOLD * peak:
+            raise BoundaryContact("diffusing density reached the wall")
         q = next(flow)
         heat_guard(q)
-        peak = normalize_samples(raw, dx, p)
         np.greater(p, SUPPORT_FLOOR * peak, out=support)
         dev = _coupling_deviation(p, peak, support, q, constants.alpha_th, dx, e, work)
         worst = max(worst, dev)

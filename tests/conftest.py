@@ -31,6 +31,14 @@ def madelung_psi(density, phase=0.0, hbar=1.0):
     return np.sqrt(density.values) * np.exp(1j * np.asarray(phase) / hbar)
 
 
+def every_step(run):
+    """(window, copies of psi at every step) of ``run(each)``, an
+    ``evolve`` call that passes each step to ``each``."""
+    psis = []
+    window = run(lambda k, psi: psis.append(psi.copy()))
+    return window, psis
+
+
 def mixture_density(grid, rng, n_components=None):
     """Random Gaussian mixture that decays below the support floor at the
     walls of [-8, 8] and keeps the inter-component dips well above it."""

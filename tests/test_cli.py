@@ -510,7 +510,9 @@ def test_evolve_command(tmp_path):
     assert main(["evolve", "--input", inp, "--out", str(out)]) == 0
     names = {c["name"] for c in read_report(out)["checks"]}
     assert names == {"continuity", "modified-hj", "entropy-rate"}
-    assert (out / "trajectory" / "manifest.json").exists()
+    traj = out / "trajectory"
+    assert sorted(path.name for path in traj.iterdir()) == ["manifest.json", "psi.npy"]
+    assert np.load(traj / "psi.npy", allow_pickle=False).shape == (257, 2561)
 
 
 def test_evolve_window_reports_like_full_run(tmp_path):
@@ -627,23 +629,34 @@ def test_thermal_over_work_budget_exits_2(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+def budget_evolve(steps, dump):
+    """An evolve input on 16385 points: a dump of its every step takes
+    n*(steps+1)*16 B, at most 1 GiB for steps <= 4094."""
+    return {"grid": {"xmin": -8.0, "xmax": 8.0, "n": 16385},
+            "initial": {"kind": "gaussian", "sigma": 1.0}, "potential": {"kind": "free"},
+            "dt": 1.0 / 1024, "steps": steps, "dump": dump}
+
+
 @pytest.mark.parametrize("steps,dump,estimate", [
-    (5120, True, "the dump's n*(steps+1)*76 = 6.38e+09 B exceeds the budget of 1.07e+09 B"),
-    # 0.54 GB at 16 B per point and step, but 2.55 GB of CSV
-    (2047, True, "the dump's n*(steps+1)*76 = 2.55e+09 B exceeds the budget of 1.07e+09 B"),
+    (5120, True, "the dump's n*(steps+1)*16 = 1.34e+09 B exceeds the budget of 1.07e+09 B"),
+    # the smallest step count over the budget, by 64 KiB
+    (4095, True, "the dump's n*(steps+1)*16 = 1.07e+09 B exceeds the budget of 1.07e+09 B"),
     (10**6, False, "n*steps = 1.64e+10 point-steps exceeds the budget of 1e+10 point-steps"),
-], ids=["dump-5120", "dump-2047", "work-1e6"])
+], ids=["dump-5120", "dump-4095", "work-1e6"])
 def test_evolve_over_budget_exits_2(tmp_path, capsys, steps, dump, estimate):
-    inp = write_json(
-        tmp_path / "in.json",
-        {"grid": {"xmin": -8.0, "xmax": 8.0, "n": 16385},
-         "initial": {"kind": "gaussian", "sigma": 1.0}, "potential": {"kind": "free"},
-         "dt": 1.0 / 1024, "steps": steps, "dump": dump},
-    )
+    inp = write_json(tmp_path / "in.json", budget_evolve(steps, dump))
     out = tmp_path / "out"
     assert main(["evolve", "--input", inp, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"schema error: evolve: {estimate}\n"
     assert not (out / "report.json").exists()
+
+
+def test_evolve_dump_just_under_budget_parses():
+    # 192 KiB under 1 GiB: the parse stage accepts it (the run is not made)
+    parse, _ = COMMANDS["evolve"]
+    problem = parse(budget_evolve(4094, True))
+    assert problem["dump"] is True
+    assert problem["steps"] == 4094
 
 
 def test_grid_over_max_points_exits_2(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from fisherqp import (
     ConstraintSpec,
+    Density,
     Grid,
     PhysicalConstants,
     QPForm,
@@ -16,7 +17,7 @@ from fisherqp import (
     osmotic_fields,
     quantum_potential,
 )
-from fisherqp.functionals import masked_quadrature, weighted_max_dev, weighted_sup
+from fisherqp.functionals import masked_quadrature, weighted_max_dev
 from fisherqp.grid import derivative_values
 from fisherqp.suites import epi_suite, identities_suite
 
@@ -112,7 +113,7 @@ def test_weighted_max_dev_is_the_masked_weighted_sup(grid):
         p = d.values
         ref = np.max(np.where(d.support_mask, p / np.max(p) * np.abs(a - b), 0.0))
         assert weighted_max_dev(a, b, d) == float(ref)
-    assert weighted_sup(a - b, p, float(np.max(p)), np.zeros(grid.n, dtype=bool)) == 0.0
+    assert weighted_max_dev(a, b, Density(d.field, np.zeros(grid.n, dtype=bool))) == 0.0
 
 
 def test_quantum_potential_four_forms_random_mixtures(natural):

@@ -19,10 +19,10 @@ from fisherqp import (
     osmotic_entropy_rate,
 )
 from fisherqp.grid import ScalarField, crank_nicolson_flow, quadrature_values
-from fisherqp.serialization import dump_trajectory
 from fisherqp.propagator import BOUNDARY_THRESHOLD, psi_density
 
-from conftest import cn_backward_error, gaussian_density, madelung_psi, reduction_depth
+from conftest import (cn_backward_error, every_step, gaussian_density, madelung_psi,
+                      reduction_depth)
 
 C = PhysicalConstants()
 
@@ -34,14 +34,6 @@ def free_gaussian(xmax=8.0, n=4097, dtinv=1024, T=1.0, each=None):
     steps = int(T * dtinv)
     return evolve(madelung_psi(gaussian_density(g)), g.zeros(), C, 1.0 / dtinv, steps,
                   steps // 2, each)
-
-
-def every_step(run):
-    """(window, copies of psi at every step) of ``run(each)``, an
-    ``evolve`` call that passes each step to ``each``."""
-    psis = []
-    window = run(lambda k, psi: psis.append(psi.copy()))
-    return window, psis
 
 
 def discrete_ho_ground_state(g):
@@ -363,36 +355,6 @@ def cn_system(g, V, dt):
     return ab, explicit
 
 
-def chained_phases(psis, g):
-    """S of every step aligned against the whole previous phase field at
-    the density peak, step by step from 0 before step 0: the alignment a
-    trajectory dump must reproduce."""
-    previous = np.zeros(g.n)
-    out = []
-    for psi in psis:
-        density = psi_density(psi, g)
-        idx = np.flatnonzero(density.support_mask)
-        theta = np.unwrap(np.angle(psi[idx]))
-        anchor = int(np.argmax(density.values[idx]))
-        theta += 2.0 * np.pi * np.round(
-            (previous[idx[anchor]] / C.hbar - theta[anchor]) / (2.0 * np.pi)
-        )
-        s = np.empty(len(psi))
-        s[idx] = C.hbar * theta
-        s[: idx[0]] = s[idx[0]]
-        s[idx[-1] + 1 :] = s[idx[-1]]
-        out.append(s)
-        previous = s
-    return out
-
-
-def dumped_phases(tmp_path, psis, V, dt):
-    """The S column of every step file of the trajectory dump of ``psis``."""
-    out = dump_trajectory(psis, V, C, dt, tmp_path / "traj")
-    return [np.loadtxt(path, delimiter=",", skiprows=1, usecols=2)
-            for path in sorted(out.glob("step_*.csv"))]
-
-
 def test_factored_stepper_matches_solve_banded():
     # every step solves the reference Crank-Nicolson system to a normwise
     # backward error of at most 4 eps
@@ -432,41 +394,6 @@ def test_windowed_evolve_matches_full_past_phase_wrap():
         assert continuity_residual(w) == continuity_residual(built)
         assert hj_residual(w) == hj_residual(built)
         assert entropy_rate_check(w) == entropy_rate_check(built)
-
-
-def test_dump_aligns_the_phase_past_a_wrap(tmp_path):
-    psi0, V, dt, steps, mid = past_phase_wrap()
-    _, psis = every_step(partial(evolve, psi0, V, C, dt, steps, mid))
-    dumped = dumped_phases(tmp_path, psis, V, dt)
-    assert all(np.array_equal(s, r) for s, r in zip(dumped, chained_phases(psis, V.grid)))
-    assert dumped[mid][V.grid.n // 2] < -np.pi  # 2 pi offset carried
-
-
-def test_dump_follows_a_moving_peak(tmp_path):
-    # momentum 4: the peak moves one grid point per step and the phase
-    # between its first and last position is 8 rad; the offset V = 20
-    # turns the peak phase (8 - 20) t past -pi by t = 0.26
-    g = Grid(-10.0, 10.0, 2561)
-    V = ScalarField(g, np.full(g.n, 20.0))
-    _, psis = every_step(partial(evolve, madelung_psi(gaussian_density(g), 4.0 * g.x), V, C,
-                                 1.0 / 512, 256, 128))
-    dumped = dumped_phases(tmp_path, psis, V, 1.0 / 512)
-    assert len(dumped) == 257
-    assert all(np.array_equal(s, r) for s, r in zip(dumped, chained_phases(psis, g)))
-
-
-def test_dump_anchors_step_0_at_the_density_peak(tmp_path):
-    # centre 2, momentum 2: the start phase k x reads 4 > pi at the peak,
-    # but the dump anchors step 0 to 0 there, not to the start phase
-    g = Grid(-10.0, 10.0, 2561)
-    d = gaussian_density(g, center=2.0)
-    _, psis = every_step(partial(evolve, madelung_psi(d, 2.0 * g.x), g.zeros(), C,
-                                 1.0 / 512, 64, 32))
-    dumped = dumped_phases(tmp_path, psis, g.zeros(), 1.0 / 512)
-    peak = int(np.argmax(d.values))
-    assert 2.0 * g.x[peak] > np.pi
-    assert -np.pi * C.hbar < dumped[0][peak] <= np.pi * C.hbar
-    assert all(np.array_equal(s, r) for s, r in zip(dumped, chained_phases(psis, g)))
 
 
 def test_collision_hj_residual():

@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import numpy as np
 
@@ -10,8 +11,10 @@ from fisherqp import (
     sweep,
 )
 from fisherqp import serialization as ser
+from fisherqp.reports import IdentityCheck
+from fisherqp.suites import evolve_suite
 
-from conftest import gaussian_density, madelung_psi
+from conftest import every_step, gaussian_density, madelung_psi
 
 C = PhysicalConstants()
 
@@ -30,21 +33,29 @@ def test_field_csv_roundtrip(tmp_path):
 
 
 def test_trajectory_dump(tmp_path):
+    # a dumping evolve writes psi.npy and the manifest, nothing else, and
+    # row k of psi.npy is the psi evolve passes to its reader at step k,
+    # bit for bit
     g = Grid(-10.0, 10.0, 513)
-    psis = []
-    evolve(madelung_psi(gaussian_density(g)), g.zeros(), C, 1e-3, 8, 4,
-           each=lambda k, psi: psis.append(psi.copy()))
-    out = ser.dump_trajectory(psis, g.zeros(), C, 1e-3, tmp_path / "traj")
-    csvs = sorted(out.glob("step_*.csv"))
-    assert len(csvs) == 9
+    V = g.from_function(lambda x: 0.5 * x**2)
+    psi0 = madelung_psi(gaussian_density(g), 2.0 * g.x)
+    _, psis = every_step(partial(evolve, psi0, V, C, 1e-3, 8, 4))
+    artifacts = [item for item in evolve_suite(psi0, V, C, 1e-3, 8, 4, dump=True)
+                 if not isinstance(item, IdentityCheck)]
+    assert [name for name, _ in artifacts] == ["trajectory"]
+    name, write = artifacts[0]
+    out = write(tmp_path / name)
+    assert sorted(path.name for path in out.iterdir()) == ["manifest.json", "psi.npy"]
+    dumped = np.load(out / "psi.npy", allow_pickle=False)
+    assert dumped.shape == (9, g.n)
+    assert dumped.dtype == np.complex128
+    assert dumped.tobytes() == np.array(psis).tobytes()
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["schema"] == 1
+    assert manifest["schema"] == 2
     assert manifest["steps"] == 8
     assert manifest["dt"] == 1e-3
-    assert len(manifest["V"]) == g.n
-    first = csvs[0].read_text().splitlines()
-    assert first[0] == "x,P,S"
-    assert len(first) == g.n + 1
+    assert manifest["grid"] == {"xmin": -10.0, "xmax": 10.0, "n": 513}
+    assert manifest["V"] == V.values.tolist()
 
 
 def test_sweep_csv(tmp_path):

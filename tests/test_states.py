@@ -14,7 +14,6 @@ from fisherqp import (
     gibbs_density,
 )
 from fisherqp.grid import ScalarField, derivative_values, quadrature_values
-from fisherqp.serialization import phase_on_support
 from fisherqp.states import normalize_samples
 
 from conftest import gaussian_density, madelung_psi
@@ -165,12 +164,12 @@ def test_density_from_heat_matches_gibbs(grid):
 
 
 def madelung_split(re, im, constants):
-    """The density P and phase S of psi = re + i im, split as the
-    trajectory dump splits a step, with arg(psi) at the density peak
-    aligned to 0."""
+    """The density P = |psi|^2 and phase S = hbar arg psi, unwrapped along
+    x, of psi = re + i im: the split a reader of a trajectory dump makes
+    of one row of ``psi.npy``."""
     psi = re.values + 1j * im.values
     density = density_from_samples(ScalarField(re.grid, np.abs(psi) ** 2))
-    return density, constants.hbar * phase_on_support(psi, density, np.zeros(len(psi)))
+    return density, constants.hbar * np.unwrap(np.angle(psi))
 
 
 def test_madelung_construction(grid, natural):
