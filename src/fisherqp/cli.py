@@ -96,6 +96,15 @@ def _require(payload: dict, key: str):
     return payload[key]
 
 
+def _objects(payload: dict, key: str) -> list:
+    """``payload[key]`` as a list of JSON objects; a lone object, or an
+    entry that is not an object, is refused."""
+    value = _require(payload, key)
+    if isinstance(value, list) and all(isinstance(v, dict) for v in value):
+        return value
+    raise SchemaError(f"{key} must be a list of objects")
+
+
 def _integer(value, key: str) -> int:
     """``value`` as an int: an integral number, never truncated; a bool is
     refused."""
@@ -210,7 +219,7 @@ def _build_density(spec: dict, grid: Grid):
     if kind in ("gaussian", "mixture"):
         # a gaussian is the one-component mixture of weight 1: 0 + 1.0*v is v
         components = ([{**spec, "weight": 1.0}] if kind == "gaussian"
-                      else _require(spec, "components"))
+                      else _objects(spec, "components"))
         raw = np.zeros(grid.n)
         with np.errstate(all="ignore"):
             for comp in components:
@@ -311,7 +320,7 @@ def _parse_evolve(payload) -> dict:
 
 
 def _constraints_from_input(payload, grid) -> ConstraintSpec:
-    entries = _require(payload, "constraints")
+    entries = _objects(payload, "constraints")
     fields = []
     lams = []
     for entry in entries:

@@ -29,13 +29,14 @@ the ground state will do: T has negative off-diagonals, so its ground
 state is strictly positive (Perron-Frobenius) and so overlaps every
 nonnegative nonzero vector.  A sweep therefore starts each multiplier
 from its neighbour's ground state, which saves iterations.
-One more factorization certifies that the converged Rayleigh quotient is
-e0 itself.  Whether the ground state is degenerate is read from the
-inertia of the LDL^T recurrence of T - sI just above it (Sylvester's law:
-its negative pivots count the eigenvalues below s): ``?pttrf`` stops at
-the first pivot that is not positive, and a second ``?pttrf`` continues
-the recurrence past it, so the count needs no work arrays beyond the
-shifted diagonal every factorization takes.
+Whether the ground state is degenerate is read from the inertia of the
+LDL^T recurrence of T - sI just above it (Sylvester's law: its negative
+pivots count the eigenvalues below s): ``?pttrf`` stops at the first pivot
+that is not positive, and a second ``?pttrf`` continues the recurrence
+past it, so the count needs no work arrays beyond the shifted diagonal
+every factorization takes.  The same count certifies that the converged
+Rayleigh quotient is e0 itself: the residual puts an eigenvalue within the
+count's window, and a count of one makes it e0 (see ``_ground_state``).
 ``?pttrf`` and ``?pttrs`` come from ``grid._lapack``, which loads only
 scipy's compiled LAPACK extension, not the ``scipy.linalg`` package, whose
 import would cost a sweep far more time than its solves.
@@ -62,7 +63,7 @@ from .grid import (
     derivative_values,
     quadrature_values,
 )
-from .states import Density, TruncationError, _gibbs, _gibbs_weight, density_from_samples
+from .states import Density, TruncationError, _build_density, _gibbs, _gibbs_weight
 
 EDGE_BUFFER = 5          # grid points counted as "at the wall"
 EDGE_MASS_TOL = 1e-7     # ground-state mass allowed in the buffer
@@ -213,11 +214,15 @@ def _ground_state(
     is halved back toward the last good one.  Iteration stops at
     r <= RESIDUAL_TOL * eps * ||T||.
 
-    Returns (e0, v, count): v has unit 2-norm and e0 = rho, certified by one
-    more factorization to lie within slack = max(r, 4 eps ||T||) above the
-    true ground eigenvalue.  ``count`` is ``_count_below`` at
-    rho + max(DEGENERACY_TOL |rho|, 4 eps ||T||): 2 means at least two
-    eigenvalues within that window of the ground eigenvalue.  Reductions
+    Returns (e0, v, count): v has unit 2-norm, e0 = rho and ``count`` is
+    ``_count_below`` at rho + width, width = max(DEGENERACY_TOL |rho|,
+    4 eps ||T||); 2 means at least two eigenvalues within that window of
+    the ground eigenvalue.  That count, with one factorization per shift,
+    also certifies rho: at exit r <= 4 eps ||T|| <= width, and T has an
+    eigenvalue within r of rho, so at or below rho + width.  A count of 1
+    makes that eigenvalue e0, so e0 >= rho - r; a count of 0 contradicts
+    the residual bound and raises LinAlgError.  A count of 2 leaves rho
+    uncertified, but the caller refuses it as degenerate.  Reductions
     use ``np.sum(a * b)``, not ``np.dot``: numpy sums in its own fixed
     pairwise order, while a BLAS dot product's order depends on the BLAS
     build and kernel, so the iterates would too.
@@ -260,13 +265,13 @@ def _ground_state(
         raise np.linalg.LinAlgError(
             f"inverse iteration left residual {r:.3e} after {MAX_ITERATIONS} steps"
         )
-    slack = max(r, 4.0 * floor)
-    if factor(rho - slack) is None:
+    width = max(DEGENERACY_TOL * abs(rho), 4.0 * floor)
+    count = _count_below(diag, off, rho + width)
+    if count == 0:
         raise np.linalg.LinAlgError(
             f"Rayleigh quotient {rho!r} is not the ground eigenvalue"
         )
-    width = max(DEGENERACY_TOL * abs(rho), 4.0 * floor)
-    return rho, v, _count_below(diag, off, rho + width)
+    return rho, v, count
 
 
 def epi_solve(
@@ -301,12 +306,15 @@ def epi_solve(
 
     psi = np.zeros(grid.n)
     psi[1:-1] = v
+    del diag, off, v  # the solve's arrays go before psi's are formed
     if psi[np.argmax(np.abs(psi))] < 0:
         psi = -psi
-    norm = np.sqrt(quadrature_values(psi**2, dx))
+    # one buffer holds psi^2, first for the norm, then (re-squared) as p
+    p = np.square(psi)
+    norm = np.sqrt(quadrature_values(p, dx))
     psi /= norm
+    np.square(psi, out=p)
 
-    p = psi**2
     buffer_mass = max(
         quadrature_values(p[: EDGE_BUFFER + 1], dx),
         quadrature_values(p[-(EDGE_BUFFER + 1) :], dx),
@@ -322,7 +330,8 @@ def epi_solve(
             f"ground eigenvalue {e0!r}"
         )
 
-    density = density_from_samples(ScalarField(grid, p), truncation_check=False)
+    density = _build_density(p, grid, truncation_check=False)
+    del p  # gone before fisher_information forms its temporaries
     return EPIResult(
         p_I=density,
         psi=ScalarField(grid, psi),

@@ -75,8 +75,7 @@ def fisher_information(density: Density) -> float:
     p = density.values
     mask = density.support_mask
     dp = derivative_values(p, density.grid.dx)
-    integrand = np.zeros_like(p)
-    integrand[mask] = dp[mask] ** 2 / p[mask]
+    integrand = np.divide(dp * dp, p, out=np.zeros_like(p), where=mask)
     return quadrature_values(integrand, density.grid.dx)
 
 

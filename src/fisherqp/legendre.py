@@ -31,7 +31,9 @@ inverse iteration from the last successful ground state (a failed
 multiplier passes its start on).  A record therefore depends on its
 neighbours, at the solver's convergence tolerance (within 1e-9 relative
 of a cold solve); the same multiplier list still gives byte-identical
-output.
+output.  Of each solve a sweep keeps only its record and, as the next
+start, its ground state: the previous solve's arrays are released before
+the next one begins, so a sweep holds one solve's arrays at a time.
 """
 
 from __future__ import annotations
@@ -82,6 +84,7 @@ def sweep(A: ScalarField, lambdas, grid: Grid) -> SweepTable:
             continue
         start = result.psi.values[1:-1]
         records.append(_record(lam, result, A))
+        del result  # the next solve runs without this one's arrays
     return SweepTable(records=records, failures=failures)
 
 

@@ -857,6 +857,42 @@ def test_nested_wrong_type_exits_2(tmp_path, capsys, command, payload):
     assert not (out / "trajectory").exists()
 
 
+X2 = {"kind": "monomial", "power": 2}
+MIXTURE = {"kind": "mixture", "components": [{"center": -1.0}, {"center": 1.0}]}
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    # an empty object ran as an unconstrained problem or an empty mixture
+    ("epi", {"grid": SMALL_GRID, "constraints": {}}, "constraints"),
+    ("verify-identities", {"grid": SMALL_GRID, "density": {**MIXTURE, "components": {}}},
+     "components"),
+    ("evolve", {**SMALL_EVOLVE, "initial": {**MIXTURE, "components": {}}}, "components"),
+    # a lone object was iterated over its keys
+    ("epi", {"grid": SMALL_GRID, "constraints": {**X2, "lambda": -4.0}}, "constraints"),
+    ("verify-identities", {"grid": SMALL_GRID, "density": {**MIXTURE, "components": {
+        "center": 0.0}}}, "components"),
+    ("evolve", {**SMALL_EVOLVE, "initial": {**MIXTURE, "components": {"center": 0.0}}},
+     "components"),
+    # an entry that is not an object
+    ("epi", {"grid": SMALL_GRID, "constraints": [{**X2, "lambda": -4.0}, "x"]},
+     "constraints"),
+    ("verify-identities", {"grid": SMALL_GRID, "density": {**MIXTURE, "components": [
+        {"center": 0.0}, [1.0]]}}, "components"),
+    ("evolve", {**SMALL_EVOLVE, "initial": {**MIXTURE, "components": [0.5]}},
+     "components"),
+], ids=["epi-empty-object", "vi-empty-object", "evolve-empty-object", "epi-lone-object",
+        "vi-lone-object", "evolve-lone-object", "epi-str-entry", "vi-list-entry",
+        "evolve-number-entry"])
+def test_object_list_that_is_not_a_list_of_objects_exits_2(tmp_path, capsys, command,
+                                                           payload, key):
+    inp = write_json(tmp_path / "in.json", payload)
+    out = tmp_path / "out"
+    assert main([command, "--input", inp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"schema error: {command}: {key} must be a list of objects\n")
+    assert not out.exists()
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("the input was refused only after the work started")
 

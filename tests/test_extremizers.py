@@ -19,7 +19,8 @@ from fisherqp import (
     riccati_check,
     stationarity_residual,
 )
-from fisherqp.extremizers import _count_below
+from fisherqp import extremizers
+from fisherqp.extremizers import DEGENERACY_TOL, _count_below, _ground_state
 from fisherqp.functionals import weighted_max_dev
 from fisherqp.grid import ScalarField, quadrature_values
 
@@ -216,18 +217,47 @@ def reference_count(diag, off, s):
     return min(2, int(np.sum(eigvalsh_tridiagonal(diag, off) <= s)))
 
 
-def test_count_below_matches_reference_count():
+def random_tridiagonals(count=200):
+    """(diag, off) of ``count`` seeded random symmetric tridiagonals, 4 to 64
+    rows, entries standard normal."""
     rng = np.random.default_rng(20081)
-    for _ in range(200):
+    for _ in range(count):
         n = int(rng.integers(4, 65))
-        diag = rng.normal(size=n)
-        off = rng.normal(size=n - 1)
+        yield rng.normal(size=n), rng.normal(size=n - 1)
+
+
+def test_count_below_matches_reference_count():
+    for diag, off in random_tridiagonals():
         ev = eigvalsh_tridiagonal(diag, off)
         nudge = 1e-8 * np.max(np.abs(ev))
         shifts = [ev[0] - 1.0, 0.5 * (ev[0] + ev[1]), 0.5 * (ev[1] + ev[2]),
                   ev[0] + nudge, ev[1] + nudge, ev[2] + nudge]
         for s in shifts:
             assert _count_below(diag, off, s) == reference_count(diag, off, s)
+
+
+def test_ground_state_matches_reference_spectrum():
+    # rho, certified by the one count at rho + width, is the reference e0
+    # to within rounding, and the count is the reference count there
+    for diag, off in random_tridiagonals():
+        ev = eigvalsh_tridiagonal(diag, off)
+        radius = np.zeros_like(diag)
+        radius[:-1] += np.abs(off)
+        radius[1:] += np.abs(off)
+        floor = np.finfo(float).eps * max(abs(np.min(diag - radius)),
+                                          abs(np.max(diag + radius)))
+        e0, v, count = _ground_state(diag, off, None)
+        assert abs(e0 - ev[0]) <= len(diag) * floor
+        width = max(DEGENERACY_TOL * abs(e0), 4.0 * floor)
+        assert count == reference_count(diag, off, e0 + width)
+
+
+def test_ground_state_count_of_zero_is_refused(monkeypatch):
+    # no eigenvalue at or below rho + width contradicts the residual bound
+    monkeypatch.setattr(extremizers, "_count_below", lambda diag, off, s: 0)
+    diag, off = next(random_tridiagonals(1))
+    with pytest.raises(np.linalg.LinAlgError, match="is not the ground eigenvalue"):
+        _ground_state(diag, off, None)
 
 
 @pytest.mark.parametrize("diag,off,info,zero,count", [

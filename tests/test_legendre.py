@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,25 @@ def test_sweep_sorted_and_deterministic(base_table):
     again = sweep(g.from_function(lambda x: x * x), BASE_LAMBDAS, g)
     for a, b in zip(base_table.records, again.records):
         assert (a.lam, a.I, a.meanA, a.Lambda_pot) == (b.lam, b.I, b.meanA, b.Lambda_pot)
+
+
+def test_sweep_memory_holds_one_solve_at_a_time():
+    # a solve's eigen-iteration works in about 12 arrays of n (the operator,
+    # two iterates, the current and the trial factors, the residual, U and
+    # the previous psi it started from); the previous multiplier's whole
+    # result (p_I, its mask, U) kept alive beside them would exceed 13
+    g = Grid(-12.0, 12.0, 65537)
+    a = g.from_function(lambda x: x * x)
+    lambdas = [-1.0, -2.0, -4.0, -8.0, -16.0, -32.0]
+    sweep(a, lambdas[:2], g)  # loads the solver before anything is traced
+    tracemalloc.start()
+    try:
+        table = sweep(a, lambdas, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.records) == 6
+    assert peak <= 13 * 8 * g.n
 
 
 def test_warm_sweep_matches_cold_solves():
