@@ -326,7 +326,7 @@ def _constraints_from_input(payload, grid) -> ConstraintSpec:
     for entry in entries:
         fields.append(_build_constraint_field(entry, grid))
         lams.append(_multiplier(_require(entry, "lambda"), fields[-1]))
-    # the same sum extremizers.effective_potential forms
+    # the same sum extremizers._effective_potential forms
     total = np.zeros(grid.n)
     with np.errstate(over="ignore", invalid="ignore"):
         for lam, a in zip(lams, fields):

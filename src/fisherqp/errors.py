@@ -49,7 +49,7 @@ class DegenerateGround(FisherQPError):
 
 
 class TooFewPoints(FisherQPError):
-    """A sweep table has too few consecutive records for differencing."""
+    """A sweep table has too few records for differencing."""
 
 
 class NonMonotoneMeanA(FisherQPError):

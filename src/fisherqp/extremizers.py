@@ -29,12 +29,18 @@ the ground state will do: T has negative off-diagonals, so its ground
 state is strictly positive (Perron-Frobenius) and so overlaps every
 nonnegative nonzero vector.  A sweep therefore starts each multiplier
 from its neighbour's ground state, which saves iterations.
+Every array of length n a solve works in, from the operator and its
+factors to psi, p_I and the work arrays of the Fisher information, lives
+in one workspace (``_Workspace``).  A sweep builds one and runs each of
+its solves in it, so they allocate no array of length n, and the pages
+stay mapped from one solve to the next instead of being freed and faulted
+back in; ``epi_solve`` builds its own and copies its results out.
 Whether the ground state is degenerate is read from the inertia of the
 LDL^T recurrence of T - sI just above it (Sylvester's law: its negative
 pivots count the eigenvalues below s): ``?pttrf`` stops at the first pivot
 that is not positive, and a second ``?pttrf`` continues the recurrence
-past it, so the count needs no work arrays beyond the shifted diagonal
-every factorization takes.  The same count certifies that the converged
+past it, so the count needs no work arrays beyond one factor slot of
+the workspace.  The same count certifies that the converged
 Rayleigh quotient is e0 itself: the residual puts an eigenvalue within the
 count's window, and a count of one makes it e0 (see ``_ground_state``).
 ``?pttrf`` and ``?pttrs`` come from ``grid._lapack``, which loads only
@@ -55,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGround, EdgeLocalized, InfeasibleTarget, NonDecaying
-from .functionals import fisher_information, weighted_max_dev
+from .functionals import _fisher_integral, weighted_max_dev
 from .grid import (
     Grid,
     ScalarField,
@@ -63,7 +69,7 @@ from .grid import (
     derivative_values,
     quadrature_values,
 )
-from .states import Density, TruncationError, _build_density, _gibbs, _gibbs_weight
+from .states import Density, TruncationError, _gibbs, _gibbs_weight, _normalize_into
 
 EDGE_BUFFER = 5          # grid points counted as "at the wall"
 EDGE_MASS_TOL = 1e-7     # ground-state mass allowed in the buffer
@@ -163,17 +169,56 @@ def maxent_solve(A: ScalarField, target: float) -> tuple[Density, float, float]:
     return density, float(alpha), float(z)
 
 
-def effective_potential(spec: ConstraintSpec, grid: Grid) -> ScalarField:
-    """U = (1/8) sum_i lambda_i A_i on the given grid."""
-    u = np.zeros(grid.n)
+def _effective_potential(spec: ConstraintSpec, grid: Grid, u: np.ndarray,
+                         work: np.ndarray) -> np.ndarray:
+    """U = (1/8) sum_i lambda_i A_i on the given grid, written into ``u``;
+    ``work`` holds each term lambda_i A_i.  Both are n long."""
+    u.fill(0.0)
     for lam, a in zip(spec.multipliers, spec.A_fields):
         if a.grid != grid:
             raise ValueError("constraint field grid mismatch")
-        u += lam * a.values
-    return ScalarField(grid, u / 8.0)
+        u += np.multiply(lam, a.values, out=work)
+    u /= 8.0
+    return u
 
 
-def _count_below(diag: np.ndarray, off: np.ndarray, s: float) -> int:
+class _Workspace:
+    """Every array of length ~n that one Fisher extremization on a grid of
+    n points works in (see ``_extremize``).  A sweep builds one and hands
+    it to each of its solves, which then allocate no array of length n:
+    the pages stay mapped from one solve to the next instead of being
+    freed, trimmed off the heap and faulted back in.
+
+    ``diag`` and ``off`` hold the interior operator T, ``factors`` two
+    ``?pttrf`` slots (d, e), ``v`` the iterate, ``tv`` the products T v
+    and T v - rho v, ``scratch`` every other product.  ``psi``, ``p`` and
+    ``mask`` receive the normalized ground state, its density and the
+    density's support mask; ``tv`` and ``scratch``, n long, serve the
+    stages after the iteration as work arrays.  ``start`` is the vector
+    the next solve starts from: all ones, then each successful solve's
+    psi[1:-1], so a failed solve passes the previous start on.
+    """
+
+    def __init__(self, n: int):
+        if n < 4:
+            raise ValueError(
+                f"epi_solve needs at least 2 interior grid points (n >= 4), got n={n}"
+            )
+        m = n - 2
+        self.diag = np.empty(m)
+        self.off = np.empty(m - 1)
+        self.factors = tuple((np.empty(m), np.empty(m - 1)) for _ in range(2))
+        self.v = np.empty(m)
+        self.tv = np.empty(n)
+        self.scratch = np.empty(n)
+        self.psi = np.zeros(n)
+        self.p = np.empty(n)
+        self.mask = np.empty(n, dtype=bool)
+        self.start = np.ones(m)
+
+
+def _count_below(diag: np.ndarray, off: np.ndarray, s: float,
+                 d: np.ndarray, e: np.ndarray) -> int:
     """Eigenvalues of the symmetric tridiagonal T = (diag, off) at or below
     s, counted as 0, 1 or 2 (meaning at least 2).
 
@@ -183,82 +228,94 @@ def _count_below(diag: np.ndarray, off: np.ndarray, s: float) -> int:
     magnitude below ``?stebz``'s pivmin counts as -pivmin, so a zero pivot
     is negative.  The trailing block is then seeded with -e_k^2 / d_k and
     factored by one more ``?pttrf``: it factors exactly when no second
-    pivot is negative.
+    pivot is negative.  Both factorizations run in the work arrays ``d``
+    and ``e``, as long as ``diag`` and ``off``.
     """
     (pttrf,) = _lapack(("pttrf",), diag.dtype)
-    d, _, k = pttrf(diag - s, off, overwrite_d=True)
+    np.subtract(diag, s, out=d)
+    np.copyto(e, off)
+    k = pttrf(d, e, overwrite_d=True, overwrite_e=True)[2]
     if k == 0:
         return 0
     if k == len(diag):
         return 1
     pivmin = np.finfo(float).tiny * max(1.0, float(off.max()) ** 2,
                                         float(off.min()) ** 2)
-    tail = diag[k:] - s
+    # the trailing block takes the slots past the first failed pivot
+    tail = np.subtract(diag[k:], s, out=d[k:])
     tail[0] -= off[k - 1] ** 2 / min(float(d[k - 1]), -pivmin)
     if len(tail) == 1:  # ?pttrf wants a nonempty off-diagonal
         return 1 if tail[0] > 0.0 else 2
-    return 1 if pttrf(tail, off[k:], overwrite_d=True)[2] == 0 else 2
+    tail_off = e[k:]
+    np.copyto(tail_off, off[k:])
+    return 1 if pttrf(tail, tail_off, overwrite_d=True, overwrite_e=True)[2] == 0 else 2
 
 
-def _ground_state(
-    diag: np.ndarray, off: np.ndarray, start: np.ndarray | None
-) -> tuple[float, np.ndarray, int]:
-    """Lowest eigenpair of the symmetric tridiagonal T = (diag, off) in O(n).
+def _ground_state(ws: _Workspace) -> tuple[float, np.ndarray, int]:
+    """Lowest eigenpair of the symmetric tridiagonal T = (ws.diag, ws.off)
+    in O(n), computed in the workspace's arrays.
 
-    Inverse iteration from ``start`` (None: all ones), which must overlap
-    the ground state (any nonnegative nonzero vector does, see the module
-    docstring); it is not modified.  Each shift sigma is certified below e0 by its own
-    ``?pttrf`` factorization, the one ``?pttrs`` then solves with.  Sigma
-    starts at the Gershgorin lower bound and moves up to rho - r (rho the
-    Rayleigh quotient, r = ||T v - rho v||); a shift that fails to factor
-    is halved back toward the last good one.  Iteration stops at
+    Inverse iteration from ``ws.start``, which must overlap the ground
+    state (any nonnegative nonzero vector does, see the module docstring);
+    it is not modified.  Each shift sigma is certified below e0 by its own
+    ``?pttrf`` factorization, the one ``?pttrs`` then solves with; the
+    accepted factors and a trial occupy the two slots of ``ws.factors``.
+    Sigma starts at the Gershgorin lower bound and moves up to rho - r
+    (rho the Rayleigh quotient, r = ||T v - rho v||); a shift that fails
+    to factor is halved back toward the last good one.  Iteration stops at
     r <= RESIDUAL_TOL * eps * ||T||.
 
-    Returns (e0, v, count): v has unit 2-norm, e0 = rho and ``count`` is
-    ``_count_below`` at rho + width, width = max(DEGENERACY_TOL |rho|,
-    4 eps ||T||); 2 means at least two eigenvalues within that window of
+    Returns (e0, v, count): v is ``ws.v`` with unit 2-norm, e0 = rho and
+    ``count`` is ``_count_below`` at rho + width, width =
+    max(DEGENERACY_TOL |rho|, 4 eps ||T||); 2 means at least two eigenvalues within that window of
     the ground eigenvalue.  That count, with one factorization per shift,
     also certifies rho: at exit r <= 4 eps ||T|| <= width, and T has an
     eigenvalue within r of rho, so at or below rho + width.  A count of 1
     makes that eigenvalue e0, so e0 >= rho - r; a count of 0 contradicts
     the residual bound and raises LinAlgError.  A count of 2 leaves rho
-    uncertified, but the caller refuses it as degenerate.  Reductions
-    use ``np.sum(a * b)``, not ``np.dot``: numpy sums in its own fixed
-    pairwise order, while a BLAS dot product's order depends on the BLAS
-    build and kernel, so the iterates would too.
+    uncertified, but the caller refuses it as degenerate.  Reductions sum
+    a product array with ``np.sum``, not ``np.dot``: numpy sums in its
+    own fixed pairwise order, while a BLAS dot product's order depends on
+    the BLAS build and kernel, so the iterates would too.
     """
+    diag, off, v = ws.diag, ws.off, ws.v
+    m = len(diag)
+    tv, scratch = ws.tv[:m], ws.scratch[:m]
     pttrf, pttrs = _lapack(("pttrf", "pttrs"), diag.dtype)
-    radius = np.zeros_like(diag)
-    radius[:-1] += np.abs(off)
-    radius[1:] += np.abs(off)
-    lower = float(np.min(diag - radius))
-    floor = np.finfo(float).eps * max(abs(lower), abs(float(np.max(diag + radius))))
+    radius = tv  # the Gershgorin radii, until tv holds T v
+    radius.fill(0.0)
+    abs_off = np.abs(off, out=scratch[:-1])
+    radius[:-1] += abs_off
+    radius[1:] += abs_off
+    lower = float(np.min(np.subtract(diag, radius, out=scratch)))
+    upper = float(np.max(np.add(diag, radius, out=scratch)))
+    floor = np.finfo(float).eps * max(abs(lower), abs(upper))
 
-    def factor(sigma: float):
-        d, e, info = pttrf(diag - sigma, off, overwrite_d=True)
-        return (d, e) if info == 0 else None
+    def factor(sigma: float, d: np.ndarray, e: np.ndarray) -> bool:
+        np.subtract(diag, sigma, out=d)
+        np.copyto(e, off)
+        return pttrf(d, e, overwrite_d=True, overwrite_e=True)[2] == 0
 
     sigma = lower - floor
-    factors = factor(sigma)
-    # ?pttrs overwrites v: never hand it the caller's array
-    v = np.ones_like(diag) if start is None else np.array(start, dtype=float)
-    tv = radius  # reused as the T v work array
+    current, trial = ws.factors
+    factor(sigma, *current)  # T - sigma I is diagonally dominant: it factors
+    np.copyto(v, ws.start)
     for _ in range(MAX_ITERATIONS):
-        w = pttrs(*factors, v, overwrite_b=True)[0]
-        v = w / np.sqrt(np.sum(w * w))
+        pttrs(*current, v, overwrite_b=True)
+        v /= np.sqrt(np.sum(np.multiply(v, v, out=scratch)))
         np.multiply(diag, v, out=tv)
-        tv[:-1] += off * v[1:]
-        tv[1:] += off * v[:-1]
-        rho = float(np.sum(v * tv))
-        tv -= rho * v
-        r = float(np.sqrt(np.sum(tv * tv)))
+        tv[:-1] += np.multiply(off, v[1:], out=scratch[:-1])
+        tv[1:] += np.multiply(off, v[:-1], out=scratch[:-1])
+        rho = float(np.sum(np.multiply(v, tv, out=scratch)))
+        tv -= np.multiply(rho, v, out=scratch)
+        r = float(np.sqrt(np.sum(np.multiply(tv, tv, out=scratch))))
         if r <= RESIDUAL_TOL * floor:
             break
         target = rho - r
         while target - sigma > floor:
-            trial = factor(target)
-            if trial is not None:
-                sigma, factors = target, trial
+            if factor(target, *trial):
+                sigma = target
+                current, trial = trial, current
                 break
             target = 0.5 * (sigma + target)
     else:
@@ -266,7 +323,7 @@ def _ground_state(
             f"inverse iteration left residual {r:.3e} after {MAX_ITERATIONS} steps"
         )
     width = max(DEGENERACY_TOL * abs(rho), 4.0 * floor)
-    count = _count_below(diag, off, rho + width)
+    count = _count_below(diag, off, rho + width, *trial)
     if count == 0:
         raise np.linalg.LinAlgError(
             f"Rayleigh quotient {rho!r} is not the ground eigenvalue"
@@ -274,45 +331,29 @@ def _ground_state(
     return rho, v, count
 
 
-def epi_solve(
-    spec: ConstraintSpec, grid: Grid, *, start: np.ndarray | None = None
-) -> EPIResult:
-    """Ground state of -(1/2) d2/dx2 - U with Dirichlet walls.
+def _extremize(spec: ConstraintSpec, grid: Grid, ws: _Workspace) -> tuple[float, float]:
+    """The Fisher extremization of ``epi_solve``, in the workspace ``ws``.
 
-    The interior of the grid carries the symmetric tridiagonal operator;
-    its ground state comes from certified-shift inverse iteration (see
-    the module docstring), so the grid needs at least two interior points.
-    ``start`` (n - 2 interior values, nonnegative and not all zero; default
-    all ones) starts the iteration, e.g. a nearby multiplier's psi[1:-1].
-    The result depends on it only at the convergence tolerance.
-
-    Raises EdgeLocalized when the ground state carries more than
-    EDGE_MASS_TOL of probability within EDGE_BUFFER points of a wall
-    (the continuum problem is unbound, e.g. positive multiplier on x^2)
-    and DegenerateGround when a second eigenvalue lies within
-    DEGENERACY_TOL relative (or a few eps * ||T|| absolute, whichever is
-    larger) above the ground eigenvalue.
+    Returns (e0, FI) and leaves the normalized ground state, its density
+    p_I and p_I's support mask in ``ws.psi``, ``ws.p`` and ``ws.mask``; a
+    solve that succeeds also makes its psi[1:-1] ``ws.start``.  Raises as
+    ``epi_solve`` does.
     """
-    if grid.n < 4:
-        raise ValueError(
-            f"epi_solve needs at least 2 interior grid points (n >= 4), got n={grid.n}"
-        )
-    u = effective_potential(spec, grid)
     dx = grid.dx
     kin = 1.0 / (2.0 * dx * dx)
-    diag = 2.0 * kin - u.values[1:-1]
-    off = -kin * np.ones(grid.n - 3)
-    e0, v, count = _ground_state(diag, off, start)
+    u = _effective_potential(spec, grid, ws.scratch, ws.p)
+    np.subtract(2.0 * kin, u[1:-1], out=ws.diag)
+    ws.off.fill(-kin)
+    e0, v, count = _ground_state(ws)
 
-    psi = np.zeros(grid.n)
+    psi, p = ws.psi, ws.p
+    psi[0] = psi[-1] = 0.0
     psi[1:-1] = v
-    del diag, off, v  # the solve's arrays go before psi's are formed
-    if psi[np.argmax(np.abs(psi))] < 0:
-        psi = -psi
-    # one buffer holds psi^2, first for the norm, then (re-squared) as p
-    p = np.square(psi)
-    norm = np.sqrt(quadrature_values(p, dx))
-    psi /= norm
+    if psi[np.argmax(np.abs(psi, out=p))] < 0:
+        np.negative(psi, out=psi)
+    # p holds psi^2, first for the norm, then (re-squared) as the density
+    np.square(psi, out=p)
+    psi /= np.sqrt(quadrature_values(p, dx, work=ws.tv))
     np.square(psi, out=p)
 
     buffer_mass = max(
@@ -330,15 +371,37 @@ def epi_solve(
             f"ground eigenvalue {e0!r}"
         )
 
-    density = _build_density(p, grid, truncation_check=False)
-    del p  # gone before fisher_information forms its temporaries
+    _normalize_into(p, grid, False, p, ws.mask, ws.tv)
+    fisher = _fisher_integral(p, ws.mask, dx, ws.tv, ws.scratch)
+    np.copyto(ws.start, psi[1:-1])
+    return e0, fisher
+
+
+def epi_solve(spec: ConstraintSpec, grid: Grid) -> EPIResult:
+    """Ground state of -(1/2) d2/dx2 - U with Dirichlet walls.
+
+    The interior of the grid carries the symmetric tridiagonal operator;
+    its ground state comes from certified-shift inverse iteration (see
+    the module docstring) started from all ones, so the grid needs at
+    least two interior points.
+
+    Raises EdgeLocalized when the ground state carries more than
+    EDGE_MASS_TOL of probability within EDGE_BUFFER points of a wall
+    (the continuum problem is unbound, e.g. positive multiplier on x^2)
+    and DegenerateGround when a second eigenvalue lies within
+    DEGENERACY_TOL relative (or a few eps * ||T|| absolute, whichever is
+    larger) above the ground eigenvalue.
+    """
+    ws = _Workspace(grid.n)
+    e0, fisher = _extremize(spec, grid, ws)
     return EPIResult(
-        p_I=density,
-        psi=ScalarField(grid, psi),
+        p_I=Density(ScalarField(grid, ws.p), ws.mask),
+        psi=ScalarField(grid, ws.psi),
         alpha_norm=8.0 * e0,
         eigenvalue=e0,
-        effective_potential=u,
-        fisher_I=fisher_information(density),
+        effective_potential=ScalarField(
+            grid, _effective_potential(spec, grid, ws.scratch, ws.tv)),
+        fisher_I=fisher,
         multipliers=tuple(spec.multipliers),
     )
 

@@ -73,10 +73,20 @@ def weighted_max_dev(a: np.ndarray, b: np.ndarray, density: Density) -> float:
 def fisher_information(density: Density) -> float:
     """FI = integral over the support of (P')^2 / P."""
     p = density.values
-    mask = density.support_mask
-    dp = derivative_values(p, density.grid.dx)
-    integrand = np.divide(dp * dp, p, out=np.zeros_like(p), where=mask)
-    return quadrature_values(integrand, density.grid.dx)
+    return _fisher_integral(p, density.support_mask, density.grid.dx,
+                            np.empty_like(p), np.empty_like(p))
+
+
+def _fisher_integral(p: np.ndarray, mask: np.ndarray, dx: float,
+                     dp: np.ndarray, integrand: np.ndarray) -> float:
+    """``fisher_information`` of the density values ``p`` with support
+    ``mask``, formed in the work arrays ``dp`` and ``integrand`` (each as
+    long as ``p``, overwritten)."""
+    derivative_values(p, dx, out=dp)
+    dp *= dp
+    integrand.fill(0.0)
+    np.divide(dp, p, out=integrand, where=mask)
+    return quadrature_values(integrand, dx, work=dp)
 
 
 def differential_entropy(density: Density) -> float:

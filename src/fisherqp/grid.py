@@ -104,33 +104,41 @@ class ScalarField:
             raise NonFinite("field values must be finite")
 
 
-def quadrature_values(values: np.ndarray, dx: float) -> float:
+def quadrature_values(values: np.ndarray, dx: float,
+                      work: np.ndarray | None = None) -> float:
     """Composite trapezoid approximation of the integral of ``values``
     sampled at spacing ``dx``, equal to ``np.trapezoid(values, dx=dx)`` to
     the bit.
 
     It forms the sum ``np.trapezoid`` forms, dx (v[1:] + v[:-1]) / 2 added
     by ``np.add.reduce``, in one buffer: multiplying by 0.5 and dividing by
-    2 round the same real number, so they give the same float.
+    2 round the same real number, so they give the same float.  The buffer
+    is ``work[:len(values) - 1]`` when ``work`` (a float array that does
+    not overlap ``values``) is given, else a new array.
     """
     v = np.asarray(values, dtype=float)
-    s = v[1:] + v[:-1]
+    s = np.add(v[1:], v[:-1], out=None if work is None else work[: len(v) - 1])
     s *= dx
     s *= 0.5
     return float(np.add.reduce(s))
 
 
-def derivative_values(values: np.ndarray, dx: float) -> np.ndarray:
+def derivative_values(values: np.ndarray, dx: float,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Second-order first derivative: central interior, one-sided endpoints.
 
     Stencils are evaluated in difference form so a constant field has an
-    exactly zero derivative.
+    exactly zero derivative.  The result goes into ``out`` (a float array
+    of the same length that does not overlap ``values``) when given, else
+    into a new array.
     """
     v = np.asarray(values, dtype=float)
     if len(v) < 3:
         raise ValueError("derivative needs at least 3 points")
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) * (0.5 / dx)
+    if out is None:
+        out = np.empty_like(v)
+    np.subtract(v[2:], v[:-2], out=out[1:-1])
+    out[1:-1] *= 0.5 / dx
     out[0] = (4.0 * (v[1] - v[0]) - (v[2] - v[0])) * (0.5 / dx)
     out[-1] = (4.0 * (v[-1] - v[-2]) - (v[-1] - v[-3])) * (0.5 / dx)
     return out

@@ -31,9 +31,12 @@ inverse iteration from the last successful ground state (a failed
 multiplier passes its start on).  A record therefore depends on its
 neighbours, at the solver's convergence tolerance (within 1e-9 relative
 of a cold solve); the same multiplier list still gives byte-identical
-output.  Of each solve a sweep keeps only its record and, as the next
-start, its ground state: the previous solve's arrays are released before
-the next one begins, so a sweep holds one solve's arrays at a time.
+output.  A sweep runs every solve in one workspace
+(``extremizers._Workspace``): each solve overwrites the previous one's
+arrays instead of allocating its own, its record is read off the
+workspace (no ``EPIResult`` is built), and the workspace keeps the last
+successful ground state as the next start.  A sweep therefore holds one
+solve's arrays at a time, and their pages stay mapped between solves.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EdgeLocalized, DegenerateGround, NonMonotoneMeanA, TooFewPoints
-from .extremizers import ConstraintSpec, EPIResult, epi_solve
+from .extremizers import ConstraintSpec, _extremize, _Workspace
 from .grid import Grid, ScalarField, quadrature_values
 
 
@@ -72,31 +75,27 @@ class SweepTable:
 def sweep(A: ScalarField, lambdas, grid: Grid) -> SweepTable:
     """Solve the single-constraint Fisher extremization for each multiplier."""
     lambdas = np.asarray(lambdas, dtype=float)
+    ws = _Workspace(grid.n)
     records = []
     failures = []
-    start = None
     for lam in sorted(lambdas):
         spec = ConstraintSpec(A_fields=[A], multipliers=[lam])
         try:
-            result = epi_solve(spec, grid, start=start)
+            e0, fisher_I = _extremize(spec, grid, ws)
         except (EdgeLocalized, DegenerateGround) as exc:
             failures.append((float(lam), type(exc).__name__))
             continue
-        start = result.psi.values[1:-1]
-        records.append(_record(lam, result, A))
-        del result  # the next solve runs without this one's arrays
+        # <A> over p_I, which the solve left in ws.p
+        mean_a = quadrature_values(np.multiply(ws.p, A.values, out=ws.scratch),
+                                   grid.dx, work=ws.tv)
+        records.append(ThermoRecord(
+            lam=float(lam),
+            I=fisher_I,
+            meanA=float(mean_a),
+            Lambda_pot=fisher_I - lam * mean_a,
+            alpha_norm=8.0 * e0,
+        ))
     return SweepTable(records=records, failures=failures)
-
-
-def _record(lam: float, result: EPIResult, A: ScalarField) -> ThermoRecord:
-    mean_a = quadrature_values(result.p_I.values * A.values, A.grid.dx)
-    return ThermoRecord(
-        lam=float(lam),
-        I=result.fisher_I,
-        meanA=float(mean_a),
-        Lambda_pot=result.fisher_I - lam * mean_a,
-        alpha_norm=result.alpha_norm,
-    )
 
 
 def _differencing_variable(lams: np.ndarray) -> np.ndarray:
@@ -121,7 +120,7 @@ def _require_window(table: SweepTable, least: int) -> None:
         dropped = "".join(f"; lambda = {lam!r} dropped by {err}"
                           for lam, err in table.failures)
         raise TooFewPoints(
-            f"need at least {least} consecutive records, have {len(table.records)}{dropped}"
+            f"need at least {least} records, have {len(table.records)}{dropped}"
         )
 
 

@@ -145,14 +145,17 @@ def _endpoint_decayed(values: np.ndarray) -> bool:
     return max(values[0], values[-1]) <= SUPPORT_FLOOR * peak
 
 
-def normalize_samples(values: np.ndarray, dx: float, out: np.ndarray) -> float:
-    """Normalize raw density samples into ``out``; return max(P).
+def normalize_samples(values: np.ndarray, dx: float, out: np.ndarray,
+                      work: np.ndarray | None = None) -> float:
+    """Normalize raw density samples into ``out`` (which may be ``values``
+    itself); return max(P).
 
     The array-level core of ``density_from_samples``, which time steppers
     call on their work buffers.  Non-finite samples raise NonFinite,
     samples below ``NEGATIVE_NOISE`` raise NegativeDensity (the remaining
     negative noise is clamped to 0), zero mass raises ZeroMass and a
     normalized density that overflows raises NonFinite, in that order.
+    ``work`` is the quadrature's buffer (see ``quadrature_values``).
     """
     lo, hi = values.min(), values.max()
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -161,7 +164,7 @@ def normalize_samples(values: np.ndarray, dx: float, out: np.ndarray) -> float:
         raise NegativeDensity(f"min sample {lo} below noise floor")
     if lo <= 0.0:
         values = np.clip(values, 0.0, None, out=out)
-    total = quadrature_values(values, dx)
+    total = quadrature_values(values, dx, work)
     if total <= 0.0:
         raise ZeroMass(f"density integrates to {total}")
     np.divide(values, total, out=out)
@@ -172,15 +175,25 @@ def normalize_samples(values: np.ndarray, dx: float, out: np.ndarray) -> float:
     return peak
 
 
-def _build_density(values: np.ndarray, grid: Grid, truncation_check: bool) -> Density:
-    p = np.empty(grid.n)
-    peak = normalize_samples(values, grid.dx, p)
-    if truncation_check and not _endpoint_decayed(p):
+def _normalize_into(values: np.ndarray, grid: Grid, truncation_check: bool,
+                    out: np.ndarray, mask: np.ndarray,
+                    work: np.ndarray | None = None) -> None:
+    """The arrays of ``_build_density``: P normalized into ``out`` (see
+    ``normalize_samples``) and its support mask into ``mask``."""
+    peak = normalize_samples(values, grid.dx, out, work)
+    if truncation_check and not _endpoint_decayed(out):
         raise TruncationError(
             "density does not decay at the grid endpoints; enlarge the domain "
             "or disable the truncation check"
         )
-    return Density(ScalarField(grid, p), p > SUPPORT_FLOOR * peak)
+    np.greater(out, SUPPORT_FLOOR * peak, out=mask)
+
+
+def _build_density(values: np.ndarray, grid: Grid, truncation_check: bool) -> Density:
+    p = np.empty(grid.n)
+    mask = np.empty(grid.n, dtype=bool)
+    _normalize_into(values, grid, truncation_check, p, mask)
+    return Density(ScalarField(grid, p), mask)
 
 
 def density_from_samples(raw: ScalarField, truncation_check: bool = True) -> Density:

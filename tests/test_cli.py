@@ -1047,7 +1047,7 @@ def test_failed_sweep_names_each_dropped_multiplier(tmp_path):
     assert report["checks"] == []
     assert report["error"] == {
         "type": "TooFewPoints",
-        "message": "need at least 3 consecutive records, have 0"
+        "message": "need at least 3 records, have 0"
                    "; lambda = 1.0 dropped by EdgeLocalized"
                    "; lambda = 2.0 dropped by EdgeLocalized"
                    "; lambda = 3.0 dropped by EdgeLocalized",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
@@ -20,7 +22,13 @@ from fisherqp import (
     stationarity_residual,
 )
 from fisherqp import extremizers
-from fisherqp.extremizers import DEGENERACY_TOL, _count_below, _ground_state
+from fisherqp.extremizers import (
+    DEGENERACY_TOL,
+    _count_below,
+    _extremize,
+    _ground_state,
+    _Workspace,
+)
 from fisherqp.functionals import weighted_max_dev
 from fisherqp.grid import ScalarField, quadrature_values
 
@@ -204,12 +212,12 @@ def test_epi_far_start_matches_reference():
     # started from the lambda = -64 ground state, far narrower than the target
     g = Grid(-12.0, 12.0, 65537)
     a = x_squared(g)
-    far = epi_solve(ConstraintSpec(A_fields=[a], multipliers=[-64.0]), g)
-    res = epi_solve(ConstraintSpec(A_fields=[a], multipliers=[-1.0]), g,
-                    start=far.psi.values[1:-1])
+    ws = _Workspace(g.n)
+    _extremize(ConstraintSpec(A_fields=[a], multipliers=[-64.0]), g, ws)
+    eigenvalue, _ = _extremize(ConstraintSpec(A_fields=[a], multipliers=[-1.0]), g, ws)
     vals, psi = reference_ground(a, -1.0, g)
-    assert res.eigenvalue == pytest.approx(vals[0], rel=1e-8)
-    assert np.max(np.abs(res.psi.values - psi)) <= 1e-9
+    assert eigenvalue == pytest.approx(vals[0], rel=1e-8)
+    assert np.max(np.abs(ws.psi - psi)) <= 1e-9
 
 
 def reference_count(diag, off, s):
@@ -226,14 +234,23 @@ def random_tridiagonals(count=200):
         yield rng.normal(size=n), rng.normal(size=n - 1)
 
 
+def workspace_for(diag, off):
+    """A workspace whose operator is (diag, off)."""
+    ws = _Workspace(len(diag) + 2)
+    ws.diag[:] = diag
+    ws.off[:] = off
+    return ws
+
+
 def test_count_below_matches_reference_count():
     for diag, off in random_tridiagonals():
+        slots = workspace_for(diag, off).factors[0]
         ev = eigvalsh_tridiagonal(diag, off)
         nudge = 1e-8 * np.max(np.abs(ev))
         shifts = [ev[0] - 1.0, 0.5 * (ev[0] + ev[1]), 0.5 * (ev[1] + ev[2]),
                   ev[0] + nudge, ev[1] + nudge, ev[2] + nudge]
         for s in shifts:
-            assert _count_below(diag, off, s) == reference_count(diag, off, s)
+            assert _count_below(diag, off, s, *slots) == reference_count(diag, off, s)
 
 
 def test_ground_state_matches_reference_spectrum():
@@ -246,7 +263,7 @@ def test_ground_state_matches_reference_spectrum():
         radius[1:] += np.abs(off)
         floor = np.finfo(float).eps * max(abs(np.min(diag - radius)),
                                           abs(np.max(diag + radius)))
-        e0, v, count = _ground_state(diag, off, None)
+        e0, v, count = _ground_state(workspace_for(diag, off))
         assert abs(e0 - ev[0]) <= len(diag) * floor
         width = max(DEGENERACY_TOL * abs(e0), 4.0 * floor)
         assert count == reference_count(diag, off, e0 + width)
@@ -254,10 +271,10 @@ def test_ground_state_matches_reference_spectrum():
 
 def test_ground_state_count_of_zero_is_refused(monkeypatch):
     # no eigenvalue at or below rho + width contradicts the residual bound
-    monkeypatch.setattr(extremizers, "_count_below", lambda diag, off, s: 0)
+    monkeypatch.setattr(extremizers, "_count_below", lambda diag, off, s, d, e: 0)
     diag, off = next(random_tridiagonals(1))
     with pytest.raises(np.linalg.LinAlgError, match="is not the ground eigenvalue"):
-        _ground_state(diag, off, None)
+        _ground_state(workspace_for(diag, off))
 
 
 @pytest.mark.parametrize("diag,off,info,zero,count", [
@@ -274,7 +291,25 @@ def test_count_below_edge_pivots(diag, off, info, zero, count):
     assert first_fail == info
     assert (d[info - 1] == 0.0) == zero
     assert reference_count(diag, off, 0.0) == count
-    assert _count_below(diag, off, 0.0) == count
+    assert _count_below(diag, off, 0.0, *workspace_for(diag, off).factors[0]) == count
+
+
+def test_workspace_solve_allocates_no_array_of_n():
+    # a solve in a workspace an earlier solve has used allocates nothing of
+    # length n: its traced peak rises less than one array of n
+    g = Grid(-12.0, 12.0, 16385)
+    a = x_squared(g)
+    ws = _Workspace(g.n)
+    tracemalloc.start()
+    try:
+        _extremize(ConstraintSpec(A_fields=[a], multipliers=[-1.0]), g, ws)
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        _extremize(ConstraintSpec(A_fields=[a], multipliers=[-2.0]), g, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held < 8 * g.n
 
 
 def test_epi_refuses_single_interior_point():

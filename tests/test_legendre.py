@@ -64,10 +64,11 @@ def test_sweep_sorted_and_deterministic(base_table):
 
 
 def test_sweep_memory_holds_one_solve_at_a_time():
-    # a solve's eigen-iteration works in about 12 arrays of n (the operator,
-    # two iterates, the current and the trial factors, the residual, U and
-    # the previous psi it started from); the previous multiplier's whole
-    # result (p_I, its mask, U) kept alive beside them would exceed 13
+    # a sweep's one workspace holds about 12 arrays of n (the operator's
+    # diagonal and off-diagonal, two factor slots of two arrays each, the
+    # iterate, the T v and scratch products, psi, p, the start and the
+    # mask); a solve that allocated beside it, or a previous multiplier's
+    # result (p_I, its mask, U) kept alive, would exceed 13
     g = Grid(-12.0, 12.0, 65537)
     a = g.from_function(lambda x: x * x)
     lambdas = [-1.0, -2.0, -4.0, -8.0, -16.0, -32.0]
@@ -80,6 +81,27 @@ def test_sweep_memory_holds_one_solve_at_a_time():
         tracemalloc.stop()
     assert len(table.records) == 6
     assert peak <= 13 * 8 * g.n
+
+
+def test_one_multiplier_sweep_is_a_cold_epi_solve():
+    # a sweep and a lone epi_solve share one solve: both start from all ones
+    g = Grid(-8.0, 8.0, 2049)
+    a = g.from_function(lambda x: x * x)
+    (rec,) = sweep(a, [-3.0], g).records
+    cold = epi_solve(ConstraintSpec(A_fields=[a], multipliers=[-3.0]), g)
+    assert rec.I == cold.fisher_I
+    assert rec.alpha_norm == cold.alpha_norm
+    assert rec.meanA == quadrature_values(cold.p_I.values * a.values, g.dx)
+
+
+def test_failed_multiplier_passes_the_previous_start_on():
+    # lambda = -2 on -x^2 is unbound; the solve after it starts from all
+    # ones, as if it were the sweep's first, not from the failed ground state
+    g = Grid(-8.0, 8.0, 2049)
+    a = g.from_function(lambda x: -x * x)
+    table = sweep(a, [-2.0, 1.0, 2.0, 4.0], g)
+    assert table.failures == [(-2.0, "EdgeLocalized")]
+    assert table.records == sweep(a, [1.0, 2.0, 4.0], g).records
 
 
 def test_warm_sweep_matches_cold_solves():
