@@ -19,13 +19,15 @@ The package is organized bottom-up:
 
 BLAS threads: no routine the package calls is threaded by OpenBLAS (the
 tridiagonal LAPACK solvers and numpy's elementwise ufuncs run on one
-thread), yet OpenBLAS starts a pool of worker threads when it loads,
-once for numpy and once for scipy's LAPACK extension.  So importing the
-package sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads, unless one
-of the variables OpenBLAS reads (``_THREAD_VARS``) already names a
-thread count: set any of them to choose another.  The variable stays
-set for the rest of the process, so scipy's OpenBLAS, loaded on the
-first solve, reads it too, and so does any BLAS library the caller
+thread), yet OpenBLAS starts a pool of worker threads when it loads
+with numpy.  The solvers run on that same OpenBLAS (``grid._lapack``);
+only where numpy ships none does the first solve load scipy's LAPACK
+extension, and with it a second OpenBLAS and a second pool.  So
+importing the package sets ``OPENBLAS_NUM_THREADS=1`` before numpy
+loads, unless one of the variables OpenBLAS reads (``_THREAD_VARS``)
+already names a thread count: set any of them to choose another.  The
+variable stays set for the rest of the process, so scipy's OpenBLAS,
+where it loads, reads it too, and so does any BLAS library the caller
 loads later and every child process the caller starts.
 ``_THREADS_DEFAULTED`` records whether the package set it.
 """

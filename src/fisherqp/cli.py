@@ -28,8 +28,10 @@ judged against its one finite tolerance in ``reports.CHECKS``; each
 check record of ``report.json`` (schema 2) holds name, paper_eq, lhs,
 rhs, abs_err, rel_err, tol, note and pass.  Reports are
 byte-deterministic; what varies from run to run goes to ``meta.json``:
-the timestamp, the numpy and scipy versions (scipy's is null when the run
-loaded none), the OpenBLAS thread variables as the run saw them, whether
+the timestamp, the numpy version, the LAPACK that did the solves
+(``lapack``: numpy's OpenBLAS file and its build configuration, or
+``scipy <version> _flapack`` where numpy ships none; null when the run
+solved nothing), the OpenBLAS thread variables as the run saw them, whether
 the package set them (``blas_threads_defaulted``: none was set when it
 was imported) and the wall time of the parse and suite stages
 (``stage_s``, in seconds; the suite's includes writing its artifacts, and
@@ -54,7 +56,7 @@ import numpy as np
 from . import _THREAD_VARS, _THREADS_DEFAULTED, __version__
 from .errors import FisherQPError
 from .extremizers import ConstraintSpec
-from .grid import Grid, ScalarField
+from .grid import Grid, ScalarField, _lapack_name
 from .reports import IdentityCheck, list_checks
 from .serialization import save_json
 from .states import PhysicalConstants, density_from_heat, density_from_samples, gibbs_density
@@ -450,11 +452,10 @@ def _write_report(out_dir: Path, command: str, digest: str, checks: list[Identit
     if error is not None:
         payload["error"] = error
     save_json(payload, out_dir / "report.json")
-    scipy = sys.modules.get("scipy")  # loaded only by a run that solved
     save_json({"generated_at": datetime.now(timezone.utc).isoformat(),
                "fisherqp_version": __version__,
                "numpy_version": np.__version__,
-               "scipy_version": scipy.__version__ if scipy else None,
+               "lapack": _lapack_name(),
                "blas_thread_env": {name: os.environ.get(name) for name in _THREAD_VARS},
                "blas_threads_defaulted": _THREADS_DEFAULTED,
                "stage_s": stage_s}, out_dir / "meta.json")

@@ -43,9 +43,9 @@ past it, so the count needs no work arrays beyond one factor slot of
 the workspace.  The same count certifies that the converged
 Rayleigh quotient is e0 itself: the residual puts an eigenvalue within the
 count's window, and a count of one makes it e0 (see ``_ground_state``).
-``?pttrf`` and ``?pttrs`` come from ``grid._lapack``, which loads only
-scipy's compiled LAPACK extension, not the ``scipy.linalg`` package, whose
-import would cost a sweep far more time than its solves.
+``?pttrf`` and ``?pttrs`` run on the LAPACK that ``grid._bind`` binds
+them to (numpy's own OpenBLAS where numpy ships one); the workspace binds
+each of its two factor slots, and each slot's solve on the iterate, once.
 
 The log-derivative substitution v = (log psi)' turns the stationarity
 condition into the Riccati form v' + v^2 + G/4 = 0 with
@@ -65,7 +65,7 @@ from .functionals import _fisher_integral, weighted_max_dev
 from .grid import (
     Grid,
     ScalarField,
-    _lapack,
+    _bind,
     derivative_values,
     quadrature_values,
 )
@@ -191,7 +191,9 @@ class _Workspace:
 
     ``diag`` and ``off`` hold the interior operator T, ``factors`` two
     ``?pttrf`` slots (d, e), ``v`` the iterate, ``tv`` the products T v
-    and T v - rho v, ``scratch`` every other product.  ``psi``, ``p`` and
+    and T v - rho v, ``scratch`` every other product.  ``pttrf[i]``
+    factors slot i in place and ``pttrs[i]`` solves with it in place in
+    ``v``, both bound once (``grid._bind``).  ``psi``, ``p`` and
     ``mask`` receive the normalized ground state, its density and the
     density's support mask; ``tv`` and ``scratch``, n long, serve the
     stages after the iteration as work arrays.  ``start`` is the vector
@@ -209,6 +211,8 @@ class _Workspace:
         self.off = np.empty(m - 1)
         self.factors = tuple((np.empty(m), np.empty(m - 1)) for _ in range(2))
         self.v = np.empty(m)
+        self.pttrf = tuple(_bind("dpttrf", d, e) for d, e in self.factors)
+        self.pttrs = tuple(_bind("dpttrs", d, e, self.v) for d, e in self.factors)
         self.tv = np.empty(n)
         self.scratch = np.empty(n)
         self.psi = np.zeros(n)
@@ -227,14 +231,14 @@ def _count_below(diag: np.ndarray, off: np.ndarray, s: float,
     it and stops at the first pivot d_k <= 0 (``info`` = k); a pivot of
     magnitude below ``?stebz``'s pivmin counts as -pivmin, so a zero pivot
     is negative.  The trailing block is then seeded with -e_k^2 / d_k and
-    factored by one more ``?pttrf``: it factors exactly when no second
-    pivot is negative.  Both factorizations run in the work arrays ``d``
-    and ``e``, as long as ``diag`` and ``off``.
+    factored by one more ``?pttrf``, which a one-point block also takes:
+    it factors exactly when no second pivot is negative.  Both
+    factorizations run in the work arrays ``d`` and ``e``, as long as
+    ``diag`` and ``off``.
     """
-    (pttrf,) = _lapack(("pttrf",), diag.dtype)
     np.subtract(diag, s, out=d)
     np.copyto(e, off)
-    k = pttrf(d, e, overwrite_d=True, overwrite_e=True)[2]
+    k = _bind("dpttrf", d, e)()
     if k == 0:
         return 0
     if k == len(diag):
@@ -244,11 +248,9 @@ def _count_below(diag: np.ndarray, off: np.ndarray, s: float,
     # the trailing block takes the slots past the first failed pivot
     tail = np.subtract(diag[k:], s, out=d[k:])
     tail[0] -= off[k - 1] ** 2 / min(float(d[k - 1]), -pivmin)
-    if len(tail) == 1:  # ?pttrf wants a nonempty off-diagonal
-        return 1 if tail[0] > 0.0 else 2
     tail_off = e[k:]
     np.copyto(tail_off, off[k:])
-    return 1 if pttrf(tail, tail_off, overwrite_d=True, overwrite_e=True)[2] == 0 else 2
+    return 1 if _bind("dpttrf", tail, tail_off)() == 0 else 2
 
 
 def _ground_state(ws: _Workspace) -> tuple[float, np.ndarray, int]:
@@ -281,7 +283,6 @@ def _ground_state(ws: _Workspace) -> tuple[float, np.ndarray, int]:
     diag, off, v = ws.diag, ws.off, ws.v
     m = len(diag)
     tv, scratch = ws.tv[:m], ws.scratch[:m]
-    pttrf, pttrs = _lapack(("pttrf", "pttrs"), diag.dtype)
     radius = tv  # the Gershgorin radii, until tv holds T v
     radius.fill(0.0)
     abs_off = np.abs(off, out=scratch[:-1])
@@ -291,17 +292,18 @@ def _ground_state(ws: _Workspace) -> tuple[float, np.ndarray, int]:
     upper = float(np.max(np.add(diag, radius, out=scratch)))
     floor = np.finfo(float).eps * max(abs(lower), abs(upper))
 
-    def factor(sigma: float, d: np.ndarray, e: np.ndarray) -> bool:
+    def factor(sigma: float, slot: int) -> bool:
+        d, e = ws.factors[slot]
         np.subtract(diag, sigma, out=d)
         np.copyto(e, off)
-        return pttrf(d, e, overwrite_d=True, overwrite_e=True)[2] == 0
+        return ws.pttrf[slot]() == 0
 
     sigma = lower - floor
-    current, trial = ws.factors
-    factor(sigma, *current)  # T - sigma I is diagonally dominant: it factors
+    current, trial = 0, 1
+    factor(sigma, current)  # T - sigma I is diagonally dominant: it factors
     np.copyto(v, ws.start)
     for _ in range(MAX_ITERATIONS):
-        pttrs(*current, v, overwrite_b=True)
+        ws.pttrs[current]()
         v /= np.sqrt(np.sum(np.multiply(v, v, out=scratch)))
         np.multiply(diag, v, out=tv)
         tv[:-1] += np.multiply(off, v[1:], out=scratch[:-1])
@@ -313,7 +315,7 @@ def _ground_state(ws: _Workspace) -> tuple[float, np.ndarray, int]:
             break
         target = rho - r
         while target - sigma > floor:
-            if factor(target, *trial):
+            if factor(target, trial):
                 sigma = target
                 current, trial = trial, current
                 break
@@ -323,7 +325,7 @@ def _ground_state(ws: _Workspace) -> tuple[float, np.ndarray, int]:
             f"inverse iteration left residual {r:.3e} after {MAX_ITERATIONS} steps"
         )
     width = max(DEGENERACY_TOL * abs(rho), 4.0 * floor)
-    count = _count_below(diag, off, rho + width, *trial)
+    count = _count_below(diag, off, rho + width, *ws.factors[trial])
     if count == 0:
         raise np.linalg.LinAlgError(
             f"Rayleigh quotient {rho!r} is not the ground eigenvalue"
@@ -394,13 +396,16 @@ def epi_solve(spec: ConstraintSpec, grid: Grid) -> EPIResult:
     """
     ws = _Workspace(grid.n)
     e0, fisher = _extremize(spec, grid, ws)
+    # the results and two work arrays for U outlive the workspace: its
+    # operator, factors, iterate and start go before the results are copied
+    p, mask, psi, u, work = ws.p, ws.mask, ws.psi, ws.scratch, ws.tv
+    del ws
     return EPIResult(
-        p_I=Density(ScalarField(grid, ws.p), ws.mask),
-        psi=ScalarField(grid, ws.psi),
+        p_I=Density(ScalarField(grid, p), mask),
+        psi=ScalarField(grid, psi),
         alpha_norm=8.0 * e0,
         eigenvalue=e0,
-        effective_potential=ScalarField(
-            grid, _effective_potential(spec, grid, ws.scratch, ws.tv)),
+        effective_potential=ScalarField(grid, _effective_potential(spec, grid, u, work)),
         fisher_I=fisher,
         multipliers=tuple(spec.multipliers),
     )

@@ -11,11 +11,14 @@ The time steppers share one helper from here: ``crank_nicolson_flow``
 factors their constant Crank-Nicolson matrix once and streams the field
 step by step through two work buffers.
 
-The LAPACK routines the steppers and the EPI eigensolver call come from
-``_lapack``, which loads scipy's compiled ``_flapack`` extension on the
-first solve and never imports the ``scipy.linalg`` package: that
-package's ``__init__`` costs ~0.3 s per process, far more than most runs
-spend solving.
+The steppers and the EPI eigensolver solve with four LAPACK routines
+(``?pttrf``, ``?pttrs``, ``?gttrf``, ``?gttrs``), each bound once to the
+arrays it works in (``_bind``).  They run on the OpenBLAS that numpy has
+already loaded, called through ctypes (``_numpy_openblas``), so a run
+maps no second OpenBLAS and imports no scipy.  Only where numpy ships no
+such library do they come from scipy's compiled ``_flapack`` extension
+(``_scipy_flapack``), loaded without the ``scipy.linalg`` package, whose
+``__init__`` costs ~0.3 s per process.
 
 Fields are immutable after construction and all operations on them are
 pure, so values can be shared freely across threads.  A complex flow from
@@ -26,12 +29,14 @@ in one thread at a time.
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Iterator
+from functools import partial
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -174,44 +179,228 @@ def crank_nicolson_flow(u0: np.ndarray, diag: np.ndarray, off: float | complex,
     ``diag`` and ``off`` give A = I + zH on the interior points: the
     diagonal, and the constant off-diagonal that also couples the first
     and last interior points to the end values, which stay those of
-    ``u0``.  The first ``next()`` factors A/2 (``_half_solver``); each
-    step then solves A u+ = (2I - A) u + f, with f = -2 off (u[0], 0, ...,
-    0, u[-1]) the folded ends, as u+ = (A/2)^-1 (u + f/2) - u.  A real
-    step copies u, folds the ends, solves and subtracts; a complex one
-    reads u itself and writes u+ straight into the other work buffer
-    (``_odd_even_step``).
+    ``u0``.  The first ``next()`` factors A/2 (``_half_solver``) and binds
+    a step into each of the two work buffers; each step then solves
+    A u+ = (2I - A) u + f, with f = -2 off (u[0], 0, ..., 0, u[-1]) the
+    folded ends, as u+ = (A/2)^-1 (u + f/2) - u.  A real step copies u,
+    folds the ends, solves and subtracts; a complex one reads u itself and
+    writes u+ straight into the other work buffer (``_odd_even_step``).
 
     ``u0`` is copied, never written.  The flow steps between two work
     buffers: between calls to ``next()``, a yielded array stays intact
     until the step after next is computed, so callers copy what they keep.
     """
-    step = _half_solver(diag, off)
+    bind = _half_solver(diag, off)
     u = np.array(u0, dtype=np.result_type(u0, diag))
     # a generator keeps its locals for the whole run: drop the inputs
     del u0, diag
     nxt = u.copy()
+    into = (bind(u, nxt), bind(nxt, u))
     yield u
-    for _ in range(steps):
-        step(u, nxt)
+    for i in range(steps):
+        into[i % 2]()
         u, nxt = nxt, u
         yield u
 
 
-_FLAPACK = "scipy.linalg._flapack"
-_PREFIXES = {np.dtype(np.float64): "d", np.dtype(np.complex128): "z"}
+# The four LAPACK routines the package calls, each with LAPACK's own
+# argument list: an ``info`` of -i names its i-th entry.  The scalars
+# among them are filled in by the binding (``_SCALARS``); every other
+# argument is a 1-D array of n entries, n = len(d), except those
+# ``_SHORT`` of n by one or two.
+_ROUTINES = {
+    "dpttrf": ("n", "d", "e", "info"),
+    "dpttrs": ("n", "nrhs", "d", "e", "b", "ldb", "info"),
+    "zgttrf": ("n", "dl", "d", "du", "du2", "ipiv", "info"),
+    "zgttrs": ("trans", "n", "nrhs", "dl", "d", "du", "du2", "ipiv", "b", "ldb", "info"),
+}
+_SCALARS = ("trans", "n", "nrhs", "ldb", "info")
+_SHORT = {"e": 1, "dl": 1, "du": 1, "du2": 2}
+_DTYPES = {"d": np.dtype(np.float64), "z": np.dtype(np.complex128)}
 
 
-def _lapack(names: tuple[str, ...], dtype) -> tuple:
-    """The LAPACK routines ``names`` (e.g. ``("pttrf", "pttrs")``) for
-    float64 (``d``) or complex128 (``z``) data: the very wrappers
-    ``scipy.linalg.lapack.get_lapack_funcs`` returns.
+def _bind(routine: str, *arrays: np.ndarray) -> Callable[[], int]:
+    """LAPACK's ``routine`` (a key of ``_ROUTINES``) bound to ``arrays``,
+    its array arguments in LAPACK's order, for one right-hand side:
+    returns ``call()``, which runs the routine on them in place and
+    returns its ``info`` (0, or the k > 0 at which a factorization fails).
+    Binding once saves building the pointers on every call.
 
-    They come from scipy's compiled ``_flapack`` extension: the module
-    ``sys.modules`` holds once anything loaded it, else ``_load_flapack``.
+    Binding checks each array: it must be a writeable, C-contiguous 1-D
+    array of the routine's dtype (float64 for ``d``, complex128 for ``z``,
+    int64 pivots) and at least as long as the routine reads, else
+    ValueError, so a misuse raises instead of letting LAPACK read or write
+    past an array.  A call whose ``info`` is negative (LAPACK refused an
+    argument) raises ValueError naming the routine and the argument.
     """
+    names = [name for name in _ROUTINES[routine] if name not in _SCALARS]
+    if len(arrays) != len(names):
+        raise TypeError(f"{routine} takes the arrays {', '.join(names)}")
+    n = len(arrays[names.index("d")])
+    if n < 1:
+        raise ValueError(f"{routine}: the system has no unknowns")
+    for name, a in zip(names, arrays):
+        dtype = np.dtype(np.int64) if name == "ipiv" else _DTYPES[routine[0]]
+        need = max(n - _SHORT.get(name, 0), 0)
+        if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == 1
+                and a.flags.c_contiguous and a.flags.writeable and len(a) >= need):
+            raise ValueError(f"{routine}: {name} must be a writeable C-contiguous 1-D "
+                             f"{dtype} array of at least {need} entries")
+    run = _lapack().bind(routine, n, dict(zip(names, arrays)))
+
+    def call() -> int:
+        info = run()
+        if info < 0:
+            raise ValueError(f"{routine}: LAPACK refused argument {-info} "
+                             f"({_ROUTINES[routine][-info - 1]})")
+        return info
+
+    return call
+
+
+class _Lapack(NamedTuple):
+    """A loaded LAPACK: its ``name`` as ``meta.json`` records it, and
+    ``bind(routine, n, arrays)``, which binds ``routine`` to the checked
+    ``arrays`` (a dict by argument name) of a system of n unknowns and
+    returns a call that runs it and returns ``info``."""
+
+    name: str
+    bind: Callable[[str, int, dict[str, np.ndarray]], Callable[[], int]]
+
+
+_LOADED: _Lapack | None = None
+
+
+def _lapack() -> _Lapack:
+    """The LAPACK every solve of the process runs on, loaded on first use:
+    numpy's own OpenBLAS where numpy loaded one that exports the routines
+    (``_numpy_openblas``), else scipy's ``_flapack`` extension
+    (``_scipy_flapack``)."""
+    global _LOADED
+    if _LOADED is None:
+        _LOADED = _numpy_openblas() or _scipy_flapack()
+    return _LOADED
+
+
+def _lapack_name() -> str | None:
+    """The name of the LAPACK the process solved with, None before its
+    first solve."""
+    return None if _LOADED is None else _LOADED.name
+
+
+def _numpy_openblas() -> _Lapack | None:
+    """The OpenBLAS that numpy's wheel ships and numpy has loaded: a
+    ``libscipy_openblas64_`` file in ``numpy.libs`` (Linux) or
+    ``numpy/.dylibs`` (macOS), with 64-bit integers and its LAPACK symbols
+    named ``scipy_<routine>_64_``.  ``RTLD_NOLOAD`` opens only a library
+    the process has already mapped, so this never maps a file numpy did
+    not load.  None where there is no such library or it lacks a routine.
+    """
+    if not hasattr(os, "RTLD_NOLOAD"):
+        return None
+    root = os.path.dirname(np.__file__)
+    for folder in (os.path.join(root, os.pardir, "numpy.libs"), os.path.join(root, ".dylibs")):
+        try:
+            files = sorted(os.listdir(folder))
+        except OSError:
+            continue
+        for file in files:
+            if not file.startswith("libscipy_openblas64_"):
+                continue
+            try:
+                lib = ctypes.CDLL(os.path.join(folder, file),
+                                  mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+                routines = {r: getattr(lib, f"scipy_{r}_64_") for r in _ROUTINES}
+                config = lib.scipy_openblas_get_config64_
+            except (OSError, AttributeError):
+                continue
+            # no argtypes: ``_bind_openblas`` builds every argument as a
+            # ctypes object of the type LAPACK takes, and argtypes would
+            # convert each one again on every call (measured 0.45 -> 1.34
+            # us a ?pttrs call on a 2-vCPU host)
+            for fn in routines.values():
+                fn.restype = None
+            config.restype = ctypes.c_char_p
+            return _Lapack(f"{file} ({config().decode()})",
+                           partial(_bind_openblas, routines))
+    return None
+
+
+def _bind_openblas(routines: dict, routine: str, n: int,
+                   arrays: dict[str, np.ndarray]) -> Callable[[], int]:
+    """``_Lapack.bind`` through ctypes: every argument goes by reference,
+    as Fortran takes it, and ``?gttrs`` gets gfortran's hidden length of
+    its ``trans`` string last.  The argument tuple is built here, once;
+    it holds pointers into ``arrays``, so the call keeps a reference to
+    each of them."""
+    fn = routines[routine]
+    info = ctypes.c_int64()
+    scalars = {"trans": ctypes.c_char(b"N"), "n": ctypes.c_int64(n),
+               "nrhs": ctypes.c_int64(1), "ldb": ctypes.c_int64(n), "info": info}
+    args = [ctypes.byref(scalars[name]) if name in scalars
+            else ctypes.c_void_p(arrays[name].ctypes.data) for name in _ROUTINES[routine]]
+    if "trans" in _ROUTINES[routine]:
+        args.append(ctypes.c_size_t(1))
+    args = tuple(args)
+
+    def call() -> int:
+        fn(*args)
+        return info.value
+
+    call.arrays = arrays
+    return call
+
+
+_FLAPACK = "scipy.linalg._flapack"
+# each f2py wrapper's array arguments, and the arrays it returns
+_F2PY = {
+    "dpttrf": (("d", "e"), ("d", "e")),
+    "dpttrs": (("d", "e", "b"), ("b",)),
+    "zgttrf": (("dl", "d", "du"), ("dl", "d", "du", "du2", "ipiv")),
+    "zgttrs": (("dl", "d", "du", "du2", "ipiv", "b"), ("b",)),
+}
+
+
+def _scipy_flapack() -> _Lapack:
+    """scipy's compiled ``_flapack`` extension, which runs on scipy's own
+    OpenBLAS: the module ``sys.modules`` holds once anything loaded it,
+    else ``_load_flapack``."""
     flapack = sys.modules.get(_FLAPACK) or _load_flapack()
-    prefix = _PREFIXES[np.dtype(dtype)]
-    return tuple(getattr(flapack, prefix + name) for name in names)
+    return _Lapack(f"scipy {sys.modules['scipy'].__version__} _flapack",
+                   partial(_bind_f2py, flapack))
+
+
+def _bind_f2py(flapack, routine: str, n: int,
+               arrays: dict[str, np.ndarray]) -> Callable[[], int]:
+    """``_Lapack.bind`` through scipy's f2py wrappers, called on views of
+    ``arrays`` exactly as long as the routine reads.  A wrapper overwrites
+    a contiguous input in place; what it returns new (``?gttrf``'s du2
+    and 32-bit pivots) is copied into ``arrays``.  The wrappers refuse an
+    empty off-diagonal, so a one-unknown ``?pt`` system gets a one-entry
+    stand-in that LAPACK does not read; ``?gttrf``'s wrapper cannot size a
+    system of fewer than 3 unknowns, so binding a ``?gt`` routine to one
+    raises ValueError.
+    """
+    if routine.startswith("zgt") and n < 3:
+        raise ValueError(f"scipy's {routine} wrapper needs at least 3 unknowns, got {n}")
+    fn = getattr(flapack, routine)
+    views = {}
+    for name, a in arrays.items():
+        view = a[: n - _SHORT.get(name, 0)]
+        views[name] = view if len(view) else np.zeros(1, dtype=a.dtype)
+    takes, gives = _F2PY[routine]
+    inputs = [views[name] for name in takes]
+    targets = [views[name] for name in gives]
+    overwrite = {f"overwrite_{name}": 1 for name in gives if name in takes}
+
+    def call() -> int:
+        *outputs, info = fn(*inputs, **overwrite)
+        for target, out in zip(targets, outputs):
+            if out is not target:
+                np.copyto(target, out)
+        return info
+
+    return call
 
 
 def _load_flapack():
@@ -240,16 +429,19 @@ def _load_flapack():
 
 def _half_solver(diag: np.ndarray, off: float | complex):
     """Factor A/2 of the tridiagonal A = (diag, off) once; return
-    ``step(u, out)``, which writes out[1:-1] = (A/2)^-1 (u[1:-1] + f/2) -
-    u[1:-1], f/2 = -off (u[0], 0, ..., 0, u[-1]).  The ends of ``out`` are
-    not written, and ``u`` holds its values again once the step returns.
-    Halving is exact, so the factors of A/2 are exact multiples of those
-    of A.
+    ``bind(u, out)``, which returns ``step()``: it writes out[1:-1] =
+    (A/2)^-1 (u[1:-1] + f/2) - u[1:-1], f/2 = -off (u[0], 0, ..., 0,
+    u[-1]).  The ends of ``out`` are not written, and ``u`` holds its
+    values again once the step returns.  Halving is exact, so the factors
+    of A/2 are exact multiples of those of A.
 
     A real A must be symmetric positive definite: ``?pttrf`` factors it,
     raising LinAlgError when it is not, and ``?pttrs`` solves.  A complex
     A goes through odd-even reduction (``_odd_even_levels``,
-    ``_odd_even_step``) ahead of ``?gttrf``/``?gttrs``, which pivot.
+    ``_odd_even_step``) ahead of ``?gttrf``/``?gttrs``, which pivot.  The
+    factorization runs in place in arrays of its own, and ``bind`` binds
+    the solve (``_bind``) to the factors and to the right-hand side it
+    solves in place, so a step builds no LAPACK argument.
     """
     if not (np.all(np.isfinite(diag)) and np.isfinite(off)):
         raise NonFinite("the Crank-Nicolson matrix has a non-finite entry")
@@ -257,42 +449,41 @@ def _half_solver(diag: np.ndarray, off: float | complex):
     half_off = np.full(len(half_diag) - 1, 0.5 * off, dtype=half_diag.dtype)
     if np.iscomplexobj(half_diag):
         levels, half_diag, half_off = _odd_even_levels(half_diag, half_off)
-        gttrf, gttrs = _lapack(("gttrf", "gttrs"), half_diag.dtype)
-        *factors, info = gttrf(half_off, half_diag, half_off)
-        if info > 0:
+        m = len(half_diag)
+        # (dl, d, du, du2, ipiv), factored in place
+        factors = (half_off.copy(), half_diag, half_off,
+                   np.empty(max(m - 2, 0), dtype=half_diag.dtype), np.empty(m, dtype=np.int64))
+        if _bind("zgttrf", *factors)() > 0:
             raise np.linalg.LinAlgError("singular matrix")
-
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            x = gttrs(*factors, rhs, overwrite_b=True)[0]
-            if x is not rhs:  # ?gttrs solves a contiguous right-hand side in place
-                np.copyto(rhs, x)
-            return rhs
-
+        solver = partial(_bind, "zgttrs", *factors)
         if levels:
-            return _odd_even_step(levels, solve, off)
+            return _odd_even_step(levels, solver, off)
     else:
-        pttrf, pttrs = _lapack(("pttrf", "pttrs"), half_diag.dtype)
-        *factors, info = pttrf(half_diag, half_off)
-        if info > 0:
+        if _bind("dpttrf", half_diag, half_off)() > 0:
             raise np.linalg.LinAlgError("matrix is not positive definite")
+        solver = partial(_bind, "dpttrs", half_diag, half_off)
 
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            return pttrs(*factors, rhs, overwrite_b=True)[0]
+    def bind(u: np.ndarray, out: np.ndarray) -> Callable[[], None]:
+        b, rhs = u[1:-1], out[1:-1]
+        solve = solver(rhs)
 
-    def step(u: np.ndarray, out: np.ndarray) -> None:
-        rhs = out[1:-1]
-        np.copyto(rhs, u[1:-1])
-        rhs[0] -= off * u[0]
-        rhs[-1] -= off * u[-1]
-        np.subtract(solve(rhs), u[1:-1], out=rhs)
+        def step() -> None:
+            np.copyto(rhs, b)
+            rhs[0] -= off * u[0]
+            rhs[-1] -= off * u[-1]
+            solve()
+            np.subtract(rhs, b, out=rhs)
 
-    return step
+        return step
+
+    return bind
 
 
-def _odd_even_step(levels, solve, off: complex):
-    """The Crank-Nicolson step (see ``_half_solver``) of a complex A/2
-    reduced by the odd-even ``levels`` (``_odd_even_levels``) to a last
-    system that ``solve`` solves in place.
+def _odd_even_step(levels, solver, off: complex):
+    """``bind(u, out)`` of the Crank-Nicolson step (see ``_half_solver``)
+    of a complex A/2 reduced by the odd-even ``levels``
+    (``_odd_even_levels``) to a last system; ``solver(b)`` binds the
+    solve of that system in place in b.
 
     Each level keeps two work buffers of its reduced size, and the views
     a step reads and writes are built once.  A step reduces the
@@ -326,10 +517,13 @@ def _odd_even_step(levels, solve, off: complex):
     up.reverse()
     (pivots, left, right), (below, scratch) = levels[0], buffers[0]
     kept, n = len(left), len(right)
-    bottom = systems[-1]
+    solve = solver(systems[-1])
 
-    def step(u: np.ndarray, out: np.ndarray) -> None:
+    def bind(u: np.ndarray, out: np.ndarray) -> Callable[[], None]:
         b, x = u[1:-1], out[1:-1]
+        return partial(step, u, b, x)
+
+    def step(u: np.ndarray, b: np.ndarray, x: np.ndarray) -> None:
         first, last = u[1], u[-2]
         try:
             u[1] -= off * u[0]
@@ -344,7 +538,7 @@ def _odd_even_step(levels, solve, off: complex):
                 np.subtract(odds, bv, out=bv)
                 np.multiply(rv, nexts, out=sv)
                 np.subtract(bvn, sv, out=bvn)
-            solve(bottom)
+            solve()
             # x_2j = b_2j / d_2j - left_j x_2j+1 - right_j-1 x_2j-1
             for evens, odds, bv, pv, lv, sv, evl, rv, bvn, svn, evr in up:
                 odds[...] = bv
@@ -364,7 +558,7 @@ def _odd_even_step(levels, solve, off: complex):
         evens[1:] -= scratch[:n]
         np.subtract(x, b, out=x)
 
-    return step
+    return bind
 
 
 def _odd_even_levels(diag: np.ndarray, off: np.ndarray):

@@ -296,14 +296,27 @@ def test_underflowing_grid_spacing_exits_2(tmp_path, capsys, command, payload):
     assert not out.exists()
 
 
+def expected_lapack():
+    """The name ``meta.json`` gives the LAPACK a solving run uses here:
+    numpy's own OpenBLAS where numpy loaded one, else scipy's extension."""
+    lapack = fisherqp.grid._numpy_openblas()
+    return lapack.name if lapack else f"scipy {scipy.__version__} _flapack"
+
+
 def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
-    # the scipy.linalg package dominates import time: importing the CLI
-    # loads no scipy, and a solving run loads only the compiled LAPACK
-    # extension, on its first solve
+    # importing the CLI loads no scipy.  Where numpy ships its own
+    # OpenBLAS, a solving run imports no scipy module at all and, on
+    # Linux, maps that one OpenBLAS file and no other; elsewhere it loads
+    # scipy's compiled LAPACK extension alone, not the scipy.linalg package
     hook = (
         "import atexit, runpy, sys\n"
-        "atexit.register(lambda: print('loaded:', *sorted(\n"
-        "    m for m in sys.modules if m.startswith('scipy'))))\n"
+        "def report():\n"
+        "    maps = open('/proc/self/maps').read() if sys.platform == 'linux' else ''\n"
+        "    print('mapped:', *sorted({line.split()[-1].rsplit('/', 1)[-1]\n"
+        "                              for line in maps.splitlines()\n"
+        "                              if 'libscipy_openblas' in line}))\n"
+        "    print('loaded:', *sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "atexit.register(report)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(fisherqp.__file__).resolve().parents[1]))
 
@@ -311,15 +324,54 @@ def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
         out = subprocess.run([sys.executable, "-c", hook + code, *argv], env=env,
                              capture_output=True, text=True)
         assert out.returncode in (0, 3), out.stderr
-        return set(out.stdout.splitlines()[-1].split()[1:])
+        mapped, modules = (set(line.split()[1:]) for line in out.stdout.splitlines()[-2:])
+        return mapped, modules
 
-    assert loaded("import fisherqp.cli") == set()
+    assert loaded("import fisherqp.cli")[1] == set()
+    numpy_lapack = fisherqp.grid._numpy_openblas()
     for command, payload in SOLVING_RUNS.items():
         inp = write_json(tmp_path / f"{command}.json", payload)
-        modules = loaded("runpy.run_module('fisherqp.cli', run_name='__main__')",
-                         command, "--input", inp, "--out", str(tmp_path / command))
-        assert "scipy.linalg._flapack" in modules and "scipy.linalg" not in modules, command
+        mapped, modules = loaded("runpy.run_module('fisherqp.cli', run_name='__main__')",
+                                 command, "--input", inp, "--out", str(tmp_path / command))
+        if numpy_lapack is None:
+            assert "scipy.linalg._flapack" in modules and "scipy.linalg" not in modules
+        else:
+            assert modules == set(), command
+            if sys.platform == "linux":
+                assert mapped == {numpy_lapack.name.split(" ")[0]}, command
         assert (tmp_path / command / "report.json").exists()
+
+
+def test_fallback_lapack_writes_the_same_bytes(tmp_path, monkeypatch):
+    # scipy's _flapack, which solves where numpy ships no OpenBLAS of its
+    # own, writes every report, sweep table and psi dump that the default
+    # LAPACK writes, byte for byte: the evolve runs take the complex
+    # step with no odd-even level (257 points) and with one (2049)
+    runs = {"sweep": SOLVING_RUNS["sweep"], "thermal": SOLVING_RUNS["thermal"],
+            "evolve": {**SOLVING_RUNS["evolve"], "dump": True},
+            "evolve-levels": {**SOLVING_RUNS["evolve"], "dump": True,
+                              "grid": {"xmin": -8.0, "xmax": 8.0, "n": 2049}}}
+    written = {}
+    for lapack in ("default", "fallback"):
+        if lapack == "fallback":
+            monkeypatch.setattr(fisherqp.grid, "_numpy_openblas", lambda: None)
+        monkeypatch.setattr(fisherqp.grid, "_LOADED", None)
+        for run, payload in runs.items():
+            command = run.split("-")[0]
+            inp = write_json(tmp_path / f"{run}.json", payload)
+            out = tmp_path / lapack / run
+            code = main([command, "--input", inp, "--out", str(out)])
+            meta = json.loads((out / "meta.json").read_text())
+            written[lapack, run] = code, {p.relative_to(out).as_posix(): p.read_bytes()
+                                          for p in out.rglob("*")
+                                          if p.is_file() and p.name != "meta.json"}
+            assert meta["lapack"] == (expected_lapack() if lapack == "default"
+                                      else f"scipy {scipy.__version__} _flapack")
+    for run in runs:
+        assert written["default", run] == written["fallback", run], run
+    assert "sweep.csv" in written["default", "sweep"][1]
+    assert "trajectory/psi.npy" in written["default", "evolve-levels"][1]
+    assert all(code in (0, 3) for code, _ in written.values())
 
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -347,7 +399,8 @@ def run_cli(command, inp, out, env):
 ], ids=["none-set", "omp", "openblas", "goto"])
 def test_import_runs_openblas_on_one_thread_unless_a_count_is_set(threads, expected):
     # OpenBLAS reads the variables once, as it loads with numpy (and with
-    # scipy's LAPACK extension): the package sets one before either loads
+    # scipy's LAPACK extension, where the package falls back on it): the
+    # package sets one before either loads
     code = ("import json, os, fisherqp\n"
             f"print(json.dumps([os.environ.get(k) for k in {THREAD_VARS!r}]))")
     out = subprocess.run([sys.executable, "-c", code], env=child_env(**threads),
@@ -360,8 +413,8 @@ def test_a_solving_run_starts_no_blas_thread():
     # the package first, as the CLI imports it: numpy loaded before it
     # would start its pool at the default count
     code = ("import os, fisherqp, numpy as np\n"
-            "from fisherqp.grid import _lapack\n"
-            "_lapack(('pttrf',), np.float64)\n"
+            "from fisherqp.grid import _bind\n"
+            "_bind('dpttrf', np.ones(3), np.ones(2))()\n"
             "print(len(os.listdir('/proc/self/task')))")
     out = subprocess.run([sys.executable, "-c", code], env=child_env(),
                          capture_output=True, text=True, check=True)
@@ -386,22 +439,26 @@ def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 def test_meta_records_versions_thread_variables_and_stage_times(tmp_path):
-    # verify-identities solves nothing, so it loads no scipy to name
-    # an explicit OPENBLAS_NUM_THREADS=1 reads as the caller's, not the default
+    # verify-identities solves nothing, so it names no LAPACK; a sweep
+    # names the one it solved with.  An explicit OPENBLAS_NUM_THREADS=1
+    # reads as the caller's, not the default
     runs = [("verify-identities", {"grid": SMALL_GRID, "density": {"kind": "gaussian"}},
              {}, None, ("1", None, None), True),
             ("verify-identities", {"grid": SMALL_GRID, "density": {"kind": "gaussian"}},
              {"OPENBLAS_NUM_THREADS": "1"}, None, ("1", None, None), False),
-            ("sweep", SOLVING_RUNS["sweep"], {"OMP_NUM_THREADS": "2"}, scipy.__version__,
+            ("sweep", SOLVING_RUNS["sweep"], {"OMP_NUM_THREADS": "2"}, expected_lapack(),
              (None, None, "2"), False)]
-    for i, (command, payload, threads, scipy_version, seen, defaulted) in enumerate(runs):
+    for i, (command, payload, threads, lapack, seen, defaulted) in enumerate(runs):
         inp = write_json(tmp_path / f"{command}.json", payload)
         out = tmp_path / f"{command}-{i}"
         run_cli(command, inp, out, child_env(**threads))
         meta = json.loads((out / "meta.json").read_text())
         assert meta["fisherqp_version"] == fisherqp.__version__
         assert meta["numpy_version"] == np.__version__
-        assert meta["scipy_version"] == scipy_version, command
+        assert sorted(meta) == ["blas_thread_env", "blas_threads_defaulted",
+                                "fisherqp_version", "generated_at", "lapack",
+                                "numpy_version", "stage_s"]
+        assert meta["lapack"] == lapack, command
         assert meta["blas_thread_env"] == dict(zip(THREAD_VARS, seen)), command
         assert meta["blas_threads_defaulted"] is defaulted, threads
         assert sorted(meta["stage_s"]) == ["parse", "suite"]

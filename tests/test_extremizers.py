@@ -312,6 +312,25 @@ def test_workspace_solve_allocates_no_array_of_n():
     assert peak - held < 8 * g.n
 
 
+def test_epi_solve_releases_its_workspace_before_copying_results_out():
+    # a lone solve's traced rise is its workspace, about 12 arrays of n
+    # (see test_sweep_memory_holds_one_solve_at_a_time); the copies into
+    # EPIResult (p_I, psi, U) come after the workspace's operator,
+    # factors, iterate and start are gone, so they add nothing to the peak
+    g = Grid(-12.0, 12.0, 16385)
+    spec = ConstraintSpec(A_fields=[x_squared(g)], multipliers=[-1.0])
+    epi_solve(spec, g)  # loads the solver before anything is traced
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        result = epi_solve(spec, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.eigenvalue > 0.0
+    assert peak - held <= 12.5 * 8 * g.n
+
+
 def test_epi_refuses_single_interior_point():
     g = Grid(-1.0, 1.0, 3)
     with pytest.raises(ValueError, match="interior"):

@@ -16,6 +16,7 @@ from fisherqp import Grid
 from fisherqp.grid import (
     REDUCTION_FLOOR,
     ScalarField,
+    _bind,
     _lapack,
     _load_flapack,
     _odd_even_levels,
@@ -358,39 +359,171 @@ def test_complex_step_matches_copy_fold_solve_subtract(m, dt, potential):
             before = after.copy()
 
 
-def small_tridiagonal_solve(names, dtype, routines):
-    """Factor and solve a small well-conditioned tridiagonal system with
-    the ``(factor, solve)`` pair ``routines``; returns every output array."""
-    n = 7
-    diag = np.linspace(3.0, 4.0, n)
-    off = np.full(n - 1, 1.0, dtype=dtype)
-    rhs = np.arange(1.0, n + 1.0).astype(dtype)
-    if np.dtype(dtype).kind == "c":
-        off *= 0.6 + 0.8j
-        rhs *= 1.0 - 0.5j
-    factor, solve = routines
-    # Hermitian: ?pttrf takes the real diagonal and the superdiagonal
+def spd_system(m, seed):
+    """A seeded random symmetric positive definite tridiagonal of m rows
+    (diagonally dominant) and a right-hand side."""
+    rng = np.random.default_rng(seed)
+    off = rng.normal(size=m - 1)
+    diag = 2.5 + rng.random(m)
+    return diag, off, rng.normal(size=m)
+
+
+def complex_symmetric_system(m, seed):
+    """A seeded random complex symmetric tridiagonal of m rows and a
+    right-hand side; its diagonal is small next to its couplings, so
+    ?gttrf interchanges rows."""
+    rng = np.random.default_rng(seed)
+    off = rng.normal(size=m - 1) + 1j * rng.normal(size=m - 1)
+    diag = 0.3 * (rng.normal(size=m) + 1j * rng.normal(size=m))
+    return diag, off, rng.normal(size=m) + 1j * rng.normal(size=m)
+
+
+def ours_and_scipys(names, diag, off, rhs):
+    """Factor and solve (diag, off) with the bound routines and with
+    scipy's; returns both lists of (info, every output array).  scipy's
+    ?pt wrappers refuse an empty off-diagonal, so a one-unknown system
+    hands them a one-entry one, which LAPACK does not read."""
+    factor, solve = get_lapack_funcs(names, (diag,))
     if names == ("pttrf", "pttrs"):
-        *factors, info = factor(diag, off)
+        d, e, info = factor(diag, off if len(off) else np.zeros(1))
+        x, solved = solve(d, e, rhs) if info == 0 else (None, None)
+        theirs = [info, d, e[: len(off)], solved, x]
+        d, e, b = diag.copy(), off.copy(), rhs.copy()
+        info = _bind("dpttrf", d, e)()
+        ours = [info, d, e, *((_bind("dpttrs", d, e, b)(), b) if info == 0 else (None, None))]
     else:
-        *factors, info = factor(np.conj(off), diag.astype(dtype), off)
-    assert info == 0
-    x, info = solve(*factors, rhs)
-    assert info == 0
-    dense = np.diag(diag.astype(dtype)) + np.diag(off, 1) + np.diag(np.conj(off), -1)
-    assert np.max(np.abs(dense @ x - rhs)) <= 1e-13 * np.max(np.abs(rhs))
-    return [*factors, x]
+        *factors, info = factor(off, diag, off)
+        x, solved = solve(*factors, rhs) if info == 0 else (None, None)
+        theirs = [info, *factors[:4], factors[4].astype(np.int64), solved, x]
+        m = len(diag)
+        factors = [off.copy(), diag.copy(), off.copy(), np.zeros(max(m - 2, 0), complex),
+                   np.zeros(m, np.int64)]
+        b = rhs.copy()
+        info = _bind("zgttrf", *factors)()
+        ours = [info, *factors, *((_bind("zgttrs", *factors, b)(), b) if info == 0
+                                  else (None, None))]
+    return ours, theirs
+
+
+def assert_same_bits(ours, theirs):
+    for a, b in zip(ours, theirs, strict=True):
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        else:
+            assert a == b
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 4097])
+def test_bound_routines_equal_scipys_to_the_bit(m):
+    # seeded random systems, and each made to fail: an SPD matrix shifted
+    # to be indefinite (?pttrf stops at a pivot), a complex symmetric one
+    # with a zero row (?gttrf finds it singular); scipy's ?gt wrappers size
+    # no system of fewer than 3 unknowns (a dense solve checks those below)
+    for seed in range(5):
+        diag, off, rhs = spd_system(m, seed)
+        assert_same_bits(*ours_and_scipys(("pttrf", "pttrs"), diag, off, rhs))
+        shifted = diag.copy()
+        shifted[m // 2] = -1.0
+        ours, theirs = ours_and_scipys(("pttrf", "pttrs"), shifted, off, rhs)
+        assert ours[0] == theirs[0] > 0
+        assert_same_bits(ours, theirs)
+        if m < 3:
+            continue
+
+        diag, off, rhs = complex_symmetric_system(m, seed)
+        assert_same_bits(*ours_and_scipys(("gttrf", "gttrs"), diag, off, rhs))
+        singular, cut = diag.copy(), off.copy()
+        singular[m // 2] = 0.0
+        cut[m // 2 - 1 : m // 2 + 1] = 0.0
+        ours, theirs = ours_and_scipys(("gttrf", "gttrs"), singular, cut, rhs)
+        assert ours[0] == theirs[0] > 0
+        assert_same_bits(ours, theirs)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_bound_gt_routines_solve_systems_of_one_and_two_unknowns(m):
+    # a dense solve of the same system agrees to rounding, and a zero
+    # matrix is singular at its first row
+    if fisherqp.grid._numpy_openblas() is None:
+        pytest.skip("scipy's ?gttrf wrapper sizes no system this small")
+    diag, off, rhs = complex_symmetric_system(m, 7)
+    factors = [off.copy(), diag.copy(), off.copy(), np.zeros(0, complex), np.zeros(m, np.int64)]
+    b = rhs.copy()
+    assert _bind("zgttrf", *factors)() == 0 and _bind("zgttrs", *factors, b)() == 0
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    assert np.allclose(dense @ b, rhs, rtol=1e-13, atol=1e-13)
+    assert _bind("zgttrf", np.zeros(m - 1, complex), np.zeros(m, complex),
+                 np.zeros(m - 1, complex), np.zeros(0, complex), np.zeros(m, np.int64))() == 1
+
+
+def bad_arrays():
+    """(routine, arrays, the argument binding must refuse)."""
+    d, e = np.ones(8), np.ones(7)
+    z, zo = np.ones(8, complex), np.ones(7, complex)
+    pivots = np.zeros(8, np.int64)
+    return [
+        ("dpttrf", (np.ones(16)[::2], e), "d"),                 # not contiguous
+        ("dpttrf", (d.astype(np.float32), e), "d"),             # wrong dtype
+        ("dpttrf", (d, np.ones(6)), "e"),                       # shorter than n - 1
+        ("dpttrs", (d, e, np.ones(7)), "b"),                    # shorter than n
+        ("dpttrs", (d, e, np.ones((8, 1))), "b"),               # not 1-D
+        ("dpttrs", (d, e, np.ones(8, complex)), "b"),           # complex right-hand side
+        ("zgttrf", (zo, z, zo, np.ones(5, complex), pivots), "du2"),
+        ("zgttrf", (zo, z, zo, np.ones(6, complex), pivots.astype(np.int32)), "ipiv"),
+        ("zgttrs", (zo, d, zo, np.ones(6, complex), pivots, z), "d"),
+        ("zgttrs", (zo, z, zo, np.ones(6, complex), pivots, np.ones(24, complex)[::3]), "b"),
+        ("zgttrs", (zo, z, zo, np.ones(6, complex), pivots,
+                    np.frombuffer(np.ones(8, complex).tobytes(), complex)), "b"),  # read-only
+    ]
+
+
+@pytest.mark.parametrize("routine, arrays, name", bad_arrays(),
+                         ids=[f"{r}-{i}" for i, (r, _, _) in enumerate(bad_arrays())])
+def test_binding_refuses_arrays_lapack_could_overrun(routine, arrays, name):
+    with pytest.raises(ValueError, match=f"^{routine}: {name} must be"):
+        _bind(routine, *arrays)
+
+
+def test_binding_refuses_an_empty_system_and_a_wrong_argument_count():
+    with pytest.raises(ValueError, match="no unknowns"):
+        _bind("dpttrf", np.ones(0), np.ones(0))
+    with pytest.raises(TypeError, match="takes the arrays d, e, b"):
+        _bind("dpttrs", np.ones(3), np.ones(2))
+
+
+def test_negative_info_raises_naming_the_routine_and_argument(monkeypatch):
+    # an illegal n, which the binding itself never passes: OpenBLAS's
+    # xerbla only prints, and the call raises from info instead
+    lapack = fisherqp.grid._numpy_openblas()
+    if lapack is None:
+        pytest.skip("scipy's wrappers set n from the arrays")
+    monkeypatch.setattr(fisherqp.grid, "_LOADED",
+                        lapack._replace(bind=lambda r, n, arrays: lapack.bind(r, -n, arrays)))
+    with pytest.raises(ValueError, match=r"^dpttrf: LAPACK refused argument 1 \(n\)$"):
+        _bind("dpttrf", np.ones(3), np.ones(2))()
+    z, zo = np.ones(3, complex), np.ones(2, complex)
+    with pytest.raises(ValueError, match=r"^zgttrs: LAPACK refused argument 2 \(n\)$"):
+        _bind("zgttrs", zo, z, zo, np.ones(1, complex), np.ones(3, np.int64), z)()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 @pytest.mark.parametrize("names", [("pttrf", "pttrs"), ("gttrf", "gttrs")])
 def test_lapack_returns_scipys_routines(names, dtype):
-    ours = _lapack(names, dtype)
-    theirs = get_lapack_funcs(names, (np.zeros(1, dtype=dtype),))
-    assert all(a is b for a, b in zip(ours, theirs, strict=True))
-    for a, b in zip(small_tridiagonal_solve(names, dtype, ours),
-                    small_tridiagonal_solve(names, dtype, theirs), strict=True):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    # the package binds ?pt routines for float64 data (symmetric positive
+    # definite) and ?gt routines for complex128 data (complex symmetric):
+    # on those, the bound pair computes what scipy's pair computes, to the
+    # bit; the other two pairings are refused at binding
+    prefix = "d" if names[0] == "pttrf" else "z"
+    arrays = [np.ones(4, dtype), np.ones(3, dtype)]
+    if prefix == "z":
+        arrays = [arrays[1], arrays[0], arrays[1].copy(), np.ones(2, dtype),
+                  np.zeros(4, np.int64)]
+    if np.dtype(dtype) != fisherqp.grid._DTYPES[prefix]:
+        with pytest.raises(ValueError, match="must be a writeable C-contiguous"):
+            _bind(prefix + names[0], *arrays)
+        return
+    system = spd_system if prefix == "d" else complex_symmetric_system
+    assert_same_bits(*ours_and_scipys(names, *system(7, 0)))
 
 
 def test_lapack_falls_back_to_the_package_when_no_extension_file_matches(monkeypatch):
@@ -398,27 +531,43 @@ def test_lapack_falls_back_to_the_package_when_no_extension_file_matches(monkeyp
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
     monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".no-such-suffix"])
     assert _load_flapack() is module
-    (pttrf,) = _lapack(("pttrf",), np.float64)
-    assert pttrf is module.dpttrf
+    # where numpy loaded no OpenBLAS of its own, scipy's extension solves
+    monkeypatch.setattr(fisherqp.grid, "_numpy_openblas", lambda: None)
+    monkeypatch.setattr(fisherqp.grid, "_LOADED", None)
+    assert _lapack().name == f"scipy {scipy.__version__} _flapack"
+    assert fisherqp.grid._lapack_name() == _lapack().name
+    diag, off, rhs = spd_system(9, 0)
+    assert_same_bits(*ours_and_scipys(("pttrf", "pttrs"), diag, off, rhs))
+    diag, off, rhs = complex_symmetric_system(9, 0)
+    assert_same_bits(*ours_and_scipys(("gttrf", "gttrs"), diag, off, rhs))
+    # one unknown: the wrappers get a stand-in off-diagonal; ?gt refuses
+    d, b = np.array([4.0]), np.array([2.0])
+    assert _bind("dpttrf", d, np.zeros(0))() == 0 and _bind("dpttrs", d, np.zeros(0), b)() == 0
+    assert b.tolist() == [0.5]
+    with pytest.raises(ValueError, match="needs at least 3 unknowns, got 2"):
+        _bind("zgttrf", np.ones(1, complex), np.ones(2, complex), np.ones(1, complex),
+              np.zeros(0, complex), np.zeros(2, np.int64))
 
 
 def test_lapack_loads_the_extension_without_the_scipy_linalg_package():
-    # in a fresh process: the seam loads scipy.linalg._flapack alone, and a
-    # later import of scipy.linalg hands out the very same routines
+    # in a fresh process: the fallback loads scipy.linalg._flapack alone,
+    # and a later import of scipy.linalg hands out the very same routines
     code = """if True:
         import sys
         import numpy as np
-        from fisherqp.grid import _lapack
-        ours = {(n, d): _lapack((n,), d)[0] for n in ("pttrf", "pttrs", "gttrf", "gttrs")
-                for d in (np.float64, np.complex128)}
+        from fisherqp.grid import _FLAPACK, _scipy_flapack
+        print(_scipy_flapack().name.startswith("scipy "))
         print("scipy.linalg" in sys.modules, "scipy.linalg._flapack" in sys.modules)
+        flapack = sys.modules[_FLAPACK]
         from scipy.linalg.lapack import get_lapack_funcs
-        print(all(f is get_lapack_funcs((n,), (np.zeros(1, dtype=d),))[0]
-                  for (n, d), f in ours.items()))
+        print(all(get_lapack_funcs((n,), (np.zeros(1, dtype=d),))[0]
+                  is getattr(flapack, p + n)
+                  for n in ("pttrf", "pttrs", "gttrf", "gttrs")
+                  for p, d in (("d", np.float64), ("z", np.complex128))))
     """
     src = str(Path(fisherqp.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.split() == ["False", "True", "True"]
+    assert out.stdout.split() == ["True", "False", "True", "True"]
