@@ -342,9 +342,8 @@ def _constraints_from_input(payload, grid) -> ConstraintSpec:
 @_parses("epi")
 def _parse_epi(payload) -> dict:
     grid = _grid_from_input(payload)
-    constants = _constants_from_input(payload)
-    return {"spec": _constraints_from_input(payload, grid), "grid": grid,
-            "constants": constants}
+    _constants_from_input(payload)  # no epi check reads them, but stated ones are validated
+    return {"spec": _constraints_from_input(payload, grid), "grid": grid}
 
 
 @_parses("maxent")

@@ -1,7 +1,7 @@
 """Static functionals and pointwise fields: Fisher information, entropy,
-the quantum potential in four equivalent forms, the momentum-fluctuation
-field and osmotic fields.  The identity checks built from them live in
-``suites``.
+the quantum potential in four forms (three numerical routes), the
+momentum-fluctuation field and osmotic fields.  The identity checks
+built from them live in ``suites``.
 
 Sign conventions
 ----------------
@@ -14,11 +14,11 @@ for N(0, sigma^2)) and satisfies
 
     integral(P * Q) = +(hbar^2 / 8m) * FI,      FI = integral((P')^2 / P).
 
-The three rewritings (gradient, fluctuation, osmotic) are implemented so
-that they agree with this definition, and ``qp-four-forms`` checks them
-against it.  The relation of integral(P Q) to FI also circulates with
-the opposite sign; ``verify-identities`` gives the measured ratio against
-that variant in the note of ``mean-QP-equals-FI`` (see ``suites``).
+The gradient and fluctuation rewritings agree with this definition and
+``qp-four-forms`` checks them; the osmotic one is the fluctuation one
+rescaled (``quantum_potential``).  integral(P Q) = -(hbar^2/8m) FI also
+circulates; ``verify-identities`` gives the measured ratio against it in
+the note of ``mean-QP-equals-FI`` (see ``suites``).
 
 The fluctuation convention is the real one, delta_p = -(hbar/2) P'/P;
 its mean vanishes for decayed densities and its second moment equals
@@ -103,10 +103,13 @@ def quantum_potential(
 ) -> ScalarField:
     """Quantum potential of a density, zero off the support mask.
 
-    All four forms agree pointwise in the density-weighted sup norm to
-    within finite-difference truncation error; they are genuinely
-    distinct numerical routes (different stencil compositions), which is
-    what makes the four-way comparison a meaningful consistency check.
+    SQRT, GRAD and FLUCT are distinct numerical routes (different stencil
+    compositions) that agree pointwise in the density-weighted sup norm to
+    within truncation error.  OSMOTIC is FLUCT rescaled: with w = P'/P and
+    u = -(hbar/2m) w, (hbar/2) u' - (m/2) u^2 = -(hbar^2/4m) [w' + w^2/2],
+    and the stencil of u' is that of w' times -(hbar/2m).  So it equals
+    FLUCT bit for bit at hbar = m = 1 and to within about 5e-16 max|Q|
+    otherwise: it is no route of its own.
     """
     p = density.values
     mask = density.support_mask

@@ -53,8 +53,6 @@ CHECKS: tuple[CheckDef, ...] = (
     CheckDef("riccati", "eq5G", "v' + v^2 + G/4 = 0 for v = (log psi)'", 1e-3),
     CheckDef("fisher-euler", "eq5.11", "dI/dlambda = lambda d<A>/dlambda along sweeps", 1e-2),
     CheckDef("legendre-relations", "eq5.14", "Legendre transform relations along sweeps", 2e-2),
-    CheckDef("epi-mean-QP-equals-FI", "eq2.4",
-             "integral(p_I Q) = (hbar^2/8m) FI on eigensolver output", 1e-5),
     CheckDef("gibbs-qp-formula", "eq5.23", "Q of a Gibbs density via energy derivatives", 1e-6),
     CheckDef("gibbs-fisher-formula", "eq5.24", "FI of a Gibbs density via <(E')^2>", 1e-6),
 )

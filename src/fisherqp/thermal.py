@@ -19,10 +19,12 @@ Conventions
   and not checked: on a coupled pair both sides are one expression
   rearranged, so no discretization could make them disagree.  They are
   log P = -beta Q_heat + log c_hat (affine in -beta Q_heat with unit
-  slope), and the kinetic excess
+  slope), the kinetic excess
 
-      delta_E_kin = (hbar^2/8m) (grad P / P)^2 = (1/8 m omega^2) (grad Q_heat)^2.
+      delta_E_kin = (hbar^2/8m) (grad P / P)^2 = (1/8 m omega^2) (grad Q_heat)^2,
 
+  and grad(P)/P = -beta grad(Q_heat), whose deviation is 2/hbar times
+  that of grad(delta_S) = delta_p, the link ``fluctuation-chain`` compares.
   ``coupled_grad_heat`` evaluates grad Q_heat through the coupled
   density, -(1/alpha) grad(P)/P, for the thermal Fisher route B, whose
   note reports the raw field-gradient route A beside it.

@@ -136,6 +136,26 @@ def test_epi_command(tmp_path):
     assert (out / "p_I.csv").exists() and (out / "psi.csv").exists()
 
 
+def test_epi_reports_each_comparison_once(tmp_path):
+    # integral(p_I Q) against (hbar^2/8m) FI is epi-ground-state scaled
+    # (epi_suite), so it is not reported; at n = 1025 its 1e-5 tolerance
+    # failed runs that epi-ground-state passes at 1e-4
+    codes = {}
+    for lam in (-1.0, -0.5):
+        inp = write_json(tmp_path / "in.json", {
+            "grid": {"xmin": -8.0, "xmax": 8.0, "n": 1025},
+            "constraints": [{"kind": "monomial", "power": 2, "lambda": lam}],
+        })
+        out = tmp_path / f"out{lam}"
+        codes[lam] = main(["epi", "--input", inp, "--out", str(out)])
+        byname = {c["name"]: c for c in read_report(out)["checks"]}
+        assert list(byname) == ["epi-ground-state", "epi-stationarity", "riccati"]
+        assert byname["epi-ground-state"]["pass"] and byname["riccati"]["pass"]
+    # at lambda = -0.5 the dropped record (1.08e-5) alone failed the run;
+    # at lambda = -1 epi-stationarity fails too (1.8e-4 against 1e-4)
+    assert codes[-0.5] == 0
+
+
 def test_lapack_failure_exits_3_with_report(tmp_path, monkeypatch):
     # LinAlgError subclasses ValueError but is a numerical failure, not a
     # malformed input

@@ -16,6 +16,7 @@ from fisherqp import (
     thermalized_qp,
     vanishing_qp_residual,
 )
+from fisherqp.cli import COMMANDS
 from fisherqp.grid import (ScalarField, derivative_values, quadrature_values,
                            second_derivative_values)
 from fisherqp.suites import identities_suite, thermal_suite
@@ -309,6 +310,23 @@ def test_coherence_suite_all_pass():
         "thermalized-qp-vanishes",
         "thermal-fisher-route-b",
     ]
+
+
+def test_fluctuation_chain_reads_the_same_in_any_unit_of_hbar():
+    # one density and heat field, hbar*omega = k*T = 1 in two units of
+    # hbar: grad(delta_S) against delta_p over max|delta_p| is
+    # dimensionless, so the record reads the same and passes in both
+    parse, suite = COMMANDS["thermal"]
+    readings = []
+    for hbar, omega in ((1.0, 1.0), (0.5, 2.0)):
+        payload = {"grid": {"xmin": -8.0, "xmax": 8.0, "n": 4097},
+                   "heat": {"kind": "quadratic", "coeff": 0.5},
+                   "t_final": 0.002, "dt": 0.001,
+                   "constants": {"hbar": hbar, "omega": omega}}
+        chain = checks_by_name(suite(**parse(payload)))["fluctuation-chain"]
+        assert chain.passed
+        readings.append(chain.lhs)
+    assert readings[1] == pytest.approx(readings[0], rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
