@@ -21,8 +21,9 @@ BLAS threads: no routine the package calls is threaded by OpenBLAS (the
 tridiagonal LAPACK solvers and numpy's elementwise ufuncs run on one
 thread), yet OpenBLAS starts a pool of worker threads when it loads
 with numpy.  The solvers run on that same OpenBLAS (``grid._lapack``);
-only where numpy ships none does the first solve load scipy's LAPACK
-extension, and with it a second OpenBLAS and a second pool.  So
+only where numpy ships none does the first solve load scipy's
+``cython_lapack`` extension, and with it a second OpenBLAS and a second
+pool.  So
 importing the package sets ``OPENBLAS_NUM_THREADS=1`` before numpy
 loads, unless one of the variables OpenBLAS reads (``_THREAD_VARS``)
 already names a thread count: set any of them to choose another.  The

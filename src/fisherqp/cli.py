@@ -30,7 +30,7 @@ rhs, abs_err, rel_err, tol, note and pass.  Reports are
 byte-deterministic; what varies from run to run goes to ``meta.json``:
 the timestamp, the numpy version, the LAPACK that did the solves
 (``lapack``: numpy's OpenBLAS file and its build configuration, or
-``scipy <version> _flapack`` where numpy ships none; null when the run
+``scipy <version> cython_lapack`` where numpy ships none; null when the run
 solved nothing), the OpenBLAS thread variables as the run saw them, whether
 the package set them (``blas_threads_defaulted``: none was set when it
 was imported) and the wall time of the parse and suite stages

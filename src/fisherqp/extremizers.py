@@ -50,8 +50,8 @@ each of its two factor slots, and each slot's solve on the iterate, once.
 The log-derivative substitution v = (log psi)' turns the stationarity
 condition into the Riccati form v' + v^2 + G/4 = 0 with
 G = alpha_norm + sum_i lambda_i A_i; ``riccati_check`` measures that
-residual in the density-weighted sup norm.  The identity checks built on
-these solutions live in ``suites``.
+residual in the density-weighted sup norm, relative to that of G/4.  The
+identity checks built on these solutions live in ``suites``.
 """
 
 from __future__ import annotations
@@ -414,7 +414,10 @@ def epi_solve(spec: ConstraintSpec, grid: Grid) -> EPIResult:
 def stationarity_residual(result: EPIResult) -> float:
     """Density-weighted sup norm of the Euler-Lagrange residual
 
-        (p'/p)^2 + (2 p'/p)' + alpha_norm + sum_i lambda_i A_i
+        (p'/p)^2 + (2 p'/p)' + G,     G = alpha_norm + sum_i lambda_i A_i,
+
+    over the density-weighted sup norm of G.  Each term is in 1/length^2,
+    so the ratio reads the same for a problem at every length scale.
     """
     d = result.p_I
     mask = d.support_mask
@@ -423,11 +426,12 @@ def stationarity_residual(result: EPIResult) -> float:
     dw2 = derivative_values(2.0 * w, dx)
     g = result.alpha_norm + 8.0 * result.effective_potential.values
     r = np.where(mask, w**2 + dw2 + g, 0.0)
-    return weighted_max_dev(r, np.zeros_like(r), d)
+    return weighted_max_dev(r, 0.0, d) / weighted_max_dev(g, 0.0, d)
 
 
 def riccati_check(result: EPIResult) -> float:
-    """Density-weighted masked max of |v' + v^2 + G/4|, v = (log psi)'.
+    """Density-weighted masked max of |v' + v^2 + G/4|, v = (log psi)',
+    over that of |G/4| (see ``stationarity_residual``).
 
     A support of fewer than 3 points raises DegenerateSupport.
     """
@@ -442,6 +446,6 @@ def riccati_check(result: EPIResult) -> float:
     v[block] = derivative_values(log_psi, dx)
     dv = np.zeros_like(psi)
     dv[block] = derivative_values(v[block], dx)
-    g = result.alpha_norm + 8.0 * result.effective_potential.values
-    return weighted_max_dev(dv + v**2 + g / 4.0, 0.0, d)
+    g = (result.alpha_norm + 8.0 * result.effective_potential.values) / 4.0
+    return weighted_max_dev(dv + v**2 + g, 0.0, d) / weighted_max_dev(g, 0.0, d)
 

@@ -13,12 +13,12 @@ step by step through two work buffers.
 
 The steppers and the EPI eigensolver solve with four LAPACK routines
 (``?pttrf``, ``?pttrs``, ``?gttrf``, ``?gttrs``), each bound once to the
-arrays it works in (``_bind``).  They run on the OpenBLAS that numpy has
-already loaded, called through ctypes (``_numpy_openblas``), so a run
-maps no second OpenBLAS and imports no scipy.  Only where numpy ships no
-such library do they come from scipy's compiled ``_flapack`` extension
-(``_scipy_flapack``), loaded without the ``scipy.linalg`` package, whose
-``__init__`` costs ~0.3 s per process.
+arrays it works in (``_bind``) and called through ctypes.  They run on
+the OpenBLAS that numpy has already loaded (``_numpy_openblas``), so a
+run maps no second OpenBLAS and imports no scipy.  Only where numpy
+ships no such library do they come from scipy's ``cython_lapack``
+(``_scipy_lapack``), called the same way and loaded without the
+``scipy.linalg`` package, whose ``__init__`` costs ~0.3 s per process.
 
 Fields are immutable after construction and all operations on them are
 pure, so values can be shared freely across threads.  A complex flow from
@@ -224,15 +224,18 @@ def _bind(routine: str, *arrays: np.ndarray) -> Callable[[], int]:
     its array arguments in LAPACK's order, for one right-hand side:
     returns ``call()``, which runs the routine on them in place and
     returns its ``info`` (0, or the k > 0 at which a factorization fails).
-    Binding once saves building the pointers on every call.
 
     Binding checks each array: it must be a writeable, C-contiguous 1-D
     array of the routine's dtype (float64 for ``d``, complex128 for ``z``,
-    int64 pivots) and at least as long as the routine reads, else
-    ValueError, so a misuse raises instead of letting LAPACK read or write
-    past an array.  A call whose ``info`` is negative (LAPACK refused an
-    argument) raises ValueError naming the routine and the argument.
+    pivots of the library's integer) and at least as long as the routine
+    reads, else ValueError, so a misuse raises instead of letting LAPACK
+    read or write past an array.  It then builds the argument tuple once,
+    every argument by reference as Fortran takes it, and keeps a reference
+    to each array it points into.  A call whose ``info`` is negative
+    (LAPACK refused an argument) raises ValueError naming the routine and
+    the argument.
     """
+    lapack = _lapack()
     names = [name for name in _ROUTINES[routine] if name not in _SCALARS]
     if len(arrays) != len(names):
         raise TypeError(f"{routine} takes the arrays {', '.join(names)}")
@@ -240,32 +243,46 @@ def _bind(routine: str, *arrays: np.ndarray) -> Callable[[], int]:
     if n < 1:
         raise ValueError(f"{routine}: the system has no unknowns")
     for name, a in zip(names, arrays):
-        dtype = np.dtype(np.int64) if name == "ipiv" else _DTYPES[routine[0]]
+        dtype = np.dtype(lapack.integer) if name == "ipiv" else _DTYPES[routine[0]]
         need = max(n - _SHORT.get(name, 0), 0)
         if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == 1
                 and a.flags.c_contiguous and a.flags.writeable and len(a) >= need):
             raise ValueError(f"{routine}: {name} must be a writeable C-contiguous 1-D "
                              f"{dtype} array of at least {need} entries")
-    run = _lapack().bind(routine, n, dict(zip(names, arrays)))
+    info = lapack.integer()
+    scalars = {"trans": ctypes.c_char(b"N"), "n": lapack.integer(n),
+               "nrhs": lapack.integer(1), "ldb": lapack.integer(n), "info": info}
+    given = dict(zip(names, arrays))
+    args = [ctypes.byref(scalars[name]) if name in scalars
+            else ctypes.c_void_p(given[name].ctypes.data) for name in _ROUTINES[routine]]
+    if lapack.hidden_length and "trans" in _ROUTINES[routine]:
+        args.append(ctypes.c_size_t(1))
+    fn, args = lapack.routines[routine], tuple(args)
 
     def call() -> int:
-        info = run()
-        if info < 0:
-            raise ValueError(f"{routine}: LAPACK refused argument {-info} "
-                             f"({_ROUTINES[routine][-info - 1]})")
-        return info
+        fn(*args)
+        value = info.value
+        if value < 0:
+            raise ValueError(f"{routine}: LAPACK refused argument {-value} "
+                             f"({_ROUTINES[routine][-value - 1]})")
+        return value
 
+    call.arrays = arrays
     return call
 
 
 class _Lapack(NamedTuple):
-    """A loaded LAPACK: its ``name`` as ``meta.json`` records it, and
-    ``bind(routine, n, arrays)``, which binds ``routine`` to the checked
-    ``arrays`` (a dict by argument name) of a system of n unknowns and
-    returns a call that runs it and returns ``info``."""
+    """A loaded LAPACK: its ``name`` as ``meta.json`` records it, its four
+    ``routines`` as ctypes functions with no ``argtypes`` (argtypes would
+    convert every argument again on each call: measured 0.45 -> 1.34 us a
+    ``?pttrs`` call on a 2-vCPU host), the C ``integer`` type they take,
+    and whether ``?gttrs`` takes gfortran's ``hidden_length`` of its
+    ``trans`` string."""
 
     name: str
-    bind: Callable[[str, int, dict[str, np.ndarray]], Callable[[], int]]
+    routines: dict[str, Callable]
+    integer: type
+    hidden_length: bool
 
 
 _LOADED: _Lapack | None = None
@@ -274,11 +291,10 @@ _LOADED: _Lapack | None = None
 def _lapack() -> _Lapack:
     """The LAPACK every solve of the process runs on, loaded on first use:
     numpy's own OpenBLAS where numpy loaded one that exports the routines
-    (``_numpy_openblas``), else scipy's ``_flapack`` extension
-    (``_scipy_flapack``)."""
+    (``_numpy_openblas``), else scipy's (``_scipy_lapack``)."""
     global _LOADED
     if _LOADED is None:
-        _LOADED = _numpy_openblas() or _scipy_flapack()
+        _LOADED = _numpy_openblas() or _scipy_lapack()
     return _LOADED
 
 
@@ -292,9 +308,10 @@ def _numpy_openblas() -> _Lapack | None:
     """The OpenBLAS that numpy's wheel ships and numpy has loaded: a
     ``libscipy_openblas64_`` file in ``numpy.libs`` (Linux) or
     ``numpy/.dylibs`` (macOS), with 64-bit integers and its LAPACK symbols
-    named ``scipy_<routine>_64_``.  ``RTLD_NOLOAD`` opens only a library
-    the process has already mapped, so this never maps a file numpy did
-    not load.  None where there is no such library or it lacks a routine.
+    named ``scipy_<routine>_64_``, Fortran symbols that take hidden string
+    lengths.  ``RTLD_NOLOAD`` opens only a library the process has already
+    mapped, so this never maps a file numpy did not load.  None where
+    there is no such library or it lacks a routine.
     """
     if not hasattr(os, "RTLD_NOLOAD"):
         return None
@@ -314,117 +331,58 @@ def _numpy_openblas() -> _Lapack | None:
                 config = lib.scipy_openblas_get_config64_
             except (OSError, AttributeError):
                 continue
-            # no argtypes: ``_bind_openblas`` builds every argument as a
-            # ctypes object of the type LAPACK takes, and argtypes would
-            # convert each one again on every call (measured 0.45 -> 1.34
-            # us a ?pttrs call on a 2-vCPU host)
             for fn in routines.values():
                 fn.restype = None
             config.restype = ctypes.c_char_p
-            return _Lapack(f"{file} ({config().decode()})",
-                           partial(_bind_openblas, routines))
+            return _Lapack(f"{file} ({config().decode()})", routines, ctypes.c_int64, True)
     return None
 
 
-def _bind_openblas(routines: dict, routine: str, n: int,
-                   arrays: dict[str, np.ndarray]) -> Callable[[], int]:
-    """``_Lapack.bind`` through ctypes: every argument goes by reference,
-    as Fortran takes it, and ``?gttrs`` gets gfortran's hidden length of
-    its ``trans`` string last.  The argument tuple is built here, once;
-    it holds pointers into ``arrays``, so the call keeps a reference to
-    each of them."""
-    fn = routines[routine]
-    info = ctypes.c_int64()
-    scalars = {"trans": ctypes.c_char(b"N"), "n": ctypes.c_int64(n),
-               "nrhs": ctypes.c_int64(1), "ldb": ctypes.c_int64(n), "info": info}
-    args = [ctypes.byref(scalars[name]) if name in scalars
-            else ctypes.c_void_p(arrays[name].ctypes.data) for name in _ROUTINES[routine]]
-    if "trans" in _ROUTINES[routine]:
-        args.append(ctypes.c_size_t(1))
-    args = tuple(args)
-
-    def call() -> int:
-        fn(*args)
-        return info.value
-
-    call.arrays = arrays
-    return call
+_CYTHON_LAPACK = "scipy.linalg.cython_lapack"
 
 
-_FLAPACK = "scipy.linalg._flapack"
-# each f2py wrapper's array arguments, and the arrays it returns
-_F2PY = {
-    "dpttrf": (("d", "e"), ("d", "e")),
-    "dpttrs": (("d", "e", "b"), ("b",)),
-    "zgttrf": (("dl", "d", "du"), ("dl", "d", "du", "du2", "ipiv")),
-    "zgttrs": (("dl", "d", "du", "du2", "ipiv", "b"), ("b",)),
-}
+def _scipy_lapack() -> _Lapack:
+    """scipy's LAPACK, on scipy's own OpenBLAS: the C function pointers
+    that ``scipy.linalg.cython_lapack`` exports to Cython, one capsule per
+    routine in its ``__pyx_capi__``, which take C ints (32-bit) and no
+    hidden string length.  The module is the one ``sys.modules`` holds
+    once anything loaded it, else ``_load_cython_lapack``."""
+    capsules = (sys.modules.get(_CYTHON_LAPACK) or _load_cython_lapack()).__pyx_capi__
+    # private prototypes of the C API's capsule accessors: setting restype
+    # or argtypes on ``ctypes.pythonapi``'s shared functions would change
+    # them for every other caller in the process
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    routines = {r: ctypes.CFUNCTYPE(None)(pointer(capsules[r], name(capsules[r])))
+                for r in _ROUTINES}
+    return _Lapack(f"scipy {sys.modules['scipy'].__version__} cython_lapack", routines,
+                   ctypes.c_int32, False)
 
 
-def _scipy_flapack() -> _Lapack:
-    """scipy's compiled ``_flapack`` extension, which runs on scipy's own
-    OpenBLAS: the module ``sys.modules`` holds once anything loaded it,
-    else ``_load_flapack``."""
-    flapack = sys.modules.get(_FLAPACK) or _load_flapack()
-    return _Lapack(f"scipy {sys.modules['scipy'].__version__} _flapack",
-                   partial(_bind_f2py, flapack))
-
-
-def _bind_f2py(flapack, routine: str, n: int,
-               arrays: dict[str, np.ndarray]) -> Callable[[], int]:
-    """``_Lapack.bind`` through scipy's f2py wrappers, called on views of
-    ``arrays`` exactly as long as the routine reads.  A wrapper overwrites
-    a contiguous input in place; what it returns new (``?gttrf``'s du2
-    and 32-bit pivots) is copied into ``arrays``.  The wrappers refuse an
-    empty off-diagonal, so a one-unknown ``?pt`` system gets a one-entry
-    stand-in that LAPACK does not read; ``?gttrf``'s wrapper cannot size a
-    system of fewer than 3 unknowns, so binding a ``?gt`` routine to one
-    raises ValueError.
-    """
-    if routine.startswith("zgt") and n < 3:
-        raise ValueError(f"scipy's {routine} wrapper needs at least 3 unknowns, got {n}")
-    fn = getattr(flapack, routine)
-    views = {}
-    for name, a in arrays.items():
-        view = a[: n - _SHORT.get(name, 0)]
-        views[name] = view if len(view) else np.zeros(1, dtype=a.dtype)
-    takes, gives = _F2PY[routine]
-    inputs = [views[name] for name in takes]
-    targets = [views[name] for name in gives]
-    overwrite = {f"overwrite_{name}": 1 for name in gives if name in takes}
-
-    def call() -> int:
-        *outputs, info = fn(*inputs, **overwrite)
-        for target, out in zip(targets, outputs):
-            if out is not target:
-                np.copyto(target, out)
-        return info
-
-    return call
-
-
-def _load_flapack():
-    """Load ``scipy/linalg/_flapack<suffix>`` as ``scipy.linalg._flapack``
+def _load_cython_lapack():
+    """Load ``scipy/linalg/cython_lapack<suffix>`` as ``_CYTHON_LAPACK``
     without running ``scipy/linalg/__init__``, whose array-API setup pulls
     in ``numpy.f2py``, ``numpy.testing`` and more; ``import scipy`` itself
     is cheap.  The module is registered in ``sys.modules``, so a later
-    ``import scipy.linalg`` reuses it.  Without the file, the public package
-    import gives the same module.
+    import through ``scipy.linalg`` reuses it.  Without the file, the
+    public package import gives the same module.
     """
     import scipy
 
     for root in scipy.__path__:
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            path = os.path.join(root, "linalg", "cython_lapack" + suffix)
             if os.path.isfile(path):
-                spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+                spec = importlib.util.spec_from_file_location(_CYTHON_LAPACK, path)
                 module = importlib.util.module_from_spec(spec)
-                sys.modules[_FLAPACK] = module
+                sys.modules[_CYTHON_LAPACK] = module
                 spec.loader.exec_module(module)
                 return module
-    from scipy.linalg import _flapack
+    from scipy.linalg import cython_lapack
 
-    return _flapack
+    return cython_lapack
 
 
 def _half_solver(diag: np.ndarray, off: float | complex):
@@ -452,7 +410,7 @@ def _half_solver(diag: np.ndarray, off: float | complex):
         m = len(half_diag)
         # (dl, d, du, du2, ipiv), factored in place
         factors = (half_off.copy(), half_diag, half_off,
-                   np.empty(max(m - 2, 0), dtype=half_diag.dtype), np.empty(m, dtype=np.int64))
+                   np.empty(max(m - 2, 0), half_diag.dtype), np.empty(m, _lapack().integer))
         if _bind("zgttrf", *factors)() > 0:
             raise np.linalg.LinAlgError("singular matrix")
         solver = partial(_bind, "zgttrs", *factors)

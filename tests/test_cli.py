@@ -152,8 +152,9 @@ def test_epi_reports_each_comparison_once(tmp_path):
         assert list(byname) == ["epi-ground-state", "epi-stationarity", "riccati"]
         assert byname["epi-ground-state"]["pass"] and byname["riccati"]["pass"]
     # at lambda = -0.5 the dropped record (1.08e-5) alone failed the run;
-    # at lambda = -1 epi-stationarity fails too (1.8e-4 against 1e-4)
-    assert codes[-0.5] == 0
+    # at lambda = -1 epi-stationarity, relative to its G term, reads
+    # 9.2e-5 against 1e-4
+    assert codes == {-1.0: 0, -0.5: 0}
 
 
 def test_lapack_failure_exits_3_with_report(tmp_path, monkeypatch):
@@ -318,16 +319,16 @@ def test_underflowing_grid_spacing_exits_2(tmp_path, capsys, command, payload):
 
 def expected_lapack():
     """The name ``meta.json`` gives the LAPACK a solving run uses here:
-    numpy's own OpenBLAS where numpy loaded one, else scipy's extension."""
+    numpy's own OpenBLAS where numpy loaded one, else scipy's."""
     lapack = fisherqp.grid._numpy_openblas()
-    return lapack.name if lapack else f"scipy {scipy.__version__} _flapack"
+    return lapack.name if lapack else f"scipy {scipy.__version__} cython_lapack"
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
     # importing the CLI loads no scipy.  Where numpy ships its own
     # OpenBLAS, a solving run imports no scipy module at all and, on
     # Linux, maps that one OpenBLAS file and no other; elsewhere it loads
-    # scipy's compiled LAPACK extension alone, not the scipy.linalg package
+    # scipy's cython_lapack extension alone, not the scipy.linalg package
     hook = (
         "import atexit, runpy, sys\n"
         "def report():\n"
@@ -354,7 +355,7 @@ def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
         mapped, modules = loaded("runpy.run_module('fisherqp.cli', run_name='__main__')",
                                  command, "--input", inp, "--out", str(tmp_path / command))
         if numpy_lapack is None:
-            assert "scipy.linalg._flapack" in modules and "scipy.linalg" not in modules
+            assert "scipy.linalg.cython_lapack" in modules and "scipy.linalg" not in modules
         else:
             assert modules == set(), command
             if sys.platform == "linux":
@@ -363,10 +364,10 @@ def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
 
 
 def test_fallback_lapack_writes_the_same_bytes(tmp_path, monkeypatch):
-    # scipy's _flapack, which solves where numpy ships no OpenBLAS of its
-    # own, writes every report, sweep table and psi dump that the default
-    # LAPACK writes, byte for byte: the evolve runs take the complex
-    # step with no odd-even level (257 points) and with one (2049)
+    # scipy's cython_lapack, which solves where numpy ships no OpenBLAS of
+    # its own, writes every report, sweep table and psi dump that the
+    # default LAPACK writes, byte for byte: the evolve runs take the
+    # complex step with no odd-even level (257 points) and with one (2049)
     runs = {"sweep": SOLVING_RUNS["sweep"], "thermal": SOLVING_RUNS["thermal"],
             "evolve": {**SOLVING_RUNS["evolve"], "dump": True},
             "evolve-levels": {**SOLVING_RUNS["evolve"], "dump": True,
@@ -386,7 +387,7 @@ def test_fallback_lapack_writes_the_same_bytes(tmp_path, monkeypatch):
                                           for p in out.rglob("*")
                                           if p.is_file() and p.name != "meta.json"}
             assert meta["lapack"] == (expected_lapack() if lapack == "default"
-                                      else f"scipy {scipy.__version__} _flapack")
+                                      else f"scipy {scipy.__version__} cython_lapack")
     for run in runs:
         assert written["default", run] == written["fallback", run], run
     assert "sweep.csv" in written["default", "sweep"][1]

@@ -121,6 +121,22 @@ def test_epi_riccati_harmonic(grid):
     assert riccati_check(ho_result(grid)) <= 1e-3
 
 
+def test_epi_residuals_read_the_same_at_every_length_scale():
+    # one x^2 problem at three length scales: lambda L^4 is fixed, so the
+    # grids of n = 1025 on [-L, L] sample the same ground state, and each
+    # residual, relative to its own G term, reads the same on all three
+    readings = []
+    for half, lam in ((4.0, -16.0), (8.0, -1.0), (16.0, -1.0 / 16.0)):
+        g = Grid(-half, half, 1025)
+        res = epi_solve(ConstraintSpec(A_fields=[x_squared(g)], multipliers=[lam]), g)
+        readings.append((stationarity_residual(res), riccati_check(res)))
+    (stationarity, riccati), *rest = readings
+    for s, r in rest:
+        assert s == pytest.approx(stationarity, rel=1e-10)
+        assert r == pytest.approx(riccati, rel=1e-7)
+    assert stationarity == pytest.approx(9.1542e-5, rel=1e-4)
+
+
 def test_epi_box_closed_form():
     g = Grid(0.0, 1.0, 8193)
     res = epi_solve(ConstraintSpec(A_fields=[], multipliers=[]), g)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack
+import scipy
 from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import get_lapack_funcs
 from scipy.special import erf
@@ -18,7 +18,7 @@ from fisherqp.grid import (
     ScalarField,
     _bind,
     _lapack,
-    _load_flapack,
+    _load_cython_lapack,
     _odd_even_levels,
     crank_nicolson_flow,
     derivative_values,
@@ -378,31 +378,67 @@ def complex_symmetric_system(m, seed):
     return diag, off, rng.normal(size=m) + 1j * rng.normal(size=m)
 
 
+@pytest.fixture
+def lapack(request, monkeypatch):
+    """The library named by the test's ``lapack`` parameter, set as the one
+    every solve of the test runs on: "numpy" is numpy's own OpenBLAS
+    (skipped where numpy ships none), "scipy" the routines scipy's
+    ``cython_lapack`` exports."""
+    grid = fisherqp.grid
+    loaded = grid._numpy_openblas() if request.param == "numpy" else grid._scipy_lapack()
+    if loaded is None:
+        pytest.skip("numpy ships no OpenBLAS of its own here")
+    monkeypatch.setattr(grid, "_LOADED", loaded)
+    return loaded
+
+
+def on_both_libraries(argname, values, ids=None):
+    """``parametrize`` ``argname`` over ``values`` once on each library of
+    the ``lapack`` fixture: numpy's OpenBLAS, which solves wherever numpy
+    ships one, under the plain ``ids`` (by default the values), and
+    scipy's under ``scipy-`` ones."""
+    ids = ids or [str(v) for v in values]
+    return pytest.mark.parametrize(
+        ("lapack", argname), [("numpy", v) for v in values] + [("scipy", v) for v in values],
+        ids=[*ids, *(f"scipy-{i}" for i in ids)], indirect=["lapack"])
+
+
+def pivot_dtype():
+    """The integer of the library the process solves with."""
+    return np.dtype(_lapack().integer)
+
+
+def ours(names, diag, off, rhs):
+    """(info, every output array) of factoring and solving (diag, off)
+    with the bound routines; no solve where the factorization fails."""
+    if names == ("pttrf", "pttrs"):
+        d, e, b = diag.copy(), off.copy(), rhs.copy()
+        info = _bind("dpttrf", d, e)()
+        return [info, d, e, *((_bind("dpttrs", d, e, b)(), b) if info == 0 else (None, None))]
+    m = len(diag)
+    factors = [off.copy(), diag.copy(), off.copy(), np.zeros(max(m - 2, 0), complex),
+               np.zeros(m, pivot_dtype())]
+    b = rhs.copy()
+    info = _bind("zgttrf", *factors)()
+    return [info, *factors, *((_bind("zgttrs", *factors, b)(), b) if info == 0
+                              else (None, None))]
+
+
 def ours_and_scipys(names, diag, off, rhs):
     """Factor and solve (diag, off) with the bound routines and with
-    scipy's; returns both lists of (info, every output array).  scipy's
-    ?pt wrappers refuse an empty off-diagonal, so a one-unknown system
-    hands them a one-entry one, which LAPACK does not read."""
+    scipy's f2py ones; returns both lists of (info, every output array).
+    scipy's ?pt wrappers refuse an empty off-diagonal, so a one-unknown
+    system hands them a one-entry one, which LAPACK does not read."""
     factor, solve = get_lapack_funcs(names, (diag,))
     if names == ("pttrf", "pttrs"):
         d, e, info = factor(diag, off if len(off) else np.zeros(1))
         x, solved = solve(d, e, rhs) if info == 0 else (None, None)
         theirs = [info, d, e[: len(off)], solved, x]
-        d, e, b = diag.copy(), off.copy(), rhs.copy()
-        info = _bind("dpttrf", d, e)()
-        ours = [info, d, e, *((_bind("dpttrs", d, e, b)(), b) if info == 0 else (None, None))]
     else:
         *factors, info = factor(off, diag, off)
         x, solved = solve(*factors, rhs) if info == 0 else (None, None)
-        theirs = [info, *factors[:4], factors[4].astype(np.int64), solved, x]
-        m = len(diag)
-        factors = [off.copy(), diag.copy(), off.copy(), np.zeros(max(m - 2, 0), complex),
-                   np.zeros(m, np.int64)]
-        b = rhs.copy()
-        info = _bind("zgttrf", *factors)()
-        ours = [info, *factors, *((_bind("zgttrs", *factors, b)(), b) if info == 0
-                                  else (None, None))]
-    return ours, theirs
+        theirs = [info, *factors[:4], factors[4].astype(pivot_dtype()), solved, x]
+    return ours(names, diag, off, rhs), theirs
 
 
 def assert_same_bits(ours, theirs):
@@ -413,54 +449,65 @@ def assert_same_bits(ours, theirs):
             assert a == b
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 4097])
-def test_bound_routines_equal_scipys_to_the_bit(m):
+def assert_solves_densely(diag, off, rhs, x):
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    assert np.allclose(dense @ x, rhs, rtol=1e-13, atol=1e-13)
+
+
+@on_both_libraries("m", [1, 2, 3, 4, 5, 4097])
+def test_bound_routines_equal_scipys_to_the_bit(lapack, m):
     # seeded random systems, and each made to fail: an SPD matrix shifted
     # to be indefinite (?pttrf stops at a pivot), a complex symmetric one
     # with a zero row (?gttrf finds it singular); scipy's ?gt wrappers size
-    # no system of fewer than 3 unknowns (a dense solve checks those below)
+    # no system of fewer than 3 unknowns, so a dense solve checks those
     for seed in range(5):
         diag, off, rhs = spd_system(m, seed)
         assert_same_bits(*ours_and_scipys(("pttrf", "pttrs"), diag, off, rhs))
         shifted = diag.copy()
         shifted[m // 2] = -1.0
-        ours, theirs = ours_and_scipys(("pttrf", "pttrs"), shifted, off, rhs)
-        assert ours[0] == theirs[0] > 0
-        assert_same_bits(ours, theirs)
-        if m < 3:
-            continue
+        mine, theirs = ours_and_scipys(("pttrf", "pttrs"), shifted, off, rhs)
+        assert mine[0] == theirs[0] > 0
+        assert_same_bits(mine, theirs)
 
         diag, off, rhs = complex_symmetric_system(m, seed)
-        assert_same_bits(*ours_and_scipys(("gttrf", "gttrs"), diag, off, rhs))
         singular, cut = diag.copy(), off.copy()
         singular[m // 2] = 0.0
-        cut[m // 2 - 1 : m // 2 + 1] = 0.0
-        ours, theirs = ours_and_scipys(("gttrf", "gttrs"), singular, cut, rhs)
-        assert ours[0] == theirs[0] > 0
-        assert_same_bits(ours, theirs)
+        cut[max(m // 2 - 1, 0) : m // 2 + 1] = 0.0
+        if m < 3:
+            info, *_, solved, x = ours(("gttrf", "gttrs"), diag, off, rhs)
+            assert info == solved == 0
+            assert_solves_densely(diag, off, rhs, x)
+            assert ours(("gttrf", "gttrs"), singular, cut, rhs)[0] == m // 2 + 1
+            continue
+        assert_same_bits(*ours_and_scipys(("gttrf", "gttrs"), diag, off, rhs))
+        mine, theirs = ours_and_scipys(("gttrf", "gttrs"), singular, cut, rhs)
+        assert mine[0] == theirs[0] > 0
+        assert_same_bits(mine, theirs)
 
 
-@pytest.mark.parametrize("m", [1, 2])
-def test_bound_gt_routines_solve_systems_of_one_and_two_unknowns(m):
+@on_both_libraries("m", [1, 2])
+def test_bound_gt_routines_solve_systems_of_one_and_two_unknowns(lapack, m):
     # a dense solve of the same system agrees to rounding, and a zero
     # matrix is singular at its first row
-    if fisherqp.grid._numpy_openblas() is None:
-        pytest.skip("scipy's ?gttrf wrapper sizes no system this small")
     diag, off, rhs = complex_symmetric_system(m, 7)
-    factors = [off.copy(), diag.copy(), off.copy(), np.zeros(0, complex), np.zeros(m, np.int64)]
+    factors = [off.copy(), diag.copy(), off.copy(), np.zeros(0, complex),
+               np.zeros(m, pivot_dtype())]
     b = rhs.copy()
     assert _bind("zgttrf", *factors)() == 0 and _bind("zgttrs", *factors, b)() == 0
-    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    assert np.allclose(dense @ b, rhs, rtol=1e-13, atol=1e-13)
+    assert_solves_densely(diag, off, rhs, b)
     assert _bind("zgttrf", np.zeros(m - 1, complex), np.zeros(m, complex),
-                 np.zeros(m - 1, complex), np.zeros(0, complex), np.zeros(m, np.int64))() == 1
+                 np.zeros(m - 1, complex), np.zeros(0, complex),
+                 np.zeros(m, pivot_dtype()))() == 1
 
 
-def bad_arrays():
-    """(routine, arrays, the argument binding must refuse)."""
+def bad_arrays(pivot):
+    """(routine, arrays, the argument binding must refuse), with pivots
+    of dtype ``pivot`` where they are right; of int32 and int64, the other
+    one is the wrong pivot dtype."""
     d, e = np.ones(8), np.ones(7)
     z, zo = np.ones(8, complex), np.ones(7, complex)
-    pivots = np.zeros(8, np.int64)
+    pivots = np.zeros(8, pivot)
+    wrong = np.int32 if pivot == np.int64 else np.int64
     return [
         ("dpttrf", (np.ones(16)[::2], e), "d"),                 # not contiguous
         ("dpttrf", (d.astype(np.float32), e), "d"),             # wrong dtype
@@ -469,7 +516,7 @@ def bad_arrays():
         ("dpttrs", (d, e, np.ones((8, 1))), "b"),               # not 1-D
         ("dpttrs", (d, e, np.ones(8, complex)), "b"),           # complex right-hand side
         ("zgttrf", (zo, z, zo, np.ones(5, complex), pivots), "du2"),
-        ("zgttrf", (zo, z, zo, np.ones(6, complex), pivots.astype(np.int32)), "ipiv"),
+        ("zgttrf", (zo, z, zo, np.ones(6, complex), pivots.astype(wrong)), "ipiv"),
         ("zgttrs", (zo, d, zo, np.ones(6, complex), pivots, z), "d"),
         ("zgttrs", (zo, z, zo, np.ones(6, complex), pivots, np.ones(24, complex)[::3]), "b"),
         ("zgttrs", (zo, z, zo, np.ones(6, complex), pivots,
@@ -477,9 +524,13 @@ def bad_arrays():
     ]
 
 
-@pytest.mark.parametrize("routine, arrays, name", bad_arrays(),
-                         ids=[f"{r}-{i}" for i, (r, _, _) in enumerate(bad_arrays())])
-def test_binding_refuses_arrays_lapack_could_overrun(routine, arrays, name):
+BAD_ROUTINES = [routine for routine, _, _ in bad_arrays(np.int64)]
+
+
+@on_both_libraries("case", range(len(BAD_ROUTINES)),
+                   ids=[f"{r}-{i}" for i, r in enumerate(BAD_ROUTINES)])
+def test_binding_refuses_arrays_lapack_could_overrun(lapack, case):
+    routine, arrays, name = bad_arrays(np.dtype(lapack.integer))[case]
     with pytest.raises(ValueError, match=f"^{routine}: {name} must be"):
         _bind(routine, *arrays)
 
@@ -491,19 +542,23 @@ def test_binding_refuses_an_empty_system_and_a_wrong_argument_count():
         _bind("dpttrs", np.ones(3), np.ones(2))
 
 
-def test_negative_info_raises_naming_the_routine_and_argument(monkeypatch):
-    # an illegal n, which the binding itself never passes: OpenBLAS's
-    # xerbla only prints, and the call raises from info instead
-    lapack = fisherqp.grid._numpy_openblas()
-    if lapack is None:
-        pytest.skip("scipy's wrappers set n from the arrays")
-    monkeypatch.setattr(fisherqp.grid, "_LOADED",
-                        lapack._replace(bind=lambda r, n, arrays: lapack.bind(r, -n, arrays)))
+@pytest.mark.parametrize("lapack", ["numpy", "scipy"], indirect=True)
+def test_negative_info_raises_naming_the_routine_and_argument(lapack, monkeypatch):
+    # an illegal n, which the binding itself never passes, made by an
+    # integer type that negates what it is given: LAPACK's xerbla only
+    # prints, and the call raises from info instead
+    integer = lapack.integer
+
+    class Negated(integer):
+        def __init__(self, value=0):
+            integer.__init__(self, -value)
+
+    monkeypatch.setattr(fisherqp.grid, "_LOADED", lapack._replace(integer=Negated))
     with pytest.raises(ValueError, match=r"^dpttrf: LAPACK refused argument 1 \(n\)$"):
         _bind("dpttrf", np.ones(3), np.ones(2))()
     z, zo = np.ones(3, complex), np.ones(2, complex)
     with pytest.raises(ValueError, match=r"^zgttrs: LAPACK refused argument 2 \(n\)$"):
-        _bind("zgttrs", zo, z, zo, np.ones(1, complex), np.ones(3, np.int64), z)()
+        _bind("zgttrs", zo, z, zo, np.ones(1, complex), np.ones(3, integer), z)()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -517,7 +572,7 @@ def test_lapack_returns_scipys_routines(names, dtype):
     arrays = [np.ones(4, dtype), np.ones(3, dtype)]
     if prefix == "z":
         arrays = [arrays[1], arrays[0], arrays[1].copy(), np.ones(2, dtype),
-                  np.zeros(4, np.int64)]
+                  np.zeros(4, pivot_dtype())]
     if np.dtype(dtype) != fisherqp.grid._DTYPES[prefix]:
         with pytest.raises(ValueError, match="must be a writeable C-contiguous"):
             _bind(prefix + names[0], *arrays)
@@ -527,43 +582,31 @@ def test_lapack_returns_scipys_routines(names, dtype):
 
 
 def test_lapack_falls_back_to_the_package_when_no_extension_file_matches(monkeypatch):
-    module = scipy.linalg.lapack._flapack  # what get_lapack_funcs reads
-    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    from scipy.linalg import cython_lapack  # what the package import gives
+
+    monkeypatch.delitem(sys.modules, "scipy.linalg.cython_lapack")
     monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".no-such-suffix"])
-    assert _load_flapack() is module
-    # where numpy loaded no OpenBLAS of its own, scipy's extension solves
+    assert _load_cython_lapack() is cython_lapack
+    # where numpy loaded no OpenBLAS of its own, scipy's routines solve
     monkeypatch.setattr(fisherqp.grid, "_numpy_openblas", lambda: None)
     monkeypatch.setattr(fisherqp.grid, "_LOADED", None)
-    assert _lapack().name == f"scipy {scipy.__version__} _flapack"
+    assert _lapack().name == f"scipy {scipy.__version__} cython_lapack"
     assert fisherqp.grid._lapack_name() == _lapack().name
-    diag, off, rhs = spd_system(9, 0)
-    assert_same_bits(*ours_and_scipys(("pttrf", "pttrs"), diag, off, rhs))
-    diag, off, rhs = complex_symmetric_system(9, 0)
-    assert_same_bits(*ours_and_scipys(("gttrf", "gttrs"), diag, off, rhs))
-    # one unknown: the wrappers get a stand-in off-diagonal; ?gt refuses
-    d, b = np.array([4.0]), np.array([2.0])
-    assert _bind("dpttrf", d, np.zeros(0))() == 0 and _bind("dpttrs", d, np.zeros(0), b)() == 0
-    assert b.tolist() == [0.5]
-    with pytest.raises(ValueError, match="needs at least 3 unknowns, got 2"):
-        _bind("zgttrf", np.ones(1, complex), np.ones(2, complex), np.ones(1, complex),
-              np.zeros(0, complex), np.zeros(2, np.int64))
+    assert pivot_dtype() == np.int32
 
 
 def test_lapack_loads_the_extension_without_the_scipy_linalg_package():
-    # in a fresh process: the fallback loads scipy.linalg._flapack alone,
-    # and a later import of scipy.linalg hands out the very same routines
+    # in a fresh process: the fallback loads scipy.linalg.cython_lapack
+    # alone, and a later import of it through scipy.linalg hands out the
+    # very same module
     code = """if True:
         import sys
-        import numpy as np
-        from fisherqp.grid import _FLAPACK, _scipy_flapack
-        print(_scipy_flapack().name.startswith("scipy "))
-        print("scipy.linalg" in sys.modules, "scipy.linalg._flapack" in sys.modules)
-        flapack = sys.modules[_FLAPACK]
-        from scipy.linalg.lapack import get_lapack_funcs
-        print(all(get_lapack_funcs((n,), (np.zeros(1, dtype=d),))[0]
-                  is getattr(flapack, p + n)
-                  for n in ("pttrf", "pttrs", "gttrf", "gttrs")
-                  for p, d in (("d", np.float64), ("z", np.complex128))))
+        from fisherqp.grid import _CYTHON_LAPACK, _scipy_lapack
+        print(_scipy_lapack().name.startswith("scipy "))
+        print("scipy.linalg" in sys.modules, _CYTHON_LAPACK in sys.modules)
+        loaded = sys.modules[_CYTHON_LAPACK]
+        from scipy.linalg import cython_lapack
+        print(cython_lapack is loaded)
     """
     src = str(Path(fisherqp.__file__).resolve().parents[1])
     out = subprocess.run(
