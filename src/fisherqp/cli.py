@@ -19,7 +19,12 @@ budget-checked keyword arguments of a suite (``suites``), which yields
 the checks and its artifacts.  Each artifact is written under ``--out``
 as the suite yields it, and ``report.json`` goes there last.  The input
 file alone states the run, and ``inputs_digest`` in the report, its
-sha256, names it.  Exit codes: 0 when every check passed, 2 on a
+sha256, names it.  The digest comes from the interpreter's built-in
+SHA-256 (``_sha2``, or ``_sha256`` before Python 3.12), as ``random``
+takes its own: ``hashlib`` maps OpenSSL's libcrypto, several MB of
+resident memory in a run that computes nothing with it, so it is
+imported only where the interpreter was built without that module.
+Exit codes: 0 when every check passed, 2 on a
 malformed input (nothing is written, not even ``--out``, which is made
 only after the parse), 3 when a check failed or the suite raised a
 FisherQPError or LAPACK's LinAlgError (the report keeps the checks, and
@@ -35,14 +40,17 @@ solved nothing), the OpenBLAS thread variables as the run saw them, whether
 the package set them (``blas_threads_defaulted``: none was set when it
 was imported) and the wall time of the parse and suite stages
 (``stage_s``, in seconds; the suite's includes writing its artifacts, and
-it is null when the parse raised).
+it is null when the parse raised) and the process's peak resident memory
+as the report is written (``peak_rss_mb``, ``ru_maxrss`` in MB of 2**20
+bytes; null where the ``resource`` module is missing).  Linux keeps
+``ru_maxrss`` across exec, so it never reads below the resident memory
+of the process that started the run at the moment it did.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -52,6 +60,20 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+
+# hashlib is heavy to load (it maps libcrypto): take the built-in SHA-256 first
+try:
+    from _sha2 import sha256        # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from . import _THREAD_VARS, _THREADS_DEFAULTED, __version__
 from .errors import FisherQPError
@@ -438,6 +460,15 @@ def _stage_s(start: float, parsed: float | None) -> dict[str, float | None]:
     return {"parse": parsed - start, "suite": now - parsed}
 
 
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident memory so far, in MB of 2**20 bytes;
+    ``ru_maxrss`` is in KiB on Linux and in bytes on macOS."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 def _write_report(out_dir: Path, command: str, digest: str, checks: list[IdentityCheck],
                   stage_s: dict[str, float | None], error: dict | None = None) -> bool:
     overall = error is None and len(checks) > 0 and all(c.passed for c in checks)
@@ -457,7 +488,8 @@ def _write_report(out_dir: Path, command: str, digest: str, checks: list[Identit
                "lapack": _lapack_name(),
                "blas_thread_env": {name: os.environ.get(name) for name in _THREAD_VARS},
                "blas_threads_defaulted": _THREADS_DEFAULTED,
-               "stage_s": stage_s}, out_dir / "meta.json")
+               "stage_s": stage_s,
+               "peak_rss_mb": _peak_rss_mb()}, out_dir / "meta.json")
     return overall
 
 
@@ -492,7 +524,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return 2
-    digest = "sha256:" + hashlib.sha256(raw).hexdigest()
+    digest = "sha256:" + sha256(raw).hexdigest()
     try:
         payload = json.loads(raw)
         if not isinstance(payload, dict):

@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -363,6 +365,62 @@ def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
         assert (tmp_path / command / "report.json").exists()
 
 
+def builtin_sha256():
+    """Whether this interpreter has its built-in SHA-256 module."""
+    return any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+
+
+@pytest.mark.skipif(not builtin_sha256(), reason="the interpreter has no built-in SHA-256")
+def test_a_run_loads_no_hashlib_and_maps_no_libcrypto(tmp_path):
+    # hashlib maps OpenSSL's libcrypto, several MB resident; every command,
+    # run in one fresh process, digests its input without it
+    code = (
+        "import sys\n"
+        "from fisherqp.cli import main\n"
+        "for command, inp, out in zip(*[iter(sys.argv[1:])] * 3):\n"
+        "    assert main([command, '--input', inp, '--out', out]) in (0, 3), command\n"
+        "maps = open('/proc/self/maps').read() if sys.platform == 'linux' else ''\n"
+        "print('mapped:', *sorted({line.split()[-1] for line in maps.splitlines()\n"
+        "                          if 'libcrypto' in line}))\n"
+        "print('loaded:', *sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+    )
+    runs = {**SOLVING_RUNS,
+            "verify-identities": {"grid": SMALL_GRID, "density": {"kind": "gaussian"}},
+            "maxent": small_maxent(1.0)}
+    argv = []
+    for command, payload in runs.items():
+        argv += [command, write_json(tmp_path / f"{command}.json", payload),
+                 str(tmp_path / command)]
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=child_env(),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-2:] == ["mapped:", "loaded:"]
+    assert all((tmp_path / command / "report.json").exists() for command in runs)
+
+
+@pytest.mark.parametrize("preamble", [
+    "",
+    "import sys\nsys.modules['_sha2'] = sys.modules['_sha256'] = None\n",
+], ids=["builtin", "hashlib-fallback"])
+def test_inputs_digest_is_the_sha256_of_the_input_file(tmp_path, preamble):
+    # either module that cli takes sha256 from digests the input's bytes
+    # as hashlib does; with neither built-in module importable, the run
+    # falls back on hashlib
+    inp = write_json(tmp_path / "in.json", {"grid": SMALL_GRID, "density": {"kind": "gaussian"}})
+    out = tmp_path / "out"
+    code = (preamble + "import runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('fisherqp.cli', run_name='__main__')\n"
+            "finally:\n"
+            "    print('hashlib' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, "verify-identities", "--input", inp,
+                           "--out", str(out)], env=child_env(), capture_output=True, text=True)
+    assert proc.returncode in (0, 3), proc.stderr
+    loads_hashlib = bool(preamble) or not builtin_sha256()
+    assert proc.stdout.split() == [str(loads_hashlib)]
+    digest = "sha256:" + hashlib.sha256(Path(inp).read_bytes()).hexdigest()
+    assert read_report(out)["inputs_digest"] == digest
+
+
 def test_fallback_lapack_writes_the_same_bytes(tmp_path, monkeypatch):
     # scipy's cython_lapack, which solves where numpy ships no OpenBLAS of
     # its own, writes every report, sweep table and psi dump that the
@@ -478,12 +536,29 @@ def test_meta_records_versions_thread_variables_and_stage_times(tmp_path):
         assert meta["numpy_version"] == np.__version__
         assert sorted(meta) == ["blas_thread_env", "blas_threads_defaulted",
                                 "fisherqp_version", "generated_at", "lapack",
-                                "numpy_version", "stage_s"]
+                                "numpy_version", "peak_rss_mb", "stage_s"]
         assert meta["lapack"] == lapack, command
         assert meta["blas_thread_env"] == dict(zip(THREAD_VARS, seen)), command
         assert meta["blas_threads_defaulted"] is defaulted, threads
         assert sorted(meta["stage_s"]) == ["parse", "suite"]
         assert all(v >= 0.0 for v in meta["stage_s"].values())
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_meta_records_the_peak_rss_in_mb(tmp_path, monkeypatch):
+    # the peak resident memory of this process as the report is written,
+    # read between two readings of ru_maxrss (KiB on Linux); null where
+    # the resource module is missing
+    import resource
+    inp = write_json(tmp_path / "in.json", {"grid": SMALL_GRID, "density": {"kind": "gaussian"}})
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert main(["verify-identities", "--input", inp, "--out", str(tmp_path / "a")]) in (0, 3)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    peak = json.loads((tmp_path / "a" / "meta.json").read_text())["peak_rss_mb"]
+    assert before <= peak <= after
+    monkeypatch.setattr(fisherqp.cli, "resource", None)
+    assert main(["verify-identities", "--input", inp, "--out", str(tmp_path / "b")]) in (0, 3)
+    assert json.loads((tmp_path / "b" / "meta.json").read_text())["peak_rss_mb"] is None
 
 
 SCHEMA_ERRORS = {
@@ -1014,7 +1089,7 @@ def test_input_errors_are_refused_before_any_work(tmp_path, capsys, monkeypatch,
                                                   payload, message):
     monkeypatch.setattr(propagator, "crank_nicolson_flow", _refuse)  # the stepper
     # the first library call of the sweep suite and of each thermal branch
-    for name in ("sweep", "coupled_run", "vanishing_qp_residual"):
+    for name in ("sweep", "_coupled_run", "_vanishing_qp"):
         monkeypatch.setattr(suites, name, _refuse)
     inp = write_json(tmp_path / "in.json", payload)
     out = tmp_path / "out"
