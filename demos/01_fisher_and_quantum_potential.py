@@ -1,7 +1,7 @@
 """Fisher information and the quantum potential of a 1-D density.
 
 Walks through the static core of the toolkit on a standard normal:
-the four equivalent evaluations of the quantum potential, the link
+the three numerical routes to the quantum potential, the link
 integral(P Q) = (hbar^2/8m) FI, the momentum-fluctuation moments, and
 the osmotic velocity fields.
 """
@@ -37,9 +37,10 @@ print(f"  Fisher information {fi:.9f}   (closed form: 1/sigma^2 = 1)")
 print(f"  entropy            {differential_entropy(density):.9f}"
       f"   (closed form: ln sqrt(2 pi e) = {0.5 * np.log(2 * np.pi * np.e):.9f})")
 
-# Four routes to the same field. SQRT differentiates sqrt(P); GRAD uses
-# P'' and (P')^2; FLUCT goes through the log-derivative w = P'/P; OSMOTIC
-# rebuilds Q from the drift velocity u.
+# Three routes to the same field. SQRT differentiates sqrt(P); GRAD uses
+# P'' and (P')^2; FLUCT goes through the log-derivative w = P'/P.  Q
+# rebuilt from the drift u of the osmotic fields below is FLUCT rescaled,
+# so it is no route of its own.
 print("\nquantum potential at x = 0 and x = 2 (closed form: 1/4 - x^2/8):")
 i0, i2 = grid.n // 2, int(round((2.0 - grid.xmin) / grid.dx))
 for form in QPForm:

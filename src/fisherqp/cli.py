@@ -44,7 +44,10 @@ it is null when the parse raised) and the process's peak resident memory
 as the report is written (``peak_rss_mb``, ``ru_maxrss`` in MB of 2**20
 bytes; null where the ``resource`` module is missing).  Linux keeps
 ``ru_maxrss`` across exec, so it never reads below the resident memory
-of the process that started the run at the moment it did.
+of the process that started the run at the moment it did.  ``vm_hwm_mb``
+is the process's own peak, ``VmHWM`` of ``/proc/self/status`` in MB of
+2**20 bytes, which has no such floor; null where that file cannot be
+read.
 """
 
 from __future__ import annotations
@@ -469,6 +472,17 @@ def _peak_rss_mb() -> float | None:
     return peak / (2**20 if sys.platform == "darwin" else 2**10)
 
 
+def _vm_hwm_mb() -> float | None:
+    """This process's own peak resident memory so far, in MB of 2**20
+    bytes: ``VmHWM`` of ``/proc/self/status``, which is in KiB."""
+    try:
+        with open("/proc/self/status") as status:
+            kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        return None
+    return kib / 2**10
+
+
 def _write_report(out_dir: Path, command: str, digest: str, checks: list[IdentityCheck],
                   stage_s: dict[str, float | None], error: dict | None = None) -> bool:
     overall = error is None and len(checks) > 0 and all(c.passed for c in checks)
@@ -489,7 +503,8 @@ def _write_report(out_dir: Path, command: str, digest: str, checks: list[Identit
                "blas_thread_env": {name: os.environ.get(name) for name in _THREAD_VARS},
                "blas_threads_defaulted": _THREADS_DEFAULTED,
                "stage_s": stage_s,
-               "peak_rss_mb": _peak_rss_mb()}, out_dir / "meta.json")
+               "peak_rss_mb": _peak_rss_mb(),
+               "vm_hwm_mb": _vm_hwm_mb()}, out_dir / "meta.json")
     return overall
 
 

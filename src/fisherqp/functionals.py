@@ -1,5 +1,5 @@
 """Static functionals and pointwise fields: Fisher information, entropy,
-the quantum potential in four forms (three numerical routes), the
+the quantum potential by three numerical routes, the
 momentum-fluctuation field and osmotic fields.  The identity checks
 built from them live in ``suites``.
 
@@ -15,10 +15,11 @@ for N(0, sigma^2)) and satisfies
     integral(P * Q) = +(hbar^2 / 8m) * FI,      FI = integral((P')^2 / P).
 
 The gradient and fluctuation rewritings agree with this definition and
-``qp-four-forms`` checks them; the osmotic one is the fluctuation one
-rescaled (``quantum_potential``).  integral(P Q) = -(hbar^2/8m) FI also
-circulates; ``verify-identities`` gives the measured ratio against it in
-the note of ``mean-QP-equals-FI`` (see ``suites``).
+``qp-four-forms`` checks them; the osmotic rewriting is the fluctuation
+one rescaled, so it is no route (``quantum_potential``).
+integral(P Q) = -(hbar^2/8m) FI also circulates; ``verify-identities``
+gives the measured ratio against it in the note of ``mean-QP-equals-FI``
+(see ``suites``).
 
 The fluctuation convention is the real one, delta_p = -(hbar/2) P'/P;
 its mean vanishes for decayed densities and its second moment equals
@@ -52,7 +53,6 @@ class QPForm(enum.Enum):
     SQRT = "sqrt"          # -(hbar^2/2m) (sqrt P)''/sqrt P
     GRAD = "grad"          # (hbar^2/4m) [ (1/2)(P'/P)^2 - P''/P ]
     FLUCT = "fluct"        # -(hbar^2/4m) [ w' + w^2/2 ],  w = P'/P
-    OSMOTIC = "osmotic"    # (hbar/2) u' - (m/2) u^2,  u = -(hbar/2m) P'/P
 
 
 def masked_quadrature(values: np.ndarray, mask: np.ndarray, dx: float) -> float:
@@ -105,11 +105,12 @@ def quantum_potential(
 
     SQRT, GRAD and FLUCT are distinct numerical routes (different stencil
     compositions) that agree pointwise in the density-weighted sup norm to
-    within truncation error.  OSMOTIC is FLUCT rescaled: with w = P'/P and
-    u = -(hbar/2m) w, (hbar/2) u' - (m/2) u^2 = -(hbar^2/4m) [w' + w^2/2],
-    and the stencil of u' is that of w' times -(hbar/2m).  So it equals
-    FLUCT bit for bit at hbar = m = 1 and to within about 5e-16 max|Q|
-    otherwise: it is no route of its own.
+    within truncation error.  The osmotic form is FLUCT rescaled: with
+    w = P'/P and the drift u = -(hbar/2m) w of ``osmotic_fields``,
+    (hbar/2) u' - (m/2) u^2 = -(hbar^2/4m) [w' + w^2/2], and the stencil
+    of u' is that of w' times -(hbar/2m).  So it equals FLUCT bit for bit
+    at hbar = m = 1 and to within about 5e-16 max|Q| otherwise: it is no
+    route of its own, and no form evaluates it.
     """
     p = density.values
     mask = density.support_mask
@@ -129,10 +130,6 @@ def quantum_potential(
         w = density.grad_log()
         dw = derivative_values(w, dx)
         out[mask] = -(hbar**2 / (4.0 * m)) * (dw[mask] + 0.5 * w[mask] ** 2)
-    elif form is QPForm.OSMOTIC:
-        u, _, _ = osmotic_fields(density, constants)
-        du = derivative_values(u.values, dx)
-        out[mask] = (hbar / 2.0) * du[mask] - (m / 2.0) * u.values[mask] ** 2
     else:  # pragma: no cover
         raise ValueError(f"unknown form {form}")
     return ScalarField(density.grid, out)

@@ -29,7 +29,7 @@ class CheckDef:
 
 
 CHECKS: tuple[CheckDef, ...] = (
-    CheckDef("qp-four-forms", "eq2.2", "four quantum-potential routes agree pointwise", 1e-5),
+    CheckDef("qp-four-forms", "eq2.2", "three quantum-potential routes agree pointwise", 1e-5),
     CheckDef("mean-QP-equals-FI", "eq2.4", "integral(P Q) = (hbar^2/8m) FI", 1e-6),
     CheckDef("fluctuation-mean-zero", "eq2.8", "<delta_p> vanishes for decayed densities",
              1e-8, relative=False),

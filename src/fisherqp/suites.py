@@ -22,14 +22,14 @@ import numpy as np
 from .extremizers import epi_solve, maxent_solve, riccati_check, stationarity_residual
 from .functionals import (QPForm, fisher_information, masked_quadrature, mean_quantum_potential,
                           momentum_fluctuation, quantum_potential, weighted_max_dev)
-from .grid import ScalarField, derivative_values, quadrature_values, second_derivative_values
+from .grid import derivative_values, quadrature_values, second_derivative_values
 from .legendre import sweep, verify_euler, verify_legendre
 from .propagator import (continuity_residual, entropy_rate_check, evolve, hj_residual,
                          phase_entropy_rate)
 from .reports import IdentityCheck, make_check, make_residual_check
 from .serialization import dump_trajectory, save_field_csv, save_json, save_sweep_csv
-from .thermal import (_coupled_run, _thermalized_qp, _vanishing_qp, coupled_grad_heat,
-                      delta_s_from_heat)
+from .thermal import (coupled_grad_heat, coupled_run, delta_s_from_heat, thermalized_qp,
+                      vanishing_qp_residual)
 
 Artifact = tuple[str, Callable[[Path], object]]
 Suite = Iterator[IdentityCheck | Artifact]
@@ -52,8 +52,8 @@ def identities_suite(density, constants, gibbs) -> Suite:
     amplitude definition of Q.  The note of ``mean-QP-equals-FI`` gives
     the measured ratio against the opposite-sign convention for
     integral(P Q).  The second moment of delta_p is (hbar^2/4) FI by
-    construction (``momentum_fluctuation``) and the OSMOTIC Q is FLUCT
-    rescaled (``quantum_potential``), so neither is checked."""
+    construction (``momentum_fluctuation``) and the osmotic form of Q is
+    FLUCT rescaled (``quantum_potential``), so neither is checked."""
     yield "density.csv", partial(save_field_csv, density.field)
     p = density.values
     mask = density.support_mask
@@ -198,7 +198,7 @@ def thermal_suite(heat, density, constants, t_final, dt) -> Suite:
     lap_q = second_derivative_values(heat.values, dx)
     if t_final is None:
         # non-decaying density: static checks only
-        res = ScalarField(heat.grid, _vanishing_qp(heat.values, lap_q, dx, constants))
+        res = vanishing_qp_residual(heat, constants)
         lap_scale = float(np.max(np.abs(lap_q))) + 1e-300
         yield make_residual_check("vanishing-qp-family",
                                   float(np.max(np.abs(res.values[2:-2]))) / lap_scale)
@@ -206,7 +206,7 @@ def thermal_suite(heat, density, constants, t_final, dt) -> Suite:
         # ratio law P(t)/P(0) = exp(-beta DeltaQ): Fick for P against the
         # heat equation for Q; the heat fields around the middle step feed
         # the centered time derivative of the thermalized quantum potential
-        dev, (before, now, after) = _coupled_run(density, heat, lap_q, constants, t_final, dt)
+        dev, (before, now, after) = coupled_run(density, heat, constants, t_final, dt)
         yield make_residual_check("ratio-law-evolution", dev)
 
         # delta_p = grad(deltaS) = -(hbar/2) grad(P)/P
@@ -219,10 +219,13 @@ def thermal_suite(heat, density, constants, t_final, dt) -> Suite:
         # the run is refused by name, whatever the verdicts above read
         density.support_indices(3, "thermal")
 
-        lap_qt = second_derivative_values(constants.alpha_th * now.values, dx)
-        thq = ScalarField(now.grid, _thermalized_qp(before.values, lap_qt, after.values, dt,
-                                                    constants))
-        qt_scale = constants.hbar**2 / (4.0 * constants.mass) * float(np.max(np.abs(lap_qt)))
+        thq = thermalized_qp(before, now, after, dt, constants)
+        qt_scale = (
+            constants.hbar**2 / (4.0 * constants.mass)
+            * float(np.max(np.abs(second_derivative_values(
+                constants.alpha_th * now.values, dx
+            ))))
+        )
         # weight by the coupled density: the held walls grow a diffusive
         # skin that carries no probability mass
         weight = p / float(np.max(p))

@@ -41,9 +41,10 @@ Conventions
   u+ = 2 A^-1 (u + f/2) - u.  Each flow factors A/2 once per run
   (``?pttrf``) and makes one ``?pttrs`` solve per step, stepping between
   two work buffers.  Flows stream step by step and ``coupled_run`` runs
-  both wall guards on every step; the heat guard takes its scales from
-  the full curvature of the initial field and then reads only the
-  curvature at the two first interior points.
+  both wall guards on every step; the heat guard forms the full
+  curvature of the initial field for its scales and then reads only the
+  curvature at the two first interior points.  Like it, each function
+  here forms the second derivatives it reads from the fields it is given.
 * ``coupled_run`` steps Fick and heat in lockstep, both at the
   diffusivity D = hbar/2m of the constants, and reduces the coupling
   deviation on the raw arrays (``states.normalize_samples``, the core of
@@ -148,17 +149,17 @@ def step_count(t_final: float, dt: float) -> int:
     return steps
 
 
-def _heat_guard(q0: np.ndarray, lap: np.ndarray, dx: float):
+def _heat_guard(q0: np.ndarray, dx: float):
     """Wall guard of a heat flow started from q0: BoundaryContact once the
     curvature at the first interior points grows well beyond its initial
     value (a spreading bump arriving at the wall).  Uniform interior
     growth of quadratic fields is legitimate and does not trip it.
 
-    The scales come from ``lap``, the full second derivative of q0
-    (``second_derivative_values``); each step then reads only the
-    curvature at the two first interior points, from the same 3-point
-    stencil.
+    The scales come from the full second derivative of q0; each step
+    then reads only the curvature at the two first interior points, from
+    the same 3-point stencil.
     """
+    lap = second_derivative_values(q0, dx)
     edge_scale = max(abs(lap[1]), abs(lap[-2]))
     interior_scale = float(np.max(np.abs(lap)))
     # below this, curvature is indistinguishable from second-difference roundoff
@@ -188,16 +189,11 @@ def vanishing_qp_residual(q: ScalarField, constants: PhysicalConstants) -> Scala
     Zero (to stencil error) exactly on the family
     Q = 2 hbar omega log(a + b x).
     """
-    lap = second_derivative_values(q.values, q.grid.dx)
-    return ScalarField(q.grid, _vanishing_qp(q.values, lap, q.grid.dx, constants))
-
-
-def _vanishing_qp(q: np.ndarray, lap: np.ndarray, dx: float,
-                  constants: PhysicalConstants) -> np.ndarray:
-    """``vanishing_qp_residual`` on the raw field ``q`` and its second
-    derivative ``lap``."""
-    grad = derivative_values(q, dx)
-    return lap + grad**2 / (2.0 * constants.hbar * constants.omega)
+    dx = q.grid.dx
+    lap = second_derivative_values(q.values, dx)
+    grad = derivative_values(q.values, dx)
+    res = lap + grad**2 / (2.0 * constants.hbar * constants.omega)
+    return ScalarField(q.grid, res)
 
 
 def thermalized_qp(before: ScalarField, now: ScalarField, after: ScalarField,
@@ -211,17 +207,11 @@ def thermalized_qp(before: ScalarField, now: ScalarField, after: ScalarField,
     zero up to discretization error: a freely dissipating heat flow
     carries no quantum potential.
     """
-    lap = second_derivative_values(constants.alpha_th * now.values, now.grid.dx)
-    return ScalarField(now.grid, _thermalized_qp(before.values, lap, after.values, dt,
-                                                 constants))
-
-
-def _thermalized_qp(before: np.ndarray, lap: np.ndarray, after: np.ndarray, dt: float,
-                    c: PhysicalConstants) -> np.ndarray:
-    """``thermalized_qp`` on the raw fields either side of the step and
-    ``lap``, the second derivative of alpha_th times the field at it."""
-    dqt_dt = (c.alpha_th * after - c.alpha_th * before) / (2.0 * dt)
-    return (c.hbar**2 / (4.0 * c.mass)) * (lap - dqt_dt / c.diffusivity)
+    c = constants
+    dqt_dt = (c.alpha_th * after.values - c.alpha_th * before.values) / (2.0 * dt)
+    lap = second_derivative_values(c.alpha_th * now.values, now.grid.dx)
+    out = (c.hbar**2 / (4.0 * c.mass)) * (lap - dqt_dt / c.diffusivity)
+    return ScalarField(now.grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -248,16 +238,6 @@ def coupled_run(
     against the peak ``normalize_samples`` returns, so it runs after the
     normalization and ahead of the heat guard.
     """
-    lap0 = second_derivative_values(q0.values, q0.grid.dx)
-    return _coupled_run(density0, q0, lap0, constants, t_final, dt)
-
-
-def _coupled_run(
-    density0: Density, q0: ScalarField, lap0: np.ndarray, constants: PhysicalConstants,
-    t_final: float, dt: float,
-) -> tuple[float, tuple[ScalarField, ScalarField, ScalarField]]:
-    """``coupled_run`` with ``lap0``, the second derivative of q0, which
-    scales the heat wall guard."""
     steps = step_count(t_final, dt)
     if steps < 2:
         raise ValueError("t_final must cover at least two steps")
@@ -269,7 +249,7 @@ def _coupled_run(
     diag = np.full(grid.n - 2, 1.0 + 2.0 * c)
     fick = crank_nicolson_flow(density0.values, diag, -c, steps)
     flow = crank_nicolson_flow(q0.values, diag, -c, steps)
-    heat_guard = _heat_guard(q0.values, lap0, dx)
+    heat_guard = _heat_guard(q0.values, dx)
     p, e, work = np.empty(grid.n), np.empty(grid.n), np.empty(grid.n)
     support = np.empty(grid.n, dtype=bool)
     worst = 0.0

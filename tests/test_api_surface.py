@@ -6,9 +6,11 @@ the package: a helper nothing calls is dead code.  Every field of a
 public dataclass is read in the package or the demos: a field only its
 constructor sets is dead data.  Every parameter with a default of a
 public function or method is set by some call in the package or the
-demos: an option only tests set is dead weight.  Every module-level
-import of the package, the demos and the tests is read in the file that
-makes it."""
+demos: an option only tests set is dead weight.  Every member of a
+public enum is named, outside a comparison against it, in the package or
+the demos: a member that code only tests for is a branch no caller takes.
+Every module-level import of the package, the demos and the tests is
+read in the file that makes it."""
 
 import ast
 import math
@@ -96,6 +98,39 @@ def test_every_private_definition_and_constant_is_read_in_the_package():
         if name not in referenced
     )
     assert not unused, f"no module of the package reads {', '.join(unused)}"
+
+
+def _is_enum(cls: ast.ClassDef) -> bool:
+    return any(isinstance(base, ast.Attribute) and base.attr == "Enum"
+               or isinstance(base, ast.Name) and base.id == "Enum"
+               for base in cls.bases)
+
+
+def _attributes_supplied(tree: ast.AST) -> set[str]:
+    """Attribute names a module loads outside a comparison: ``f(E.M)``
+    and ``x = E.M`` supply the member M, ``x is E.M`` only tests for it."""
+    compared = {id(operand) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                for operand in (node.left, *node.comparators)}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in compared}
+
+
+def test_every_enum_member_is_supplied():
+    # a member is matched by name alone, as a method is; iterating the
+    # enum names no member
+    trees = _parse(MODULES + DEMOS)
+    supplied = set().union(*(_attributes_supplied(t) for t in trees.values()))
+    unused = sorted(
+        f"{path.stem}.{cls.name}.{target.id}"
+        for path in MODULES
+        for cls in trees[path].body
+        if isinstance(cls, ast.ClassDef) and _is_enum(cls) and not cls.name.startswith("_")
+        for node in cls.body if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id not in supplied
+    )
+    assert not unused, f"no module or demo supplies {', '.join(unused)}"
 
 
 # options only tests and bench/inprocess.py set: they drive the CLI in

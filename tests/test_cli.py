@@ -536,7 +536,7 @@ def test_meta_records_versions_thread_variables_and_stage_times(tmp_path):
         assert meta["numpy_version"] == np.__version__
         assert sorted(meta) == ["blas_thread_env", "blas_threads_defaulted",
                                 "fisherqp_version", "generated_at", "lapack",
-                                "numpy_version", "peak_rss_mb", "stage_s"]
+                                "numpy_version", "peak_rss_mb", "stage_s", "vm_hwm_mb"]
         assert meta["lapack"] == lapack, command
         assert meta["blas_thread_env"] == dict(zip(THREAD_VARS, seen)), command
         assert meta["blas_threads_defaulted"] is defaulted, threads
@@ -559,6 +559,33 @@ def test_meta_records_the_peak_rss_in_mb(tmp_path, monkeypatch):
     monkeypatch.setattr(fisherqp.cli, "resource", None)
     assert main(["verify-identities", "--input", inp, "--out", str(tmp_path / "b")]) in (0, 3)
     assert json.loads((tmp_path / "b" / "meta.json").read_text())["peak_rss_mb"] is None
+
+
+def vm_hwm_mb():
+    """``VmHWM`` of this process in MB of 2**20 bytes."""
+    with open("/proc/self/status") as status:
+        line = next(line for line in status if line.startswith("VmHWM:"))
+    return int(line.split()[1]) / 2**10
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+def test_meta_records_the_own_peak_rss_in_mb(tmp_path, monkeypatch):
+    # the process's own peak resident memory as the report is written,
+    # read between two readings of VmHWM; null where the status file
+    # cannot be opened
+    inp = write_json(tmp_path / "in.json", {"grid": SMALL_GRID, "density": {"kind": "gaussian"}})
+    before = vm_hwm_mb()
+    assert main(["verify-identities", "--input", inp, "--out", str(tmp_path / "a")]) in (0, 3)
+    after = vm_hwm_mb()
+    peak = json.loads((tmp_path / "a" / "meta.json").read_text())["vm_hwm_mb"]
+    assert before <= peak <= after
+
+    def unreadable(*args, **kwargs):
+        raise PermissionError("no status file")
+
+    monkeypatch.setattr(fisherqp.cli, "open", unreadable, raising=False)
+    assert main(["verify-identities", "--input", inp, "--out", str(tmp_path / "b")]) in (0, 3)
+    assert json.loads((tmp_path / "b" / "meta.json").read_text())["vm_hwm_mb"] is None
 
 
 SCHEMA_ERRORS = {
@@ -1089,7 +1116,7 @@ def test_input_errors_are_refused_before_any_work(tmp_path, capsys, monkeypatch,
                                                   payload, message):
     monkeypatch.setattr(propagator, "crank_nicolson_flow", _refuse)  # the stepper
     # the first library call of the sweep suite and of each thermal branch
-    for name in ("sweep", "_coupled_run", "_vanishing_qp"):
+    for name in ("sweep", "coupled_run", "vanishing_qp_residual"):
         monkeypatch.setattr(suites, name, _refuse)
     inp = write_json(tmp_path / "in.json", payload)
     out = tmp_path / "out"

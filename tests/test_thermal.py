@@ -16,7 +16,6 @@ from fisherqp import (
     thermalized_qp,
     vanishing_qp_residual,
 )
-from fisherqp import suites, thermal
 from fisherqp.cli import COMMANDS
 from fisherqp.grid import (ScalarField, derivative_values, quadrature_values,
                            second_derivative_values)
@@ -283,27 +282,6 @@ def thermal_checks(heat, constants, t_final=0.004, dt=1e-3):
     return list(thermal_suite(heat, density, constants, t_final, dt))
 
 
-@pytest.mark.parametrize("t_final, formed_count", [(0.004, 2), (None, 1)],
-                         ids=["stepping", "static"])
-def test_thermal_suite_forms_each_second_derivative_once(monkeypatch, t_final, formed_count):
-    # route A, the heat wall guard and the vanishing-Q residual read one
-    # second derivative of the heat field; the thermalized quantum
-    # potential and its scale read one of alpha_th times the middle field
-    formed = []
-
-    def counted(values, dx):
-        formed.append(np.array(values))
-        return second_derivative_values(values, dx)
-
-    for module in (suites, thermal):
-        monkeypatch.setattr(module, "second_derivative_values", counted)
-    g = Grid(-16.0, 16.0, 513)
-    q = g.x**2 / 8 if t_final else 2.0 * C.hbar * C.omega * np.log(4.0 + 0.2 * g.x)
-    thermal_checks(ScalarField(g, q), C, t_final)
-    assert len(formed) == formed_count
-    assert len({a.tobytes() for a in formed}) == formed_count
-
-
 def test_coupled_evolution_short_horizon():
     heat, d = coupled_gaussian(wide_grid(), sigma=2.0)
     assert coupled_run(d, heat, C, 0.01, 1e-3)[0] <= 2e-3
@@ -378,7 +356,7 @@ def heat_flow(q0, constants, steps, dt):
     ``q0``, each checked by its wall guard."""
     dx = q0.grid.dx
     flow = diffusion_flow(q0.values, dx, constants.diffusivity, steps, dt)
-    guard = _heat_guard(q0.values, second_derivative_values(q0.values, dx), dx)
+    guard = _heat_guard(q0.values, dx)
     for q in flow:
         guard(q)
     return flow
