@@ -123,6 +123,13 @@ def _require(payload: dict, key: str):
     return payload[key]
 
 
+def _section(payload: dict, key: str) -> dict:
+    value = _require(payload, key)
+    if not isinstance(value, dict):
+        raise SchemaError(f"{key} must be an object")
+    return value
+
+
 def _objects(payload: dict, key: str) -> list:
     """``payload[key]`` as a list of JSON objects; a lone object, or an
     entry that is not an object, is refused."""
@@ -198,7 +205,7 @@ def _require_operator_in_range(lo: float, hi: float, lams: list[float], grid: Gr
 
 
 def _grid_from_input(payload: dict) -> Grid:
-    spec = _require(payload, "grid")
+    spec = _section(payload, "grid")
     n = _integer(_require(spec, "n"), "n")
     _require_within("n", n, MAX_POINTS, "points")
     xmin = _finite(_require(spec, "xmin"), "xmin")
@@ -212,7 +219,7 @@ def _grid_from_input(payload: dict) -> Grid:
 
 
 def _constants_from_input(payload: dict) -> PhysicalConstants:
-    spec = payload.get("constants", {})
+    spec = _section(payload, "constants") if "constants" in payload else {}
     return PhysicalConstants(**{
         f.name: _finite(spec.get(f.name, f.default), f.name)
         for f in dataclasses.fields(PhysicalConstants)
@@ -235,7 +242,7 @@ def _build_constraint_field(spec: dict, grid: Grid) -> ScalarField:
 
 def _gibbs_from_input(spec: dict, grid: Grid) -> tuple[ScalarField, float]:
     """(energy, gamma) of a ``gibbs`` density exp(-gamma E)/Z."""
-    energy = _build_constraint_field(_require(spec, "energy"), grid)
+    energy = _build_constraint_field(_section(spec, "energy"), grid)
     return energy, _finite(spec.get("gamma", 1.0), "gamma")
 
 
@@ -293,7 +300,7 @@ def _parses(command: str):
 def _parse_verify_identities(payload) -> dict:
     grid = _grid_from_input(payload)
     constants = _constants_from_input(payload)
-    density, gibbs = _build_density(_require(payload, "density"), grid)
+    density, gibbs = _build_density(_section(payload, "density"), grid)
     return {"density": density, "constants": constants, "gibbs": gibbs}
 
 
@@ -311,7 +318,7 @@ def _parse_evolve(payload) -> dict:
         _require_within("the dump's n*(steps+1)*16", grid.n * (steps + 1) * 16,
                         DUMP_BUDGET, "B")
 
-    init_spec = _require(payload, "initial")
+    init_spec = _section(payload, "initial")
     density, _ = _build_density(init_spec, grid)
     momentum = _finite(init_spec.get("momentum", 0.0), "momentum")
     # psi0 = sqrt(P) exp(i S / hbar) with the phase S = hbar k x
@@ -321,7 +328,7 @@ def _parse_evolve(payload) -> dict:
     if not np.all(np.isfinite(psi0)):
         raise SchemaError(f"momentum = {momentum!r} overflows the phase k*x")
 
-    pot_spec = _require(payload, "potential")
+    pot_spec = _section(payload, "potential")
     kind = pot_spec.get("kind")
     if kind == "free":
         V = grid.zeros()
@@ -374,7 +381,7 @@ def _parse_epi(payload) -> dict:
 @_parses("maxent")
 def _parse_maxent(payload) -> dict:
     grid = _grid_from_input(payload)
-    constraint = _build_constraint_field(_require(payload, "constraint"), grid)
+    constraint = _build_constraint_field(_section(payload, "constraint"), grid)
     target = _finite(_require(payload, "target"), "target")
     return {"constraint": constraint, "target": target}
 
@@ -382,7 +389,7 @@ def _parse_maxent(payload) -> dict:
 @_parses("sweep")
 def _parse_sweep(payload) -> dict:
     grid = _grid_from_input(payload)
-    constraint = _build_constraint_field(_require(payload, "constraint"), grid)
+    constraint = _build_constraint_field(_section(payload, "constraint"), grid)
     lambdas = _require(payload, "lambdas")
     if not isinstance(lambdas, list):
         raise SchemaError(f"lambdas must be a list, not {lambdas!r}")
@@ -404,7 +411,7 @@ def _parse_thermal(payload) -> dict:
     # every heat kind reaches the thermal Fisher pair, which holds only here
     if not constants.is_thermal_equilibrium:
         raise SchemaError("the coherence checks assume hbar*omega = k*T")
-    heat_spec = _require(payload, "heat")
+    heat_spec = _section(payload, "heat")
     kind = heat_spec.get("kind")
     if kind == "quadratic":
         coeff = _finite(heat_spec.get("coeff", 0.5), "coeff")

@@ -29,23 +29,23 @@ the ground state will do: T has negative off-diagonals, so its ground
 state is strictly positive (Perron-Frobenius) and so overlaps every
 nonnegative nonzero vector.  A sweep therefore starts each multiplier
 from its neighbour's ground state, which saves iterations.
-Every array of length n a solve works in, from the operator and its
-factors to psi, p_I and the work arrays of the Fisher information, lives
-in one workspace (``_Workspace``).  A sweep builds one and runs each of
-its solves in it, so they allocate no array of length n, and the pages
-stay mapped from one solve to the next instead of being freed and faulted
-back in; ``epi_solve`` builds its own and copies its results out.
-Whether the ground state is degenerate is read from the inertia of the
-LDL^T recurrence of T - sI just above it (Sylvester's law: its negative
-pivots count the eigenvalues below s): ``?pttrf`` stops at the first pivot
-that is not positive, and a second ``?pttrf`` continues the recurrence
-past it, so the count needs no work arrays beyond one factor slot of
-the workspace.  The same count certifies that the converged
+Every off-diagonal entry of T is -1/(2 dx^2), one number.  Every array
+of length n a solve works in lives in one workspace (``_Workspace``),
+seven arrays of n and a mask: T's diagonal, one factor slot, the iterate,
+psi, p_I and two work arrays.  A sweep builds one and runs each of its
+solves in it, so they allocate no array of length n, and the pages stay
+mapped from one solve to the next instead of being freed and faulted back
+in; ``epi_solve`` builds its own and copies its results out.  Whether the
+ground state is degenerate is read from the inertia of the LDL^T
+recurrence of T - sI just above it (Sylvester's law: its negative pivots
+count the eigenvalues below s): ``?pttrf`` stops at the first pivot that
+is not positive, and a second ``?pttrf`` continues the recurrence past
+it, both in the factor slot.  The same count certifies that the converged
 Rayleigh quotient is e0 itself: the residual puts an eigenvalue within the
 count's window, and a count of one makes it e0 (see ``_ground_state``).
 ``?pttrf`` and ``?pttrs`` run on the LAPACK that ``grid._bind`` binds
 them to (numpy's own OpenBLAS where numpy ships one); the workspace binds
-each of its two factor slots, and each slot's solve on the iterate, once.
+its factor slot, and the slot's solve on the iterate, once.
 
 The log-derivative substitution v = (log psi)' turns the stationarity
 condition into the Riccati form v' + v^2 + G/4 = 0 with
@@ -184,21 +184,21 @@ def _effective_potential(spec: ConstraintSpec, grid: Grid, u: np.ndarray,
 
 class _Workspace:
     """Every array of length ~n that one Fisher extremization on a grid of
-    n points works in (see ``_extremize``).  A sweep builds one and hands
-    it to each of its solves, which then allocate no array of length n:
-    the pages stay mapped from one solve to the next instead of being
-    freed, trimmed off the heap and faulted back in.
+    n points works in (see ``_extremize``): seven arrays of n and a mask.
+    A sweep hands one to each of its solves, so the pages stay mapped from
+    one solve to the next instead of being freed, trimmed off the heap and
+    faulted back in.
 
-    ``diag`` and ``off`` hold the interior operator T, ``factors`` two
-    ``?pttrf`` slots (d, e), ``v`` the iterate, ``tv`` the products T v
-    and T v - rho v, ``scratch`` every other product.  ``pttrf[i]``
-    factors slot i in place and ``pttrs[i]`` solves with it in place in
-    ``v``, both bound once (``grid._bind``).  ``psi``, ``p`` and
-    ``mask`` receive the normalized ground state, its density and the
-    density's support mask; ``tv`` and ``scratch``, n long, serve the
-    stages after the iteration as work arrays.  ``start`` is the vector
-    the next solve starts from: all ones, then each successful solve's
-    psi[1:-1], so a failed solve passes the previous start on.
+    ``diag[1:-1]`` holds the diagonal of the interior operator T,
+    ``factors`` the one ``?pttrf`` slot (d, e) and ``vn`` the iterate
+    ``v`` = vn[1:-1].  ``pttrf`` factors the slot in place and ``pttrs``
+    solves with it in place in ``v``, both bound once (``grid._bind``).
+    ``tv`` holds the products T v and T v - rho v, then the density p_I
+    (``p`` names the same array); ``scratch`` holds every other product,
+    and after the iteration it and ``diag`` serve as work arrays.  ``psi``
+    holds the last ground state that passed its checks, and psi[1:-1]
+    starts the next solve (all ones at first); ``mask`` receives p_I's
+    support.
     """
 
     def __init__(self, n: int):
@@ -207,103 +207,97 @@ class _Workspace:
                 f"epi_solve needs at least 2 interior grid points (n >= 4), got n={n}"
             )
         m = n - 2
-        self.diag = np.empty(m)
-        self.off = np.empty(m - 1)
-        self.factors = tuple((np.empty(m), np.empty(m - 1)) for _ in range(2))
-        self.v = np.empty(m)
-        self.pttrf = tuple(_bind("dpttrf", d, e) for d, e in self.factors)
-        self.pttrs = tuple(_bind("dpttrs", d, e, self.v) for d, e in self.factors)
-        self.tv = np.empty(n)
+        self.diag = np.empty(n)
+        self.factors = (np.empty(m), np.empty(m - 1))
+        self.vn = np.empty(n)
+        self.v = self.vn[1:-1]
+        self.pttrf = _bind("dpttrf", *self.factors)
+        self.pttrs = _bind("dpttrs", *self.factors, self.v)
+        self.tv = self.p = np.empty(n)
         self.scratch = np.empty(n)
-        self.psi = np.zeros(n)
-        self.p = np.empty(n)
+        self.psi = np.ones(n)
+        self.psi[0] = self.psi[-1] = 0.0
         self.mask = np.empty(n, dtype=bool)
-        self.start = np.ones(m)
 
 
-def _count_below(diag: np.ndarray, off: np.ndarray, s: float,
+def _count_below(diag: np.ndarray, off: float, s: float,
                  d: np.ndarray, e: np.ndarray) -> int:
-    """Eigenvalues of the symmetric tridiagonal T = (diag, off) at or below
-    s, counted as 0, 1 or 2 (meaning at least 2).
+    """Eigenvalues of the symmetric tridiagonal T = (diag, off), ``off`` its
+    one off-diagonal value, at or below s, counted as 0, 1 or 2 (2 meaning
+    at least 2).
 
     The count is the number of negative pivots of the LDL^T recurrence
-    d_1 = a_1, d_(i+1) = a_(i+1) - e_i^2 / d_i of T - sI.  ``?pttrf`` runs
+    d_1 = a_1, d_(i+1) = a_(i+1) - off^2 / d_i of T - sI.  ``?pttrf`` runs
     it and stops at the first pivot d_k <= 0 (``info`` = k); a pivot of
     magnitude below ``?stebz``'s pivmin counts as -pivmin, so a zero pivot
-    is negative.  The trailing block is then seeded with -e_k^2 / d_k and
+    is negative.  The trailing block is then seeded with -off^2 / d_k and
     factored by one more ``?pttrf``, which a one-point block also takes:
-    it factors exactly when no second pivot is negative.  Both
-    factorizations run in the work arrays ``d`` and ``e``, as long as
-    ``diag`` and ``off``.
+    it factors exactly when no second pivot is negative.  Both run in the
+    work arrays ``d`` and ``e``, as long as ``diag`` and one shorter.
     """
     np.subtract(diag, s, out=d)
-    np.copyto(e, off)
+    e.fill(off)
     k = _bind("dpttrf", d, e)()
     if k == 0:
         return 0
     if k == len(diag):
         return 1
-    pivmin = np.finfo(float).tiny * max(1.0, float(off.max()) ** 2,
-                                        float(off.min()) ** 2)
+    pivmin = np.finfo(float).tiny * max(1.0, off ** 2)
     # the trailing block takes the slots past the first failed pivot
     tail = np.subtract(diag[k:], s, out=d[k:])
-    tail[0] -= off[k - 1] ** 2 / min(float(d[k - 1]), -pivmin)
-    tail_off = e[k:]
-    np.copyto(tail_off, off[k:])
-    return 1 if _bind("dpttrf", tail, tail_off)() == 0 else 2
+    tail[0] -= off ** 2 / min(float(d[k - 1]), -pivmin)
+    e[k:].fill(off)
+    return 1 if _bind("dpttrf", tail, e[k:])() == 0 else 2
 
 
-def _ground_state(ws: _Workspace) -> tuple[float, np.ndarray, int]:
-    """Lowest eigenpair of the symmetric tridiagonal T = (ws.diag, ws.off)
-    in O(n), computed in the workspace's arrays.
+def _ground_state(ws: _Workspace, off: float) -> tuple[float, int]:
+    """Lowest eigenpair of the symmetric tridiagonal T = (ws.diag[1:-1],
+    off) in O(n), computed in the workspace's arrays.
 
-    Inverse iteration from ``ws.start``, which must overlap the ground
-    state (any nonnegative nonzero vector does, see the module docstring);
-    it is not modified.  Each shift sigma is certified below e0 by its own
-    ``?pttrf`` factorization, the one ``?pttrs`` then solves with; the
-    accepted factors and a trial occupy the two slots of ``ws.factors``.
-    Sigma starts at the Gershgorin lower bound and moves up to rho - r
-    (rho the Rayleigh quotient, r = ||T v - rho v||); a shift that fails
-    to factor is halved back toward the last good one.  Iteration stops at
-    r <= RESIDUAL_TOL * eps * ||T||.
+    Inverse iteration from ``ws.psi[1:-1]`` (read, not modified), which
+    must overlap the ground state (any nonnegative nonzero vector does, see
+    the module docstring).  Each shift sigma is certified below e0 by its
+    own ``?pttrf`` factorization in the slot ``ws.factors``, which
+    ``?pttrs`` then solves with.  Sigma starts at the Gershgorin lower
+    bound and moves up to rho - r (rho the Rayleigh quotient,
+    r = ||T v - rho v||); a shift that fails to factor is halved back toward
+    the last good one, and a round whose every trial fails factors the last
+    good shift again, to the same bits.
 
-    Returns (e0, v, count): v is ``ws.v`` with unit 2-norm, e0 = rho and
-    ``count`` is ``_count_below`` at rho + width, width =
-    max(DEGENERACY_TOL |rho|, 4 eps ||T||); 2 means at least two eigenvalues within that window of
-    the ground eigenvalue.  That count, with one factorization per shift,
-    also certifies rho: at exit r <= 4 eps ||T|| <= width, and T has an
-    eigenvalue within r of rho, so at or below rho + width.  A count of 1
-    makes that eigenvalue e0, so e0 >= rho - r; a count of 0 contradicts
-    the residual bound and raises LinAlgError.  A count of 2 leaves rho
-    uncertified, but the caller refuses it as degenerate.  Reductions sum
-    a product array with ``np.sum``, not ``np.dot``: numpy sums in its
-    own fixed pairwise order, while a BLAS dot product's order depends on
-    the BLAS build and kernel, so the iterates would too.
+    Iteration stops at r <= RESIDUAL_TOL * eps * ||T||.  Returns
+    (e0, count), e0 = rho, and leaves the eigenvector in ``ws.v`` with unit
+    2-norm.  ``count`` is ``_count_below`` at rho + width, width =
+    max(DEGENERACY_TOL |rho|, 4 eps ||T||); 2 means at least two
+    eigenvalues within that window of the ground eigenvalue.  That count,
+    with one factorization per shift, also certifies rho: at exit
+    r <= 4 eps ||T|| <= width, and T has an eigenvalue within r of rho, so
+    at or below rho + width.  A count of 1 makes that eigenvalue e0, so
+    e0 >= rho - r; a count of 0 contradicts the residual bound and raises
+    LinAlgError.  A count of 2 leaves rho uncertified, but the caller
+    refuses it as degenerate.  Reductions sum a product array with
+    ``np.sum``, not ``np.dot``: numpy sums in its own fixed pairwise order,
+    while a BLAS dot product's order depends on the BLAS build and kernel,
+    so the iterates would too.
     """
-    diag, off, v = ws.diag, ws.off, ws.v
-    m = len(diag)
-    tv, scratch = ws.tv[:m], ws.scratch[:m]
+    diag, v = ws.diag[1:-1], ws.v
+    tv, scratch = ws.tv[1:-1], ws.scratch[1:-1]
     radius = tv  # the Gershgorin radii, until tv holds T v
-    radius.fill(0.0)
-    abs_off = np.abs(off, out=scratch[:-1])
-    radius[:-1] += abs_off
-    radius[1:] += abs_off
+    radius.fill(2.0 * abs(off))
+    radius[0] = radius[-1] = abs(off)
     lower = float(np.min(np.subtract(diag, radius, out=scratch)))
     upper = float(np.max(np.add(diag, radius, out=scratch)))
     floor = np.finfo(float).eps * max(abs(lower), abs(upper))
 
-    def factor(sigma: float, slot: int) -> bool:
-        d, e = ws.factors[slot]
-        np.subtract(diag, sigma, out=d)
-        np.copyto(e, off)
-        return ws.pttrf[slot]() == 0
+    def factor(sigma: float) -> bool:
+        np.subtract(diag, sigma, out=ws.factors[0])
+        ws.factors[1].fill(off)
+        return ws.pttrf() == 0
 
     sigma = lower - floor
-    current, trial = 0, 1
-    factor(sigma, current)  # T - sigma I is diagonally dominant: it factors
-    np.copyto(v, ws.start)
+    factor(sigma)  # T - sigma I is diagonally dominant: it factors
+    np.copyto(v, ws.psi[1:-1])
     for _ in range(MAX_ITERATIONS):
-        ws.pttrs[current]()
+        ws.pttrs()
         v /= np.sqrt(np.sum(np.multiply(v, v, out=scratch)))
         np.multiply(diag, v, out=tv)
         tv[:-1] += np.multiply(off, v[1:], out=scratch[:-1])
@@ -314,49 +308,50 @@ def _ground_state(ws: _Workspace) -> tuple[float, np.ndarray, int]:
         if r <= RESIDUAL_TOL * floor:
             break
         target = rho - r
+        factored = True  # the slot holds the factors of T - sigma I
         while target - sigma > floor:
-            if factor(target, trial):
+            factored = factor(target)
+            if factored:
                 sigma = target
-                current, trial = trial, current
                 break
             target = 0.5 * (sigma + target)
+        if not factored:
+            factor(sigma)
     else:
         raise np.linalg.LinAlgError(
             f"inverse iteration left residual {r:.3e} after {MAX_ITERATIONS} steps"
         )
     width = max(DEGENERACY_TOL * abs(rho), 4.0 * floor)
-    count = _count_below(diag, off, rho + width, *ws.factors[trial])
+    count = _count_below(diag, off, rho + width, *ws.factors)
     if count == 0:
         raise np.linalg.LinAlgError(
             f"Rayleigh quotient {rho!r} is not the ground eigenvalue"
         )
-    return rho, v, count
+    return rho, count
 
 
 def _extremize(spec: ConstraintSpec, grid: Grid, ws: _Workspace) -> tuple[float, float]:
     """The Fisher extremization of ``epi_solve``, in the workspace ``ws``.
 
     Returns (e0, FI) and leaves the normalized ground state, its density
-    p_I and p_I's support mask in ``ws.psi``, ``ws.p`` and ``ws.mask``; a
-    solve that succeeds also makes its psi[1:-1] ``ws.start``.  Raises as
-    ``epi_solve`` does.
+    p_I and p_I's support mask in ``ws.psi``, ``ws.p`` and ``ws.mask``.
+    Raises as ``epi_solve`` does; the ground state is formed in ``ws.vn``
+    and reaches ``ws.psi``, the next solve's start, only after the checks.
     """
     dx = grid.dx
     kin = 1.0 / (2.0 * dx * dx)
-    u = _effective_potential(spec, grid, ws.scratch, ws.p)
-    np.subtract(2.0 * kin, u[1:-1], out=ws.diag)
-    ws.off.fill(-kin)
-    e0, v, count = _ground_state(ws)
+    u = _effective_potential(spec, grid, ws.scratch, ws.tv)
+    np.subtract(2.0 * kin, u[1:-1], out=ws.diag[1:-1])
+    e0, count = _ground_state(ws, -kin)
 
-    psi, p = ws.psi, ws.p
-    psi[0] = psi[-1] = 0.0
-    psi[1:-1] = v
-    if psi[np.argmax(np.abs(psi, out=p))] < 0:
-        np.negative(psi, out=psi)
-    # p holds psi^2, first for the norm, then (re-squared) as the density
-    np.square(psi, out=p)
-    psi /= np.sqrt(quadrature_values(p, dx, work=ws.tv))
-    np.square(psi, out=p)
+    vn, p = ws.vn, ws.p
+    vn[0] = vn[-1] = 0.0
+    if vn[np.argmax(np.abs(vn, out=p))] < 0:
+        np.negative(vn, out=vn)
+    # p holds vn^2, first for the norm, then (re-squared) as the density
+    np.square(vn, out=p)
+    vn /= np.sqrt(quadrature_values(p, dx, work=ws.scratch))
+    np.square(vn, out=p)
 
     buffer_mass = max(
         quadrature_values(p[: EDGE_BUFFER + 1], dx),
@@ -373,10 +368,9 @@ def _extremize(spec: ConstraintSpec, grid: Grid, ws: _Workspace) -> tuple[float,
             f"ground eigenvalue {e0!r}"
         )
 
-    _normalize_into(p, grid, False, p, ws.mask, ws.tv)
-    fisher = _fisher_integral(p, ws.mask, dx, ws.tv, ws.scratch)
-    np.copyto(ws.start, psi[1:-1])
-    return e0, fisher
+    np.copyto(ws.psi, vn)
+    _normalize_into(p, grid, False, p, ws.mask, ws.scratch)
+    return e0, _fisher_integral(p, ws.mask, dx, ws.scratch, ws.diag)
 
 
 def epi_solve(spec: ConstraintSpec, grid: Grid) -> EPIResult:
@@ -396,9 +390,8 @@ def epi_solve(spec: ConstraintSpec, grid: Grid) -> EPIResult:
     """
     ws = _Workspace(grid.n)
     e0, fisher = _extremize(spec, grid, ws)
-    # the results and two work arrays for U outlive the workspace: its
-    # operator, factors, iterate and start go before the results are copied
-    p, mask, psi, u, work = ws.p, ws.mask, ws.psi, ws.scratch, ws.tv
+    # the factor slot and iterate go before the results are copied out
+    p, mask, psi, u, work = ws.p, ws.mask, ws.psi, ws.scratch, ws.diag
     del ws
     return EPIResult(
         p_I=Density(ScalarField(grid, p), mask),

@@ -32,11 +32,11 @@ multiplier passes its start on).  A record therefore depends on its
 neighbours, at the solver's convergence tolerance (within 1e-9 relative
 of a cold solve); the same multiplier list still gives byte-identical
 output.  A sweep runs every solve in one workspace
-(``extremizers._Workspace``): each solve overwrites the previous one's
-arrays instead of allocating its own, its record is read off the
-workspace (no ``EPIResult`` is built), and the workspace keeps the last
-successful ground state as the next start.  A sweep therefore holds one
-solve's arrays at a time, and their pages stay mapped between solves.
+(``extremizers._Workspace``, seven arrays of n and a mask): each solve
+overwrites the previous one's arrays instead of allocating its own, its
+record is read off the workspace (no ``EPIResult`` is built), and the
+workspace's psi, the last ground state that passed its checks, is the
+next start.  So a sweep holds one solve's arrays, mapped between solves.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def sweep(A: ScalarField, lambdas, grid: Grid) -> SweepTable:
             continue
         # <A> over p_I, which the solve left in ws.p
         mean_a = quadrature_values(np.multiply(ws.p, A.values, out=ws.scratch),
-                                   grid.dx, work=ws.tv)
+                                   grid.dx, work=ws.diag)
         records.append(ThermoRecord(
             lam=float(lam),
             I=fisher_I,

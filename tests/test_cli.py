@@ -1073,6 +1073,32 @@ def test_object_list_that_is_not_a_list_of_objects_exits_2(tmp_path, capsys, com
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, payload, key", [
+    # each raised Python's own TypeError or AttributeError text
+    ("verify-identities", {"grid": "n", "density": {"kind": "gaussian"}}, "grid"),
+    ("verify-identities", {"grid": 5, "density": {"kind": "gaussian"}}, "grid"),
+    ("verify-identities", {"grid": SMALL_GRID, "density": "gaussian"}, "density"),
+    ("verify-identities", {"grid": SMALL_GRID, "density": {"kind": "gaussian"},
+                           "constants": None}, "constants"),
+    ("verify-identities", {"grid": SMALL_GRID, "density": {"kind": "gibbs", "energy": 2}},
+     "energy"),
+    ("evolve", {**SMALL_EVOLVE, "initial": "gaussian"}, "initial"),
+    ("evolve", {**SMALL_EVOLVE, "potential": ["free"]}, "potential"),
+    ("thermal", {"grid": SMALL_GRID, "heat": 0.5}, "heat"),
+    ("maxent", {"grid": SMALL_GRID, "constraint": "x", "target": 1.0}, "constraint"),
+    ("sweep", {**SMALL_SWEEP, "constraint": 2, "lambdas": [-1.0, -2.0]}, "constraint"),
+], ids=["grid-str", "grid-int", "density-str", "constants-null", "gibbs-energy-int",
+        "initial-str", "potential-list", "heat-float", "maxent-constraint-str",
+        "sweep-constraint-int"])
+def test_section_that_is_not_an_object_is_refused_by_name(tmp_path, capsys, command,
+                                                          payload, key):
+    inp = write_json(tmp_path / "in.json", payload)
+    out = tmp_path / "out"
+    assert main([command, "--input", inp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"schema error: {command}: {key} must be an object\n"
+    assert not out.exists()
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("the input was refused only after the work started")
 

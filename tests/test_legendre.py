@@ -64,11 +64,11 @@ def test_sweep_sorted_and_deterministic(base_table):
 
 
 def test_sweep_memory_holds_one_solve_at_a_time():
-    # a sweep's one workspace holds about 12 arrays of n (the operator's
-    # diagonal and off-diagonal, two factor slots of two arrays each, the
-    # iterate, the T v and scratch products, psi, p, the start and the
+    # a sweep's one workspace holds 7 arrays of n and a mask (the
+    # operator's diagonal, one factor slot of two arrays, the iterate, the
+    # T v product that then holds p, the scratch products, psi and the
     # mask); a solve that allocated beside it, or a previous multiplier's
-    # result (p_I, its mask, U) kept alive, would exceed 13
+    # result (p_I, its mask, U) kept alive, would exceed 8
     g = Grid(-12.0, 12.0, 65537)
     a = g.from_function(lambda x: x * x)
     lambdas = [-1.0, -2.0, -4.0, -8.0, -16.0, -32.0]
@@ -80,7 +80,7 @@ def test_sweep_memory_holds_one_solve_at_a_time():
     finally:
         tracemalloc.stop()
     assert len(table.records) == 6
-    assert peak <= 13 * 8 * g.n
+    assert peak <= 8 * 8 * g.n
 
 
 def test_one_multiplier_sweep_is_a_cold_epi_solve():
